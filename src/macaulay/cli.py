@@ -138,15 +138,16 @@ def _field(args):
 
 
 def _load_ring(args):
+    """The ring's context, and the builtin it came from (None for a spec file)."""
     spec_str = args.spec
     field = _field(args)
     if os.path.exists(spec_str) or spec_str.endswith(".json"):
         spec = ring_spec_from_file(spec_str)
         if getattr(args, "field", None):
             spec = spec.with_field(field)
-        return build_ring(spec), None
+        return RingContext(build_ring(spec)), None
     built = families.ring_builtin(spec_str, field)
-    return build_ring(built.ring_spec), built
+    return RingContext(built.ring, built.poset), built
 
 
 def _ring_order(ctx, arg, built):
@@ -159,8 +160,8 @@ def _ring_order(ctx, arg, built):
 
 
 def cmd_check_ring(args):
-    ring, built = _load_ring(args)
-    ctx = RingContext(ring)
+    ctx, built = _load_ring(args)
+    ring = ctx.ring
     table = _ring_order(ctx, args.order, built)
     candidate = built.monomial_order_candidate() if built else None
     t0 = time.perf_counter()
@@ -247,8 +248,8 @@ def _load_ideal(ctx, path):
 
 
 def cmd_ring(args):
-    ring, built = _load_ring(args)
-    ctx = RingContext(ring)
+    ctx, built = _load_ring(args)
+    ring = ctx.ring
     sub = args.ring_cmd
     if sub == "build":
         out = {

@@ -375,14 +375,21 @@ def _parse_ints(text):
 
 
 class Builtin:
-    """A named construction: its poset, and the family's published order if any."""
+    """A named construction: its poset, and the family's published order if any.
 
-    def __init__(self, name, poset, order_factory, ring_spec=None, candidate_factory=None):
+    A ring construction also keeps the built ring whose class poset it is.
+    """
+
+    def __init__(self, name, poset, order_factory, ring=None, candidate_factory=None):
         self.name = name
         self.poset = poset
         self._order_factory = order_factory
-        self.ring_spec = ring_spec
+        self.ring = ring
         self._candidate_factory = candidate_factory
+
+    @property
+    def ring_spec(self) -> Optional[QuotientRingSpec]:
+        return self.ring.spec if self.ring is not None else None
 
     def default_order(self) -> OrderTable:
         if self._order_factory is None:
@@ -397,8 +404,7 @@ class Builtin:
 
 def _ring_builtin(name, spec, order_factory, candidate_factory=None):
     ring = build_ring(spec)
-    poset = poset_of_monomials(ring)
-    return Builtin(name, poset, order_factory, spec, candidate_factory)
+    return Builtin(name, poset_of_monomials(ring), order_factory, ring, candidate_factory)
 
 
 def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:

@@ -1,9 +1,9 @@
 """Hilbert functions, initial monomial data, segment spaces, Macaulay rings.
 
-Linear algebra here runs in two coordinate systems.  Normal-form coordinates
-(the non-pivot monomials of each degree) are an honest basis of the degree
-slice and are order-free; they are used to span ideals and measure
-dimensions.  Basis coordinates re-express vectors over a leveled monomial
+Linear algebra here runs on sparse rows (see `linalg`) in two coordinate
+systems.  Normal-form coordinates (the non-pivot monomials of each degree)
+are an honest basis of the degree slice and are order-free; they are used
+to span ideals and measure dimensions.  Basis coordinates re-express vectors over a leveled monomial
 basis sorted ascending by a total order, so that RREF pivots read off
 initial monomials.
 
@@ -17,13 +17,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError
-from .linalg import express_in_basis, in_row_space, rref, rref_with_transform
+from .linalg import add_multiple, express_in_basis, in_row_space, rref, rref_with_transform
 from .orders import OrderTable
 from .poset import RankedPoset, reachability
 from .rings import (
     Polynomial,
     RingModel,
     degree_rep_lex_order,
+    field_terms,
     is_level_linearly_independent,
     is_monomial_order,
     monomials_of_degree,
@@ -35,12 +36,11 @@ MAX_ANTICHAIN_GROUND = 24
 
 
 class RingContext:
-    """A ring together with its class poset and cached residue matrices."""
+    """A ring together with its class poset, addressed by poset element ids."""
 
     def __init__(self, ring: RingModel, poset: Optional[RankedPoset] = None):
         self.ring = ring
         self.poset = poset if poset is not None else poset_of_monomials(ring)
-        self._residues = {}
         self._level_ids = [tuple(self.poset.level(i)) for i in range(ring.D + 1)]
         lli, lli_deg = is_level_linearly_independent(ring)
         self.lli = lli
@@ -50,11 +50,8 @@ class RingContext:
         return self._level_ids[degree] if degree <= self.ring.D else ()
 
     def residue(self, element_id):
-        """Normal-form coordinates of a class, cached."""
-        if element_id not in self._residues:
-            deg, idx = self.ring.class_of[self.poset.labels[element_id]]
-            self._residues[element_id] = self.ring.class_residue_coords(deg, idx)
-        return self._residues[element_id]
+        """Normal-form coordinates of a class, as a sparse row."""
+        return self.ring.class_residue_coords(*self.ring.class_of[self.poset.labels[element_id]])
 
     def nf_width(self, degree):
         return self.ring.hilb[degree]
@@ -94,7 +91,7 @@ class IdealSpec:
         ring = ctx.ring
         F = ring.field
         self.generators = tuple(generators)
-        gens_classes = []
+        gens = []
         for g in self.generators:
             if g.is_zero():
                 continue
@@ -103,66 +100,45 @@ class IdealSpec:
             e = g.degree()
             if e > ring.D:
                 raise RingError(f"generator degree {e} exceeds truncation {ring.D}")
-            comb = {}
-            for exp, coef in g.terms.items():
-                key = ring.class_of.get(tuple(exp))
-                if key is None:
-                    continue
-                comb[key] = F.add(comb.get(key, F.zero), F.of(coef))
-            comb = {k: v for k, v in comb.items() if v != F.zero}
-            if comb:
-                gens_classes.append((e, comb))
+            gens.append((e, field_terms(g, F)))
         self._slices = []  # per degree: (rref rows over nf coords, pivots)
         self.dims = []
         for i in range(ring.D + 1):
-            rows = []
-            for e, comb in gens_classes:
-                if e > i:
-                    continue
-                for m in monomials_of_degree(ring.spec.d, i - e):
-                    vec = [F.zero] * ring.hilb[i]
-                    alive = False
-                    for (cdeg, cidx), coef in comb.items():
-                        tgt = ring.mul_class_by_monomial(cdeg, cidx, m)
-                        if tgt is None:
-                            continue
-                        res = ring.class_residue_coords(*tgt)
-                        for j, r in enumerate(res):
-                            if r != F.zero:
-                                vec[j] = F.add(vec[j], F.mul(coef, r))
-                        alive = True
-                    if alive and any(v != F.zero for v in vec):
-                        rows.append(vec)
+            rows = [
+                self._residue_of(terms, m)
+                for e, terms in gens
+                if e <= i
+                for m in monomials_of_degree(ring.spec.d, i - e)
+            ]
             red, pivots = rref(rows, ring.hilb[i], F)
             self._slices.append((red, pivots))
             self.dims.append(len(red))
         if audit:
             self._audit_closure()
 
+    def _residue_of(self, terms, shift):
+        """Normal form of sum(coef * x^(exp + shift)), as a sparse row."""
+        ring = self.ctx.ring
+        vec = {}
+        for exp, coef in terms.items():
+            key = ring.class_of.get(tuple(a + b for a, b in zip(exp, shift)))
+            if key is not None:
+                add_multiple(vec, coef, ring.class_residue_coords(*key), ring.field)
+        return vec
+
     def _audit_closure(self):
         ring = self.ctx.ring
-        F = ring.field
+        d = ring.spec.d
+        units = [tuple(int(k == var) for k in range(d)) for var in range(d)]
         for i in range(ring.D):
             red, _ = self._slices[i]
             nxt_red, nxt_piv = self._slices[i + 1]
-            nonpiv = ring.nonpivot_cols[i]
-            mons = ring.monomials[i]
+            mons = ring.nf_monomials[i]
             for row in red:
-                for var in range(ring.spec.d):
-                    vec = [F.zero] * ring.hilb[i + 1]
-                    for j, coef in enumerate(row):
-                        if coef == F.zero:
-                            continue
-                        src = mons[nonpiv[j]]
-                        exp = tuple(e + (1 if k == var else 0) for k, e in enumerate(src))
-                        key = ring.class_of.get(exp)
-                        if key is None:
-                            continue
-                        res = ring.class_residue_coords(*key)
-                        for t, r in enumerate(res):
-                            if r != F.zero:
-                                vec[t] = F.add(vec[t], F.mul(coef, r))
-                    if not in_row_space(nxt_red, nxt_piv, vec, F):
+                terms = {mons[j]: coef for j, coef in row.items()}
+                for var, unit in enumerate(units):
+                    vec = self._residue_of(terms, unit)
+                    if not in_row_space(nxt_red, nxt_piv, vec, ring.field):
                         raise RingError(f"ideal slices not closed under x_{var+1} at degree {i}")
 
     def slice(self, degree):
@@ -207,9 +183,9 @@ def leveled_basis(ctx: RingContext, table: OrderTable) -> LeveledMonomialBasis:
         kept = []
         rows = []
         for x in ids:
-            cand = rows + [list(ctx.residue(x))]
-            if len(rref(cand, ring.hilb[i], F)[0]) > len(rows):
-                rows, _ = rref(cand, ring.hilb[i], F)
+            red, _ = rref(rows + [ctx.residue(x)], ring.hilb[i], F)
+            if len(red) > len(rows):
+                rows = red
                 kept.append(x)
         if len(kept) != ring.hilb[i]:
             raise RingError(f"degree {i}: classes do not span the slice")
@@ -258,13 +234,12 @@ def initial_monomial_data(
     imv_dims = []
     for i in range(ring.D + 1):
         cols = basis.levels[i]
-        bas_rows = [list(ctx.residue(x)) for x in cols]
-        if bas_rows:
-            b_red, b_piv, b_tr = rref_with_transform(bas_rows, ring.hilb[i], F)
+        bas_rows = [ctx.residue(x) for x in cols]
+        b_red, b_piv, b_tr = rref_with_transform(bas_rows, ring.hilb[i], F)
         rows_b = []
         red_i, _ = ideal.slice(i)
         for row in red_i:
-            coeffs = express_in_basis(b_red, b_piv, b_tr, list(row), F)
+            coeffs = express_in_basis(b_red, b_piv, b_tr, row, F)
             if coeffs is None:
                 raise RingError(f"degree {i}: ideal slice escapes the leveled basis span")
             rows_b.append(coeffs)
@@ -291,7 +266,7 @@ class GradedSubspace:
     """Per-degree RREF over leveled-basis columns, plus true dimensions."""
 
     columns: tuple  # per degree, class ids used as coordinates
-    rows: tuple  # per degree, RREF rows over those columns
+    rows: tuple  # per degree, sparse RREF rows over those columns
     dims: tuple
 
 
@@ -327,17 +302,11 @@ def initial_segment_space(
         seg = tuple(dual_segment(table, i, q))
         segs.append(seg)
         cols = basis.levels[i]
-        bas_rows = [list(ctx.residue(x)) for x in cols]
-        if bas_rows:
-            b_red, b_piv, b_tr = rref_with_transform(bas_rows, ring.hilb[i], F)
-            rows_b = []
-            for x in seg:
-                coeffs = express_in_basis(b_red, b_piv, b_tr, list(ctx.residue(x)), F)
-                rows_b.append(coeffs)
-            red_b, _ = rref(rows_b, len(cols), F)
-        else:
-            red_b = []
-        col_rows.append(tuple(tuple(r) for r in red_b))
+        bas_rows = [ctx.residue(x) for x in cols]
+        b_red, b_piv, b_tr = rref_with_transform(bas_rows, ring.hilb[i], F)
+        rows_b = [express_in_basis(b_red, b_piv, b_tr, ctx.residue(x), F) for x in seg]
+        red_b, _ = rref(rows_b, len(cols), F)
+        col_rows.append(tuple(red_b))
         dims.append(len(red_b))
     space = GradedSubspace(tuple(tuple(b) for b in basis.levels), tuple(col_rows), tuple(dims))
     return space, tuple(segs)

@@ -1,106 +1,93 @@
-"""Exact reduced row echelon form over the rationals or a prime field.
+"""Exact sparse reduced row echelon form over the rationals or a prime field.
 
-Matrices are lists of lists of field scalars: Fraction for the rationals,
-plain ints in 0..p-1 for GF(p).  RREF is canonical: pivot entries are 1,
-pivot columns are otherwise zero, pivot columns strictly increase, zero rows
-are dropped.
+A row is a dict {column: scalar} holding only its nonzero entries; scalars
+are Fractions over the rationals and ints in 1..p-1 over GF(p).  The kernels
+read the field's modulus once per call and do the arithmetic inline, so a
+row operation costs one dict update per nonzero of the row it subtracts.
+
+RREF is canonical: pivot entries are 1, pivot columns are otherwise zero,
+pivot columns strictly increase, zero rows are dropped.  It is computed as
+a structured sparse elimination: each incoming row is reduced by the pivot
+rows at its minimum column until that column is new, and the echelon form
+is then back-substituted from the largest pivot down.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
-class QQ:
-    """Rational field operations."""
-
-    name = "rationals"
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def of(x):
-        return Fraction(x)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def neg(a):
-        return -a
+def is_prime(p):
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
-class GFp:
-    """Prime field operations, scalars normalized to 0..p-1."""
+class Field:
+    """The rationals (p is None) or the prime field GF(p)."""
 
-    def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    __slots__ = ("p",)
+
+    def __init__(self, p=None):
+        if p is not None and not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.name = f"prime:{p}"
-        self.zero = 0
-        self.one = 1 % p
+
+    @property
+    def name(self):
+        return "rationals" if self.p is None else f"prime:{self.p}"
 
     def of(self, x):
+        """The scalar of a rational number; ValueError when p divides its denominator."""
         f = Fraction(x)
+        if self.p is None:
+            return f
         return f.numerator * pow(f.denominator, -1, self.p) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
+QQ = Field()
 
-    def mul(self, a, b):
-        return (a * b) % self.p
 
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
+def add_multiple(row, f, other, field):
+    """row += f * other, in place, keeping only nonzero entries."""
+    p = field.p
+    get = row.get
+    for c, w in other.items():
+        v = get(c, 0) + f * w
+        if p:
+            v %= p
+        if v:
+            row[c] = v
+        else:
+            row.pop(c, None)
 
 
 def rref(rows, ncols, field):
-    """Canonical RREF.  Returns (rows, pivot_columns); input rows are not mutated."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != field.zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        if mat[r][c] != field.one:
-            mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != field.zero:
-                f = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    """Canonical RREF.  Returns (rows, pivot_columns); input rows are not mutated.
+
+    Only columns below ncols can be pivots; entries at ncols and beyond ride
+    along with their row, and a row that is zero below ncols is dropped.
+    """
+    p = field.p
+    piv = {}  # pivot column -> row, scaled so that its pivot entry is 1
+    for r in rows:
+        row = {c: v for c, v in r.items() if v}
+        c = min(row, default=ncols)
+        while c < ncols and c in piv:
+            add_multiple(row, -row[c], piv[c], field)
+            c = min(row, default=ncols)
+        if c < ncols:
+            lead = row[c]
+            if lead != 1:
+                inv = pow(lead, -1, p) if p else Fraction(1) / lead
+                row = {k: (v * inv % p if p else v * inv) for k, v in row.items()}
+            piv[c] = row
+    cols = sorted(piv)
+    # back substitution: larger pivot rows are already reduced, so clearing
+    # one pivot column never refills another
+    for c in reversed(cols):
+        row = piv[c]
+        for k in [k for k in row if k > c and k in piv]:
+            add_multiple(row, -row[k], piv[k], field)
+    return [piv[c] for c in cols], cols
 
 
 def rank(rows, ncols, field):
@@ -113,47 +100,41 @@ def reduce_vector(rref_rows, pivots, vec, field):
     vec == sum(coefficients[i] * rref_rows[i]) + residual, and residual is
     zero on every pivot column.
     """
-    v = list(vec)
+    v = {c: x for c, x in vec.items() if x}
     coeffs = []
     for row, c in zip(rref_rows, pivots):
-        f = v[c]
+        f = v.get(c, 0)
         coeffs.append(f)
-        if f != field.zero:
-            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
+        if f:
+            add_multiple(v, -f, row, field)
     return coeffs, v
 
 
 def in_row_space(rref_rows, pivots, vec, field):
-    _, residual = reduce_vector(rref_rows, pivots, vec, field)
-    return all(x == field.zero for x in residual)
+    return not reduce_vector(rref_rows, pivots, vec, field)[1]
 
 
 def rref_with_transform(rows, ncols, field):
-    """RREF plus the transform matrix T with R = T * rows.
+    """RREF plus the transform rows T with R = T * rows, T over row indices.
 
     Rows whose data part becomes zero are dropped along with their transform;
     only spanning information is kept.
     """
-    m = len(rows)
-    aug = []
-    for i, r in enumerate(rows):
-        extra = [field.zero] * m
-        extra[i] = field.one
-        aug.append(list(r) + extra)
+    one = field.of(1)
+    aug = [{**r, ncols + i: one} for i, r in enumerate(rows)]
     red, pivots = rref(aug, ncols, field)
-    return [r[:ncols] for r in red], pivots, [r[ncols:] for r in red]
+    data = [{c: v for c, v in r.items() if c < ncols} for r in red]
+    transform = [{c - ncols: v for c, v in r.items() if c >= ncols} for r in red]
+    return data, pivots, transform
 
 
 def express_in_basis(basis_rref, basis_pivots, basis_transform, vec, field):
-    """Coefficients of vec over the original basis rows, or None if outside the span."""
+    """Coefficients {basis row index: scalar} of vec, or None if outside the span."""
     w, residual = reduce_vector(basis_rref, basis_pivots, vec, field)
-    if any(x != field.zero for x in residual):
+    if residual:
         return None
-    m = len(basis_transform[0]) if basis_transform else 0
-    out = [field.zero] * m
-    for wr, trow in zip(w, basis_transform):
-        if wr != field.zero:
-            for j, t in enumerate(trow):
-                if t != field.zero:
-                    out[j] = field.add(out[j], field.mul(wr, t))
+    out = {}
+    for f, trow in zip(w, basis_transform):
+        if f:
+            add_multiple(out, f, trow, field)
     return out

@@ -2,22 +2,24 @@
 
 A ring model is built degree by degree up to an explicit truncation D: the
 degree-i slice of the ideal is spanned by generator multiples (exact for a
-homogeneous ideal, no Groebner machinery needed), monomials are reduced to
-normal form against its RREF, and monomials with equal nonzero residue are
-grouped into classes.  Everything downstream (Hilbert functions, the poset
-of monomials, order checks) speaks in terms of these classes; any statement
-involving degrees is implicitly "up to degree D".
+homogeneous ideal, no Groebner machinery needed), each a sparse row with one
+entry per generator term.  Monomials are reduced to normal form against the
+slice's sparse RREF, and monomials with equal nonzero residue are grouped
+into classes, each of which keeps that residue.  Everything downstream
+(Hilbert functions, the poset of monomials, order checks) speaks in terms of
+these classes; any statement involving degrees is implicitly "up to
+degree D".
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .errors import RingError
-from .linalg import GFp, QQ, reduce_vector, rref
+from .linalg import QQ, Field, is_prime, rref
 from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
 from .poset import RankedPoset
 
@@ -32,11 +34,11 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in ("rationals", "prime"):
             raise RingError(f"unknown field kind {self.kind!r}")
-        if self.kind == "prime" and (self.p is None or self.p < 2):
-            raise RingError("prime field needs a modulus")
+        if self.kind == "prime" and (self.p is None or not is_prime(self.p)):
+            raise RingError(f"prime field needs a prime modulus, got {self.p}")
 
-    def field(self):
-        return QQ if self.kind == "rationals" else GFp(self.p)
+    def field(self) -> Field:
+        return QQ if self.kind == "rationals" else Field(self.p)
 
     def to_json(self):
         return "q" if self.kind == "rationals" else f"p:{self.p}"
@@ -45,7 +47,7 @@ class FieldSpec:
     def from_json(cls, text):
         if text == "q":
             return cls("rationals", None)
-        if text.startswith("p:"):
+        if text.startswith("p:") and text[2:].isdigit():
             return cls("prime", int(text[2:]))
         raise RingError(f"unknown field spec {text!r}")
 
@@ -105,6 +107,19 @@ def monomial(exp):
     return Polynomial({tuple(exp): 1})
 
 
+def field_terms(poly: Polynomial, F: Field) -> dict:
+    """The polynomial's terms as scalars of F, dropping those that vanish there."""
+    terms = {}
+    for exp, coef in poly.terms.items():
+        try:
+            c = F.of(coef)
+        except ValueError:
+            raise RingError(f"coefficient {coef} is not defined over {F.name}") from None
+        if c:
+            terms[exp] = c
+    return terms
+
+
 @dataclass(frozen=True)
 class QuotientRingSpec:
     """K[x_1..x_d]/H truncated at degree D, H given by homogeneous generators."""
@@ -158,11 +173,16 @@ def ring_spec_from_file(path) -> QuotientRingSpec:
 
 @dataclass(frozen=True)
 class MonomialClass:
-    """Monomials of one degree sharing a nonzero residue; rep is the lex-least."""
+    """Monomials of one degree sharing a nonzero residue; rep is the lex-least.
+
+    The residue is the shared normal form, a sparse row over the normal-form
+    coordinates of the degree (its non-pivot monomials, lex ascending).
+    """
 
     degree: int
     members: frozenset
     rep: tuple
+    residue: dict = dc_field(compare=False, repr=False)
 
 
 def monomials_of_degree(d, i):
@@ -183,9 +203,7 @@ class RingModel:
     def __init__(self, spec: QuotientRingSpec):
         self.spec = spec
         self.field = spec.field.field()
-        self.monomials = []  # per degree, lex ascending
-        self.ideal_rref = []  # per degree: (rows, pivots)
-        self.nonpivot_cols = []  # per degree: non-pivot column indices
+        self.nf_monomials = []  # per degree: the normal-form coordinates' monomials
         self.classes = []  # per degree: list[MonomialClass], sorted by rep
         self.class_of = {}  # exponent tuple -> (degree, index) or None when zero in S
         self.hilb = []
@@ -194,63 +212,46 @@ class RingModel:
     # -- construction ------------------------------------------------------
 
     def _build(self):
-        F = self.field
         spec = self.spec
+        gens = [(g.degree(), field_terms(g, self.field)) for g in spec.generators]
+        mons = [monomials_of_degree(spec.d, i) for i in range(spec.D + 1)]
         for i in range(spec.D + 1):
-            mons = monomials_of_degree(spec.d, i)
-            col = {m: j for j, m in enumerate(mons)}
-            rows = []
-            for g in spec.generators:
-                e = g.degree()
-                if e > i:
-                    continue
-                for m in monomials_of_degree(spec.d, i - e):
-                    row = [F.zero] * len(mons)
-                    for exp, coef in g.terms.items():
-                        shifted = tuple(a + b for a, b in zip(exp, m))
-                        row[col[shifted]] = F.add(row[col[shifted]], F.of(coef))
-                    rows.append(row)
-            red, pivots = rref(rows, len(mons), F)
-            piv_set = set(pivots)
-            nonpiv = [j for j in range(len(mons)) if j not in piv_set]
-            self.monomials.append(mons)
-            self.ideal_rref.append((red, pivots))
-            self.nonpivot_cols.append(nonpiv)
-            self.hilb.append(len(nonpiv))
-            self._classify(i, mons, red, pivots, nonpiv)
+            col = {m: j for j, m in enumerate(mons[i])}
+            rows = [
+                {col[tuple(a + b for a, b in zip(exp, m))]: c for exp, c in terms.items()}
+                for e, terms in gens
+                if e <= i
+                for m in mons[i - e]
+            ]
+            red, pivots = rref(rows, len(mons[i]), self.field)
+            self._classify(i, mons[i], red, pivots)
         if self.hilb[0] == 0:
             raise RingError("unit ideal: 1 lies in H")
 
-    def _nf_vector(self, degree, exp):
-        """Normal form of a monomial, as a tuple over non-pivot columns."""
-        mons = self.monomials[degree]
-        red, pivots = self.ideal_rref[degree]
-        F = self.field
-        j = mons.index(exp)
-        vec = [F.zero] * len(mons)
-        vec[j] = F.one
-        _, residual = reduce_vector(red, pivots, vec, F)
-        return tuple(residual[c] for c in self.nonpivot_cols[degree])
-
-    def _classify(self, degree, mons, red, pivots, nonpiv):
-        F = self.field
-        piv_row = {c: r for r, c in enumerate(pivots)}
+    def _classify(self, degree, mons, red, pivots):
+        p = self.field.p
+        one = self.field.of(1)
+        piv_row = dict(zip(pivots, red))
+        nonpiv = [j for j in range(len(mons)) if j not in piv_row]
+        coord = {j: t for t, j in enumerate(nonpiv)}
         fibers = {}
         for j, m in enumerate(mons):
-            if j in piv_row:
-                # nf(e_j) = e_j - pivot_row(j), which vanishes on pivot columns
-                row = red[piv_row[j]]
-                nf = tuple(F.neg(row[c]) for c in nonpiv)
+            row = piv_row.get(j)
+            if row is None:
+                nf = {coord[j]: one}
             else:
-                nf = tuple(F.one if c == j else F.zero for c in nonpiv)
-            if all(x == F.zero for x in nf):
+                # nf(e_j) = e_j - pivot_row(j), which vanishes on pivot columns
+                nf = {coord[c]: (p - v if p else -v) for c, v in row.items() if c != j}
+            if not nf:
                 self.class_of[m] = None
                 continue
-            fibers.setdefault(nf, []).append(m)
-        classes = []
-        for nf, members in fibers.items():
-            classes.append(MonomialClass(degree, frozenset(members), min(members)))
-        classes.sort(key=lambda c: c.rep)
+            fibers.setdefault(tuple(sorted(nf.items())), (nf, []))[1].append(m)
+        classes = sorted(
+            (MonomialClass(degree, frozenset(ms), min(ms), nf) for nf, ms in fibers.values()),
+            key=lambda c: c.rep,
+        )
+        self.nf_monomials.append([mons[j] for j in nonpiv])
+        self.hilb.append(len(nonpiv))
         self.classes.append(classes)
         for idx, c in enumerate(classes):
             for m in c.members:
@@ -270,7 +271,7 @@ class RingModel:
 
     def class_residue_coords(self, degree, idx):
         """Residue of a class in normal-form coordinates of its degree."""
-        return self._nf_vector(degree, self.classes[degree][idx].rep)
+        return self.classes[degree][idx].residue
 
     def mul_class_by_monomial(self, degree, idx, exp):
         """Class of (class representative) * x^exp, or None when the product is zero."""

@@ -1,5 +1,6 @@
 """Shared brute-force oracles, independent of the library's fast paths."""
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -60,3 +61,57 @@ def m43():
 @pytest.fixture(scope="session")
 def m222():
     return M.multiset_lattice([2, 2, 2])
+
+
+# ---------------------------------------------------------------------------
+# Dense exact elimination: the oracle for the sparse kernels in linalg.
+# Scalars are Fractions when p is None and ints in 0..p-1 otherwise.
+
+
+def _norm(x, p):
+    return x % p if p else x
+
+
+def dense_rref(rows, ncols, p=None):
+    """Gauss-Jordan on dense lists; pivots only in the first ncols columns."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c], -1, p) if p else 1 / mat[r][c]
+        mat[r] = [_norm(inv * v, p) for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [_norm(v - f * w, p) for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def dense_reduce_vector(rref_rows, pivots, vec, p=None):
+    """Residual of vec after clearing its pivot columns against dense RREF rows."""
+    v = list(vec)
+    for row, c in zip(rref_rows, pivots):
+        f = v[c]
+        if f != 0:
+            v = [_norm(a - f * b, p) for a, b in zip(v, row)]
+    return v
+
+
+def to_dense(row, ncols, p=None):
+    zero = 0 if p else Fraction(0)
+    out = [zero] * ncols
+    for c, v in row.items():
+        out[c] = v
+    return out
+
+
+def to_sparse(vec):
+    return {c: v for c, v in enumerate(vec) if v != 0}

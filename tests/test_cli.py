@@ -215,3 +215,24 @@ def test_check_ring_field_flag(capsys):
                      "--field", "q", "--json")
     assert rc == 0
     assert json.loads(out)["inputs"]["field"] == "q"
+
+
+def test_check_ring_non_prime_modulus_is_usage_error(capsys):
+    rc, out, err = run(capsys, "check-ring", "--spec", "torus:3,2", "--order", "family-default",
+                       "--field", "p:32004")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "32004" in err and err.count("\n") == 1
+
+
+def test_check_ring_coefficient_not_invertible_is_usage_error(tmp_path, capsys):
+    spec = {
+        "d": 2,
+        "field": "p:32003",
+        "generators": [[{"exp": [2, 0], "coef": "1/32003"}, {"exp": [0, 2], "coef": "1"}]],
+        "D": 2,
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "check-ring", "--spec", str(path), "--order", "lex")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "1/32003" in err and err.count("\n") == 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import macaulay as M
+from conftest import dense_reduce_vector, dense_rref, to_dense
 from macaulay import families as F
 from macaulay.errors import RingError
 from macaulay.rings import (
@@ -265,3 +266,89 @@ def test_ring_spec_json_roundtrip():
     spec = F.torus_basic_ring(3, M.FieldSpec("prime", 32003))
     again = M.QuotientRingSpec.from_json(spec.to_json())
     assert again == spec
+
+
+def _dense_slice(spec, i, field):
+    """Generator multiples of degree i as dense rows over the lex-ascending monomials."""
+    mons = monomials_of_degree(spec.d, i)
+    col = {m: j for j, m in enumerate(mons)}
+    rows = []
+    for g in spec.generators:
+        e = g.degree()
+        if e > i:
+            continue
+        for m in monomials_of_degree(spec.d, i - e):
+            row = to_dense({}, len(mons), field.p)
+            for exp, coef in g.terms.items():
+                j = col[tuple(a + b for a, b in zip(exp, m))]
+                row[j] = field.of(row[j] + field.of(coef))
+            rows.append(row)
+    return mons, rows
+
+
+def test_stored_residues_match_dense_normal_forms():
+    specs = [
+        F.torus_ring([3, 3], M.RATIONALS),
+        F.diamond_ring(2, M.RATIONALS),
+        F.be_ring(1, 2, 2, M.RATIONALS),
+        non_lli_spec(D=3),
+        M.QuotientRingSpec(
+            2, M.RATIONALS,
+            [M.Polynomial({(1, 1): Fraction(2, 3), (0, 2): -5, (2, 0): 7})], 4,
+        ),
+    ]
+    for spec in specs:
+        for fspec in (M.RATIONALS, M.FieldSpec("prime", 32003), M.FieldSpec("prime", 5)):
+            ring = M.build_ring(spec.with_field(fspec))
+            field = ring.field
+            for i in range(ring.D + 1):
+                mons, rows = _dense_slice(ring.spec, i, field)
+                red, pivots = dense_rref(rows, len(mons), field.p)
+                nonpiv = [j for j in range(len(mons)) if j not in pivots]
+                assert ring.nf_monomials[i] == [mons[j] for j in nonpiv]
+                for c in ring.classes[i]:
+                    for m in c.members:
+                        unit = to_dense({mons.index(m): field.of(1)}, len(mons), field.p)
+                        residual = dense_reduce_vector(red, pivots, unit, field.p)
+                        nf = [residual[j] for j in nonpiv]
+                        assert to_dense(c.residue, len(nonpiv), field.p) == nf
+                zero = [m for m in mons if ring.class_of[m] is None]
+                for m in zero:
+                    unit = to_dense({mons.index(m): field.of(1)}, len(mons), field.p)
+                    assert not any(dense_reduce_vector(red, pivots, unit, field.p))
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_large_glued_builds_agree_across_fields():
+    cases = [
+        (lambda f: F.torus_ring([3, 3, 3], f), (1, 2, 2, 1)),
+        (lambda f: F.diamond_ring(3, f), (1, 3, 1)),
+    ]
+    for make, basic_hilbert in cases:
+        rq = M.build_ring(make(M.RATIONALS))
+        rp = M.build_ring(make(M.FieldSpec("prime", 32003)))
+        want = _convolve(_convolve(basic_hilbert, basic_hilbert), basic_hilbert)
+        assert list(rq.hilbert()) == list(rp.hilbert()) == want
+        assert [[c.members for c in cs] for cs in rq.classes] == [
+            [c.members for c in cs] for cs in rp.classes
+        ]
+        assert M.is_level_linearly_independent(rq) == M.is_level_linearly_independent(rp)
+
+
+def test_coefficient_outside_the_prime_field_is_a_ring_error():
+    spec = M.QuotientRingSpec(
+        2, M.FieldSpec("prime", 7), [M.Polynomial({(1, 1): Fraction(1, 7)})], 2
+    )
+    with pytest.raises(RingError, match="not defined over prime:7"):
+        M.build_ring(spec)
+    with pytest.raises(RingError, match="prime modulus"):
+        M.FieldSpec("prime", 32004)
+    with pytest.raises(RingError):
+        M.FieldSpec.from_json("p:abc")
