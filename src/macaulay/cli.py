@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__, families
-from .errors import MacaulayLibError, OrderError, PosetError, ResourceLimitError, RingError
+from .errors import MacaulayLibError, OrderError, ResourceLimitError
 from .hilbert import (
     RingContext,
     hilbert_function,
@@ -73,7 +73,7 @@ def _resolve_order(poset, arg, built):
     recipe = _order_recipe_from_arg(arg)
     if recipe.get("kind") == "family-default" and "family" not in recipe:
         if built is None:
-            raise OrderError("family-default needs a builtin poset")
+            raise OrderError("family-default needs a builtin descriptor")
         return built.default_order()
     return order_from_recipe(poset, recipe)
 
@@ -150,19 +150,10 @@ def _load_ring(args):
     return RingContext(built.ring, built.poset), built
 
 
-def _ring_order(ctx, arg, built):
-    recipe = _order_recipe_from_arg(arg)
-    if recipe.get("kind") == "family-default" and "family" not in recipe:
-        if built is None:
-            raise OrderError("family-default needs a builtin ring")
-        return built.default_order()
-    return order_from_recipe(ctx.poset, recipe)
-
-
 def cmd_check_ring(args):
     ctx, built = _load_ring(args)
     ring = ctx.ring
-    table = _ring_order(ctx, args.order, built)
+    table = _resolve_order(ctx.poset, args.order, built)
     candidate = built.monomial_order_candidate() if built else None
     t0 = time.perf_counter()
     verdict = is_macaulay_ring(
@@ -281,7 +272,7 @@ def cmd_ring(args):
         return 0
     if sub == "ims":
         ideal = _load_ideal(ctx, args.ideal)
-        table = _ring_order(ctx, args.order, built)
+        table = _resolve_order(ctx.poset, args.order, built)
         data = initial_monomial_data(ctx, ideal, table)
         out = {
             "ims": [[str(ctx.poset.labels[x]) for x in lvl] for lvl in data.ims],
@@ -305,7 +296,6 @@ def build_parser():
         p.add_argument("--out", help="directory for the report file")
         p.add_argument("--field", help="q or p:<modulus>")
         p.add_argument("--max-subsets", type=int, default=2 ** 22)
-        p.add_argument("--seed", type=int, default=0, help="reserved for randomized runs")
 
     cp = sub.add_parser("check-poset", help="verify the Macaulay property of a poset")
     cp.add_argument("--poset", required=True, help="builtin descriptor or JSON file")
@@ -357,10 +347,7 @@ def main(argv=None):
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (PosetError, OrderError, RingError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except MacaulayLibError as e:
+    except (MacaulayLibError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -370,8 +370,15 @@ def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable
 # Builtin registry (CLI surface and acceptance drivers)
 
 
-def _parse_ints(text):
-    return [int(x) for x in text.split(",") if x != ""]
+def _parse_ints(kind, text, arity=None):
+    """The comma-separated integers of a descriptor; `arity` fixes their number."""
+    try:
+        vals = [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise PosetError(f"{kind}: expected comma-separated integers, got {text!r}") from None
+    if arity is not None and len(vals) != arity:
+        raise PosetError(f"{kind}: expected {arity} integers, got {text!r}")
+    return vals
 
 
 class Builtin:
@@ -414,48 +421,50 @@ def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
         text = text[len("builtin:"):]
     kind, _, rest = text.partition(":")
     if kind == "multiset":
-        caps = _parse_ints(rest)
+        caps = _parse_ints(kind, rest)
         return Builtin(text, multiset_lattice(caps), lex_order)
     if kind == "chain":
-        (n,) = _parse_ints(rest)
+        (n,) = _parse_ints(kind, rest, 1)
         return Builtin(text, multiset_lattice([n]), lex_order)
     if kind == "star":
-        (n,) = _parse_ints(rest)
+        (n,) = _parse_ints(kind, rest, 1)
         return Builtin(text, star(n), lambda p: bezrukov_elsasser_order(p, n - 1, 1, 1))
     if kind == "spider":
-        k, l = _parse_ints(rest)
+        k, l = _parse_ints(kind, rest, 2)
         return Builtin(text, spider(k, l), lambda p: bezrukov_elsasser_order(p, k, l, 1))
     if kind == "be":
-        k, l, n = _parse_ints(rest)
+        k, l, n = _parse_ints(kind, rest, 3)
         return Builtin(
             text,
             bezrukov_elsasser_poset(k, l, n),
             lambda p: bezrukov_elsasser_order(p, k, l, n),
         )
     if kind == "colored":
-        ns = _parse_ints(rest)
+        ns = _parse_ints(kind, rest)
         return Builtin(text, colored_poset(ns), lambda p: mermin_murai_order(p, ns, side="poset"))
     if kind == "kk":
-        (d,) = _parse_ints(rest)
+        (d,) = _parse_ints(kind, rest, 1)
         return _ring_builtin(text, kk_ring(d, field), lex_order)
     if kind == "cl":
-        caps = _parse_ints(rest)
+        caps = _parse_ints(kind, rest)
         return _ring_builtin(text, cl_ring(caps, field), lex_order)
     if kind == "colored-ring":
-        ns = _parse_ints(rest)
+        ns = _parse_ints(kind, rest)
         return _ring_builtin(
             text, colored_sf_ring(ns, field), lambda p: mermin_murai_order(p, ns, side="ring")
         )
     if kind == "be-ring":
-        lpow, d, n = _parse_ints(rest)
+        lpow, d, n = _parse_ints(kind, rest, 3)
         return _ring_builtin(
             text,
             be_ring(d - 1, lpow - 1, n, field),
             lambda p: be_ring_order(p, d - 1, lpow - 1, n),
         )
     if kind == "torus":
-        vals = _parse_ints(rest)
-        p, n = (vals[0], vals[1]) if len(vals) > 1 else (vals[0], 1)
+        vals = _parse_ints(kind, rest)
+        if len(vals) not in (1, 2):
+            raise PosetError(f"torus: expected 1 or 2 integers, got {rest!r}")
+        p, n = (vals + [1])[:2]
         ks = [p] * n
         return _ring_builtin(
             text,
@@ -464,7 +473,7 @@ def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
             lambda q: tensor_monomial_order(q, [2] * n),
         )
     if kind == "diamond":
-        (n,) = _parse_ints(rest)
+        (n,) = _parse_ints(kind, rest, 1)
         return _ring_builtin(
             text,
             diamond_ring(n, field),
@@ -473,8 +482,8 @@ def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
         )
     if kind == "leck":
         ds_text, _, kk_text = rest.partition(",")
-        ds = [int(x) for x in ds_text.split("+")]
-        kk_d = int(kk_text) if kk_text else 0
+        ds = _parse_ints(kind, ds_text.replace("+", ","))
+        (kk_d,) = _parse_ints(kind, kk_text or "0", 1)
         return _ring_builtin(text, leck_ring(ds, kk_d, field), None)
     raise PosetError(f"unknown builtin poset {spec_str!r}")
 

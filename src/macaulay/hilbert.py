@@ -214,6 +214,20 @@ def upset_closure(poset: RankedPoset, seed_ids) -> frozenset:
     return frozenset(seen)
 
 
+def _basis_coordinates(ctx, degree, cols, vectors, what):
+    """RREF (rows, pivots) of degree-`degree` vectors written over the basis classes `cols`."""
+    F = ctx.ring.field
+    bas_rows = [ctx.residue(x) for x in cols]
+    b_red, b_piv, b_tr = rref_with_transform(bas_rows, ctx.ring.hilb[degree], F)
+    rows_b = []
+    for vec in vectors:
+        coeffs = express_in_basis(b_red, b_piv, b_tr, vec, F)
+        if coeffs is None:
+            raise RingError(f"degree {degree}: {what} escapes the leveled basis span")
+        rows_b.append(coeffs)
+    return rref(rows_b, len(cols), F)
+
+
 def initial_monomial_data(
     ctx: RingContext,
     ideal: IdealSpec,
@@ -227,23 +241,13 @@ def initial_monomial_data(
     the order; so a pivot is the order-least monomial of some slice element.
     """
     ring = ctx.ring
-    F = ring.field
     if basis is None:
         basis = leveled_basis(ctx, table)
     ims = []
     imv_dims = []
     for i in range(ring.D + 1):
         cols = basis.levels[i]
-        bas_rows = [ctx.residue(x) for x in cols]
-        b_red, b_piv, b_tr = rref_with_transform(bas_rows, ring.hilb[i], F)
-        rows_b = []
-        red_i, _ = ideal.slice(i)
-        for row in red_i:
-            coeffs = express_in_basis(b_red, b_piv, b_tr, row, F)
-            if coeffs is None:
-                raise RingError(f"degree {i}: ideal slice escapes the leveled basis span")
-            rows_b.append(coeffs)
-        red_b, piv_b = rref(rows_b, len(cols), F)
+        _, piv_b = _basis_coordinates(ctx, i, cols, ideal.slice(i)[0], "ideal slice")
         ims.append(tuple(cols[c] for c in piv_b))
         imv_dims.append(len(piv_b))
     gens = [x for lvl in ims for x in lvl]
@@ -285,7 +289,6 @@ def initial_segment_space(
     independent.
     """
     ring = ctx.ring
-    F = ring.field
     if basis is None:
         basis = leveled_basis(ctx, table)
     if isinstance(v_dims, dict):
@@ -301,11 +304,8 @@ def initial_segment_space(
             raise RingError(f"degree {i}: requested {q} classes, only {avail} exist")
         seg = tuple(dual_segment(table, i, q))
         segs.append(seg)
-        cols = basis.levels[i]
-        bas_rows = [ctx.residue(x) for x in cols]
-        b_red, b_piv, b_tr = rref_with_transform(bas_rows, ring.hilb[i], F)
-        rows_b = [express_in_basis(b_red, b_piv, b_tr, ctx.residue(x), F) for x in seg]
-        red_b, _ = rref(rows_b, len(cols), F)
+        seg_rows = [ctx.residue(x) for x in seg]
+        red_b, _ = _basis_coordinates(ctx, i, basis.levels[i], seg_rows, "segment")
         col_rows.append(tuple(red_b))
         dims.append(len(red_b))
     space = GradedSubspace(tuple(tuple(b) for b in basis.levels), tuple(col_rows), tuple(dims))

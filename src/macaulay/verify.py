@@ -7,9 +7,14 @@ Checking direction "lower" uses plain per-level segments and lower shadows;
 direction "upper" uses the reversed per-level segments and upper shadows,
 which is the form the dual side of the theory wants.
 
-The nestedness oracle enumerates every subset of a level with a Gray-code
-walk, maintaining shadow counts incrementally, so the 2^k scan costs O(1)
-shadow updates per step instead of recomputing unions.
+`is_macaulay`, `min_shadow` and the order search share one level-scan
+kernel: one direction dispatch, one builder of shadow position lists, one
+segment pass (each prefix's shadow size and whether it is a target prefix)
+and one Gray-code walk, `_gray_minima`, which keeps shadow counts
+incrementally so the 2^k scan costs O(1) shadow updates per step.  The
+subset cap is enforced in `_gray_minima`, before any walk, so every caller
+(the search included, at DEFAULT_SUBSET_CAP) raises ResourceLimitError
+naming the level.  `macaulay_by_definition` stays apart as the literal oracle.
 """
 from __future__ import annotations
 
@@ -94,62 +99,84 @@ class MacaulayVerdict:
         return out
 
 
-def _level_frames(poset, table, direction):
-    """Yield (level, source ids in segment order, shadow lists, target ids in segment order)."""
-    reverse = direction == "upper"
+def _direction(poset, direction):
+    """Neighbour lists, shadow function and level step of a checking direction."""
     if direction == "lower":
-        pairs = [(i, i - 1) for i in range(1, poset.max_rank + 1)]
-        neigh = poset.down
-    elif direction == "upper":
-        pairs = [(i, i + 1) for i in range(poset.max_rank)]
-        neigh = poset.up
-    else:
-        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    for src, dst in pairs:
-        source = table.level_in_order(src, reverse=reverse)
-        target = table.level_in_order(dst, reverse=reverse)
-        tpos = {x: j for j, x in enumerate(target)}
-        sh = [tuple(tpos[y] for y in neigh[x]) for x in source]
-        yield src, source, sh, target
+        return poset.down, poset.lower_shadow, -1
+    if direction == "upper":
+        return poset.up, poset.upper_shadow, 1
+    raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
 
 
-def _gray_minima(sh, k, want_masks=True):
+def _level_frames(poset, table, step):
+    """Yield (level, source ids, target ids), both in segment order."""
+    reverse = step > 0
+    for lvl in range(max(0, -step), poset.max_rank + 1 - max(0, step)):
+        source = table.level_in_order(lvl, reverse=reverse)
+        yield lvl, source, table.level_in_order(lvl + step, reverse=reverse)
+
+
+def _shadow_lists(neigh, source, target):
+    """Per source element, the positions in `target` of its neighbours."""
+    tpos = {x: j for j, x in enumerate(target)}
+    return [tuple(tpos[y] for y in neigh[x]) for x in source]
+
+
+def _segments(sh, nt):
+    """Yield, for q = 1..k, the shadow size of the first q sources and whether
+    that shadow is the first positions 0..size-1 of the target (continuity).
+
+    Lazy, so a caller that only wants continuous segments stops at the first gap.
+    """
+    counts = [0] * nt
+    shadow = 0
+    max_idx = -1
+    for row in sh:
+        for idx in row:
+            if counts[idx] == 0:
+                shadow += 1
+                if idx > max_idx:
+                    max_idx = idx
+            counts[idx] += 1
+        yield shadow, max_idx == shadow - 1
+
+
+def _gray_minima(sh, nt, level, cap):
     """Minimum shadow size over all subsets of each size, via a Gray-code walk.
 
-    Returns (min_size, argmin_mask) arrays indexed by subset size.
+    Returns (min_size, argmin_mask) lists indexed by subset size.  Raises
+    ResourceLimitError naming `level` before walking when 2^k exceeds `cap`.
     """
-    nt = 1 + max((j for t in sh for j in t), default=-1)
+    k = len(sh)
+    if (1 << k) > cap:
+        raise ResourceLimitError(
+            f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {cap}"
+        )
     counts = [0] * nt
-    in_set = [False] * k
-    best = [None] * (k + 1)
+    best = [0] + [nt + 1] * k
     best_mask = [0] * (k + 1)
-    best[0] = 0
     shadow = 0
     size = 0
     mask = 0
     for t in range(1, 1 << k):
         j = (t & -t).bit_length() - 1
         bit = 1 << j
-        if in_set[j]:
-            in_set[j] = False
-            size -= 1
-            mask ^= bit
-            for idx in sh[j]:
-                counts[idx] -= 1
-                if counts[idx] == 0:
-                    shadow -= 1
-        else:
-            in_set[j] = True
+        mask ^= bit
+        if mask & bit:
             size += 1
-            mask ^= bit
             for idx in sh[j]:
                 if counts[idx] == 0:
                     shadow += 1
                 counts[idx] += 1
-        if best[size] is None or shadow < best[size]:
+        else:
+            size -= 1
+            for idx in sh[j]:
+                counts[idx] -= 1
+                if counts[idx] == 0:
+                    shadow -= 1
+        if shadow < best[size]:
             best[size] = shadow
-            if want_masks:
-                best_mask[size] = mask
+            best_mask[size] = mask
     return best, best_mask
 
 
@@ -173,70 +200,34 @@ def is_macaulay(
     t0 = time.perf_counter()
     if table.poset != poset:
         raise ValueError("order table does not belong to this poset")
+    neigh, shadow_of, step = _direction(poset, direction)
     verdict = MacaulayVerdict(True, direction)
-    for lvl, source, sh, target in _level_frames(poset, table, direction):
-        k = len(source)
-        if (1 << k) > max_subsets:
-            raise ResourceLimitError(
-                f"level {lvl} has {k} elements; 2^{k} subsets exceed the cap of {max_subsets}"
-            )
-        # segment pass: incremental shadows of prefixes, with exact-prefix check
-        seg_sizes = [0] * (k + 1)
-        seg_prefix_ok = [True] * (k + 1)
-        nt = len(target)
-        counts = [0] * nt
-        shadow = 0
-        max_idx = -1
-        for q in range(1, k + 1):
-            for idx in sh[q - 1]:
-                if counts[idx] == 0:
-                    shadow += 1
-                    if idx > max_idx:
-                        max_idx = idx
-                counts[idx] += 1
-            seg_sizes[q] = shadow
-            seg_prefix_ok[q] = max_idx == shadow - 1
-        best, best_mask = _gray_minima(sh, k)
-        verdict.subsets_examined += 1 << k
+    for lvl, source, target in _level_frames(poset, table, step):
+        sh = _shadow_lists(neigh, source, target)
+        segments = list(_segments(sh, len(target)))
+        best, best_mask = _gray_minima(sh, len(target), lvl, max_subsets)
+        verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
-        level_failed = False
-        for q in range(1, k + 1):
-            if best[q] is not None and best[q] < seg_sizes[q]:
-                segment = source[:q]
+        for q, (size, is_prefix) in enumerate(segments, 1):
+            if best[q] >= size and is_prefix:
+                continue
+            segment = source[:q]
+            segment_shadow = tuple(sorted(shadow_of(segment)))
+            if best[q] < size:
                 witness = _mask_to_ids(best_mask[q], source)
-                verdict.failures.append(
-                    MacaulayFailure(
-                        lvl,
-                        "nestedness",
-                        q,
-                        witness,
-                        tuple(sorted(poset.lower_shadow(witness) if direction == "lower" else poset.upper_shadow(witness))),
-                        segment,
-                        tuple(sorted(poset.lower_shadow(segment) if direction == "lower" else poset.upper_shadow(segment))),
-                    )
+                failure = MacaulayFailure(
+                    lvl, "nestedness", q, witness, tuple(sorted(shadow_of(witness))),
+                    segment, segment_shadow,
                 )
-                level_failed = True
-            elif not seg_prefix_ok[q]:
-                segment = source[:q]
-                shadow_ids = (
-                    poset.lower_shadow(segment) if direction == "lower" else poset.upper_shadow(segment)
+            else:
+                failure = MacaulayFailure(
+                    lvl, "continuity", q, segment, segment_shadow, segment, segment_shadow,
+                    expected_prefix=target[: len(segment_shadow)],
                 )
-                verdict.failures.append(
-                    MacaulayFailure(
-                        lvl,
-                        "continuity",
-                        q,
-                        segment,
-                        tuple(sorted(shadow_ids)),
-                        segment,
-                        tuple(sorted(shadow_ids)),
-                        expected_prefix=target[: len(shadow_ids)],
-                    )
-                )
-                level_failed = True
-            if level_failed and not all_failures:
+            verdict.failures.append(failure)
+            if not all_failures:
                 break
-        if level_failed and not all_failures:
+        if verdict.failures and not all_failures:
             break
     verdict.holds = not verdict.failures
     verdict.elapsed = time.perf_counter() - t0
@@ -257,19 +248,9 @@ def min_shadow(
         raise ValueError(f"q={q} out of range for level of size {k}")
     if q == 0:
         return 0, frozenset()
-    if (1 << k) > max_subsets:
-        raise ResourceLimitError(
-            f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {max_subsets}"
-        )
-    neigh = poset.down if direction == "lower" else poset.up
-    tindex = {}
-    sh = []
-    for x in ids:
-        row = []
-        for y in neigh[x]:
-            row.append(tindex.setdefault(y, len(tindex)))
-        sh.append(tuple(row))
-    best, best_mask = _gray_minima(sh, k)
+    neigh, _, step = _direction(poset, direction)
+    target = poset.level(level + step)
+    best, best_mask = _gray_minima(_shadow_lists(neigh, ids, target), len(target), level, max_subsets)
     return best[q], frozenset(_mask_to_ids(best_mask[q], ids))
 
 
@@ -281,9 +262,8 @@ def macaulay_by_definition(poset: RankedPoset, table: OrderTable, direction: str
     level.  Enumerates subsets directly with fresh set arithmetic; quadratic
     in ways the fast path is not, so keep it to small posets.
     """
-    reverse = direction == "upper"
-    shadow_of = poset.lower_shadow if direction == "lower" else poset.upper_shadow
-    for lvl, source, _sh, target in _level_frames(poset, table, direction):
+    _, shadow_of, step = _direction(poset, direction)
+    for lvl, source, target in _level_frames(poset, table, step):
         k = len(source)
         for mask in range(1, 1 << k):
             A = [source[j] for j in range(k) if mask >> j & 1]
@@ -301,28 +281,17 @@ def check_dual_lemma(poset: RankedPoset, table: OrderTable, **kw) -> bool:
     return here.holds == there.holds
 
 
-def _level_pair_ok(poset, source, target, direction):
-    """All subsets of `source` satisfy nestedness+continuity against `target`."""
-    neigh = poset.down if direction == "lower" else poset.up
-    tpos = {x: j for j, x in enumerate(target)}
-    sh = [tuple(tpos[y] for y in neigh[x]) for x in source]
-    k = len(source)
-    counts = [0] * len(target)
-    shadow = 0
-    max_idx = -1
-    seg_sizes = [0] * (k + 1)
-    for q in range(1, k + 1):
-        for idx in sh[q - 1]:
-            if counts[idx] == 0:
-                shadow += 1
-                if idx > max_idx:
-                    max_idx = idx
-            counts[idx] += 1
-        if max_idx != shadow - 1:
+def _level_pair_ok(poset, level, source, target):
+    """All subsets of `source` (level `level`) satisfy nestedness and continuity
+    against `target` in the lower direction; the subset cap is DEFAULT_SUBSET_CAP."""
+    sh = _shadow_lists(poset.down, source, target)
+    sizes = []
+    for size, is_prefix in _segments(sh, len(target)):
+        if not is_prefix:
             return False
-        seg_sizes[q] = shadow
-    best, _ = _gray_minima(sh, k, want_masks=False)
-    return all(best[q] is None or best[q] >= seg_sizes[q] for q in range(1, k + 1))
+        sizes.append(size)
+    best, _ = _gray_minima(sh, len(target), level, DEFAULT_SUBSET_CAP)
+    return all(b >= s for b, s in zip(best[1:], sizes))
 
 
 def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional[OrderTable]:
@@ -332,7 +301,8 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
     only if every subset of level i already satisfies the property against
     the fixed order of level i-1.  Elements are tried in canonical order, so
     the search is deterministic.  Returns None when the space is exhausted;
-    raises SearchBudgetExceeded when `budget` permutations were tried first.
+    raises SearchBudgetExceeded when `budget` permutations were tried first,
+    and ResourceLimitError when a level has more subsets than the default cap.
     """
     levels = [list(poset.level(i)) for i in range(poset.max_rank + 1)]
     chosen: list = [None] * len(levels)
@@ -347,7 +317,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
             if nodes > budget:
                 raise SearchBudgetExceeded(f"no verdict within {budget} permutations")
             chosen[i] = list(perm)
-            if i > 0 and not _level_pair_ok(poset, list(perm), chosen[i - 1], "lower"):
+            if i > 0 and not _level_pair_ok(poset, i, perm, chosen[i - 1]):
                 continue
             if extend(i + 1):
                 return True

@@ -236,3 +236,10 @@ def test_check_ring_coefficient_not_invertible_is_usage_error(tmp_path, capsys):
     rc, out, err = run(capsys, "check-ring", "--spec", str(path), "--order", "lex")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "1/32003" in err and err.count("\n") == 1
+
+
+def test_malformed_builtin_descriptor_is_usage_error(capsys):
+    for poset in ("multiset:3,x", "spider:2"):
+        rc, out, err = run(capsys, "check-poset", "--poset", poset, "--order", "lex")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, poset

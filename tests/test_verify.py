@@ -1,7 +1,13 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import macaulay as M
+from macaulay import verify
 from macaulay.errors import ResourceLimitError, SearchBudgetExceeded
+from macaulay.families import star
 from macaulay.verify import macaulay_by_definition
 
 from conftest import brute_min_shadow, labels_of
@@ -58,7 +64,8 @@ def test_upper_direction_matches_lower(m34, m43, m222):
 
 
 def test_min_shadow_examples(m222, m34, m43):
-    assert M.min_shadow(m222, 2, 2) == (3, *[None][:0]) or M.min_shadow(m222, 2, 2)[0] == 3
+    size, witness = M.min_shadow(m222, 2, 2)
+    assert size == 3 and len(witness) == 2 and len(m222.lower_shadow(witness)) == 3
     assert M.min_shadow(m34, 1, 0) == (0, frozenset())
     size, witness = M.min_shadow(m34, 3, 1)
     assert size == 1 and labels_of(m34, witness) == [(0, 3)]
@@ -104,6 +111,13 @@ def test_resource_cap():
         M.min_shadow(p, 3, 2, max_subsets=2 ** 10)
 
 
+def test_search_respects_the_subset_cap(monkeypatch):
+    # level 1 of the dual star has 6 elements: 2^6 subsets, over a cap of 2^4
+    monkeypatch.setattr(verify, "DEFAULT_SUBSET_CAP", 2 ** 4)
+    with pytest.raises(ResourceLimitError, match="level 1"):
+        M.search_macaulay_order(M.dual(star(6)))
+
+
 def test_check_dual_lemma(m222, m43):
     assert M.check_dual_lemma(m222, M.lex_order(m222))
     assert M.check_dual_lemma(m43, M.lex_order(m43))
@@ -137,8 +151,6 @@ def test_search_on_m22():
 
 
 def test_search_on_star_product():
-    from macaulay.families import star
-
     p = M.cartesian_product([star(2), star(2)])
     t = M.search_macaulay_order(p)
     assert t is not None
@@ -174,8 +186,6 @@ def _random_order(poset, rng):
 
 def _random_poset(rng):
     """Random ranked poset: levels of random sizes, random covers, then repair."""
-    import itertools
-
     sizes = [1] + [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
     ids = []
     rank = []
@@ -199,9 +209,7 @@ def _random_poset(rng):
 def test_verifier_theorems_hold_on_random_inputs(seed):
     """Dual-lemma agreement and lower/upper equivalence are theorems: they
     must come out true for any finite poset and any order, Macaulay or not."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     p = _random_poset(rng)
     t = _random_order(p, rng)
     lower = M.is_macaulay(p, t, direction="lower")
@@ -214,3 +222,44 @@ def test_verifier_theorems_hold_on_random_inputs(seed):
     except M.PosetError:
         return  # not dually ranked: maximal elements off the top rank
     assert dual_ok
+
+
+def _random_case(seed):
+    rng = random.Random(seed)
+    p = _random_poset(rng)
+    return p, _random_order(p, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["lower", "upper"]), st.booleans())
+def test_scan_matches_literal_definition(seed, direction, all_failures):
+    p, t = _random_case(seed)
+    fast = M.is_macaulay(p, t, direction=direction, all_failures=all_failures)
+    slow, _ = macaulay_by_definition(p, t, direction=direction)
+    assert fast.holds == slow
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["lower", "upper"]))
+def test_min_shadow_matches_brute_force(seed, direction):
+    p, _ = _random_case(seed)
+    shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
+    for lvl in range(p.max_rank + 1):
+        for q in range(len(p.level(lvl)) + 1):
+            size, witness = M.min_shadow(p, lvl, q, direction=direction)
+            assert size == brute_min_shadow(p, lvl, q, direction)[0]
+            assert len(witness) == q and len(shadow(witness)) == size
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_search_finds_an_order_exactly_when_one_exists(seed):
+    p, _ = _random_case(seed)
+    levels = [p.level(i) for i in range(p.max_rank + 1)]
+    assume(max(map(len, levels)) <= 3)
+    exists = any(
+        macaulay_by_definition(p, M.explicit_order(p, [x for lvl in perms for x in lvl]))[0]
+        for perms in itertools.product(*map(itertools.permutations, levels))
+    )
+    found = M.search_macaulay_order(p)
+    assert (found is not None) == exists
