@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__, families
-from .errors import MacaulayLibError, OrderError, ResourceLimitError
+from .errors import MacaulayLibError, OrderError, ResourceLimitError, RingError
 from .hilbert import (
     RingContext,
     hilbert_function,
@@ -59,11 +59,17 @@ def _order_recipe_from_arg(arg):
     if arg in ("rep-lex",):
         return {"kind": "rep-lex"}
     if arg.startswith("dom:"):
-        return {"kind": "dom", "perm": [int(x) for x in arg[4:].split(",")]}
+        try:
+            return {"kind": "dom", "perm": [int(x) for x in arg[4:].split(",")]}
+        except ValueError:
+            raise OrderError(f"dom order wants comma-separated integers, got {arg!r}") from None
     for prefix in ("block:", "explicit:", "recipe:"):
         if arg.startswith(prefix):
             with open(arg[len(prefix):]) as fh:
-                return json.load(fh)
+                try:
+                    return json.load(fh)
+                except json.JSONDecodeError as e:
+                    raise OrderError(f"order file {fh.name!r} is not valid JSON: {e}") from None
     if arg == "family-default":
         return {"kind": "family-default"}
     raise OrderError(f"unknown order recipe {arg!r}")
@@ -233,7 +239,12 @@ def cmd_export(args):
 
 def _load_ideal(ctx, path):
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise RingError(f"ideal {path!r} is not valid JSON: {e}") from None
+    if not isinstance(data, dict) or "generators" not in data:
+        raise RingError(f"ideal {path!r} lacks generators")
     gens = [Polynomial.from_json(g) for g in data["generators"]]
     return ideal_in_ring(ctx, gens)
 

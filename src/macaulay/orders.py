@@ -172,7 +172,7 @@ def _rank_block(vectors, lengths, recipe):
 class OrderTable:
     """A total order over a poset's elements plus the recipe that produced it."""
 
-    __slots__ = ("poset", "position", "recipe", "_by_pos")
+    __slots__ = ("poset", "position", "recipe", "_by_pos", "_levels")
 
     def __init__(self, poset: RankedPoset, position, recipe):
         self.poset = poset
@@ -184,6 +184,7 @@ class OrderTable:
         for x, p in enumerate(self.position):
             by[p] = x
         self._by_pos = tuple(by)
+        self._levels = {}  # (level, reverse) -> ids in order, filled on first use
 
     def by_position(self):
         return self._by_pos
@@ -193,7 +194,12 @@ class OrderTable:
 
     def level_in_order(self, i, reverse=False):
         """Ids of level i sorted by position (reverse=True for the dual side)."""
-        return tuple(sorted(self.poset.level(i), key=lambda x: self.position[x], reverse=reverse))
+        key = (i, reverse)
+        if key not in self._levels:
+            self._levels[key] = tuple(
+                sorted(self.poset.level(i), key=lambda x: self.position[x], reverse=reverse)
+            )
+        return self._levels[key]
 
     def labels_in_order(self):
         return tuple(self.poset.labels[x] for x in self._by_pos)

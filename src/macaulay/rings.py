@@ -168,7 +168,15 @@ class QuotientRingSpec:
 
 def ring_spec_from_file(path) -> QuotientRingSpec:
     with open(path) as fh:
-        return QuotientRingSpec.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise RingError(f"ring spec {path!r} is not valid JSON: {e}") from None
+    keys = ("d", "field", "generators", "D")
+    missing = [key for key in keys if key not in data] if isinstance(data, dict) else keys
+    if missing:
+        raise RingError(f"ring spec {path!r} lacks {', '.join(missing)}")
+    return QuotientRingSpec.from_json(data)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,17 @@ which is the form the dual side of the theory wants.
 `is_macaulay`, `min_shadow` and the order search share one level-scan
 kernel: one direction dispatch, one builder of shadow position lists, one
 segment pass (each prefix's shadow size and whether it is a target prefix)
-and one Gray-code walk, `_gray_minima`, which keeps shadow counts
-incrementally so the 2^k scan costs O(1) shadow updates per step.  The
-subset cap is enforced in `_gray_minima`, before any walk, so every caller
-(the search included, at DEFAULT_SUBSET_CAP) raises ResourceLimitError
-naming the level.  `macaulay_by_definition` stays apart as the literal oracle.
+and one split-and-combine minimum, `_level_minima` (Horowitz and Sahni's
+meet in the middle).  It turns each shadow list into an int bitmask, builds
+the OR of every subset of each half of the level (2^(k/2) entries each),
+and for each high subset, in Gray-code order, takes the smallest popcount of
+its OR with the inclusion-minimal ORs of each low-subset size, skipping a
+size whose lower bound cannot beat the best so far.  Its witnesses are the
+first minimizers in Gray-code order, which makes them the subsets the full
+2^k Gray walk would report.  The subset cap is checked in `_level_minima`
+before any table is built, so every caller (the search included, at
+DEFAULT_SUBSET_CAP) raises ResourceLimitError naming the level.
+`macaulay_by_definition` stays apart as the literal oracle.
 """
 from __future__ import annotations
 
@@ -141,42 +147,71 @@ def _segments(sh, nt):
         yield shadow, max_idx == shadow - 1
 
 
-def _gray_minima(sh, nt, level, cap):
-    """Minimum shadow size over all subsets of each size, via a Gray-code walk.
+def _subset_ors(rows):
+    """OR of the rows of every subset, indexed by the subset's bitmask."""
+    table = [0]
+    for row in rows:
+        table += list(map(row.__or__, table))
+    return table
 
-    Returns (min_size, argmin_mask) lists indexed by subset size.  Raises
-    ResourceLimitError naming `level` before walking when 2^k exceeds `cap`.
+
+def _level_minima(sh, nt, level, cap):
+    """Minimum shadow size over all subsets of each size, by split and combine.
+
+    Returns (min_size, argmin_mask) lists indexed by subset size; each argmin
+    is the first minimizer in Gray-code order.  Raises ResourceLimitError
+    naming `level` before any table is built when 2^k exceeds `cap`.
     """
     k = len(sh)
     if (1 << k) > cap:
         raise ResourceLimitError(
             f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {cap}"
         )
-    counts = [0] * nt
+    rows = []
+    for row in sh:
+        m = 0
+        for idx in row:
+            m |= 1 << idx
+        rows.append(m)
+    lo = k // 2
+    low, high = _subset_ors(rows[:lo]), _subset_ors(rows[lo:])
+    # Low subsets by size, each bucket in Gray order.  For the minimum only the
+    # distinct, inclusion-minimal ORs matter: a superset never has a smaller shadow.
+    full = [[] for _ in range(lo + 1)]
+    for t in range(1 << lo):
+        g = t ^ (t >> 1)
+        full[g.bit_count()].append(g)
+    lean, minpop = [], []
+    for bucket in full:
+        kept = []
+        for m in sorted({low[g] for g in bucket}, key=int.bit_count):
+            if all(map((~m).__and__, kept)):
+                kept.append(m)
+        lean.append(kept)
+        minpop.append(kept[0].bit_count())
     best = [0] + [nt + 1] * k
+    where = [None] * (k + 1)
+    for t in range(1 << (k - lo)):
+        h = t ^ (t >> 1)
+        oh = high[h]
+        size, pop = h.bit_count(), oh.bit_count()
+        for r, ors in enumerate(lean):
+            q = size + r
+            b = best[q]
+            if pop >= b or minpop[r] >= b:
+                continue
+            v = min(map(int.bit_count, map(oh.__or__, ors)))
+            if v < b:
+                best[q] = v
+                where[q] = h, r
+    # The Gray rank of (h << lo) | g orders by the rank of h, then by the rank
+    # of g when h has even parity and by its reverse when h has odd parity.
     best_mask = [0] * (k + 1)
-    shadow = 0
-    size = 0
-    mask = 0
-    for t in range(1, 1 << k):
-        j = (t & -t).bit_length() - 1
-        bit = 1 << j
-        mask ^= bit
-        if mask & bit:
-            size += 1
-            for idx in sh[j]:
-                if counts[idx] == 0:
-                    shadow += 1
-                counts[idx] += 1
-        else:
-            size -= 1
-            for idx in sh[j]:
-                counts[idx] -= 1
-                if counts[idx] == 0:
-                    shadow -= 1
-        if shadow < best[size]:
-            best[size] = shadow
-            best_mask[size] = mask
+    for q in range(1, k + 1):
+        h, r = where[q]
+        oh = high[h]
+        hits = [g for g in full[r] if (oh | low[g]).bit_count() == best[q]]
+        best_mask[q] = (h << lo) | (hits[-1] if h.bit_count() & 1 else hits[0])
     return best, best_mask
 
 
@@ -205,7 +240,7 @@ def is_macaulay(
     for lvl, source, target in _level_frames(poset, table, step):
         sh = _shadow_lists(neigh, source, target)
         segments = list(_segments(sh, len(target)))
-        best, best_mask = _gray_minima(sh, len(target), lvl, max_subsets)
+        best, best_mask = _level_minima(sh, len(target), lvl, max_subsets)
         verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
         for q, (size, is_prefix) in enumerate(segments, 1):
@@ -250,7 +285,7 @@ def min_shadow(
         return 0, frozenset()
     neigh, _, step = _direction(poset, direction)
     target = poset.level(level + step)
-    best, best_mask = _gray_minima(_shadow_lists(neigh, ids, target), len(target), level, max_subsets)
+    best, best_mask = _level_minima(_shadow_lists(neigh, ids, target), len(target), level, max_subsets)
     return best[q], frozenset(_mask_to_ids(best_mask[q], ids))
 
 
@@ -281,16 +316,15 @@ def check_dual_lemma(poset: RankedPoset, table: OrderTable, **kw) -> bool:
     return here.holds == there.holds
 
 
-def _level_pair_ok(poset, level, source, target):
-    """All subsets of `source` (level `level`) satisfy nestedness and continuity
-    against `target` in the lower direction; the subset cap is DEFAULT_SUBSET_CAP."""
-    sh = _shadow_lists(poset.down, source, target)
+def _level_pair_ok(sh, nt, level):
+    """All subsets of a level with shadow lists `sh` satisfy nestedness and
+    continuity against `nt` targets; the subset cap is DEFAULT_SUBSET_CAP."""
     sizes = []
-    for size, is_prefix in _segments(sh, len(target)):
+    for size, is_prefix in _segments(sh, nt):
         if not is_prefix:
             return False
         sizes.append(size)
-    best, _ = _gray_minima(sh, len(target), level, DEFAULT_SUBSET_CAP)
+    best, _ = _level_minima(sh, nt, level, DEFAULT_SUBSET_CAP)
     return all(b >= s for b, s in zip(best[1:], sizes))
 
 
@@ -312,12 +346,15 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
         nonlocal nodes
         if i == len(levels):
             return True
+        if i > 0:
+            below = chosen[i - 1]
+            rows = dict(zip(levels[i], _shadow_lists(poset.down, levels[i], below)))
         for perm in permutations(levels[i]):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"no verdict within {budget} permutations")
             chosen[i] = list(perm)
-            if i > 0 and not _level_pair_ok(poset, i, perm, chosen[i - 1]):
+            if i > 0 and not _level_pair_ok([rows[x] for x in perm], len(below), i):
                 continue
             if extend(i + 1):
                 return True

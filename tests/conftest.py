@@ -115,3 +115,40 @@ def to_dense(row, ncols, p=None):
 
 def to_sparse(vec):
     return {c: v for c, v in enumerate(vec) if v != 0}
+
+
+# ---------------------------------------------------------------------------
+# Gray-code walk: the oracle for the split-and-combine level kernel in verify.
+
+
+def gray_minima(sh, nt):
+    """Minimum shadow size over all subsets of each size, and the first
+    minimizer in Gray-code order, by walking all 2^k subsets with
+    incrementally kept shadow counts."""
+    k = len(sh)
+    counts = [0] * nt
+    best = [0] + [nt + 1] * k
+    best_mask = [0] * (k + 1)
+    shadow = 0
+    size = 0
+    mask = 0
+    for t in range(1, 1 << k):
+        j = (t & -t).bit_length() - 1
+        bit = 1 << j
+        mask ^= bit
+        if mask & bit:
+            size += 1
+            for idx in sh[j]:
+                if counts[idx] == 0:
+                    shadow += 1
+                counts[idx] += 1
+        else:
+            size -= 1
+            for idx in sh[j]:
+                counts[idx] -= 1
+                if counts[idx] == 0:
+                    shadow -= 1
+        if shadow < best[size]:
+            best[size] = shadow
+            best_mask[size] = mask
+    return best, best_mask

@@ -243,3 +243,26 @@ def test_malformed_builtin_descriptor_is_usage_error(capsys):
         rc, out, err = run(capsys, "check-poset", "--poset", poset, "--order", "lex")
         assert rc == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, poset
+
+
+def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "recipe.json"
+    bad.write_text("{bad")
+    for order in ("dom:1,x", f"recipe:{bad}"):
+        rc, out, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", order)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, order
+
+
+def test_ring_or_ideal_file_without_generators_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "ring.json"
+    spec.write_text(json.dumps({"d": 2, "field": "q", "D": 2}))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"gens": []}))
+    for argv in (
+        ["check-ring", "--spec", str(spec), "--order", "lex"],
+        ["ring", "hilbert", "--spec", "cl:3,3", "--ideal", str(ideal)],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "generators" in err and err.count("\n") == 1, argv

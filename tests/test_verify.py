@@ -10,7 +10,7 @@ from macaulay.errors import ResourceLimitError, SearchBudgetExceeded
 from macaulay.families import star
 from macaulay.verify import macaulay_by_definition
 
-from conftest import brute_min_shadow, labels_of
+from conftest import brute_min_shadow, gray_minima, labels_of
 
 
 def test_kruskal_katona_holds(m222):
@@ -109,6 +109,41 @@ def test_resource_cap():
         M.is_macaulay(p, M.lex_order(p), max_subsets=2 ** 10)
     with pytest.raises(ResourceLimitError, match="level 3"):
         M.min_shadow(p, 3, 2, max_subsets=2 ** 10)
+
+
+def test_level_kernel_checks_the_cap_before_building_tables(monkeypatch):
+    def no_tables(rows):
+        raise AssertionError("subset table built past the cap")
+
+    monkeypatch.setattr(verify, "_subset_ors", no_tables)
+    with pytest.raises(ResourceLimitError, match="level 9 has 40 elements"):
+        verify._level_minima([(0,)] * 40, 1, 9, verify.DEFAULT_SUBSET_CAP)
+
+
+@st.composite
+def _shadow_rows(draw):
+    """Shadow lists over nt targets; rows come from a small pool, so duplicate
+    rows, empty rows and ties between subsets are common."""
+    nt = draw(st.integers(0, 8))
+    row = st.lists(st.integers(0, nt - 1), max_size=4).map(tuple) if nt else st.just(())
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=12)), nt
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shadow_rows())
+def test_level_kernel_matches_gray_walk(case):
+    sh, nt = case
+    assert verify._level_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)
+
+
+def test_level_kernel_matches_gray_walk_on_an_18_element_level():
+    p = M.multiset_lattice([4, 6, 7])
+    table = M.lex_order(p)
+    source, target = table.level_in_order(5), table.level_in_order(4)
+    assert len(source) == 18
+    sh = verify._shadow_lists(p.down, source, target)
+    assert verify._level_minima(sh, len(target), 5, 2 ** 18) == gray_minima(sh, len(target))
 
 
 def test_search_respects_the_subset_cap(monkeypatch):
