@@ -67,9 +67,12 @@ def _order_recipe_from_arg(arg):
         if arg.startswith(prefix):
             with open(arg[len(prefix):]) as fh:
                 try:
-                    return json.load(fh)
+                    recipe = json.load(fh)
                 except json.JSONDecodeError as e:
                     raise OrderError(f"order file {fh.name!r} is not valid JSON: {e}") from None
+            if not isinstance(recipe, dict):
+                raise OrderError(f"order file {fh.name!r} holds no recipe object")
+            return recipe
     if arg == "family-default":
         return {"kind": "family-default"}
     raise OrderError(f"unknown order recipe {arg!r}")

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .errors import OrderError, PosetError, RingError
 from .orders import (
     OrderTable,
+    RECIPE_FIELDS,
     RECIPE_RESOLVERS,
     dual_order,
     explicit_order,
@@ -538,6 +539,8 @@ def acceptance_constructions(field: FieldSpec = FieldSpec()):
     return out
 
 
+RECIPE_FIELDS["family-default"] = ("family", "params")
+RECIPE_FIELDS["tensor-degree-lex"] = ("sizes",)
 RECIPE_RESOLVERS["family-default"] = _resolve_family
 RECIPE_RESOLVERS["rep-lex"] = lambda poset, recipe: rep_lex_order(poset)
 RECIPE_RESOLVERS["tensor-degree-lex"] = lambda poset, recipe: tensor_monomial_order(

@@ -427,7 +427,9 @@ def check_monomial_ideal_profile(ctx: RingContext, table: OrderTable, upset_ids)
     the segment space of that profile fails to be an ideal of equal size.
     """
     ring = ctx.ring
-    by_degree = [sorted(x for x in upset_ids if ctx.poset.rank[x] == i) for i in range(ring.D + 1)]
+    by_degree = [[] for _ in range(ring.D + 1)]
+    for x in sorted(upset_ids):
+        by_degree[ctx.poset.rank[x]].append(x)
     profile = tuple(ctx.span_dim(i, by_degree[i]) for i in range(ring.D + 1))
     segs = [tuple(dual_segment(table, i, profile[i])) for i in range(ring.D + 1)]
     ok, fail_deg = segment_is_ideal(ctx, segs)

@@ -96,12 +96,29 @@ def _bc_cmp(lengths, choices=None):
     return cmp
 
 
+# fields each recipe kind reads; modules that register a resolver add theirs
+RECIPE_FIELDS = {
+    "dom": ("perm",), "block": ("cuts", "starts", "blocks"), "explicit": ("positions",), "dual": ("of",),
+}
+
+
+def _recipe_kind(recipe):
+    """The recipe's kind, once it is known to be an object with every field its kind reads."""
+    if not isinstance(recipe, dict) or not isinstance(recipe.get("kind"), str):
+        raise OrderError(f"order recipe must be an object with a string kind, got {recipe!r}")
+    kind = recipe["kind"]
+    missing = [f for f in RECIPE_FIELDS.get(kind, ()) if f not in recipe]
+    if missing:
+        raise OrderError(f"{kind} order recipe lacks {', '.join(missing)}")
+    return kind
+
+
 def rank_vectors(vectors, lengths, recipe):
     """Rank position vectors by a recipe; returns vector -> position dict.
 
     Recipes are JSON-shaped dicts: {"kind": "lex"|"colex"|"dom"|"hc"|"bc"|"block"}.
     """
-    kind = recipe["kind"]
+    kind = _recipe_kind(recipe)
     d = len(lengths)
     if kind == "lex":
         ordered = sorted(vectors)
@@ -389,7 +406,7 @@ RECIPE_RESOLVERS: dict[str, Callable] = {}
 
 def order_from_recipe(poset: RankedPoset, recipe) -> OrderTable:
     """Regenerate an order table from its serialized recipe."""
-    kind = recipe["kind"]
+    kind = _recipe_kind(recipe)
     if kind in ("lex", "colex", "dom", "hc", "bc"):
         return _table_from_vector_recipe(poset, recipe)
     if kind == "block":

@@ -274,9 +274,6 @@ class RingModel:
     def hilbert(self):
         return tuple(self.hilb)
 
-    def class_count(self, degree):
-        return len(self.classes[degree])
-
     def class_residue_coords(self, degree, idx):
         """Residue of a class in normal-form coordinates of its degree."""
         return self.classes[degree][idx].residue
@@ -376,38 +373,36 @@ RECIPE_RESOLVERS["degree-rep-lex"] = lambda poset, recipe: degree_rep_lex_order(
 def is_monomial_order(ring: RingModel, table: OrderTable):
     """Check multiplicativity: m1 < m2 implies m*m1 < m*m2 when both products live.
 
-    Returns (flag, counterexample) where the counterexample is a triple of
-    class representatives (m1, m2, m).
+    Returns (flag, counterexample) where the counterexample is the first
+    failing triple of class representatives (m1, m2, m), ids taken in the
+    order m, m1, m2.  Degree-1 multipliers m suffice, for two reasons.
+    Zero absorbs in an ideal, so every partial product of a nonzero product
+    is nonzero, and strict monotonicity under each variable chains into
+    strict monotonicity under every monomial.  Poset ids run degree by
+    degree, so the first failing triple has a degree-1 multiplier.  Per
+    degree-1 class, the live images must strictly increase along the order.
     """
     poset = table.poset
     pos = table.position
-    all_classes = [(poset.rank[x], poset.labels[x], x) for x in range(poset.n)]
-    for deg_m, rep_m, xm in all_classes:
-        if deg_m == 0:
-            continue
-        for deg1, rep1, x1 in all_classes:
-            if deg1 + deg_m > ring.D:
-                continue
-            for deg2, rep2, x2 in all_classes:
-                if x1 == x2 or deg2 + deg_m > ring.D:
-                    continue
-                if pos[x1] >= pos[x2]:
-                    continue
-                p1 = ring.class_of.get(tuple(a + b for a, b in zip(rep1, rep_m)))
-                p2 = ring.class_of.get(tuple(a + b for a, b in zip(rep2, rep_m)))
-                if p1 is None or p2 is None:
-                    continue
-                y1 = _class_id(poset, ring, p1)
-                y2 = _class_id(poset, ring, p2)
-                # strict reading: the products must be distinct and ordered
-                if y1 == y2 or pos[y1] >= pos[y2]:
-                    return False, (rep1, rep2, rep_m)
+    labels = poset.labels
+    class_of = ring.class_of
+    pos_of = {class_of[lab]: pos[x] for x, lab in enumerate(labels)}
+    walk = table.by_position()
+    for xm in sorted(poset.level(1)):
+        v = labels[xm].index(1)
+        img = [pos_of.get(class_of.get(lab[:v] + (lab[v] + 1,) + lab[v + 1:])) for lab in labels]
+        live = [x for x in walk if img[x] is not None]
+        # bad: the live elements with a later-placed one whose image is not above theirs
+        low, bad = poset.n, []
+        for x in reversed(live):
+            if low <= img[x]:
+                bad.append(x)
+            low = min(low, img[x])
+        if bad:
+            x1 = min(bad)
+            x2 = min(x for x in live if pos[x] > pos[x1] and img[x] <= img[x1])
+            return False, (labels[x1], labels[x2], labels[xm])
     return True, None
-
-
-def _class_id(poset, ring, key):
-    deg, idx = key
-    return poset.id_of(ring.classes[deg][idx].rep)
 
 
 def recognize_tree_ring(ring: RingModel):

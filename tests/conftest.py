@@ -152,3 +152,36 @@ def gray_minima(sh, nt):
             best[size] = shadow
             best_mask[size] = mask
     return best, best_mask
+
+
+# ---------------------------------------------------------------------------
+# Triple loop: the oracle for the per-variable monomial-order check in rings.
+
+
+def triple_loop_monomial_order(ring, table):
+    """(flag, first failing (m1, m2, m) triple of class representatives), by
+    testing every triple of classes, multipliers m of positive degree."""
+    poset = table.poset
+    pos = table.position
+    all_classes = [(poset.rank[x], poset.labels[x], x) for x in range(poset.n)]
+    for deg_m, rep_m, xm in all_classes:
+        if deg_m == 0:
+            continue
+        for deg1, rep1, x1 in all_classes:
+            if deg1 + deg_m > ring.D:
+                continue
+            for deg2, rep2, x2 in all_classes:
+                if x1 == x2 or deg2 + deg_m > ring.D:
+                    continue
+                if pos[x1] >= pos[x2]:
+                    continue
+                p1 = ring.class_of.get(tuple(a + b for a, b in zip(rep1, rep_m)))
+                p2 = ring.class_of.get(tuple(a + b for a, b in zip(rep2, rep_m)))
+                if p1 is None or p2 is None:
+                    continue
+                y1 = poset.id_of(ring.classes[p1[0]][p1[1]].rep)
+                y2 = poset.id_of(ring.classes[p2[0]][p2[1]].rep)
+                # strict reading: the products must be distinct and ordered
+                if y1 == y2 or pos[y1] >= pos[y2]:
+                    return False, (rep1, rep2, rep_m)
+    return True, None

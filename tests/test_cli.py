@@ -246,9 +246,12 @@ def test_malformed_builtin_descriptor_is_usage_error(capsys):
 
 
 def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "recipe.json"
-    bad.write_text("{bad")
-    for order in ("dom:1,x", f"recipe:{bad}"):
+    orders = ["dom:1,x"]
+    for i, text in enumerate(("{bad", "[1, 2]", '{"a": 1}', '{"kind": "explicit"}')):
+        bad = tmp_path / f"recipe{i}.json"
+        bad.write_text(text)
+        orders += [f"{prefix}:{bad}" for prefix in ("recipe", "block", "explicit")]
+    for order in orders:
         rc, out, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", order)
         assert rc == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, order

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import macaulay as M
-from conftest import dense_reduce_vector, dense_rref, to_dense
+from conftest import dense_reduce_vector, dense_rref, to_dense, triple_loop_monomial_order
 from macaulay import families as F
 from macaulay.errors import RingError
+from macaulay.orders import explicit_order
 from macaulay.rings import (
     class_poset_index,
     degree_rep_lex_order,
@@ -206,7 +209,8 @@ def test_plain_rep_lex_fails_on_torus():
     ring = M.build_ring(F.torus_basic_ring(3, M.RATIONALS))
     poset = M.poset_of_monomials(ring)
     ok, cex = M.is_monomial_order(ring, rep_lex_order(poset))
-    assert not ok and cex is not None
+    # 1 < x^2 in rep-lex, but x*x^2 = x^3 = y^3 comes before x = x*1
+    assert (ok, cex) == (False, ((0, 0), (2, 0), (1, 0)))
 
 
 def test_tensor_degree_lex_is_monomial_order_on_torus_square():
@@ -217,6 +221,50 @@ def test_tensor_degree_lex_is_monomial_order_on_torus_square():
     # while the flat degree-major order is not multiplicative here
     ok2, _ = M.is_monomial_order(ring, degree_rep_lex_order(poset))
     assert not ok2
+
+
+_ORDER_CHECK_POOL = (
+    "torus:3,2", "diamond:2", "be-ring:3,2,2", "colored-ring:2,2,2", "kk:4", "leck:2+2,1", "cl:3,3",
+    "xz=yz",
+)
+
+
+@lru_cache(maxsize=None)
+def _order_check_ring(name):
+    """(ring, poset, base order, whether the base is a monomial order)."""
+    if name == "xz=yz":
+        # K[x,y,z]/(xz - yz): z-multiplication glues x and y, so products tie
+        # and no order is a monomial order
+        spec = M.QuotientRingSpec(
+            3, M.FieldSpec(), [M.Polynomial({(1, 0, 1): 1, (0, 1, 1): -1})], 3
+        )
+        ring = M.build_ring(spec)
+        poset = M.poset_of_monomials(ring)
+        return ring, poset, degree_rep_lex_order(poset), False
+    b = F.builtin(name)
+    return b.ring, b.poset, b.monomial_order_candidate() or degree_rep_lex_order(b.poset), True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_ORDER_CHECK_POOL),
+    st.sampled_from(["shuffle", "degree-major", "swap"]),
+    st.randoms(use_true_random=False),
+)
+def test_monomial_order_check_matches_triple_loop(name, kind, rnd):
+    ring, poset, base, monomial = _order_check_ring(name)
+    if kind == "shuffle":
+        ids = rnd.sample(range(poset.n), poset.n)
+    elif kind == "degree-major":
+        ids = [x for lvl in poset.levels for x in rnd.sample(lvl, len(lvl))]
+    else:
+        # the base order with two adjacent elements swapped
+        assert M.is_monomial_order(ring, base)[0] == monomial
+        ids = list(base.by_position())
+        j = rnd.randrange(poset.n - 1)
+        ids[j], ids[j + 1] = ids[j + 1], ids[j]
+    table = explicit_order(poset, ids)
+    assert M.is_monomial_order(ring, table) == triple_loop_monomial_order(ring, table)
 
 
 def test_recognize_tree_ring():
