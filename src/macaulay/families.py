@@ -10,6 +10,7 @@ orders here fits it, so inventing one would be guesswork.
 """
 from __future__ import annotations
 
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import OrderError, PosetError, RingError
@@ -496,9 +497,27 @@ def ring_builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
     return b
 
 
+# per family: (parameter count or None for any, element count of its poset)
+_FAMILY_SIZES = {
+    "colored": (None, lambda *ns: prod(n + 1 for n in ns)),
+    "be": (3, lambda k, length, n: ((k + 1) * length + 1) ** n),
+    "be-ring": (3, lambda k, length, n: ((k + 1) * length + 1) ** n),
+    "torus": (None, lambda *ks: prod(2 * p for p in ks)),
+    "diamond": (1, lambda n: 5 ** n),
+}
+
+
 def _resolve_family(poset, recipe):
     fam = recipe["family"]
     params = recipe["params"]
+    if fam not in _FAMILY_SIZES:
+        raise OrderError(f"unknown family recipe {fam!r}")
+    # checked before any factor toset or family poset is built; the bound
+    # keeps the size arithmetic small
+    arity, size = _FAMILY_SIZES[fam]
+    fits = arity in (None, len(params)) and all(0 <= v <= poset.n for v in params)
+    if not fits or size(*params) != poset.n:
+        raise OrderError(f"{fam} order parameters {params!r} do not fit {poset.n} elements")
     if fam == "colored":
         return mermin_murai_order(poset, params, side=recipe.get("side", "poset"))
     if fam == "be":
@@ -507,9 +526,7 @@ def _resolve_family(poset, recipe):
         return be_ring_order(poset, *params)
     if fam == "torus":
         return torus_order(poset, params)
-    if fam == "diamond":
-        return diamond_order(poset, *params)
-    raise OrderError(f"unknown family recipe {fam!r}")
+    return diamond_order(poset, *params)
 
 
 def acceptance_constructions(field: FieldSpec = FieldSpec()):
@@ -539,8 +556,8 @@ def acceptance_constructions(field: FieldSpec = FieldSpec()):
     return out
 
 
-RECIPE_FIELDS["family-default"] = ("family", "params")
-RECIPE_FIELDS["tensor-degree-lex"] = ("sizes",)
+RECIPE_FIELDS["family-default"] = {"family": str, "params": [int], "side": (None, str)}
+RECIPE_FIELDS["tensor-degree-lex"] = {"sizes": [int]}
 RECIPE_RESOLVERS["family-default"] = _resolve_family
 RECIPE_RESOLVERS["rep-lex"] = lambda poset, recipe: rep_lex_order(poset)
 RECIPE_RESOLVERS["tensor-degree-lex"] = lambda poset, recipe: tensor_monomial_order(

@@ -42,6 +42,7 @@ class RingContext:
         self.ring = ring
         self.poset = poset if poset is not None else poset_of_monomials(ring)
         self._level_ids = [tuple(self.poset.level(i)) for i in range(ring.D + 1)]
+        self._level_masks = [sum(1 << x for x in ids) for ids in self._level_ids]
         lli, lli_deg = is_level_linearly_independent(ring)
         self.lli = lli
         self.lli_fail_degree = lli_deg
@@ -251,14 +252,12 @@ def initial_monomial_data(
         ims.append(tuple(cols[c] for c in piv_b))
         imv_dims.append(len(piv_b))
     gens = [x for lvl in ims for x in lvl]
-    closure = upset_closure(ctx.poset, gens) if gens else frozenset()
-    imi_classes = []
-    imi_dims = []
-    for i in range(ring.D + 1):
-        here = frozenset(x for x in closure if ctx.poset.rank[x] == i)
-        imi_classes.append(here)
-        imi_dims.append(ctx.span_dim(i, sorted(here)))
-    return InitialMonomialData(tuple(ims), tuple(imv_dims), tuple(imi_dims), tuple(imi_classes))
+    by_degree = [[] for _ in range(ring.D + 1)]
+    for x in upset_closure(ctx.poset, gens):
+        by_degree[ctx.poset.rank[x]].append(x)
+    imi_classes = tuple(frozenset(here) for here in by_degree)
+    imi_dims = tuple(ctx.span_dim(i, sorted(here)) for i, here in enumerate(by_degree))
+    return InitialMonomialData(tuple(ims), tuple(imv_dims), imi_dims, imi_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +317,12 @@ def segment_is_ideal(ctx: RingContext, segments) -> tuple:
     A monomial space is an ideal exactly when each level's upper shadow lands
     in the next level's part; returns (flag, first failing degree or None).
     """
-    poset = ctx.poset
     sets = [frozenset(s) for s in segments]
     sets += [frozenset()] * (ctx.ring.D + 1 - len(sets))
     for i in range(ctx.ring.D):
         nxt = sets[i + 1]
-        for x in sets[i]:
-            for y in poset.up[x]:
-                if y not in nxt:
-                    return False, i
+        if any(y not in nxt for x in sets[i] for y in ctx.poset.up[x]):
+            return False, i
     return True, None
 
 
@@ -399,24 +395,46 @@ class RingMacaulayVerdict:
 
 
 def _antichains(poset: RankedPoset, ground):
-    """All antichains of the given ground elements (including the empty one)."""
+    """Antichains of the ground elements with their upset masks, streamed depth-first.
+
+    The empty antichain comes first, then the rest in lexicographic order of
+    element ids.  A child adds one larger ground element x, comparable with
+    no member, to its parent: its upset mask is the parent's OR x's.
+    """
     above = reachability(poset)
-    comparable = {}
-    for x in ground:
-        comparable[x] = {y for y in ground if y in above[x] or x in above[y]} - {x}
-    out = []
+    up = [sum(1 << y for y in above[x]) for x in range(poset.n)]
+    comp = {x: sum(1 << y for y in ground if y in above[x] or x in above[y]) for x in ground}
+    stack = [((), sum(1 << x for x in ground), 0)]  # antichain, free elements, upset
+    while stack:
+        chosen, free, ups = stack.pop()
+        yield chosen, ups
+        rest = free
+        while rest:  # largest first, so that the smallest child pops first
+            x = rest.bit_length() - 1
+            rest ^= 1 << x
+            # -(2 << x) keeps the bits above x
+            stack.append((chosen + (x,), free & ~comp[x] & -(2 << x), ups | up[x]))
 
-    def extend(i, chosen):
-        out.append(tuple(chosen))
-        for j in range(i, len(ground)):
-            x = ground[j]
-            if all(x not in comparable[c] for c in chosen):
-                chosen.append(x)
-                extend(j + 1, chosen)
-                chosen.pop()
 
-    extend(0, [])
-    return out
+def _mask_profile(ctx: RingContext, ups):
+    """Degreewise dimension of the monomial space spanned by the classes in a mask."""
+    if ctx.lli:
+        return tuple(map(int.bit_count, map(ups.__and__, ctx._level_masks)))
+    return tuple(
+        ctx.span_dim(i, [x for x in ids if ups >> x & 1]) for i, ids in enumerate(ctx._level_ids)
+    )
+
+
+def _segment_failure(ctx: RingContext, table: OrderTable, profile):
+    """(first failing degree, kind) of the segment space of a profile, or None."""
+    segs = [dual_segment(table, i, q) for i, q in enumerate(profile)]
+    ok, fail_deg = segment_is_ideal(ctx, segs)
+    if not ok:
+        return fail_deg, "segment-not-ideal"
+    for i, seg in enumerate(segs):
+        if ctx.span_dim(i, seg) != profile[i]:
+            return i, "hilbert-mismatch"
+    return None
 
 
 def check_monomial_ideal_profile(ctx: RingContext, table: OrderTable, upset_ids):
@@ -426,19 +444,8 @@ def check_monomial_ideal_profile(ctx: RingContext, table: OrderTable, upset_ids)
     dimension of the ideal, and the witness describes the first degree where
     the segment space of that profile fails to be an ideal of equal size.
     """
-    ring = ctx.ring
-    by_degree = [[] for _ in range(ring.D + 1)]
-    for x in sorted(upset_ids):
-        by_degree[ctx.poset.rank[x]].append(x)
-    profile = tuple(ctx.span_dim(i, by_degree[i]) for i in range(ring.D + 1))
-    segs = [tuple(dual_segment(table, i, profile[i])) for i in range(ring.D + 1)]
-    ok, fail_deg = segment_is_ideal(ctx, segs)
-    if not ok:
-        return profile, (fail_deg, "segment-not-ideal")
-    for i in range(ring.D + 1):
-        if ctx.span_dim(i, segs[i]) != profile[i]:
-            return profile, (i, "hilbert-mismatch")
-    return profile, None
+    profile = _mask_profile(ctx, sum(1 << x for x in set(upset_ids)))
+    return profile, _segment_failure(ctx, table, profile)
 
 
 def is_macaulay_ring(
@@ -454,11 +461,17 @@ def is_macaulay_ring(
     """Decide whether dual-side segment spaces of ideals are again ideals.
 
     mode="monomial-ideals" enumerates the monomial ideals generated in
-    degrees <= max_gen_degree as upsets of the class poset and tests each
-    profile.  mode="poset" checks the class poset on the upper-shadow side,
-    which by the correspondence between the two sides needs level linear
-    independence plus a verified monomial order; the default candidate is
-    the degree-major representative-lex order.  mode="both" cross-checks.
+    degrees <= max_gen_degree, as upsets of antichains of the class poset,
+    and tests each profile.  The antichains stream depth-first with int
+    bitmask upsets: a child's upset is its parent's OR the new element's, and
+    under level linear independence its profile is one popcount per degree.
+    The segment test reads only the profile, so its result is memoised by
+    profile, which is exact: the witnesses and the count are those of testing
+    every ideal on its own.  mode="poset" checks the class poset on the
+    upper-shadow side, which by the correspondence between the two sides
+    needs level linear independence plus a verified monomial order; the
+    default candidate is the degree-major representative-lex order.
+    mode="both" cross-checks.
     """
     if ctx is None:
         ctx = RingContext(ring)
@@ -468,6 +481,11 @@ def is_macaulay_ring(
     verdict = RingMacaulayVerdict(None, mode, ctx.lli, ctx.lli_fail_degree)
     # informative: the supplied order itself need not be multiplicative
     verdict.order_is_monomial, verdict.order_counterexample = is_monomial_order(ring, table)
+    no_lli = f"level linear independence fails at degree {ctx.lli_fail_degree}"
+
+    def refuse(reason):
+        verdict.hypothesis_ok = False
+        verdict.hypothesis_reason = reason
 
     def run_poset():
         cand = monomial_order_candidate or degree_rep_lex_order(poset)
@@ -475,25 +493,15 @@ def is_macaulay_ring(
         verdict.monomial_order_verified = ok
         verdict.monomial_order_counterexample = cex
         if not ctx.lli:
-            verdict.hypothesis_ok = False
-            verdict.hypothesis_reason = (
-                f"level linear independence fails at degree {ctx.lli_fail_degree}"
-            )
-            return None
+            return refuse(no_lli)
         if not ok:
-            verdict.hypothesis_ok = False
-            verdict.hypothesis_reason = "no verified monomial order on the class poset"
-            return None
+            return refuse("no verified monomial order on the class poset")
         kw = {"max_subsets": max_subsets} if max_subsets else {}
         return is_macaulay(poset, table, direction="upper", **kw)
 
     def run_ideals():
         if not ctx.lli and not allow_non_lli:
-            verdict.hypothesis_ok = False
-            verdict.hypothesis_reason = (
-                f"level linear independence fails at degree {ctx.lli_fail_degree}"
-            )
-            return None
+            return refuse(no_lli)
         if not ctx.lli:
             verdict.scope = "monomial-ideals-only"
         g = max_gen_degree
@@ -501,21 +509,16 @@ def is_macaulay_ring(
             g = min(3, max(ring.D - 1, 0))
         ground = [x for x in range(poset.n) if poset.rank[x] <= g]
         if len(ground) > MAX_ANTICHAIN_GROUND:
-            raise ResourceLimitError(
-                f"{len(ground)} generator candidates exceed the antichain cap"
-            )
+            raise ResourceLimitError(f"{len(ground)} generator candidates exceed the antichain cap")
         failures = []
-        checked = 0
-        for anti in _antichains(poset, ground):
-            checked += 1
-            ups = upset_closure(poset, anti) if anti else frozenset()
-            profile, bad = check_monomial_ideal_profile(ctx, table, ups)
-            if bad is not None:
-                failures.append(
-                    IdealWitness(
-                        tuple(poset.labels[x] for x in anti), profile, bad[0], bad[1]
-                    )
-                )
+        results = {}  # profile -> segment failure; the segment test reads only the profile
+        for checked, (anti, ups) in enumerate(_antichains(poset, ground), 1):
+            profile = _mask_profile(ctx, ups)
+            if profile not in results:
+                results[profile] = _segment_failure(ctx, table, profile)
+            if results[profile] is not None:
+                labels = tuple(poset.labels[x] for x in anti)
+                failures.append(IdealWitness(labels, profile, *results[profile]))
         verdict.ideals_checked = checked
         return failures
 
@@ -525,11 +528,8 @@ def is_macaulay_ring(
         verdict.holds = pv.holds if pv is not None else None
     elif mode == "monomial-ideals":
         fails = run_ideals()
-        if fails is None:
-            verdict.holds = None
-        else:
-            verdict.ideal_witnesses = fails
-            verdict.holds = not fails
+        verdict.ideal_witnesses = fails or []
+        verdict.holds = None if fails is None else not fails
     elif mode == "both":
         pv = run_poset()
         verdict.poset_verdict = pv
@@ -538,9 +538,8 @@ def is_macaulay_ring(
             verdict.holds = None
         else:
             verdict.ideal_witnesses = fails
-            ideals_hold = not fails
-            verdict.agreement = pv.holds == ideals_hold
-            verdict.holds = pv.holds and ideals_hold
+            verdict.agreement = pv.holds == (not fails)
+            verdict.holds = pv.holds and not fails
     else:
         raise RingError(f"unknown mode {mode!r}")
     return verdict

@@ -96,20 +96,41 @@ def _bc_cmp(lengths, choices=None):
     return cmp
 
 
-# fields each recipe kind reads; modules that register a resolver add theirs
+# fields each recipe kind reads, with their JSON shapes: a type, [shape] for
+# a list of that shape, or a tuple of alternatives, where None makes the field
+# optional; modules that register a resolver add theirs
 RECIPE_FIELDS = {
-    "dom": ("perm",), "block": ("cuts", "starts", "blocks"), "explicit": ("positions",), "dual": ("of",),
+    "dom": {"perm": [int]},
+    "hc": {"choices": (None, [[[int]]])},
+    "bc": {"choices": (None, [[[int]]])},
+    "block": {"cuts": [[int]], "starts": dict, "blocks": (dict, Callable)},
+    "explicit": {"positions": [int]},
+    "dual": {"of": dict},
+    "degree-major": {"per_rank": (None, dict), "default": (None, dict)},
 }
 
 
+def _fits(value, shape):
+    """Whether a JSON value has a shape of RECIPE_FIELDS."""
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    if isinstance(shape, list):
+        return isinstance(value, (list, tuple)) and all(_fits(v, shape[0]) for v in value)
+    return value is None if shape is None else isinstance(value, shape)
+
+
 def _recipe_kind(recipe):
-    """The recipe's kind, once it is known to be an object with every field its kind reads."""
+    """The recipe's kind, once it is known to be an object whose kind's fields have their shapes."""
     if not isinstance(recipe, dict) or not isinstance(recipe.get("kind"), str):
         raise OrderError(f"order recipe must be an object with a string kind, got {recipe!r}")
     kind = recipe["kind"]
-    missing = [f for f in RECIPE_FIELDS.get(kind, ()) if f not in recipe]
+    fields = RECIPE_FIELDS.get(kind, {})
+    missing = [f for f, shape in fields.items() if f not in recipe and not _fits(None, shape)]
     if missing:
         raise OrderError(f"{kind} order recipe lacks {', '.join(missing)}")
+    for f, shape in fields.items():
+        if not _fits(recipe.get(f), shape):
+            raise OrderError(f"{kind} order recipe has a malformed {f}: {recipe[f]!r}")
     return kind
 
 
@@ -145,11 +166,15 @@ def _choices_from_recipe(recipe):
     if not raw:
         return None
     # serialized as [[coords...], [perm...]] pairs with 1-based coordinates
+    if any(len(pair) != 2 for pair in raw):
+        raise OrderError(f"order choices must be [coordinates, permutation] pairs, got {raw!r}")
     return {tuple(c - 1 for c in coords): tuple(perm) for coords, perm in raw}
 
 
 def _rank_block(vectors, lengths, recipe):
     cuts0 = [tuple(c - 1 for c in cc) for cc in recipe["cuts"]]
+    if len(cuts0) != len(lengths):
+        raise OrderError(f"block order has {len(cuts0)} partitions for {len(lengths)} coordinates")
     for cc, l in zip(cuts0, lengths):
         if not cc or cc[0] != 0 or list(cc) != sorted(set(cc)) or cc[-1] >= l:
             raise OrderError(f"malformed ordered partition {cc!r} for toset of size {l}")
@@ -372,7 +397,10 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
     (colexicographic unless given).  Useful for building orders that are
     deliberately not monomial orders.
     """
-    per_rank = {int(k): v for k, v in (per_rank or {}).items()}
+    try:
+        per_rank = {int(k): v for k, v in (per_rank or {}).items()}
+    except ValueError:
+        raise OrderError(f"degree-major ranks must be integers, got {list(per_rank)!r}") from None
     default = default or {"kind": "colex"}
     labs, d = _vector_labels(poset)
     lens = _infer_lengths(labs, d)

@@ -185,3 +185,59 @@ def triple_loop_monomial_order(ring, table):
                 if y1 == y2 or pos[y1] >= pos[y2]:
                     return False, (rep1, rep2, rep_m)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# List-building antichain loop: the oracle for the streamed bitmask loop in
+# hilbert.is_macaulay_ring (mode="monomial-ideals").
+
+
+def antichain_loop_oracle(ctx, table, max_gen_degree=None):
+    """(witnesses, ideals checked) of the monomial-ideal scan, by listing every
+    antichain of the low-degree classes, walking each one's upset in the class
+    poset, and running the segment test on each upset's profile.  Witnesses are
+    (generator labels, profile, failing degree, kind) tuples."""
+    from macaulay.hilbert import MAX_ANTICHAIN_GROUND, dual_segment, segment_is_ideal
+    from macaulay.poset import reachability
+
+    poset = ctx.poset
+    D = ctx.ring.D
+    g = max_gen_degree if max_gen_degree is not None else min(3, max(D - 1, 0))
+    ground = [x for x in range(poset.n) if poset.rank[x] <= g]
+    if len(ground) > MAX_ANTICHAIN_GROUND:
+        raise M.ResourceLimitError("antichain cap")
+    above = reachability(poset)
+    comparable = {
+        x: {y for y in ground if y in above[x] or x in above[y]} - {x} for x in ground
+    }
+    antichains = []
+
+    def extend(i, chosen):
+        antichains.append(tuple(chosen))
+        for j in range(i, len(ground)):
+            x = ground[j]
+            if all(x not in comparable[c] for c in chosen):
+                chosen.append(x)
+                extend(j + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    witnesses = []
+    for anti in antichains:
+        seen, stack = set(anti), list(anti)
+        while stack:
+            for y in poset.up[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        by_degree = [sorted(x for x in seen if poset.rank[x] == i) for i in range(D + 1)]
+        profile = tuple(ctx.span_dim(i, by_degree[i]) for i in range(D + 1))
+        segs = [tuple(dual_segment(table, i, profile[i])) for i in range(D + 1)]
+        ok, fail_deg = segment_is_ideal(ctx, segs)
+        bad = None if ok else (fail_deg, "segment-not-ideal")
+        for i in range(D + 1):
+            if bad is None and ctx.span_dim(i, segs[i]) != profile[i]:
+                bad = (i, "hilbert-mismatch")
+        if bad is not None:
+            witnesses.append((tuple(poset.labels[x] for x in anti), profile) + bad)
+    return witnesses, len(antichains)

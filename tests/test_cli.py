@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
 
 import macaulay as M
 from macaulay.cli import main
@@ -247,7 +252,14 @@ def test_malformed_builtin_descriptor_is_usage_error(capsys):
 
 def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
     orders = ["dom:1,x"]
-    for i, text in enumerate(("{bad", "[1, 2]", '{"a": 1}', '{"kind": "explicit"}')):
+    texts = (
+        "{bad", "[1, 2]", '{"a": 1}', '{"kind": "explicit"}',
+        '{"kind": "explicit", "positions": 5}',
+        '{"kind": "dom", "perm": 5}',
+        '{"kind": "block", "cuts": 1, "starts": 2, "blocks": 3}',
+        '{"kind": "degree-major", "per_rank": [1]}',
+    )
+    for i, text in enumerate(texts):
         bad = tmp_path / f"recipe{i}.json"
         bad.write_text(text)
         orders += [f"{prefix}:{bad}" for prefix in ("recipe", "block", "explicit")]
@@ -269,3 +281,55 @@ def test_ring_or_ideal_file_without_generators_is_usage_error(tmp_path, capsys):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "generators" in err and err.count("\n") == 1, argv
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# per kind, the fields it reads, each with values that fit multiset:2,2
+_LEX = {"kind": "lex"}
+_RECIPE_KINDS = {
+    "lex": {}, "colex": {}, "rep-lex": {}, "degree-rep-lex": {}, "nonsense": {},
+    "dom": {"perm": [[1, 2], [2, 1]]},
+    "hc": {"choices": [[[[1, 2], [2, 1]]], []]},
+    "bc": {"choices": [[[[1, 2], [2, 1]]], []]},
+    "block": {"cuts": [[[1], [1, 2]], [[1, 2], [1, 2]]], "starts": [_LEX], "blocks": [_LEX]},
+    "explicit": {"positions": [[0, 1, 2, 3], [3, 1, 0, 2]]},
+    "dual": {"of": [_LEX]},
+    "degree-major": {"per_rank": [{"1": _LEX}], "default": [_LEX]},
+    "family-default": {
+        "family": ["colored", "be", "torus", "diamond"], "params": [[1, 1], [0, 1, 2]],
+        "side": ["poset", "ring"],
+    },
+    "tensor-degree-lex": {"sizes": [[1, 1], [2]]},
+}
+
+
+@st.composite
+def _recipes(draw, depth=0):
+    """A recipe object of some kind whose fields, each present or not, hold a
+    fitting value, random JSON, or, one level down, another recipe."""
+    kind = draw(st.sampled_from(sorted(_RECIPE_KINDS)))
+    recipe = {"kind": kind}
+    for f, fits in _RECIPE_KINDS[kind].items():
+        if draw(st.booleans()):
+            inner = [] if depth else [_recipes(depth=1)]
+            recipe[f] = draw(st.one_of(st.sampled_from(fits), _JSON, *inner))
+    return recipe
+
+
+@settings(max_examples=80, deadline=None)
+@given(_recipes())
+def test_generated_order_recipes_never_escape_the_cli(recipe):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "recipe.json")
+        with open(path, "w") as fh:
+            json.dump(recipe, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check-poset", "--poset", "multiset:2,2", "--order", f"recipe:{path}"])
+    assert rc in (0, 1, 2, 3, 4), recipe
+    if rc == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, recipe

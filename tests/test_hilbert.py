@@ -1,12 +1,15 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import macaulay as M
 from macaulay import families as F
 from macaulay.errors import RingError
 from macaulay.hilbert import (
     RingContext,
+    _antichains,
     check_monomial_ideal_profile,
     dual_segment,
     hilbert_function,
@@ -18,8 +21,10 @@ from macaulay.hilbert import (
     segment_is_ideal,
     upset_closure,
 )
-from macaulay.orders import degree_major_order
+from macaulay.orders import degree_major_order, explicit_order
 from macaulay.rings import degree_rep_lex_order
+
+from conftest import antichain_loop_oracle
 
 
 def free_ring_ctx(d=2, D=2):
@@ -170,10 +175,9 @@ def test_segment_is_ideal_cl_profiles_exhaustive():
     # every monomial-ideal profile of the sorted-caps ring yields an ideal segment
     ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
     lex = M.lex_order(ctx.poset)
-    from macaulay.hilbert import _antichains
-
-    for anti in _antichains(ctx.poset, list(range(ctx.poset.n))):
-        ups = upset_closure(ctx.poset, anti) if anti else frozenset()
+    for anti, mask in _antichains(ctx.poset, range(ctx.poset.n)):
+        ups = upset_closure(ctx.poset, anti)
+        assert mask == sum(1 << x for x in ups), anti
         profile, bad = check_monomial_ideal_profile(ctx, lex, ups)
         assert bad is None, (anti, profile, bad)
 
@@ -323,3 +327,48 @@ def test_tensor_correspondence_isomorphism():
         pb = M.poset_of_monomials(M.build_ring(b))
         prod = M.cartesian_product([pa, pb])
         assert M.poset.is_isomorphic_by_labels(M.poset_of_monomials(combined), prod, lambda l: l)
+
+
+_LOOP_POOL = (
+    "cl:4,4,4", "torus:3,2", "diamond:2", "colored-ring:2,2,2", "be-ring:3,2,2", "leck:2+2,1",
+    "non-lli",
+)
+
+
+@lru_cache(maxsize=None)
+def _loop_ring(name):
+    """(context, base order): the family default order, rep-lex for the Leck
+    ring (it has no default, and fails on 16 ideals at generator degree 2), and
+    lex for the ring without level linear independence."""
+    if name == "non-lli":
+        ctx = non_lli_ctx(D=3)
+        return ctx, M.lex_order(ctx.poset)
+    b = F.builtin(name)
+    ctx = RingContext(b.ring, b.poset)
+    if name.startswith("leck"):
+        return ctx, M.rep_lex_order(b.poset)
+    return ctx, b.default_order()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_LOOP_POOL),
+    st.integers(1, 3),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_antichain_loop_matches_list_building_oracle(name, g, shuffle, rnd):
+    ctx, table = _loop_ring(name)
+    if shuffle:
+        p = ctx.poset
+        table = explicit_order(p, [x for lvl in p.levels for x in rnd.sample(lvl, len(lvl))])
+    try:
+        want = antichain_loop_oracle(ctx, table, g)
+    except M.ResourceLimitError:
+        with pytest.raises(M.ResourceLimitError):
+            is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True, ctx=ctx)
+        return
+    v = is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True, ctx=ctx)
+    got = [(w.generator_labels, w.profile, w.failing_degree, w.kind) for w in v.ideal_witnesses]
+    assert (got, v.ideals_checked) == want
+    assert v.holds == (not want[0])
