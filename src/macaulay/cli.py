@@ -38,7 +38,7 @@ from .rings import (
     recognize_tree_ring,
     ring_spec_from_file,
 )
-from .verify import is_macaulay
+from .verify import DEFAULT_SUBSET_CAP, is_macaulay
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -54,10 +54,8 @@ def _load_poset(spec_str, field):
 
 
 def _order_recipe_from_arg(arg):
-    if arg in ("lex", "colex", "hc", "bc"):
+    if arg in ("lex", "colex", "hc", "bc", "rep-lex", "family-default"):
         return {"kind": arg}
-    if arg in ("rep-lex",):
-        return {"kind": "rep-lex"}
     if arg.startswith("dom:"):
         try:
             return {"kind": "dom", "perm": [int(x) for x in arg[4:].split(",")]}
@@ -73,8 +71,6 @@ def _order_recipe_from_arg(arg):
             if not isinstance(recipe, dict):
                 raise OrderError(f"order file {fh.name!r} holds no recipe object")
             return recipe
-    if arg == "family-default":
-        return {"kind": "family-default"}
     raise OrderError(f"unknown order recipe {arg!r}")
 
 
@@ -309,7 +305,7 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="print the JSON report")
         p.add_argument("--out", help="directory for the report file")
         p.add_argument("--field", help="q or p:<modulus>")
-        p.add_argument("--max-subsets", type=int, default=2 ** 22)
+        p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_CAP)
 
     cp = sub.add_parser("check-poset", help="verify the Macaulay property of a poset")
     cp.add_argument("--poset", required=True, help="builtin descriptor or JSON file")

@@ -21,7 +21,7 @@ from .orders import (
     dual_order,
     explicit_order,
     lex_order,
-    rank_vectors,
+    table_from_vectors,
 )
 from .poset import RankedPoset, cartesian_power, cartesian_product, dual, multiset_lattice
 from .rings import (
@@ -73,9 +73,9 @@ def colored_poset(ns: Sequence[int]) -> RankedPoset:
 # Block-order helpers over explicit factor tosets
 
 
-def _positions_table(poset, factor_tosets, split, recipe, public_recipe):
+def _factor_positions(poset, factor_tosets, split):
+    """Each element's vector of positions in the factor tosets, and the toset lengths."""
     index = [{v: i for i, v in enumerate(t)} for t in factor_tosets]
-    lengths = tuple(len(t) for t in factor_tosets)
     vecs = []
     for x in range(poset.n):
         parts = split(poset.labels[x])
@@ -83,10 +83,7 @@ def _positions_table(poset, factor_tosets, split, recipe, public_recipe):
             vecs.append(tuple(ix[p] for ix, p in zip(index, parts)))
         except KeyError:
             raise OrderError(f"label {poset.labels[x]!r} does not match the factor tosets")
-    ranking = rank_vectors(list(set(vecs)), lengths, recipe)
-    if len(ranking) != poset.n:
-        raise OrderError("factor positions must be distinct per element")
-    return OrderTable(poset, [ranking[v] for v in vecs], public_recipe)
+    return vecs, tuple(len(t) for t in factor_tosets)
 
 
 def _split_flat(sizes):
@@ -136,7 +133,7 @@ def mermin_murai_order(poset: RankedPoset, ns: Sequence[int], side: str = "poset
         "blocks": {"kind": "lex"},
     }
     public = {"kind": "family-default", "family": "colored", "params": list(ns), "side": side}
-    return _positions_table(poset, tosets, split, recipe, public)
+    return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
 
 
 def _be_block_perm(block_index):
@@ -167,7 +164,7 @@ def bezrukov_elsasser_order(poset: RankedPoset, k: int, length: int, n: int) -> 
         "blocks": lambda b: {"kind": "dom", "perm": _be_block_perm(b)},
     }
     public = {"kind": "family-default", "family": "be", "params": [k, length, n]}
-    return _positions_table(poset, tosets, split, recipe, public)
+    return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
 
 
 def bezrukov_elsasser_poset(k: int, length: int, n: int) -> RankedPoset:
@@ -264,7 +261,7 @@ def torus_order(poset: RankedPoset, ks: Sequence[int]) -> OrderTable:
         "blocks": {"kind": "lex"},
     }
     public = {"kind": "family-default", "family": "torus", "params": list(ks)}
-    return _positions_table(poset, tosets, split, recipe, public)
+    return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
 
 
 def diamond_basic_ring(field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
@@ -300,7 +297,7 @@ def diamond_order(poset: RankedPoset, n: int) -> OrderTable:
         "blocks": {"kind": "colex"},
     }
     public = {"kind": "family-default", "family": "diamond", "params": [n]}
-    return _positions_table(poset, [toset] * n, split, recipe, public)
+    return table_from_vectors(poset, *_factor_positions(poset, [toset] * n, split), recipe, public)
 
 
 def leck_basic_ring(d: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:

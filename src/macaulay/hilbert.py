@@ -30,7 +30,7 @@ from .rings import (
     monomials_of_degree,
     poset_of_monomials,
 )
-from .verify import MacaulayVerdict, is_macaulay
+from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, is_macaulay
 
 MAX_ANTICHAIN_GROUND = 24
 
@@ -87,7 +87,7 @@ class IdealSpec:
     the variables up to degree D.
     """
 
-    def __init__(self, ctx: RingContext, generators: Sequence[Polynomial], audit=True):
+    def __init__(self, ctx: RingContext, generators: Sequence[Polynomial]):
         self.ctx = ctx
         ring = ctx.ring
         F = ring.field
@@ -114,8 +114,7 @@ class IdealSpec:
             red, pivots = rref(rows, ring.hilb[i], F)
             self._slices.append((red, pivots))
             self.dims.append(len(red))
-        if audit:
-            self._audit_closure()
+        self._audit_closure()
 
     def _residue_of(self, terms, shift):
         """Normal form of sum(coef * x^(exp + shift)), as a sparse row."""
@@ -215,7 +214,7 @@ def upset_closure(poset: RankedPoset, seed_ids) -> frozenset:
     return frozenset(seen)
 
 
-def _basis_coordinates(ctx, degree, cols, vectors, what):
+def _basis_coordinates(ctx, degree, cols, vectors):
     """RREF (rows, pivots) of degree-`degree` vectors written over the basis classes `cols`."""
     F = ctx.ring.field
     bas_rows = [ctx.residue(x) for x in cols]
@@ -224,16 +223,13 @@ def _basis_coordinates(ctx, degree, cols, vectors, what):
     for vec in vectors:
         coeffs = express_in_basis(b_red, b_piv, b_tr, vec, F)
         if coeffs is None:
-            raise RingError(f"degree {degree}: {what} escapes the leveled basis span")
+            raise RingError(f"degree {degree}: ideal slice escapes the leveled basis span")
         rows_b.append(coeffs)
     return rref(rows_b, len(cols), F)
 
 
 def initial_monomial_data(
-    ctx: RingContext,
-    ideal: IdealSpec,
-    table: OrderTable,
-    basis: Optional[LeveledMonomialBasis] = None,
+    ctx: RingContext, ideal: IdealSpec, table: OrderTable
 ) -> InitialMonomialData:
     """Initial monomial sets, the dimensions of their span, and of their ideal.
 
@@ -242,13 +238,12 @@ def initial_monomial_data(
     the order; so a pivot is the order-least monomial of some slice element.
     """
     ring = ctx.ring
-    if basis is None:
-        basis = leveled_basis(ctx, table)
+    basis = leveled_basis(ctx, table)
     ims = []
     imv_dims = []
     for i in range(ring.D + 1):
         cols = basis.levels[i]
-        _, piv_b = _basis_coordinates(ctx, i, cols, ideal.slice(i)[0], "ideal slice")
+        _, piv_b = _basis_coordinates(ctx, i, cols, ideal.slice(i)[0])
         ims.append(tuple(cols[c] for c in piv_b))
         imv_dims.append(len(piv_b))
     gens = [x for lvl in ims for x in lvl]
@@ -266,10 +261,8 @@ def initial_monomial_data(
 
 @dataclass
 class GradedSubspace:
-    """Per-degree RREF over leveled-basis columns, plus true dimensions."""
+    """Per-degree dimensions of a graded subspace of the ring."""
 
-    columns: tuple  # per degree, class ids used as coordinates
-    rows: tuple  # per degree, sparse RREF rows over those columns
     dims: tuple
 
 
@@ -278,9 +271,7 @@ def dual_segment(table: OrderTable, level: int, q: int):
     return table.level_in_order(level, reverse=True)[:q]
 
 
-def initial_segment_space(
-    ctx: RingContext, v_dims, table: OrderTable, basis: Optional[LeveledMonomialBasis] = None
-):
+def initial_segment_space(ctx: RingContext, v_dims, table: OrderTable):
     """Span of the per-degree dual segments whose sizes are prescribed by v_dims.
 
     Returns (GradedSubspace, segment class ids per degree).  Dimensions can
@@ -288,13 +279,10 @@ def initial_segment_space(
     independent.
     """
     ring = ctx.ring
-    if basis is None:
-        basis = leveled_basis(ctx, table)
     if isinstance(v_dims, dict):
         v_dims = [v_dims.get(i, 0) for i in range(ring.D + 1)]
     v_dims = list(v_dims) + [0] * (ring.D + 1 - len(v_dims))
     segs = []
-    col_rows = []
     dims = []
     for i in range(ring.D + 1):
         q = v_dims[i]
@@ -303,12 +291,8 @@ def initial_segment_space(
             raise RingError(f"degree {i}: requested {q} classes, only {avail} exist")
         seg = tuple(dual_segment(table, i, q))
         segs.append(seg)
-        seg_rows = [ctx.residue(x) for x in seg]
-        red_b, _ = _basis_coordinates(ctx, i, basis.levels[i], seg_rows, "segment")
-        col_rows.append(tuple(red_b))
-        dims.append(len(red_b))
-    space = GradedSubspace(tuple(tuple(b) for b in basis.levels), tuple(col_rows), tuple(dims))
-    return space, tuple(segs)
+        dims.append(ctx.span_dim(i, seg))
+    return GradedSubspace(tuple(dims)), tuple(segs)
 
 
 def segment_is_ideal(ctx: RingContext, segments) -> tuple:
@@ -455,7 +439,7 @@ def is_macaulay_ring(
     max_gen_degree: Optional[int] = None,
     allow_non_lli: bool = False,
     monomial_order_candidate: Optional[OrderTable] = None,
-    max_subsets: int = None,
+    max_subsets: int = DEFAULT_SUBSET_CAP,
     ctx: Optional[RingContext] = None,
 ) -> RingMacaulayVerdict:
     """Decide whether dual-side segment spaces of ideals are again ideals.
@@ -496,8 +480,7 @@ def is_macaulay_ring(
             return refuse(no_lli)
         if not ok:
             return refuse("no verified monomial order on the class poset")
-        kw = {"max_subsets": max_subsets} if max_subsets else {}
-        return is_macaulay(poset, table, direction="upper", **kw)
+        return is_macaulay(poset, table, direction="upper", max_subsets=max_subsets)
 
     def run_ideals():
         if not ctx.lli and not allow_non_lli:

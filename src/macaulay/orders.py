@@ -4,16 +4,25 @@ All generators ultimately rank integer position vectors: an element of a
 product of tosets is identified with the vector of 0-based positions of its
 coordinates.  Position 0 in an order table is the first (smallest) element.
 Initial segments of size q are the q smallest.
+
+Every vector recipe compiles to one sort key, compared as a tuple:
+lex is the vector, colex the reversed vector, and dom the coordinates in
+the permutation's order.  The hyperrectangle chaser (hc) is the nested tuple
+(largest toset index, chosen domination key of the initial complement, hc key
+of the coordinates below that index).  The border chaser (bc) is the hc key
+of the coordinate complement with every integer negated: two hc keys first
+differ at integers in the same place, so negation reverses the order.  A
+block order is (starts key of the block index, key of the local vector under
+that block's recipe).
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Callable
 
 from .errors import OrderError
-from .poset import RankedPoset
+from .poset import RankedPoset, dual as dual_poset
 
 # ---------------------------------------------------------------------------
 # Core: ranking integer position vectors
@@ -38,62 +47,6 @@ def _scd(v):
 def _icscd(v):
     s = _scd(v)
     return tuple(x if x + 1 == s else 0 for x in v)
-
-
-class _HCComparator:
-    """Hyperrectangle-chaser comparison on position vectors.
-
-    Smaller means: smaller single-coordinate distance; ties broken by the
-    chosen domination order on the initial complement; remaining ties broken
-    recursively on the coordinates away from the maximal index.
-
-    `choices` maps a tuple of (original, 0-based) coordinate indices to the
-    1-based domination permutation used for that subproduct; missing entries
-    default to lexicographic.
-    """
-
-    def __init__(self, d, choices=None):
-        self.d = d
-        self.choices = {tuple(sorted(k)): tuple(p) for k, p in (choices or {}).items()}
-
-    def _dom(self, coords):
-        perm = self.choices.get(tuple(coords))
-        if perm is None:
-            return lambda v: v
-        _check_perm(perm, len(coords))
-        return _dom_key(perm)
-
-    def cmp(self, x, y):
-        return self._cmp(x, y, tuple(range(self.d)))
-
-    def _cmp(self, x, y, coords):
-        if x == y:
-            return 0
-        if len(x) == 1:
-            return -1 if x[0] < y[0] else 1
-        sx, sy = _scd(x), _scd(y)
-        if sx != sy:
-            return -1 if sx < sy else 1
-        ix, iy = _icscd(x), _icscd(y)
-        if ix != iy:
-            kx, ky = self._dom(coords)(ix), self._dom(coords)(iy)
-            return -1 if kx < ky else 1
-        rest = [j for j, v in enumerate(x) if v + 1 != sx]
-        xr = tuple(x[j] for j in rest)
-        yr = tuple(y[j] for j in rest)
-        return self._cmp(xr, yr, tuple(coords[j] for j in rest))
-
-
-def _bc_cmp(lengths, choices=None):
-    hc = _HCComparator(len(lengths), choices)
-
-    def comp(v):
-        return tuple(l - 1 - x for l, x in zip(lengths, v))
-
-    def cmp(x, y):
-        return hc.cmp(comp(y), comp(x))
-
-    return cmp
 
 
 # fields each recipe kind reads, with their JSON shapes: a type, [shape] for
@@ -134,77 +87,82 @@ def _recipe_kind(recipe):
     return kind
 
 
+def _vector_key(recipe, lengths):
+    """Sort key on position vectors of a product of tosets with these lengths."""
+    kind = _recipe_kind(recipe)
+    d = len(lengths)
+    if kind == "lex":
+        return lambda v: v
+    if kind == "colex":
+        return lambda v: v[::-1]
+    if kind == "dom":
+        _check_perm(recipe["perm"], d)
+        return _dom_key(recipe["perm"])
+    if kind in ("hc", "bc"):
+        doms = _choices_from_recipe(recipe, d)
+        sign = 1 if kind == "hc" else -1
+
+        def hc(v, coords):
+            if not v:
+                return ()
+            s = _scd(v)
+            dom = doms.get(coords)
+            ic = dom(_icscd(v)) if dom else _icscd(v)
+            rest = [j for j, x in enumerate(v) if x + 1 != s]
+            tail = hc(tuple(v[j] for j in rest), tuple(coords[j] for j in rest))
+            return sign * s, tuple(sign * x for x in ic), tail
+
+        whole = tuple(range(d))
+        if kind == "hc":
+            return lambda v: hc(v, whole)
+        return lambda v: hc(tuple(l - 1 - x for l, x in zip(lengths, v)), whole)
+    if kind != "block":
+        raise OrderError(f"unknown vector order recipe {kind!r}")
+    cuts0 = [tuple(c - 1 for c in cc) for cc in recipe["cuts"]]
+    if len(cuts0) != d:
+        raise OrderError(f"block order has {len(cuts0)} partitions for {d} coordinates")
+    for cc, l in zip(cuts0, lengths):
+        if not cc or cc[0] != 0 or list(cc) != sorted(set(cc)) or cc[-1] >= l:
+            raise OrderError(f"malformed ordered partition {cc!r} for toset of size {l}")
+    starts = _vector_key(recipe["starts"], [len(cc) for cc in cuts0])
+    blocks = recipe["blocks"]
+    rule = blocks if callable(blocks) else (lambda b: blocks)
+    inner = {}  # block index -> (first positions, key inside the block)
+
+    def key(v):
+        b = tuple(bisect_right(cc, x) - 1 for cc, x in zip(cuts0, v))
+        if b not in inner:
+            base = [cc[i] for cc, i in zip(cuts0, b)]
+            ends = [(cc + (l,))[i + 1] for cc, i, l in zip(cuts0, b, lengths)]
+            inner[b] = base, _vector_key(rule(b), [e - s for e, s in zip(ends, base)])
+        base, local = inner[b]
+        return starts(b), local(tuple(x - s for x, s in zip(v, base)))
+
+    return key
+
+
 def rank_vectors(vectors, lengths, recipe):
     """Rank position vectors by a recipe; returns vector -> position dict.
 
     Recipes are JSON-shaped dicts: {"kind": "lex"|"colex"|"dom"|"hc"|"bc"|"block"}.
     """
-    kind = _recipe_kind(recipe)
-    d = len(lengths)
-    if kind == "lex":
-        ordered = sorted(vectors)
-    elif kind == "colex":
-        ordered = sorted(vectors, key=lambda v: tuple(reversed(v)))
-    elif kind == "dom":
-        perm = tuple(recipe["perm"])
-        _check_perm(perm, d)
-        ordered = sorted(vectors, key=_dom_key(perm))
-    elif kind == "hc":
-        hc = _HCComparator(d, _choices_from_recipe(recipe))
-        ordered = sorted(vectors, key=cmp_to_key(hc.cmp))
-    elif kind == "bc":
-        ordered = sorted(vectors, key=cmp_to_key(_bc_cmp(lengths, _choices_from_recipe(recipe))))
-    elif kind == "block":
-        ordered = _rank_block(vectors, lengths, recipe)
-    else:
-        raise OrderError(f"unknown vector order recipe {kind!r}")
-    return {v: i for i, v in enumerate(ordered)}
+    return {v: i for i, v in enumerate(sorted(vectors, key=_vector_key(recipe, lengths)))}
 
 
-def _choices_from_recipe(recipe):
-    raw = recipe.get("choices")
-    if not raw:
-        return None
+def _choices_from_recipe(recipe, d):
+    """Chaser choices as {0-based coordinates: domination key}, checked against d."""
+    doms = {}
     # serialized as [[coords...], [perm...]] pairs with 1-based coordinates
-    if any(len(pair) != 2 for pair in raw):
-        raise OrderError(f"order choices must be [coordinates, permutation] pairs, got {raw!r}")
-    return {tuple(c - 1 for c in coords): tuple(perm) for coords, perm in raw}
-
-
-def _rank_block(vectors, lengths, recipe):
-    cuts0 = [tuple(c - 1 for c in cc) for cc in recipe["cuts"]]
-    if len(cuts0) != len(lengths):
-        raise OrderError(f"block order has {len(cuts0)} partitions for {len(lengths)} coordinates")
-    for cc, l in zip(cuts0, lengths):
-        if not cc or cc[0] != 0 or list(cc) != sorted(set(cc)) or cc[-1] >= l:
-            raise OrderError(f"malformed ordered partition {cc!r} for toset of size {l}")
-    starts_recipe = recipe["starts"]
-    block_recipe = recipe["blocks"]
-    rule = block_recipe if callable(block_recipe) else (lambda b: block_recipe)
-
-    def block_index(v):
-        return tuple(bisect_right(cc, x) - 1 for cc, x in zip(cuts0, v))
-
-    groups = {}
-    for v in vectors:
-        groups.setdefault(block_index(v), []).append(v)
-
-    n_blocks = [len(cc) for cc in cuts0]
-    start_rank = rank_vectors(list(groups.keys()), n_blocks, starts_recipe)
-
-    ordered = []
-    for b in sorted(groups, key=lambda b: start_rank[b]):
-        members = groups[b]
-        base = [cuts0[i][b[i]] for i in range(len(lengths))]
-        size = [
-            (cuts0[i][b[i] + 1] if b[i] + 1 < len(cuts0[i]) else lengths[i]) - base[i]
-            for i in range(len(lengths))
-        ]
-        local = {v: tuple(x - bx for x, bx in zip(v, base)) for v in members}
-        local_rank = rank_vectors(list(set(local.values())), size, rule(b))
-        members.sort(key=lambda v: local_rank[local[v]])
-        ordered.extend(members)
-    return ordered
+    for pair in recipe.get("choices") or ():
+        if len(pair) != 2 or len(set(pair[0])) != len(pair[0]) or not set(pair[0]) <= set(range(1, d + 1)):
+            raise OrderError(
+                f"order choices must be [coordinates, permutation] pairs of distinct"
+                f" coordinates in 1..{d}, got {pair!r}"
+            )
+        coords, perm = pair
+        _check_perm(perm, len(coords))
+        doms[tuple(sorted(c - 1 for c in coords))] = _dom_key(perm)
+    return doms
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +217,7 @@ class OrderTable:
 
 
 def _vector_labels(poset):
+    """The labels as position vectors, and the toset lengths they span."""
     labs = poset.labels
     for lab in labs:
         if not isinstance(lab, tuple) or not all(isinstance(v, int) and v >= 0 for v in lab):
@@ -266,35 +225,34 @@ def _vector_labels(poset):
     d = len(labs[0])
     if any(len(lab) != d for lab in labs):
         raise OrderError("all labels must have the same dimension")
-    return labs, d
+    return labs, tuple(max(lab[i] for lab in labs) + 1 for i in range(d))
 
 
-def _infer_lengths(labels, d):
-    return tuple(max(lab[i] for lab in labels) + 1 for i in range(d))
+def table_from_vectors(poset, vectors, lengths, recipe, public_recipe=None) -> OrderTable:
+    """Order a poset by ranking its elements' position vectors under a vector recipe.
 
-
-def _table_from_vector_recipe(poset, recipe, lengths=None):
-    labs, d = _vector_labels(poset)
-    lens = tuple(lengths) if lengths else _infer_lengths(labs, d)
-    ranking = rank_vectors(list(set(labs)), lens, recipe)
+    `vectors[x]` is element x's position vector; they must be distinct.  The
+    table records `public_recipe`, or the vector recipe itself when not given.
+    """
+    ranking = rank_vectors(set(vectors), lengths, recipe)
     if len(ranking) != poset.n:
-        raise OrderError("labels must be distinct to define a total order")
-    return OrderTable(poset, [ranking[lab] for lab in labs], recipe)
+        raise OrderError("position vectors must be distinct to define a total order")
+    return OrderTable(poset, [ranking[v] for v in vectors], public_recipe or recipe)
 
 
 def lex_order(poset: RankedPoset) -> OrderTable:
     """Lexicographic order: first differing coordinate decides."""
-    return _table_from_vector_recipe(poset, {"kind": "lex"})
+    return table_from_vectors(poset, *_vector_labels(poset), {"kind": "lex"})
 
 
 def colex_order(poset: RankedPoset) -> OrderTable:
     """Colexicographic order: last coordinate compared first."""
-    return _table_from_vector_recipe(poset, {"kind": "colex"})
+    return table_from_vectors(poset, *_vector_labels(poset), {"kind": "colex"})
 
 
 def domination_order(poset: RankedPoset, perm) -> OrderTable:
     """Compare coordinate perm(1) first, then perm(2), ... (perm is 1-based)."""
-    return _table_from_vector_recipe(poset, {"kind": "dom", "perm": list(perm)})
+    return table_from_vectors(poset, *_vector_labels(poset), {"kind": "dom", "perm": list(perm)})
 
 
 def _choices_to_recipe(choices):
@@ -306,7 +264,7 @@ def _choices_to_recipe(choices):
     ]
 
 
-def hyperrectangle_chaser(poset: RankedPoset, choices=None, lengths=None) -> OrderTable:
+def hyperrectangle_chaser(poset: RankedPoset, choices=None) -> OrderTable:
     """Order preferring full sub-boxes near the origin.
 
     x precedes y when its largest toset index is smaller; ties fall to the
@@ -319,16 +277,16 @@ def hyperrectangle_chaser(poset: RankedPoset, choices=None, lengths=None) -> Ord
     enc = _choices_to_recipe(choices)
     if enc:
         recipe["choices"] = enc
-    return _table_from_vector_recipe(poset, recipe, lengths)
+    return table_from_vectors(poset, *_vector_labels(poset), recipe)
 
 
-def border_chaser(poset: RankedPoset, choices=None, lengths=None) -> OrderTable:
+def border_chaser(poset: RankedPoset, choices=None) -> OrderTable:
     """Pullback of the reversed hyperrectangle chaser along coordinate complement."""
     recipe = {"kind": "bc"}
     enc = _choices_to_recipe(choices)
     if enc:
         recipe["choices"] = enc
-    return _table_from_vector_recipe(poset, recipe, lengths)
+    return table_from_vectors(poset, *_vector_labels(poset), recipe)
 
 
 @dataclass(frozen=True)
@@ -349,19 +307,13 @@ class BlockSpec:
         object.__setattr__(self, "cuts", tuple(tuple(c) for c in self.cuts))
 
 
-def block_order(poset: RankedPoset, spec: BlockSpec, lengths=None) -> OrderTable:
+def block_order(poset: RankedPoset, spec: BlockSpec) -> OrderTable:
     """Order by block starts first, then inside each block."""
-    recipe = {
-        "kind": "block",
-        "cuts": [list(c) for c in spec.cuts],
-        "starts": spec.starts_recipe,
-        "blocks": spec.block_recipe,
-    }
-    table = _table_from_vector_recipe(poset, recipe, lengths)
-    if callable(spec.block_recipe):
-        # callables do not serialize; the caller owns the recipe description
-        table = OrderTable(poset, table.position, {"kind": "block", "cuts": [list(c) for c in spec.cuts]})
-    return table
+    cuts = [list(c) for c in spec.cuts]
+    recipe = {"kind": "block", "cuts": cuts, "starts": spec.starts_recipe, "blocks": spec.block_recipe}
+    # callables do not serialize; the caller owns the recipe description
+    public = {"kind": "block", "cuts": cuts} if callable(spec.block_recipe) else recipe
+    return table_from_vectors(poset, *_vector_labels(poset), recipe, public)
 
 
 def explicit_order(poset: RankedPoset, ids_in_order, recipe=None) -> OrderTable:
@@ -380,8 +332,6 @@ def dual_order(table: OrderTable) -> OrderTable:
     Element ids are preserved, so position n-1-p belongs to the element that
     held position p.
     """
-    from .poset import dual as dual_poset
-
     n = table.poset.n
     return OrderTable(
         dual_poset(table.poset),
@@ -402,8 +352,7 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
     except ValueError:
         raise OrderError(f"degree-major ranks must be integers, got {list(per_rank)!r}") from None
     default = default or {"kind": "colex"}
-    labs, d = _vector_labels(poset)
-    lens = _infer_lengths(labs, d)
+    _, lens = _vector_labels(poset)
     ids = []
     for i in range(poset.max_rank + 1):
         lvl = list(poset.level(i))
@@ -435,19 +384,12 @@ RECIPE_RESOLVERS: dict[str, Callable] = {}
 def order_from_recipe(poset: RankedPoset, recipe) -> OrderTable:
     """Regenerate an order table from its serialized recipe."""
     kind = _recipe_kind(recipe)
-    if kind in ("lex", "colex", "dom", "hc", "bc"):
-        return _table_from_vector_recipe(poset, recipe)
-    if kind == "block":
-        spec = BlockSpec(
-            tuple(tuple(c) for c in recipe["cuts"]), recipe["starts"], recipe["blocks"]
-        )
-        return block_order(poset, spec)
+    if kind in ("lex", "colex", "dom", "hc", "bc", "block"):
+        return table_from_vectors(poset, *_vector_labels(poset), recipe)
     if kind == "explicit":
         pos = recipe["positions"]
         return OrderTable(poset, pos, recipe)
     if kind == "dual":
-        from .poset import dual as dual_poset
-
         # the inner recipe lives on the primal side; dualizing brings it back
         return dual_order(order_from_recipe(dual_poset(poset), recipe["of"]))
     if kind == "degree-major":

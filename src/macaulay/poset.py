@@ -38,7 +38,7 @@ class RankedPoset:
 
     __slots__ = ("n", "covers", "rank", "labels", "up", "down", "_levels", "_label_ids")
 
-    def __init__(self, n, covers, rank, labels=None, audit=True):
+    def __init__(self, n, covers, rank, labels=None):
         self.n = int(n)
         self.covers = tuple(sorted((int(a), int(b)) for a, b in covers))
         self.rank = tuple(int(r) for r in rank)
@@ -52,8 +52,7 @@ class RankedPoset:
         self.down = tuple(tuple(sorted(set(xs))) for xs in down)
         self._levels = None
         self._label_ids = None
-        if audit:
-            self.audit()
+        self.audit()
 
     def audit(self):
         """Re-verify the rank-function invariants, raising PosetError on failure."""

@@ -1,10 +1,13 @@
 """Shared brute-force oracles, independent of the library's fast paths."""
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 import macaulay as M
+from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
 
 
 def brute_lower_shadow_labels(labels):
@@ -241,3 +244,126 @@ def antichain_loop_oracle(ctx, table, max_gen_degree=None):
         if bad is not None:
             witnesses.append((tuple(poset.labels[x] for x in anti), profile) + bad)
     return witnesses, len(antichains)
+
+
+# ---------------------------------------------------------------------------
+# Comparator ranking: the oracle for the compiled sort keys in
+# orders.rank_vectors.  Chasers compare through a recursive comparator behind
+# cmp_to_key, block orders rank their starts and each block separately.
+
+
+class _HCComparator:
+    """Hyperrectangle-chaser comparison on position vectors.
+
+    Smaller means: smaller single-coordinate distance; ties broken by the
+    chosen domination order on the initial complement; remaining ties broken
+    recursively on the coordinates away from the maximal index.
+
+    `choices` maps a tuple of (original, 0-based) coordinate indices to the
+    1-based domination permutation used for that subproduct; missing entries
+    default to lexicographic.
+    """
+
+    def __init__(self, d, choices=None):
+        self.d = d
+        self.choices = {tuple(sorted(k)): tuple(p) for k, p in (choices or {}).items()}
+
+    def _dom(self, coords):
+        perm = self.choices.get(tuple(coords))
+        if perm is None:
+            return lambda v: v
+        _check_perm(perm, len(coords))
+        return _dom_key(perm)
+
+    def cmp(self, x, y):
+        return self._cmp(x, y, tuple(range(self.d)))
+
+    def _cmp(self, x, y, coords):
+        if x == y:
+            return 0
+        if len(x) == 1:
+            return -1 if x[0] < y[0] else 1
+        sx, sy = _scd(x), _scd(y)
+        if sx != sy:
+            return -1 if sx < sy else 1
+        ix, iy = _icscd(x), _icscd(y)
+        if ix != iy:
+            kx, ky = self._dom(coords)(ix), self._dom(coords)(iy)
+            return -1 if kx < ky else 1
+        rest = [j for j, v in enumerate(x) if v + 1 != sx]
+        xr = tuple(x[j] for j in rest)
+        yr = tuple(y[j] for j in rest)
+        return self._cmp(xr, yr, tuple(coords[j] for j in rest))
+
+
+def _bc_cmp(lengths, choices=None):
+    hc = _HCComparator(len(lengths), choices)
+
+    def comp(v):
+        return tuple(l - 1 - x for l, x in zip(lengths, v))
+
+    def cmp(x, y):
+        return hc.cmp(comp(y), comp(x))
+
+    return cmp
+
+
+def _choices_from_recipe(recipe):
+    raw = recipe.get("choices")
+    if not raw:
+        return None
+    # serialized as [[coords...], [perm...]] pairs with 1-based coordinates
+    return {tuple(c - 1 for c in coords): tuple(perm) for coords, perm in raw}
+
+
+def _rank_block(vectors, lengths, recipe):
+    cuts0 = [tuple(c - 1 for c in cc) for cc in recipe["cuts"]]
+    starts_recipe = recipe["starts"]
+    block_recipe = recipe["blocks"]
+    rule = block_recipe if callable(block_recipe) else (lambda b: block_recipe)
+
+    def block_index(v):
+        return tuple(bisect_right(cc, x) - 1 for cc, x in zip(cuts0, v))
+
+    groups = {}
+    for v in vectors:
+        groups.setdefault(block_index(v), []).append(v)
+
+    n_blocks = [len(cc) for cc in cuts0]
+    start_rank = comparator_rank_vectors(list(groups.keys()), n_blocks, starts_recipe)
+
+    ordered = []
+    for b in sorted(groups, key=lambda b: start_rank[b]):
+        members = groups[b]
+        base = [cuts0[i][b[i]] for i in range(len(lengths))]
+        size = [
+            (cuts0[i][b[i] + 1] if b[i] + 1 < len(cuts0[i]) else lengths[i]) - base[i]
+            for i in range(len(lengths))
+        ]
+        local = {v: tuple(x - bx for x, bx in zip(v, base)) for v in members}
+        local_rank = comparator_rank_vectors(list(set(local.values())), size, rule(b))
+        members.sort(key=lambda v: local_rank[local[v]])
+        ordered.extend(members)
+    return ordered
+
+
+def comparator_rank_vectors(vectors, lengths, recipe):
+    """Rank position vectors by a valid recipe; returns vector -> position dict."""
+    kind = recipe["kind"]
+    d = len(lengths)
+    if kind == "lex":
+        ordered = sorted(vectors)
+    elif kind == "colex":
+        ordered = sorted(vectors, key=lambda v: tuple(reversed(v)))
+    elif kind == "dom":
+        ordered = sorted(vectors, key=_dom_key(tuple(recipe["perm"])))
+    elif kind == "hc":
+        hc = _HCComparator(d, _choices_from_recipe(recipe))
+        ordered = sorted(vectors, key=cmp_to_key(hc.cmp))
+    elif kind == "bc":
+        ordered = sorted(vectors, key=cmp_to_key(_bc_cmp(lengths, _choices_from_recipe(recipe))))
+    elif kind == "block":
+        ordered = _rank_block(vectors, lengths, recipe)
+    else:
+        raise ValueError(f"unknown vector order recipe {kind!r}")
+    return {v: i for i, v in enumerate(ordered)}

@@ -258,6 +258,9 @@ def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
         '{"kind": "dom", "perm": 5}',
         '{"kind": "block", "cuts": 1, "starts": 2, "blocks": 3}',
         '{"kind": "degree-major", "per_rank": [1]}',
+        '{"kind": "hc", "choices": [[[7, 8], [1, 2]]]}',
+        '{"kind": "hc", "choices": [[[1, 1], [2, 1]]]}',
+        '{"kind": "bc", "choices": [[[1], [2]]]}',
     )
     for i, text in enumerate(texts):
         bad = tmp_path / f"recipe{i}.json"

@@ -1,10 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import macaulay as M
+from macaulay import families as F
 from macaulay.errors import OrderError
-from macaulay.orders import BlockSpec, initial_segment, order_from_recipe
+from macaulay.orders import BlockSpec, initial_segment, order_from_recipe, rank_vectors
+
+from conftest import comparator_rank_vectors
 
 
 def test_lex_on_m34_fills_columns(m34):
@@ -227,3 +231,40 @@ def test_bc_with_choices_keeps_complement_identity(m34):
         comp = tuple(l - 1 - v for l, v in zip((3, 4), m34.labels[x]))
         assert bc.position[x] + hc.position[m34.id_of(comp)] == n - 1
     assert order_from_recipe(m34, bc.recipe).position == bc.position
+
+
+@st.composite
+def _vector_recipes(draw, d, lengths, depth=0):
+    """A valid vector recipe for d coordinates; block recipes need the lengths."""
+    kinds = ["lex", "colex", "dom", "hc", "bc"] + (["block"] if lengths and depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    recipe = {"kind": kind}
+    if kind == "dom":
+        recipe["perm"] = draw(st.permutations(range(1, d + 1)))
+    elif kind in ("hc", "bc"):
+        subsets = st.sets(st.integers(1, d), min_size=1).map(sorted)
+        choices = [
+            [draw(st.permutations(coords)), draw(st.permutations(range(1, len(coords) + 1)))]
+            for coords in draw(st.lists(subsets, max_size=3, unique_by=tuple))
+        ]
+        if choices:
+            recipe["choices"] = choices
+    elif kind == "block":
+        flags = [draw(st.lists(st.booleans(), min_size=l - 1, max_size=l - 1)) for l in lengths]
+        recipe["cuts"] = [[1] + [i + 2 for i, cut in enumerate(f) if cut] for f in flags]
+        n_blocks = [len(c) for c in recipe["cuts"]]
+        recipe["starts"] = draw(_vector_recipes(d, n_blocks, depth + 1))
+        be_rule = lambda b: {"kind": "dom", "perm": F._be_block_perm(b)}  # noqa: E731
+        recipe["blocks"] = draw(st.one_of(_vector_recipes(d, None, depth + 1), st.just(be_rule)))
+    return recipe
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_vector_keys_match_comparator_ranking(data):
+    d = data.draw(st.integers(1, 4))
+    lengths = data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    recipe = data.draw(_vector_recipes(d, lengths))
+    box = list(itertools.product(*map(range, lengths)))
+    vectors = data.draw(st.just(box) | st.lists(st.sampled_from(box), min_size=1, unique=True))
+    assert rank_vectors(vectors, lengths, recipe) == comparator_rank_vectors(vectors, lengths, recipe)
