@@ -7,7 +7,9 @@ JSON is the machine interface; the text output is a short human summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -352,14 +354,24 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    out = io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(out):
+            code = args.fn(args)
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except (MacaulayLibError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say `| head -1`); the verdict stands.
+        # Point stdout at devnull so that the flush at interpreter exit is silent.
+        sys.stdout = open(os.devnull, "w")
+    return code
 
 
 if __name__ == "__main__":

@@ -315,6 +315,8 @@ def leck_ring(ds: Sequence[int], kk_d: int, field: FieldSpec = FieldSpec(), D=No
     No order is bundled: the known Macaulay order for these is neither a
     domination order nor a block order, and no construction is published.
     """
+    if not ds:
+        raise RingError("a Leck ring needs at least one basic factor")
     specs = [leck_basic_ring(d, field) for d in ds]
     if kk_d > 0:
         specs.append(kk_ring(kk_d, field))
@@ -369,12 +371,13 @@ def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable
 # Builtin registry (CLI surface and acceptance drivers)
 
 
-def _parse_ints(kind, text, arity=None):
-    """The comma-separated integers of a descriptor; `arity` fixes their number."""
+def _parse_ints(kind, text, arity=None, sep=","):
+    """The `sep`-separated integers of a descriptor; `arity` fixes their number.
+    An empty field (`2,,3`, a trailing separator, an empty list) is an error."""
     try:
-        vals = [int(x) for x in text.split(",") if x != ""]
+        vals = [int(x) for x in text.split(sep)]
     except ValueError:
-        raise PosetError(f"{kind}: expected comma-separated integers, got {text!r}") from None
+        raise PosetError(f"{kind}: expected integers separated by {sep!r}, got {text!r}") from None
     if arity is not None and len(vals) != arity:
         raise PosetError(f"{kind}: expected {arity} integers, got {text!r}")
     return vals
@@ -480,9 +483,9 @@ def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
             lambda p: tensor_monomial_order(p, [3] * n),
         )
     if kind == "leck":
-        ds_text, _, kk_text = rest.partition(",")
-        ds = _parse_ints(kind, ds_text.replace("+", ","))
-        (kk_d,) = _parse_ints(kind, kk_text or "0", 1)
+        ds_text, comma, kk_text = rest.partition(",")
+        ds = _parse_ints(kind, ds_text, sep="+")
+        (kk_d,) = _parse_ints(kind, kk_text if comma else "0", 1)
         return _ring_builtin(text, leck_ring(ds, kk_d, field), None)
     raise PosetError(f"unknown builtin poset {spec_str!r}")
 

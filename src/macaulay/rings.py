@@ -142,6 +142,8 @@ class QuotientRingSpec:
                 raise RingError("generators must be homogeneous")
             if any(len(e) != self.d for e in g.terms):
                 raise RingError("generator exponent length must match variable count")
+            if any(a < 0 for e in g.terms for a in e):
+                raise RingError("generator exponents must be nonnegative")
             if g.degree() == 0:
                 raise RingError("unit ideal: degree-0 generator makes 1 lie in H")
 

@@ -20,13 +20,17 @@ first minimizers in Gray-code order, which makes them the subsets the full
 2^k Gray walk would report.  The subset cap is checked in `_level_minima`
 before any table is built, so every caller (the search included, at
 DEFAULT_SUBSET_CAP) raises ResourceLimitError naming the level.
+The search builds each level's order as a prefix DFS over shadow bitmasks,
+with the level's minima computed once, and cuts each failing prefix with
+all its completions, so it finds the order a permutation-by-permutation
+search would, and charges `budget` the same permutation counts.
 `macaulay_by_definition` stays apart as the literal oracle.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from math import factorial
 from typing import Optional
 
 from .errors import ResourceLimitError, SearchBudgetExceeded
@@ -155,6 +159,11 @@ def _subset_ors(rows):
     return table
 
 
+def _row_masks(sh):
+    """Each shadow list as an int bitmask over the target positions."""
+    return [sum(1 << idx for idx in set(row)) for row in sh]
+
+
 def _level_minima(sh, nt, level, cap):
     """Minimum shadow size over all subsets of each size, by split and combine.
 
@@ -167,12 +176,7 @@ def _level_minima(sh, nt, level, cap):
         raise ResourceLimitError(
             f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {cap}"
         )
-    rows = []
-    for row in sh:
-        m = 0
-        for idx in row:
-            m |= 1 << idx
-        rows.append(m)
+    rows = _row_masks(sh)
     lo = k // 2
     low, high = _subset_ors(rows[:lo]), _subset_ors(rows[lo:])
     # Low subsets by size, each bucket in Gray order.  For the minimum only the
@@ -316,48 +320,71 @@ def check_dual_lemma(poset: RankedPoset, table: OrderTable, **kw) -> bool:
     return here.holds == there.holds
 
 
-def _level_pair_ok(sh, nt, level):
-    """All subsets of a level with shadow lists `sh` satisfy nestedness and
-    continuity against `nt` targets; the subset cap is DEFAULT_SUBSET_CAP."""
-    sizes = []
-    for size, is_prefix in _segments(sh, nt):
-        if not is_prefix:
-            return False
-        sizes.append(size)
-    best, _ = _level_minima(sh, nt, level, DEFAULT_SUBSET_CAP)
-    return all(b >= s for b, s in zip(best[1:], sizes))
-
-
 def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional[OrderTable]:
     """Backtracking search for a per-level order that passes is_macaulay.
 
-    Levels are assigned bottom-up; a candidate permutation of level i is kept
-    only if every subset of level i already satisfies the property against
-    the fixed order of level i-1.  Elements are tried in canonical order, so
-    the search is deterministic.  Returns None when the space is exhausted;
-    raises SearchBudgetExceeded when `budget` permutations were tried first,
-    and ResourceLimitError when a level has more subsets than the default cap.
+    Levels are assigned bottom-up; an order of level i is kept only if every
+    subset of level i satisfies the property against the fixed order of level
+    i-1.  Each order is built as a prefix DFS, trying elements in canonical
+    order, so the first order found is the first one itertools.permutations
+    would pass.  The level minima depend only on the level below, so they are
+    computed once per level, before any prefix is accepted.  A prefix of
+    length L whose shadow is not an initial segment, or is larger than the
+    minimum over L-subsets, is cut: every completion of it fails too.
+    `budget` counts permutations: a full one counts 1, a cut prefix the
+    (k-L)! that start with it.  Returns None when the space is exhausted;
+    raises SearchBudgetExceeded once more than `budget` are counted, and
+    ResourceLimitError at the first continuous full permutation of a level
+    with more subsets than DEFAULT_SUBSET_CAP (cut by continuity alone).
     """
     levels = [list(poset.level(i)) for i in range(poset.max_rank + 1)]
     chosen: list = [None] * len(levels)
     nodes = 0
 
-    def extend(i):
+    def charge(count):
         nonlocal nodes
+        nodes += count
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"no verdict within {budget} permutations")
+
+    def extend(i):
         if i == len(levels):
             return True
-        if i > 0:
-            below = chosen[i - 1]
-            rows = dict(zip(levels[i], _shadow_lists(poset.down, levels[i], below)))
-        for perm in permutations(levels[i]):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"no verdict within {budget} permutations")
-            chosen[i] = list(perm)
-            if i > 0 and not _level_pair_ok([rows[x] for x in perm], len(below), i):
-                continue
-            if extend(i + 1):
-                return True
+        level = levels[i]
+        k = len(level)
+        below = chosen[i - 1] if i else []
+        rows = _shadow_lists(poset.down, level, below)
+        masks = _row_masks(rows)
+        over_cap = i > 0 and (1 << k) > DEFAULT_SUBSET_CAP
+        # Level 0 has no level below, and a level over the cap gets no minima:
+        # only continuity cuts there.
+        best = [len(below)] * (k + 1) if i == 0 or over_cap else (
+            _level_minima(rows, len(below), i, DEFAULT_SUBSET_CAP)[0])
+        perm = []
+
+        def grow(shadow):
+            size = len(perm)
+            if size == k:
+                charge(1)
+                if over_cap:
+                    _level_minima(rows, len(below), i, DEFAULT_SUBSET_CAP)  # raises
+                chosen[i] = [level[j] for j in perm]
+                return extend(i + 1)
+            for j in range(k):
+                if j in perm:
+                    continue
+                m = shadow | masks[j]
+                if m & (m + 1) or m.bit_count() > best[size + 1]:
+                    charge(factorial(k - size - 1))
+                    continue
+                perm.append(j)
+                if grow(m):
+                    return True
+                perm.pop()
+            return False
+
+        if grow(0):
+            return True
         chosen[i] = None
         return False
 

@@ -367,3 +367,57 @@ def comparator_rank_vectors(vectors, lengths, recipe):
     else:
         raise ValueError(f"unknown vector order recipe {kind!r}")
     return {v: i for i, v in enumerate(ordered)}
+
+
+# ---------------------------------------------------------------------------
+# Permutation loop: the oracle for the prefix DFS in
+# verify.search_macaulay_order.  Every permutation of a level is tried in
+# itertools order and checked whole, with the level minima recomputed each time.
+
+
+def _level_pair_ok(sh, nt, level):
+    """All subsets of a level with shadow lists `sh` satisfy nestedness and
+    continuity against `nt` targets; the subset cap is DEFAULT_SUBSET_CAP."""
+    from macaulay import verify
+
+    sizes = []
+    for size, is_prefix in verify._segments(sh, nt):
+        if not is_prefix:
+            return False
+        sizes.append(size)
+    best, _ = verify._level_minima(sh, nt, level, verify.DEFAULT_SUBSET_CAP)
+    return all(b >= s for b, s in zip(best[1:], sizes))
+
+
+def permutation_search_oracle(poset, budget=200_000):
+    """The order search as one permutation per budget unit: the first per-level
+    order, in canonical order, that passes every level against the one below;
+    None when none exists; SearchBudgetExceeded past `budget` permutations."""
+    from macaulay.verify import _shadow_lists
+
+    levels = [list(poset.level(i)) for i in range(poset.max_rank + 1)]
+    chosen = [None] * len(levels)
+    nodes = 0
+
+    def extend(i):
+        nonlocal nodes
+        if i == len(levels):
+            return True
+        if i > 0:
+            below = chosen[i - 1]
+            rows = dict(zip(levels[i], _shadow_lists(poset.down, levels[i], below)))
+        for perm in itertools.permutations(levels[i]):
+            nodes += 1
+            if nodes > budget:
+                raise M.SearchBudgetExceeded(f"no verdict within {budget} permutations")
+            chosen[i] = list(perm)
+            if i > 0 and not _level_pair_ok([rows[x] for x in perm], len(below), i):
+                continue
+            if extend(i + 1):
+                return True
+        chosen[i] = None
+        return False
+
+    if not extend(0):
+        return None
+    return M.explicit_order(poset, [x for lvl in chosen for x in lvl])

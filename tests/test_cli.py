@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -244,10 +247,48 @@ def test_check_ring_coefficient_not_invertible_is_usage_error(tmp_path, capsys):
 
 
 def test_malformed_builtin_descriptor_is_usage_error(capsys):
-    for poset in ("multiset:3,x", "spider:2"):
+    for poset in (
+        "multiset:3,x", "spider:2", "multiset:", "multiset:2,,3", "multiset:2,3,", "torus:3,,2",
+        "leck:,1", "leck:+,1", "leck:2++2,1", "leck:2+2,", "cl:-1,3,3", "cl:3,-2,2",
+    ):
         rc, out, err = run(capsys, "check-poset", "--poset", poset, "--order", "lex")
         assert rc == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, poset
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    for argv, code in (
+        (["check-poset", "--poset", "multiset:3,4", "--order", "lex", "--json"], 0),
+        (["check-poset", "--poset", "multiset:4,3", "--order", "lex"], 1),
+    ):
+        err = io.StringIO()
+        with mock.patch.object(sys, "stdout", _ClosedPipe()), contextlib.redirect_stderr(err):
+            assert main(argv) == code, argv
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()
+        assert err.getvalue() == "", argv
+
+
+def test_closed_stdout_pipe_in_a_process():
+    # `... --json | head -1`, with the reader gone before the first write
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "macaulay.cli", "check-poset", "--poset", "multiset:3,4",
+             "--order", "lex", "--json"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 0 and proc.stderr == b""
 
 
 def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
@@ -336,3 +377,31 @@ def test_generated_order_recipes_never_escape_the_cli(recipe):
     assert rc in (0, 1, 2, 3, 4), recipe
     if rc == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, recipe
+
+
+_BUILTIN_KINDS = (
+    "multiset", "chain", "star", "spider", "be", "colored", "kk", "cl", "colored-ring",
+    "be-ring", "torus", "diamond", "leck",
+)
+
+
+@st.composite
+def _descriptors(draw):
+    """A builtin kind and up to three fields, each an int 0..3, empty, a letter,
+    or one of these after a minus sign, joined by ',' or '+'."""
+    field = st.tuples(st.sampled_from(["", "-"]), st.sampled_from(["0", "1", "2", "3", "", "x"]))
+    fields = ["".join(f) for f in draw(st.lists(field, max_size=3))]
+    seps = draw(st.lists(st.sampled_from([",", "+"]), min_size=len(fields), max_size=len(fields)))
+    rest = "".join(sep + f for sep, f in zip(seps, fields))[1:]
+    return draw(st.sampled_from(["", "builtin:"])) + draw(st.sampled_from(_BUILTIN_KINDS)) + ":" + rest
+
+
+@settings(max_examples=100, deadline=None)
+@given(_descriptors(), st.sampled_from(["lex", "family-default"]))
+def test_generated_descriptors_never_escape_the_cli(descriptor, order):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["check-poset", "--poset", descriptor, "--order", order])
+    assert rc in (0, 1, 2, 3, 4), descriptor
+    if rc == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, descriptor

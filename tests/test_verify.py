@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,10 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 import macaulay as M
 from macaulay import verify
 from macaulay.errors import ResourceLimitError, SearchBudgetExceeded
-from macaulay.families import star
+from macaulay.families import builtin, star
 from macaulay.verify import macaulay_by_definition
 
-from conftest import brute_min_shadow, gray_minima, labels_of
+from conftest import brute_min_shadow, gray_minima, labels_of, permutation_search_oracle
 
 
 def test_kruskal_katona_holds(m222):
@@ -298,3 +300,37 @@ def test_search_finds_an_order_exactly_when_one_exists(seed):
     )
     found = M.search_macaulay_order(p)
     assert (found is not None) == exists
+
+
+def _search_outcome(search, poset, budget):
+    try:
+        table = search(poset, budget)
+    except (SearchBudgetExceeded, ResourceLimitError) as e:
+        return type(e), str(e)
+    return None if table is None else table.position
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 5000), st.sampled_from([2 ** 3, 2 ** 4, 2 ** 22]))
+def test_search_matches_the_permutation_loop(seed, budget, cap):
+    p, _ = _random_case(seed)
+    with mock.patch.object(verify, "DEFAULT_SUBSET_CAP", cap):
+        expected = _search_outcome(permutation_search_oracle, p, budget)
+        assert _search_outcome(M.search_macaulay_order, p, budget) == expected
+
+
+def test_search_on_builtins():
+    t0 = time.perf_counter()
+    # the permutation loop's orders (0.3 to 0.5 s each there)
+    found = {
+        "be:1,2,2": (0, 1, 2, 3, 4, 6, 9, 10, 5, 7, 8, 11, 13, 17, 12, 14, 16, 18, 15, 19,
+                     20, 22, 21, 23, 24),
+        "leck:2+2,1": (0, 1, 2, 4, 3, 5, 6, 9, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17),
+    }
+    for name, position in found.items():
+        assert M.search_macaulay_order(builtin(name).poset).position == position, name
+    # levels of 9 to 11 elements: the permutation loop spent 0.7 to 45 s here
+    for name in ("diamond:2", "colored-ring:2,2,2", "torus:3,2"):
+        with pytest.raises(SearchBudgetExceeded, match="within 200000 permutations"):
+            M.search_macaulay_order(builtin(name).poset)
+    assert time.perf_counter() - t0 < 1.0
