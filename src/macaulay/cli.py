@@ -158,7 +158,9 @@ def _load_ring(args):
 
 
 def cmd_check_ring(args):
+    t_build = time.perf_counter()
     ctx, built = _load_ring(args)
+    build_seconds = time.perf_counter() - t_build
     ring = ctx.ring
     table = _resolve_order(ctx.poset, args.order, built)
     candidate = built.monomial_order_candidate() if built else None
@@ -183,7 +185,7 @@ def cmd_check_ring(args):
             "content_hash": _content_hash(ring.spec.to_json(), table.recipe, args.mode),
         },
         "verdict": verdict.to_dict(ctx.poset),
-        "timing": {"seconds": time.perf_counter() - t0},
+        "timing": {"seconds": time.perf_counter() - t0, "build_seconds": build_seconds},
     }
     _emit(report, args)
     if not args.json:
@@ -244,8 +246,8 @@ def _load_ideal(ctx, path):
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise RingError(f"ideal {path!r} is not valid JSON: {e}") from None
-    if not isinstance(data, dict) or "generators" not in data:
-        raise RingError(f"ideal {path!r} lacks generators")
+    if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
+        raise RingError(f"ideal {path!r} lacks a generators list")
     gens = [Polynomial.from_json(g) for g in data["generators"]]
     return ideal_in_ring(ctx, gens)
 

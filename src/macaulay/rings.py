@@ -9,13 +9,25 @@ into classes, each of which keeps that residue.  Everything downstream
 (Hilbert functions, the poset of monomials, order checks) speaks in terms of
 these classes; any statement involving degrees is implicitly "up to
 degree D".
+
+A ring whose generators split its variables into components (two variables
+share one when a generator uses both) is the tensor product of the
+components' rings, and is built that way: each component is eliminated on
+its own, at the product's D, and the factors are folded pairwise.  This is
+exact: the factor ideals use disjoint variables, so their initial ideals are
+coprime and, by Buchberger's first criterion, standard monomials and normal
+forms factor.  A product's residue is the Kronecker product of its factors'
+residues, and classes merge by that full residue, since factor classes with
+proportional residues glue in the product.  The result equals one
+elimination over all the variables, field for field.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import RingError
@@ -47,7 +59,7 @@ class FieldSpec:
     def from_json(cls, text):
         if text == "q":
             return cls("rationals", None)
-        if text.startswith("p:") and text[2:].isdigit():
+        if isinstance(text, str) and text.startswith("p:") and text[2:].isdigit():
             return cls("prime", int(text[2:]))
         raise RingError(f"unknown field spec {text!r}")
 
@@ -89,7 +101,19 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data):
-        return cls({tuple(t["exp"]): Fraction(t["coef"]) for t in data})
+        """Parse [{"exp": [int, ...], "coef": rational}, ...]; RingError on any other shape."""
+        if not isinstance(data, list):
+            raise RingError(f"a polynomial is a list of terms, got {data!r}")
+        terms = {}
+        for t in data:
+            exp = t.get("exp") if isinstance(t, dict) else None
+            if not isinstance(exp, list) or any(type(a) is not int for a in exp):
+                raise RingError(f"a term needs a list of integers under 'exp', got {t!r}")
+            try:
+                terms[tuple(exp)] = Fraction(t.get("coef"))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise RingError(f"coefficient {t.get('coef')!r} is not a rational number") from None
+        return cls(terms)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -157,12 +181,13 @@ class QuotientRingSpec:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            data["d"],
-            FieldSpec.from_json(data["field"]),
-            tuple(Polynomial.from_json(g) for g in data["generators"]),
-            data["D"],
-        )
+        d, D, gens = data["d"], data["D"], data["generators"]
+        if type(d) is not int or type(D) is not int:
+            raise RingError(f"ring spec d and D must be integers, got {d!r} and {D!r}")
+        if not isinstance(gens, list):
+            raise RingError(f"ring spec generators must be a list, got {gens!r}")
+        field = FieldSpec.from_json(data["field"])
+        return cls(d, field, tuple(Polynomial.from_json(g) for g in gens), D)
 
     def with_field(self, field_spec: FieldSpec) -> "QuotientRingSpec":
         return QuotientRingSpec(self.d, field_spec, self.generators, self.D)
@@ -195,20 +220,28 @@ class MonomialClass:
     residue: dict = dc_field(compare=False, repr=False)
 
 
+def monomials_by_degree(d, D):
+    """[monomials_of_degree(d, i) for i in 0..D], built one variable at a time."""
+    table = [[()]] + [[] for _ in range(D)]
+    for _ in range(d):
+        table = [[(a,) + m for a in range(i + 1) for m in table[i - a]] for i in range(D + 1)]
+    return table
+
+
 def monomials_of_degree(d, i):
     """Exponent vectors of degree i in d variables, lex ascending."""
-    out = []
-    for bars in combinations_with_replacement(range(d), i):
-        v = [0] * d
-        for b in bars:
-            v[b] += 1
-        out.append(tuple(v))
-    out.sort()
-    return out
+    return monomials_by_degree(d, i)[i]
 
 
 class RingModel:
-    """Built quotient ring: classes, normal forms and Hilbert values per degree."""
+    """Built quotient ring: classes, normal forms and Hilbert values per degree.
+
+    A spec with one variable component is eliminated whole; one with several
+    is built from its components' rings (see the module docstring).  Either
+    way `nf_monomials` are lex ascending, classes are sorted by their
+    lex-least member, and `class_of` maps every monomial of degree <= D,
+    a zero one to None.
+    """
 
     def __init__(self, spec: QuotientRingSpec):
         self.spec = spec
@@ -222,9 +255,18 @@ class RingModel:
     # -- construction ------------------------------------------------------
 
     def _build(self):
+        components = _components(self.spec)
+        if len(components) == 1:
+            self._eliminate()
+        else:
+            self._build_product(components)
+        if self.hilb[0] == 0:
+            raise RingError("unit ideal: 1 lies in H")
+
+    def _eliminate(self):
         spec = self.spec
         gens = [(g.degree(), field_terms(g, self.field)) for g in spec.generators]
-        mons = [monomials_of_degree(spec.d, i) for i in range(spec.D + 1)]
+        mons = monomials_by_degree(spec.d, spec.D)
         for i in range(spec.D + 1):
             col = {m: j for j, m in enumerate(mons[i])}
             rows = [
@@ -235,8 +277,6 @@ class RingModel:
             ]
             red, pivots = rref(rows, len(mons[i]), self.field)
             self._classify(i, mons[i], red, pivots)
-        if self.hilb[0] == 0:
-            raise RingError("unit ideal: 1 lies in H")
 
     def _classify(self, degree, mons, red, pivots):
         p = self.field.p
@@ -256,16 +296,55 @@ class RingModel:
                 self.class_of[m] = None
                 continue
             fibers.setdefault(tuple(sorted(nf.items())), (nf, []))[1].append(m)
+        self._add_degree(degree, [mons[j] for j in nonpiv], fibers.values())
+
+    def _add_degree(self, degree, nf_monomials, fibers):
+        """Record one degree from its lex-ascending coordinates and (residue, members) pairs."""
         classes = sorted(
-            (MonomialClass(degree, frozenset(ms), min(ms), nf) for nf, ms in fibers.values()),
+            (MonomialClass(degree, frozenset(ms), min(ms), nf) for nf, ms in fibers),
             key=lambda c: c.rep,
         )
-        self.nf_monomials.append([mons[j] for j in nonpiv])
-        self.hilb.append(len(nonpiv))
+        self.nf_monomials.append(nf_monomials)
+        self.hilb.append(len(nf_monomials))
         self.classes.append(classes)
         for idx, c in enumerate(classes):
             for m in c.members:
                 self.class_of[m] = (degree, idx)
+
+    def _build_product(self, components):
+        """Eliminate each component on its own, then fold the factors pairwise.
+
+        Factors keep the product's D and are built once per distinct spec.
+        Their monomials are lifted to the global variable positions, so the
+        fold's coordinates only need sorting into lex order at the end.
+        """
+        spec = self.spec
+        self.class_of = dict.fromkeys(chain.from_iterable(monomials_by_degree(spec.d, spec.D)))
+        built = {}
+        product = None
+        for variables, gens in components:
+            fgens = [
+                Polynomial({tuple(e[v] for v in variables): c for e, c in g.terms.items()})
+                for g in gens
+            ]
+            fspec = QuotientRingSpec(len(variables), spec.field, fgens, spec.D)
+            factor = built[fspec] = built.get(fspec) or RingModel(fspec)
+            # a factor monomial padded with a zero, read off at each global variable
+            at = [variables.index(v) if v in variables else len(variables) for v in range(spec.d)]
+            pick = itemgetter(*at)
+            piece = (
+                [[pick(m + (0,)) for m in ms] for ms in factor.nf_monomials],
+                [
+                    [(c.residue, [pick(m + (0,)) for m in c.members]) for c in cs]
+                    for cs in factor.classes
+                ],
+            )
+            product = piece if product is None else _tensor_slices(*product, *piece, self.field.p)
+        for i, (coords, fibers) in enumerate(zip(*product)):
+            lex = sorted(coords)
+            rank = {m: j for j, m in enumerate(lex)}
+            fibers = [({rank[coords[k]]: v for k, v in res.items()}, ms) for res, ms in fibers]
+            self._add_degree(i, lex, fibers)
 
     # -- queries -----------------------------------------------------------
 
@@ -293,8 +372,58 @@ class RingModel:
         return self.mul_class_by_monomial(degree, idx, exp)
 
 
+def _components(spec: QuotientRingSpec):
+    """[(variables, generators)] per variable component, by least variable.
+
+    Two variables share a component when a generator's support, read over
+    the rationals, joins them; a variable in no generator is its own.
+    """
+    components = [({v}, []) for v in range(spec.d)]
+    for g in spec.generators:
+        support = {v for e in g.terms for v, a in enumerate(e) if a}
+        met = [c for c in components if c[0] & support]
+        components = [c for c in components if not c[0] & support]
+        joined = set().union(*(vs for vs, _ in met))
+        components.append((joined, [h for _, gs in met for h in gs] + [g]))
+    return sorted(((sorted(vs), gs) for vs, gs in components), key=lambda c: c[0])
+
+
+def _tensor_slices(nf_a, cls_a, nf_b, cls_b, p):
+    """Per-degree coordinates and (residue, members) classes of A (x) B.
+
+    The degree-i coordinates are the products s*t of coordinates with
+    deg s + deg t = i, numbered in that order; a product class has the
+    Kronecker product of its factors' residues and the products of their
+    members.  Factor classes with proportional residues (reciprocal scalars)
+    give equal products, so classes are merged by the full product residue.
+    """
+    nf, classes = [], []
+    for i in range(len(nf_a)):
+        coords, fibers = [], {}
+        for a in range(i + 1):
+            b = i - a
+            off, nb = len(coords), len(nf_b[b])
+            coords.extend(tuple(map(add, s, t)) for s in nf_a[a] for t in nf_b[b])
+            for ra, ma in cls_a[a]:
+                for rb, mb in cls_b[b]:
+                    res = {
+                        off + k * nb + l: (x * y % p if p else x * y)
+                        for k, x in ra.items()
+                        for l, y in rb.items()
+                    }
+                    fiber = fibers.setdefault(frozenset(res.items()), (res, []))
+                    fiber[1].extend(tuple(map(add, u, v)) for u in ma for v in mb)
+        nf.append(coords)
+        classes.append(list(fibers.values()))
+    return nf, classes
+
+
 def build_ring(spec: QuotientRingSpec) -> RingModel:
-    """Materialize classes, normal forms and Hilbert values up to degree D."""
+    """Materialize classes, normal forms and Hilbert values up to degree D.
+
+    Tensor rings are built per variable component, with the same result as
+    one elimination over all the variables.
+    """
     return RingModel(spec)
 
 

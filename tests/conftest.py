@@ -7,7 +7,9 @@ from functools import cmp_to_key
 import pytest
 
 import macaulay as M
+from macaulay.linalg import rref
 from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
+from macaulay.rings import field_terms, monomials_of_degree
 
 
 def brute_lower_shadow_labels(labels):
@@ -188,6 +190,63 @@ def triple_loop_monomial_order(ring, table):
                 if y1 == y2 or pos[y1] >= pos[y2]:
                     return False, (rep1, rep2, rep_m)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Whole-ring elimination: the oracle for the per-component ring build in rings.
+
+
+def elimination_build_oracle(spec):
+    """{hilb, nf_monomials, classes, class_of} of spec by one elimination over
+    all its variables, whatever its components: the generator multiples of
+    each degree are row-reduced, monomials are grouped by normal form, and a
+    class is (rep, members, residue) with the lex-least member as rep."""
+    field = spec.field.field()
+    p = field.p
+    gens = [(g.degree(), field_terms(g, field)) for g in spec.generators]
+    out = {"hilb": [], "nf_monomials": [], "classes": [], "class_of": {}}
+    for i in range(spec.D + 1):
+        mons = monomials_of_degree(spec.d, i)
+        col = {m: j for j, m in enumerate(mons)}
+        rows = [
+            {col[tuple(a + b for a, b in zip(exp, m))]: c for exp, c in terms.items()}
+            for e, terms in gens
+            if e <= i
+            for m in monomials_of_degree(spec.d, i - e)
+        ]
+        red, pivots = rref(rows, len(mons), field)
+        piv_row = dict(zip(pivots, red))
+        nonpiv = [j for j in range(len(mons)) if j not in piv_row]
+        coord = {j: t for t, j in enumerate(nonpiv)}
+        fibers = {}
+        for j, m in enumerate(mons):
+            row = piv_row.get(j)
+            if row is None:
+                nf = {coord[j]: field.of(1)}
+            else:
+                nf = {coord[c]: _norm(-v, p) for c, v in row.items() if c != j}
+            if nf:
+                fibers.setdefault(tuple(sorted(nf.items())), (nf, []))[1].append(m)
+            else:
+                out["class_of"][m] = None
+        classes = sorted((min(ms), frozenset(ms), nf) for nf, ms in fibers.values())
+        out["hilb"].append(len(nonpiv))
+        out["nf_monomials"].append([mons[j] for j in nonpiv])
+        out["classes"].append(classes)
+        for idx, (_, members, _) in enumerate(classes):
+            for m in members:
+                out["class_of"][m] = (i, idx)
+    return out
+
+
+def ring_fields(ring):
+    """The fields of a built ring in the shape elimination_build_oracle returns."""
+    return {
+        "hilb": list(ring.hilb),
+        "nf_monomials": ring.nf_monomials,
+        "classes": [[(c.rep, c.members, c.residue) for c in cs] for cs in ring.classes],
+        "class_of": ring.class_of,
+    }
 
 
 # ---------------------------------------------------------------------------

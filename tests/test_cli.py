@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 import macaulay as M
 from macaulay.cli import main
+from macaulay.rings import monomials_of_degree
 
 
 def run(capsys, *argv):
@@ -124,16 +126,20 @@ def test_export_star_roundtrip(tmp_path, capsys):
 
 
 def test_report_determinism(tmp_path, capsys):
-    args = [
-        "check-poset", "--poset", "multiset:3,4", "--order", "lex", "--json",
-    ]
-    rc1, out1, _ = run(capsys, *args)
-    rc2, out2, _ = run(capsys, *args)
-    r1, r2 = json.loads(out1), json.loads(out2)
-    r1.pop("timing")
-    r2.pop("timing")
-    assert r1 == r2
-    assert r1["inputs"]["content_hash"].startswith("sha256:")
+    for args in (
+        ["check-poset", "--poset", "multiset:3,4", "--order", "lex", "--json"],
+        ["check-ring", "--spec", "torus:3,2", "--order", "family-default", "--json"],
+    ):
+        rc1, out1, _ = run(capsys, *args)
+        rc2, out2, _ = run(capsys, *args)
+        r1, r2 = json.loads(out1), json.loads(out2)
+        timing = r1.pop("timing")
+        r2.pop("timing")
+        assert r1 == r2
+        assert r1["inputs"]["content_hash"].startswith("sha256:")
+        if args[0] == "check-ring":
+            # the ring build and its context are timed apart from the check
+            assert set(timing) == {"seconds", "build_seconds"} and timing["build_seconds"] > 0
 
 
 def test_ring_subcommands(tmp_path, capsys):
@@ -187,6 +193,19 @@ def test_ring_check_macaulay_alias(capsys):
 def test_leck_family_default_is_usage_error(capsys):
     rc, _, err = run(capsys, "check-poset", "--poset", "leck:2,1", "--order", "family-default")
     assert rc == 2 and "no published order" in err
+
+
+def test_large_leck_ring_exits_quickly(capsys):
+    # leck:3+3+3,3 has 12 variables and D = 9; built from its six components
+    # it reaches the subset cap or the missing family order in well under 3 s
+    for order, code, words in (
+        ("lex", 3, "resource limit"),
+        ("family-default", 2, "no published order"),
+    ):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "check-poset", "--poset", "leck:3+3+3,3", "--order", order)
+        assert time.perf_counter() - t0 < 3, order
+        assert rc == code and out == "" and words in err and err.count("\n") == 1
 
 
 def test_check_poset_from_file_and_upper_direction(tmp_path, capsys):
@@ -405,3 +424,65 @@ def test_generated_descriptors_never_escape_the_cli(descriptor, order):
     assert rc in (0, 1, 2, 3, 4), descriptor
     if rc == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, descriptor
+
+
+_GOOD_COEFS = ("1", "-1", "2", "1/2", "-3/5", 3)
+_BAD_COEFS = ("0", "x", "1/0", None, [1])
+_GOOD_FIELDS = ("q", "p:5", "p:32003")
+_BAD_FIELDS = ("p:4", "p:", "p:-5", "z", 7, None)
+
+
+@st.composite
+def _ring_files(draw):
+    """A ring spec object on d <= 4 variables with D <= 4 whose generators have
+    random supports, so that a ring has one component or several.  About one
+    piece in ten is malformed: the whole object, a missing key, a value of the
+    wrong type, a negative exponent, an exponent list of the wrong length, a
+    bad coefficient or a bad field."""
+    def bad():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    if bad():
+        return draw(_JSON)
+
+    d = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        mons = monomials_of_degree(d, draw(st.integers(1, 3)))
+        terms = []
+        for exp in draw(st.lists(st.sampled_from(mons), min_size=1, max_size=3, unique=True)):
+            exp = list(exp)
+            if bad():
+                wrong = st.lists(st.integers(-1, 2), min_size=d - 1, max_size=d + 1)
+                exp = draw(st.one_of(wrong, _JSON))
+            coef = draw(st.sampled_from(_BAD_COEFS if bad() else _GOOD_COEFS))
+            terms.append({"exp": exp, "coef": coef})
+        gens.append(terms)
+    spec = {
+        "d": d,
+        "field": draw(st.sampled_from(_BAD_FIELDS if bad() else _GOOD_FIELDS)),
+        "generators": gens,
+        "D": draw(st.integers(-1, 4) if bad() else st.integers(0, 4)),
+    }
+    for key in list(spec):
+        if bad():
+            if draw(st.booleans()):
+                del spec[key]
+            else:
+                spec[key] = draw(_JSON)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_files())
+def test_generated_ring_files_never_escape_the_cli(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check-ring", "--spec", path, "--order", "lex", "--json"])
+    assert rc in (0, 1, 2, 3, 4), spec
+    if rc == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, spec

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -6,13 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import macaulay as M
-from conftest import dense_reduce_vector, dense_rref, to_dense, triple_loop_monomial_order
+from conftest import (
+    dense_reduce_vector,
+    dense_rref,
+    elimination_build_oracle,
+    ring_fields,
+    to_dense,
+    triple_loop_monomial_order,
+)
 from macaulay import families as F
 from macaulay.errors import RingError
 from macaulay.orders import explicit_order
 from macaulay.rings import (
     class_poset_index,
     degree_rep_lex_order,
+    monomials_by_degree,
     monomials_of_degree,
     rep_lex_order,
 )
@@ -29,6 +38,11 @@ def non_lli_spec(field=M.RATIONALS, D=2):
 def test_monomials_of_degree():
     assert monomials_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(monomials_of_degree(3, 4)) == 15
+    for d in range(5):
+        assert monomials_by_degree(d, 4) == [
+            sorted(e for e in itertools.product(range(i + 1), repeat=d) if sum(e) == i)
+            for i in range(5)
+        ]
 
 
 def test_polynomial_validation():
@@ -376,13 +390,16 @@ def _convolve(a, b):
 
 def test_large_glued_builds_agree_across_fields():
     cases = [
-        (lambda f: F.torus_ring([3, 3, 3], f), (1, 2, 2, 1)),
-        (lambda f: F.diamond_ring(3, f), (1, 3, 1)),
+        (lambda f: F.torus_ring([3, 3, 3], f), (1, 2, 2, 1), 3),
+        (lambda f: F.torus_ring([3, 3, 3, 3], f), (1, 2, 2, 1), 4),
+        (lambda f: F.diamond_ring(3, f), (1, 3, 1), 3),
     ]
-    for make, basic_hilbert in cases:
+    for make, basic_hilbert, n in cases:
         rq = M.build_ring(make(M.RATIONALS))
         rp = M.build_ring(make(M.FieldSpec("prime", 32003)))
-        want = _convolve(_convolve(basic_hilbert, basic_hilbert), basic_hilbert)
+        want = [1]
+        for _ in range(n):
+            want = _convolve(want, basic_hilbert)
         assert list(rq.hilbert()) == list(rp.hilbert()) == want
         assert [[c.members for c in cs] for cs in rq.classes] == [
             [c.members for c in cs] for cs in rp.classes
@@ -400,3 +417,134 @@ def test_coefficient_outside_the_prime_field_is_a_ring_error():
         M.FieldSpec("prime", 32004)
     with pytest.raises(RingError):
         M.FieldSpec.from_json("p:abc")
+
+
+# ---------------------------------------------------------------------------
+# Tensor rings are built per variable component; the whole-ring elimination in
+# conftest is the oracle.
+
+_FIELDS = (M.RATIONALS, M.FieldSpec("prime", 32003), M.FieldSpec("prime", 5))
+_TENSOR_BUILTINS = (
+    "torus:2,2", "torus:3,2", "diamond:2", "be-ring:3,2,2", "colored-ring:2,2,2", "kk:4",
+    "cl:3,3", "cl:2,3,2", "leck:2+2,1", "leck:3,2",
+)
+
+
+def _glue(d, a, b):
+    """x_a^2 - 2 x_b^2 in d variables (0-based indices)."""
+    return M.Polynomial({
+        tuple(2 if j == a else 0 for j in range(d)): 1,
+        tuple(2 if j == b else 0 for j in range(d)): -2,
+    })
+
+
+def _assert_matches_oracle(spec):
+    assert ring_fields(M.build_ring(spec)) == elimination_build_oracle(spec)
+
+
+@st.composite
+def _factor_specs(draw):
+    """A spec on 1..3 variables with binomial or trinomial generators of degree 1..3."""
+    d = draw(st.integers(1, 3))
+    coef = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 3))
+        mons = monomials_of_degree(d, deg)
+        terms = st.lists(st.sampled_from(mons), min_size=min(2, len(mons)), max_size=3, unique=True)
+        exps = draw(terms)
+        gens.append(M.Polynomial({e: draw(coef) for e in exps}))
+    return M.QuotientRingSpec(d, M.RATIONALS, gens, 0)
+
+
+def _shuffled_tensor(factors, D, rnd):
+    """The tensor of the factors truncated at D, its variables shuffled so
+    that the components interleave."""
+    spec = M.tensor_ring(factors, D)
+    perm = rnd.sample(range(spec.d), spec.d)
+    gens = [
+        M.Polynomial({tuple(e[j] for j in perm): c for e, c in g.terms.items()})
+        for g in spec.generators
+    ]
+    return M.QuotientRingSpec(spec.d, spec.field, gens, D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_TENSOR_BUILTINS).map(lambda name: F.builtin(name).ring_spec),
+        st.tuples(
+            st.lists(_factor_specs(), min_size=2, max_size=3),
+            st.integers(0, 5),
+            st.randoms(use_true_random=False),
+        ).map(lambda t: _shuffled_tensor(*t)),
+    ),
+    st.sampled_from(_FIELDS),
+)
+def test_component_build_matches_whole_ring_elimination(spec, field):
+    _assert_matches_oracle(spec.with_field(field))
+
+
+def test_builtin_tensor_rings_match_whole_ring_elimination():
+    for name in _TENSOR_BUILTINS + ("torus:3,3",):
+        for field in _FIELDS:
+            _assert_matches_oracle(F.builtin(name, field).ring_spec)
+
+
+def test_proportional_factor_residues_merge_in_the_product():
+    # x1^2 = 2 x2^2 and x3^2 = 2 x4^2: x1^2 and x2^2 are distinct classes of
+    # the first factor (residues 1 and 1/2 on x1^2), yet x1^2 x4^2 and
+    # x2^2 x3^2 both reduce to x1^2 x3^2 / 2 and share one product class
+    for field in _FIELDS:
+        spec = M.QuotientRingSpec(4, field, [_glue(4, 0, 1), _glue(4, 2, 3)], 4)
+        _assert_matches_oracle(spec)
+        ring = M.build_ring(spec)
+        glued = ring.class_of[(2, 0, 0, 2)]
+        assert glued == ring.class_of[(0, 2, 2, 0)] is not None
+        assert ring.classes[4][glued[1]].members == frozenset({(2, 0, 0, 2), (0, 2, 2, 0)})
+        factor = M.build_ring(M.QuotientRingSpec(2, field, [_glue(2, 0, 1)], 4))
+        assert factor.class_of[(2, 0)] != factor.class_of[(0, 2)]
+
+
+def test_interleaved_components():
+    # generators join x1 with x3 and x2 with x4, so the components interleave
+    gens = [_glue(4, 0, 2), _glue(4, 1, 3), M.Polynomial({(1, 0, 1, 0): 1, (0, 0, 2, 0): 3})]
+    assert [vs for vs, _ in M.rings._components(M.QuotientRingSpec(4, M.RATIONALS, gens, 4))] == [
+        [0, 2], [1, 3],
+    ]
+    for field in _FIELDS:
+        _assert_matches_oracle(M.QuotientRingSpec(4, field, gens, 4))
+
+
+def test_free_variable_is_its_own_component():
+    # x3 appears in no generator: a polynomial-ring factor between two glued ones
+    gens = [_glue(5, 0, 1), _glue(5, 3, 4)]
+    assert [vs for vs, _ in M.rings._components(M.QuotientRingSpec(5, M.RATIONALS, gens, 4))] == [
+        [0, 1], [2], [3, 4],
+    ]
+    for field in _FIELDS:
+        spec = M.QuotientRingSpec(5, field, gens, 4)
+        _assert_matches_oracle(spec)
+        assert M.build_ring(spec).class_of[(0, 0, 4, 0, 0)] is not None
+
+
+def test_coefficient_outside_the_prime_field_inside_a_factor():
+    gens = [_glue(4, 0, 1), _glue(4, 2, 3), M.Polynomial({(0, 0, 1, 1): Fraction(1, 7)})]
+    spec = M.QuotientRingSpec(4, M.FieldSpec("prime", 7), gens, 3)
+    assert len(M.rings._components(spec)) == 2
+    with pytest.raises(RingError, match="not defined over prime:7"):
+        M.build_ring(spec)
+
+
+def test_unit_ideal_factor():
+    # a degree-0 generator in one component is refused with the spec; a factor
+    # holding all its variables is K, and the product is the other factor
+    with pytest.raises(RingError, match="unit ideal"):
+        M.QuotientRingSpec(4, M.RATIONALS, [_glue(4, 0, 1), M.monomial((0, 0, 0, 0))], 3)
+    gens = [_glue(4, 0, 1), M.monomial((0, 0, 1, 0)), M.monomial((0, 0, 0, 1))]
+    for field in _FIELDS:
+        spec = M.QuotientRingSpec(4, field, gens, 3)
+        _assert_matches_oracle(spec)
+        ring = M.build_ring(spec)
+        assert ring.hilbert() == (1, 2, 2, 2)
+        assert ring.class_of[(0, 0, 1, 0)] is None and ring.class_of[(1, 0, 0, 2)] is None
