@@ -253,15 +253,17 @@ def _load_ideal(ctx, path):
 
 
 def cmd_ring(args):
+    sub = args.ring_cmd
+    if sub == "check-macaulay":
+        return cmd_check_ring(args)
     ctx, built = _load_ring(args)
     ring = ctx.ring
-    sub = args.ring_cmd
     if sub == "build":
         out = {
             "field": ring.spec.field.to_json(),
             "D": ring.D,
             "hilbert": list(ring.hilbert()),
-            "classes_per_degree": [len(c) for c in ring.classes],
+            "classes_per_degree": [len(ids) for ids in ring.levels],
         }
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
@@ -295,8 +297,6 @@ def cmd_ring(args):
         }
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
-    if sub == "check-macaulay":
-        return cmd_check_ring(args)
     raise OrderError(f"unknown ring subcommand {sub!r}")
 
 

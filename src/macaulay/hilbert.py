@@ -14,6 +14,7 @@ which "the segment space is an ideal" characterizes Macaulay rings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError
@@ -23,6 +24,7 @@ from .poset import RankedPoset, reachability
 from .rings import (
     Polynomial,
     RingModel,
+    check_class_poset,
     degree_rep_lex_order,
     field_terms,
     is_level_linearly_independent,
@@ -36,34 +38,21 @@ MAX_ANTICHAIN_GROUND = 24
 
 
 class RingContext:
-    """A ring together with its class poset, addressed by poset element ids."""
+    """A ring together with its class poset, whose element ids are the ring's class ids.
+
+    A poset passed in must be the ring's poset of monomials (its labels the
+    class reps in id order); any other raises RingError.
+    """
 
     def __init__(self, ring: RingModel, poset: Optional[RankedPoset] = None):
         self.ring = ring
         self.poset = poset if poset is not None else poset_of_monomials(ring)
-        self._level_ids = [tuple(self.poset.level(i)) for i in range(ring.D + 1)]
-        self._level_masks = [sum(1 << x for x in ids) for ids in self._level_ids]
-        lli, lli_deg = is_level_linearly_independent(ring)
-        self.lli = lli
-        self.lli_fail_degree = lli_deg
+        check_class_poset(ring, self.poset)
+        self._level_masks = [((1 << len(ids)) - 1) << ids.start for ids in ring.levels]
+        self.lli, self.lli_fail_degree = is_level_linearly_independent(ring)
 
     def classes_at(self, degree):
-        return self._level_ids[degree] if degree <= self.ring.D else ()
-
-    def residue(self, element_id):
-        """Normal-form coordinates of a class, as a sparse row."""
-        return self.ring.class_residue_coords(*self.ring.class_of[self.poset.labels[element_id]])
-
-    def nf_width(self, degree):
-        return self.ring.hilb[degree]
-
-    def mul_by_monomial(self, element_id, exp):
-        deg, idx = self.ring.class_of[self.poset.labels[element_id]]
-        tgt = self.ring.mul_class_by_monomial(deg, idx, exp)
-        if tgt is None:
-            return None
-        tdeg, tidx = tgt
-        return self.poset.id_of(self.ring.classes[tdeg][tidx].rep)
+        return self.ring.levels[degree] if degree <= self.ring.D else ()
 
     def span_dim(self, degree, class_ids):
         """Dimension of the span of class residues inside the degree slice."""
@@ -71,8 +60,8 @@ class RingContext:
             return 0
         if self.lli:
             return len(class_ids)
-        rows = [self.residue(x) for x in class_ids]
-        return len(rref(rows, self.nf_width(degree), self.ring.field)[0])
+        rows = [self.ring.classes[x].residue for x in class_ids]
+        return len(rref(rows, self.ring.hilb[degree], self.ring.field)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +85,10 @@ class IdealSpec:
         for g in self.generators:
             if g.is_zero():
                 continue
+            if any(len(e) != ring.spec.d for e in g.terms):
+                raise RingError("ideal generator exponent length must match variable count")
+            if any(a < 0 for e in g.terms for a in e):
+                raise RingError("ideal generator exponents must be nonnegative")
             if not g.is_homogeneous():
                 raise RingError("ideal generators must be homogeneous")
             e = g.degree()
@@ -121,9 +114,9 @@ class IdealSpec:
         ring = self.ctx.ring
         vec = {}
         for exp, coef in terms.items():
-            key = ring.class_of.get(tuple(a + b for a, b in zip(exp, shift)))
-            if key is not None:
-                add_multiple(vec, coef, ring.class_residue_coords(*key), ring.field)
+            x = ring.class_of.get(tuple(map(add, exp, shift)))
+            if x is not None:
+                add_multiple(vec, coef, ring.classes[x].residue, ring.field)
         return vec
 
     def _audit_closure(self):
@@ -183,7 +176,7 @@ def leveled_basis(ctx: RingContext, table: OrderTable) -> LeveledMonomialBasis:
         kept = []
         rows = []
         for x in ids:
-            red, _ = rref(rows + [ctx.residue(x)], ring.hilb[i], F)
+            red, _ = rref(rows + [ring.classes[x].residue], ring.hilb[i], F)
             if len(red) > len(rows):
                 rows = red
                 kept.append(x)
@@ -217,7 +210,7 @@ def upset_closure(poset: RankedPoset, seed_ids) -> frozenset:
 def _basis_coordinates(ctx, degree, cols, vectors):
     """RREF (rows, pivots) of degree-`degree` vectors written over the basis classes `cols`."""
     F = ctx.ring.field
-    bas_rows = [ctx.residue(x) for x in cols]
+    bas_rows = [ctx.ring.classes[x].residue for x in cols]
     b_red, b_piv, b_tr = rref_with_transform(bas_rows, ctx.ring.hilb[degree], F)
     rows_b = []
     for vec in vectors:
@@ -405,7 +398,7 @@ def _mask_profile(ctx: RingContext, ups):
     if ctx.lli:
         return tuple(map(int.bit_count, map(ups.__and__, ctx._level_masks)))
     return tuple(
-        ctx.span_dim(i, [x for x in ids if ups >> x & 1]) for i, ids in enumerate(ctx._level_ids)
+        ctx.span_dim(i, [x for x in ids if ups >> x & 1]) for i, ids in enumerate(ctx.ring.levels)
     )
 
 

@@ -14,11 +14,24 @@ is then back-substituted from the largest pivot down.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
 
 
-def is_prime(p):
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+def is_prime(n):
+    """Deterministic Miller-Rabin primality; ValueError from PRIME_LIMIT on."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality of {n} is decided only below {PRIME_LIMIT}")
+    if n < 2 or any(n % q == 0 for q in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d with d odd
+    for a in _BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
+            return False
+    return True
 
 
 class Field:

@@ -5,10 +5,11 @@ degree-i slice of the ideal is spanned by generator multiples (exact for a
 homogeneous ideal, no Groebner machinery needed), each a sparse row with one
 entry per generator term.  Monomials are reduced to normal form against the
 slice's sparse RREF, and monomials with equal nonzero residue are grouped
-into classes, each of which keeps that residue.  Everything downstream
-(Hilbert functions, the poset of monomials, order checks) speaks in terms of
-these classes; any statement involving degrees is implicitly "up to
-degree D".
+into classes, each of which keeps that residue.  Classes are numbered once,
+degree by degree, and these ids are the elements of the poset of monomials.
+Everything downstream (Hilbert functions, the poset of monomials, order
+checks) speaks in terms of these ids; any statement involving degrees is
+implicitly "up to degree D".
 
 A ring whose generators split its variables into components (two variables
 share one when a generator uses both) is the tensor product of the
@@ -26,12 +27,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain
-from operator import add, itemgetter
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import RingError
-from .linalg import QQ, Field, is_prime, rref
+from .linalg import PRIME_LIMIT, QQ, Field, is_prime, rref
 from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
 from .poset import RankedPoset
 
@@ -46,8 +46,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in ("rationals", "prime"):
             raise RingError(f"unknown field kind {self.kind!r}")
-        if self.kind == "prime" and (self.p is None or not is_prime(self.p)):
-            raise RingError(f"prime field needs a prime modulus, got {self.p}")
+        if self.kind == "prime" and not (self.p and self.p < PRIME_LIMIT and is_prime(self.p)):
+            raise RingError(f"prime field needs a prime modulus below {PRIME_LIMIT}, got {self.p}")
 
     def field(self) -> Field:
         return QQ if self.kind == "rationals" else Field(self.p)
@@ -234,119 +234,64 @@ def monomials_of_degree(d, i):
 
 
 class RingModel:
-    """Built quotient ring: classes, normal forms and Hilbert values per degree.
+    """Built quotient ring: its classes, numbered once, and normal forms per degree.
 
-    A spec with one variable component is eliminated whole; one with several
-    is built from its components' rings (see the module docstring).  Either
-    way `nf_monomials` are lex ascending, classes are sorted by their
-    lex-least member, and `class_of` maps every monomial of degree <= D,
-    a zero one to None.
+    `classes[x]` is element x of `poset_of_monomials(ring)`: classes run
+    degree by degree and, inside a degree, by their lex-least member, and
+    `levels[i]` is the range of ids of degree i.  `class_of` maps each
+    monomial that is nonzero in the ring to its class id; a monomial it
+    lacks is zero in the ring or above D.  `nf_monomials[i]` are the
+    degree-i normal-form coordinates, lex ascending, and `hilb[i]` their
+    count.  Every spec is built per variable component (see the module
+    docstring); a spec with one component is a product of one factor.
     """
 
     def __init__(self, spec: QuotientRingSpec):
         self.spec = spec
         self.field = spec.field.field()
-        self.nf_monomials = []  # per degree: the normal-form coordinates' monomials
-        self.classes = []  # per degree: list[MonomialClass], sorted by rep
-        self.class_of = {}  # exponent tuple -> (degree, index) or None when zero in S
+        self.nf_monomials = []
         self.hilb = []
+        self.classes = []  # list[MonomialClass], indexed by class id
+        self.levels = []
         self._build()
-
-    # -- construction ------------------------------------------------------
+        self.class_of = {m: x for x, c in enumerate(self.classes) for m in c.members}
 
     def _build(self):
-        components = _components(self.spec)
-        if len(components) == 1:
-            self._eliminate()
-        else:
-            self._build_product(components)
-        if self.hilb[0] == 0:
-            raise RingError("unit ideal: 1 lies in H")
+        """Eliminate each distinct factor once, fold the factors, then sort into lex.
 
-    def _eliminate(self):
-        spec = self.spec
-        gens = [(g.degree(), field_terms(g, self.field)) for g in spec.generators]
-        mons = monomials_by_degree(spec.d, spec.D)
-        for i in range(spec.D + 1):
-            col = {m: j for j, m in enumerate(mons[i])}
-            rows = [
-                {col[tuple(a + b for a, b in zip(exp, m))]: c for exp, c in terms.items()}
-                for e, terms in gens
-                if e <= i
-                for m in mons[i - e]
-            ]
-            red, pivots = rref(rows, len(mons[i]), self.field)
-            self._classify(i, mons[i], red, pivots)
-
-    def _classify(self, degree, mons, red, pivots):
-        p = self.field.p
-        one = self.field.of(1)
-        piv_row = dict(zip(pivots, red))
-        nonpiv = [j for j in range(len(mons)) if j not in piv_row]
-        coord = {j: t for t, j in enumerate(nonpiv)}
-        fibers = {}
-        for j, m in enumerate(mons):
-            row = piv_row.get(j)
-            if row is None:
-                nf = {coord[j]: one}
-            else:
-                # nf(e_j) = e_j - pivot_row(j), which vanishes on pivot columns
-                nf = {coord[c]: (p - v if p else -v) for c, v in row.items() if c != j}
-            if not nf:
-                self.class_of[m] = None
-                continue
-            fibers.setdefault(tuple(sorted(nf.items())), (nf, []))[1].append(m)
-        self._add_degree(degree, [mons[j] for j in nonpiv], fibers.values())
-
-    def _add_degree(self, degree, nf_monomials, fibers):
-        """Record one degree from its lex-ascending coordinates and (residue, members) pairs."""
-        classes = sorted(
-            (MonomialClass(degree, frozenset(ms), min(ms), nf) for nf, ms in fibers),
-            key=lambda c: c.rep,
-        )
-        self.nf_monomials.append(nf_monomials)
-        self.hilb.append(len(nf_monomials))
-        self.classes.append(classes)
-        for idx, c in enumerate(classes):
-            for m in c.members:
-                self.class_of[m] = (degree, idx)
-
-    def _build_product(self, components):
-        """Eliminate each component on its own, then fold the factors pairwise.
-
-        Factors keep the product's D and are built once per distinct spec.
-        Their monomials are lifted to the global variable positions, so the
-        fold's coordinates only need sorting into lex order at the end.
+        Factor monomials are lifted to the global variable positions, so the
+        fold's coordinates only need sorting at the end.
         """
         spec = self.spec
-        self.class_of = dict.fromkeys(chain.from_iterable(monomials_by_degree(spec.d, spec.D)))
-        built = {}
+        eliminated = {}
         product = None
-        for variables, gens in components:
-            fgens = [
+        for variables, gens in _components(spec):
+            fgens = tuple(
                 Polynomial({tuple(e[v] for v in variables): c for e, c in g.terms.items()})
                 for g in gens
-            ]
-            fspec = QuotientRingSpec(len(variables), spec.field, fgens, spec.D)
-            factor = built[fspec] = built.get(fspec) or RingModel(fspec)
+            )
+            key = (len(variables), fgens)
+            if key not in eliminated:
+                eliminated[key] = _eliminate(len(variables), fgens, spec.D, self.field)
+            nf, fibers = eliminated[key]
             # a factor monomial padded with a zero, read off at each global variable
             at = [variables.index(v) if v in variables else len(variables) for v in range(spec.d)]
-            pick = itemgetter(*at)
-            piece = (
-                [[pick(m + (0,)) for m in ms] for ms in factor.nf_monomials],
-                [
-                    [(c.residue, [pick(m + (0,)) for m in c.members]) for c in cs]
-                    for cs in factor.classes
-                ],
-            )
+
+            def lift(ms):
+                return [tuple(map((m + (0,)).__getitem__, at)) for m in ms]
+
+            piece = ([lift(ms) for ms in nf], [[(res, lift(ms)) for res, ms in cs] for cs in fibers])
             product = piece if product is None else _tensor_slices(*product, *piece, self.field.p)
         for i, (coords, fibers) in enumerate(zip(*product)):
             lex = sorted(coords)
             rank = {m: j for j, m in enumerate(lex)}
-            fibers = [({rank[coords[k]]: v for k, v in res.items()}, ms) for res, ms in fibers]
-            self._add_degree(i, lex, fibers)
-
-    # -- queries -----------------------------------------------------------
+            start = len(self.classes)
+            for res, ms in sorted(fibers, key=lambda fiber: min(fiber[1])):
+                res = {rank[coords[k]]: v for k, v in res.items()}
+                self.classes.append(MonomialClass(i, frozenset(ms), min(ms), res))
+            self.levels.append(range(start, len(self.classes)))
+            self.nf_monomials.append(lex)
+            self.hilb.append(len(lex))
 
     @property
     def D(self):
@@ -355,21 +300,52 @@ class RingModel:
     def hilbert(self):
         return tuple(self.hilb)
 
-    def class_residue_coords(self, degree, idx):
-        """Residue of a class in normal-form coordinates of its degree."""
-        return self.classes[degree][idx].residue
-
-    def mul_class_by_monomial(self, degree, idx, exp):
-        """Class of (class representative) * x^exp, or None when the product is zero."""
-        rep = self.classes[degree][idx].rep
-        out = tuple(a + b for a, b in zip(rep, exp))
+    def mul(self, x, exp):
+        """Class id of rep * m for class x's rep and the monomial m = exp; None when it is zero."""
+        out = tuple(map(add, self.classes[x].rep, exp))
         if sum(out) > self.D:
             raise RingError(f"product degree {sum(out)} exceeds truncation {self.D}")
         return self.class_of.get(out)
 
-    def mul_class_by_var(self, degree, idx, var):
-        exp = tuple(1 if j == var else 0 for j in range(self.spec.d))
-        return self.mul_class_by_monomial(degree, idx, exp)
+
+def _eliminate(d, gens, D, field):
+    """Normal-form coordinates and (residue, members) classes per degree of K[x_1..x_d]/(gens).
+
+    The degree-i slice of the ideal is spanned by the generator multiples;
+    a monomial's normal form is its reduction against the slice's RREF,
+    written over the non-pivot monomials (lex ascending), and monomials
+    with equal nonzero normal form share a class.
+    """
+    p = field.p
+    one = field.of(1)
+    terms = [(g.degree(), field_terms(g, field)) for g in gens]
+    mons = monomials_by_degree(d, D)
+    nf_monomials, classes = [], []
+    for i in range(D + 1):
+        col = {m: j for j, m in enumerate(mons[i])}
+        rows = [
+            {col[tuple(map(add, exp, m))]: c for exp, c in t.items()}
+            for e, t in terms
+            if e <= i
+            for m in mons[i - e]
+        ]
+        red, pivots = rref(rows, len(mons[i]), field)
+        piv_row = dict(zip(pivots, red))
+        nonpiv = [j for j in range(len(mons[i])) if j not in piv_row]
+        coord = {j: t for t, j in enumerate(nonpiv)}
+        fibers = {}
+        for j, m in enumerate(mons[i]):
+            row = piv_row.get(j)
+            if row is None:
+                nf = {coord[j]: one}
+            else:
+                # nf(e_j) = e_j - pivot_row(j), which vanishes on pivot columns
+                nf = {coord[c]: (p - v if p else -v) for c, v in row.items() if c != j}
+            if nf:
+                fibers.setdefault(tuple(sorted(nf.items())), (nf, []))[1].append(m)
+        nf_monomials.append([mons[i][j] for j in nonpiv])
+        classes.append(list(fibers.values()))
+    return nf_monomials, classes
 
 
 def _components(spec: QuotientRingSpec):
@@ -430,27 +406,28 @@ def build_ring(spec: QuotientRingSpec) -> RingModel:
 def poset_of_monomials(ring: RingModel) -> RankedPoset:
     """Classes of degree <= D ordered by monomial division, ranked by degree.
 
-    Covers are multiplications by a single variable (the upper shadow of a
-    class is exactly its nonzero variable multiples).
+    Element x is the ring's class id x, labelled by its rep.  Covers are
+    multiplications by a single variable (the upper shadow of a class is
+    exactly its nonzero variable multiples); they are collected as a set,
+    because two variables can map one class into the same glued class.
     """
-    ids = {}
-    labels = []
-    rank = []
-    for i, classes in enumerate(ring.classes):
-        for idx, c in enumerate(classes):
-            ids[(i, idx)] = len(labels)
-            labels.append(c.rep)
-            rank.append(i)
-    covers = set()
-    for i, classes in enumerate(ring.classes):
-        if i == ring.D:
-            break
-        for idx in range(len(classes)):
-            for var in range(ring.spec.d):
-                tgt = ring.mul_class_by_var(i, idx, var)
-                if tgt is not None:
-                    covers.add((ids[(i, idx)], ids[tgt]))
-    return RankedPoset(len(labels), sorted(covers), rank, labels)
+    d = ring.spec.d
+    units = [tuple(int(k == v) for k in range(d)) for v in range(d)]
+    covers = {
+        (x, y)
+        for x, c in enumerate(ring.classes)
+        if c.degree < ring.D
+        for y in map(ring.mul, [x] * d, units)
+        if y is not None
+    }
+    rank = [c.degree for c in ring.classes]
+    return RankedPoset(len(rank), sorted(covers), rank, [c.rep for c in ring.classes])
+
+
+def check_class_poset(ring: RingModel, poset: RankedPoset):
+    """RingError unless the poset's labels are the ring's class reps in id order."""
+    if poset.labels != tuple(c.rep for c in ring.classes):
+        raise RingError("the poset is not the ring's poset of monomials")
 
 
 def is_level_linearly_independent(ring: RingModel):
@@ -461,19 +438,9 @@ def is_level_linearly_independent(ring: RingModel):
     degree or None).
     """
     for i in range(ring.D + 1):
-        if len(ring.classes[i]) != ring.hilb[i]:
+        if len(ring.levels[i]) != ring.hilb[i]:
             return False, i
     return True, None
-
-
-def class_poset_index(ring: RingModel, poset: RankedPoset):
-    """Map (degree, class index) -> poset element id for poset_of_monomials output."""
-    out = {}
-    for x in range(poset.n):
-        deg = poset.rank[x]
-        rep = poset.labels[x]
-        out[ring.class_of[rep]] = x
-    return out
 
 
 def rep_lex_order(poset: RankedPoset) -> OrderTable:
@@ -512,16 +479,18 @@ def is_monomial_order(ring: RingModel, table: OrderTable):
     strict monotonicity under every monomial.  Poset ids run degree by
     degree, so the first failing triple has a degree-1 multiplier.  Per
     degree-1 class, the live images must strictly increase along the order.
+    The table's poset must be the ring's poset of monomials.
     """
     poset = table.poset
+    check_class_poset(ring, poset)
     pos = table.position
     labels = poset.labels
     class_of = ring.class_of
-    pos_of = {class_of[lab]: pos[x] for x, lab in enumerate(labels)}
     walk = table.by_position()
     for xm in sorted(poset.level(1)):
         v = labels[xm].index(1)
-        img = [pos_of.get(class_of.get(lab[:v] + (lab[v] + 1,) + lab[v + 1:])) for lab in labels]
+        img = [class_of.get(lab[:v] + (lab[v] + 1,) + lab[v + 1:]) for lab in labels]
+        img = [None if y is None else pos[y] for y in img]
         live = [x for x in walk if img[x] is not None]
         # bad: the live elements with a later-placed one whose image is not above theirs
         low, bad = poset.n, []
@@ -548,19 +517,16 @@ def recognize_tree_ring(ring: RingModel):
         return None
     d = ring.spec.d
     legs = {}
-    for x in range(poset.n):
-        if poset.rank[x] == 0:
-            continue
-        deg, idx = ring.class_of[poset.labels[x]]
+    for c in ring.classes[1:]:  # class 0 is the unit
         pures = {
-            next(j for j, e in enumerate(m) if e) for m in ring.classes[deg][idx].members
+            next(j for j, e in enumerate(m) if e) for m in c.members
             if sum(1 for e in m if e) == 1
         }
-        mixed = any(sum(1 for e in m if e) > 1 for m in ring.classes[deg][idx].members)
+        mixed = any(sum(1 for e in m if e) > 1 for m in c.members)
         if len(pures) != 1 or mixed:
             return None
         var = pures.pop()
-        legs[var] = max(legs.get(var, 0), deg)
+        legs[var] = max(legs.get(var, 0), c.degree)
     live = sorted(legs)
     for i in live:
         for j in live:

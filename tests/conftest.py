@@ -9,7 +9,7 @@ import pytest
 import macaulay as M
 from macaulay.linalg import rref
 from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
-from macaulay.rings import field_terms, monomials_of_degree
+from macaulay.rings import field_terms, monomials_by_degree, monomials_of_degree
 
 
 def brute_lower_shadow_labels(labels):
@@ -184,8 +184,8 @@ def triple_loop_monomial_order(ring, table):
                 p2 = ring.class_of.get(tuple(a + b for a, b in zip(rep2, rep_m)))
                 if p1 is None or p2 is None:
                     continue
-                y1 = poset.id_of(ring.classes[p1[0]][p1[1]].rep)
-                y2 = poset.id_of(ring.classes[p2[0]][p2[1]].rep)
+                y1 = poset.id_of(ring.classes[p1].rep)
+                y2 = poset.id_of(ring.classes[p2].rep)
                 # strict reading: the products must be distinct and ordered
                 if y1 == y2 or pos[y1] >= pos[y2]:
                     return False, (rep1, rep2, rep_m)
@@ -240,12 +240,18 @@ def elimination_build_oracle(spec):
 
 
 def ring_fields(ring):
-    """The fields of a built ring in the shape elimination_build_oracle returns."""
+    """The fields of a built ring in the shape elimination_build_oracle returns:
+    classes grouped by degree, class ids mapped back to (degree, index), and
+    every monomial of degree <= D that class_of lacks mapped to None."""
+    by_degree = [[ring.classes[x] for x in ids] for ids in ring.levels]
+    spot = {x: (i, x - ids.start) for i, ids in enumerate(ring.levels) for x in ids}
+    class_of = dict.fromkeys(m for ms in monomials_by_degree(ring.spec.d, ring.D) for m in ms)
+    class_of.update((m, spot[x]) for m, x in ring.class_of.items())
     return {
         "hilb": list(ring.hilb),
         "nf_monomials": ring.nf_monomials,
-        "classes": [[(c.rep, c.members, c.residue) for c in cs] for cs in ring.classes],
-        "class_of": ring.class_of,
+        "classes": [[(c.rep, c.members, c.residue) for c in cs] for cs in by_degree],
+        "class_of": class_of,
     }
 
 

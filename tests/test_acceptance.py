@@ -207,7 +207,7 @@ def _non_lli_payload(field):
     )
     space, segs = initial_segment_space(ctx, {2: 3}, M.lex_order(ctx.poset))
     seg_labels = tuple(sorted(ctx.poset.labels[x] for x in segs[2]))
-    return (lli, deg, len(ctx.ring.classes[2]), ctx.ring.hilb[2], ideal.dims[2], space.dims[2], seg_labels)
+    return (lli, deg, len(ctx.ring.levels[2]), ctx.ring.hilb[2], ideal.dims[2], space.dims[2], seg_labels)
 
 
 def test_criterion_10_non_lli_example():

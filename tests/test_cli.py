@@ -190,6 +190,44 @@ def test_ring_check_macaulay_alias(capsys):
     assert rc == 0
 
 
+def test_ring_check_commands_build_the_ring_once(capsys):
+    builds = []
+    init = M.RingModel.__init__
+
+    def counted(self, spec):
+        builds.append(spec)
+        init(self, spec)
+
+    with mock.patch.object(M.RingModel, "__init__", counted):
+        for argv in (["check-ring"], ["ring", "check-macaulay"]):
+            builds.clear()
+            rc, _, _ = run(capsys, *argv, "--spec", "cl:3,3,3", "--order", "lex")
+            assert rc == 0 and len(builds) == 1, argv
+
+
+def test_ideal_exponents_must_fit_the_ring(tmp_path, capsys):
+    # cl:3,3 has two variables; a short, long or negative exponent vector is refused
+    for exp in ([1], [1, 0, 0], [2, -1], [], [-1, 1]):
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"generators": [[{"exp": exp, "coef": "1"}]]}))
+        for sub in ("hilbert", "ims"):
+            rc, out, err = run(capsys, "ring", sub, "--spec", "cl:3,3", "--ideal", str(ideal))
+            assert rc == 2 and out == "", (sub, exp)
+            assert err.startswith("error:") and "exponent" in err and err.count("\n") == 1, (sub, exp)
+
+
+def test_large_prime_modulus(capsys):
+    start = time.perf_counter()
+    rc, _, _ = run(capsys, "check-ring", "--spec", "kk:3", "--field", "p:2305843009213693951",
+                   "--order", "lex")
+    assert rc == 0 and time.perf_counter() - start < 5
+    # past the range where primality is decided exactly, the modulus is refused
+    rc, out, err = run(capsys, "check-ring", "--spec", "kk:3", "--field", f"p:{2**89 - 1}",
+                       "--order", "lex")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "below" in err and err.count("\n") == 1
+
+
 def test_leck_family_default_is_usage_error(capsys):
     rc, _, err = run(capsys, "check-poset", "--poset", "leck:2,1", "--order", "family-default")
     assert rc == 2 and "no published order" in err
@@ -486,3 +524,55 @@ def test_generated_ring_files_never_escape_the_cli(spec):
     assert rc in (0, 1, 2, 3, 4), spec
     if rc == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, spec
+
+
+_IDEAL_RINGS = {"cl:3,3": (2, 4), "torus:3,1": (2, 3), "diamond:1": (3, 2), "colored-ring:2,1": (3, 2)}
+
+
+@st.composite
+def _ideal_files(draw, d, D):
+    """An ideal object on d variables whose generators are homogeneous of
+    degree 0..D + 1, so some exceed the truncation D.  About one piece in ten is
+    malformed: the whole object, the generators list, a term, an exponent
+    vector (wrong length, negative entry or not a list of ints) or a
+    coefficient."""
+    def bad():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    if bad():
+        return draw(_JSON)
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        mons = monomials_of_degree(d, draw(st.integers(0, D + 1)))
+        terms = []
+        for exp in draw(st.lists(st.sampled_from(mons), min_size=1, max_size=3, unique=True)):
+            exp = list(exp)
+            if bad():
+                wrong = st.lists(st.integers(-1, 2), min_size=max(d - 1, 0), max_size=d + 1)
+                exp = draw(st.one_of(wrong, _JSON))
+            term = {"exp": exp, "coef": draw(st.sampled_from(_BAD_COEFS if bad() else _GOOD_COEFS))}
+            terms.append(draw(_JSON) if bad() else term)
+        gens.append(draw(_JSON) if bad() else terms)
+    return {"generators": draw(_JSON) if bad() else gens}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_IDEAL_RINGS)).flatmap(
+    lambda ring: st.tuples(st.just(ring), _ideal_files(*_IDEAL_RINGS[ring]))
+), st.sampled_from(["hilbert", "ims"]))
+def test_generated_ideal_files_never_escape_the_cli(ring_and_ideal, sub):
+    ring, ideal = ring_and_ideal
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ideal.json")
+        with open(path, "w") as fh:
+            json.dump(ideal, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["ring", sub, "--spec", ring, "--ideal", path])
+    assert rc in (0, 1, 2, 3, 4), (ring, ideal)
+    if rc == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (ring, ideal)
+    if rc == 0:  # an accepted ideal has exponent vectors of the ring's length and sign
+        d = _IDEAL_RINGS[ring][0]
+        exps = [t["exp"] for g in ideal["generators"] for t in g]
+        assert all(len(e) == d and min(e) >= 0 for e in exps), (ring, ideal)

@@ -278,14 +278,17 @@ def test_random_ideals_reduce_to_monomial():
             assert list(data.imi_dims) == ideal.dims
 
 
-def test_context_multiplication_helper():
-    ctx = RingContext(M.build_ring(F.torus_basic_ring(3, M.RATIONALS)))
-    one = ctx.poset.id_of((0, 0))
-    x1 = ctx.poset.id_of((1, 0))
-    top = ctx.poset.id_of((0, 3))
-    assert ctx.mul_by_monomial(one, (1, 0)) == x1
-    assert ctx.mul_by_monomial(x1, (2, 0)) == top  # x1^3 is glued into the top
-    assert ctx.mul_by_monomial(x1, (0, 1)) is None  # x1*x2 = 0
+def test_ring_multiplication_by_class_id():
+    ring = M.build_ring(F.torus_basic_ring(3, M.RATIONALS))
+    poset = RingContext(ring).poset
+    one = poset.id_of((0, 0))
+    x1 = poset.id_of((1, 0))
+    top = poset.id_of((0, 3))
+    assert ring.mul(one, (1, 0)) == x1
+    assert ring.mul(x1, (2, 0)) == top  # x1^3 is glued into the top
+    assert ring.mul(x1, (0, 1)) is None  # x1*x2 = 0
+    with pytest.raises(RingError, match="exceeds truncation"):
+        ring.mul(top, (1, 0))
 
 
 def test_modes_agree_on_ring_builtins():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,11 @@ from conftest import dense_reduce_vector, dense_rref, to_dense, to_sparse
 from macaulay.linalg import (
     QQ,
     Field,
+    PRIME_LIMIT,
     add_multiple,
     express_in_basis,
     in_row_space,
+    is_prime,
     rank,
     reduce_vector,
     rref,
@@ -155,3 +158,20 @@ def test_transform_and_basis_expression_match_dense_oracle(case, data):
             assert coeffs is None and not in_row_space(red, pivots, vec, field)
         else:
             assert coeffs is not None and _combine(coeffs, rows, field) == vec
+
+
+def test_is_prime_agrees_with_trial_division():
+    trial = (n >= 2 and all(n % q for q in range(2, isqrt(n) + 1)) for n in range(10**5))
+    assert [n for n, prime in enumerate(trial) if is_prime(n) != prime] == []
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # 2047 fools base 2, 3215031751 bases 2..7, 3825123056546413051 bases 2..23,
+    # 318665857834031151167461 bases 2..37
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for n in (2**61 - 1, 10**12 + 39, 2**31 - 1, 32003, 2**64 - 59):
+        assert is_prime(n)
+    assert not is_prime((2**32 - 5) * (2**31 - 1))
+    with pytest.raises(ValueError, match="below"):
+        is_prime(PRIME_LIMIT)

@@ -19,7 +19,6 @@ from macaulay import families as F
 from macaulay.errors import RingError
 from macaulay.orders import explicit_order
 from macaulay.rings import (
-    class_poset_index,
     degree_rep_lex_order,
     monomials_by_degree,
     monomials_of_degree,
@@ -80,15 +79,15 @@ def test_mixed_relation_collapses_degree_two():
         2,
     )
     ring = M.build_ring(spec)
-    assert [len(c) for c in ring.classes] == [1, 2, 1]
-    top = ring.classes[2][0]
+    assert [len(ids) for ids in ring.levels] == [1, 2, 1]
+    top = ring.classes[ring.levels[2][0]]
     assert top.members == frozenset({(2, 0), (0, 2)}) and top.rep == (0, 2)
 
 
 def test_non_lli_example_counts():
     ring = M.build_ring(non_lli_spec())
     assert ring.hilbert() == (1, 3, 5)
-    assert len(ring.classes[2]) == 6
+    assert len(ring.levels[2]) == 6
     flag, deg = M.is_level_linearly_independent(ring)
     assert not flag and deg == 2
 
@@ -101,7 +100,7 @@ def test_monomial_quotients_are_lli():
 def test_torus_lli():
     ring = M.build_ring(F.torus_basic_ring(3, M.RATIONALS))
     assert M.is_level_linearly_independent(ring)[0]
-    assert [len(c) for c in ring.classes] == [1, 2, 2, 1]
+    assert [len(ids) for ids in ring.levels] == [1, 2, 2, 1]
 
 
 def test_unit_ideal_rejected():
@@ -143,20 +142,19 @@ def test_class_multiplication_rep_independent():
     ]
     for spec in specs:
         ring = M.build_ring(spec)
-        for deg, classes in enumerate(ring.classes):
-            for idx, cls in enumerate(classes):
-                if len(cls.members) < 2:
+        for cls in ring.classes:
+            if len(cls.members) < 2:
+                continue
+            for var in range(ring.spec.d):
+                if cls.degree + 1 > ring.D:
                     continue
-                for var in range(ring.spec.d):
-                    if deg + 1 > ring.D:
-                        continue
-                    results = set()
-                    for m in cls.members:
-                        out = tuple(
-                            e + (1 if j == var else 0) for j, e in enumerate(m)
-                        )
-                        results.add(ring.class_of.get(out))
-                    assert len(results) == 1
+                results = set()
+                for m in cls.members:
+                    out = tuple(
+                        e + (1 if j == var else 0) for j, e in enumerate(m)
+                    )
+                    results.add(ring.class_of.get(out))
+                assert len(results) == 1
 
 
 def test_upper_shadow_lemma_agreement():
@@ -164,16 +162,10 @@ def test_upper_shadow_lemma_agreement():
     for spec in (F.torus_basic_ring(3, M.RATIONALS), F.diamond_basic_ring(M.RATIONALS)):
         ring = M.build_ring(spec)
         poset = M.poset_of_monomials(ring)
-        index = class_poset_index(ring, poset)
-        for i in range(ring.D):
-            for idx in range(len(ring.classes[i])):
-                x = index[(i, idx)]
-                direct = {
-                    index[ring.mul_class_by_var(i, idx, v)]
-                    for v in range(ring.spec.d)
-                    if ring.mul_class_by_var(i, idx, v) is not None
-                }
-                assert direct == set(poset.up[x])
+        units = [tuple(int(k == v) for k in range(ring.spec.d)) for v in range(ring.spec.d)]
+        for x in range(ring.levels[ring.D].start):
+            direct = {ring.mul(x, unit) for unit in units} - {None}
+            assert direct == set(poset.up[x])
 
 
 def test_prime_and_rational_builds_agree():
@@ -187,8 +179,7 @@ def test_prime_and_rational_builds_agree():
         rq = M.build_ring(spec)
         rp = M.build_ring(spec.with_field(M.FieldSpec("prime", 32003)))
         assert rq.hilbert() == rp.hilbert()
-        for cq, cp in zip(rq.classes, rp.classes):
-            assert [c.members for c in cq] == [c.members for c in cp]
+        assert [c.members for c in rq.classes] == [c.members for c in rp.classes]
 
 
 def test_monomial_quotient_embeds_in_free_grid():
@@ -305,7 +296,7 @@ def test_quotient_by_a_whole_level():
     gens = [M.monomial(e) for e in monomials_of_degree(d, 3)]
     ring = M.build_ring(M.QuotientRingSpec(d, M.RATIONALS, gens, 4))
     assert ring.hilbert() == (1, 3, 6, 0, 0)
-    assert [len(c) for c in ring.classes] == [1, 3, 6, 0, 0]
+    assert [len(ids) for ids in ring.levels] == [1, 3, 6, 0, 0]
     assert M.poset_of_monomials(ring) == M.multiset_lattice([None] * 3, truncation=2)
 
 
@@ -316,10 +307,10 @@ def test_gluing_in_the_middle_of_the_poset():
     gens.append(M.Polynomial({(1, 1): 1, (0, 2): -1}))
     ring = M.build_ring(M.QuotientRingSpec(2, M.RATIONALS, gens, 4))
     assert ring.hilbert() == (1, 2, 2, 2, 0)
-    assert [len(c) for c in ring.classes] == [1, 2, 2, 2, 0]
-    deg2 = {c.members for c in ring.classes[2]}
+    assert [len(ids) for ids in ring.levels] == [1, 2, 2, 2, 0]
+    deg2 = {ring.classes[x].members for x in ring.levels[2]}
     assert frozenset({(1, 1), (0, 2)}) in deg2 and frozenset({(2, 0)}) in deg2
-    deg3 = {c.members for c in ring.classes[3]}
+    deg3 = {ring.classes[x].members for x in ring.levels[3]}
     assert frozenset({(2, 1), (1, 2), (0, 3)}) in deg3
     assert M.is_level_linearly_independent(ring)[0]
 
@@ -368,13 +359,13 @@ def test_stored_residues_match_dense_normal_forms():
                 red, pivots = dense_rref(rows, len(mons), field.p)
                 nonpiv = [j for j in range(len(mons)) if j not in pivots]
                 assert ring.nf_monomials[i] == [mons[j] for j in nonpiv]
-                for c in ring.classes[i]:
+                for c in map(ring.classes.__getitem__, ring.levels[i]):
                     for m in c.members:
                         unit = to_dense({mons.index(m): field.of(1)}, len(mons), field.p)
                         residual = dense_reduce_vector(red, pivots, unit, field.p)
                         nf = [residual[j] for j in nonpiv]
                         assert to_dense(c.residue, len(nonpiv), field.p) == nf
-                zero = [m for m in mons if ring.class_of[m] is None]
+                zero = [m for m in mons if m not in ring.class_of]
                 for m in zero:
                     unit = to_dense({mons.index(m): field.of(1)}, len(mons), field.p)
                     assert not any(dense_reduce_vector(red, pivots, unit, field.p))
@@ -401,9 +392,8 @@ def test_large_glued_builds_agree_across_fields():
         for _ in range(n):
             want = _convolve(want, basic_hilbert)
         assert list(rq.hilbert()) == list(rp.hilbert()) == want
-        assert [[c.members for c in cs] for cs in rq.classes] == [
-            [c.members for c in cs] for cs in rp.classes
-        ]
+        assert rq.levels == rp.levels
+        assert [c.members for c in rq.classes] == [c.members for c in rp.classes]
         assert M.is_level_linearly_independent(rq) == M.is_level_linearly_independent(rp)
 
 
@@ -500,8 +490,8 @@ def test_proportional_factor_residues_merge_in_the_product():
         _assert_matches_oracle(spec)
         ring = M.build_ring(spec)
         glued = ring.class_of[(2, 0, 0, 2)]
-        assert glued == ring.class_of[(0, 2, 2, 0)] is not None
-        assert ring.classes[4][glued[1]].members == frozenset({(2, 0, 0, 2), (0, 2, 2, 0)})
+        assert glued == ring.class_of[(0, 2, 2, 0)]
+        assert ring.classes[glued].members == frozenset({(2, 0, 0, 2), (0, 2, 2, 0)})
         factor = M.build_ring(M.QuotientRingSpec(2, field, [_glue(2, 0, 1)], 4))
         assert factor.class_of[(2, 0)] != factor.class_of[(0, 2)]
 
@@ -525,7 +515,7 @@ def test_free_variable_is_its_own_component():
     for field in _FIELDS:
         spec = M.QuotientRingSpec(5, field, gens, 4)
         _assert_matches_oracle(spec)
-        assert M.build_ring(spec).class_of[(0, 0, 4, 0, 0)] is not None
+        assert (0, 0, 4, 0, 0) in M.build_ring(spec).class_of
 
 
 def test_coefficient_outside_the_prime_field_inside_a_factor():
@@ -547,4 +537,31 @@ def test_unit_ideal_factor():
         _assert_matches_oracle(spec)
         ring = M.build_ring(spec)
         assert ring.hilbert() == (1, 2, 2, 2)
-        assert ring.class_of[(0, 0, 1, 0)] is None and ring.class_of[(1, 0, 0, 2)] is None
+        assert (0, 0, 1, 0) not in ring.class_of and (1, 0, 0, 2) not in ring.class_of
+
+
+def test_class_ids_are_poset_element_ids():
+    # one numbering: class x of the ring is element x of its poset of monomials
+    for name in _TENSOR_BUILTINS + ("kk:3", "torus:3,1", "diamond:1", "be-ring:3,2,1", "non-lli"):
+        ring = M.build_ring(non_lli_spec() if name == "non-lli" else F.builtin(name, M.RATIONALS).ring_spec)
+        poset = M.poset_of_monomials(ring)
+        assert poset.n == len(ring.classes)
+        for x, c in enumerate(ring.classes):
+            assert poset.labels[x] == c.rep and poset.rank[x] == c.degree
+            assert x in ring.levels[c.degree]
+            assert all(ring.class_of[m] == x for m in c.members)
+        assert sum(len(c.members) for c in ring.classes) == len(ring.class_of)
+
+
+def test_foreign_poset_is_refused():
+    # a poset whose labels are not the class reps in id order would misaddress classes
+    ring = M.build_ring(F.cl_ring([3, 4], M.RATIONALS))
+    poset = M.poset_of_monomials(ring)
+    flipped = M.RankedPoset(poset.n, poset.covers, poset.rank, [lab[::-1] for lab in poset.labels])
+    other = M.poset_of_monomials(M.build_ring(F.cl_ring([4, 3], M.RATIONALS)))
+    for bad in (flipped, other, M.multiset_lattice([3, 4, 1])):
+        with pytest.raises(RingError, match="poset of monomials"):
+            M.RingContext(ring, bad)
+        with pytest.raises(RingError, match="poset of monomials"):
+            M.is_monomial_order(ring, rep_lex_order(bad))
+    assert M.is_monomial_order(ring, rep_lex_order(poset)) == (True, None)
