@@ -3,9 +3,10 @@
 Linear algebra here runs on sparse rows (see `linalg`) in two coordinate
 systems.  Normal-form coordinates (the non-pivot monomials of each degree)
 are an honest basis of the degree slice and are order-free; they are used
-to span ideals and measure dimensions.  Basis coordinates re-express vectors over a leveled monomial
-basis sorted ascending by a total order, so that RREF pivots read off
-initial monomials.
+to measure dimensions and to span ideals, one row per generator and class
+of the complementary degree.  Basis coordinates re-express vectors over a
+leveled monomial basis sorted ascending by a total order, so that RREF
+pivots read off initial monomials.
 
 Initial segment spaces follow the dual-side convention: the segment of size
 q in a degree consists of the q order-largest classes.  That is the side on
@@ -29,7 +30,6 @@ from .rings import (
     field_terms,
     is_level_linearly_independent,
     is_monomial_order,
-    monomials_of_degree,
     poset_of_monomials,
 )
 from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, is_macaulay
@@ -71,9 +71,13 @@ class RingContext:
 class IdealSpec:
     """A homogeneous ideal of the ring, spanned degree by degree.
 
-    Slices are generated by generator multiples, which is exact for
-    homogeneous input.  Construction audits closure under multiplication by
-    the variables up to degree D.
+    The degree-i slice is spanned by one row per generator g of degree
+    e <= i and per class c of degree i - e: the normal form of g * rep(c).
+    This spans all generator multiples g * m: a monomial m that is zero in
+    the ring gives g * m in H, and a member m of c has rep(c)'s normal form,
+    so g * m = g * rep(c) in the ring.  Construction still audits closure
+    under multiplication by the variables up to degree D, which checks this
+    on every ideal.
     """
 
     def __init__(self, ctx: RingContext, generators: Sequence[Polynomial]):
@@ -99,10 +103,10 @@ class IdealSpec:
         self.dims = []
         for i in range(ring.D + 1):
             rows = [
-                self._residue_of(terms, m)
+                self._residue_of(terms, ring.classes[x].rep)
                 for e, terms in gens
                 if e <= i
-                for m in monomials_of_degree(ring.spec.d, i - e)
+                for x in ring.levels[i - e]
             ]
             red, pivots = rref(rows, ring.hilb[i], F)
             self._slices.append((red, pivots))
@@ -393,13 +397,22 @@ def _antichains(poset: RankedPoset, ground):
             stack.append((chosen + (x,), free & ~comp[x] & -(2 << x), ups | up[x]))
 
 
-def _mask_profile(ctx: RingContext, ups):
-    """Degreewise dimension of the monomial space spanned by the classes in a mask."""
+def _mask_profile(ctx: RingContext, ups, memo):
+    """Degreewise dimension of the monomial space spanned by the classes in a mask.
+
+    Without level linear independence each dimension is an RREF; `memo`
+    keeps them by (degree, the mask's bits in that level), which recur
+    across the masks of one scan.
+    """
     if ctx.lli:
         return tuple(map(int.bit_count, map(ups.__and__, ctx._level_masks)))
-    return tuple(
-        ctx.span_dim(i, [x for x in ids if ups >> x & 1]) for i, ids in enumerate(ctx.ring.levels)
-    )
+    dims = []
+    for i, (ids, level) in enumerate(zip(ctx.ring.levels, ctx._level_masks)):
+        key = (i, ups & level)
+        if key not in memo:
+            memo[key] = ctx.span_dim(i, [x for x in ids if ups >> x & 1])
+        dims.append(memo[key])
+    return tuple(dims)
 
 
 def _segment_failure(ctx: RingContext, table: OrderTable, profile):
@@ -421,7 +434,7 @@ def check_monomial_ideal_profile(ctx: RingContext, table: OrderTable, upset_ids)
     dimension of the ideal, and the witness describes the first degree where
     the segment space of that profile fails to be an ideal of equal size.
     """
-    profile = _mask_profile(ctx, sum(1 << x for x in set(upset_ids)))
+    profile = _mask_profile(ctx, sum(1 << x for x in set(upset_ids)), {})
     return profile, _segment_failure(ctx, table, profile)
 
 
@@ -488,8 +501,9 @@ def is_macaulay_ring(
             raise ResourceLimitError(f"{len(ground)} generator candidates exceed the antichain cap")
         failures = []
         results = {}  # profile -> segment failure; the segment test reads only the profile
+        spans = {}  # span dimensions without level linear independence
         for checked, (anti, ups) in enumerate(_antichains(poset, ground), 1):
-            profile = _mask_profile(ctx, ups)
+            profile = _mask_profile(ctx, ups, spans)
             if profile not in results:
                 results[profile] = _segment_failure(ctx, table, profile)
             if results[profile] is not None:

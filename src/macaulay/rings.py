@@ -27,13 +27,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .errors import RingError
+from .errors import ResourceLimitError, RingError
 from .linalg import PRIME_LIMIT, QQ, Field, is_prime, rref
 from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
-from .poset import RankedPoset
+from .poset import DEFAULT_PRODUCT_LIMIT, RankedPoset
 
 DEFAULT_PRIME = 32003
 
@@ -259,21 +260,43 @@ class RingModel:
     def _build(self):
         """Eliminate each distinct factor once, fold the factors, then sort into lex.
 
+        Sizes are capped at `DEFAULT_PRODUCT_LIMIT` before they are allocated:
+        a factor's monomials up to D before its elimination, and the products
+        of factor classes up to D (the fold's work before merging) before the
+        first fold.  The latter also bounds the product's Hilbert values, as
+        a factor's classes span each of its slices.
+
         Factor monomials are lifted to the global variable positions, so the
         fold's coordinates only need sorting at the end.
         """
         spec = self.spec
+        limit = DEFAULT_PRODUCT_LIMIT
         eliminated = {}
-        product = None
+        factors = []
         for variables, gens in _components(spec):
+            k = len(variables)
             fgens = tuple(
                 Polynomial({tuple(e[v] for v in variables): c for e, c in g.terms.items()})
                 for g in gens
             )
-            key = (len(variables), fgens)
+            key = (k, fgens)
             if key not in eliminated:
-                eliminated[key] = _eliminate(len(variables), fgens, spec.D, self.field)
-            nf, fibers = eliminated[key]
+                count = comb(k + spec.D, spec.D)
+                if count > limit:
+                    raise ResourceLimitError(
+                        f"a component of {k} variables has {count} monomials "
+                        f"of degree <= {spec.D} (limit {limit})"
+                    )
+                eliminated[key] = _eliminate(k, fgens, spec.D, self.field)
+            factors.append((variables, *eliminated[key]))
+        total = sum(_series_product([[len(cs) for cs in fibers] for _, _, fibers in factors], spec.D))
+        if total > limit:
+            raise ResourceLimitError(
+                f"the ring would have {total} products of factor classes "
+                f"of degree <= {spec.D} (limit {limit})"
+            )
+        product = None
+        for variables, nf, fibers in factors:
             # a factor monomial padded with a zero, read off at each global variable
             at = [variables.index(v) if v in variables else len(variables) for v in range(spec.d)]
 
@@ -346,6 +369,14 @@ def _eliminate(d, gens, D, field):
         nf_monomials.append([mons[i][j] for j in nonpiv])
         classes.append(list(fibers.values()))
     return nf_monomials, classes
+
+
+def _series_product(series, D):
+    """Coefficients 0..D of the product of power series, each given by its coefficients 0..D."""
+    out = [1] + [0] * D
+    for s in series:
+        out = [sum(out[a] * s[i - a] for a in range(i + 1)) for i in range(D + 1)]
+    return out
 
 
 def _components(spec: QuotientRingSpec):

@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 import macaulay as M
-from macaulay.linalg import rref
+from macaulay.linalg import add_multiple, in_row_space, rref
 from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
 from macaulay.rings import field_terms, monomials_by_degree, monomials_of_degree
 
@@ -253,6 +253,48 @@ def ring_fields(ring):
         "classes": [[(c.rep, c.members, c.residue) for c in cs] for cs in by_degree],
         "class_of": class_of,
     }
+
+
+# ---------------------------------------------------------------------------
+# Generator multiples over every monomial: the oracle for the class-rep rows
+# of hilbert.IdealSpec.
+
+
+def generator_multiple_slices(ctx, gens):
+    """(slices, dims) of the ideal of ctx.ring generated by the Polynomials gens:
+    the degree-i slice is the RREF of the normal forms of g * m for every
+    generator g of degree e <= i and every monomial m of degree i - e, and
+    each slice is audited to be closed under every variable."""
+    ring = ctx.ring
+    F = ring.field
+    d = ring.spec.d
+    gens = [(g.degree(), field_terms(g, F)) for g in gens if not g.is_zero()]
+
+    def residue(terms, shift):
+        vec = {}
+        for exp, c in terms.items():
+            x = ring.class_of.get(tuple(a + b for a, b in zip(exp, shift)))
+            if x is not None:
+                add_multiple(vec, c, ring.classes[x].residue, F)
+        return vec
+
+    slices = []
+    for i in range(ring.D + 1):
+        rows = [
+            residue(terms, m)
+            for e, terms in gens
+            if e <= i
+            for m in monomials_of_degree(d, i - e)
+        ]
+        slices.append(rref(rows, ring.hilb[i], F))
+    units = [tuple(int(k == v) for k in range(d)) for v in range(d)]
+    for i in range(ring.D):
+        nxt_red, nxt_piv = slices[i + 1]
+        for row in slices[i][0]:
+            terms = {ring.nf_monomials[i][j]: c for j, c in row.items()}
+            for unit in units:
+                assert in_row_space(nxt_red, nxt_piv, residue(terms, unit), F), (i, unit)
+    return slices, [len(red) for red, _ in slices]
 
 
 # ---------------------------------------------------------------------------

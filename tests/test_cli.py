@@ -246,6 +246,22 @@ def test_large_leck_ring_exits_quickly(capsys):
         assert rc == code and out == "" and words in err and err.count("\n") == 1
 
 
+def test_oversized_rings_exit_3_before_building(tmp_path, capsys):
+    # kk:24 folds 24 factors into 2^24 classes, and the spec file has 29 free
+    # variables at D = 30; both are refused from their factors' class counts
+    path = tmp_path / "ring.json"
+    x1_squared = [{"exp": [2] + [0] * 29, "coef": "1"}]
+    path.write_text(json.dumps({"d": 30, "field": "p:32003", "generators": [x1_squared], "D": 30}))
+    for argv in (
+        ["check-poset", "--poset", "kk:24", "--order", "lex"],
+        ["check-ring", "--spec", str(path), "--order", "rep-lex"],
+    ):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 2, argv
+        assert rc == 3 and out == "" and "(limit 1000000)" in err and err.count("\n") == 1, argv
+
+
 def test_check_poset_from_file_and_upper_direction(tmp_path, capsys):
     path = tmp_path / "poset.json"
     path.write_text(M.export_json(M.multiset_lattice([3, 4])))

@@ -10,6 +10,7 @@ from macaulay.errors import RingError
 from macaulay.hilbert import (
     RingContext,
     _antichains,
+    _mask_profile,
     check_monomial_ideal_profile,
     dual_segment,
     hilbert_function,
@@ -22,18 +23,18 @@ from macaulay.hilbert import (
     upset_closure,
 )
 from macaulay.orders import degree_major_order, explicit_order
-from macaulay.rings import degree_rep_lex_order
+from macaulay.rings import degree_rep_lex_order, monomials_of_degree
 
-from conftest import antichain_loop_oracle
+from conftest import antichain_loop_oracle, generator_multiple_slices
 
 
 def free_ring_ctx(d=2, D=2):
     return RingContext(M.build_ring(M.QuotientRingSpec(d, M.RATIONALS, [], D)))
 
 
-def non_lli_ctx(D=2):
+def non_lli_ctx(D=2, field=M.RATIONALS):
     spec = M.QuotientRingSpec(
-        3, M.RATIONALS, [M.Polynomial({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1})], D
+        3, field, [M.Polynomial({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1})], D
     )
     return RingContext(M.build_ring(spec))
 
@@ -375,3 +376,65 @@ def test_antichain_loop_matches_list_building_oracle(name, g, shuffle, rnd):
     got = [(w.generator_labels, w.profile, w.failing_degree, w.kind) for w in v.ideal_witnesses]
     assert (got, v.ideals_checked) == want
     assert v.holds == (not want[0])
+
+
+_IDEAL_POOL = (
+    "torus:3,2", "diamond:2", "kk:4", "be-ring:3,2,2", "leck:2+2,1", "cl:3,4", "colored-ring:2,2",
+    "non-lli",
+)
+_IDEAL_FIELDS = (M.RATIONALS, M.FieldSpec(), M.FieldSpec("prime", 5))
+
+
+@lru_cache(maxsize=None)
+def _ideal_ring(name, field):
+    if name == "non-lli":
+        return non_lli_ctx(D=3, field=field)
+    b = F.builtin(name, field)
+    return RingContext(b.ring, b.poset)
+
+
+@st.composite
+def _forms(draw, d, D):
+    """One to three forms of degree 1 or 2 (at most D), each with one to three
+    distinct terms, but never more terms than there are monomials of that degree."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mons = monomials_of_degree(d, draw(st.integers(1, min(2, D))))
+        exps = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=min(3, len(mons)), unique=True))
+        gens.append(M.Polynomial({e: draw(st.integers(-9, 9).filter(bool)) for e in exps}))
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_IDEAL_POOL), st.sampled_from(_IDEAL_FIELDS), st.data())
+def test_ideal_slices_match_generator_multiple_oracle(name, field, data):
+    ctx = _ideal_ring(name, field)
+    gens = data.draw(_forms(ctx.ring.spec.d, ctx.ring.D))
+    ideal = ideal_in_ring(ctx, gens)
+    assert (ideal._slices, ideal.dims) == generator_multiple_slices(ctx, gens)
+
+
+def test_audit_refuses_slices_not_closed_under_a_variable():
+    # the degree-2 slice of (x1 + x2) is x_v * (x1 + x2) for all v; without
+    # one of its rows, some x_v times the degree-1 slice falls outside it
+    ctx = _ideal_ring("torus:3,2", M.RATIONALS)
+    ideal = ideal_in_ring(ctx, [M.Polynomial({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})])
+    red, pivots = ideal._slices[2]
+    assert ideal.dims[1] == 1 and len(red) > 1
+    ideal._slices[2] = (red[:-1], pivots[:-1])
+    with pytest.raises(RingError, match="not closed under x_.* at degree 1"):
+        ideal._audit_closure()
+
+
+def test_memoised_non_lli_profiles_match_spans_from_scratch():
+    ctx = non_lli_ctx(D=3)
+    assert not ctx.lli
+    ground = [x for x in range(ctx.poset.n) if ctx.poset.rank[x] <= 3]
+    memo = {}
+    antichains = list(_antichains(ctx.poset, ground))
+    for _, ups in antichains:
+        want = tuple(
+            ctx.span_dim(i, [x for x in ids if ups >> x & 1]) for i, ids in enumerate(ctx.ring.levels)
+        )
+        assert _mask_profile(ctx, ups, memo) == want == _mask_profile(ctx, ups, {})
+    assert len(antichains) == 2498 and len(memo) < len(antichains)

@@ -19,6 +19,7 @@ from macaulay import families as F
 from macaulay.errors import RingError
 from macaulay.orders import explicit_order
 from macaulay.rings import (
+    _series_product,
     degree_rep_lex_order,
     monomials_by_degree,
     monomials_of_degree,
@@ -565,3 +566,18 @@ def test_foreign_poset_is_refused():
         with pytest.raises(RingError, match="poset of monomials"):
             M.is_monomial_order(ring, rep_lex_order(bad))
     assert M.is_monomial_order(ring, rep_lex_order(poset)) == (True, None)
+
+
+def test_oversized_component_is_refused_before_elimination():
+    # one generator joins all 30 variables: C(60, 30) monomials up to D = 30
+    spec = M.QuotientRingSpec(30, M.FieldSpec(), [M.monomial((1,) * 30)], 30)
+    with pytest.raises(M.ResourceLimitError, match=r"component of 30 variables .* \(limit 1000000\)"):
+        M.build_ring(spec)
+
+
+def test_oversized_fold_is_refused_from_factor_class_counts():
+    # kk:d is d copies of K[x]/(x^2); without merges the fold makes 2^d classes
+    assert sum(_series_product([[1, 1] + [0] * 5] * 6, 6)) == 64
+    assert len(M.build_ring(F.kk_ring(6)).classes) == 64
+    with pytest.raises(M.ResourceLimitError, match=r"16777216 products .* \(limit 1000000\)"):
+        M.build_ring(F.kk_ring(24))
