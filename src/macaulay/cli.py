@@ -300,8 +300,29 @@ def cmd_ring(args):
     raise OrderError(f"unknown ring subcommand {sub!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 2 with one line, as every other usage error does."""
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
+def _int_at_least(low):
+    """An argparse type: an int no smaller than `low`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser():
-    top = argparse.ArgumentParser(prog="macaulay", description=__doc__)
+    top = _Parser(prog="macaulay", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
@@ -309,7 +330,7 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="print the JSON report")
         p.add_argument("--out", help="directory for the report file")
         p.add_argument("--field", help="q or p:<modulus>")
-        p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+        p.add_argument("--max-subsets", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP)
 
     cp = sub.add_parser("check-poset", help="verify the Macaulay property of a poset")
     cp.add_argument("--poset", required=True, help="builtin descriptor or JSON file")
@@ -323,7 +344,7 @@ def build_parser():
     cr.add_argument("--spec", required=True, help="builtin ring descriptor or JSON spec file")
     cr.add_argument("--order", required=True)
     cr.add_argument("--mode", choices=["both", "poset", "monomial-ideals"], default="both")
-    cr.add_argument("--max-gen-degree", type=int)
+    cr.add_argument("--max-gen-degree", type=_int_at_least(0))
     cr.add_argument("--allow-non-lli", action="store_true")
     common(cr)
     cr.set_defaults(fn=cmd_check_ring)
@@ -343,7 +364,7 @@ def build_parser():
     rg.add_argument("--order", default="rep-lex")
     rg.add_argument("--format", choices=["json", "dot"], default="json")
     rg.add_argument("--mode", choices=["both", "poset", "monomial-ideals"], default="both")
-    rg.add_argument("--max-gen-degree", type=int)
+    rg.add_argument("--max-gen-degree", type=_int_at_least(0))
     rg.add_argument("--allow-non-lli", action="store_true")
     common(rg)
     rg.set_defaults(fn=cmd_ring)

@@ -463,6 +463,8 @@ def is_macaulay_ring(
     default candidate is the degree-major representative-lex order.
     mode="both" cross-checks.
     """
+    if max_gen_degree is not None and max_gen_degree < 0:
+        raise RingError(f"max_gen_degree must be nonnegative, got {max_gen_degree}")
     if ctx is None:
         ctx = RingContext(ring)
     poset = ctx.poset

@@ -11,15 +11,15 @@ which is the form the dual side of the theory wants.
 kernel: one direction dispatch, one builder of shadow position lists, one
 segment pass (each prefix's shadow size and whether it is a target prefix)
 and one split-and-combine minimum, `_level_minima` (Horowitz and Sahni's
-meet in the middle).  It turns each shadow list into an int bitmask, builds
-the OR of every subset of each half of the level (2^(k/2) entries each),
-and for each high subset, in Gray-code order, takes the smallest popcount of
-its OR with the inclusion-minimal ORs of each low-subset size, skipping a
-size whose lower bound cannot beat the best so far.  Its witnesses are the
-first minimizers in Gray-code order, which makes them the subsets the full
-2^k Gray walk would report.  The subset cap is checked in `_level_minima`
-before any table is built, so every caller (the search included, at
-DEFAULT_SUBSET_CAP) raises ResourceLimitError naming the level.
+meet in the middle).  It turns each shadow list into an int bitmask, keeps
+each half of the level as its distinct inclusion-minimal subset ORs per
+size, starts every bound at the initial segment's shadow and evaluates only
+the pairs of halves that a row bound and a popcount cut leave able to beat
+it.  Witnesses are found on demand, for the sizes a caller reports, in one
+Gray-code pass: they are the first minimizers the full 2^k Gray walk would
+report.  `_check_subset_cap` runs before any table is built, so every caller
+(the search included, at DEFAULT_SUBSET_CAP) raises ResourceLimitError
+naming the level.
 The search builds each level's order as a prefix DFS over shadow bitmasks,
 with the level's minima computed once, and cuts each failing prefix with
 all its completions, so it finds the order a permutation-by-permutation
@@ -29,7 +29,9 @@ search would, and charges `budget` the same permutation counts.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from math import factorial
 from typing import Optional
 
@@ -151,12 +153,35 @@ def _segments(sh, nt):
         yield shadow, max_idx == shadow - 1
 
 
+def _check_subset_cap(k, level, cap):
+    """Raise ResourceLimitError naming `level` when its 2^k subsets exceed `cap`."""
+    if (1 << k) > cap:
+        raise ResourceLimitError(
+            f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {cap}"
+        )
+
+
 def _subset_ors(rows):
     """OR of the rows of every subset, indexed by the subset's bitmask."""
     table = [0]
     for row in rows:
         table += list(map(row.__or__, table))
     return table
+
+
+def _lean(table, n):
+    """Per subset size 0..n, the distinct inclusion-minimal ORs of a subset
+    table, sorted by popcount: a superset never has a smaller shadow."""
+    buckets = [set() for _ in range(n + 1)]
+    for mask, m in enumerate(table):
+        buckets[mask.bit_count()].add(m)
+    lean = []
+    for bucket in buckets:
+        kept = []  # ORs of equal popcount never contain one another
+        for _, group in groupby(sorted(bucket, key=int.bit_count), int.bit_count):
+            kept += [m for m in group if all(map((~m).__and__, kept))]
+        lean.append(kept)
+    return lean
 
 
 def _row_masks(sh):
@@ -167,56 +192,68 @@ def _row_masks(sh):
 def _level_minima(sh, nt, level, cap):
     """Minimum shadow size over all subsets of each size, by split and combine.
 
-    Returns (min_size, argmin_mask) lists indexed by subset size; each argmin
-    is the first minimizer in Gray-code order.  Raises ResourceLimitError
-    naming `level` before any table is built when 2^k exceeds `cap`.
+    Returns `best`, indexed by subset size, and `find(sizes)`, which maps each
+    requested size to its first minimizer in Gray-code order, as a bitmask
+    over the rows.  Raises ResourceLimitError naming `level` before any table
+    is built when 2^k exceeds `cap`.  Each step is exact:
+    - both halves are lean (`_lean`): a superset never has a smaller shadow;
+    - `best[q]` starts at the shadow size of the first q rows, a q-subset;
+    - a lean high OR `a` skips low size r when pop(a) + d[r] >= best, where
+      d[r] is the r-th smallest count of bits a low row adds to `a`, since
+      any r low rows add at least that many;
+    - otherwise only lean low ORs of popcount below best can beat it;
+    - `find` walks the high subsets in Gray order under the same bounds and
+      scans a low bucket, in Gray order, only once a lean low OR hits best.
     """
     k = len(sh)
-    if (1 << k) > cap:
-        raise ResourceLimitError(
-            f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {cap}"
-        )
+    _check_subset_cap(k, level, cap)
     rows = _row_masks(sh)
     lo = k // 2
-    low, high = _subset_ors(rows[:lo]), _subset_ors(rows[lo:])
-    # Low subsets by size, each bucket in Gray order.  For the minimum only the
-    # distinct, inclusion-minimal ORs matter: a superset never has a smaller shadow.
+    low_rows = rows[:lo]
+    low, high = _subset_ors(low_rows), _subset_ors(rows[lo:])
+    lean_low, lean_high = _lean(low, lo), _lean(high, k - lo)
+    pops = [[m.bit_count() for m in ors] for ors in lean_low]
+    best = [0, *(m.bit_count() for m in accumulate(rows, int.__or__))]
+
+    def added(a):
+        return [0, *sorted(map(int.bit_count, map((~a).__and__, low_rows)))]
+
+    for s, ors in enumerate(lean_high):
+        for a in ors:
+            pa, d = a.bit_count(), added(a)
+            for r, ms in enumerate(lean_low):
+                b = best[s + r]
+                if pa + d[r] < b:
+                    ms = ms[: bisect_left(pops[r], b)]
+                    best[s + r] = min((b, *map(int.bit_count, map(a.__or__, ms))))
+
+    # The Gray rank of (h << lo) | g orders by the rank of h, then by the rank
+    # of g when h has even parity and by its reverse when h has odd parity.
     full = [[] for _ in range(lo + 1)]
     for t in range(1 << lo):
         g = t ^ (t >> 1)
         full[g.bit_count()].append(g)
-    lean, minpop = [], []
-    for bucket in full:
-        kept = []
-        for m in sorted({low[g] for g in bucket}, key=int.bit_count):
-            if all(map((~m).__and__, kept)):
-                kept.append(m)
-        lean.append(kept)
-        minpop.append(kept[0].bit_count())
-    best = [0] + [nt + 1] * k
-    where = [None] * (k + 1)
-    for t in range(1 << (k - lo)):
-        h = t ^ (t >> 1)
-        oh = high[h]
-        size, pop = h.bit_count(), oh.bit_count()
-        for r, ors in enumerate(lean):
-            q = size + r
-            b = best[q]
-            if pop >= b or minpop[r] >= b:
-                continue
-            v = min(map(int.bit_count, map(oh.__or__, ors)))
-            if v < b:
-                best[q] = v
-                where[q] = h, r
-    # The Gray rank of (h << lo) | g orders by the rank of h, then by the rank
-    # of g when h has even parity and by its reverse when h has odd parity.
-    best_mask = [0] * (k + 1)
-    for q in range(1, k + 1):
-        h, r = where[q]
-        oh = high[h]
-        hits = [g for g in full[r] if (oh | low[g]).bit_count() == best[q]]
-        best_mask[q] = (h << lo) | (hits[-1] if h.bit_count() & 1 else hits[0])
-    return best, best_mask
+
+    def find(sizes):
+        found, pending, t = {}, set(sizes), 0
+        while pending:
+            h = t ^ (t >> 1)
+            a, s, t = high[h], h.bit_count(), t + 1
+            pa, d = a.bit_count(), None
+            for q in list(pending):
+                r, b = q - s, best[q]
+                if not 0 <= r <= lo or pa > b:
+                    continue
+                d = d or added(a)
+                ms = lean_low[r][: bisect_right(pops[r], b)] if pa + d[r] <= b else ()
+                if b not in map(int.bit_count, map(a.__or__, ms)):
+                    continue
+                order = reversed(full[r]) if s & 1 else full[r]
+                found[q] = h << lo | next(g for g in order if (a | low[g]).bit_count() == b)
+                pending.remove(q)
+        return found
+
+    return best, find
 
 
 def _mask_to_ids(mask, source):
@@ -244,16 +281,18 @@ def is_macaulay(
     for lvl, source, target in _level_frames(poset, table, step):
         sh = _shadow_lists(neigh, source, target)
         segments = list(_segments(sh, len(target)))
-        best, best_mask = _level_minima(sh, len(target), lvl, max_subsets)
+        best, find = _level_minima(sh, len(target), lvl, max_subsets)
         verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
-        for q, (size, is_prefix) in enumerate(segments, 1):
-            if best[q] >= size and is_prefix:
-                continue
+        failing = [
+            q for q, (size, is_prefix) in enumerate(segments, 1) if best[q] < size or not is_prefix
+        ][: None if all_failures else 1]
+        witnesses = find(q for q in failing if best[q] < segments[q - 1][0])
+        for q in failing:
             segment = source[:q]
             segment_shadow = tuple(sorted(shadow_of(segment)))
-            if best[q] < size:
-                witness = _mask_to_ids(best_mask[q], source)
+            if q in witnesses:
+                witness = _mask_to_ids(witnesses[q], source)
                 failure = MacaulayFailure(
                     lvl, "nestedness", q, witness, tuple(sorted(shadow_of(witness))),
                     segment, segment_shadow,
@@ -264,8 +303,6 @@ def is_macaulay(
                     expected_prefix=target[: len(segment_shadow)],
                 )
             verdict.failures.append(failure)
-            if not all_failures:
-                break
         if verdict.failures and not all_failures:
             break
     verdict.holds = not verdict.failures
@@ -289,8 +326,9 @@ def min_shadow(
         return 0, frozenset()
     neigh, _, step = _direction(poset, direction)
     target = poset.level(level + step)
-    best, best_mask = _level_minima(_shadow_lists(neigh, ids, target), len(target), level, max_subsets)
-    return best[q], frozenset(_mask_to_ids(best_mask[q], ids))
+    sh = _shadow_lists(neigh, ids, target)
+    best, find = _level_minima(sh, len(target), level, max_subsets)
+    return best[q], frozenset(_mask_to_ids(find([q])[q], ids))
 
 
 def macaulay_by_definition(poset: RankedPoset, table: OrderTable, direction: str = "lower"):
@@ -367,7 +405,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
             if size == k:
                 charge(1)
                 if over_cap:
-                    _level_minima(rows, len(below), i, DEFAULT_SUBSET_CAP)  # raises
+                    _check_subset_cap(k, i, DEFAULT_SUBSET_CAP)
                 chosen[i] = [level[j] for j in perm]
                 return extend(i + 1)
             for j in range(k):

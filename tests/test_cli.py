@@ -51,6 +51,27 @@ def test_check_poset_resource_cap(capsys):
     assert rc == 3 and "resource limit" in err
 
 
+def test_malformed_limits_are_usage_errors(capsys):
+    # a negative --max-gen-degree once checked only the zero ideal and exited 0,
+    # and a --max-subsets below 1 exited 3 as if a real cap had been hit
+    cases = [
+        ["check-ring", "--spec", "cl:4,3", "--order", "lex", "--max-gen-degree", "-1"],
+        ["ring", "check-macaulay", "--spec", "cl:4,3", "--order", "lex", "--max-gen-degree", "-1"],
+    ]
+    for argv in (
+        ["check-poset", "--poset", "multiset:3,4", "--order", "lex"],
+        ["check-ring", "--spec", "cl:3,4", "--order", "lex"],
+        ["ring", "check-macaulay", "--spec", "cl:3,4", "--order", "lex"],
+    ):
+        cases += [[*argv, "--max-subsets", n] for n in ("0", "-5")]
+    for argv in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: argument --max-") and err.count("\n") == 1, argv
+    rc, _, _ = run(capsys, "check-ring", "--spec", "cl:3,4", "--order", "lex", "--max-gen-degree", "0")
+    assert rc == 0
+
+
 def test_check_ring_modes_agree(capsys):
     rc, out, _ = run(capsys, "check-ring", "--spec", "cl:3,4", "--order", "lex", "--mode", "both")
     assert rc == 0 and "modes agree: True" in out

@@ -215,6 +215,13 @@ def test_is_macaulay_ring_cl34_both_modes():
     assert v.holds and v.agreement and v.hypothesis_ok
 
 
+def test_negative_max_gen_degree_is_refused():
+    # it once enumerated only the zero ideal and reported that the property holds
+    ctx = RingContext(M.build_ring(F.cl_ring([4, 3], M.RATIONALS)))
+    with pytest.raises(RingError, match="max_gen_degree must be nonnegative, got -1"):
+        is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="monomial-ideals", max_gen_degree=-1, ctx=ctx)
+
+
 def test_is_macaulay_ring_cl43_fails_with_matching_witness():
     ctx = RingContext(M.build_ring(F.cl_ring([4, 3], M.RATIONALS)))
     lex = M.lex_order(ctx.poset)

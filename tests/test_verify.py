@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 from unittest import mock
@@ -132,11 +134,35 @@ def _shadow_rows(draw):
     return draw(st.lists(st.sampled_from(pool), max_size=12)), nt
 
 
+@st.composite
+def _wide_shadow_rows(draw):
+    """Up to 12 shadow lists of up to 6 targets each over up to 70 targets, so
+    masks span more than one 64-bit word, in shuffled order: the kernel's
+    seed, the first q rows, is then far from minimal."""
+    nt = draw(st.integers(1, 70))
+    rows = draw(st.lists(st.lists(st.integers(0, nt - 1), max_size=6).map(tuple), max_size=12))
+    return draw(st.permutations(rows)), nt
+
+
+def _kernel_minima(sh, nt, level, cap):
+    """The kernel's minima and the witness of every size, in gray_minima's shape."""
+    best, find = verify._level_minima(sh, nt, level, cap)
+    masks = find(range(len(sh) + 1))
+    return best, [masks[q] for q in range(len(sh) + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_shadow_rows())
 def test_level_kernel_matches_gray_walk(case):
     sh, nt = case
-    assert verify._level_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)
+    assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_shadow_rows())
+def test_level_kernel_matches_gray_walk_on_wide_shuffled_rows(case):
+    sh, nt = case
+    assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)
 
 
 def test_level_kernel_matches_gray_walk_on_an_18_element_level():
@@ -145,7 +171,54 @@ def test_level_kernel_matches_gray_walk_on_an_18_element_level():
     source, target = table.level_in_order(5), table.level_in_order(4)
     assert len(source) == 18
     sh = verify._shadow_lists(p.down, source, target)
-    assert verify._level_minima(sh, len(target), 5, 2 ** 18) == gray_minima(sh, len(target))
+    assert _kernel_minima(sh, len(target), 5, 2 ** 18) == gray_minima(sh, len(target))
+
+
+def _shuffled_levels(poset, seed):
+    rng = random.Random(seed)
+    ids = []
+    for i in range(poset.max_rank + 1):
+        level = list(poset.level(i))
+        rng.shuffle(level)
+        ids += level
+    return M.explicit_order(poset, ids)
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the JSON of is_macaulay(..., all_failures=True).to_dict(poset) under
+# each level shuffled by random.Random(descriptor), as the full Gray walk gave them
+GOLDEN_REPORTS = {
+    ("multiset:4,6,7", "lower"): "75a1ec6efe97120345711e7033b2002e25f5ce23d090c960616235b04f33175a",
+    ("multiset:4,6,7", "upper"): "73c5cda4fd97103f13cf763c8b33033e565d41db9803c54f07daa264891e3f0b",
+    ("multiset:5,5,5", "lower"): "ce67784dfdaa03c0c6ce7936d60e6cfdd46715f14b4361fe6d3fd7e7957dd093",
+    ("multiset:5,5,5", "upper"): "022cc6cbef257d014ce835e77a451b7ccbe23537b31f6c1d021875118d4c209d",
+    ("kk:6", "lower"): "7c18c8459451a574f9e1b62cdb281ef1e9e716caeba6277a89f67bda6989a3cf",
+    ("kk:6", "upper"): "83198b59515a7b02baf55f548569d197bfc70cbf921042a08163320f37f181e2",
+    ("be:2,2,2", "lower"): "5e964b7601a7f1026da3c9388d7241b7b4ded38b2c4c478c3777d0e07be83698",
+    ("be:2,2,2", "upper"): "7873ca8846af867866e4d4ef6298aad7855dcabe0a1af94a127b0494dbbf9fa3",
+}
+
+
+@pytest.mark.parametrize("desc, direction", sorted(GOLDEN_REPORTS))
+def test_all_failures_reports_match_golden_digests(desc, direction):
+    p = builtin(desc).poset
+    verdict = M.is_macaulay(p, _shuffled_levels(p, desc), direction=direction, all_failures=True)
+    assert _digest(verdict.to_dict(p)) == GOLDEN_REPORTS[(desc, direction)]
+
+
+def test_min_shadow_matches_golden_digest():
+    p = builtin("multiset:4,6,7").poset
+    out = []
+    for level in (6, 7, 8):
+        for q in range(len(p.level(level)) + 1):
+            size, witness = M.min_shadow(p, level, q)
+            out.append([level, q, size, sorted(witness)])
+    assert _digest(out) == (
+        "be7fc08e9844f69592550c435c7fe6142411dbea5bb0a9d6a590815e2fb82e5f"
+    )
 
 
 def test_search_respects_the_subset_cap(monkeypatch):
