@@ -81,7 +81,7 @@ def _resolve_order(poset, arg, built):
     if recipe.get("kind") == "family-default" and "family" not in recipe:
         if built is None:
             raise OrderError("family-default needs a builtin descriptor")
-        return built.default_order()
+        recipe = built.order_recipe()
     return order_from_recipe(poset, recipe)
 
 

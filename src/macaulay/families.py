@@ -7,9 +7,18 @@ hyperrectangle-chaser starts with lexicographic blocks; torus products use
 colexicographic starts with lexicographic blocks, diamond powers the other
 way around.  The Leck family carries no bundled order: none of the block
 orders here fits it, so inventing one would be guesswork.
+
+Tree rings (colored square-free and spider-power tensor rings) take their
+order in ring coordinates: `_spider_rep` maps a spider element to the
+exponent vector of the class it mirrors, so the poset-side factor toset
+serves both sides.  A builtin carries its published order and its
+monomial-order candidate as JSON recipes, resolved by `order_from_recipe`;
+`_resolve_family` is the one place a family name becomes an order.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 from typing import Optional, Sequence
 
@@ -18,16 +27,18 @@ from .orders import (
     OrderTable,
     RECIPE_FIELDS,
     RECIPE_RESOLVERS,
-    dual_order,
     explicit_order,
-    lex_order,
+    lex_order,  # kept bound here: bench/spans.py times families.lex_order
+    order_from_recipe,
     table_from_vectors,
 )
-from .poset import RankedPoset, cartesian_power, cartesian_product, dual, multiset_lattice
+from .poset import RankedPoset, cartesian_power, cartesian_product, check_size, dual
+from .poset import multiset_lattice
 from .rings import (
     FieldSpec,
     Polynomial,
     QuotientRingSpec,
+    RingModel,
     build_ring,
     monomial,
     poset_of_monomials,
@@ -53,15 +64,33 @@ def spider(k: int, length: int) -> RankedPoset:
     Elements are labeled 0..(k+1)*length; the leg of a non-head label is its
     residue mod k+1 and its rank is the quotient.
     """
-    if k < 0 or length < 1:
-        raise PosetError("spider needs k >= 0 and leg length >= 1")
-    head = (k + 1) * length
+    head = _spider_size(k, length) - 1
     rank = [a // (k + 1) for a in range(head)] + [length]
     covers = []
     for a in range(head):
         b = a + (k + 1)
         covers.append((a, b if b < head else head))
     return RankedPoset(head + 1, covers, rank, list(range(head + 1)))
+
+
+def _spider_size(k, length):
+    """A spider's element count, once its parameters are valid and it fits the size cap."""
+    if k < 0 or length < 1:
+        raise PosetError("spider needs k >= 0 and leg length >= 1")
+    return check_size((k + 1) * length + 1)
+
+
+def _spider_rep(element, k, length):
+    """The exponent vector of the tree-ring class that mirrors a spider element.
+
+    The ring's class poset is the dual spider: the head is the class of 1,
+    and leg j at depth h is the class of x_j^(length - h).
+    """
+    rep = [0] * (k + 1)
+    h, j = divmod(element, k + 1)
+    if h < length:
+        rep[j] = length - h
+    return tuple(rep)
 
 
 def colored_poset(ns: Sequence[int]) -> RankedPoset:
@@ -87,16 +116,9 @@ def _factor_positions(poset, factor_tosets, split):
 
 
 def _split_flat(sizes):
-    offsets = []
-    at = 0
-    for s in sizes:
-        offsets.append((at, at + s))
-        at += s
-
-    def split(label):
-        return [tuple(label[a:b]) for a, b in offsets]
-
-    return split
+    """Cut a flat label into consecutive parts of these sizes."""
+    ends = list(accumulate(sizes))
+    return lambda label: [tuple(label[b - s:b]) for s, b in zip(sizes, ends)]
 
 
 def mermin_murai_order(poset: RankedPoset, ns: Sequence[int], side: str = "poset") -> OrderTable:
@@ -114,24 +136,16 @@ def mermin_murai_order(poset: RankedPoset, ns: Sequence[int], side: str = "poset
         raise OrderError("factor sizes must be positive")
     if ns != sorted(ns, reverse=True):
         raise OrderError("factor sizes must be nonincreasing")
+    tosets = [[n] + list(range(n)) for n in ns]
     if side == "poset":
-        tosets = [[n] + list(range(n)) for n in ns]
         split = (lambda label: list(label)) if len(ns) > 1 else (lambda label: [label])
     elif side == "ring":
-        tosets = [
-            [tuple([0] * n)] + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-            for n in ns
-        ]
+        tosets = [[_spider_rep(a, n - 1, 1) for a in t] for n, t in zip(ns, tosets)]
         split = _split_flat(ns)
     else:
         raise OrderError(f"unknown side {side!r}")
     cuts = [[1] + list(range(3, n + 2)) for n in ns]
-    recipe = {
-        "kind": "block",
-        "cuts": cuts,
-        "starts": {"kind": "hc"},
-        "blocks": {"kind": "lex"},
-    }
+    recipe = {"kind": "block", "cuts": cuts, "starts": {"kind": "hc"}, "blocks": {"kind": "lex"}}
     public = {"kind": "family-default", "family": "colored", "params": list(ns), "side": side}
     return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
 
@@ -147,24 +161,29 @@ def _be_block_perm(block_index):
     return [j + 1 for j in order]
 
 
-def bezrukov_elsasser_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable:
-    """Block order on a spider power: border-chaser starts, domination blocks."""
-    expected = spider(k, length)
+def _be_recipe(k, length, n):
+    """The spider toset and the block recipe of the order on the n-th spider power:
+    border-chaser starts, domination blocks."""
+    _spider_size(k, length)
     toset = [j + h * (k + 1) for j in range(k + 1) for h in range(length)]
     toset.append((k + 1) * length)  # the head rides in the last leg's block
-    if poset.n != expected.n ** n:
-        raise OrderError("poset is not the expected spider power")
-    tosets = [toset] * n
-    split = (lambda label: list(label)) if n > 1 else (lambda label: [label])
-    cuts = [[1 + j * length for j in range(k + 1)]] * n
     recipe = {
         "kind": "block",
-        "cuts": cuts,
+        "cuts": [[1 + j * length for j in range(k + 1)]] * n,
         "starts": {"kind": "bc"},
         "blocks": lambda b: {"kind": "dom", "perm": _be_block_perm(b)},
     }
+    return toset, recipe
+
+
+def bezrukov_elsasser_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable:
+    """Block order on a spider power: border-chaser starts, domination blocks."""
+    toset, recipe = _be_recipe(k, length, n)
+    if poset.n != len(toset) ** n:
+        raise OrderError("poset is not the expected spider power")
+    split = (lambda label: list(label)) if n > 1 else (lambda label: [label])
     public = {"kind": "family-default", "family": "be", "params": [k, length, n]}
-    return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
+    return table_from_vectors(poset, *_factor_positions(poset, [toset] * n, split), recipe, public)
 
 
 def bezrukov_elsasser_poset(k: int, length: int, n: int) -> RankedPoset:
@@ -254,12 +273,7 @@ def torus_order(poset: RankedPoset, ks: Sequence[int]) -> OrderTable:
         tosets.append(t)
     split = _split_flat([2] * len(ks))
     cuts = [[1, p + 1] for p in ks]
-    recipe = {
-        "kind": "block",
-        "cuts": cuts,
-        "starts": {"kind": "colex"},
-        "blocks": {"kind": "lex"},
-    }
+    recipe = {"kind": "block", "cuts": cuts, "starts": {"kind": "colex"}, "blocks": {"kind": "lex"}}
     public = {"kind": "family-default", "family": "torus", "params": list(ks)}
     return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
 
@@ -342,28 +356,22 @@ def tensor_monomial_order(poset: RankedPoset, factor_sizes: Sequence[int]) -> Or
     )
 
 
-def spider_tuple_of_class(label, k: int, length: int, n: int):
-    """Map a tensor class exponent vector to the spider-power element it mirrors."""
-    d = k + 1
-    out = []
-    for f in range(n):
-        sub = label[f * d: (f + 1) * d]
-        nz = [(j, e) for j, e in enumerate(sub) if e]
-        if not nz:
-            out.append((k + 1) * length)  # dual rank 0 = the head
-        else:
-            (j, p), = nz
-            out.append(j + (length - p) * (k + 1))
-    return tuple(out) if n > 1 else out[0]
-
-
 def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable:
-    """Pullback of the dual spider-power order to the tensor ring's class poset."""
-    q = bezrukov_elsasser_poset(k, length, n)
-    od = dual_order(bezrukov_elsasser_order(q, k, length, n))
-    pos = [od.position[q.id_of(spider_tuple_of_class(poset.labels[x], k, length, n))] for x in range(poset.n)]
+    """The dual spider-power order on the tensor ring's class poset.
+
+    The spider-power recipe ranks the ring labels in ring coordinates; the
+    dual order reverses it, so position p becomes n - 1 - p.
+    """
+    toset, recipe = _be_recipe(k, length, n)
+    tosets = [[_spider_rep(a, k, length) for a in toset]] * n
+    table = table_from_vectors(
+        poset, *_factor_positions(poset, tosets, _split_flat([k + 1] * n)), recipe
+    )
+    last = poset.n - 1
     return OrderTable(
-        poset, pos, {"kind": "family-default", "family": "be-ring", "params": [k, length, n]}
+        poset,
+        [last - p for p in table.position],
+        {"kind": "family-default", "family": "be-ring", "params": [k, length, n]},
     )
 
 
@@ -383,37 +391,45 @@ def _parse_ints(kind, text, arity=None, sep=","):
     return vals
 
 
+def _family(name, *params, **extra):
+    """A family-default recipe, resolved by `_resolve_family`."""
+    return {"kind": "family-default", "family": name, "params": list(params), **extra}
+
+
+@dataclass
 class Builtin:
-    """A named construction: its poset, and the family's published order if any.
+    """A named construction: its poset, and the recipes of the family's published
+    order and of its monomial-order candidate, where it has them.
 
     A ring construction also keeps the built ring whose class poset it is.
     """
 
-    def __init__(self, name, poset, order_factory, ring=None, candidate_factory=None):
-        self.name = name
-        self.poset = poset
-        self._order_factory = order_factory
-        self.ring = ring
-        self._candidate_factory = candidate_factory
+    name: str
+    poset: RankedPoset
+    order: Optional[dict] = None
+    ring: Optional[RingModel] = None
+    candidate: Optional[dict] = None
 
     @property
     def ring_spec(self) -> Optional[QuotientRingSpec]:
         return self.ring.spec if self.ring is not None else None
 
-    def default_order(self) -> OrderTable:
-        if self._order_factory is None:
+    def order_recipe(self) -> dict:
+        """The recipe of the family's published order."""
+        if self.order is None:
             raise OrderError(f"{self.name}: no published order for this family")
-        return self._order_factory(self.poset)
+        return self.order
+
+    def default_order(self) -> OrderTable:
+        return order_from_recipe(self.poset, self.order_recipe())
 
     def monomial_order_candidate(self) -> Optional[OrderTable]:
-        if self._candidate_factory is None:
-            return None
-        return self._candidate_factory(self.poset)
+        return None if self.candidate is None else order_from_recipe(self.poset, self.candidate)
 
 
-def _ring_builtin(name, spec, order_factory, candidate_factory=None):
+def _ring_builtin(name, spec, order, candidate=None):
     ring = build_ring(spec)
-    return Builtin(name, poset_of_monomials(ring), order_factory, ring, candidate_factory)
+    return Builtin(name, poset_of_monomials(ring), order, ring, candidate)
 
 
 def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
@@ -424,43 +440,35 @@ def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
     kind, _, rest = text.partition(":")
     if kind == "multiset":
         caps = _parse_ints(kind, rest)
-        return Builtin(text, multiset_lattice(caps), lex_order)
+        return Builtin(text, multiset_lattice(caps), {"kind": "lex"})
     if kind == "chain":
         (n,) = _parse_ints(kind, rest, 1)
-        return Builtin(text, multiset_lattice([n]), lex_order)
+        return Builtin(text, multiset_lattice([n]), {"kind": "lex"})
     if kind == "star":
         (n,) = _parse_ints(kind, rest, 1)
-        return Builtin(text, star(n), lambda p: bezrukov_elsasser_order(p, n - 1, 1, 1))
+        return Builtin(text, star(n), _family("be", n - 1, 1, 1))
     if kind == "spider":
         k, l = _parse_ints(kind, rest, 2)
-        return Builtin(text, spider(k, l), lambda p: bezrukov_elsasser_order(p, k, l, 1))
+        return Builtin(text, spider(k, l), _family("be", k, l, 1))
     if kind == "be":
         k, l, n = _parse_ints(kind, rest, 3)
-        return Builtin(
-            text,
-            bezrukov_elsasser_poset(k, l, n),
-            lambda p: bezrukov_elsasser_order(p, k, l, n),
-        )
+        return Builtin(text, bezrukov_elsasser_poset(k, l, n), _family("be", k, l, n))
     if kind == "colored":
         ns = _parse_ints(kind, rest)
-        return Builtin(text, colored_poset(ns), lambda p: mermin_murai_order(p, ns, side="poset"))
+        return Builtin(text, colored_poset(ns), _family("colored", *ns, side="poset"))
     if kind == "kk":
         (d,) = _parse_ints(kind, rest, 1)
-        return _ring_builtin(text, kk_ring(d, field), lex_order)
+        return _ring_builtin(text, kk_ring(d, field), {"kind": "lex"})
     if kind == "cl":
         caps = _parse_ints(kind, rest)
-        return _ring_builtin(text, cl_ring(caps, field), lex_order)
+        return _ring_builtin(text, cl_ring(caps, field), {"kind": "lex"})
     if kind == "colored-ring":
         ns = _parse_ints(kind, rest)
-        return _ring_builtin(
-            text, colored_sf_ring(ns, field), lambda p: mermin_murai_order(p, ns, side="ring")
-        )
+        return _ring_builtin(text, colored_sf_ring(ns, field), _family("colored", *ns, side="ring"))
     if kind == "be-ring":
         lpow, d, n = _parse_ints(kind, rest, 3)
         return _ring_builtin(
-            text,
-            be_ring(d - 1, lpow - 1, n, field),
-            lambda p: be_ring_order(p, d - 1, lpow - 1, n),
+            text, be_ring(d - 1, lpow - 1, n, field), _family("be-ring", d - 1, lpow - 1, n)
         )
     if kind == "torus":
         vals = _parse_ints(kind, rest)
@@ -468,20 +476,12 @@ def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
             raise PosetError(f"torus: expected 1 or 2 integers, got {rest!r}")
         p, n = (vals + [1])[:2]
         ks = [p] * n
-        return _ring_builtin(
-            text,
-            torus_ring(ks, field),
-            lambda q: torus_order(q, ks),
-            lambda q: tensor_monomial_order(q, [2] * n),
-        )
+        candidate = {"kind": "tensor-degree-lex", "sizes": [2] * n}
+        return _ring_builtin(text, torus_ring(ks, field), _family("torus", *ks), candidate)
     if kind == "diamond":
         (n,) = _parse_ints(kind, rest, 1)
-        return _ring_builtin(
-            text,
-            diamond_ring(n, field),
-            lambda p: diamond_order(p, n),
-            lambda p: tensor_monomial_order(p, [3] * n),
-        )
+        candidate = {"kind": "tensor-degree-lex", "sizes": [3] * n}
+        return _ring_builtin(text, diamond_ring(n, field), _family("diamond", n), candidate)
     if kind == "leck":
         ds_text, comma, kk_text = rest.partition(",")
         ds = _parse_ints(kind, ds_text, sep="+")
@@ -538,21 +538,12 @@ def acceptance_constructions(field: FieldSpec = FieldSpec()):
     expect_macaulay) tuples.
     """
     out = []
-
-    def add(name, b, expect, order=None):
-        out.append((name, b.poset, order if order is not None else b.default_order(), expect))
-
-    add("star:3", builtin("star:3", field), True)
-    add("spider:2,2", builtin("spider:2,2", field), True)
-    add("be:1,2,2", builtin("be:1,2,2", field), True)
-    add("kk:3", builtin("kk:3", field), True)
-    add("cl:3,4", builtin("cl:3,4", field), True)
-    add("colored:2,2", builtin("colored:2,2", field), True)
-    add("be-ring:3,2,2", builtin("be-ring:3,2,2", field), True)
-    add("torus:3,2", builtin("torus:3,2", field), True)
-    add("diamond:2", builtin("diamond:2", field), True)
+    for name in ("star:3", "spider:2,2", "be:1,2,2", "kk:3", "cl:3,4", "colored:2,2",
+                 "be-ring:3,2,2", "torus:3,2", "diamond:2"):
+        b = builtin(name, field)
+        out.append((name, b.poset, b.default_order(), True))
     leck = builtin("leck:2,1", field)
-    add("leck:2,1", leck, None, rep_lex_order(leck.poset))
+    out.append(("leck:2,1", leck.poset, rep_lex_order(leck.poset), None))
     return out
 
 

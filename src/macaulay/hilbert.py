@@ -463,10 +463,14 @@ def is_macaulay_ring(
     default candidate is the degree-major representative-lex order.
     mode="both" cross-checks.
     """
+    if mode not in ("both", "poset", "monomial-ideals"):
+        raise RingError(f"unknown mode {mode!r}")
     if max_gen_degree is not None and max_gen_degree < 0:
         raise RingError(f"max_gen_degree must be nonnegative, got {max_gen_degree}")
     if ctx is None:
         ctx = RingContext(ring)
+    if ctx.ring is not ring:
+        raise RingError("the ring context must be over the ring being checked")
     poset = ctx.poset
     if table.poset != poset:
         raise RingError("order table must be over the ring's poset of monomials")
@@ -479,6 +483,8 @@ def is_macaulay_ring(
         verdict.hypothesis_ok = False
         verdict.hypothesis_reason = reason
 
+    # each side records its findings and returns its verdict, None when its
+    # hypotheses fail
     def run_poset():
         cand = monomial_order_candidate or degree_rep_lex_order(poset)
         ok, cex = is_monomial_order(ring, cand)
@@ -488,7 +494,9 @@ def is_macaulay_ring(
             return refuse(no_lli)
         if not ok:
             return refuse("no verified monomial order on the class poset")
-        return is_macaulay(poset, table, direction="upper", max_subsets=max_subsets)
+        pv = is_macaulay(poset, table, direction="upper", max_subsets=max_subsets)
+        verdict.poset_verdict = pv
+        return pv.holds
 
     def run_ideals():
         if not ctx.lli and not allow_non_lli:
@@ -512,26 +520,16 @@ def is_macaulay_ring(
                 labels = tuple(poset.labels[x] for x in anti)
                 failures.append(IdealWitness(labels, profile, *results[profile]))
         verdict.ideals_checked = checked
-        return failures
+        verdict.ideal_witnesses = failures
+        return not failures
 
-    if mode == "poset":
-        pv = run_poset()
-        verdict.poset_verdict = pv
-        verdict.holds = pv.holds if pv is not None else None
-    elif mode == "monomial-ideals":
-        fails = run_ideals()
-        verdict.ideal_witnesses = fails or []
-        verdict.holds = None if fails is None else not fails
-    elif mode == "both":
-        pv = run_poset()
-        verdict.poset_verdict = pv
-        fails = run_ideals() if verdict.hypothesis_ok else None
-        if pv is None or fails is None:
-            verdict.holds = None
-        else:
-            verdict.ideal_witnesses = fails
-            verdict.agreement = pv.holds == (not fails)
-            verdict.holds = pv.holds and not fails
-    else:
-        raise RingError(f"unknown mode {mode!r}")
+    sides = []
+    if mode != "monomial-ideals":
+        sides.append(run_poset())
+    if mode != "poset" and verdict.hypothesis_ok:
+        sides.append(run_ideals())
+    if None not in sides:
+        verdict.holds = all(sides)
+        if len(sides) == 2:
+            verdict.agreement = sides[0] == sides[1]
     return verdict

@@ -8,11 +8,32 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import PosetError, ResourceLimitError
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
+
+
+def check_size(total, max_size=DEFAULT_PRODUCT_LIMIT):
+    """`total`, once it is known not to exceed `max_size`; sizes are checked before building."""
+    if total > max_size:
+        raise ResourceLimitError(f"poset would have {total} elements (limit {max_size})")
+    return total
+
+
+def series_product(series, D):
+    """Coefficients 0..D of the product of polynomials given by their coefficient lists,
+    or up to the product's degree where that is lower.
+
+    With level sizes as the coefficients, these are a product's element counts by rank.
+    """
+    D = min(D, sum(len(s) - 1 for s in series))
+    out = [1] + [0] * D
+    for s in series:
+        out = [sum(out[i - j] * c for j, c in enumerate(s[: i + 1])) for i in range(D + 1)]
+    return out
 
 
 def _label_key(label):
@@ -180,7 +201,7 @@ def multiset_lattice(shape, truncation=None) -> RankedPoset:
     """Lattice of exponent vectors x with 0 <= x_i < length_i and |x| <= truncation.
 
     Covers are unit increments; rank is the coordinate sum; labels carry the
-    vectors.  Elements are id-ordered by (rank, vector).
+    vectors.  Elements are id-ordered by (rank, vector), and counted first.
     """
     if not isinstance(shape, LatticeShape):
         shape = LatticeShape(tuple(shape), truncation)
@@ -190,6 +211,10 @@ def multiset_lattice(shape, truncation=None) -> RankedPoset:
     cap = shape.truncation
     if cap is None:
         cap = sum(l - 1 for l in lengths)
+        check_size(prod(lengths))
+    else:
+        chains = [[1] * (cap + 1 if l is None else min(l, cap + 1)) for l in lengths]
+        check_size(sum(series_product(chains, cap)))
     vecs = []
 
     def walk(i, left, prefix):
@@ -268,19 +293,11 @@ def cartesian_product(
         p = posets[0]
         return truncate(p, truncation) if truncation is not None else p
     # Count before materializing so a runaway request fails fast.
-    counts = {0: 1}
-    for p in posets:
-        nxt = {}
-        for r, c in counts.items():
-            for lvl in range(p.max_rank + 1):
-                r2 = r + lvl
-                if truncation is not None and r2 > truncation:
-                    continue
-                nxt[r2] = nxt.get(r2, 0) + c * len(p.level(lvl))
-        counts = nxt
-    total = sum(counts.values())
-    if total > max_size:
-        raise ResourceLimitError(f"product would have {total} elements (limit {max_size})")
+    if truncation is None:
+        check_size(prod(p.n for p in posets), max_size)
+    else:
+        levels = [[len(lvl) for lvl in p.levels] for p in posets]
+        check_size(sum(series_product(levels, truncation)), max_size)
 
     elems = []
 

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .errors import ResourceLimitError, RingError
 from .linalg import PRIME_LIMIT, QQ, Field, is_prime, rref
 from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
-from .poset import DEFAULT_PRODUCT_LIMIT, RankedPoset
+from .poset import DEFAULT_PRODUCT_LIMIT, RankedPoset, series_product
 
 DEFAULT_PRIME = 32003
 
@@ -289,7 +289,7 @@ class RingModel:
                     )
                 eliminated[key] = _eliminate(k, fgens, spec.D, self.field)
             factors.append((variables, *eliminated[key]))
-        total = sum(_series_product([[len(cs) for cs in fibers] for _, _, fibers in factors], spec.D))
+        total = sum(series_product([[len(cs) for cs in fibers] for _, _, fibers in factors], spec.D))
         if total > limit:
             raise ResourceLimitError(
                 f"the ring would have {total} products of factor classes "
@@ -369,14 +369,6 @@ def _eliminate(d, gens, D, field):
         nf_monomials.append([mons[i][j] for j in nonpiv])
         classes.append(list(fibers.values()))
     return nf_monomials, classes
-
-
-def _series_product(series, D):
-    """Coefficients 0..D of the product of power series, each given by its coefficients 0..D."""
-    out = [1] + [0] * D
-    for s in series:
-        out = [sum(out[a] * s[i - a] for a in range(i + 1)) for i in range(D + 1)]
-    return out
 
 
 def _components(spec: QuotientRingSpec):

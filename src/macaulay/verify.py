@@ -189,7 +189,7 @@ def _row_masks(sh):
     return [sum(1 << idx for idx in set(row)) for row in sh]
 
 
-def _level_minima(sh, nt, level, cap):
+def _level_minima(sh, level, cap):
     """Minimum shadow size over all subsets of each size, by split and combine.
 
     Returns `best`, indexed by subset size, and `find(sizes)`, which maps each
@@ -281,7 +281,7 @@ def is_macaulay(
     for lvl, source, target in _level_frames(poset, table, step):
         sh = _shadow_lists(neigh, source, target)
         segments = list(_segments(sh, len(target)))
-        best, find = _level_minima(sh, len(target), lvl, max_subsets)
+        best, find = _level_minima(sh, lvl, max_subsets)
         verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
         failing = [
@@ -327,7 +327,7 @@ def min_shadow(
     neigh, _, step = _direction(poset, direction)
     target = poset.level(level + step)
     sh = _shadow_lists(neigh, ids, target)
-    best, find = _level_minima(sh, len(target), level, max_subsets)
+    best, find = _level_minima(sh, level, max_subsets)
     return best[q], frozenset(_mask_to_ids(find([q])[q], ids))
 
 
@@ -397,7 +397,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
         # Level 0 has no level below, and a level over the cap gets no minima:
         # only continuity cuts there.
         best = [len(below)] * (k + 1) if i == 0 or over_cap else (
-            _level_minima(rows, len(below), i, DEFAULT_SUBSET_CAP)[0])
+            _level_minima(rows, i, DEFAULT_SUBSET_CAP)[0])
         perm = []
 
         def grow(shadow):

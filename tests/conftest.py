@@ -492,7 +492,7 @@ def _level_pair_ok(sh, nt, level):
         if not is_prefix:
             return False
         sizes.append(size)
-    best, _ = verify._level_minima(sh, nt, level, verify.DEFAULT_SUBSET_CAP)
+    best, _ = verify._level_minima(sh, level, verify.DEFAULT_SUBSET_CAP)
     return all(b >= s for b, s in zip(best[1:], sizes))
 
 
@@ -528,3 +528,61 @@ def permutation_search_oracle(poset, budget=200_000):
     if not extend(0):
         return None
     return M.explicit_order(poset, [x for lvl in chosen for x in lvl])
+
+
+# ---------------------------------------------------------------------------
+# Tree-ring orders through the poset side: the oracles for the ring-side
+# orders of families.be_ring_order and families.mermin_murai_order, which
+# rank the ring labels directly.
+
+
+def spider_tuple_of_class(label, k, length, n):
+    """The spider-power element that a tensor class exponent vector mirrors."""
+    d = k + 1
+    out = []
+    for f in range(n):
+        sub = label[f * d: (f + 1) * d]
+        nz = [(j, e) for j, e in enumerate(sub) if e]
+        if not nz:
+            out.append((k + 1) * length)  # dual rank 0 = the head
+        else:
+            (j, p), = nz
+            out.append(j + (length - p) * (k + 1))
+    return tuple(out) if n > 1 else out[0]
+
+
+def pulled_back_be_ring_order(poset, k, length, n):
+    """The dual spider-power order, built on the spider power and read through
+    `spider_tuple_of_class`."""
+    from macaulay import families as F
+
+    q = F.bezrukov_elsasser_poset(k, length, n)
+    od = M.dual_order(F.bezrukov_elsasser_order(q, k, length, n))
+    pos = [od.position[q.id_of(spider_tuple_of_class(lab, k, length, n))] for lab in poset.labels]
+    return M.OrderTable(
+        poset, pos, {"kind": "family-default", "family": "be-ring", "params": [k, length, n]}
+    )
+
+
+def colored_ring_label(label, ns):
+    """The square-free exponent vector of an element of the product of dual stars."""
+    label = label if len(ns) > 1 else (label,)
+    out = []
+    for a, n in zip(label, ns):
+        sub = [0] * n
+        if a != n:  # n is the bottom marker; legs are 0..n-1
+            sub[a] = 1
+        out.extend(sub)
+    return tuple(out)
+
+
+def pulled_back_mermin_murai_ring_order(poset, ns):
+    """The Mermin–Murai order of the product of dual stars, read through
+    `colored_ring_label`."""
+    from macaulay import families as F
+
+    q = F.colored_poset(ns)
+    table = F.mermin_murai_order(q, ns)
+    ids = {colored_ring_label(q.labels[x], ns): x for x in range(q.n)}
+    pos = [table.position[ids[lab]] for lab in poset.labels]
+    return M.OrderTable(poset, pos, {**table.recipe, "side": "ring"})

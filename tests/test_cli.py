@@ -283,6 +283,16 @@ def test_oversized_rings_exit_3_before_building(tmp_path, capsys):
         assert rc == 3 and out == "" and "(limit 1000000)" in err and err.count("\n") == 1, argv
 
 
+def test_oversized_poset_builtins_exit_3_before_building(capsys):
+    # each is counted from its parameters before any element is made
+    for desc in ("multiset:1001,1001,1001", "chain:2000000", "star:2000000",
+                 "spider:1000,1000", "be:1000,1000,2", "colored:2000000"):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", "lex")
+        assert time.perf_counter() - t0 < 0.5, desc
+        assert rc == 3 and out == "" and "(limit 1000000)" in err and err.count("\n") == 1, desc
+
+
 def test_check_poset_from_file_and_upper_direction(tmp_path, capsys):
     path = tmp_path / "poset.json"
     path.write_text(M.export_json(M.multiset_lattice([3, 4])))

@@ -1,10 +1,17 @@
+import json
+from functools import lru_cache
+from math import prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import macaulay as M
 from macaulay import families as F
 from macaulay.errors import OrderError, PosetError
 from macaulay.orders import order_from_recipe
 from macaulay.poset import is_isomorphic_by_labels
+
+from conftest import pulled_back_be_ring_order, pulled_back_mermin_murai_ring_order
 
 
 def test_star_shapes():
@@ -177,32 +184,67 @@ def test_leck_has_no_default_order():
         b.default_order()
 
 
+def _ring_labels(element_tuple, k, length):
+    """The tensor-ring exponent vector of a spider-power element, factor by factor."""
+    return tuple(v for a in element_tuple for v in F._spider_rep(a, k, length))
+
+
 def test_family_ring_posets_match_combinatorial_side():
-    # colored square-free ring vs product of dual stars
-    ring = M.build_ring(F.colored_sf_ring([2, 2], M.RATIONALS))
+    # colored square-free ring vs product of dual stars (stars are spiders
+    # with one-element legs)
+    ns = [2, 2]
+    ring = M.build_ring(F.colored_sf_ring(ns, M.RATIONALS))
     rp = M.poset_of_monomials(ring)
-    cp = F.colored_poset([2, 2])
-
-    def to_ring_label(lab):
-        out = []
-        for a, n in zip(lab, [2, 2]):
-            sub = [0] * n
-            if a != n:  # n is the bottom marker; legs are 0..n-1
-                sub[a] = 1
-            out.extend(sub)
-        return tuple(out)
-
-    assert is_isomorphic_by_labels(cp, rp, to_ring_label)
+    cp = F.colored_poset(ns)
+    assert is_isomorphic_by_labels(cp, rp, lambda lab: _ring_labels(lab, ns[0] - 1, 1))
     # spider power vs tensor ring, through the dual
     k, l, n = 1, 2, 2
     ring2 = M.build_ring(F.be_ring(k, l, n, M.RATIONALS))
     rp2 = M.poset_of_monomials(ring2)
-    sp = F.bezrukov_elsasser_poset(k, l, n)
-    dp = M.dual(sp)
-    mapping = {}
-    for x in range(rp2.n):
-        mapping[rp2.labels[x]] = F.spider_tuple_of_class(rp2.labels[x], k, l, n)
-    assert is_isomorphic_by_labels(rp2, dp, lambda lab: mapping[lab])
+    dp = M.dual(F.bezrukov_elsasser_poset(k, l, n))
+    assert is_isomorphic_by_labels(dp, rp2, lambda lab: _ring_labels(lab, k, l))
+
+
+def _spider_powers_within(limit):
+    return st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3)).filter(
+        lambda c: ((c[0] + 1) * c[1] + 1) ** c[2] <= limit
+    )
+
+
+@lru_cache(maxsize=None)
+def _class_poset(spec_key):
+    family, params = spec_key
+    if family == "be":
+        spec = F.be_ring(*params, field=M.RATIONALS)
+    else:
+        spec = F.colored_sf_ring(list(params), M.RATIONALS)
+    return M.poset_of_monomials(M.build_ring(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spider_powers_within(400))
+def test_be_ring_order_equals_pulled_back_spider_order(case):
+    # ranking ring labels in ring coordinates and reversing gives the
+    # pull-back of the dual spider-power order, recipe included
+    p = _class_poset(("be", case))
+    table = F.be_ring_order(p, *case)
+    oracle = pulled_back_be_ring_order(p, *case)
+    assert table.position == oracle.position
+    assert table.recipe == oracle.recipe
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3)
+    .map(lambda ns: tuple(sorted(ns, reverse=True)))
+    .filter(lambda ns: prod(n + 1 for n in ns) <= 400)
+)
+def test_mermin_murai_ring_order_equals_pulled_back_poset_order(ns):
+    p = _class_poset(("colored", ns))
+    table = F.mermin_murai_order(p, ns, side="ring")
+    oracle = pulled_back_mermin_murai_ring_order(p, ns)
+    assert table.position == oracle.position
+    assert table.recipe == oracle.recipe
 
 
 def test_be_ring_order_matches_dual_side():
@@ -241,6 +283,21 @@ def test_family_recipes_regenerate():
     for poset, table in cases:
         again = order_from_recipe(poset, table.recipe)
         assert again.position == table.position, table.recipe
+
+
+def test_builtins_carry_json_recipes():
+    # a builtin's published order and candidate are recipes, resolved like a
+    # recipe file; the recipe a table records is the one the builtin carries
+    for spec in ["multiset:3,4", "chain:4", "star:3", "spider:2,2", "be:1,2,2", "colored:2,1",
+                 "kk:3", "cl:3,4", "colored-ring:2,2", "be-ring:3,2,2", "torus:3,2", "diamond:1"]:
+        b = F.builtin(spec)
+        recipe = json.loads(json.dumps(b.order_recipe()))
+        assert b.default_order() == order_from_recipe(b.poset, recipe), spec
+        assert b.default_order().recipe == recipe, spec
+    for spec, sizes in [("torus:3,2", [2, 2]), ("diamond:2", [3, 3])]:
+        cand = F.builtin(spec).monomial_order_candidate()
+        assert cand.recipe == {"kind": "tensor-degree-lex", "sizes": sizes}
+    assert F.builtin("kk:3").monomial_order_candidate() is None
 
 
 def test_acceptance_constructions_registry():

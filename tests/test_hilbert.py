@@ -222,6 +222,24 @@ def test_negative_max_gen_degree_is_refused():
         is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="monomial-ideals", max_gen_degree=-1, ctx=ctx)
 
 
+def test_context_over_another_ring_is_refused():
+    # the same spec over another field has the same class poset, so only the
+    # context's ring tells the two apart; it was never compared with `ring`
+    ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
+    other = M.build_ring(F.cl_ring([3, 4], M.FieldSpec.from_json("p:32003")))
+    lex = M.lex_order(ctx.poset)
+    for mode in ("both", "poset", "monomial-ideals"):
+        with pytest.raises(RingError, match="context"):
+            is_macaulay_ring(other, lex, mode=mode, ctx=ctx)
+    assert is_macaulay_ring(ctx.ring, lex, mode="both", ctx=ctx).holds
+
+
+def test_unknown_mode_is_refused_first():
+    ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
+    with pytest.raises(RingError, match="unknown mode 'ideals'"):
+        is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="ideals", ctx=ctx)
+
+
 def test_is_macaulay_ring_cl43_fails_with_matching_witness():
     ctx = RingContext(M.build_ring(F.cl_ring([4, 3], M.RATIONALS)))
     lex = M.lex_order(ctx.poset)

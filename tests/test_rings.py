@@ -19,13 +19,12 @@ from macaulay import families as F
 from macaulay.errors import RingError
 from macaulay.orders import explicit_order
 from macaulay.rings import (
-    _series_product,
     degree_rep_lex_order,
     monomials_by_degree,
     monomials_of_degree,
     rep_lex_order,
 )
-from macaulay.poset import reachability
+from macaulay.poset import reachability, series_product
 
 
 def non_lli_spec(field=M.RATIONALS, D=2):
@@ -577,7 +576,7 @@ def test_oversized_component_is_refused_before_elimination():
 
 def test_oversized_fold_is_refused_from_factor_class_counts():
     # kk:d is d copies of K[x]/(x^2); without merges the fold makes 2^d classes
-    assert sum(_series_product([[1, 1] + [0] * 5] * 6, 6)) == 64
+    assert sum(series_product([[1, 1] + [0] * 5] * 6, 6)) == 64
     assert len(M.build_ring(F.kk_ring(6)).classes) == 64
     with pytest.raises(M.ResourceLimitError, match=r"16777216 products .* \(limit 1000000\)"):
         M.build_ring(F.kk_ring(24))

@@ -121,7 +121,7 @@ def test_level_kernel_checks_the_cap_before_building_tables(monkeypatch):
 
     monkeypatch.setattr(verify, "_subset_ors", no_tables)
     with pytest.raises(ResourceLimitError, match="level 9 has 40 elements"):
-        verify._level_minima([(0,)] * 40, 1, 9, verify.DEFAULT_SUBSET_CAP)
+        verify._level_minima([(0,)] * 40, 9, verify.DEFAULT_SUBSET_CAP)
 
 
 @st.composite
@@ -146,7 +146,7 @@ def _wide_shadow_rows(draw):
 
 def _kernel_minima(sh, nt, level, cap):
     """The kernel's minima and the witness of every size, in gray_minima's shape."""
-    best, find = verify._level_minima(sh, nt, level, cap)
+    best, find = verify._level_minima(sh, level, cap)
     masks = find(range(len(sh) + 1))
     return best, [masks[q] for q in range(len(sh) + 1)]
 
