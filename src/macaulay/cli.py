@@ -256,6 +256,8 @@ def cmd_ring(args):
     sub = args.ring_cmd
     if sub == "check-macaulay":
         return cmd_check_ring(args)
+    if sub in ("hilbert", "ims") and args.ideal is None:
+        raise RingError(f"ring {sub} needs --ideal <file>")
     ctx, built = _load_ring(args)
     ring = ctx.ring
     if sub == "build":
@@ -384,7 +386,7 @@ def main(argv=None):
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MacaulayLibError, FileNotFoundError) as e:
+    except (MacaulayLibError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

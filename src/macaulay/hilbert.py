@@ -15,7 +15,6 @@ which "the segment space is an ideal" characterizes Macaulay rings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from operator import add
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError
@@ -72,12 +71,12 @@ class IdealSpec:
     """A homogeneous ideal of the ring, spanned degree by degree.
 
     The degree-i slice is spanned by one row per generator g of degree
-    e <= i and per class c of degree i - e: the normal form of g * rep(c).
-    This spans all generator multiples g * m: a monomial m that is zero in
-    the ring gives g * m in H, and a member m of c has rep(c)'s normal form,
-    so g * m = g * rep(c) in the ring.  Construction still audits closure
-    under multiplication by the variables up to degree D, which checks this
-    on every ideal.
+    e <= i and per class c of degree i - e: the normal form of g * rep(c),
+    each term's class read by `ring.mul(c, exp)`.  This spans all generator
+    multiples g * m: a monomial m that is zero in the ring gives g * m in H,
+    and a member m of c has rep(c)'s normal form, so g * m = g * rep(c) in
+    the ring.  Construction still audits closure under multiplication by the
+    variables up to degree D, which checks this on every ideal.
     """
 
     def __init__(self, ctx: RingContext, generators: Sequence[Polynomial]):
@@ -103,7 +102,7 @@ class IdealSpec:
         self.dims = []
         for i in range(ring.D + 1):
             rows = [
-                self._residue_of(terms, ring.classes[x].rep)
+                self._residue_of((ring.mul(x, exp), coef) for exp, coef in terms.items())
                 for e, terms in gens
                 if e <= i
                 for x in ring.levels[i - e]
@@ -113,28 +112,24 @@ class IdealSpec:
             self.dims.append(len(red))
         self._audit_closure()
 
-    def _residue_of(self, terms, shift):
-        """Normal form of sum(coef * x^(exp + shift)), as a sparse row."""
+    def _residue_of(self, products):
+        """Normal form of sum(coef * class x) over (x, coef) pairs, x None for zero."""
         ring = self.ctx.ring
         vec = {}
-        for exp, coef in terms.items():
-            x = ring.class_of.get(tuple(map(add, exp, shift)))
+        for x, coef in products:
             if x is not None:
                 add_multiple(vec, coef, ring.classes[x].residue, ring.field)
         return vec
 
     def _audit_closure(self):
         ring = self.ctx.ring
-        d = ring.spec.d
-        units = [tuple(int(k == var) for k in range(d)) for var in range(d)]
         for i in range(ring.D):
             red, _ = self._slices[i]
             nxt_red, nxt_piv = self._slices[i + 1]
-            mons = ring.nf_monomials[i]
+            ids = [ring.mul(0, m) for m in ring.nf_monomials[i]]
             for row in red:
-                terms = {mons[j]: coef for j, coef in row.items()}
-                for var, unit in enumerate(units):
-                    vec = self._residue_of(terms, unit)
+                for var, times in enumerate(ring.times):
+                    vec = self._residue_of((times[ids[j]], coef) for j, coef in row.items())
                     if not in_row_space(nxt_red, nxt_piv, vec, ring.field):
                         raise RingError(f"ideal slices not closed under x_{var+1} at degree {i}")
 

@@ -379,12 +379,28 @@ def poset_to_dict(poset: RankedPoset) -> dict:
 
 
 def poset_from_dict(data: dict) -> RankedPoset:
-    return RankedPoset(
-        data["n"],
-        [tuple(c) for c in data["covers"]],
-        data["ranks"],
-        [_label_from_json(l) for l in data["labels"]],
-    )
+    """The poset of an object shaped as `poset_to_dict` writes it.
+
+    Shapes are checked, and n against `check_size`, before anything is
+    allocated; any other shape raises PosetError.
+    """
+    keys = ("n", "ranks", "covers", "labels")
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise PosetError(f"a poset object needs the keys {', '.join(keys)}")
+    n, ranks, covers, labels = (data[key] for key in keys)
+    if type(n) is not int:
+        raise PosetError(f"poset n must be an integer, got {n!r}")
+    check_size(n)
+    if not isinstance(ranks, list) or any(type(r) is not int for r in ranks):
+        raise PosetError("poset ranks must be a list of integers")
+    if not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(type(a) is int and 0 <= a < n for a in c)
+        for c in covers
+    ):
+        raise PosetError(f"poset covers must be a list of [a, b] pairs of ids below {n}")
+    if not isinstance(labels, list):
+        raise PosetError("poset labels must be a list")
+    return RankedPoset(n, [tuple(c) for c in covers], ranks, [_label_from_json(l) for l in labels])
 
 
 def export_json(poset: RankedPoset) -> str:
@@ -392,7 +408,11 @@ def export_json(poset: RankedPoset) -> str:
 
 
 def parse_json(text: str) -> RankedPoset:
-    return poset_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise PosetError(f"poset file is not valid JSON: {e}") from None
+    return poset_from_dict(data)
 
 
 def export_dot(poset: RankedPoset) -> str:

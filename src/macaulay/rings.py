@@ -216,7 +216,6 @@ class MonomialClass:
     """
 
     degree: int
-    members: frozenset
     rep: tuple
     residue: dict = dc_field(compare=False, repr=False)
 
@@ -235,27 +234,25 @@ def monomials_of_degree(d, i):
 
 
 class RingModel:
-    """Built quotient ring: its classes, numbered once, and normal forms per degree.
+    """Built quotient ring: its classes, numbered once, their multiplication table
+    and the normal forms per degree.
 
     `classes[x]` is element x of `poset_of_monomials(ring)`: classes run
-    degree by degree and, inside a degree, by their lex-least member, and
-    `levels[i]` is the range of ids of degree i.  `class_of` maps each
-    monomial that is nonzero in the ring to its class id; a monomial it
-    lacks is zero in the ring or above D.  `nf_monomials[i]` are the
-    degree-i normal-form coordinates, lex ascending, and `hilb[i]` their
-    count.  Every spec is built per variable component (see the module
-    docstring); a spec with one component is a product of one factor.
+    degree by degree and, inside a degree, by their rep, and `levels[i]` is
+    the range of ids of degree i.  `times[v][x]` is the class id of x_v times
+    class x, None when that product is zero or above D; it is well defined,
+    as the members of a class differ by an element of H, and `mul` walks it.
+    `nf_monomials[i]` are the degree-i normal-form coordinates, lex
+    ascending, and `hilb[i]` their count.  Every spec is built per variable
+    component (see the module docstring); a spec with one component is a
+    product of one factor.
     """
 
     def __init__(self, spec: QuotientRingSpec):
         self.spec = spec
         self.field = spec.field.field()
-        self.nf_monomials = []
-        self.hilb = []
         self.classes = []  # list[MonomialClass], indexed by class id
-        self.levels = []
         self._build()
-        self.class_of = {m: x for x, c in enumerate(self.classes) for m in c.members}
 
     def _build(self):
         """Eliminate each distinct factor once, fold the factors, then sort into lex.
@@ -267,12 +264,13 @@ class RingModel:
         a factor's classes span each of its slices.
 
         Factor monomials are lifted to the global variable positions, so the
-        fold's coordinates only need sorting at the end.
+        fold's coordinates, and its classes by rep inside each degree, only
+        need sorting at the end.
         """
         spec = self.spec
         limit = DEFAULT_PRODUCT_LIMIT
         eliminated = {}
-        factors = []
+        pieces = []
         for variables, gens in _components(spec):
             k = len(variables)
             fgens = tuple(
@@ -288,33 +286,37 @@ class RingModel:
                         f"of degree <= {spec.D} (limit {limit})"
                     )
                 eliminated[key] = _eliminate(k, fgens, spec.D, self.field)
-            factors.append((variables, *eliminated[key]))
-        total = sum(series_product([[len(cs) for cs in fibers] for _, _, fibers in factors], spec.D))
+            nf, levels, classes, times = eliminated[key]
+            # a factor monomial padded with a zero, read off at each global variable
+            at = [variables.index(v) if v in variables else len(variables) for v in range(spec.d)]
+
+            def lift(m):
+                return tuple(map((m + (0,)).__getitem__, at))
+
+            nf = [list(map(lift, ms)) for ms in nf]
+            classes = [(res, lift(rep)) for res, rep in classes]
+            pieces.append((nf, levels, classes, dict(zip(variables, times))))
+        total = sum(series_product([[len(ids) for ids in piece[1]] for piece in pieces], spec.D))
         if total > limit:
             raise ResourceLimitError(
                 f"the ring would have {total} products of factor classes "
                 f"of degree <= {spec.D} (limit {limit})"
             )
-        product = None
-        for variables, nf, fibers in factors:
-            # a factor monomial padded with a zero, read off at each global variable
-            at = [variables.index(v) if v in variables else len(variables) for v in range(spec.d)]
-
-            def lift(ms):
-                return [tuple(map((m + (0,)).__getitem__, at)) for m in ms]
-
-            piece = ([lift(ms) for ms in nf], [[(res, lift(ms)) for res, ms in cs] for cs in fibers])
-            product = piece if product is None else _tensor_slices(*product, *piece, self.field.p)
-        for i, (coords, fibers) in enumerate(zip(*product)):
-            lex = sorted(coords)
+        while len(pieces) > 1:  # fold neighbours, so that most folds are small
+            odd = pieces[len(pieces) & ~1:]
+            pairs = zip(pieces[::2], pieces[1::2])
+            pieces = [_tensor_slices(*a, *b, self.field.p) for a, b in pairs] + odd
+        [(nf, self.levels, classes, times)] = pieces
+        order = [x for ids in self.levels for x in sorted(ids, key=lambda x: classes[x][1])]
+        self.nf_monomials = [sorted(coords) for coords in nf]
+        self.hilb = list(map(len, self.nf_monomials))
+        for i, (coords, lex) in enumerate(zip(nf, self.nf_monomials)):
             rank = {m: j for j, m in enumerate(lex)}
-            start = len(self.classes)
-            for res, ms in sorted(fibers, key=lambda fiber: min(fiber[1])):
+            for res, rep in (classes[order[x]] for x in self.levels[i]):
                 res = {rank[coords[k]]: v for k, v in res.items()}
-                self.classes.append(MonomialClass(i, frozenset(ms), min(ms), res))
-            self.levels.append(range(start, len(self.classes)))
-            self.nf_monomials.append(lex)
-            self.hilb.append(len(lex))
+                self.classes.append(MonomialClass(i, rep, res))
+        new = {x: y for y, x in enumerate(order)} | {None: None}
+        self.times = [[new[times[v][x]] for x in order] for v in range(spec.d)]
 
     @property
     def D(self):
@@ -324,26 +326,33 @@ class RingModel:
         return tuple(self.hilb)
 
     def mul(self, x, exp):
-        """Class id of rep * m for class x's rep and the monomial m = exp; None when it is zero."""
-        out = tuple(map(add, self.classes[x].rep, exp))
-        if sum(out) > self.D:
-            raise RingError(f"product degree {sum(out)} exceeds truncation {self.D}")
-        return self.class_of.get(out)
+        """Class id of class x times the monomial exp, by `times`; None when it is zero."""
+        if len(exp) != self.spec.d or min(exp) < 0:
+            raise RingError(f"exponent vector {exp!r} needs {self.spec.d} nonnegative entries")
+        degree = self.classes[x].degree + sum(exp)
+        if degree > self.D:
+            raise RingError(f"product degree {degree} exceeds truncation {self.D}")
+        for row, a in zip(self.times, exp):
+            while a and x is not None:
+                x, a = row[x], a - 1
+        return x
 
 
 def _eliminate(d, gens, D, field):
-    """Normal-form coordinates and (residue, members) classes per degree of K[x_1..x_d]/(gens).
+    """Coordinates, class levels, (residue, rep) classes and table of K[x_1..x_d]/(gens).
 
     The degree-i slice of the ideal is spanned by the generator multiples;
     a monomial's normal form is its reduction against the slice's RREF,
     written over the non-pivot monomials (lex ascending), and monomials
-    with equal nonzero normal form share a class.
+    with equal nonzero normal form share a class, whose rep is the first,
+    lex-least, of them.  Class ids run degree by degree, and `times[v][x]`
+    is read off the live monomials' class ids at rep(x) + e_v.
     """
     p = field.p
     one = field.of(1)
     terms = [(g.degree(), field_terms(g, field)) for g in gens]
     mons = monomials_by_degree(d, D)
-    nf_monomials, classes = [], []
+    nf_monomials, levels, classes, class_of = [], [], [], {}
     for i in range(D + 1):
         col = {m: j for j, m in enumerate(mons[i])}
         rows = [
@@ -365,10 +374,13 @@ def _eliminate(d, gens, D, field):
                 # nf(e_j) = e_j - pivot_row(j), which vanishes on pivot columns
                 nf = {coord[c]: (p - v if p else -v) for c, v in row.items() if c != j}
             if nf:
-                fibers.setdefault(tuple(sorted(nf.items())), (nf, []))[1].append(m)
+                x = class_of[m] = fibers.setdefault(tuple(sorted(nf.items())), len(classes))
+                if x == len(classes):
+                    classes.append((nf, m))
         nf_monomials.append([mons[i][j] for j in nonpiv])
-        classes.append(list(fibers.values()))
-    return nf_monomials, classes
+        levels.append(range(len(classes) - len(fibers), len(classes)))
+    times = [[class_of.get(m[:v] + (m[v] + 1,) + m[v + 1:]) for _, m in classes] for v in range(d)]
+    return nf_monomials, levels, classes, times
 
 
 def _components(spec: QuotientRingSpec):
@@ -387,34 +399,46 @@ def _components(spec: QuotientRingSpec):
     return sorted(((sorted(vs), gs) for vs, gs in components), key=lambda c: c[0])
 
 
-def _tensor_slices(nf_a, cls_a, nf_b, cls_b, p):
-    """Per-degree coordinates and (residue, members) classes of A (x) B.
+def _tensor_slices(nf_a, levels_a, cls_a, times_a, nf_b, levels_b, cls_b, times_b, p):
+    """Coordinates, class levels, (residue, rep) classes and table of A (x) B.
 
     The degree-i coordinates are the products s*t of coordinates with
-    deg s + deg t = i, numbered in that order; a product class has the
-    Kronecker product of its factors' residues and the products of their
-    members.  Factor classes with proportional residues (reciprocal scalars)
-    give equal products, so classes are merged by the full product residue.
+    deg s + deg t = i, numbered in that order.  Classes x of A and y of B
+    give a class with the Kronecker product of their residues and, as the
+    variables are disjoint, the sum of their reps as its lex-least member.
+    Factor classes with proportional residues (reciprocal scalars) give
+    equal products, so pairs merge by the full residue, keeping the least
+    rep.  The table is the Cartesian product's read through the merge: a
+    variable v of A maps (x, y) to (times_A[v][x], y), one of B to (x, times_B[v][y]).
     """
-    nf, classes = [], []
+    nf, levels, classes, pair_id, first = [], [], [], {}, []
     for i in range(len(nf_a)):
         coords, fibers = [], {}
         for a in range(i + 1):
             b = i - a
             off, nb = len(coords), len(nf_b[b])
             coords.extend(tuple(map(add, s, t)) for s in nf_a[a] for t in nf_b[b])
-            for ra, ma in cls_a[a]:
-                for rb, mb in cls_b[b]:
+            for x in levels_a[a]:
+                ra, rep_a = cls_a[x]
+                for y in levels_b[b]:
+                    rb, rep_b = cls_b[y]
                     res = {
-                        off + k * nb + l: (x * y % p if p else x * y)
-                        for k, x in ra.items()
-                        for l, y in rb.items()
+                        off + k * nb + l: (u * w % p if p else u * w)
+                        for k, u in ra.items()
+                        for l, w in rb.items()
                     }
-                    fiber = fibers.setdefault(frozenset(res.items()), (res, []))
-                    fiber[1].extend(tuple(map(add, u, v)) for u in ma for v in mb)
+                    rep = tuple(map(add, rep_a, rep_b))
+                    z = pair_id[x, y] = fibers.setdefault(frozenset(res.items()), len(classes))
+                    if z == len(classes):
+                        classes.append((res, rep))
+                        first.append((x, y))
+                    elif rep < classes[z][1]:
+                        classes[z] = (res, rep)
         nf.append(coords)
-        classes.append(list(fibers.values()))
-    return nf, classes
+        levels.append(range(len(classes) - len(fibers), len(classes)))
+    times = {v: [pair_id.get((row[x], y)) for x, y in first] for v, row in times_a.items()}
+    times.update((v, [pair_id.get((x, row[y])) for x, y in first]) for v, row in times_b.items())
+    return nf, levels, classes, times
 
 
 def build_ring(spec: QuotientRingSpec) -> RingModel:
@@ -431,20 +455,13 @@ def poset_of_monomials(ring: RingModel) -> RankedPoset:
 
     Element x is the ring's class id x, labelled by its rep.  Covers are
     multiplications by a single variable (the upper shadow of a class is
-    exactly its nonzero variable multiples); they are collected as a set,
-    because two variables can map one class into the same glued class.
+    exactly its nonzero variable multiples), the live entries of
+    `ring.times`; they are collected as a set, because two variables can map
+    one class into the same glued class.
     """
-    d = ring.spec.d
-    units = [tuple(int(k == v) for k in range(d)) for v in range(d)]
-    covers = {
-        (x, y)
-        for x, c in enumerate(ring.classes)
-        if c.degree < ring.D
-        for y in map(ring.mul, [x] * d, units)
-        if y is not None
-    }
+    covers = {(x, y) for x, ys in enumerate(zip(*ring.times)) for y in ys if y is not None}
     rank = [c.degree for c in ring.classes]
-    return RankedPoset(len(rank), sorted(covers), rank, [c.rep for c in ring.classes])
+    return RankedPoset(len(rank), covers, rank, [c.rep for c in ring.classes])
 
 
 def check_class_poset(ring: RingModel, poset: RankedPoset):
@@ -508,12 +525,9 @@ def is_monomial_order(ring: RingModel, table: OrderTable):
     check_class_poset(ring, poset)
     pos = table.position
     labels = poset.labels
-    class_of = ring.class_of
     walk = table.by_position()
     for xm in sorted(poset.level(1)):
-        v = labels[xm].index(1)
-        img = [class_of.get(lab[:v] + (lab[v] + 1,) + lab[v + 1:]) for lab in labels]
-        img = [None if y is None else pos[y] for y in img]
+        img = [None if y is None else pos[y] for y in ring.times[labels[xm].index(1)]]
         live = [x for x in walk if img[x] is not None]
         # bad: the live elements with a later-placed one whose image is not above theirs
         low, bad = poset.n, []
@@ -532,32 +546,25 @@ def recognize_tree_ring(ring: RingModel):
     """Detect a tree-shaped poset of monomials and return its leg decomposition.
 
     When the Hasse graph is a tree, the nonzero monomials must be pure powers
-    of pairwise-annihilating variables; returns [(variable, max exponent)]
-    for the live variables, or None.  Verdicts are relative to degree D.
+    of pairwise-annihilating variables, each in a class of its own; returns
+    [(variable, max exponent)] for the live variables, or None.  The powers
+    of x_v are the walk along `times[v]` from the unit; a nonzero mixed
+    monomial shows as a live step off a walk (x_v^a x_u with u != v), and
+    two powers in one class make the walks longer.  Verdicts are relative to D.
     """
     poset = poset_of_monomials(ring)
     if len(poset.covers) != poset.n - 1:
         return None
-    d = ring.spec.d
-    legs = {}
-    for c in ring.classes[1:]:  # class 0 is the unit
-        pures = {
-            next(j for j, e in enumerate(m) if e) for m in c.members
-            if sum(1 for e in m if e) == 1
-        }
-        mixed = any(sum(1 for e in m if e) > 1 for m in c.members)
-        if len(pures) != 1 or mixed:
-            return None
-        var = pures.pop()
-        legs[var] = max(legs.get(var, 0), c.degree)
-    live = sorted(legs)
-    for i in live:
-        for j in live:
-            if i < j and ring.D >= 2:
-                exp = tuple((1 if k in (i, j) else 0) for k in range(d))
-                if ring.class_of.get(exp) is not None:
-                    return None
-    return [(i, legs[i]) for i in live]
+    legs = []
+    for v, row in enumerate(ring.times):
+        x, a = row[0], 0
+        while x is not None:
+            if any(other[x] is not None for u, other in enumerate(ring.times) if u != v):
+                return None
+            x, a = row[x], a + 1
+        if a:
+            legs.append((v, a))
+    return legs if sum(a for _, a in legs) == poset.n - 1 else None
 
 
 # ---------------------------------------------------------------------------

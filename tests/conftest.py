@@ -168,6 +168,7 @@ def triple_loop_monomial_order(ring, table):
     testing every triple of classes, multipliers m of positive degree."""
     poset = table.poset
     pos = table.position
+    class_of = walked_class_of(ring)
     all_classes = [(poset.rank[x], poset.labels[x], x) for x in range(poset.n)]
     for deg_m, rep_m, xm in all_classes:
         if deg_m == 0:
@@ -180,8 +181,8 @@ def triple_loop_monomial_order(ring, table):
                     continue
                 if pos[x1] >= pos[x2]:
                     continue
-                p1 = ring.class_of.get(tuple(a + b for a, b in zip(rep1, rep_m)))
-                p2 = ring.class_of.get(tuple(a + b for a, b in zip(rep2, rep_m)))
+                p1 = class_of[tuple(a + b for a, b in zip(rep1, rep_m))]
+                p2 = class_of[tuple(a + b for a, b in zip(rep2, rep_m))]
                 if p1 is None or p2 is None:
                     continue
                 y1 = poset.id_of(ring.classes[p1].rep)
@@ -190,6 +191,26 @@ def triple_loop_monomial_order(ring, table):
                 if y1 == y2 or pos[y1] >= pos[y2]:
                     return False, (rep1, rep2, rep_m)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Monomials by walking: a built ring keeps no member lists, so members are
+# rebuilt by multiplying the unit class by every monomial up to D.
+
+
+def walked_class_of(ring):
+    """Every monomial m of degree <= D mapped to ring.mul(0, m): its class id,
+    None when m is zero in the ring."""
+    return {m: ring.mul(0, m) for ms in monomials_by_degree(ring.spec.d, ring.D) for m in ms}
+
+
+def walked_members(ring):
+    """Per class id, the frozenset of the monomials that walked_class_of maps to it."""
+    members = [set() for _ in ring.classes]
+    for m, x in walked_class_of(ring).items():
+        if x is not None:
+            members[x].add(m)
+    return [frozenset(ms) for ms in members]
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +262,77 @@ def elimination_build_oracle(spec):
 
 def ring_fields(ring):
     """The fields of a built ring in the shape elimination_build_oracle returns:
-    classes grouped by degree, class ids mapped back to (degree, index), and
-    every monomial of degree <= D that class_of lacks mapped to None."""
-    by_degree = [[ring.classes[x] for x in ids] for ids in ring.levels]
+    classes grouped by degree, with their members and class ids (mapped back to
+    (degree, index)) from walked_class_of, which maps a zero monomial to None."""
+    members = walked_members(ring)
     spot = {x: (i, x - ids.start) for i, ids in enumerate(ring.levels) for x in ids}
-    class_of = dict.fromkeys(m for ms in monomials_by_degree(ring.spec.d, ring.D) for m in ms)
-    class_of.update((m, spot[x]) for m, x in ring.class_of.items())
+    spot[None] = None
     return {
         "hilb": list(ring.hilb),
         "nf_monomials": ring.nf_monomials,
-        "classes": [[(c.rep, c.members, c.residue) for c in cs] for cs in by_degree],
-        "class_of": class_of,
+        "classes": [[(ring.classes[x].rep, members[x], ring.classes[x].residue) for x in ids]
+                    for ids in ring.levels],
+        "class_of": {m: spot[x] for m, x in walked_class_of(ring).items()},
     }
+
+
+def _oracle_lookup(oracle):
+    """(classes, next_class) of an elimination_build_oracle result: the classes
+    as one list, ids running degree by degree and by rep, and the id of the
+    class of rep(x) + e_v, None when that monomial is zero or above D."""
+    ids, classes = {}, []
+    for i, cs in enumerate(oracle["classes"]):
+        ids.update(((i, idx), len(classes) + idx) for idx in range(len(cs)))
+        classes.extend(cs)
+
+    def next_class(x, v):
+        rep = classes[x][0]
+        return ids.get(oracle["class_of"].get(rep[:v] + (rep[v] + 1,) + rep[v + 1:]))
+
+    return classes, next_class
+
+
+def oracle_times(oracle):
+    """The class-multiplication table read off an elimination_build_oracle
+    result by the rep + e_v lookup."""
+    classes, next_class = _oracle_lookup(oracle)
+    d = len(classes[0][0])
+    return [[next_class(x, v) for x in range(len(classes))] for v in range(d)]
+
+
+def member_tree_ring_oracle(spec):
+    """recognize_tree_ring by members: from elimination_build_oracle, the class
+    poset's covers by the rep + e_v lookup; when they form a tree, every class
+    must hold exactly one pure power and no mixed monomial, and the live
+    variables must annihilate pairwise.  Returns [(variable, max exponent)] or None."""
+    oracle = elimination_build_oracle(spec)
+    d, D = spec.d, spec.D
+    classes, next_class = _oracle_lookup(oracle)
+    covers = {
+        (x, y) for x in range(len(classes)) for y in map(next_class, [x] * d, range(d))
+        if y is not None
+    }
+    if len(covers) != len(classes) - 1:
+        return None
+    legs = {}
+    for rep, members, _ in classes[1:]:  # class 0 is the unit
+        pures = {
+            next(j for j, e in enumerate(m) if e) for m in members
+            if sum(1 for e in m if e) == 1
+        }
+        mixed = any(sum(1 for e in m if e) > 1 for m in members)
+        if len(pures) != 1 or mixed:
+            return None
+        var = pures.pop()
+        legs[var] = max(legs.get(var, 0), sum(rep))
+    live = sorted(legs)
+    for i in live:
+        for j in live:
+            if i < j and D >= 2:
+                exp = tuple((1 if k in (i, j) else 0) for k in range(d))
+                if oracle["class_of"].get(exp) is not None:
+                    return None
+    return [(i, legs[i]) for i in live]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +350,12 @@ def generator_multiple_slices(ctx, gens):
     d = ring.spec.d
     gens = [(g.degree(), field_terms(g, F)) for g in gens if not g.is_zero()]
 
+    class_of = walked_class_of(ring)
+
     def residue(terms, shift):
         vec = {}
         for exp, c in terms.items():
-            x = ring.class_of.get(tuple(a + b for a, b in zip(exp, shift)))
+            x = class_of[tuple(a + b for a, b in zip(exp, shift))]
             if x is not None:
                 add_multiple(vec, c, ring.classes[x].residue, F)
         return vec

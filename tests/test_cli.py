@@ -431,6 +431,27 @@ def test_ring_or_ideal_file_without_generators_is_usage_error(tmp_path, capsys):
         assert err.startswith("error:") and "generators" in err and err.count("\n") == 1, argv
 
 
+def test_os_errors_are_usage_errors(tmp_path, capsys):
+    # a directory where a file is read, and a file where a directory is made
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    for argv in (
+        ["ring", "build", "--spec", str(tmp_path)],
+        ["check-ring", "--spec", "cl:2,2", "--order", f"recipe:{tmp_path}"],
+        ["check-poset", "--poset", str(tmp_path), "--order", "lex"],
+        ["export", "--poset", "multiset:2,2", "--out", str(plain / "x")],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_ring_hilbert_and_ims_need_an_ideal(capsys):
+    for sub in ("hilbert", "ims"):
+        rc, out, err = run(capsys, "ring", sub, "--spec", "cl:3,3")
+        assert (rc, out, err) == (2, "", f"error: ring {sub} needs --ideal <file>\n")
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -623,3 +644,54 @@ def test_generated_ideal_files_never_escape_the_cli(ring_and_ideal, sub):
         d = _IDEAL_RINGS[ring][0]
         exps = [t["exp"] for g in ideal["generators"] for t in g]
         assert all(len(e) == d and min(e) >= 0 for e in exps), (ring, ideal)
+
+
+_POSET_SOURCES = tuple(
+    M.poset.poset_to_dict(M.families.builtin(name).poset)
+    for name in ("multiset:2,2", "chain:3", "star:3", "spider:2,2")
+)
+
+
+@st.composite
+def _poset_files(draw):
+    """The text of a poset file: a small builtin poset as `export_json` writes
+    it, where about one piece in ten is malformed (the whole object, a key
+    missing or of the wrong type, n out of range, one rank, cover or label),
+    and which is sometimes cut short."""
+    def bad():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    data = json.loads(json.dumps(draw(st.sampled_from(_POSET_SOURCES))))
+    if bad():
+        data = draw(_JSON)
+    else:
+        if bad():
+            data["n"] = draw(st.one_of(_JSON, st.integers(-2, 10 ** 7)))
+        for key in ("ranks", "covers", "labels"):
+            if bad():
+                if draw(st.booleans()):
+                    del data[key]
+                else:
+                    data[key] = draw(_JSON)
+            elif data[key] and bad():
+                j = draw(st.integers(0, len(data[key]) - 1))
+                data[key][j] = draw(st.one_of(_JSON, st.lists(st.integers(-1, 7), max_size=3)))
+    text = json.dumps(data)
+    if bad():
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poset_files(), st.sampled_from(["lex", "colex"]))
+def test_generated_poset_files_never_escape_the_cli(text, order):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poset.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check-poset", "--poset", path, "--order", order])
+    assert rc in (0, 1, 2, 3, 4), text
+    if rc == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, text

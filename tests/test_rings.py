@@ -11,9 +11,13 @@ from conftest import (
     dense_reduce_vector,
     dense_rref,
     elimination_build_oracle,
+    member_tree_ring_oracle,
+    oracle_times,
     ring_fields,
     to_dense,
     triple_loop_monomial_order,
+    walked_class_of,
+    walked_members,
 )
 from macaulay import families as F
 from macaulay.errors import RingError
@@ -80,8 +84,9 @@ def test_mixed_relation_collapses_degree_two():
     )
     ring = M.build_ring(spec)
     assert [len(ids) for ids in ring.levels] == [1, 2, 1]
-    top = ring.classes[ring.levels[2][0]]
-    assert top.members == frozenset({(2, 0), (0, 2)}) and top.rep == (0, 2)
+    top = ring.levels[2][0]
+    assert walked_members(ring)[top] == frozenset({(2, 0), (0, 2)})
+    assert ring.classes[top].rep == (0, 2)
 
 
 def test_non_lli_example_counts():
@@ -142,19 +147,20 @@ def test_class_multiplication_rep_independent():
     ]
     for spec in specs:
         ring = M.build_ring(spec)
-        for cls in ring.classes:
-            if len(cls.members) < 2:
+        class_of = walked_class_of(ring)
+        for x, (cls, members) in enumerate(zip(ring.classes, walked_members(ring))):
+            if len(members) < 2:
                 continue
             for var in range(ring.spec.d):
                 if cls.degree + 1 > ring.D:
                     continue
                 results = set()
-                for m in cls.members:
+                for m in members:
                     out = tuple(
                         e + (1 if j == var else 0) for j, e in enumerate(m)
                     )
-                    results.add(ring.class_of.get(out))
-                assert len(results) == 1
+                    results.add(class_of[out])
+                assert results == {ring.times[var][x]}
 
 
 def test_upper_shadow_lemma_agreement():
@@ -179,7 +185,8 @@ def test_prime_and_rational_builds_agree():
         rq = M.build_ring(spec)
         rp = M.build_ring(spec.with_field(M.FieldSpec("prime", 32003)))
         assert rq.hilbert() == rp.hilbert()
-        assert [c.members for c in rq.classes] == [c.members for c in rp.classes]
+        assert walked_members(rq) == walked_members(rp)
+        assert rq.times == rp.times
 
 
 def test_monomial_quotient_embeds_in_free_grid():
@@ -273,10 +280,17 @@ def test_monomial_order_check_matches_triple_loop(name, kind, rnd):
 
 
 def test_recognize_tree_ring():
-    ring = M.build_ring(F.be_basic_ring(1, 2, M.RATIONALS))
-    assert M.recognize_tree_ring(ring) == [(0, 2), (1, 2)]
-    assert M.recognize_tree_ring(M.build_ring(F.kk_ring(2, M.RATIONALS))) is None
-    assert M.recognize_tree_ring(M.build_ring(F.torus_basic_ring(3, M.RATIONALS))) is None
+    cases = [
+        (F.be_basic_ring(1, 2, M.RATIONALS), [(0, 2), (1, 2)]),
+        (F.kk_ring(2, M.RATIONALS), None),
+        (F.torus_basic_ring(3, M.RATIONALS), None),
+        (F.be_basic_ring(2, 3), [(0, 3), (1, 3), (2, 3)]),
+        # x = y at D = 3: a chain, but every class past the unit is mixed
+        (M.QuotientRingSpec(2, M.FieldSpec(), [M.Polynomial({(1, 0): 1, (0, 1): -1})], 3), None),
+        (M.QuotientRingSpec(3, M.FieldSpec(), [M.monomial((1, 1, 0))], 0), []),
+    ]
+    for spec, legs in cases:
+        assert M.recognize_tree_ring(M.build_ring(spec)) == legs == member_tree_ring_oracle(spec)
 
 
 def test_tensor_poset_isomorphic_to_product():
@@ -308,9 +322,10 @@ def test_gluing_in_the_middle_of_the_poset():
     ring = M.build_ring(M.QuotientRingSpec(2, M.RATIONALS, gens, 4))
     assert ring.hilbert() == (1, 2, 2, 2, 0)
     assert [len(ids) for ids in ring.levels] == [1, 2, 2, 2, 0]
-    deg2 = {ring.classes[x].members for x in ring.levels[2]}
+    members = walked_members(ring)
+    deg2 = {members[x] for x in ring.levels[2]}
     assert frozenset({(1, 1), (0, 2)}) in deg2 and frozenset({(2, 0)}) in deg2
-    deg3 = {ring.classes[x].members for x in ring.levels[3]}
+    deg3 = {members[x] for x in ring.levels[3]}
     assert frozenset({(2, 1), (1, 2), (0, 3)}) in deg3
     assert M.is_level_linearly_independent(ring)[0]
 
@@ -354,18 +369,21 @@ def test_stored_residues_match_dense_normal_forms():
         for fspec in (M.RATIONALS, M.FieldSpec("prime", 32003), M.FieldSpec("prime", 5)):
             ring = M.build_ring(spec.with_field(fspec))
             field = ring.field
+            members = walked_members(ring)
+            class_of = walked_class_of(ring)
             for i in range(ring.D + 1):
                 mons, rows = _dense_slice(ring.spec, i, field)
                 red, pivots = dense_rref(rows, len(mons), field.p)
                 nonpiv = [j for j in range(len(mons)) if j not in pivots]
                 assert ring.nf_monomials[i] == [mons[j] for j in nonpiv]
-                for c in map(ring.classes.__getitem__, ring.levels[i]):
-                    for m in c.members:
+                for x in ring.levels[i]:
+                    c = ring.classes[x]
+                    for m in members[x]:
                         unit = to_dense({mons.index(m): field.of(1)}, len(mons), field.p)
                         residual = dense_reduce_vector(red, pivots, unit, field.p)
                         nf = [residual[j] for j in nonpiv]
                         assert to_dense(c.residue, len(nonpiv), field.p) == nf
-                zero = [m for m in mons if m not in ring.class_of]
+                zero = [m for m in mons if class_of[m] is None]
                 for m in zero:
                     unit = to_dense({mons.index(m): field.of(1)}, len(mons), field.p)
                     assert not any(dense_reduce_vector(red, pivots, unit, field.p))
@@ -393,7 +411,8 @@ def test_large_glued_builds_agree_across_fields():
             want = _convolve(want, basic_hilbert)
         assert list(rq.hilbert()) == list(rp.hilbert()) == want
         assert rq.levels == rp.levels
-        assert [c.members for c in rq.classes] == [c.members for c in rp.classes]
+        assert walked_members(rq) == walked_members(rp)
+        assert rq.times == rp.times
         assert M.is_level_linearly_independent(rq) == M.is_level_linearly_independent(rp)
 
 
@@ -429,7 +448,9 @@ def _glue(d, a, b):
 
 
 def _assert_matches_oracle(spec):
-    assert ring_fields(M.build_ring(spec)) == elimination_build_oracle(spec)
+    ring, oracle = M.build_ring(spec), elimination_build_oracle(spec)
+    assert ring_fields(ring) == oracle
+    assert ring.times == oracle_times(oracle)
 
 
 @st.composite
@@ -489,11 +510,11 @@ def test_proportional_factor_residues_merge_in_the_product():
         spec = M.QuotientRingSpec(4, field, [_glue(4, 0, 1), _glue(4, 2, 3)], 4)
         _assert_matches_oracle(spec)
         ring = M.build_ring(spec)
-        glued = ring.class_of[(2, 0, 0, 2)]
-        assert glued == ring.class_of[(0, 2, 2, 0)]
-        assert ring.classes[glued].members == frozenset({(2, 0, 0, 2), (0, 2, 2, 0)})
+        glued = ring.mul(0, (2, 0, 0, 2))
+        assert glued == ring.mul(0, (0, 2, 2, 0)) is not None
+        assert walked_members(ring)[glued] == frozenset({(2, 0, 0, 2), (0, 2, 2, 0)})
         factor = M.build_ring(M.QuotientRingSpec(2, field, [_glue(2, 0, 1)], 4))
-        assert factor.class_of[(2, 0)] != factor.class_of[(0, 2)]
+        assert factor.mul(0, (2, 0)) != factor.mul(0, (0, 2))
 
 
 def test_interleaved_components():
@@ -515,7 +536,7 @@ def test_free_variable_is_its_own_component():
     for field in _FIELDS:
         spec = M.QuotientRingSpec(5, field, gens, 4)
         _assert_matches_oracle(spec)
-        assert (0, 0, 4, 0, 0) in M.build_ring(spec).class_of
+        assert M.build_ring(spec).mul(0, (0, 0, 4, 0, 0)) is not None
 
 
 def test_coefficient_outside_the_prime_field_inside_a_factor():
@@ -537,7 +558,7 @@ def test_unit_ideal_factor():
         _assert_matches_oracle(spec)
         ring = M.build_ring(spec)
         assert ring.hilbert() == (1, 2, 2, 2)
-        assert (0, 0, 1, 0) not in ring.class_of and (1, 0, 0, 2) not in ring.class_of
+        assert ring.mul(0, (0, 0, 1, 0)) is None and ring.mul(0, (1, 0, 0, 2)) is None
 
 
 def test_class_ids_are_poset_element_ids():
@@ -546,11 +567,11 @@ def test_class_ids_are_poset_element_ids():
         ring = M.build_ring(non_lli_spec() if name == "non-lli" else F.builtin(name, M.RATIONALS).ring_spec)
         poset = M.poset_of_monomials(ring)
         assert poset.n == len(ring.classes)
+        members = walked_members(ring)
         for x, c in enumerate(ring.classes):
             assert poset.labels[x] == c.rep and poset.rank[x] == c.degree
             assert x in ring.levels[c.degree]
-            assert all(ring.class_of[m] == x for m in c.members)
-        assert sum(len(c.members) for c in ring.classes) == len(ring.class_of)
+            assert ring.mul(0, c.rep) == x and min(members[x]) == c.rep
 
 
 def test_foreign_poset_is_refused():
@@ -580,3 +601,128 @@ def test_oversized_fold_is_refused_from_factor_class_counts():
     assert len(M.build_ring(F.kk_ring(6)).classes) == 64
     with pytest.raises(M.ResourceLimitError, match=r"16777216 products .* \(limit 1000000\)"):
         M.build_ring(F.kk_ring(24))
+
+
+# ---------------------------------------------------------------------------
+# The correspondence theorem: the tensor product of rings has the Cartesian
+# product of their posets of monomials, quotiented by the merge of product
+# classes whose factor classes have proportional residues.
+
+
+def _component_factors(spec):
+    """(factor specs, D): the specs of spec's variable components and spec's D;
+    the components must be consecutive blocks, so that product labels concatenate."""
+    factors, order = [], []
+    for variables, gens in M.rings._components(spec):
+        order.extend(variables)
+        fgens = [
+            M.Polynomial({tuple(e[v] for v in variables): c for e, c in g.terms.items()})
+            for g in gens
+        ]
+        factors.append(M.QuotientRingSpec(len(variables), spec.field, fgens, spec.D))
+    assert order == list(range(spec.d))
+    return factors, spec.D
+
+
+def _has_proportional_classes(ring):
+    """Whether two classes of one degree have proportional residues."""
+    p = ring.field.p
+    for ids in ring.levels:
+        seen = set()
+        for x in ids:
+            res = sorted(ring.classes[x].residue.items())
+            lead = res[0][1]
+            seen.add(tuple((k, v * pow(lead, -1, p) % p if p else v / lead) for k, v in res))
+        if len(seen) < len(ids):
+            return True
+    return False
+
+
+def _assert_product_correspondence(specs, D, field):
+    """The class poset of the tensor of the specs, all at D over field, against
+    the Cartesian product of the factor class posets truncated at D."""
+    specs = [M.QuotientRingSpec(f.d, field, f.generators, D) for f in specs]
+    factors = list(map(M.build_ring, specs))
+    ring = M.build_ring(M.tensor_ring(specs, D))
+    poset = M.poset_of_monomials(ring)
+    product = M.cartesian_product([M.poset_of_monomials(f) for f in factors], truncation=D)
+    if not any(map(_has_proportional_classes, factors)):
+        assert poset == product
+    else:
+        merge = [ring.mul(0, label) for label in product.labels]
+        assert {(merge[a], merge[b]) for a, b in product.covers} == set(poset.covers)
+        assert set(merge) == set(range(poset.n))
+    return poset, product
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_TENSOR_BUILTINS).map(
+            lambda name: _component_factors(F.builtin(name).ring_spec)
+        ),
+        st.tuples(st.lists(_factor_specs(), min_size=2, max_size=3), st.integers(0, 5)),
+    ),
+    st.sampled_from(_FIELDS),
+)
+def test_class_poset_is_the_product_of_the_factor_posets(factors_and_D, field):
+    _assert_product_correspondence(*factors_and_D, field)
+
+
+def test_proportional_factor_classes_give_a_quotient_of_the_product():
+    # x1^2 = 2 x2^2 in each factor: (x1^2, x4^2) and (x2^2, x3^2) merge in
+    # degree 4, so the class poset is a proper quotient of the product
+    factor = M.QuotientRingSpec(2, M.RATIONALS, [_glue(2, 0, 1)], 4)
+    assert _has_proportional_classes(M.build_ring(factor))
+    poset, product = _assert_product_correspondence([factor, factor], 4, M.RATIONALS)
+    assert poset.n == product.n - 1
+
+
+# ---------------------------------------------------------------------------
+# Tree rings: the walk along ring.times against the member-based recognition
+# in conftest, fed by the whole-ring elimination.
+
+
+def _power(d, *exps):
+    """The exponent vector with the given (variable, exponent) pairs in d variables."""
+    e = [0] * d
+    for v, a in exps:
+        e[v] += a
+    return tuple(e)
+
+
+@st.composite
+def _tree_like_specs(draw):
+    """Specs on 1..4 variables at D in 0..4: all pairs of variables or some of
+    them annihilate, each variable has a power cap or not, and sometimes
+    x_i^a - x_j^a (a = 1: a glued linear form) joins two of them."""
+    d = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    if pairs and draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+    gens = [M.monomial(_power(d, (i, 1), (j, 1))) for i, j in pairs]
+    for v in range(d):
+        cap = draw(st.one_of(st.none(), st.integers(1, 4)))
+        if cap is not None:
+            gens.append(M.monomial(_power(d, (v, cap))))
+    if d > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        a = draw(st.integers(1, 2))
+        gens.append(M.Polynomial({_power(d, (i, a)): 1, _power(d, (j, a)): -1}))
+    return M.QuotientRingSpec(d, M.FieldSpec(), gens, draw(st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_like_specs())
+def test_tree_recognition_matches_the_member_oracle(spec):
+    assert M.recognize_tree_ring(M.build_ring(spec)) == member_tree_ring_oracle(spec)
+
+
+def test_mul_refuses_misfit_exponent_vectors():
+    ring = M.build_ring(F.cl_ring([3, 4], M.RATIONALS))
+    for exp in ((1,), (1, 0, 0), (2, -1), (-1, 1)):
+        with pytest.raises(RingError, match="exponent vector"):
+            ring.mul(0, exp)
+    with pytest.raises(RingError, match="exceeds truncation"):
+        ring.mul(0, (3, 3))
+    assert ring.mul(0, (1, 2)) == ring.times[1][ring.times[1][ring.times[0][0]]]
