@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__, families
-from .errors import MacaulayLibError, OrderError, ResourceLimitError, RingError
+from .errors import MacaulayLibError, OrderError, PosetError, ResourceLimitError, RingError
 from .hilbert import (
     RingContext,
     hilbert_function,
@@ -29,16 +29,16 @@ from .poset import (
     cube_coordinates,
     export_dot,
     export_json,
-    parse_json,
+    poset_from_dict,
     poset_to_dict,
 )
 from .rings import (
     FieldSpec,
     Polynomial,
+    QuotientRingSpec,
     build_ring,
     is_level_linearly_independent,
     recognize_tree_ring,
-    ring_spec_from_file,
 )
 from .verify import DEFAULT_SUBSET_CAP, is_macaulay
 
@@ -48,10 +48,21 @@ EXIT_RESOURCE = 3
 EXIT_HYPOTHESIS = 4
 
 
+def _read_json(path, what, error):
+    """The JSON value of an input file; a file that is not UTF-8 JSON raises `error` naming it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise error(f"{what} {path!r} is not UTF-8: {e}") from None
+    except json.JSONDecodeError as e:
+        raise error(f"{what} {path!r} is not valid JSON: {e}") from None
+
+
 def _load_poset(spec_str, field):
     if os.path.exists(spec_str) or spec_str.endswith(".json"):
-        with open(spec_str) as fh:
-            return parse_json(fh.read()), None
+        return poset_from_dict(_read_json(spec_str, "poset file", PosetError)), None
     return None, families.builtin(spec_str, field)
 
 
@@ -65,13 +76,10 @@ def _order_recipe_from_arg(arg):
             raise OrderError(f"dom order wants comma-separated integers, got {arg!r}") from None
     for prefix in ("block:", "explicit:", "recipe:"):
         if arg.startswith(prefix):
-            with open(arg[len(prefix):]) as fh:
-                try:
-                    recipe = json.load(fh)
-                except json.JSONDecodeError as e:
-                    raise OrderError(f"order file {fh.name!r} is not valid JSON: {e}") from None
+            path = arg[len(prefix):]
+            recipe = _read_json(path, "order file", OrderError)
             if not isinstance(recipe, dict):
-                raise OrderError(f"order file {fh.name!r} holds no recipe object")
+                raise OrderError(f"order file {path!r} holds no recipe object")
             return recipe
     raise OrderError(f"unknown order recipe {arg!r}")
 
@@ -149,12 +157,12 @@ def _load_ring(args):
     spec_str = args.spec
     field = _field(args)
     if os.path.exists(spec_str) or spec_str.endswith(".json"):
-        spec = ring_spec_from_file(spec_str)
+        spec = QuotientRingSpec.from_json(_read_json(spec_str, "ring spec", RingError))
         if getattr(args, "field", None):
             spec = spec.with_field(field)
         return RingContext(build_ring(spec)), None
     built = families.ring_builtin(spec_str, field)
-    return RingContext(built.ring, built.poset), built
+    return RingContext(built.ring), built
 
 
 def cmd_check_ring(args):
@@ -173,7 +181,6 @@ def cmd_check_ring(args):
         allow_non_lli=args.allow_non_lli,
         max_subsets=args.max_subsets,
         monomial_order_candidate=candidate,
-        ctx=ctx,
     )
     report = {
         "tool": {"name": "macaulay", "version": __version__},
@@ -241,11 +248,7 @@ def cmd_export(args):
 
 
 def _load_ideal(ctx, path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise RingError(f"ideal {path!r} is not valid JSON: {e}") from None
+    data = _read_json(path, "ideal", RingError)
     if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
         raise RingError(f"ideal {path!r} lacks a generators list")
     gens = [Polynomial.from_json(g) for g in data["generators"]]

@@ -1,13 +1,5 @@
 """Hilbert functions, initial monomial data, segment spaces, Macaulay rings.
 
-Linear algebra here runs on sparse rows (see `linalg`) in two coordinate
-systems.  Normal-form coordinates (the non-pivot monomials of each degree)
-are an honest basis of the degree slice and are order-free; they are used
-to measure dimensions and to span ideals, one row per generator and class
-of the complementary degree.  Basis coordinates re-express vectors over a
-leveled monomial basis sorted ascending by a total order, so that RREF
-pivots read off initial monomials.
-
 Initial segment spaces follow the dual-side convention: the segment of size
 q in a degree consists of the q order-largest classes.  That is the side on
 which "the segment space is an ideal" characterizes Macaulay rings.
@@ -18,13 +10,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError
-from .linalg import add_multiple, express_in_basis, in_row_space, rref, rref_with_transform
+from .linalg import add_multiple, in_row_space, reduce_vector, rref
+from .linalg import rref_with_transform  # kept bound: bench/spans.py times hilbert.rref_with_transform
 from .orders import OrderTable
 from .poset import RankedPoset, reachability
 from .rings import (
     Polynomial,
     RingModel,
-    check_class_poset,
     degree_rep_lex_order,
     field_terms,
     is_level_linearly_independent,
@@ -37,16 +29,11 @@ MAX_ANTICHAIN_GROUND = 24
 
 
 class RingContext:
-    """A ring together with its class poset, whose element ids are the ring's class ids.
+    """A ring together with its class poset, whose element ids are the ring's class ids."""
 
-    A poset passed in must be the ring's poset of monomials (its labels the
-    class reps in id order); any other raises RingError.
-    """
-
-    def __init__(self, ring: RingModel, poset: Optional[RankedPoset] = None):
+    def __init__(self, ring: RingModel):
         self.ring = ring
-        self.poset = poset if poset is not None else poset_of_monomials(ring)
-        check_class_poset(ring, self.poset)
+        self.poset = poset_of_monomials(ring)
         self._level_masks = [((1 << len(ids)) - 1) << ids.start for ids in ring.levels]
         self.lli, self.lli_fail_degree = is_level_linearly_independent(ring)
 
@@ -206,45 +193,44 @@ def upset_closure(poset: RankedPoset, seed_ids) -> frozenset:
     return frozenset(seen)
 
 
-def _basis_coordinates(ctx, degree, cols, vectors):
-    """RREF (rows, pivots) of degree-`degree` vectors written over the basis classes `cols`."""
-    F = ctx.ring.field
-    bas_rows = [ctx.ring.classes[x].residue for x in cols]
-    b_red, b_piv, b_tr = rref_with_transform(bas_rows, ctx.ring.hilb[degree], F)
-    rows_b = []
-    for vec in vectors:
-        coeffs = express_in_basis(b_red, b_piv, b_tr, vec, F)
-        if coeffs is None:
-            raise RingError(f"degree {degree}: ideal slice escapes the leveled basis span")
-        rows_b.append(coeffs)
-    return rref(rows_b, len(cols), F)
-
-
 def initial_monomial_data(
     ctx: RingContext, ideal: IdealSpec, table: OrderTable
 ) -> InitialMonomialData:
     """Initial monomial sets, the dimensions of their span, and of their ideal.
 
-    The degree-i initial monomial set consists of the RREF pivot classes of
-    the ideal slice written over the leveled basis with columns ascending by
-    the order; so a pivot is the order-least monomial of some slice element.
+    The degree-i initial monomials are the leveled-basis classes b that are
+    the order-least term of some slice element, that is, that lie in the
+    slice plus the span of the basis classes above b.  One scan per degree
+    walks the basis down from the order-largest class, with rows spanning
+    the slice and the classes walked so far: a class that reduces to zero
+    against them is initial, and any other adds its remainder to them.
     """
     ring = ctx.ring
+    F = ring.field
     basis = leveled_basis(ctx, table)
     ims = []
-    imv_dims = []
     for i in range(ring.D + 1):
-        cols = basis.levels[i]
-        _, piv_b = _basis_coordinates(ctx, i, cols, ideal.slice(i)[0])
-        ims.append(tuple(cols[c] for c in piv_b))
-        imv_dims.append(len(piv_b))
+        rows, pivots = map(list, ideal.slice(i))
+        initial = []
+        for x in reversed(basis.levels[i]):
+            _, rest = reduce_vector(rows, pivots, ring.classes[x].residue, F)
+            if rest:
+                [row], [c] = rref([rest], ring.hilb[i], F)
+                rows.append(row)
+                pivots.append(c)
+            else:
+                initial.append(x)
+        if len(rows) != ring.hilb[i]:
+            raise RingError(f"degree {i}: the ideal slice and the leveled basis do not span it")
+        ims.append(tuple(reversed(initial)))
+    imv_dims = tuple(map(len, ims))
     gens = [x for lvl in ims for x in lvl]
     by_degree = [[] for _ in range(ring.D + 1)]
     for x in upset_closure(ctx.poset, gens):
         by_degree[ctx.poset.rank[x]].append(x)
     imi_classes = tuple(frozenset(here) for here in by_degree)
     imi_dims = tuple(ctx.span_dim(i, sorted(here)) for i, here in enumerate(by_degree))
-    return InitialMonomialData(tuple(ims), tuple(imv_dims), imi_dims, imi_classes)
+    return InitialMonomialData(tuple(ims), imv_dims, imi_dims, imi_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +427,6 @@ def is_macaulay_ring(
     allow_non_lli: bool = False,
     monomial_order_candidate: Optional[OrderTable] = None,
     max_subsets: int = DEFAULT_SUBSET_CAP,
-    ctx: Optional[RingContext] = None,
 ) -> RingMacaulayVerdict:
     """Decide whether dual-side segment spaces of ideals are again ideals.
 
@@ -462,10 +447,7 @@ def is_macaulay_ring(
         raise RingError(f"unknown mode {mode!r}")
     if max_gen_degree is not None and max_gen_degree < 0:
         raise RingError(f"max_gen_degree must be nonnegative, got {max_gen_degree}")
-    if ctx is None:
-        ctx = RingContext(ring)
-    if ctx.ring is not ring:
-        raise RingError("the ring context must be over the ring being checked")
+    ctx = RingContext(ring)
     poset = ctx.poset
     if table.poset != poset:
         raise RingError("order table must be over the ring's poset of monomials")

@@ -16,10 +16,10 @@ from .errors import PosetError, ResourceLimitError
 DEFAULT_PRODUCT_LIMIT = 1_000_000
 
 
-def check_size(total, max_size=DEFAULT_PRODUCT_LIMIT):
-    """`total`, once it is known not to exceed `max_size`; sizes are checked before building."""
-    if total > max_size:
-        raise ResourceLimitError(f"poset would have {total} elements (limit {max_size})")
+def check_size(total):
+    """`total`, once it is known not to exceed `DEFAULT_PRODUCT_LIMIT`; checked before building."""
+    if total > DEFAULT_PRODUCT_LIMIT:
+        raise ResourceLimitError(f"poset would have {total} elements (limit {DEFAULT_PRODUCT_LIMIT})")
     return total
 
 
@@ -64,37 +64,44 @@ class RankedPoset:
         self.covers = tuple(sorted((int(a), int(b)) for a, b in covers))
         self.rank = tuple(int(r) for r in rank)
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
-        down = [[] for _ in range(self.n)]
-        up = [[] for _ in range(self.n)]
-        for a, b in self.covers:
-            up[a].append(b)
-            down[b].append(a)
-        self.up = tuple(tuple(sorted(set(xs))) for xs in up)
-        self.down = tuple(tuple(sorted(set(xs))) for xs in down)
         self._levels = None
         self._label_ids = None
         self.audit()
+        # the covers are sorted, so each element's ups and downs arrive
+        # ascending and a repeated cover arrives right after itself
+        up = [[] for _ in range(self.n)]
+        down = [[] for _ in range(self.n)]
+        last = None
+        for cover in self.covers:
+            if cover != last:
+                a, b = last = cover
+                up[a].append(b)
+                down[b].append(a)
+        self.up = tuple(map(tuple, up))
+        self.down = tuple(map(tuple, down))
 
     def audit(self):
-        """Re-verify the rank-function invariants, raising PosetError on failure."""
-        if self.n < 1:
+        """Re-verify the rank-function invariants, raising PosetError; ids are checked before use."""
+        n, rank = self.n, self.rank
+        if n < 1:
             raise PosetError("poset must have at least one element")
-        if len(self.rank) != self.n or len(self.labels) != self.n:
+        if len(rank) != n or len(self.labels) != n:
             raise PosetError("rank and labels must have one entry per element")
         for a, b in self.covers:
-            if not (0 <= a < self.n and 0 <= b < self.n):
+            if not (0 <= a < n and 0 <= b < n):
                 raise PosetError(f"cover ({a},{b}) references unknown element")
             if a == b:
                 raise PosetError(f"cover relation must be irreflexive, got ({a},{b})")
-            if self.rank[b] != self.rank[a] + 1:
+            if rank[b] != rank[a] + 1:
                 raise PosetError(
-                    f"cover ({a},{b}) must raise rank by 1, got {self.rank[a]} -> {self.rank[b]}"
+                    f"cover ({a},{b}) must raise rank by 1, got {rank[a]} -> {rank[b]}"
                 )
-        if min(self.rank) != 0:
+        if min(rank) != 0:
             raise PosetError("at least one element must have rank 0")
-        for x in range(self.n):
-            if self.rank[x] > 0 and not self.down[x]:
-                raise PosetError(f"element {x} has rank {self.rank[x]} but no cover below it")
+        covered = {b for _, b in self.covers}
+        for x in range(n):
+            if rank[x] > 0 and x not in covered:
+                raise PosetError(f"element {x} has rank {rank[x]} but no cover below it")
 
     @property
     def max_rank(self):
@@ -142,6 +149,8 @@ class RankedPoset:
         return frozenset(out)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, RankedPoset):
             return NotImplemented
         return (
@@ -278,9 +287,7 @@ def _flatten_label(parts):
 
 
 def cartesian_product(
-    posets: Sequence[RankedPoset],
-    truncation: Optional[int] = None,
-    max_size: int = DEFAULT_PRODUCT_LIMIT,
+    posets: Sequence[RankedPoset], truncation: Optional[int] = None
 ) -> RankedPoset:
     """Cartesian product: covers change exactly one coordinate by a cover.
 
@@ -294,10 +301,10 @@ def cartesian_product(
         return truncate(p, truncation) if truncation is not None else p
     # Count before materializing so a runaway request fails fast.
     if truncation is None:
-        check_size(prod(p.n for p in posets), max_size)
+        check_size(prod(p.n for p in posets))
     else:
         levels = [[len(lvl) for lvl in p.levels] for p in posets]
-        check_size(sum(series_product(levels, truncation)), max_size)
+        check_size(sum(series_product(levels, truncation)))
 
     elems = []
 

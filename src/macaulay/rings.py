@@ -24,7 +24,6 @@ elimination over all the variables, field for field.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
@@ -182,6 +181,10 @@ class QuotientRingSpec:
 
     @classmethod
     def from_json(cls, data):
+        keys = ("d", "field", "generators", "D")
+        missing = [key for key in keys if key not in data] if isinstance(data, dict) else keys
+        if missing:
+            raise RingError(f"ring spec lacks {', '.join(missing)}")
         d, D, gens = data["d"], data["D"], data["generators"]
         if type(d) is not int or type(D) is not int:
             raise RingError(f"ring spec d and D must be integers, got {d!r} and {D!r}")
@@ -192,19 +195,6 @@ class QuotientRingSpec:
 
     def with_field(self, field_spec: FieldSpec) -> "QuotientRingSpec":
         return QuotientRingSpec(self.d, field_spec, self.generators, self.D)
-
-
-def ring_spec_from_file(path) -> QuotientRingSpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise RingError(f"ring spec {path!r} is not valid JSON: {e}") from None
-    keys = ("d", "field", "generators", "D")
-    missing = [key for key in keys if key not in data] if isinstance(data, dict) else keys
-    if missing:
-        raise RingError(f"ring spec {path!r} lacks {', '.join(missing)}")
-    return QuotientRingSpec.from_json(data)
 
 
 @dataclass(frozen=True)
@@ -252,6 +242,7 @@ class RingModel:
         self.spec = spec
         self.field = spec.field.field()
         self.classes = []  # list[MonomialClass], indexed by class id
+        self._poset = None  # built once, by `poset_of_monomials`
         self._build()
 
     def _build(self):
@@ -456,18 +447,15 @@ def poset_of_monomials(ring: RingModel) -> RankedPoset:
     Element x is the ring's class id x, labelled by its rep.  Covers are
     multiplications by a single variable (the upper shadow of a class is
     exactly its nonzero variable multiples), the live entries of
-    `ring.times`; they are collected as a set, because two variables can map
-    one class into the same glued class.
+    `ring.times`, each once per class, as two variables can map one class
+    into the same glued class.  It is built on the first call and kept on
+    the ring, so every call returns the same object.
     """
-    covers = {(x, y) for x, ys in enumerate(zip(*ring.times)) for y in ys if y is not None}
-    rank = [c.degree for c in ring.classes]
-    return RankedPoset(len(rank), covers, rank, [c.rep for c in ring.classes])
-
-
-def check_class_poset(ring: RingModel, poset: RankedPoset):
-    """RingError unless the poset's labels are the ring's class reps in id order."""
-    if poset.labels != tuple(c.rep for c in ring.classes):
-        raise RingError("the poset is not the ring's poset of monomials")
+    if ring._poset is None:
+        covers = [(x, y) for x, ys in enumerate(zip(*ring.times)) for y in set(ys) if y is not None]
+        rank = [c.degree for c in ring.classes]
+        ring._poset = RankedPoset(len(rank), covers, rank, [c.rep for c in ring.classes])
+    return ring._poset
 
 
 def is_level_linearly_independent(ring: RingModel):
@@ -522,7 +510,8 @@ def is_monomial_order(ring: RingModel, table: OrderTable):
     The table's poset must be the ring's poset of monomials.
     """
     poset = table.poset
-    check_class_poset(ring, poset)
+    if poset != poset_of_monomials(ring):
+        raise RingError("order table must be over the ring's poset of monomials")
     pos = table.position
     labels = poset.labels
     walk = table.by_position()

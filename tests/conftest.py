@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 import macaulay as M
-from macaulay.linalg import add_multiple, in_row_space, rref
+from macaulay.linalg import add_multiple, express_in_basis, in_row_space, rref, rref_with_transform
 from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
 from macaulay.rings import field_terms, monomials_by_degree, monomials_of_degree
 
@@ -66,6 +66,40 @@ def m43():
 @pytest.fixture(scope="session")
 def m222():
     return M.multiset_lattice([2, 2, 2])
+
+
+# ---------------------------------------------------------------------------
+# Per-element normaliser: the oracle for the one-pass up/down build in
+# poset.RankedPoset.
+
+
+def normalised_poset_oracle(n, covers, rank, labels=None):
+    """(covers, up, down, levels) of a ranked poset: the covers sorted, repeats
+    kept, then each element's ups and downs as tuple(sorted(set(xs))).  Raises
+    PosetError where a cover names an unknown id or fails to raise rank by one,
+    or where the ranks do not start at 0 or an element of positive rank has
+    no cover below it."""
+    from macaulay.poset import _label_key
+
+    covers = tuple(sorted((int(a), int(b)) for a, b in covers))
+    labels = tuple(labels) if labels is not None else tuple(range(n))
+    if n < 1 or len(rank) != n or len(labels) != n:
+        raise M.PosetError("shape")
+    if any(not (0 <= a < n and 0 <= b < n) or rank[b] != rank[a] + 1 for a, b in covers):
+        raise M.PosetError("cover")
+    up, down = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, b in covers:
+        up[a].append(b)
+        down[b].append(a)
+    up = tuple(tuple(sorted(set(xs))) for xs in up)
+    down = tuple(tuple(sorted(set(xs))) for xs in down)
+    if min(rank) != 0 or any(r > 0 and not down[x] for x, r in enumerate(rank)):
+        raise M.PosetError("rank")
+    levels = tuple(
+        tuple(sorted((x for x in range(n) if rank[x] == i), key=lambda x: _label_key(labels[x])))
+        for i in range(max(rank) + 1)
+    )
+    return covers, up, down, levels
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +411,29 @@ def generator_multiple_slices(ctx, gens):
             for unit in units:
                 assert in_row_space(nxt_red, nxt_piv, residue(terms, unit), F), (i, unit)
     return slices, [len(red) for red, _ in slices]
+
+
+# ---------------------------------------------------------------------------
+# Basis coordinates: the oracle for the one-scan initial monomials of
+# hilbert.initial_monomial_data.
+
+
+def transform_initial_monomials(ctx, ideal, table):
+    """Per degree, the initial monomial classes ascending by the order: the
+    leveled basis is row-reduced with its transform, each slice row is written
+    over the basis classes, and the RREF pivots of those rows, with columns
+    ascending by the order, name the initial classes."""
+    ring = ctx.ring
+    F = ring.field
+    ims = []
+    for i, cols in enumerate(M.leveled_basis(ctx, table).levels):
+        b_red, b_piv, b_tr = rref_with_transform(
+            [ring.classes[x].residue for x in cols], ring.hilb[i], F
+        )
+        rows = [express_in_basis(b_red, b_piv, b_tr, vec, F) for vec in ideal.slice(i)[0]]
+        assert None not in rows, f"degree {i}: ideal slice escapes the leveled basis span"
+        ims.append(tuple(cols[c] for c in rref(rows, len(cols), F)[1]))
+    return tuple(ims)
 
 
 # ---------------------------------------------------------------------------

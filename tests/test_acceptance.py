@@ -150,7 +150,6 @@ def _correspondence_payload(field):
             ctx.ring,
             table,
             mode="both",
-            ctx=ctx,
             monomial_order_candidate=cand_fn(ctx.poset) if cand_fn else None,
         )
         payload.append(
@@ -168,7 +167,7 @@ def test_criterion_08_correspondence_cross_check():
         # upset is a monomial ideal the ideal mode also flags
         ctx = RingContext(M.build_ring(F.cl_ring([4, 3], QQ_FIELD)))
         lex = M.lex_order(ctx.poset)
-        v = is_macaulay_ring(ctx.ring, lex, mode="both", ctx=ctx)
+        v = is_macaulay_ring(ctx.ring, lex, mode="both")
         assert v.holds is False and v.agreement is True
         pf = v.poset_verdict.failures[0]
         profile, bad = check_monomial_ideal_profile(

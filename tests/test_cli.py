@@ -446,6 +446,22 @@ def test_os_errors_are_usage_errors(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
+def test_non_utf8_input_files_are_usage_errors(tmp_path, capsys):
+    # a file starting with the bytes FF FE once escaped as a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for argv in (
+        ["check-poset", "--poset", str(bad), "--order", "lex"],
+        ["check-ring", "--spec", str(bad), "--order", "lex"],
+        ["check-ring", "--spec", "cl:2,2", "--order", f"recipe:{bad}"],
+        ["ring", "hilbert", "--spec", "cl:2,2", "--ideal", str(bad)],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error:") and f"{str(bad)!r} is not UTF-8" in err, argv
+        assert err.count("\n") == 1, argv
+
+
 def test_ring_hilbert_and_ims_need_an_ideal(capsys):
     for sub in ("hilbert", "ims"):
         rc, out, err = run(capsys, "ring", sub, "--spec", "cl:3,3")

@@ -25,7 +25,7 @@ from macaulay.hilbert import (
 from macaulay.orders import degree_major_order, explicit_order
 from macaulay.rings import degree_rep_lex_order, monomials_of_degree
 
-from conftest import antichain_loop_oracle, generator_multiple_slices
+from conftest import antichain_loop_oracle, generator_multiple_slices, transform_initial_monomials
 
 
 def free_ring_ctx(d=2, D=2):
@@ -211,7 +211,7 @@ def test_leveled_basis_greedy_without_lli():
 
 def test_is_macaulay_ring_cl34_both_modes():
     ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
-    v = is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="both", ctx=ctx)
+    v = is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="both")
     assert v.holds and v.agreement and v.hypothesis_ok
 
 
@@ -219,31 +219,29 @@ def test_negative_max_gen_degree_is_refused():
     # it once enumerated only the zero ideal and reported that the property holds
     ctx = RingContext(M.build_ring(F.cl_ring([4, 3], M.RATIONALS)))
     with pytest.raises(RingError, match="max_gen_degree must be nonnegative, got -1"):
-        is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="monomial-ideals", max_gen_degree=-1, ctx=ctx)
+        is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="monomial-ideals", max_gen_degree=-1)
 
 
 def test_context_over_another_ring_is_refused():
-    # the same spec over another field has the same class poset, so only the
-    # context's ring tells the two apart; it was never compared with `ring`
+    # the context is built from the ring being checked, so it cannot belong to
+    # another ring; the same spec over another field has an equal class poset
     ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
     other = M.build_ring(F.cl_ring([3, 4], M.FieldSpec.from_json("p:32003")))
     lex = M.lex_order(ctx.poset)
-    for mode in ("both", "poset", "monomial-ideals"):
-        with pytest.raises(RingError, match="context"):
-            is_macaulay_ring(other, lex, mode=mode, ctx=ctx)
-    assert is_macaulay_ring(ctx.ring, lex, mode="both", ctx=ctx).holds
+    assert is_macaulay_ring(other, lex, mode="both").holds
+    assert is_macaulay_ring(ctx.ring, lex, mode="both").holds
 
 
 def test_unknown_mode_is_refused_first():
     ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
     with pytest.raises(RingError, match="unknown mode 'ideals'"):
-        is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="ideals", ctx=ctx)
+        is_macaulay_ring(ctx.ring, M.lex_order(ctx.poset), mode="ideals")
 
 
 def test_is_macaulay_ring_cl43_fails_with_matching_witness():
     ctx = RingContext(M.build_ring(F.cl_ring([4, 3], M.RATIONALS)))
     lex = M.lex_order(ctx.poset)
-    v = is_macaulay_ring(ctx.ring, lex, mode="both", ctx=ctx)
+    v = is_macaulay_ring(ctx.ring, lex, mode="both")
     assert v.holds is False and v.agreement is True
     assert v.poset_verdict is not None and not v.poset_verdict.holds
     assert v.ideal_witnesses
@@ -259,11 +257,11 @@ def test_is_macaulay_ring_cl43_fails_with_matching_witness():
 def test_is_macaulay_ring_hypothesis_failures():
     ctx = non_lli_ctx()
     lex = M.lex_order(ctx.poset)
-    v = is_macaulay_ring(ctx.ring, lex, mode="both", ctx=ctx)
+    v = is_macaulay_ring(ctx.ring, lex, mode="both")
     assert v.holds is None and not v.hypothesis_ok
     assert "degree 2" in v.hypothesis_reason
     # explicit override runs the monomial-ideal scan anyway, scoped
-    v2 = is_macaulay_ring(ctx.ring, lex, mode="monomial-ideals", allow_non_lli=True, ctx=ctx)
+    v2 = is_macaulay_ring(ctx.ring, lex, mode="monomial-ideals", allow_non_lli=True)
     assert v2.scope == "monomial-ideals-only"
     assert v2.holds is not None
 
@@ -271,7 +269,7 @@ def test_is_macaulay_ring_hypothesis_failures():
 def test_is_macaulay_ring_poset_mode_needs_monomial_order():
     ctx = free_ring_ctx(d=2, D=2)
     o = mixed_order(ctx)
-    v = is_macaulay_ring(ctx.ring, o, mode="poset", monomial_order_candidate=o, ctx=ctx)
+    v = is_macaulay_ring(ctx.ring, o, mode="poset", monomial_order_candidate=o)
     assert v.holds is None and not v.hypothesis_ok
     assert v.monomial_order_verified is False
 
@@ -326,7 +324,6 @@ def test_modes_agree_on_ring_builtins():
             ctx.ring,
             b.default_order(),
             mode="both",
-            ctx=ctx,
             monomial_order_candidate=b.monomial_order_candidate(),
         )
         assert v.hypothesis_ok and v.agreement is True and v.holds is True, name
@@ -340,7 +337,7 @@ def test_modes_agree_on_a_failing_glued_ring():
     seq = [(0, 0), (1, 0), (0, 1), (0, 2), (2, 0), (0, 3)]
     crossed = M.explicit_order(p, [p.id_of(lab) for lab in seq])
     v = is_macaulay_ring(
-        ctx.ring, crossed, mode="both", max_gen_degree=ctx.ring.D - 1, ctx=ctx
+        ctx.ring, crossed, mode="both", max_gen_degree=ctx.ring.D - 1
     )
     assert v.hypothesis_ok
     assert v.holds is False and v.agreement is True
@@ -373,7 +370,7 @@ def _loop_ring(name):
         ctx = non_lli_ctx(D=3)
         return ctx, M.lex_order(ctx.poset)
     b = F.builtin(name)
-    ctx = RingContext(b.ring, b.poset)
+    ctx = RingContext(b.ring)
     if name.startswith("leck"):
         return ctx, M.rep_lex_order(b.poset)
     return ctx, b.default_order()
@@ -395,9 +392,9 @@ def test_antichain_loop_matches_list_building_oracle(name, g, shuffle, rnd):
         want = antichain_loop_oracle(ctx, table, g)
     except M.ResourceLimitError:
         with pytest.raises(M.ResourceLimitError):
-            is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True, ctx=ctx)
+            is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True)
         return
-    v = is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True, ctx=ctx)
+    v = is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True)
     got = [(w.generator_labels, w.profile, w.failing_degree, w.kind) for w in v.ideal_witnesses]
     assert (got, v.ideals_checked) == want
     assert v.holds == (not want[0])
@@ -415,7 +412,7 @@ def _ideal_ring(name, field):
     if name == "non-lli":
         return non_lli_ctx(D=3, field=field)
     b = F.builtin(name, field)
-    return RingContext(b.ring, b.poset)
+    return RingContext(b.ring)
 
 
 @st.composite
@@ -437,6 +434,28 @@ def test_ideal_slices_match_generator_multiple_oracle(name, field, data):
     gens = data.draw(_forms(ctx.ring.spec.d, ctx.ring.D))
     ideal = ideal_in_ring(ctx, gens)
     assert (ideal._slices, ideal.dims) == generator_multiple_slices(ctx, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_LOOP_POOL),
+    st.sampled_from((M.RATIONALS, M.FieldSpec())),
+    st.sampled_from(("lex", "rep-lex", "shuffled")),
+    st.data(),
+)
+def test_initial_monomials_match_basis_coordinates_oracle(name, field, kind, data):
+    ctx = _ideal_ring(name, field)
+    p = ctx.poset
+    if kind == "lex":
+        table = M.lex_order(p)
+    elif kind == "rep-lex":
+        table = M.rep_lex_order(p)
+    else:
+        table = explicit_order(p, data.draw(st.permutations(range(p.n))))
+    ideal = ideal_in_ring(ctx, data.draw(_forms(ctx.ring.spec.d, ctx.ring.D)))
+    got = initial_monomial_data(ctx, ideal, table)
+    want = transform_initial_monomials(ctx, ideal, table)
+    assert (got.ims, got.imv_dims) == (want, tuple(map(len, want)))
 
 
 def test_audit_refuses_slices_not_closed_under_a_variable():

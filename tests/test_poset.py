@@ -2,12 +2,18 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import macaulay as M
 from macaulay.errors import PosetError, ResourceLimitError
 from macaulay.poset import export_dot, export_json, parse_json, reachability
 
-from conftest import brute_lower_shadow_labels, brute_upper_shadow_labels, labels_of
+from conftest import (
+    brute_lower_shadow_labels,
+    brute_upper_shadow_labels,
+    labels_of,
+    normalised_poset_oracle,
+)
 
 
 def test_multiset_lattice_shapes(m34, m222):
@@ -117,7 +123,7 @@ def test_product_rank_is_sum():
 
 def test_product_size_limit():
     with pytest.raises(ResourceLimitError):
-        M.cartesian_product([M.chain(100), M.chain(100), M.chain(100)], max_size=10_000)
+        M.cartesian_product([M.chain(101), M.chain(101), M.chain(101)])
 
 
 def test_product_truncation():
@@ -158,6 +164,47 @@ def test_cube_coordinates(m34):
 def test_every_constructed_poset_passes_audit(m34, m222):
     for p in (m34, m222, M.dual(m34), M.cartesian_product([m222, M.chain(2)])):
         p.audit()
+
+
+def test_unknown_cover_ids_are_poset_errors():
+    # up and down were once indexed before the audit, which raised IndexError
+    for covers in ([(0, 5)], [(5, 1)], [(0, 1), (2, 1)]):
+        with pytest.raises(PosetError, match="unknown element"):
+            M.RankedPoset(2, covers, [0, 1])
+
+
+@st.composite
+def _cover_lists(draw):
+    """(n, covers, rank): covers between adjacent ranks, shuffled with repeats,
+    sometimes with one pair that is no cover (an unknown id, a loop, a rank jump)."""
+    n = draw(st.integers(1, 7))
+    rank = [0]
+    while len(rank) < n:
+        rank.append(draw(st.integers(0, max(rank) + 1)))
+    pairs = [(a, b) for a in range(n) for b in range(n) if rank[b] == rank[a] + 1]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    for b in range(1, n):  # mostly, one cover below every element of positive rank
+        below = [a for a in range(n) if rank[a] + 1 == rank[b]]
+        if below and draw(st.integers(0, 7)):
+            covers.append((draw(st.sampled_from(below)), b))
+    covers += covers[: draw(st.integers(0, len(covers)))]
+    if draw(st.integers(0, 3)) == 0:
+        covers.append(draw(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))))
+    return n, draw(st.permutations(covers)), rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cover_lists())
+def test_up_and_down_match_the_per_element_normaliser(case):
+    n, covers, rank = case
+    try:
+        want = normalised_poset_oracle(n, covers, rank)
+    except PosetError:
+        with pytest.raises(PosetError):
+            M.RankedPoset(n, covers, rank)
+        return
+    p = M.RankedPoset(n, covers, rank)
+    assert (p.covers, p.up, p.down, p.levels) == want
 
 
 def test_reachability_matches_cover_transitivity(m222):

@@ -12,6 +12,7 @@ from conftest import (
     dense_rref,
     elimination_build_oracle,
     member_tree_ring_oracle,
+    normalised_poset_oracle,
     oracle_times,
     ring_fields,
     to_dense,
@@ -574,6 +575,18 @@ def test_class_ids_are_poset_element_ids():
             assert ring.mul(0, c.rep) == x and min(members[x]) == c.rep
 
 
+@pytest.mark.parametrize("field", [M.RATIONALS, M.FieldSpec("prime", 32003)], ids=["q", "p"])
+def test_class_poset_matches_the_normaliser_and_is_built_once(field):
+    for name in _TENSOR_BUILTINS:
+        ring = M.build_ring(F.builtin(name, field).ring_spec)
+        poset = M.poset_of_monomials(ring)
+        assert poset is M.poset_of_monomials(ring) is M.RingContext(ring).poset
+        live = {(x, y) for x, ys in enumerate(zip(*ring.times)) for y in ys if y is not None}
+        rank = [c.degree for c in ring.classes]
+        want = normalised_poset_oracle(len(rank), live, rank, [c.rep for c in ring.classes])
+        assert (poset.covers, poset.up, poset.down, poset.levels) == want, name
+
+
 def test_foreign_poset_is_refused():
     # a poset whose labels are not the class reps in id order would misaddress classes
     ring = M.build_ring(F.cl_ring([3, 4], M.RATIONALS))
@@ -581,8 +594,6 @@ def test_foreign_poset_is_refused():
     flipped = M.RankedPoset(poset.n, poset.covers, poset.rank, [lab[::-1] for lab in poset.labels])
     other = M.poset_of_monomials(M.build_ring(F.cl_ring([4, 3], M.RATIONALS)))
     for bad in (flipped, other, M.multiset_lattice([3, 4, 1])):
-        with pytest.raises(RingError, match="poset of monomials"):
-            M.RingContext(ring, bad)
         with pytest.raises(RingError, match="poset of monomials"):
             M.is_monomial_order(ring, rep_lex_order(bad))
     assert M.is_monomial_order(ring, rep_lex_order(poset)) == (True, None)
