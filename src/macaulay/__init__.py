@@ -45,9 +45,7 @@ from .orders import (
 from .verify import (
     MacaulayFailure,
     MacaulayVerdict,
-    check_dual_lemma,
     is_macaulay,
-    macaulay_by_definition,
     min_shadow,
     search_macaulay_order,
 )

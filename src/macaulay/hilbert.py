@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError
-from .linalg import add_multiple, in_row_space, reduce_vector, rref
+from .linalg import add_multiple, extend_echelon, rref
 from .linalg import rref_with_transform  # kept bound: bench/spans.py times hilbert.rref_with_transform
 from .orders import OrderTable
 from .poset import RankedPoset, reachability
@@ -57,13 +57,10 @@ class RingContext:
 class IdealSpec:
     """A homogeneous ideal of the ring, spanned degree by degree.
 
-    The degree-i slice is spanned by one row per generator g of degree
-    e <= i and per class c of degree i - e: the normal form of g * rep(c),
-    each term's class read by `ring.mul(c, exp)`.  This spans all generator
-    multiples g * m: a monomial m that is zero in the ring gives g * m in H,
-    and a member m of c has rep(c)'s normal form, so g * m = g * rep(c) in
-    the ring.  Construction still audits closure under multiplication by the
-    variables up to degree D, which checks this on every ideal.
+    The degree-i slice is the RREF of x_v times every row of the degree
+    i - 1 slice, for every variable x_v, and of the normal forms of the
+    degree-i generators.  It is closed under the variables by construction,
+    since a generator multiple m * g with deg m >= 1 is x_v * (m' * g).
     """
 
     def __init__(self, ctx: RingContext, generators: Sequence[Polynomial]):
@@ -89,15 +86,21 @@ class IdealSpec:
         self.dims = []
         for i in range(ring.D + 1):
             rows = [
-                self._residue_of((ring.mul(x, exp), coef) for exp, coef in terms.items())
+                self._residue_of((ring.mul(0, exp), coef) for exp, coef in terms.items())
                 for e, terms in gens
-                if e <= i
-                for x in ring.levels[i - e]
+                if e == i
             ]
+            if i:
+                # coordinate j of degree i - 1 is the residue of the class of nf_monomials[i - 1][j]
+                ids = [ring.mul(0, m) for m in ring.nf_monomials[i - 1]]
+                rows += [
+                    self._residue_of((times[ids[j]], coef) for j, coef in row.items())
+                    for row in self._slices[i - 1][0]
+                    for times in ring.times
+                ]
             red, pivots = rref(rows, ring.hilb[i], F)
             self._slices.append((red, pivots))
             self.dims.append(len(red))
-        self._audit_closure()
 
     def _residue_of(self, products):
         """Normal form of sum(coef * class x) over (x, coef) pairs, x None for zero."""
@@ -107,18 +110,6 @@ class IdealSpec:
             if x is not None:
                 add_multiple(vec, coef, ring.classes[x].residue, ring.field)
         return vec
-
-    def _audit_closure(self):
-        ring = self.ctx.ring
-        for i in range(ring.D):
-            red, _ = self._slices[i]
-            nxt_red, nxt_piv = self._slices[i + 1]
-            ids = [ring.mul(0, m) for m in ring.nf_monomials[i]]
-            for row in red:
-                for var, times in enumerate(ring.times):
-                    vec = self._residue_of((times[ids[j]], coef) for j, coef in row.items())
-                    if not in_row_space(nxt_red, nxt_piv, vec, ring.field):
-                        raise RingError(f"ideal slices not closed under x_{var+1} at degree {i}")
 
     def slice(self, degree):
         return self._slices[degree]
@@ -159,12 +150,9 @@ def leveled_basis(ctx: RingContext, table: OrderTable) -> LeveledMonomialBasis:
         if ctx.lli:
             levels.append(tuple(ids))
             continue
-        kept = []
-        rows = []
+        kept, rows, pivots = [], [], []
         for x in ids:
-            red, _ = rref(rows + [ring.classes[x].residue], ring.hilb[i], F)
-            if len(red) > len(rows):
-                rows = red
+            if extend_echelon(rows, pivots, ring.classes[x].residue, F):
                 kept.append(x)
         if len(kept) != ring.hilb[i]:
             raise RingError(f"degree {i}: classes do not span the slice")
@@ -213,12 +201,7 @@ def initial_monomial_data(
         rows, pivots = map(list, ideal.slice(i))
         initial = []
         for x in reversed(basis.levels[i]):
-            _, rest = reduce_vector(rows, pivots, ring.classes[x].residue, F)
-            if rest:
-                [row], [c] = rref([rest], ring.hilb[i], F)
-                rows.append(row)
-                pivots.append(c)
-            else:
+            if not extend_echelon(rows, pivots, ring.classes[x].residue, F):
                 initial.append(x)
         if len(rows) != ring.hilb[i]:
             raise RingError(f"degree {i}: the ideal slice and the leveled basis do not span it")
@@ -406,17 +389,6 @@ def _segment_failure(ctx: RingContext, table: OrderTable, profile):
         if ctx.span_dim(i, seg) != profile[i]:
             return i, "hilbert-mismatch"
     return None
-
-
-def check_monomial_ideal_profile(ctx: RingContext, table: OrderTable, upset_ids):
-    """Segment test for one monomial ideal given as an upset of the class poset.
-
-    Returns (profile, witness or None): the profile is the degreewise
-    dimension of the ideal, and the witness describes the first degree where
-    the segment space of that profile fails to be an ideal of equal size.
-    """
-    profile = _mask_profile(ctx, sum(1 << x for x in set(upset_ids)), {})
-    return profile, _segment_failure(ctx, table, profile)
 
 
 def is_macaulay_ring(

@@ -103,12 +103,9 @@ def rref(rows, ncols, field):
     return [piv[c] for c in cols], cols
 
 
-def rank(rows, ncols, field):
-    return len(rref(rows, ncols, field)[0])
-
-
 def reduce_vector(rref_rows, pivots, vec, field):
-    """Reduce vec against an RREF basis; returns (coefficients, residual).
+    """Reduce vec against an RREF basis, or rows kept by `extend_echelon`;
+    returns (coefficients, residual).
 
     vec == sum(coefficients[i] * rref_rows[i]) + residual, and residual is
     zero on every pivot column.
@@ -123,8 +120,21 @@ def reduce_vector(rref_rows, pivots, vec, field):
     return coeffs, v
 
 
-def in_row_space(rref_rows, pivots, vec, field):
-    return not reduce_vector(rref_rows, pivots, vec, field)[1]
+def extend_echelon(rows, pivots, vec, field):
+    """Reduce vec against echelon rows and append its remainder, if any, as a
+    new row scaled to 1 at its least column; returns whether vec was
+    independent of the rows.
+
+    The rows must be 1 at their pivot and 0 at the pivots of the rows before
+    them, as an RREF is; the appended row is 0 at every earlier pivot, so
+    the rows stay so.
+    """
+    _, rest = reduce_vector(rows, pivots, vec, field)
+    if rest:
+        [row], [c] = rref([rest], max(rest) + 1, field)
+        rows.append(row)
+        pivots.append(c)
+    return bool(rest)
 
 
 def rref_with_transform(rows, ncols, field):
@@ -139,15 +149,3 @@ def rref_with_transform(rows, ncols, field):
     data = [{c: v for c, v in r.items() if c < ncols} for r in red]
     transform = [{c - ncols: v for c, v in r.items() if c >= ncols} for r in red]
     return data, pivots, transform
-
-
-def express_in_basis(basis_rref, basis_pivots, basis_transform, vec, field):
-    """Coefficients {basis row index: scalar} of vec, or None if outside the span."""
-    w, residual = reduce_vector(basis_rref, basis_pivots, vec, field)
-    if residual:
-        return None
-    out = {}
-    for f, trow in zip(w, basis_transform):
-        if f:
-            add_multiple(out, f, trow, field)
-    return out

@@ -458,17 +458,3 @@ def reachability(poset: RankedPoset):
         for y in poset.up[x]:
             above[x] |= above[y]
     return above
-
-
-def is_isomorphic_by_labels(p1: RankedPoset, p2: RankedPoset, label_map) -> bool:
-    """Check that label_map (label of p1 -> label of p2) is a poset isomorphism."""
-    if p1.n != p2.n:
-        return False
-    try:
-        ids = {x: p2.id_of(label_map(p1.labels[x])) for x in range(p1.n)}
-    except KeyError:
-        return False
-    if len(set(ids.values())) != p1.n:
-        return False
-    c1 = {(ids[a], ids[b]) for a, b in p1.covers}
-    return c1 == set(p2.covers)

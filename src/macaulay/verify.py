@@ -24,7 +24,6 @@ The search builds each level's order as a prefix DFS over shadow bitmasks,
 with the level's minima computed once, and cuts each failing prefix with
 all its completions, so it finds the order a permutation-by-permutation
 search would, and charges `budget` the same permutation counts.
-`macaulay_by_definition` stays apart as the literal oracle.
 """
 from __future__ import annotations
 
@@ -36,8 +35,8 @@ from math import factorial
 from typing import Optional
 
 from .errors import ResourceLimitError, SearchBudgetExceeded
-from .orders import OrderTable, dual_order, explicit_order
-from .poset import RankedPoset, dual
+from .orders import OrderTable, explicit_order
+from .poset import RankedPoset
 
 DEFAULT_SUBSET_CAP = 2 ** 22
 
@@ -75,17 +74,6 @@ class MacaulayVerdict:
     subsets_examined: int = 0
     levels_checked: int = 0
     elapsed: float = 0.0
-
-    def merge(self, other: "MacaulayVerdict") -> "MacaulayVerdict":
-        """Associative combination of verdicts from independent level scans."""
-        return MacaulayVerdict(
-            self.holds and other.holds,
-            self.direction,
-            self.failures + other.failures,
-            self.subsets_examined + other.subsets_examined,
-            self.levels_checked + other.levels_checked,
-            self.elapsed + other.elapsed,
-        )
 
     def to_dict(self, poset: Optional[RankedPoset] = None) -> dict:
         out = {
@@ -329,33 +317,6 @@ def min_shadow(
     sh = _shadow_lists(neigh, ids, target)
     best, find = _level_minima(sh, level, max_subsets)
     return best[q], frozenset(_mask_to_ids(find([q])[q], ids))
-
-
-def macaulay_by_definition(poset: RankedPoset, table: OrderTable, direction: str = "lower"):
-    """Literal restatement of the defining containment, as an independent oracle.
-
-    For every level and every subset A, the shadow of the initial segment of
-    size |A| must be contained in the first |shadow(A)| elements of the next
-    level.  Enumerates subsets directly with fresh set arithmetic; quadratic
-    in ways the fast path is not, so keep it to small posets.
-    """
-    _, shadow_of, step = _direction(poset, direction)
-    for lvl, source, target in _level_frames(poset, table, step):
-        k = len(source)
-        for mask in range(1, 1 << k):
-            A = [source[j] for j in range(k) if mask >> j & 1]
-            seg = source[: len(A)]
-            allowed = set(target[: len(shadow_of(A))])
-            if not set(shadow_of(seg)) <= allowed:
-                return False, (lvl, tuple(A))
-    return True, None
-
-
-def check_dual_lemma(poset: RankedPoset, table: OrderTable, **kw) -> bool:
-    """Whether the verdict on (P, o) matches the verdict on (dual P, dual o)."""
-    here = is_macaulay(poset, table, direction="lower", **kw)
-    there = is_macaulay(dual(poset), dual_order(table), direction="lower", **kw)
-    return here.holds == there.holds
 
 
 def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional[OrderTable]:

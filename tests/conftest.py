@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 import macaulay as M
-from macaulay.linalg import add_multiple, express_in_basis, in_row_space, rref, rref_with_transform
+from macaulay.linalg import add_multiple, reduce_vector, rref, rref_with_transform
 from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
 from macaulay.rings import field_terms, monomials_by_degree, monomials_of_degree
 
@@ -154,6 +154,26 @@ def to_dense(row, ncols, p=None):
 
 def to_sparse(vec):
     return {c: v for c, v in enumerate(vec) if v != 0}
+
+
+def rank(rows, ncols, field):
+    return len(rref(rows, ncols, field)[0])
+
+
+def in_row_space(rref_rows, pivots, vec, field):
+    return not reduce_vector(rref_rows, pivots, vec, field)[1]
+
+
+def express_in_basis(basis_rref, basis_pivots, basis_transform, vec, field):
+    """Coefficients {basis row index: scalar} of vec, or None if outside the span."""
+    w, residual = reduce_vector(basis_rref, basis_pivots, vec, field)
+    if residual:
+        return None
+    out = {}
+    for f, trow in zip(w, basis_transform):
+        if f:
+            add_multiple(out, f, trow, field)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,46 +390,59 @@ def member_tree_ring_oracle(spec):
 
 
 # ---------------------------------------------------------------------------
-# Generator multiples over every monomial: the oracle for the class-rep rows
-# of hilbert.IdealSpec.
+# Generator multiples over every monomial: the oracle for the slices of
+# hilbert.IdealSpec, which are built degree by degree from the one below.
+
+
+def _shifted_residue(ring, class_of, terms, shift):
+    """Normal form of sum(c * x^(exp + shift)) over the terms {exp: c}, each
+    monomial's class read off class_of (None when it is zero)."""
+    vec = {}
+    for exp, c in terms.items():
+        x = class_of[tuple(a + b for a, b in zip(exp, shift))]
+        if x is not None:
+            add_multiple(vec, c, ring.classes[x].residue, ring.field)
+    return vec
+
+
+def closure_audit(ctx, slices):
+    """Raise RingError unless, for every degree i < D and every variable x_v,
+    x_v times each RREF row of slices[i] lies in the span of slices[i + 1];
+    the products are read off the walked monomials, not ring.times."""
+    ring = ctx.ring
+    d = ring.spec.d
+    class_of = walked_class_of(ring)
+    units = [tuple(int(k == v) for k in range(d)) for v in range(d)]
+    for i in range(ring.D):
+        nxt_red, nxt_piv = slices[i + 1]
+        for row in slices[i][0]:
+            terms = {ring.nf_monomials[i][j]: c for j, c in row.items()}
+            for v, unit in enumerate(units):
+                vec = _shifted_residue(ring, class_of, terms, unit)
+                if not in_row_space(nxt_red, nxt_piv, vec, ring.field):
+                    raise M.RingError(f"ideal slices not closed under x_{v + 1} at degree {i}")
 
 
 def generator_multiple_slices(ctx, gens):
     """(slices, dims) of the ideal of ctx.ring generated by the Polynomials gens:
     the degree-i slice is the RREF of the normal forms of g * m for every
     generator g of degree e <= i and every monomial m of degree i - e, and
-    each slice is audited to be closed under every variable."""
+    the slices pass `closure_audit`."""
     ring = ctx.ring
     F = ring.field
     d = ring.spec.d
     gens = [(g.degree(), field_terms(g, F)) for g in gens if not g.is_zero()]
-
     class_of = walked_class_of(ring)
-
-    def residue(terms, shift):
-        vec = {}
-        for exp, c in terms.items():
-            x = class_of[tuple(a + b for a, b in zip(exp, shift))]
-            if x is not None:
-                add_multiple(vec, c, ring.classes[x].residue, F)
-        return vec
-
     slices = []
     for i in range(ring.D + 1):
         rows = [
-            residue(terms, m)
+            _shifted_residue(ring, class_of, terms, m)
             for e, terms in gens
             if e <= i
             for m in monomials_of_degree(d, i - e)
         ]
         slices.append(rref(rows, ring.hilb[i], F))
-    units = [tuple(int(k == v) for k in range(d)) for v in range(d)]
-    for i in range(ring.D):
-        nxt_red, nxt_piv = slices[i + 1]
-        for row in slices[i][0]:
-            terms = {ring.nf_monomials[i][j]: c for j, c in row.items()}
-            for unit in units:
-                assert in_row_space(nxt_red, nxt_piv, residue(terms, unit), F), (i, unit)
+    closure_audit(ctx, slices)
     return slices, [len(red) for red, _ in slices]
 
 
@@ -434,6 +467,30 @@ def transform_initial_monomials(ctx, ideal, table):
         assert None not in rows, f"degree {i}: ideal slice escapes the leveled basis span"
         ims.append(tuple(cols[c] for c in rref(rows, len(cols), F)[1]))
     return tuple(ims)
+
+
+# ---------------------------------------------------------------------------
+# One RREF per class: the oracle for the echelon scan of hilbert.leveled_basis.
+
+
+def quadratic_leveled_basis(ctx, table):
+    """Per degree, the classes ascending by the order whose residue raises the
+    rank of the RREF of the residues kept before it, by one RREF from scratch
+    per class, whether or not the ring is level linearly independent.  Raises
+    RingError when the kept classes do not span the degree."""
+    ring = ctx.ring
+    levels = []
+    for i in range(ring.D + 1):
+        kept, rows = [], []
+        for x in table.level_in_order(i):
+            red, _ = rref(rows + [ring.classes[x].residue], ring.hilb[i], ring.field)
+            if len(red) > len(rows):
+                rows = red
+                kept.append(x)
+        if len(kept) != ring.hilb[i]:
+            raise M.RingError(f"degree {i}: classes do not span the slice")
+        levels.append(tuple(kept))
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +547,21 @@ def antichain_loop_oracle(ctx, table, max_gen_degree=None):
         if bad is not None:
             witnesses.append((tuple(poset.labels[x] for x in anti), profile) + bad)
     return witnesses, len(antichains)
+
+
+def check_monomial_ideal_profile(ctx, table, upset_ids):
+    """Segment test for one monomial ideal given as an upset of the class poset.
+
+    Returns (profile, witness or None): the profile is the degreewise
+    dimension of the ideal, and the witness is the (first failing degree,
+    kind) where the segment space of that profile fails to be an ideal of
+    equal size.  It runs the library's own profile and segment test on one
+    ideal, outside the antichain scan.
+    """
+    from macaulay.hilbert import _mask_profile, _segment_failure
+
+    profile = _mask_profile(ctx, sum(1 << x for x in set(upset_ids)), {})
+    return profile, _segment_failure(ctx, table, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +685,67 @@ def comparator_rank_vectors(vectors, lengths, recipe):
     else:
         raise ValueError(f"unknown vector order recipe {kind!r}")
     return {v: i for i, v in enumerate(ordered)}
+
+
+# ---------------------------------------------------------------------------
+# The definition itself: the oracle for verify.is_macaulay, with the dual
+# lemma and the combination of verdicts that the tests check on its results.
+
+
+def macaulay_by_definition(poset, table, direction="lower"):
+    """Literal restatement of the defining containment, as an independent oracle.
+
+    For every level and every subset A, the shadow of the initial segment of
+    size |A| must be contained in the first |shadow(A)| elements of the next
+    level.  Enumerates subsets directly with fresh set arithmetic; quadratic
+    in ways the fast path is not, so keep it to small posets.  Returns
+    (flag, first failing (level, A) or None).
+    """
+    from macaulay.verify import _direction, _level_frames
+
+    _, shadow_of, step = _direction(poset, direction)
+    for lvl, source, target in _level_frames(poset, table, step):
+        k = len(source)
+        for mask in range(1, 1 << k):
+            A = [source[j] for j in range(k) if mask >> j & 1]
+            seg = source[: len(A)]
+            allowed = set(target[: len(shadow_of(A))])
+            if not set(shadow_of(seg)) <= allowed:
+                return False, (lvl, tuple(A))
+    return True, None
+
+
+def check_dual_lemma(poset, table, **kw):
+    """Whether the verdict on (P, o) matches the verdict on (dual P, dual o)."""
+    here = M.is_macaulay(poset, table, direction="lower", **kw)
+    there = M.is_macaulay(M.dual(poset), M.dual_order(table), direction="lower", **kw)
+    return here.holds == there.holds
+
+
+def merge_verdicts(a, b):
+    """Associative combination of verdicts from independent level scans."""
+    return M.MacaulayVerdict(
+        a.holds and b.holds,
+        a.direction,
+        a.failures + b.failures,
+        a.subsets_examined + b.subsets_examined,
+        a.levels_checked + b.levels_checked,
+        a.elapsed + b.elapsed,
+    )
+
+
+def is_isomorphic_by_labels(p1, p2, label_map):
+    """Check that label_map (label of p1 -> label of p2) is a poset isomorphism."""
+    if p1.n != p2.n:
+        return False
+    try:
+        ids = {x: p2.id_of(label_map(p1.labels[x])) for x in range(p1.n)}
+    except KeyError:
+        return False
+    if len(set(ids.values())) != p1.n:
+        return False
+    c1 = {(ids[a], ids[b]) for a, b in p1.covers}
+    return c1 == set(p2.covers)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from macaulay import families as F
 from macaulay.cli import main
 from macaulay.hilbert import (
     RingContext,
-    check_monomial_ideal_profile,
     ideal_in_ring,
     initial_monomial_data,
     initial_segment_space,
@@ -21,6 +20,8 @@ from macaulay.hilbert import (
 )
 from macaulay.orders import degree_major_order
 from macaulay.rings import degree_rep_lex_order
+
+from conftest import check_monomial_ideal_profile
 
 PRIME = M.FieldSpec("prime", 32003)
 QQ_FIELD = M.RATIONALS

@@ -9,9 +9,12 @@ import macaulay as M
 from macaulay import families as F
 from macaulay.errors import OrderError, PosetError
 from macaulay.orders import order_from_recipe
-from macaulay.poset import is_isomorphic_by_labels
 
-from conftest import pulled_back_be_ring_order, pulled_back_mermin_murai_ring_order
+from conftest import (
+    is_isomorphic_by_labels,
+    pulled_back_be_ring_order,
+    pulled_back_mermin_murai_ring_order,
+)
 
 
 def test_star_shapes():

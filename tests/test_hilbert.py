@@ -11,7 +11,6 @@ from macaulay.hilbert import (
     RingContext,
     _antichains,
     _mask_profile,
-    check_monomial_ideal_profile,
     dual_segment,
     hilbert_function,
     ideal_in_ring,
@@ -25,7 +24,15 @@ from macaulay.hilbert import (
 from macaulay.orders import degree_major_order, explicit_order
 from macaulay.rings import degree_rep_lex_order, monomials_of_degree
 
-from conftest import antichain_loop_oracle, generator_multiple_slices, transform_initial_monomials
+from conftest import (
+    antichain_loop_oracle,
+    check_monomial_ideal_profile,
+    closure_audit,
+    generator_multiple_slices,
+    is_isomorphic_by_labels,
+    quadratic_leveled_basis,
+    transform_initial_monomials,
+)
 
 
 def free_ring_ctx(d=2, D=2):
@@ -352,7 +359,7 @@ def test_tensor_correspondence_isomorphism():
         pa = M.poset_of_monomials(M.build_ring(a))
         pb = M.poset_of_monomials(M.build_ring(b))
         prod = M.cartesian_product([pa, pb])
-        assert M.poset.is_isomorphic_by_labels(M.poset_of_monomials(combined), prod, lambda l: l)
+        assert is_isomorphic_by_labels(M.poset_of_monomials(combined), prod, lambda l: l)
 
 
 _LOOP_POOL = (
@@ -463,11 +470,30 @@ def test_audit_refuses_slices_not_closed_under_a_variable():
     # one of its rows, some x_v times the degree-1 slice falls outside it
     ctx = _ideal_ring("torus:3,2", M.RATIONALS)
     ideal = ideal_in_ring(ctx, [M.Polynomial({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})])
-    red, pivots = ideal._slices[2]
+    slices = list(ideal._slices)
+    closure_audit(ctx, slices)
+    red, pivots = slices[2]
     assert ideal.dims[1] == 1 and len(red) > 1
-    ideal._slices[2] = (red[:-1], pivots[:-1])
+    slices[2] = (red[:-1], pivots[:-1])
     with pytest.raises(RingError, match="not closed under x_.* at degree 1"):
-        ideal._audit_closure()
+        closure_audit(ctx, slices)
+
+
+def test_principal_ideal_on_a_large_leck_ring_keeps_its_dims():
+    ctx = RingContext(F.builtin("leck:3+3+3,3").ring)
+    x1 = M.monomial((1,) + (0,) * (ctx.ring.spec.d - 1))
+    ideal = ideal_in_ring(ctx, [x1])
+    assert ideal.dims == [0, 1, 11, 54, 154, 278, 324, 237, 99, 18]
+    closure_audit(ctx, ideal._slices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_LOOP_POOL), st.sampled_from((M.RATIONALS, M.FieldSpec())), st.data())
+def test_leveled_basis_matches_one_rref_per_class_oracle(name, field, data):
+    ctx = _ideal_ring(name, field)
+    p = ctx.poset
+    table = explicit_order(p, data.draw(st.permutations(range(p.n))))
+    assert leveled_basis(ctx, table).levels == quadratic_leveled_basis(ctx, table)
 
 
 def test_memoised_non_lli_profiles_match_spans_from_scratch():

@@ -4,16 +4,21 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_reduce_vector, dense_rref, to_dense, to_sparse
+from conftest import (
+    dense_reduce_vector,
+    dense_rref,
+    express_in_basis,
+    in_row_space,
+    rank,
+    to_dense,
+    to_sparse,
+)
 from macaulay.linalg import (
     QQ,
     Field,
     PRIME_LIMIT,
     add_multiple,
-    express_in_basis,
-    in_row_space,
     is_prime,
-    rank,
     reduce_vector,
     rref,
     rref_with_transform,

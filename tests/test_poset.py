@@ -11,6 +11,7 @@ from macaulay.poset import export_dot, export_json, parse_json, reachability
 from conftest import (
     brute_lower_shadow_labels,
     brute_upper_shadow_labels,
+    is_isomorphic_by_labels,
     labels_of,
     normalised_poset_oracle,
 )
@@ -88,7 +89,7 @@ def test_dual_shadow_swap(m222):
 def test_dual_complement_isomorphism(m222):
     d = M.dual(m222)
     comp = lambda v: tuple(1 - x for x in v)
-    assert M.poset.is_isomorphic_by_labels(d, m222, comp)
+    assert is_isomorphic_by_labels(d, m222, comp)
 
 
 def test_dual_rejects_unranked_maximal():

@@ -11,6 +11,7 @@ from conftest import (
     dense_reduce_vector,
     dense_rref,
     elimination_build_oracle,
+    is_isomorphic_by_labels,
     member_tree_ring_oracle,
     normalised_poset_oracle,
     oracle_times,
@@ -302,7 +303,7 @@ def test_tensor_poset_isomorphic_to_product():
     pb = M.poset_of_monomials(M.build_ring(b))
     prod = M.cartesian_product([pa, pb])
     pc = M.poset_of_monomials(combined)
-    assert M.poset.is_isomorphic_by_labels(pc, prod, lambda lab: lab)
+    assert is_isomorphic_by_labels(pc, prod, lambda lab: lab)
 
 
 def test_quotient_by_a_whole_level():

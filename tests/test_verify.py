@@ -12,9 +12,16 @@ import macaulay as M
 from macaulay import verify
 from macaulay.errors import ResourceLimitError, SearchBudgetExceeded
 from macaulay.families import builtin, star
-from macaulay.verify import macaulay_by_definition
 
-from conftest import brute_min_shadow, gray_minima, labels_of, permutation_search_oracle
+from conftest import (
+    brute_min_shadow,
+    check_dual_lemma,
+    gray_minima,
+    labels_of,
+    macaulay_by_definition,
+    merge_verdicts,
+    permutation_search_oracle,
+)
 
 
 def test_kruskal_katona_holds(m222):
@@ -229,16 +236,16 @@ def test_search_respects_the_subset_cap(monkeypatch):
 
 
 def test_check_dual_lemma(m222, m43):
-    assert M.check_dual_lemma(m222, M.lex_order(m222))
-    assert M.check_dual_lemma(m43, M.lex_order(m43))
+    assert check_dual_lemma(m222, M.lex_order(m222))
+    assert check_dual_lemma(m43, M.lex_order(m43))
     s = M.singleton()
-    assert M.check_dual_lemma(s, M.lex_order(s))
+    assert check_dual_lemma(s, M.lex_order(s))
 
 
 def test_verdict_merge(m222):
     t = M.lex_order(m222)
     v1 = M.is_macaulay(m222, t)
-    merged = v1.merge(v1)
+    merged = merge_verdicts(v1, v1)
     assert merged.holds and merged.subsets_examined == 2 * v1.subsets_examined
 
 
@@ -328,7 +335,7 @@ def test_verifier_theorems_hold_on_random_inputs(seed):
     slow, _ = macaulay_by_definition(p, t, direction="lower")
     assert lower.holds == slow
     try:
-        dual_ok = M.check_dual_lemma(p, t)
+        dual_ok = check_dual_lemma(p, t)
     except M.PosetError:
         return  # not dually ranked: maximal elements off the top rank
     assert dual_ok
