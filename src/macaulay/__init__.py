@@ -47,6 +47,7 @@ from .verify import (
     MacaulayVerdict,
     is_macaulay,
     min_shadow,
+    min_shadow_profile,
     search_macaulay_order,
 )
 from .rings import (

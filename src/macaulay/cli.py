@@ -60,10 +60,10 @@ def _read_json(path, what, error):
         raise error(f"{what} {path!r} is not valid JSON: {e}") from None
 
 
-def _load_poset(spec_str, field):
+def _load_poset(spec_str, field, recipe=None):
     if os.path.exists(spec_str) or spec_str.endswith(".json"):
         return poset_from_dict(_read_json(spec_str, "poset file", PosetError)), None
-    return None, families.builtin(spec_str, field)
+    return None, families.builtin(spec_str, field, recipe)
 
 
 def _order_recipe_from_arg(arg):
@@ -84,8 +84,7 @@ def _order_recipe_from_arg(arg):
     raise OrderError(f"unknown order recipe {arg!r}")
 
 
-def _resolve_order(poset, arg, built):
-    recipe = _order_recipe_from_arg(arg)
+def _resolve_order(poset, recipe, built):
     if recipe.get("kind") == "family-default" and "family" not in recipe:
         if built is None:
             raise OrderError("family-default needs a builtin descriptor")
@@ -112,10 +111,11 @@ def _emit(report, args):
 
 
 def cmd_check_poset(args):
-    poset, built = _load_poset(args.poset, _field(args))
+    recipe = _order_recipe_from_arg(args.order)
+    poset, built = _load_poset(args.poset, _field(args), recipe)
     if poset is None:
         poset = built.poset
-    table = _resolve_order(poset, args.order, built)
+    table = _resolve_order(poset, recipe, built)
     t0 = time.perf_counter()
     verdict = is_macaulay(
         poset,
@@ -170,7 +170,7 @@ def cmd_check_ring(args):
     ctx, built = _load_ring(args)
     build_seconds = time.perf_counter() - t_build
     ring = ctx.ring
-    table = _resolve_order(ctx.poset, args.order, built)
+    table = _resolve_order(ctx.poset, _order_recipe_from_arg(args.order), built)
     candidate = built.monomial_order_candidate() if built else None
     t0 = time.perf_counter()
     verdict = is_macaulay_ring(
@@ -231,7 +231,7 @@ def cmd_export(args):
             fh.write("\n")
         written.append(path)
     if "order" in what:
-        table = _resolve_order(poset, args.order, built)
+        table = _resolve_order(poset, _order_recipe_from_arg(args.order), built)
         path = os.path.join(args.out, "order.json")
         with open(path, "w") as fh:
             json.dump(
@@ -252,6 +252,11 @@ def _load_ideal(ctx, path):
     if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
         raise RingError(f"ideal {path!r} lacks a generators list")
     gens = [Polynomial.from_json(g) for g in data["generators"]]
+    # Polynomial drops zero terms, so the ideal check never sees their exponents
+    d = ctx.ring.spec.d
+    for exp in (t["exp"] for g in data["generators"] for t in g):
+        if len(exp) != d or min(exp, default=0) < 0:
+            raise RingError(f"ideal {path!r}: exponents {exp!r} need {d} nonnegative entries")
     return ideal_in_ring(ctx, gens)
 
 
@@ -293,7 +298,7 @@ def cmd_ring(args):
         return 0
     if sub == "ims":
         ideal = _load_ideal(ctx, args.ideal)
-        table = _resolve_order(ctx.poset, args.order, built)
+        table = _resolve_order(ctx.poset, _order_recipe_from_arg(args.order), built)
         data = initial_monomial_data(ctx, ideal, table)
         out = {
             "ims": [[str(ctx.poset.labels[x]) for x in lvl] for lvl in data.ims],

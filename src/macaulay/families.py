@@ -27,6 +27,7 @@ from .orders import (
     OrderTable,
     RECIPE_FIELDS,
     RECIPE_RESOLVERS,
+    VECTOR_KINDS,
     explicit_order,
     lex_order,  # kept bound here: bench/spans.py times families.lex_order
     order_from_recipe,
@@ -432,8 +433,15 @@ def _ring_builtin(name, spec, order, candidate=None):
     return Builtin(name, poset_of_monomials(ring), order, ring, candidate)
 
 
-def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
-    """Resolve builtin poset descriptors like multiset:3,4 or torus:3,2."""
+def builtin(
+    spec_str: str, field: FieldSpec = FieldSpec(), recipe: Optional[dict] = None
+) -> Builtin:
+    """Resolve builtin poset descriptors like multiset:3,4 or torus:3,2.
+
+    `recipe`, the order the caller will resolve on the poset, is checked
+    before the build: star and spider label their elements by ints, so a
+    vector recipe on them raises OrderError once the descriptor is valid.
+    """
     text = spec_str
     if text.startswith("builtin:"):
         text = text[len("builtin:"):]
@@ -444,11 +452,18 @@ def builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
     if kind == "chain":
         (n,) = _parse_ints(kind, rest, 1)
         return Builtin(text, multiset_lattice([n]), {"kind": "lex"})
-    if kind == "star":
-        (n,) = _parse_ints(kind, rest, 1)
-        return Builtin(text, star(n), _family("be", n - 1, 1, 1))
-    if kind == "spider":
-        k, l = _parse_ints(kind, rest, 2)
+    if kind in ("star", "spider"):
+        if kind == "star":
+            (n,) = _parse_ints(kind, rest, 1)
+            if n < 1:
+                raise PosetError("star needs at least one leg")
+            k, l = n - 1, 1
+        else:
+            k, l = _parse_ints(kind, rest, 2)
+        _spider_size(k, l)
+        if recipe is not None and recipe.get("kind") in VECTOR_KINDS:
+            # what order_from_recipe says of label 0, the first of every spider
+            raise OrderError("order needs exponent-vector labels, got 0")
         return Builtin(text, spider(k, l), _family("be", k, l, 1))
     if kind == "be":
         k, l, n = _parse_ints(kind, rest, 3)

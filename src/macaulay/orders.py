@@ -381,10 +381,14 @@ def initial_segment(table: OrderTable, level: int, q: int) -> frozenset:
 RECIPE_RESOLVERS: dict[str, Callable] = {}
 
 
+# recipes that rank exponent-vector labels
+VECTOR_KINDS = ("lex", "colex", "dom", "hc", "bc", "block")
+
+
 def order_from_recipe(poset: RankedPoset, recipe) -> OrderTable:
     """Regenerate an order table from its serialized recipe."""
     kind = _recipe_kind(recipe)
-    if kind in ("lex", "colex", "dom", "hc", "bc", "block"):
+    if kind in VECTOR_KINDS:
         return table_from_vectors(poset, *_vector_labels(poset), recipe)
     if kind == "explicit":
         pos = recipe["positions"]

@@ -61,7 +61,11 @@ class RankedPoset:
 
     def __init__(self, n, covers, rank, labels=None):
         self.n = int(n)
-        self.covers = tuple(sorted((int(a), int(b)) for a, b in covers))
+        # int() only where an endpoint is not an int: bools, floats and
+        # numeric strings convert as before, and int pairs pass as they are
+        self.covers = tuple(sorted([
+            (a if type(a) is int else int(a), b if type(b) is int else int(b)) for a, b in covers
+        ]))
         self.rank = tuple(int(r) for r in rank)
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
         self._levels = None

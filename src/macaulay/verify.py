@@ -13,9 +13,11 @@ segment pass (each prefix's shadow size and whether it is a target prefix)
 and one split-and-combine minimum, `_level_minima` (Horowitz and Sahni's
 meet in the middle).  It turns each shadow list into an int bitmask, keeps
 each half of the level as its distinct inclusion-minimal subset ORs per
-size, starts every bound at the initial segment's shadow and evaluates only
-the pairs of halves that a row bound and a popcount cut leave able to beat
-it.  Witnesses are found on demand, for the sizes a caller reports, in one
+size, starts every bound at the initial segment's shadow, and meets each
+high-half OR with every low-half OR at once, as bit-parallel arithmetic on
+one packed int; the exact per-pair minimum runs only where a pair beats its
+bound.  `min_shadow_profile` gives a level's minima for every size.
+Witnesses are found on demand, for the sizes a caller reports, in one
 Gray-code pass: they are the first minimizers the full 2^k Gray walk would
 report.  `_check_subset_cap` runs before any table is built, so every caller
 (the search included, at DEFAULT_SUBSET_CAP) raises ResourceLimitError
@@ -30,7 +32,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from math import factorial
 from typing import Optional
 
@@ -157,17 +159,38 @@ def _subset_ors(rows):
     return table
 
 
-def _lean(table, n):
+def _fields(values, w):
+    """`values` as the w-bit fields of one int, the first one lowest."""
+    chunks = map(int.to_bytes, values, repeat(w // 8), repeat("little"))
+    return int.from_bytes(b"".join(chunks), "little")
+
+
+def _ones(n, w):
+    """A 1 at the bottom of each of n w-bit fields."""
+    return int.from_bytes((1).to_bytes(w // 8, "little") * n, "little")
+
+
+def _lean(table, n, w):
     """Per subset size 0..n, the distinct inclusion-minimal ORs of a subset
-    table, sorted by popcount: a superset never has a smaller shadow."""
+    table, sorted by popcount: a superset never has a smaller shadow.
+
+    Every OR is below 2^(w-1).  The ORs kept so far are the w-bit fields of
+    `packed`; m contains a kept k exactly when the field k & ~m is zero, and
+    adding 2^(w-1) - 1 to a field sets its top bit exactly when it is not.
+    """
     buckets = [set() for _ in range(n + 1)]
     for mask, m in enumerate(table):
         buckets[mask.bit_count()].add(m)
+    top = 1 << w - 1
     lean = []
     for bucket in buckets:
-        kept = []  # ORs of equal popcount never contain one another
+        kept, packed = [], 0  # ORs of equal popcount never contain one another
         for _, group in groupby(sorted(bucket, key=int.bit_count), int.bit_count):
-            kept += [m for m in group if all(map((~m).__and__, kept))]
+            rep = _ones(len(kept), w)
+            fill, tops = (top - 1) * rep, top * rep
+            fresh = [m for m in group if ((packed & (top - 1 ^ m) * rep) + fill) & tops == tops]
+            packed |= _fields(fresh, w) << w * len(kept)
+            kept += fresh
         lean.append(kept)
     return lean
 
@@ -186,34 +209,59 @@ def _level_minima(sh, level, cap):
     is built when 2^k exceeds `cap`.  Each step is exact:
     - both halves are lean (`_lean`): a superset never has a smaller shadow;
     - `best[q]` starts at the shadow size of the first q rows, a q-subset;
-    - a lean high OR `a` skips low size r when pop(a) + d[r] >= best, where
-      d[r] is the r-th smallest count of bits a low row adds to `a`, since
-      any r low rows add at least that many;
-    - otherwise only lean low ORs of popcount below best can beat it;
-    - `find` walks the high subsets in Gray order under the same bounds and
+    - a lean high OR `a` meets every lean low OR at once, as SWAR arithmetic
+      on one int of w-bit fields, w a power of two above the bit length of
+      the rows' OR; only when some pair beats its bound does the exact
+      per-size `min` run for `a`, over lean low ORs of popcount below best;
+    - `find` walks the high subsets in Gray order, skips low size r when
+      pop(a) + d[r] > best, where d[r] is the r-th smallest count of bits a
+      low row adds to `a`, since any r low rows add at least that many, and
       scans a low bucket, in Gray order, only once a lean low OR hits best.
     """
     k = len(sh)
     _check_subset_cap(k, level, cap)
     rows = _row_masks(sh)
+    prefix = list(accumulate(rows, int.__or__, initial=0))
+    w = max(8, 1 << prefix[-1].bit_length().bit_length())
     lo = k // 2
     low_rows = rows[:lo]
     low, high = _subset_ors(low_rows), _subset_ors(rows[lo:])
-    lean_low, lean_high = _lean(low, lo), _lean(high, k - lo)
+    lean_low, lean_high = _lean(low, lo, w), _lean(high, k - lo, w)
     pops = [[m.bit_count() for m in ors] for ors in lean_low]
-    best = [0, *(m.bit_count() for m in accumulate(rows, int.__or__))]
+    best = [m.bit_count() for m in prefix]
 
     def added(a):
         return [0, *sorted(map(int.bit_count, map((~a).__and__, low_rows)))]
 
+    # Every lean low OR is a w-bit field of `packed`, and reps[r] has a 1 at
+    # the bottom of each field of size r.  For a high OR `a`, log2(w)
+    # mask-shift-add steps count the bits of every field of packed | a * rep
+    # in place; adding 2^(w-1) - best[s + r] to a field of size r leaves its
+    # top bit clear exactly when the pair beats best[s + r].
+    packed = _fields([m for ms in lean_low for m in ms], w)
+    starts = accumulate(map(len, lean_low), initial=0)
+    reps = [_ones(len(ms), w) << w * at for ms, at in zip(lean_low, starts)]
+    rep = sum(reps)
+    top, tops = 1 << w - 1, rep << w - 1
+    # field by field, the low h bits of every 2h
+    steps = [(h, ((1 << w) - 1) // ((1 << 2 * h) - 1) * ((1 << h) - 1) * rep)
+             for h in map((1).__lshift__, range(w.bit_length() - 1))]
+
+    def bounds(s):
+        return sum((top - best[s + r]) * at for r, at in enumerate(reps))
+
     for s, ors in enumerate(lean_high):
+        c = bounds(s)
         for a in ors:
-            pa, d = a.bit_count(), added(a)
-            for r, ms in enumerate(lean_low):
-                b = best[s + r]
-                if pa + d[r] < b:
+            x = packed | a * rep
+            for h, m in steps:
+                x = (x & m) + (x >> h & m)
+            if (x + c) & tops != tops:
+                for r, ms in enumerate(lean_low):
+                    b = best[s + r]
                     ms = ms[: bisect_left(pops[r], b)]
                     best[s + r] = min((b, *map(int.bit_count, map(a.__or__, ms))))
+                c = bounds(s)
 
     # The Gray rank of (h << lo) | g orders by the rank of h, then by the rank
     # of g when h has even parity and by its reverse when h has odd parity.
@@ -298,6 +346,25 @@ def is_macaulay(
     return verdict
 
 
+def _level_kernel(poset, level, direction, max_subsets):
+    """The ids of a level and `_level_minima` of their shadows."""
+    neigh, _, step = _direction(poset, direction)
+    ids = poset.level(level)
+    sh = _shadow_lists(neigh, ids, poset.level(level + step))
+    return ids, *_level_minima(sh, level, max_subsets)
+
+
+def min_shadow_profile(
+    poset: RankedPoset,
+    level: int,
+    direction: str = "lower",
+    max_subsets: int = DEFAULT_SUBSET_CAP,
+) -> list:
+    """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k,
+    from one kernel call; ResourceLimitError names the level past `max_subsets`."""
+    return _level_kernel(poset, level, direction, max_subsets)[1]
+
+
 def min_shadow(
     poset: RankedPoset,
     level: int,
@@ -306,16 +373,12 @@ def min_shadow(
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ):
     """Minimum shadow cardinality over all q-subsets of a level, with one minimizer."""
-    ids = poset.level(level)
-    k = len(ids)
+    k = len(poset.level(level))
     if q < 0 or q > k:
         raise ValueError(f"q={q} out of range for level of size {k}")
     if q == 0:
         return 0, frozenset()
-    neigh, _, step = _direction(poset, direction)
-    target = poset.level(level + step)
-    sh = _shadow_lists(neigh, ids, target)
-    best, find = _level_minima(sh, level, max_subsets)
+    ids, best, find = _level_kernel(poset, level, direction, max_subsets)
     return best[q], frozenset(_mask_to_ids(find([q])[q], ids))
 
 

@@ -1,6 +1,6 @@
 """Shared brute-force oracles, independent of the library's fast paths."""
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -211,6 +211,48 @@ def gray_minima(sh, nt):
             best[size] = shadow
             best_mask[size] = mask
     return best, best_mask
+
+
+def quadratic_lean(table, n):
+    """Per subset size 0..n, the distinct inclusion-minimal ORs of a subset
+    table, sorted by popcount, each candidate tested against every OR kept
+    before it: the oracle for the packed `verify._lean`."""
+    buckets = [set() for _ in range(n + 1)]
+    for mask, m in enumerate(table):
+        buckets[mask.bit_count()].add(m)
+    lean = []
+    for bucket in buckets:
+        kept = []  # ORs of equal popcount never contain one another
+        for _, group in itertools.groupby(sorted(bucket, key=int.bit_count), int.bit_count):
+            kept += [m for m in group if all(map((~m).__and__, kept))]
+        lean.append(kept)
+    return lean
+
+
+def per_pair_minima(sh):
+    """Minimum shadow size over all subsets of each size, by the split and
+    combine of `verify._level_minima` with one bound test per (lean high OR,
+    low size) pair and one popcount per surviving pair: the oracle for the
+    packed combine."""
+    from macaulay import verify
+
+    rows = verify._row_masks(sh)
+    k, lo = len(rows), len(rows) // 2
+    low_rows = rows[:lo]
+    lean_low = quadratic_lean(verify._subset_ors(low_rows), lo)
+    lean_high = quadratic_lean(verify._subset_ors(rows[lo:]), k - lo)
+    pops = [[m.bit_count() for m in ors] for ors in lean_low]
+    best = [m.bit_count() for m in itertools.accumulate(rows, int.__or__, initial=0)]
+    for s, ors in enumerate(lean_high):
+        for a in ors:
+            pa = a.bit_count()
+            d = [0, *sorted(map(int.bit_count, map((~a).__and__, low_rows)))]
+            for r, ms in enumerate(lean_low):
+                b = best[s + r]
+                if pa + d[r] < b:
+                    ms = ms[: bisect_left(pops[r], b)]
+                    best[s + r] = min((b, *map(int.bit_count, map(a.__or__, ms))))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import tempfile
 import time
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import macaulay as M
 from macaulay.cli import main
@@ -291,6 +292,25 @@ def test_oversized_poset_builtins_exit_3_before_building(capsys):
         rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", "lex")
         assert time.perf_counter() - t0 < 0.5, desc
         assert rc == 3 and out == "" and "(limit 1000000)" in err and err.count("\n") == 1, desc
+
+
+def test_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path, capsys):
+    # star and spider label their elements 0..n-1, so no vector recipe fits them
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps({"kind": "block", "cuts": [[1]], "starts": {}, "blocks": {}}))
+    recipes = {"lex": {"kind": "lex"}, "colex": {"kind": "colex"}, "hc": {"kind": "hc"},
+               "bc": {"kind": "bc"}, "dom:1": {"kind": "dom", "perm": [1]},
+               f"block:{block}": json.loads(block.read_text())}
+    for order, recipe in recipes.items():
+        with pytest.raises(M.OrderError) as built:
+            M.order_from_recipe(M.families.spider(2, 2), recipe)
+        for desc in ("star:999999", "spider:999,999"):
+            t0 = time.perf_counter()
+            rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", order)
+            assert time.perf_counter() - t0 < 0.5, (desc, order)
+            assert rc == 2 and out == "" and err == f"error: {built.value}\n", (desc, order)
+    rc, _, _ = run(capsys, "check-poset", "--poset", "spider:2,2", "--order", "family-default")
+    assert rc == 0
 
 
 def test_check_poset_from_file_and_upper_direction(tmp_path, capsys):
@@ -644,6 +664,8 @@ def _ideal_files(draw, d, D):
 @given(st.sampled_from(sorted(_IDEAL_RINGS)).flatmap(
     lambda ring: st.tuples(st.just(ring), _ideal_files(*_IDEAL_RINGS[ring]))
 ), st.sampled_from(["hilbert", "ims"]))
+# a zero term is dropped before the ideal sees it, so its exponents once went unchecked
+@example(("cl:3,3", {"generators": [[{"exp": [0], "coef": "0"}]]}), "hilbert")
 def test_generated_ideal_files_never_escape_the_cli(ring_and_ideal, sub):
     ring, ideal = ring_and_ideal
     with tempfile.TemporaryDirectory() as tmp:

@@ -174,6 +174,16 @@ def test_unknown_cover_ids_are_poset_errors():
             M.RankedPoset(2, covers, [0, 1])
 
 
+def test_cover_endpoints_that_are_not_ints_convert_with_int():
+    # floats truncate before the sort, bools and numeric strings become ints
+    p = M.RankedPoset(3, [(0.5, 1), (False, 2.9), ("0", True)], [0, 1, 1])
+    assert p.covers == ((0, 1), (0, 1), (0, 2))
+    assert all(type(x) is int for cover in p.covers for x in cover)
+    assert p.up == ((1, 2), (), ()) and p.down == ((), (0,), (0,))
+    with pytest.raises(ValueError):
+        M.RankedPoset(2, [("a", 1)], [0, 1])
+
+
 @st.composite
 def _cover_lists(draw):
     """(n, covers, rank): covers between adjacent ranks, shuffled with repeats,

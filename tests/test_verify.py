@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -20,7 +21,9 @@ from conftest import (
     labels_of,
     macaulay_by_definition,
     merge_verdicts,
+    per_pair_minima,
     permutation_search_oracle,
+    quadratic_lean,
 )
 
 
@@ -181,6 +184,80 @@ def test_level_kernel_matches_gray_walk_on_an_18_element_level():
     assert _kernel_minima(sh, len(target), 5, 2 ** 18) == gray_minima(sh, len(target))
 
 
+# Target counts at and next to the packed kernel's field widths: the rows'
+# OR has bit length nt, the field width is the least power of two >= 8 above it.
+_FIELD_EDGES = [1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 127, 128, 200]
+
+
+def _dense_rows(rng, nt, k):
+    """k shuffled shadow lists over nt targets, each with its own density, so
+    the ORs of a few rows fill a field; the last target is always used."""
+    rows = [tuple(j for j in range(nt) if rng.random() < rng.random()) for _ in range(k)]
+    rows.append((nt - 1,))
+    rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FIELD_EDGES), st.integers(0, 10), st.integers(0, 2 ** 32))
+def test_level_kernel_matches_gray_walk_at_field_edges(nt, k, seed):
+    sh = _dense_rows(random.Random(seed), nt, k)
+    best, masks = gray_minima(sh, nt)
+    assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == (best, masks)
+    assert per_pair_minima(sh) == best
+
+
+def test_level_kernel_beats_its_seed_at_every_field_edge():
+    # best below the seed (the first q rows) means the exact per-pair
+    # fallback ran and the packed bounds were rebuilt
+    rng = random.Random(17)
+    for nt in _FIELD_EDGES:
+        below_seed = 0
+        for _ in range(6):
+            sh = _dense_rows(rng, nt, 9)
+            best, masks = gray_minima(sh, nt)
+            assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == (best, masks)
+            seed = [len(set().union(*sh[:q])) for q in range(len(sh) + 1)]
+            below_seed += best != seed
+        assert below_seed, nt
+
+
+def _lean_halves(sh):
+    """The two halves' subset tables of a level, with their sizes, and the
+    field width of the level kernel."""
+    rows = verify._row_masks(sh)
+    lo = len(rows) // 2
+    w = max(8, 1 << functools.reduce(int.__or__, rows, 0).bit_length().bit_length())
+    halves = [(verify._subset_ors(rows[:lo]), lo), (verify._subset_ors(rows[lo:]), len(rows) - lo)]
+    return halves, w
+
+
+@pytest.mark.parametrize(
+    "desc", ["multiset:4,6,7", "multiset:5,5,5", "multiset:2,2,2,2,2,2", "be:2,2,2",
+             "multiset:6,5,4", "be:1,2,2"])
+def test_packed_lean_matches_the_quadratic_oracle_on_grid_levels(desc):
+    p = builtin(desc).poset
+    for direction in ("lower", "upper"):
+        neigh, _, step = verify._direction(p, direction)
+        for lvl in range(p.max_rank + 1):
+            sh = verify._shadow_lists(neigh, p.level(lvl), p.level(lvl + step))
+            halves, w = _lean_halves(sh)
+            for table, n in halves:
+                assert verify._lean(table, n, w) == quadratic_lean(table, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([8, 16, 32, 64, 128, 256]),
+       st.integers(0, 2 ** 32))
+def test_packed_lean_matches_the_quadratic_oracle_on_random_tables(n, w, seed):
+    rng = random.Random(seed)
+    # a small pool of masks, each below 2^(w-1), so repeats and containment are common
+    pool = [rng.getrandbits(w - 1) & rng.getrandbits(w - 1) for _ in range(rng.randint(1, 12))]
+    pool.append((1 << w - 1) - 1)
+    table = [rng.choice(pool) for _ in range(1 << n)]
+    assert verify._lean(table, n, w) == quadratic_lean(table, n)
+
+
 def _shuffled_levels(poset, seed):
     rng = random.Random(seed)
     ids = []
@@ -220,12 +297,26 @@ def test_min_shadow_matches_golden_digest():
     p = builtin("multiset:4,6,7").poset
     out = []
     for level in (6, 7, 8):
+        sizes = []
         for q in range(len(p.level(level)) + 1):
             size, witness = M.min_shadow(p, level, q)
             out.append([level, q, size, sorted(witness)])
+            sizes.append(size)
+        assert M.min_shadow_profile(p, level) == sizes
     assert _digest(out) == (
         "be7fc08e9844f69592550c435c7fe6142411dbea5bb0a9d6a590815e2fb82e5f"
     )
+
+
+def test_min_shadow_profile_on_a_25_element_level():
+    p = builtin("multiset:6,6,6").poset
+    assert len(p.level(9)) == 25
+    with pytest.raises(ResourceLimitError, match="level 9 has 25 elements"):
+        M.min_shadow_profile(p, 9)
+    profile = M.min_shadow_profile(p, 9, max_subsets=2 ** 25)
+    assert profile == [0, 2, 3, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+                       23, 23, 24, 25, 26, 27, 27]
+    assert profile[12] == 16
 
 
 def test_search_respects_the_subset_cap(monkeypatch):
@@ -362,10 +453,13 @@ def test_min_shadow_matches_brute_force(seed, direction):
     p, _ = _random_case(seed)
     shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
     for lvl in range(p.max_rank + 1):
+        sizes = []
         for q in range(len(p.level(lvl)) + 1):
             size, witness = M.min_shadow(p, lvl, q, direction=direction)
             assert size == brute_min_shadow(p, lvl, q, direction)[0]
             assert len(witness) == q and len(shadow(witness)) == size
+            sizes.append(size)
+        assert M.min_shadow_profile(p, lvl, direction) == sizes
 
 
 @settings(max_examples=100, deadline=None)
