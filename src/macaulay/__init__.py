@@ -80,7 +80,6 @@ from .hilbert import (
     initial_segment_space,
     is_macaulay_ring,
     leveled_basis,
-    segment_is_ideal,
     upset_closure,
 )
 from . import families

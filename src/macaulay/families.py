@@ -27,10 +27,10 @@ from .orders import (
     OrderTable,
     RECIPE_FIELDS,
     RECIPE_RESOLVERS,
-    VECTOR_KINDS,
     explicit_order,
     lex_order,  # kept bound here: bench/spans.py times families.lex_order
     order_from_recipe,
+    ranks_vectors,
     table_from_vectors,
 )
 from .poset import RankedPoset, cartesian_power, cartesian_product, check_size, dual
@@ -440,7 +440,8 @@ def builtin(
 
     `recipe`, the order the caller will resolve on the poset, is checked
     before the build: star and spider label their elements by ints, so a
-    vector recipe on them raises OrderError once the descriptor is valid.
+    recipe that ranks vectors (`orders.ranks_vectors`, which looks through
+    dual wrappers) raises OrderError on them once the descriptor is valid.
     """
     text = spec_str
     if text.startswith("builtin:"):
@@ -461,7 +462,7 @@ def builtin(
         else:
             k, l = _parse_ints(kind, rest, 2)
         _spider_size(k, l)
-        if recipe is not None and recipe.get("kind") in VECTOR_KINDS:
+        if ranks_vectors(recipe):
             # what order_from_recipe says of label 0, the first of every spider
             raise OrderError("order needs exponent-vector labels, got 0")
         return Builtin(text, spider(k, l), _family("be", k, l, 1))

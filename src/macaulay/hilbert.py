@@ -6,7 +6,9 @@ which "the segment space is an ideal" characterizes Macaulay rings.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError
@@ -256,21 +258,6 @@ def initial_segment_space(ctx: RingContext, v_dims, table: OrderTable):
     return GradedSubspace(tuple(dims)), tuple(segs)
 
 
-def segment_is_ideal(ctx: RingContext, segments) -> tuple:
-    """Whether per-degree class prefixes are closed under upper shadows.
-
-    A monomial space is an ideal exactly when each level's upper shadow lands
-    in the next level's part; returns (flag, first failing degree or None).
-    """
-    sets = [frozenset(s) for s in segments]
-    sets += [frozenset()] * (ctx.ring.D + 1 - len(sets))
-    for i in range(ctx.ring.D):
-        nxt = sets[i + 1]
-        if any(y not in nxt for x in sets[i] for y in ctx.poset.up[x]):
-            return False, i
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # Macaulay ring verification
 
@@ -339,17 +326,17 @@ class RingMacaulayVerdict:
         }
 
 
-def _antichains(poset: RankedPoset, ground):
+def _antichains(up, ground, ups=0):
     """Antichains of the ground elements with their upset masks, streamed depth-first.
 
-    The empty antichain comes first, then the rest in lexicographic order of
-    element ids.  A child adds one larger ground element x, comparable with
-    no member, to its parent: its upset mask is the parent's OR x's.
+    `up` holds each element's upset mask, and every upset is ORed onto
+    `ups`.  The empty antichain comes first, then the rest in lexicographic
+    order of element ids.  A child adds one larger ground element x,
+    comparable with no member, to its parent: its upset mask is the
+    parent's OR x's.
     """
-    above = reachability(poset)
-    up = [sum(1 << y for y in above[x]) for x in range(poset.n)]
-    comp = {x: sum(1 << y for y in ground if y in above[x] or x in above[y]) for x in ground}
-    stack = [((), sum(1 << x for x in ground), 0)]  # antichain, free elements, upset
+    comp = {x: sum(1 << y for y in ground if (up[x] >> y | up[y] >> x) & 1) for x in ground}
+    stack = [((), sum(1 << x for x in ground), ups)]  # antichain, free elements, upset
     while stack:
         chosen, free, ups = stack.pop()
         yield chosen, ups
@@ -361,34 +348,55 @@ def _antichains(poset: RankedPoset, ground):
             stack.append((chosen + (x,), free & ~comp[x] & -(2 << x), ups | up[x]))
 
 
-def _mask_profile(ctx: RingContext, ups, memo):
-    """Degreewise dimension of the monomial space spanned by the classes in a mask.
+def _mask_profile(ctx: RingContext, ups, memo, lo=0, hi=None):
+    """Degreewise dimension, in degrees lo..hi - 1, of the span of the classes in a mask.
 
     Without level linear independence each dimension is an RREF; `memo`
     keeps them by (degree, the mask's bits in that level), which recur
     across the masks of one scan.
     """
+    masks = ctx._level_masks[lo:hi]
     if ctx.lli:
-        return tuple(map(int.bit_count, map(ups.__and__, ctx._level_masks)))
+        return tuple([(ups & m).bit_count() for m in masks])
     dims = []
-    for i, (ids, level) in enumerate(zip(ctx.ring.levels, ctx._level_masks)):
+    for i, level in enumerate(masks, lo):
         key = (i, ups & level)
         if key not in memo:
-            memo[key] = ctx.span_dim(i, [x for x in ids if ups >> x & 1])
+            memo[key] = ctx.span_dim(i, [x for x in ctx.ring.levels[i] if ups >> x & 1])
         dims.append(memo[key])
     return tuple(dims)
 
 
-def _segment_failure(ctx: RingContext, table: OrderTable, profile):
-    """(first failing degree, kind) of the segment space of a profile, or None."""
-    segs = [dual_segment(table, i, q) for i, q in enumerate(profile)]
-    ok, fail_deg = segment_is_ideal(ctx, segs)
-    if not ok:
-        return fail_deg, "segment-not-ideal"
-    for i, seg in enumerate(segs):
-        if ctx.span_dim(i, seg) != profile[i]:
-            return i, "hilbert-mismatch"
-    return None
+def _segment_test(ctx: RingContext, table: OrderTable):
+    """The segment test: profile -> (first failing degree, kind), or None.
+
+    The segment of size q in a degree is its q order-largest classes; per
+    degree and every q the test keeps the segment's mask and the mask of
+    its upper covers.  The segments of a profile p form an ideal exactly
+    when, in each degree i < D, the covers of the p_i-segment lie in the
+    p_(i+1)-segment.  Without level linear independence a segment may also
+    span less than its size: a "hilbert-mismatch".
+    """
+    seg, shadow = [], []
+    for i in range(ctx.ring.D + 1):
+        seg.append([0])
+        shadow.append([0])
+        for x in table.level_in_order(i, reverse=True):
+            seg[i].append(seg[i][-1] | 1 << x)
+            shadow[i].append(shadow[i][-1] | sum(1 << y for y in ctx.poset.up[x]))
+
+    @cache  # per scan: many ideals share a profile
+    def failure(profile):
+        for i in range(ctx.ring.D):
+            if shadow[i][profile[i]] & ~seg[i + 1][profile[i + 1]]:
+                return i, "segment-not-ideal"
+        if not ctx.lli:
+            for i, q in enumerate(profile):
+                if ctx.span_dim(i, dual_segment(table, i, q)) != q:
+                    return i, "hilbert-mismatch"
+        return None
+
+    return failure
 
 
 def is_macaulay_ring(
@@ -404,16 +412,25 @@ def is_macaulay_ring(
 
     mode="monomial-ideals" enumerates the monomial ideals generated in
     degrees <= max_gen_degree, as upsets of antichains of the class poset,
-    and tests each profile.  The antichains stream depth-first with int
-    bitmask upsets: a child's upset is its parent's OR the new element's, and
-    under level linear independence its profile is one popcount per degree.
-    The segment test reads only the profile, so its result is memoised by
-    profile, which is exact: the witnesses and the count are those of testing
-    every ideal on its own.  mode="poset" checks the class poset on the
-    upper-shadow side, which by the correspondence between the two sides
-    needs level linear independence plus a verified monomial order; the
-    default candidate is the degree-major representative-lex order.
-    mode="both" cross-checks.
+    and tests each profile.  With g the top generator degree (max_gen_degree
+    clamped to D), the antichains below g stream depth-first with int bitmask
+    upsets: a child's upset is its parent's OR the new element's, and under
+    level linear independence a profile is one popcount per degree.  Every
+    subset of the degree-g classes outside an antichain's upset (its free
+    set) extends it, and since the poset is graded the upset's part in
+    degrees >= g is the upset of the degree-g classes not free: the tails
+    (degrees g..D) of the extensions' profiles depend on the free set alone.
+    They are counted once per free set, streaming its subsets, and each
+    antichain joins its head (degrees < g) to every tail.  The segment test
+    reads only the profile, so its result is memoised by profile.  All this
+    is exact: the count, and the witnesses, which re-stream the subsets of a
+    failing tail and are sorted by generator ids into depth-first order, are
+    those of testing every ideal on its own.
+
+    mode="poset" checks the class poset on the upper-shadow side, which by
+    the correspondence between the two sides needs level linear independence
+    plus a verified monomial order; the default candidate is the degree-major
+    representative-lex order.  mode="both" cross-checks.
     """
     if mode not in ("both", "poset", "monomial-ideals"):
         raise RingError(f"unknown mode {mode!r}")
@@ -458,18 +475,43 @@ def is_macaulay_ring(
         ground = [x for x in range(poset.n) if poset.rank[x] <= g]
         if len(ground) > MAX_ANTICHAIN_GROUND:
             raise ResourceLimitError(f"{len(ground)} generator candidates exceed the antichain cap")
-        failures = []
-        results = {}  # profile -> segment failure; the segment test reads only the profile
+        g = min(g, ring.D)  # the top generator degree
+        up = [sum(1 << y for y in above) for above in reachability(poset)]  # upset masks
+        top = ctx._level_masks[g]
+        high = sum(ctx._level_masks[g:])
+        failure = _segment_test(ctx, table)
+        failures = []  # (generator ids, witness)
+        tails = {}  # free top-degree set -> [(tail, number of subsets with that tail)]
         spans = {}  # span dimensions without level linear independence
-        for checked, (anti, ups) in enumerate(_antichains(poset, ground), 1):
-            profile = _mask_profile(ctx, ups, spans)
-            if profile not in results:
-                results[profile] = _segment_failure(ctx, table, profile)
-            if results[profile] is not None:
-                labels = tuple(poset.labels[x] for x in anti)
-                failures.append(IdealWitness(labels, profile, *results[profile]))
+        checked = 0
+
+        def top_subsets(free, ups):
+            # every subset of the free set, with the upset's part in degrees >= g
+            return _antichains(up, [x for x in ring.levels[g] if free >> x & 1], ups & high)
+
+        for anti, ups in _antichains(up, [x for x in ground if poset.rank[x] < g]):
+            free = top & ~ups
+            if free not in tails:
+                counts = Counter(_mask_profile(ctx, m, spans, g) for _, m in top_subsets(free, ups))
+                tails[free] = list(counts.items())
+            head = _mask_profile(ctx, ups, spans, 0, g)
+            bad = {}  # failing tail -> (profile, failing degree, kind)
+            for tail, count in tails[free]:
+                checked += count
+                profile = head + tail
+                found = failure(profile)
+                if found is not None:
+                    bad[tail] = (profile, *found)
+            if bad:
+                for chosen, mask in top_subsets(free, ups):
+                    hit = bad.get(_mask_profile(ctx, mask, spans, g))
+                    if hit:
+                        ids = anti + chosen
+                        labels = tuple(poset.labels[x] for x in ids)
+                        failures.append((ids, IdealWitness(labels, *hit)))
+        failures.sort(key=lambda pair: pair[0])
         verdict.ideals_checked = checked
-        verdict.ideal_witnesses = failures
+        verdict.ideal_witnesses = [w for _, w in failures]
         return not failures
 
     sides = []

@@ -385,6 +385,16 @@ RECIPE_RESOLVERS: dict[str, Callable] = {}
 VECTOR_KINDS = ("lex", "colex", "dom", "hc", "bc", "block")
 
 
+def ranks_vectors(recipe) -> bool:
+    """Whether resolving the recipe ranks exponent-vector labels: a vector
+    recipe, a degree-major order (it ranks every level by one), or the dual
+    of either."""
+    kind = recipe.get("kind") if isinstance(recipe, dict) else None
+    if kind == "dual":
+        return ranks_vectors(recipe.get("of"))
+    return kind in VECTOR_KINDS or kind == "degree-major"
+
+
 def order_from_recipe(poset: RankedPoset, recipe) -> OrderTable:
     """Regenerate an order table from its serialized recipe."""
     kind = _recipe_kind(recipe)

@@ -100,8 +100,13 @@ class Polynomial:
         ]
 
     @classmethod
-    def from_json(cls, data):
-        """Parse [{"exp": [int, ...], "coef": rational}, ...]; RingError on any other shape."""
+    def from_json(cls, data, d=None):
+        """Parse [{"exp": [int, ...], "coef": rational}, ...]; RingError on any other shape.
+
+        Given a variable count d, every term's exponents must be d
+        nonnegative integers, zero-coefficient terms included: those are
+        dropped, so no later check sees them.
+        """
         if not isinstance(data, list):
             raise RingError(f"a polynomial is a list of terms, got {data!r}")
         terms = {}
@@ -109,6 +114,8 @@ class Polynomial:
             exp = t.get("exp") if isinstance(t, dict) else None
             if not isinstance(exp, list) or any(type(a) is not int for a in exp):
                 raise RingError(f"a term needs a list of integers under 'exp', got {t!r}")
+            if d is not None and (len(exp) != d or min(exp, default=0) < 0):
+                raise RingError(f"exponents {exp!r} need {d} nonnegative entries")
             try:
                 terms[tuple(exp)] = Fraction(t.get("coef"))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -191,7 +198,7 @@ class QuotientRingSpec:
         if not isinstance(gens, list):
             raise RingError(f"ring spec generators must be a list, got {gens!r}")
         field = FieldSpec.from_json(data["field"])
-        return cls(d, field, tuple(Polynomial.from_json(g) for g in gens), D)
+        return cls(d, field, tuple(Polynomial.from_json(g, d) for g in gens), D)
 
     def with_field(self, field_spec: FieldSpec) -> "QuotientRingSpec":
         return QuotientRingSpec(self.d, field_spec, self.generators, self.D)

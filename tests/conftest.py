@@ -536,8 +536,39 @@ def quadratic_leveled_basis(ctx, table):
 
 
 # ---------------------------------------------------------------------------
-# List-building antichain loop: the oracle for the streamed bitmask loop in
-# hilbert.is_macaulay_ring (mode="monomial-ideals").
+# List-building antichain loop: the oracle for the batched bitmask scan in
+# hilbert.is_macaulay_ring (mode="monomial-ideals"), and the set-based segment
+# test on arbitrary per-degree segments: the oracle for its prefix-mask test.
+
+
+def segment_is_ideal(ctx, segments):
+    """Whether per-degree class sets are closed under upper shadows.
+
+    A monomial space is an ideal exactly when each level's upper shadow lands
+    in the next level's part; returns (flag, first failing degree or None).
+    """
+    sets = [frozenset(s) for s in segments]
+    sets += [frozenset()] * (ctx.ring.D + 1 - len(sets))
+    for i in range(ctx.ring.D):
+        nxt = sets[i + 1]
+        if any(y not in nxt for x in sets[i] for y in ctx.poset.up[x]):
+            return False, i
+    return True, None
+
+
+def segment_failure_oracle(ctx, table, profile):
+    """(first failing degree, kind) of the segment space of a profile, or None,
+    from the segments as sets and one span dimension per degree."""
+    from macaulay.hilbert import dual_segment
+
+    segs = [tuple(dual_segment(table, i, q)) for i, q in enumerate(profile)]
+    ok, fail_deg = segment_is_ideal(ctx, segs)
+    if not ok:
+        return fail_deg, "segment-not-ideal"
+    for i, seg in enumerate(segs):
+        if ctx.span_dim(i, seg) != profile[i]:
+            return i, "hilbert-mismatch"
+    return None
 
 
 def antichain_loop_oracle(ctx, table, max_gen_degree=None):
@@ -545,7 +576,7 @@ def antichain_loop_oracle(ctx, table, max_gen_degree=None):
     antichain of the low-degree classes, walking each one's upset in the class
     poset, and running the segment test on each upset's profile.  Witnesses are
     (generator labels, profile, failing degree, kind) tuples."""
-    from macaulay.hilbert import MAX_ANTICHAIN_GROUND, dual_segment, segment_is_ideal
+    from macaulay.hilbert import MAX_ANTICHAIN_GROUND
     from macaulay.poset import reachability
 
     poset = ctx.poset
@@ -580,12 +611,7 @@ def antichain_loop_oracle(ctx, table, max_gen_degree=None):
                     stack.append(y)
         by_degree = [sorted(x for x in seen if poset.rank[x] == i) for i in range(D + 1)]
         profile = tuple(ctx.span_dim(i, by_degree[i]) for i in range(D + 1))
-        segs = [tuple(dual_segment(table, i, profile[i])) for i in range(D + 1)]
-        ok, fail_deg = segment_is_ideal(ctx, segs)
-        bad = None if ok else (fail_deg, "segment-not-ideal")
-        for i in range(D + 1):
-            if bad is None and ctx.span_dim(i, segs[i]) != profile[i]:
-                bad = (i, "hilbert-mismatch")
+        bad = segment_failure_oracle(ctx, table, profile)
         if bad is not None:
             witnesses.append((tuple(poset.labels[x] for x in anti), profile) + bad)
     return witnesses, len(antichains)
@@ -600,10 +626,10 @@ def check_monomial_ideal_profile(ctx, table, upset_ids):
     equal size.  It runs the library's own profile and segment test on one
     ideal, outside the antichain scan.
     """
-    from macaulay.hilbert import _mask_profile, _segment_failure
+    from macaulay.hilbert import _mask_profile, _segment_test
 
     profile = _mask_profile(ctx, sum(1 << x for x in set(upset_ids)), {})
-    return profile, _segment_failure(ctx, table, profile)
+    return profile, _segment_test(ctx, table)(profile)
 
 
 # ---------------------------------------------------------------------------

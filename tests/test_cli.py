@@ -238,6 +238,25 @@ def test_ideal_exponents_must_fit_the_ring(tmp_path, capsys):
             assert err.startswith("error:") and "exponent" in err and err.count("\n") == 1, (sub, exp)
 
 
+def test_zero_terms_with_misfit_exponents_exit_2_on_spec_and_ideal(tmp_path, capsys):
+    # a zero term is dropped when the polynomial is built, so its exponents
+    # are checked while the file is read
+    good = {"exp": [2, 0], "coef": "1"}
+    for exp in ([5, -1, 7], [1], [-1, 3]):
+        zero = {"exp": exp, "coef": "0"}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"d": 2, "D": 3, "field": "q", "generators": [[good, zero]]}))
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"generators": [[good, zero]]}))
+        want = f"error: exponents {exp!r} need 2 nonnegative entries\n"
+        assert run(capsys, "ring", "build", "--spec", str(spec)) == (2, "", want)
+        for sub in ("hilbert", "ims"):
+            argv = ("ring", sub, "--spec", "cl:3,3", "--ideal", str(ideal))
+            assert run(capsys, *argv) == (2, "", want), sub
+    spec.write_text(json.dumps({"d": 2, "D": 3, "field": "q", "generators": [[good]]}))
+    assert run(capsys, "ring", "build", "--spec", str(spec))[0] == 0
+
+
 def test_large_prime_modulus(capsys):
     start = time.perf_counter()
     rc, _, _ = run(capsys, "check-ring", "--spec", "kk:3", "--field", "p:2305843009213693951",
@@ -311,6 +330,33 @@ def test_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path,
             assert rc == 2 and out == "" and err == f"error: {built.value}\n", (desc, order)
     rc, _, _ = run(capsys, "check-poset", "--poset", "spider:2,2", "--order", "family-default")
     assert rc == 0
+
+
+def test_wrapped_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path, capsys):
+    # a dual or degree-major order ranks vectors as well, however it is wrapped
+    recipes = {
+        "dual": {"kind": "dual", "of": {"kind": "lex"}},
+        "degree-major": {"kind": "degree-major", "per_rank": None, "default": {"kind": "lex"}},
+        "dual-degree-major": {"kind": "dual", "of": {"kind": "degree-major", "per_rank": {"1": {"kind": "lex"}}}},
+    }
+    errors = set()
+    for name, recipe in recipes.items():
+        with pytest.raises(M.OrderError) as built:
+            M.order_from_recipe(M.families.spider(2, 2), recipe)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(recipe))
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "check-poset", "--poset", "spider:999,999", "--order", f"recipe:{path}")
+        assert time.perf_counter() - t0 < 0.5, name
+        assert rc == 2 and out == "" and err == f"error: {built.value}\n", name
+        errors.add(err)
+    assert len(errors) == 1
+    # the dual of an order that ranks no vectors still resolves
+    n = M.families.spider(2, 2).n
+    path = tmp_path / "dual-explicit.json"
+    path.write_text(json.dumps({"kind": "dual", "of": {"kind": "explicit", "positions": list(range(n))}}))
+    rc, _, err = run(capsys, "check-poset", "--poset", "spider:2,2", "--order", f"recipe:{path}")
+    assert rc in (0, 1) and err == ""
 
 
 def test_check_poset_from_file_and_upper_direction(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import macaulay as M
 from macaulay import families as F
@@ -11,6 +12,7 @@ from macaulay.hilbert import (
     RingContext,
     _antichains,
     _mask_profile,
+    _segment_test,
     dual_segment,
     hilbert_function,
     ideal_in_ring,
@@ -18,10 +20,10 @@ from macaulay.hilbert import (
     initial_segment_space,
     is_macaulay_ring,
     leveled_basis,
-    segment_is_ideal,
     upset_closure,
 )
 from macaulay.orders import degree_major_order, explicit_order
+from macaulay.poset import reachability
 from macaulay.rings import degree_rep_lex_order, monomials_of_degree
 
 from conftest import (
@@ -31,6 +33,8 @@ from conftest import (
     generator_multiple_slices,
     is_isomorphic_by_labels,
     quadratic_leveled_basis,
+    segment_failure_oracle,
+    segment_is_ideal,
     transform_initial_monomials,
 )
 
@@ -44,6 +48,10 @@ def non_lli_ctx(D=2, field=M.RATIONALS):
         3, field, [M.Polynomial({(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): -1})], D
     )
     return RingContext(M.build_ring(spec))
+
+
+def upset_masks(poset):
+    return [sum(1 << y for y in above) for above in reachability(poset)]
 
 
 def mixed_order(ctx):
@@ -183,7 +191,7 @@ def test_segment_is_ideal_cl_profiles_exhaustive():
     # every monomial-ideal profile of the sorted-caps ring yields an ideal segment
     ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
     lex = M.lex_order(ctx.poset)
-    for anti, mask in _antichains(ctx.poset, range(ctx.poset.n)):
+    for anti, mask in _antichains(upset_masks(ctx.poset), range(ctx.poset.n)):
         ups = upset_closure(ctx.poset, anti)
         assert mask == sum(1 << x for x in ups), anti
         profile, bad = check_monomial_ideal_profile(ctx, lex, ups)
@@ -383,14 +391,22 @@ def _loop_ring(name):
     return ctx, b.default_order()
 
 
-@settings(max_examples=40, deadline=None)
+def _ring_and_degree(name):
+    """A pool ring with a generator degree from 0, where nothing lies below the
+    top degree, to D + 1, where the top degree clamps to D."""
+    return st.tuples(st.just(name), st.integers(0, _loop_ring(name)[0].ring.D + 1))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(_LOOP_POOL),
-    st.integers(1, 3),
+    st.sampled_from(_LOOP_POOL).flatmap(_ring_and_degree),
     st.booleans(),
     st.randoms(use_true_random=False),
 )
-def test_antichain_loop_matches_list_building_oracle(name, g, shuffle, rnd):
+@example(("leck:2+2,1", 4), True, random.Random(0))
+@example(("non-lli", 0), False, random.Random(0))
+def test_antichain_loop_matches_list_building_oracle(ring_and_degree, shuffle, rnd):
+    name, g = ring_and_degree
     ctx, table = _loop_ring(name)
     if shuffle:
         p = ctx.poset
@@ -405,6 +421,34 @@ def test_antichain_loop_matches_list_building_oracle(name, g, shuffle, rnd):
     got = [(w.generator_labels, w.profile, w.failing_degree, w.kind) for w in v.ideal_witnesses]
     assert (got, v.ideals_checked) == want
     assert v.holds == (not want[0])
+
+
+def test_top_degree_subsets_are_streamed_not_listed():
+    # the free ring in 14 variables at D = 2, generated in degree 1: the empty
+    # antichain below degree 1 leaves all 14 variables free, and each of their
+    # 2^14 subsets is an ideal; a list of all their upsets reads about 0.9 MiB
+    ring = M.build_ring(M.QuotientRingSpec(14, M.RATIONALS, [], 2))
+    lex = M.lex_order(RingContext(ring).poset)
+    assert is_macaulay_ring(ring, lex, "monomial-ideals", 0).ideals_checked == 2
+    tracemalloc.start()
+    try:
+        v = is_macaulay_ring(ring, lex, "monomial-ideals", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.holds and v.ideals_checked == 2**14 + 1
+    assert peak < 0.5 * 2**20, peak
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_LOOP_POOL), st.data())
+def test_prefix_mask_segment_test_matches_set_oracle(name, data):
+    # every profile of per-degree sizes, ideal or not, under a shuffled order
+    ctx, _ = _loop_ring(name)
+    p = ctx.poset
+    table = explicit_order(p, data.draw(st.permutations(range(p.n))))
+    profile = tuple(data.draw(st.integers(0, len(lvl))) for lvl in ctx.ring.levels)
+    assert _segment_test(ctx, table)(profile) == segment_failure_oracle(ctx, table, profile)
 
 
 _IDEAL_POOL = (
@@ -501,7 +545,7 @@ def test_memoised_non_lli_profiles_match_spans_from_scratch():
     assert not ctx.lli
     ground = [x for x in range(ctx.poset.n) if ctx.poset.rank[x] <= 3]
     memo = {}
-    antichains = list(_antichains(ctx.poset, ground))
+    antichains = list(_antichains(upset_masks(ctx.poset), ground))
     for _, ups in antichains:
         want = tuple(
             ctx.span_dim(i, [x for x in ids if ups >> x & 1]) for i, ids in enumerate(ctx.ring.levels)
