@@ -208,11 +208,14 @@ def cmd_check_ring(args):
 
 
 def cmd_export(args):
+    what = args.what.split(",")
+    unknown = [k for k in what if k not in ("poset-json", "poset-dot", "cubes", "order")]
+    if unknown:
+        raise MacaulayLibError(f"unknown --what kinds: {', '.join(map(repr, unknown))}")
     poset, built = _load_poset(args.poset, _field(args))
     if poset is None:
         poset = built.poset
     os.makedirs(args.out, exist_ok=True)
-    what = args.what.split(",")
     written = []
     if "poset-json" in what:
         path = os.path.join(args.out, "poset.json")

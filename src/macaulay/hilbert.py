@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError
@@ -25,7 +26,7 @@ from .rings import (
     is_monomial_order,
     poset_of_monomials,
 )
-from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, is_macaulay
+from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _shadow_masks, is_macaulay
 
 MAX_ANTICHAIN_GROUND = 24
 
@@ -235,20 +236,21 @@ def dual_segment(table: OrderTable, level: int, q: int):
 
 
 def initial_segment_space(ctx: RingContext, v_dims, table: OrderTable):
-    """Span of the per-degree dual segments whose sizes are prescribed by v_dims.
+    """Span of the per-degree dual segments whose sizes are prescribed by v_dims,
+    a list or a {degree: size} dict; a nonzero size outside 0..D is a RingError.
 
     Returns (GradedSubspace, segment class ids per degree).  Dimensions can
     drop below the segment size exactly when the ring is not level linearly
     independent.
     """
     ring = ctx.ring
-    if isinstance(v_dims, dict):
-        v_dims = [v_dims.get(i, 0) for i in range(ring.D + 1)]
-    v_dims = list(v_dims) + [0] * (ring.D + 1 - len(v_dims))
-    segs = []
-    dims = []
+    sizes = v_dims if isinstance(v_dims, dict) else dict(enumerate(v_dims))
+    for i, q in sizes.items():
+        if q and i not in range(ring.D + 1):
+            raise RingError(f"degree {i}: requested {q} classes past the top degree {ring.D}")
+    segs, dims = [], []
     for i in range(ring.D + 1):
-        q = v_dims[i]
+        q = sizes.get(i, 0)
         avail = len(ctx.classes_at(i))
         if q < 0 or q > avail:
             raise RingError(f"degree {i}: requested {q} classes, only {avail} exist")
@@ -370,25 +372,21 @@ def _mask_profile(ctx: RingContext, ups, memo, lo=0, hi=None):
 def _segment_test(ctx: RingContext, table: OrderTable):
     """The segment test: profile -> (first failing degree, kind), or None.
 
-    The segment of size q in a degree is its q order-largest classes; per
-    degree and every q the test keeps the segment's mask and the mask of
-    its upper covers.  The segments of a profile p form an ideal exactly
-    when, in each degree i < D, the covers of the p_i-segment lie in the
-    p_(i+1)-segment.  Without level linear independence a segment may also
-    span less than its size: a "hilbert-mismatch".
+    The segment of size q in a degree is its q order-largest classes.  The
+    segments of a profile p form an ideal exactly when, in each degree
+    i < D, the p_i-segment's upper shadow lies in the p_(i+1)-segment: as a
+    mask over degree i + 1's dual order (`_shadow_masks`), its bit length
+    `reach[i][p_i]` is at most p_(i+1).  Without level linear independence
+    a segment may also span less than its size: a "hilbert-mismatch".
     """
-    seg, shadow = [], []
-    for i in range(ctx.ring.D + 1):
-        seg.append([0])
-        shadow.append([0])
-        for x in table.level_in_order(i, reverse=True):
-            seg[i].append(seg[i][-1] | 1 << x)
-            shadow[i].append(shadow[i][-1] | sum(1 << y for y in ctx.poset.up[x]))
+    orders = [table.level_in_order(i, reverse=True) for i in range(ctx.ring.D + 1)]
+    ups = [_shadow_masks(ctx.poset.up, src, dst) for src, dst in zip(orders, orders[1:])]
+    reach = [[m.bit_length() for m in accumulate(masks, int.__or__, initial=0)] for masks in ups]
 
     @cache  # per scan: many ideals share a profile
     def failure(profile):
-        for i in range(ctx.ring.D):
-            if shadow[i][profile[i]] & ~seg[i + 1][profile[i + 1]]:
+        for i, r in enumerate(reach):
+            if r[profile[i]] > profile[i + 1]:
                 return i, "segment-not-ideal"
         if not ctx.lli:
             for i, q in enumerate(profile):

@@ -59,8 +59,9 @@ class FieldSpec:
     def from_json(cls, text):
         if text == "q":
             return cls("rationals", None)
-        if isinstance(text, str) and text.startswith("p:") and text[2:].isdigit():
-            return cls("prime", int(text[2:]))
+        digits = text[2:] if isinstance(text, str) and text.startswith("p:") else ""
+        if digits.isascii() and digits.isdigit():  # str.isdigit alone admits '²' and '٣'
+            return cls("prime", int(digits))
         raise RingError(f"unknown field spec {text!r}")
 
 

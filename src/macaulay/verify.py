@@ -8,15 +8,18 @@ direction "upper" uses the reversed per-level segments and upper shadows,
 which is the form the dual side of the theory wants.
 
 `is_macaulay`, `min_shadow` and the order search share one level-scan
-kernel: one direction dispatch, one builder of shadow position lists, one
-segment pass (each prefix's shadow size and whether it is a target prefix)
-and one split-and-combine minimum, `_level_minima` (Horowitz and Sahni's
-meet in the middle).  It turns each shadow list into an int bitmask, keeps
-each half of the level as its distinct inclusion-minimal subset ORs per
-size, starts every bound at the initial segment's shadow, and meets each
-high-half OR with every low-half OR at once, as bit-parallel arithmetic on
-one packed int; the exact per-pair minimum runs only where a pair beats its
-bound.  `min_shadow_profile` gives a level's minima for every size.
+kernel: one direction dispatch, one shadow builder, `_shadow_masks` (each
+shadow as an int bitmask over the target positions; the ring's segment test
+in `hilbert` reads it too), and one split-and-combine minimum,
+`_level_minima` (Horowitz and Sahni's meet in the middle).  The shadow of
+the first q sources is the prefix OR m of their masks: m.bit_count() is its
+size, and it is a target prefix exactly when m & (m + 1) is zero.
+`_level_minima` keeps each half of the level as its distinct
+inclusion-minimal subset ORs per size, starts every bound at the initial
+segment's shadow, and meets each high-half OR with every low-half OR at
+once, as bit-parallel arithmetic on one packed int; the exact per-pair
+minimum runs only where a pair beats its bound.  `min_shadow_profile` gives
+a level's minima for every size.
 Witnesses are found on demand, for the sizes a caller reports, in one
 Gray-code pass: they are the first minimizers the full 2^k Gray walk would
 report.  `_check_subset_cap` runs before any table is built, so every caller
@@ -32,6 +35,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, groupby, repeat
 from math import factorial
 from typing import Optional
@@ -102,11 +106,11 @@ class MacaulayVerdict:
 
 
 def _direction(poset, direction):
-    """Neighbour lists, shadow function and level step of a checking direction."""
+    """Neighbour lists and level step of a checking direction."""
     if direction == "lower":
-        return poset.down, poset.lower_shadow, -1
+        return poset.down, -1
     if direction == "upper":
-        return poset.up, poset.upper_shadow, 1
+        return poset.up, 1
     raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
 
 
@@ -118,29 +122,10 @@ def _level_frames(poset, table, step):
         yield lvl, source, table.level_in_order(lvl + step, reverse=reverse)
 
 
-def _shadow_lists(neigh, source, target):
-    """Per source element, the positions in `target` of its neighbours."""
-    tpos = {x: j for j, x in enumerate(target)}
-    return [tuple(tpos[y] for y in neigh[x]) for x in source]
-
-
-def _segments(sh, nt):
-    """Yield, for q = 1..k, the shadow size of the first q sources and whether
-    that shadow is the first positions 0..size-1 of the target (continuity).
-
-    Lazy, so a caller that only wants continuous segments stops at the first gap.
-    """
-    counts = [0] * nt
-    shadow = 0
-    max_idx = -1
-    for row in sh:
-        for idx in row:
-            if counts[idx] == 0:
-                shadow += 1
-                if idx > max_idx:
-                    max_idx = idx
-            counts[idx] += 1
-        yield shadow, max_idx == shadow - 1
+def _shadow_masks(neigh, source, target):
+    """Per source element, the int bitmask of its neighbours' positions in `target`."""
+    bit = {x: 1 << j for j, x in enumerate(target)}
+    return [sum(bit[y] for y in neigh[x]) for x in source]
 
 
 def _check_subset_cap(k, level, cap):
@@ -195,13 +180,9 @@ def _lean(table, n, w):
     return lean
 
 
-def _row_masks(sh):
-    """Each shadow list as an int bitmask over the target positions."""
-    return [sum(1 << idx for idx in set(row)) for row in sh]
-
-
-def _level_minima(sh, level, cap):
-    """Minimum shadow size over all subsets of each size, by split and combine.
+def _level_minima(rows, level, cap):
+    """Minimum shadow size over all subsets of each size, by split and combine;
+    `rows` are the shadows as bitmasks (`_shadow_masks`).
 
     Returns `best`, indexed by subset size, and `find(sizes)`, which maps each
     requested size to its first minimizer in Gray-code order, as a bitmask
@@ -218,9 +199,8 @@ def _level_minima(sh, level, cap):
       low row adds to `a`, since any r low rows add at least that many, and
       scans a low bucket, in Gray order, only once a lean low OR hits best.
     """
-    k = len(sh)
+    k = len(rows)
     _check_subset_cap(k, level, cap)
-    rows = _row_masks(sh)
     prefix = list(accumulate(rows, int.__or__, initial=0))
     w = max(8, 1 << prefix[-1].bit_length().bit_length())
     lo = k // 2
@@ -292,8 +272,8 @@ def _level_minima(sh, level, cap):
     return best, find
 
 
-def _mask_to_ids(mask, source):
-    return tuple(source[j] for j in range(len(source)) if mask >> j & 1)
+def _mask_to_ids(mask, items):
+    return tuple(items[j] for j in range(len(items)) if mask >> j & 1)
 
 
 def is_macaulay(
@@ -312,26 +292,27 @@ def is_macaulay(
     t0 = time.perf_counter()
     if table.poset != poset:
         raise ValueError("order table does not belong to this poset")
-    neigh, shadow_of, step = _direction(poset, direction)
+    neigh, step = _direction(poset, direction)
     verdict = MacaulayVerdict(True, direction)
     for lvl, source, target in _level_frames(poset, table, step):
-        sh = _shadow_lists(neigh, source, target)
-        segments = list(_segments(sh, len(target)))
-        best, find = _level_minima(sh, lvl, max_subsets)
+        masks = _shadow_masks(neigh, source, target)
+        prefix = list(accumulate(masks, int.__or__, initial=0))
+        best, find = _level_minima(masks, lvl, max_subsets)
         verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
+        # a shadow is a target prefix exactly when its mask m has m + 1 a power of two
         failing = [
-            q for q, (size, is_prefix) in enumerate(segments, 1) if best[q] < size or not is_prefix
+            q for q, m in enumerate(prefix) if best[q] < m.bit_count() or m & (m + 1)
         ][: None if all_failures else 1]
-        witnesses = find(q for q in failing if best[q] < segments[q - 1][0])
+        witnesses = find(q for q in failing if best[q] < prefix[q].bit_count())
+        shadow = lambda m: tuple(sorted(_mask_to_ids(m, target)))
         for q in failing:
-            segment = source[:q]
-            segment_shadow = tuple(sorted(shadow_of(segment)))
+            segment, segment_shadow = source[:q], shadow(prefix[q])
             if q in witnesses:
-                witness = _mask_to_ids(witnesses[q], source)
+                rows = _mask_to_ids(witnesses[q], masks)
                 failure = MacaulayFailure(
-                    lvl, "nestedness", q, witness, tuple(sorted(shadow_of(witness))),
-                    segment, segment_shadow,
+                    lvl, "nestedness", q, _mask_to_ids(witnesses[q], source),
+                    shadow(reduce(int.__or__, rows, 0)), segment, segment_shadow,
                 )
             else:
                 failure = MacaulayFailure(
@@ -347,11 +328,11 @@ def is_macaulay(
 
 
 def _level_kernel(poset, level, direction, max_subsets):
-    """The ids of a level and `_level_minima` of their shadows."""
-    neigh, _, step = _direction(poset, direction)
+    """The ids of a level and `_level_minima` of their shadow masks."""
+    neigh, step = _direction(poset, direction)
     ids = poset.level(level)
-    sh = _shadow_lists(neigh, ids, poset.level(level + step))
-    return ids, *_level_minima(sh, level, max_subsets)
+    masks = _shadow_masks(neigh, ids, poset.level(level + step))
+    return ids, *_level_minima(masks, level, max_subsets)
 
 
 def min_shadow_profile(
@@ -415,13 +396,12 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
         level = levels[i]
         k = len(level)
         below = chosen[i - 1] if i else []
-        rows = _shadow_lists(poset.down, level, below)
-        masks = _row_masks(rows)
+        masks = _shadow_masks(poset.down, level, below)
         over_cap = i > 0 and (1 << k) > DEFAULT_SUBSET_CAP
         # Level 0 has no level below, and a level over the cap gets no minima:
         # only continuity cuts there.
         best = [len(below)] * (k + 1) if i == 0 or over_cap else (
-            _level_minima(rows, i, DEFAULT_SUBSET_CAP)[0])
+            _level_minima(masks, i, DEFAULT_SUBSET_CAP)[0])
         perm = []
 
         def grow(shadow):

@@ -177,6 +177,32 @@ def express_in_basis(basis_rref, basis_pivots, basis_transform, vec, field):
 
 
 # ---------------------------------------------------------------------------
+# Shadow position lists: the form the kernel oracles read, and the oracle for
+# verify._shadow_masks and for the prefix-OR reading of segments.
+
+
+def shadow_lists(neigh, source, target):
+    """Per source element, the positions in `target` of its neighbours."""
+    tpos = {x: j for j, x in enumerate(target)}
+    return [tuple(tpos[y] for y in neigh[x]) for x in source]
+
+
+def row_masks(sh):
+    """Each shadow list as an int bitmask over the target positions."""
+    return [sum(1 << idx for idx in set(row)) for row in sh]
+
+
+def segment_pass_oracle(sh, nt):
+    """For q = 1..k, the shadow size of the first q sources and whether that
+    shadow is the first positions 0..size-1 of the `nt` targets, by set union."""
+    shadow = set()
+    for row in sh:
+        shadow.update(row)
+        assert shadow <= set(range(nt))
+        yield len(shadow), shadow == set(range(len(shadow)))
+
+
+# ---------------------------------------------------------------------------
 # Gray-code walk: the oracle for the split-and-combine level kernel in verify.
 
 
@@ -236,7 +262,7 @@ def per_pair_minima(sh):
     packed combine."""
     from macaulay import verify
 
-    rows = verify._row_masks(sh)
+    rows = row_masks(sh)
     k, lo = len(rows), len(rows) // 2
     low_rows = rows[:lo]
     lean_low = quadratic_lean(verify._subset_ors(low_rows), lo)
@@ -771,7 +797,8 @@ def macaulay_by_definition(poset, table, direction="lower"):
     """
     from macaulay.verify import _direction, _level_frames
 
-    _, shadow_of, step = _direction(poset, direction)
+    _, step = _direction(poset, direction)
+    shadow_of = poset.lower_shadow if direction == "lower" else poset.upper_shadow
     for lvl, source, target in _level_frames(poset, table, step):
         k = len(source)
         for mask in range(1, 1 << k):
@@ -828,11 +855,11 @@ def _level_pair_ok(sh, nt, level):
     from macaulay import verify
 
     sizes = []
-    for size, is_prefix in verify._segments(sh, nt):
+    for size, is_prefix in segment_pass_oracle(sh, nt):
         if not is_prefix:
             return False
         sizes.append(size)
-    best, _ = verify._level_minima(sh, level, verify.DEFAULT_SUBSET_CAP)
+    best, _ = verify._level_minima(row_masks(sh), level, verify.DEFAULT_SUBSET_CAP)
     return all(b >= s for b, s in zip(best[1:], sizes))
 
 
@@ -840,8 +867,6 @@ def permutation_search_oracle(poset, budget=200_000):
     """The order search as one permutation per budget unit: the first per-level
     order, in canonical order, that passes every level against the one below;
     None when none exists; SearchBudgetExceeded past `budget` permutations."""
-    from macaulay.verify import _shadow_lists
-
     levels = [list(poset.level(i)) for i in range(poset.max_rank + 1)]
     chosen = [None] * len(levels)
     nodes = 0
@@ -852,7 +877,7 @@ def permutation_search_oracle(poset, budget=200_000):
             return True
         if i > 0:
             below = chosen[i - 1]
-            rows = dict(zip(levels[i], _shadow_lists(poset.down, levels[i], below)))
+            rows = dict(zip(levels[i], shadow_lists(poset.down, levels[i], below)))
         for perm in itertools.permutations(levels[i]):
             nodes += 1
             if nodes > budget:

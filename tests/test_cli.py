@@ -138,6 +138,15 @@ def test_export_roundtrip(tmp_path, capsys):
     assert order["labels"][0] == [0, 0]
 
 
+def test_export_unknown_kind_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc, out, err = run(capsys, "export", "--poset", "multiset:2,2", "--what", "poset-json,bogus,cube",
+                       "--out", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err == "error: unknown --what kinds: 'bogus', 'cube'\n"
+    assert not out_dir.exists()
+
+
 def test_export_star_roundtrip(tmp_path, capsys):
     rc, _, _ = run(capsys, "export", "--poset", "star:3", "--what", "poset-json", "--out", str(tmp_path))
     assert rc == 0
@@ -400,6 +409,17 @@ def test_check_ring_non_prime_modulus_is_usage_error(capsys):
                        "--field", "p:32004")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "32004" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["p:\u00b2", "p:\u0663", "p:3\u00b2", "p:\uff17"])
+def test_non_ascii_digit_modulus_is_usage_error(field, tmp_path, capsys):
+    # str.isdigit accepts superscripts and other scripts' digits; int() takes some of them
+    spec = tmp_path / "ring.json"
+    spec.write_text(json.dumps({"d": 2, "field": field, "generators": [], "D": 2}))
+    for argv in (["--spec", "torus:3,1", "--field", field], ["--spec", str(spec)]):
+        rc, out, err = run(capsys, "check-ring", *argv, "--order", "lex")
+        assert rc == 2 and out == ""
+        assert err == f"error: unknown field spec {field!r}\n"
 
 
 def test_check_ring_coefficient_not_invertible_is_usage_error(tmp_path, capsys):

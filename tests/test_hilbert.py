@@ -167,6 +167,17 @@ def test_segment_space_dims_lli():
     assert space.dims == ctx.ring.hilbert()
 
 
+def test_segment_space_refuses_sizes_past_the_top_degree():
+    ctx = RingContext(M.build_ring(F.cl_ring([2, 2], M.RATIONALS)))  # D = 2
+    lex = M.lex_order(ctx.poset)
+    for sizes, degree in (([1, 2, 1, 5, 7], 3), ({5: 1}, 5), ({-1: 1}, -1)):
+        with pytest.raises(RingError, match=f"^degree {degree}: requested"):
+            initial_segment_space(ctx, sizes, lex)
+    # zero sizes past D ask for nothing
+    for sizes in ([1, 2, 1, 0, 0], {0: 1, 1: 2, 2: 1, 3: 0, -1: 0}):
+        assert initial_segment_space(ctx, sizes, lex)[0].dims == (1, 2, 1)
+
+
 def test_segment_space_dimension_drop_without_lli():
     ctx = non_lli_ctx()
     lex = M.lex_order(ctx.poset)

@@ -24,6 +24,9 @@ from conftest import (
     per_pair_minima,
     permutation_search_oracle,
     quadratic_lean,
+    row_masks,
+    segment_pass_oracle,
+    shadow_lists,
 )
 
 
@@ -131,7 +134,7 @@ def test_level_kernel_checks_the_cap_before_building_tables(monkeypatch):
 
     monkeypatch.setattr(verify, "_subset_ors", no_tables)
     with pytest.raises(ResourceLimitError, match="level 9 has 40 elements"):
-        verify._level_minima([(0,)] * 40, 9, verify.DEFAULT_SUBSET_CAP)
+        verify._level_minima(row_masks([(0,)] * 40), 9, verify.DEFAULT_SUBSET_CAP)
 
 
 @st.composite
@@ -156,7 +159,7 @@ def _wide_shadow_rows(draw):
 
 def _kernel_minima(sh, nt, level, cap):
     """The kernel's minima and the witness of every size, in gray_minima's shape."""
-    best, find = verify._level_minima(sh, level, cap)
+    best, find = verify._level_minima(row_masks(sh), level, cap)
     masks = find(range(len(sh) + 1))
     return best, [masks[q] for q in range(len(sh) + 1)]
 
@@ -180,7 +183,7 @@ def test_level_kernel_matches_gray_walk_on_an_18_element_level():
     table = M.lex_order(p)
     source, target = table.level_in_order(5), table.level_in_order(4)
     assert len(source) == 18
-    sh = verify._shadow_lists(p.down, source, target)
+    sh = shadow_lists(p.down, source, target)
     assert _kernel_minima(sh, len(target), 5, 2 ** 18) == gray_minima(sh, len(target))
 
 
@@ -207,6 +210,18 @@ def test_level_kernel_matches_gray_walk_at_field_edges(nt, k, seed):
     assert per_pair_minima(sh) == best
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FIELD_EDGES), st.integers(0, 12), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 2 ** 32))
+def test_prefix_masks_give_segment_sizes_and_continuity(nt, k, stairs, seed):
+    # `stairs` of the rows become target prefixes, so continuous segments are common
+    rng = random.Random(seed)
+    sh = [tuple(range(len(row))) if rng.random() < stairs else row
+          for row in _dense_rows(rng, nt, k)]
+    prefix = itertools.accumulate(row_masks(sh), int.__or__)
+    assert [(m.bit_count(), not m & (m + 1)) for m in prefix] == list(segment_pass_oracle(sh, nt))
+
+
 def test_level_kernel_beats_its_seed_at_every_field_edge():
     # best below the seed (the first q rows) means the exact per-pair
     # fallback ran and the packed bounds were rebuilt
@@ -225,22 +240,37 @@ def test_level_kernel_beats_its_seed_at_every_field_edge():
 def _lean_halves(sh):
     """The two halves' subset tables of a level, with their sizes, and the
     field width of the level kernel."""
-    rows = verify._row_masks(sh)
+    rows = row_masks(sh)
     lo = len(rows) // 2
     w = max(8, 1 << functools.reduce(int.__or__, rows, 0).bit_length().bit_length())
     halves = [(verify._subset_ors(rows[:lo]), lo), (verify._subset_ors(rows[lo:]), len(rows) - lo)]
     return halves, w
 
 
-@pytest.mark.parametrize(
-    "desc", ["multiset:4,6,7", "multiset:5,5,5", "multiset:2,2,2,2,2,2", "be:2,2,2",
-             "multiset:6,5,4", "be:1,2,2"])
+_GRID_POOL = ["multiset:4,6,7", "multiset:5,5,5", "multiset:2,2,2,2,2,2", "be:2,2,2",
+              "multiset:6,5,4", "be:1,2,2"]
+
+
+@pytest.mark.parametrize("desc", _GRID_POOL)
+def test_shadow_masks_match_the_position_lists_on_grid_levels(desc):
+    p = builtin(desc).poset
+    table = _shuffled_levels(p, desc)
+    for direction in ("lower", "upper"):
+        neigh, step = verify._direction(p, direction)
+        for lvl in range(p.max_rank + 1):
+            for source, target in [(p.level(lvl), p.level(lvl + step)),
+                                   (table.level_in_order(lvl), table.level_in_order(lvl + step))]:
+                got = verify._shadow_masks(neigh, source, target)
+                assert got == row_masks(shadow_lists(neigh, source, target))
+
+
+@pytest.mark.parametrize("desc", _GRID_POOL)
 def test_packed_lean_matches_the_quadratic_oracle_on_grid_levels(desc):
     p = builtin(desc).poset
     for direction in ("lower", "upper"):
-        neigh, _, step = verify._direction(p, direction)
+        neigh, step = verify._direction(p, direction)
         for lvl in range(p.max_rank + 1):
-            sh = verify._shadow_lists(neigh, p.level(lvl), p.level(lvl + step))
+            sh = shadow_lists(neigh, p.level(lvl), p.level(lvl + step))
             halves, w = _lean_halves(sh)
             for table, n in halves:
                 assert verify._lean(table, n, w) == quadratic_lean(table, n)
@@ -291,6 +321,17 @@ def test_all_failures_reports_match_golden_digests(desc, direction):
     p = builtin(desc).poset
     verdict = M.is_macaulay(p, _shuffled_levels(p, desc), direction=direction, all_failures=True)
     assert _digest(verdict.to_dict(p)) == GOLDEN_REPORTS[(desc, direction)]
+
+
+@pytest.mark.parametrize("desc, direction", sorted(GOLDEN_REPORTS))
+def test_failure_records_carry_the_set_shadows(desc, direction):
+    p = builtin(desc).poset
+    shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
+    verdict = M.is_macaulay(p, _shuffled_levels(p, desc), direction=direction, all_failures=True)
+    assert verdict.failures
+    for f in verdict.failures:
+        assert f.segment_shadow == tuple(sorted(shadow(f.segment)))
+        assert f.witness_shadow == tuple(sorted(shadow(f.witness)))
 
 
 def test_min_shadow_matches_golden_digest():
