@@ -18,7 +18,7 @@ monomial-order candidate as JSON recipes, resolved by `order_from_recipe`;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import prod
 from typing import Optional, Sequence
 
@@ -34,7 +34,7 @@ from .orders import (
     table_from_vectors,
 )
 from .poset import RankedPoset, cartesian_power, cartesian_product, check_size, dual
-from .poset import multiset_lattice
+from .poset import check_product, multiset_lattice
 from .rings import (
     FieldSpec,
     Polynomial,
@@ -96,6 +96,7 @@ def _spider_rep(element, k, length):
 
 def colored_poset(ns: Sequence[int]) -> RankedPoset:
     """Product of dual stars (the class posets of square-free quotients)."""
+    check_product(n + 1 for n in ns)  # before any factor is built
     return cartesian_product([dual(star(n)) for n in ns])
 
 
@@ -197,8 +198,7 @@ def bezrukov_elsasser_poset(k: int, length: int, n: int) -> RankedPoset:
 
 def kk_ring(d: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     """Quotient by the squares of all variables (square-free monomials survive)."""
-    gens = [monomial(tuple(2 if j == i else 0 for j in range(d))) for i in range(d)]
-    return QuotientRingSpec(d, field, gens, d)
+    return cl_ring([2] * d, field)
 
 
 def cl_ring(caps: Sequence[int], field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
@@ -225,17 +225,16 @@ def colored_sf_ring(ns: Sequence[int], field: FieldSpec = FieldSpec(), D=None) -
     return tensor_ring([_colored_basic(n, field) for n in ns], D)
 
 
+def _powers_and_products(d, cap):
+    """x_i^cap for each variable i, then x_i * x_j for each i < j."""
+    return [monomial(tuple(cap * (v == i) for v in range(d))) for i in range(d)] + [
+        monomial(tuple(int(v in pair) for v in range(d))) for pair in combinations(range(d), 2)
+    ]
+
+
 def be_basic_ring(k: int, length: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     """k+1 variables, powers capped at length+1, distinct variables annihilating."""
-    d = k + 1
-    gens = [monomial(tuple(length + 1 if j == i else 0 for j in range(d))) for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = [0] * d
-            e[i] = 1
-            e[j] = 1
-            gens.append(monomial(tuple(e)))
-    return QuotientRingSpec(d, field, gens, length)
+    return QuotientRingSpec(k + 1, field, _powers_and_products(k + 1, length + 1), length)
 
 
 def be_ring(k: int, length: int, n: int, field: FieldSpec = FieldSpec(), D=None) -> QuotientRingSpec:
@@ -250,12 +249,7 @@ def torus_basic_ring(p: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec
     """
     if p < 2:
         raise RingError("torus parameter must be at least 2")
-    gens = [
-        monomial((p + 1, 0)),
-        monomial((0, p + 1)),
-        monomial((1, 1)),
-        Polynomial({(p, 0): 1, (0, p): -1}),
-    ]
+    gens = _powers_and_products(2, p + 1) + [Polynomial({(p, 0): 1, (0, p): -1})]
     return QuotientRingSpec(2, field, gens, p)
 
 
@@ -285,15 +279,10 @@ def diamond_basic_ring(field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     The gluing relations are quadratic; linear ones would collapse the whole
     middle level, not just the squares.
     """
-    gens = [monomial((3, 0, 0)), monomial((0, 3, 0)), monomial((0, 0, 3))]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            e = [0, 0, 0]
-            e[i] = 1
-            e[j] = 1
-            gens.append(monomial(tuple(e)))
-    gens.append(Polynomial({(2, 0, 0): 1, (0, 2, 0): -1}))
-    gens.append(Polynomial({(0, 2, 0): 1, (0, 0, 2): -1}))
+    gens = _powers_and_products(3, 3) + [
+        Polynomial({(2, 0, 0): 1, (0, 2, 0): -1}),
+        Polynomial({(0, 2, 0): 1, (0, 0, 2): -1}),
+    ]
     return QuotientRingSpec(3, field, gens, 2)
 
 

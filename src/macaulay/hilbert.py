@@ -6,7 +6,6 @@ which "the segment space is an ideal" characterizes Macaulay rings.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import accumulate
@@ -328,17 +327,16 @@ class RingMacaulayVerdict:
         }
 
 
-def _antichains(up, ground, ups=0):
+def _antichains(up, ground):
     """Antichains of the ground elements with their upset masks, streamed depth-first.
 
-    `up` holds each element's upset mask, and every upset is ORed onto
-    `ups`.  The empty antichain comes first, then the rest in lexicographic
-    order of element ids.  A child adds one larger ground element x,
-    comparable with no member, to its parent: its upset mask is the
-    parent's OR x's.
+    `up` holds each element's upset mask.  The empty antichain comes first,
+    then the rest in lexicographic order of element ids.  A child adds one
+    larger ground element x, comparable with no member, to its parent: its
+    upset mask is the parent's OR x's.
     """
     comp = {x: sum(1 << y for y in ground if (up[x] >> y | up[y] >> x) & 1) for x in ground}
-    stack = [((), sum(1 << x for x in ground), ups)]  # antichain, free elements, upset
+    stack = [((), sum(1 << x for x in ground), 0)]  # antichain, free elements, upset
     while stack:
         chosen, free, ups = stack.pop()
         yield chosen, ups
@@ -350,18 +348,17 @@ def _antichains(up, ground, ups=0):
             stack.append((chosen + (x,), free & ~comp[x] & -(2 << x), ups | up[x]))
 
 
-def _mask_profile(ctx: RingContext, ups, memo, lo=0, hi=None):
-    """Degreewise dimension, in degrees lo..hi - 1, of the span of the classes in a mask.
+def _mask_profile(ctx: RingContext, ups, memo):
+    """Degreewise dimension of the span of the classes in a mask.
 
     Without level linear independence each dimension is an RREF; `memo`
     keeps them by (degree, the mask's bits in that level), which recur
     across the masks of one scan.
     """
-    masks = ctx._level_masks[lo:hi]
     if ctx.lli:
-        return tuple([(ups & m).bit_count() for m in masks])
+        return tuple([(ups & m).bit_count() for m in ctx._level_masks])
     dims = []
-    for i, level in enumerate(masks, lo):
+    for i, level in enumerate(ctx._level_masks):
         key = (i, ups & level)
         if key not in memo:
             memo[key] = ctx.span_dim(i, [x for x in ctx.ring.levels[i] if ups >> x & 1])
@@ -410,20 +407,11 @@ def is_macaulay_ring(
 
     mode="monomial-ideals" enumerates the monomial ideals generated in
     degrees <= max_gen_degree, as upsets of antichains of the class poset,
-    and tests each profile.  With g the top generator degree (max_gen_degree
-    clamped to D), the antichains below g stream depth-first with int bitmask
-    upsets: a child's upset is its parent's OR the new element's, and under
-    level linear independence a profile is one popcount per degree.  Every
-    subset of the degree-g classes outside an antichain's upset (its free
-    set) extends it, and since the poset is graded the upset's part in
-    degrees >= g is the upset of the degree-g classes not free: the tails
-    (degrees g..D) of the extensions' profiles depend on the free set alone.
-    They are counted once per free set, streaming its subsets, and each
-    antichain joins its head (degrees < g) to every tail.  The segment test
-    reads only the profile, so its result is memoised by profile.  All this
-    is exact: the count, and the witnesses, which re-stream the subsets of a
-    failing tail and are sorted by generator ids into depth-first order, are
-    those of testing every ideal on its own.
+    and tests each profile.  The antichains stream depth-first with int
+    bitmask upsets: a child's upset is its parent's OR the new element's,
+    and under level linear independence a profile is one popcount per
+    degree.  The segment test reads only the profile, so its result is
+    memoised by profile.  Witnesses come in depth-first order.
 
     mode="poset" checks the class poset on the upper-shadow side, which by
     the correspondence between the two sides needs level linear independence
@@ -473,44 +461,19 @@ def is_macaulay_ring(
         ground = [x for x in range(poset.n) if poset.rank[x] <= g]
         if len(ground) > MAX_ANTICHAIN_GROUND:
             raise ResourceLimitError(f"{len(ground)} generator candidates exceed the antichain cap")
-        g = min(g, ring.D)  # the top generator degree
         up = [sum(1 << y for y in above) for above in reachability(poset)]  # upset masks
-        top = ctx._level_masks[g]
-        high = sum(ctx._level_masks[g:])
         failure = _segment_test(ctx, table)
-        failures = []  # (generator ids, witness)
-        tails = {}  # free top-degree set -> [(tail, number of subsets with that tail)]
         spans = {}  # span dimensions without level linear independence
         checked = 0
-
-        def top_subsets(free, ups):
-            # every subset of the free set, with the upset's part in degrees >= g
-            return _antichains(up, [x for x in ring.levels[g] if free >> x & 1], ups & high)
-
-        for anti, ups in _antichains(up, [x for x in ground if poset.rank[x] < g]):
-            free = top & ~ups
-            if free not in tails:
-                counts = Counter(_mask_profile(ctx, m, spans, g) for _, m in top_subsets(free, ups))
-                tails[free] = list(counts.items())
-            head = _mask_profile(ctx, ups, spans, 0, g)
-            bad = {}  # failing tail -> (profile, failing degree, kind)
-            for tail, count in tails[free]:
-                checked += count
-                profile = head + tail
-                found = failure(profile)
-                if found is not None:
-                    bad[tail] = (profile, *found)
-            if bad:
-                for chosen, mask in top_subsets(free, ups):
-                    hit = bad.get(_mask_profile(ctx, mask, spans, g))
-                    if hit:
-                        ids = anti + chosen
-                        labels = tuple(poset.labels[x] for x in ids)
-                        failures.append((ids, IdealWitness(labels, *hit)))
-        failures.sort(key=lambda pair: pair[0])
+        for anti, ups in _antichains(up, ground):
+            checked += 1
+            profile = _mask_profile(ctx, ups, spans)
+            found = failure(profile)
+            if found is not None:
+                labels = tuple(poset.labels[x] for x in anti)
+                verdict.ideal_witnesses.append(IdealWitness(labels, profile, *found))
         verdict.ideals_checked = checked
-        verdict.ideal_witnesses = [w for _, w in failures]
-        return not failures
+        return not verdict.ideal_witnesses
 
     sides = []
     if mode != "monomial-ideals":

@@ -8,19 +8,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import PosetError, ResourceLimitError
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
+_PRINTABLE_BITS = 14_000  # str() refuses ints of more than 4,300 digits, about 14,284 bits
 
 
 def check_size(total):
     """`total`, once it is known not to exceed `DEFAULT_PRODUCT_LIMIT`; checked before building."""
     if total > DEFAULT_PRODUCT_LIMIT:
-        raise ResourceLimitError(f"poset would have {total} elements (limit {DEFAULT_PRODUCT_LIMIT})")
+        count = total if total.bit_length() < _PRINTABLE_BITS else f"more than {DEFAULT_PRODUCT_LIMIT}"
+        raise ResourceLimitError(f"poset would have {count} elements (limit {DEFAULT_PRODUCT_LIMIT})")
     return total
+
+
+def check_product(sizes):
+    """The product of the positive `sizes`, by `check_size`; it stops growing once
+    too long to print, so the sizes may be many, or lazy and unbounded."""
+    total = 1
+    for s in sizes:
+        total *= s
+        if total.bit_length() >= _PRINTABLE_BITS:
+            break
+    return check_size(total)
 
 
 def series_product(series, D):
@@ -224,7 +236,7 @@ def multiset_lattice(shape, truncation=None) -> RankedPoset:
     cap = shape.truncation
     if cap is None:
         cap = sum(l - 1 for l in lengths)
-        check_size(prod(lengths))
+        check_product(lengths)
     else:
         chains = [[1] * (cap + 1 if l is None else min(l, cap + 1)) for l in lengths]
         check_size(sum(series_product(chains, cap)))
@@ -305,7 +317,7 @@ def cartesian_product(
         return truncate(p, truncation) if truncation is not None else p
     # Count before materializing so a runaway request fails fast.
     if truncation is None:
-        check_size(prod(p.n for p in posets))
+        check_product(p.n for p in posets)
     else:
         levels = [[len(lvl) for lvl in p.levels] for p in posets]
         check_size(sum(series_product(levels, truncation)))
@@ -348,8 +360,9 @@ def cartesian_product(
     return RankedPoset(len(elems), covers, rank, labels)
 
 
-def cartesian_power(poset: RankedPoset, n: int, **kw) -> RankedPoset:
-    return cartesian_product([poset] * n, **kw)
+def cartesian_power(poset: RankedPoset, n: int) -> RankedPoset:
+    check_product(poset.n for _ in range(n))  # before the list of n factors
+    return cartesian_product([poset] * n)
 
 
 def truncate(poset: RankedPoset, n: int) -> RankedPoset:

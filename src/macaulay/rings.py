@@ -61,6 +61,10 @@ class FieldSpec:
             return cls("rationals", None)
         digits = text[2:] if isinstance(text, str) and text.startswith("p:") else ""
         if digits.isascii() and digits.isdigit():  # str.isdigit alone admits '²' and '٣'
+            if len(digits) > len(str(PRIME_LIMIT)):  # int() refuses past 4,300 digits
+                raise RingError(
+                    f"prime field needs a prime modulus below {PRIME_LIMIT}, got {len(digits)} digits"
+                )
             return cls("prime", int(digits))
         raise RingError(f"unknown field spec {text!r}")
 

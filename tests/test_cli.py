@@ -322,6 +322,20 @@ def test_oversized_poset_builtins_exit_3_before_building(capsys):
         assert rc == 3 and out == "" and "(limit 1000000)" in err and err.count("\n") == 1, desc
 
 
+def test_huge_poset_descriptors_exit_3(capsys):
+    # their totals run past the 4,300 digits str() prints, and be: once listed
+    # all n factors before counting them
+    for desc in ("be:1,2,99999", "colored:" + ",".join(["9"] * 5000),
+                 "multiset:" + ",".join(["2"] * 20000)):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", "lex")
+        assert time.perf_counter() - t0 < 0.5, desc[:20]
+        assert rc == 3 and out == "" and err.count("\n") == 1, desc[:20]
+        assert "more than 1000000 elements (limit 1000000)" in err
+    rc, _, err = run(capsys, "check-poset", "--poset", "multiset:1001,1001,1001", "--order", "lex")
+    assert rc == 3 and err.endswith("poset would have 1003003001 elements (limit 1000000)\n")
+
+
 def test_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path, capsys):
     # star and spider label their elements 0..n-1, so no vector recipe fits them
     block = tmp_path / "block.json"
@@ -420,6 +434,18 @@ def test_non_ascii_digit_modulus_is_usage_error(field, tmp_path, capsys):
         rc, out, err = run(capsys, "check-ring", *argv, "--order", "lex")
         assert rc == 2 and out == ""
         assert err == f"error: unknown field spec {field!r}\n"
+
+
+def test_overlong_modulus_is_usage_error(tmp_path, capsys):
+    # int() refuses strings of more than 4,300 digits with a ValueError
+    field = "p:" + "7" * 5000
+    spec = tmp_path / "ring.json"
+    spec.write_text(json.dumps({"d": 2, "field": field, "generators": [], "D": 2}))
+    for argv in (["--spec", "torus:3,1", "--field", field], ["--spec", str(spec)]):
+        rc, out, err = run(capsys, "check-ring", *argv, "--order", "lex")
+        assert rc == 2 and out == ""
+        assert err == "error: prime field needs a prime modulus below 3317044064679887385961981, " \
+                      "got 5000 digits\n"
 
 
 def test_check_ring_coefficient_not_invertible_is_usage_error(tmp_path, capsys):

@@ -308,3 +308,32 @@ def test_acceptance_constructions_registry():
     assert len(cons) == 10
     names = [c[0] for c in cons]
     assert len(set(names)) == 10
+
+
+def _spec_json(d, D, *gens):
+    """A spec's to_json() over p:32003; a generator is a monomial's exponents,
+    or a list of (exponents, coefficient) terms in to_json's sorted order."""
+    terms = [[(g, "1")] if isinstance(g, tuple) else g for g in gens]
+    generators = [[{"exp": list(e), "coef": c} for e, c in g] for g in terms]
+    return {"d": d, "field": "p:32003", "generators": generators, "D": D}
+
+
+def test_basic_ring_constructors_keep_their_specs():
+    # `check-ring` hashes spec.to_json(), so generator order is part of the output
+    cases = [
+        (F.kk_ring(3), _spec_json(3, 3, (2, 0, 0), (0, 2, 0), (0, 0, 2))),
+        (F.kk_ring(1), _spec_json(1, 1, (2,))),
+        (F.be_basic_ring(2, 1), _spec_json(
+            3, 1, (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))),
+        (F.be_basic_ring(1, 3), _spec_json(2, 3, (4, 0), (0, 4), (1, 1))),
+        (F.be_basic_ring(0, 2), _spec_json(1, 2, (3,))),
+        (F.torus_basic_ring(2), _spec_json(
+            2, 2, (3, 0), (0, 3), (1, 1), [((0, 2), "-1"), ((2, 0), "1")])),
+        (F.torus_basic_ring(3), _spec_json(
+            2, 3, (4, 0), (0, 4), (1, 1), [((0, 3), "-1"), ((3, 0), "1")])),
+        (F.diamond_basic_ring(), _spec_json(
+            3, 2, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+            [((0, 2, 0), "-1"), ((2, 0, 0), "1")], [((0, 0, 2), "-1"), ((0, 2, 0), "1")])),
+    ]
+    for spec, want in cases:
+        assert spec.to_json() == want

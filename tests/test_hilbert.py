@@ -434,10 +434,10 @@ def test_antichain_loop_matches_list_building_oracle(ring_and_degree, shuffle, r
     assert v.holds == (not want[0])
 
 
-def test_top_degree_subsets_are_streamed_not_listed():
-    # the free ring in 14 variables at D = 2, generated in degree 1: the empty
-    # antichain below degree 1 leaves all 14 variables free, and each of their
-    # 2^14 subsets is an ideal; a list of all their upsets reads about 0.9 MiB
+def test_antichains_are_streamed_not_listed():
+    # the free ring in 14 variables at D = 2, generated in degrees <= 1: each
+    # of the 2^14 sets of variables is an antichain, and so is {1}; a list of
+    # all their upsets reads about 0.9 MiB
     ring = M.build_ring(M.QuotientRingSpec(14, M.RATIONALS, [], 2))
     lex = M.lex_order(RingContext(ring).poset)
     assert is_macaulay_ring(ring, lex, "monomial-ideals", 0).ideals_checked == 2
