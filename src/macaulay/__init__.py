@@ -28,17 +28,10 @@ from .poset import (
     upper_shadow,
 )
 from .orders import (
-    BlockSpec,
     OrderTable,
-    block_order,
-    border_chaser,
-    colex_order,
     degree_major_order,
-    domination_order,
     dual_order,
     explicit_order,
-    hyperrectangle_chaser,
-    initial_segment,
     lex_order,
     order_from_recipe,
 )

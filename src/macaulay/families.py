@@ -152,20 +152,14 @@ def mermin_murai_order(poset: RankedPoset, ns: Sequence[int], side: str = "poset
     return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
 
 
-def _be_block_perm(block_index):
-    """Per-block domination permutation: coordinates with lower legs lead.
+def _be_recipe(k, length, n):
+    """The spider toset and the block recipe of the order on the n-th spider power:
+    border-chaser starts, and inside each block the "dom-by-block" domination
+    order, which compares coordinates in lower legs first.
 
     The published rule scans leg labels from the largest down, taking unused
     coordinates largest-first and filling the last comparison slots first;
-    equivalently, compare coordinates sorted by (leg, coordinate) ascending.
-    """
-    order = sorted(range(len(block_index)), key=lambda j: (block_index[j], j))
-    return [j + 1 for j in order]
-
-
-def _be_recipe(k, length, n):
-    """The spider toset and the block recipe of the order on the n-th spider power:
-    border-chaser starts, domination blocks."""
+    that gives the same permutation as sorting by (leg, coordinate)."""
     _spider_size(k, length)
     toset = [j + h * (k + 1) for j in range(k + 1) for h in range(length)]
     toset.append((k + 1) * length)  # the head rides in the last leg's block
@@ -173,7 +167,7 @@ def _be_recipe(k, length, n):
         "kind": "block",
         "cuts": [[1 + j * length for j in range(k + 1)]] * n,
         "starts": {"kind": "bc"},
-        "blocks": lambda b: {"kind": "dom", "perm": _be_block_perm(b)},
+        "blocks": "dom-by-block",
     }
     return toset, recipe
 
@@ -532,24 +526,6 @@ def _resolve_family(poset, recipe):
     if fam == "torus":
         return torus_order(poset, params)
     return diamond_order(poset, *params)
-
-
-def acceptance_constructions(field: FieldSpec = FieldSpec()):
-    """The ten named constructions at desk sizes, each with a total order.
-
-    Families with a published Macaulay order carry it; the Leck family has
-    none and rides with the representative-lex order (its duality behaviour
-    is what gets exercised, not Macaulayness).  Returns (name, poset, order,
-    expect_macaulay) tuples.
-    """
-    out = []
-    for name in ("star:3", "spider:2,2", "be:1,2,2", "kk:3", "cl:3,4", "colored:2,2",
-                 "be-ring:3,2,2", "torus:3,2", "diamond:2"):
-        b = builtin(name, field)
-        out.append((name, b.poset, b.default_order(), True))
-    leck = builtin("leck:2,1", field)
-    out.append(("leck:2,1", leck.poset, rep_lex_order(leck.poset), None))
-    return out
 
 
 RECIPE_FIELDS["family-default"] = {"family": str, "params": [int], "side": (None, str)}

@@ -13,12 +13,13 @@ of the coordinates below that index).  The border chaser (bc) is the hc key
 of the coordinate complement with every integer negated: two hc keys first
 differ at integers in the same place, so negation reverses the order.  A
 block order is (starts key of the block index, key of the local vector under
-that block's recipe).
+the blocks' recipe).  The block rule "dom-by-block" instead gives each block
+the domination order that compares coordinates sorted by (block index,
+coordinate), so coordinates in lower blocks lead.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import OrderError
@@ -56,7 +57,7 @@ RECIPE_FIELDS = {
     "dom": {"perm": [int]},
     "hc": {"choices": (None, [[[int]]])},
     "bc": {"choices": (None, [[[int]]])},
-    "block": {"cuts": [[int]], "starts": dict, "blocks": (dict, Callable)},
+    "block": {"cuts": [[int]], "starts": dict, "blocks": (dict, str)},
     "explicit": {"positions": [int]},
     "dual": {"of": dict},
     "degree-major": {"per_rank": (None, dict), "default": (None, dict)},
@@ -124,9 +125,10 @@ def _vector_key(recipe, lengths):
     for cc, l in zip(cuts0, lengths):
         if not cc or cc[0] != 0 or list(cc) != sorted(set(cc)) or cc[-1] >= l:
             raise OrderError(f"malformed ordered partition {cc!r} for toset of size {l}")
-    starts = _vector_key(recipe["starts"], [len(cc) for cc in cuts0])
     blocks = recipe["blocks"]
-    rule = blocks if callable(blocks) else (lambda b: blocks)
+    if isinstance(blocks, str) and blocks != "dom-by-block":
+        raise OrderError(f"unknown block rule {blocks!r}; expected a recipe or 'dom-by-block'")
+    starts = _vector_key(recipe["starts"], [len(cc) for cc in cuts0])
     inner = {}  # block index -> (first positions, key inside the block)
 
     def key(v):
@@ -134,7 +136,11 @@ def _vector_key(recipe, lengths):
         if b not in inner:
             base = [cc[i] for cc, i in zip(cuts0, b)]
             ends = [(cc + (l,))[i + 1] for cc, i, l in zip(cuts0, b, lengths)]
-            inner[b] = base, _vector_key(rule(b), [e - s for e, s in zip(ends, base)])
+            if blocks == "dom-by-block":
+                local = _dom_key(sorted(range(1, d + 1), key=lambda j: (b[j - 1], j)))
+            else:
+                local = _vector_key(blocks, [e - s for e, s in zip(ends, base)])
+            inner[b] = base, local
         base, local = inner[b]
         return starts(b), local(tuple(x - s for x, s in zip(v, base)))
 
@@ -245,77 +251,6 @@ def lex_order(poset: RankedPoset) -> OrderTable:
     return table_from_vectors(poset, *_vector_labels(poset), {"kind": "lex"})
 
 
-def colex_order(poset: RankedPoset) -> OrderTable:
-    """Colexicographic order: last coordinate compared first."""
-    return table_from_vectors(poset, *_vector_labels(poset), {"kind": "colex"})
-
-
-def domination_order(poset: RankedPoset, perm) -> OrderTable:
-    """Compare coordinate perm(1) first, then perm(2), ... (perm is 1-based)."""
-    return table_from_vectors(poset, *_vector_labels(poset), {"kind": "dom", "perm": list(perm)})
-
-
-def _choices_to_recipe(choices):
-    if not choices:
-        return None
-    return [
-        [sorted(c + 1 for c in coords), list(perm)]
-        for coords, perm in sorted(choices.items(), key=lambda kv: tuple(sorted(kv[0])))
-    ]
-
-
-def hyperrectangle_chaser(poset: RankedPoset, choices=None) -> OrderTable:
-    """Order preferring full sub-boxes near the origin.
-
-    x precedes y when its largest toset index is smaller; ties fall to the
-    domination comparison of the initial complements, then recurse on the
-    remaining coordinates.  The default domination pick is lexicographic at
-    every subproduct; `choices` overrides per coordinate subset (0-based
-    frozensets mapping to 1-based permutations).
-    """
-    recipe = {"kind": "hc"}
-    enc = _choices_to_recipe(choices)
-    if enc:
-        recipe["choices"] = enc
-    return table_from_vectors(poset, *_vector_labels(poset), recipe)
-
-
-def border_chaser(poset: RankedPoset, choices=None) -> OrderTable:
-    """Pullback of the reversed hyperrectangle chaser along coordinate complement."""
-    recipe = {"kind": "bc"}
-    enc = _choices_to_recipe(choices)
-    if enc:
-        recipe["choices"] = enc
-    return table_from_vectors(poset, *_vector_labels(poset), recipe)
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Ordered partitions of each coordinate toset plus the two order recipes.
-
-    `cuts` lists, per coordinate, the 1-based start indices of the blocks;
-    the first cut must be 1, so every element belongs to exactly one block.
-    `block_recipe` may be a single recipe dict or a callable mapping a block
-    index vector to a recipe.
-    """
-
-    cuts: tuple
-    starts_recipe: dict
-    block_recipe: object = field(default_factory=lambda: {"kind": "lex"})
-
-    def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(tuple(c) for c in self.cuts))
-
-
-def block_order(poset: RankedPoset, spec: BlockSpec) -> OrderTable:
-    """Order by block starts first, then inside each block."""
-    cuts = [list(c) for c in spec.cuts]
-    recipe = {"kind": "block", "cuts": cuts, "starts": spec.starts_recipe, "blocks": spec.block_recipe}
-    # callables do not serialize; the caller owns the recipe description
-    public = {"kind": "block", "cuts": cuts} if callable(spec.block_recipe) else recipe
-    return table_from_vectors(poset, *_vector_labels(poset), recipe, public)
-
-
 def explicit_order(poset: RankedPoset, ids_in_order, recipe=None) -> OrderTable:
     ids = list(ids_in_order)
     if sorted(ids) != list(range(poset.n)):
@@ -365,14 +300,6 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
         "default": default,
     }
     return explicit_order(poset, ids, recipe)
-
-
-def initial_segment(table: OrderTable, level: int, q: int) -> frozenset:
-    """The q first elements of the level under the table's order."""
-    lvl = table.level_in_order(level)
-    if q < 0 or q > len(lvl):
-        raise OrderError(f"segment size {q} out of range for level of size {len(lvl)}")
-    return frozenset(lvl[:q])
 
 
 # ---------------------------------------------------------------------------

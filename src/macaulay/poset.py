@@ -16,11 +16,18 @@ DEFAULT_PRODUCT_LIMIT = 1_000_000
 _PRINTABLE_BITS = 14_000  # str() refuses ints of more than 4,300 digits, about 14,284 bits
 
 
+def printable_count(total):
+    """A count over `DEFAULT_PRODUCT_LIMIT` as a cap message prints it: the
+    number where str() can print it, else "more than" the limit."""
+    return total if total.bit_length() < _PRINTABLE_BITS else f"more than {DEFAULT_PRODUCT_LIMIT}"
+
+
 def check_size(total):
     """`total`, once it is known not to exceed `DEFAULT_PRODUCT_LIMIT`; checked before building."""
     if total > DEFAULT_PRODUCT_LIMIT:
-        count = total if total.bit_length() < _PRINTABLE_BITS else f"more than {DEFAULT_PRODUCT_LIMIT}"
-        raise ResourceLimitError(f"poset would have {count} elements (limit {DEFAULT_PRODUCT_LIMIT})")
+        raise ResourceLimitError(
+            f"poset would have {printable_count(total)} elements (limit {DEFAULT_PRODUCT_LIMIT})"
+        )
     return total
 
 

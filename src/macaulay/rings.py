@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .errors import ResourceLimitError, RingError
 from .linalg import PRIME_LIMIT, QQ, Field, is_prime, rref
 from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
-from .poset import DEFAULT_PRODUCT_LIMIT, RankedPoset, series_product
+from .poset import DEFAULT_PRODUCT_LIMIT, RankedPoset, printable_count, series_product
 
 DEFAULT_PRIME = 32003
 
@@ -285,7 +285,7 @@ class RingModel:
                 count = comb(k + spec.D, spec.D)
                 if count > limit:
                     raise ResourceLimitError(
-                        f"a component of {k} variables has {count} monomials "
+                        f"a component of {k} variables has {printable_count(count)} monomials "
                         f"of degree <= {spec.D} (limit {limit})"
                     )
                 eliminated[key] = _eliminate(k, fgens, spec.D, self.field)
@@ -302,7 +302,7 @@ class RingModel:
         total = sum(series_product([[len(ids) for ids in piece[1]] for piece in pieces], spec.D))
         if total > limit:
             raise ResourceLimitError(
-                f"the ring would have {total} products of factor classes "
+                f"the ring would have {printable_count(total)} products of factor classes "
                 f"of degree <= {spec.D} (limit {limit})"
             )
         while len(pieces) > 1:  # fold neighbours, so that most folds are small

@@ -732,7 +732,13 @@ def _rank_block(vectors, lengths, recipe):
     cuts0 = [tuple(c - 1 for c in cc) for cc in recipe["cuts"]]
     starts_recipe = recipe["starts"]
     block_recipe = recipe["blocks"]
-    rule = block_recipe if callable(block_recipe) else (lambda b: block_recipe)
+
+    def rule(b):
+        if block_recipe != "dom-by-block":
+            return block_recipe
+        # coordinates in lower blocks lead; ties keep coordinate order
+        by_block = sorted(range(len(b)), key=lambda j: (b[j], j))
+        return {"kind": "dom", "perm": [j + 1 for j in by_block]}
 
     def block_index(v):
         return tuple(bisect_right(cc, x) - 1 for cc, x in zip(cuts0, v))
@@ -951,3 +957,23 @@ def pulled_back_mermin_murai_ring_order(poset, ns):
     ids = {colored_ring_label(q.labels[x], ns): x for x in range(q.n)}
     pos = [table.position[ids[lab]] for lab in poset.labels]
     return M.OrderTable(poset, pos, {**table.recipe, "side": "ring"})
+
+
+def acceptance_constructions():
+    """The ten named constructions at desk sizes, each with a total order.
+
+    Families with a published Macaulay order carry it; the Leck family has
+    none and rides with the representative-lex order (its duality behaviour
+    is what gets exercised, not Macaulayness).  Returns (name, poset, order,
+    expect_macaulay) tuples.
+    """
+    from macaulay import families as F
+
+    out = []
+    for name in ("star:3", "spider:2,2", "be:1,2,2", "kk:3", "cl:3,4", "colored:2,2",
+                 "be-ring:3,2,2", "torus:3,2", "diamond:2"):
+        b = F.builtin(name)
+        out.append((name, b.poset, b.default_order(), True))
+    leck = F.builtin("leck:2,1")
+    out.append(("leck:2,1", leck.poset, M.rep_lex_order(leck.poset), None))
+    return out

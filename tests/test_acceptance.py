@@ -21,7 +21,7 @@ from macaulay.hilbert import (
 from macaulay.orders import degree_major_order
 from macaulay.rings import degree_rep_lex_order
 
-from conftest import check_monomial_ideal_profile
+from conftest import acceptance_constructions, check_monomial_ideal_profile
 
 PRIME = M.FieldSpec("prime", 32003)
 QQ_FIELD = M.RATIONALS
@@ -80,7 +80,7 @@ def test_criterion_02_sorted_caps():
 
 def test_criterion_03_dual_lemma_all_constructions():
     with criterion(3, "dual-lemma agreement on the ten named constructions", 10.0):
-        cons = F.acceptance_constructions()
+        cons = acceptance_constructions()
         assert len(cons) == 10
         for name, poset, order, expect in cons:
             here = M.is_macaulay(poset, order).holds

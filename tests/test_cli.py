@@ -336,6 +336,38 @@ def test_huge_poset_descriptors_exit_3(capsys):
     assert rc == 3 and err.endswith("poset would have 1003003001 elements (limit 1000000)\n")
 
 
+def test_huge_ring_spec_exits_3(tmp_path, capsys):
+    # comb(16000, 8000) monomials: about 4,800 digits, more than str() prints
+    d = 8000
+    spec = tmp_path / "ring.json"
+    spec.write_text(json.dumps({"d": d, "field": "p:32003", "D": d,
+                                "generators": [[{"exp": [1] * d, "coef": "1"}]]}))
+    rc, out, err = run(capsys, "check-ring", "--spec", str(spec), "--order", "lex")
+    assert rc == 3 and out == "" and err.count("\n") == 1
+    assert err.endswith(f"a component of {d} variables has more than 1000000 monomials "
+                        f"of degree <= {d} (limit 1000000)\n")
+
+
+def test_dom_by_block_recipe_file(tmp_path, capsys):
+    # the Bezrukov–Elsässer block rule is plain JSON, so a recipe file carries it
+    p = M.multiset_lattice([3, 3])
+    recipe = {"kind": "block", "cuts": [[1, 2], [1, 3]], "starts": {"kind": "bc"},
+              "blocks": "dom-by-block"}
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, err = run(capsys, "check-poset", "--poset", "multiset:3,3", "--order",
+                       f"recipe:{path}", "--json")
+    verdict = M.is_macaulay(p, M.order_from_recipe(p, recipe))
+    report = json.loads(out)
+    assert rc == (0 if verdict.holds else 1) and err == ""
+    assert report["inputs"]["order"] == recipe
+    assert report["verdict"] == json.loads(json.dumps(verdict.to_dict(p), default=str))
+    path.write_text(json.dumps({**recipe, "blocks": "dom-by-leg"}))
+    rc, out, err = run(capsys, "check-poset", "--poset", "multiset:3,3", "--order", f"recipe:{path}")
+    assert rc == 2 and out == ""
+    assert err == "error: unknown block rule 'dom-by-leg'; expected a recipe or 'dom-by-block'\n"
+
+
 def test_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path, capsys):
     # star and spider label their elements 0..n-1, so no vector recipe fits them
     block = tmp_path / "block.json"
@@ -592,7 +624,8 @@ _RECIPE_KINDS = {
     "dom": {"perm": [[1, 2], [2, 1]]},
     "hc": {"choices": [[[[1, 2], [2, 1]]], []]},
     "bc": {"choices": [[[[1, 2], [2, 1]]], []]},
-    "block": {"cuts": [[[1], [1, 2]], [[1, 2], [1, 2]]], "starts": [_LEX], "blocks": [_LEX]},
+    "block": {"cuts": [[[1], [1, 2]], [[1, 2], [1, 2]]], "starts": [_LEX],
+              "blocks": [_LEX, "dom-by-block", "dom-by-leg"]},
     "explicit": {"positions": [[0, 1, 2, 3], [3, 1, 0, 2]]},
     "dual": {"of": [_LEX]},
     "degree-major": {"per_rank": [{"1": _LEX}], "default": [_LEX]},

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import macaulay as M
 from macaulay import families as F
 from macaulay.errors import OrderError, PosetError
-from macaulay.orders import order_from_recipe
+from macaulay.orders import order_from_recipe, table_from_vectors
 
 from conftest import (
+    acceptance_constructions,
     is_isomorphic_by_labels,
     pulled_back_be_ring_order,
     pulled_back_mermin_murai_ring_order,
@@ -84,7 +85,7 @@ def test_mermin_murai_unit_factors_reduce_to_border_chaser():
     # relabel to the grid: bottom (label 1) -> 0, leg (label 0) -> 1
     vec = {x: tuple(0 if v == 1 else 1 for v in p.labels[x]) for x in range(p.n)}
     grid = M.multiset_lattice([2, 2, 2])
-    bc = M.border_chaser(grid)
+    bc = order_from_recipe(grid, {"kind": "bc"})
     for x in range(p.n):
         assert o.position[x] == bc.position[grid.id_of(vec[x])]
 
@@ -95,11 +96,34 @@ def test_mermin_murai_requires_sorted_sizes():
         F.mermin_murai_order(p, [2, 3])
 
 
+BE_SMALL = [(1, 2, 1), (2, 2, 1), (0, 3, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3)]
+
+
 def test_be_order_is_macaulay_small():
-    for (k, l, n) in [(1, 2, 1), (2, 2, 1), (0, 3, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3)]:
+    for (k, l, n) in BE_SMALL:
         p = F.bezrukov_elsasser_poset(k, l, n)
         o = F.bezrukov_elsasser_order(p, k, l, n)
         assert M.is_macaulay(p, o).holds, (k, l, n)
+
+
+def test_be_block_recipe_round_trips_through_json():
+    # the per-block domination rule is a JSON value, so the recipe survives a
+    # recipe file unchanged and ranks the same vectors the same way
+    for (k, l, n) in BE_SMALL:
+        p = F.bezrukov_elsasser_poset(k, l, n)
+        toset, recipe = F._be_recipe(k, l, n)
+        again = json.loads(json.dumps(recipe))
+        assert again == recipe and again["blocks"] == "dom-by-block"
+        split = (lambda label: list(label)) if n > 1 else (lambda label: [label])
+        table = table_from_vectors(p, *F._factor_positions(p, [toset] * n, split), again)
+        assert table.position == F.bezrukov_elsasser_order(p, k, l, n).position, (k, l, n)
+    ring = F.builtin("be-ring:3,2,2")
+    p, (k, l, n) = ring.poset, ring.order_recipe()["params"]
+    toset, recipe = F._be_recipe(k, l, n)
+    tosets = [[F._spider_rep(a, k, l) for a in toset]] * n
+    vectors = F._factor_positions(p, tosets, F._split_flat([k + 1] * n))
+    table = table_from_vectors(p, *vectors, json.loads(json.dumps(recipe)))
+    assert [p.n - 1 - q for q in table.position] == list(F.be_ring_order(p, k, l, n).position)
 
 
 def test_be_single_leg_is_lex_on_grid():
@@ -117,8 +141,6 @@ def test_be_single_leg_is_lex_on_grid():
 
 def test_be_unit_legs_blocks_are_lex():
     # with one-element legs the per-block domination order degenerates to lex
-    from macaulay.orders import BlockSpec, block_order
-
     k, n = 2, 2
     p = F.bezrukov_elsasser_poset(k, 1, n)
     o = F.bezrukov_elsasser_order(p, k, 1, n)
@@ -130,13 +152,9 @@ def test_be_unit_legs_blocks_are_lex():
         p.rank,
         [tuple(index[v] for v in p.labels[x]) for x in range(p.n)],
     )
-    plain = block_order(
-        relabeled,
-        BlockSpec(
-            (tuple(range(1, k + 2)),) * n, {"kind": "bc"}, {"kind": "lex"}
-        ),
-    )
-    assert o.position == plain.position
+    recipe = {"kind": "block", "cuts": [list(range(1, k + 2))] * n,
+              "starts": {"kind": "bc"}, "blocks": {"kind": "lex"}}
+    assert o.position == order_from_recipe(relabeled, recipe).position
 
 
 def test_torus_order_is_macaulay():
@@ -304,7 +322,7 @@ def test_builtins_carry_json_recipes():
 
 
 def test_acceptance_constructions_registry():
-    cons = F.acceptance_constructions()
+    cons = acceptance_constructions()
     assert len(cons) == 10
     names = [c[0] for c in cons]
     assert len(set(names)) == 10

@@ -1,12 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import macaulay as M
-from macaulay import families as F
 from macaulay.errors import OrderError
-from macaulay.orders import BlockSpec, initial_segment, order_from_recipe, rank_vectors
+from macaulay.orders import RECIPE_FIELDS, order_from_recipe, rank_vectors
 
 from conftest import comparator_rank_vectors
 
@@ -26,39 +26,51 @@ def test_lex_singleton():
     assert M.lex_order(s).position == (0,)
 
 
+LEX, COLEX, HC, BC = ({"kind": k} for k in ("lex", "colex", "hc", "bc"))
+
+
+def dom(*perm):
+    return {"kind": "dom", "perm": list(perm)}
+
+
+def block_recipe(cuts, starts, blocks=None):
+    return {"kind": "block", "cuts": [list(c) for c in cuts], "starts": starts,
+            "blocks": blocks or LEX}
+
+
 def test_colex_on_m333():
     p = M.multiset_lattice([3, 3, 3])
-    colex = M.colex_order(p)
+    colex = order_from_recipe(p, COLEX)
     assert colex.labels_in_order()[:4] == ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0))
 
 
 def test_colex_level_restriction(m34):
-    colex = M.colex_order(m34)
+    colex = order_from_recipe(m34, COLEX)
     assert [m34.labels[x] for x in colex.level_in_order(1)] == [(1, 0), (0, 1)]
 
 
 def test_colex_equals_lex_in_dimension_one():
     c = M.chain(5)
-    assert M.colex_order(c) == M.lex_order(c)
+    assert order_from_recipe(c, COLEX) == M.lex_order(c)
 
 
 def test_domination_identity_is_lex(m34):
-    assert M.domination_order(m34, (1, 2)).position == M.lex_order(m34).position
+    assert order_from_recipe(m34, dom(1, 2)).position == M.lex_order(m34).position
 
 
 def test_domination_reversal_is_colex(m34):
-    assert M.domination_order(m34, (2, 1)).position == M.colex_order(m34).position
+    assert order_from_recipe(m34, dom(2, 1)).position == order_from_recipe(m34, COLEX).position
 
 
 def test_domination_m22():
     p = M.multiset_lattice([2, 2])
-    dom = M.domination_order(p, (2, 1))
-    assert dom.labels_in_order() == ((0, 0), (1, 0), (0, 1), (1, 1))
+    table = order_from_recipe(p, dom(2, 1))
+    assert table.labels_in_order() == ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def test_domination_invalid_perm(m34):
     with pytest.raises(OrderError):
-        M.domination_order(m34, (1, 3))
+        order_from_recipe(m34, dom(1, 3))
 
 
 def test_non_vector_labels_rejected():
@@ -77,32 +89,32 @@ def test_hc_internals_scd_and_complement():
 
 
 def test_hc_first_four_is_square(m34):
-    hc = M.hyperrectangle_chaser(m34)
+    hc = order_from_recipe(m34, HC)
     assert set(hc.labels_in_order()[:4]) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_hc_scd_ordering(m34):
     # (1,1) before (2,0): single coordinate distance 2 < 3
-    hc = M.hyperrectangle_chaser(m34)
+    hc = order_from_recipe(m34, HC)
     assert hc.position[m34.id_of((1, 1))] < hc.position[m34.id_of((2, 0))]
 
 
 def test_bc_first_elements(m34):
-    bc = M.border_chaser(m34)
+    bc = order_from_recipe(m34, BC)
     assert bc.labels_in_order()[0] == (0, 0)
     assert all(v[0] == 0 or v[1] == 0 for v in bc.labels_in_order()[:3])
 
 
 def test_bc_on_chain_is_chain_order():
     c = M.chain(5)
-    assert M.border_chaser(c).position == M.lex_order(c).position
+    assert order_from_recipe(c, BC).position == M.lex_order(c).position
 
 
 def test_bc_hc_complement_identity():
     for shape in [(3, 4), (2, 2, 2), (4, 4)]:
         p = M.multiset_lattice(shape)
-        hc = M.hyperrectangle_chaser(p)
-        bc = M.border_chaser(p)
+        hc = order_from_recipe(p, HC)
+        bc = order_from_recipe(p, BC)
         n = p.n
         for x in range(n):
             comp = tuple(l - 1 - v for l, v in zip(shape, p.labels[x]))
@@ -117,7 +129,7 @@ def _is_downset(poset, ids):
 @pytest.mark.parametrize("shape", [(5, 5, 5), (3, 4), (2, 2, 2, 2), (4, 4), (2, 3, 5)])
 def test_chaser_prefixes_are_downsets(shape):
     p = M.multiset_lattice(shape)
-    for table in (M.hyperrectangle_chaser(p), M.border_chaser(p)):
+    for table in (order_from_recipe(p, HC), order_from_recipe(p, BC)):
         by_pos = table.by_position()
         seen = set()
         for x in by_pos:
@@ -128,17 +140,16 @@ def test_chaser_prefixes_are_downsets(shape):
 def test_block_order_trivial_partitions():
     p = M.multiset_lattice([4, 4])
     # every element its own block: block order == starts order
-    spec = BlockSpec(((1, 2, 3, 4), (1, 2, 3, 4)), {"kind": "colex"})
-    assert M.block_order(p, spec).position == M.colex_order(p).position
+    colex = order_from_recipe(p, COLEX).position
+    singletons = block_recipe(((1, 2, 3, 4), (1, 2, 3, 4)), COLEX)
+    assert order_from_recipe(p, singletons).position == colex
     # one whole-toset block per coordinate: block order == the block's order
-    spec = BlockSpec(((1,), (1,)), {"kind": "lex"}, {"kind": "colex"})
-    assert M.block_order(p, spec).position == M.colex_order(p).position
+    assert order_from_recipe(p, block_recipe(((1,), (1,)), LEX, COLEX)).position == colex
 
 
 def test_block_order_blocks_are_contiguous():
     p = M.multiset_lattice([4, 4])
-    spec = BlockSpec(((1, 3), (1, 3)), {"kind": "lex"}, {"kind": "lex"})
-    table = M.block_order(p, spec)
+    table = order_from_recipe(p, block_recipe(((1, 3), (1, 3)), LEX, LEX))
     block_of = lambda v: (v[0] // 2, v[1] // 2)
     seq = [block_of(lab) for lab in table.labels_in_order()]
     # all of block (0,0) first, and every block occupies one contiguous run
@@ -149,8 +160,7 @@ def test_block_order_blocks_are_contiguous():
 
 def test_block_order_restricted_to_block_matches_inner_order():
     p = M.multiset_lattice([4, 4])
-    spec = BlockSpec(((1, 3), (1, 3)), {"kind": "lex"}, {"kind": "colex"})
-    table = M.block_order(p, spec)
+    table = order_from_recipe(p, block_recipe(((1, 3), (1, 3)), LEX, COLEX))
     block = [x for x in range(p.n) if p.labels[x][0] >= 2 and p.labels[x][1] < 2]
     by_table = sorted(block, key=lambda x: table.position[x])
     by_inner = sorted(block, key=lambda x: tuple(reversed(p.labels[x])))
@@ -160,17 +170,13 @@ def test_block_order_restricted_to_block_matches_inner_order():
 def test_block_order_malformed_partition():
     p = M.multiset_lattice([4, 4])
     with pytest.raises(OrderError):
-        M.block_order(p, BlockSpec(((2, 3), (1,)), {"kind": "lex"}))
+        order_from_recipe(p, block_recipe(((2, 3), (1,)), LEX))
 
 
 def test_initial_segment(m222):
-    lex = M.lex_order(m222)
-    assert initial_segment(lex, 2, 0) == frozenset()
-    assert initial_segment(lex, 2, 3) == frozenset(m222.level(2))
-    seg = initial_segment(lex, 2, 2)
-    assert sorted(m222.labels[x] for x in seg) == [(0, 1, 1), (1, 0, 1)]
-    with pytest.raises(OrderError):
-        initial_segment(lex, 2, 4)
+    level = M.lex_order(m222).level_in_order(2)
+    assert frozenset(level) == frozenset(m222.level(2))
+    assert sorted(m222.labels[x] for x in level[:2]) == [(0, 1, 1), (1, 0, 1)]
 
 
 def test_dual_order_roundtrip(m34):
@@ -195,37 +201,35 @@ def test_degree_major_order():
 def test_recipes_regenerate_identically(m34):
     tables = [
         M.lex_order(m34),
-        M.colex_order(m34),
-        M.domination_order(m34, (2, 1)),
-        M.hyperrectangle_chaser(m34),
-        M.border_chaser(m34),
+        *(order_from_recipe(m34, r) for r in (COLEX, dom(2, 1), HC, BC)),
+        order_from_recipe(m34, block_recipe(((1, 2), (1, 3)), LEX, COLEX)),
+        order_from_recipe(m34, block_recipe(((1, 2), (1, 3)), BC, "dom-by-block")),
         M.dual_order(M.lex_order(m34)),
-        M.block_order(m34, BlockSpec(((1, 2), (1, 3)), {"kind": "lex"}, {"kind": "colex"})),
         M.degree_major_order(m34, per_rank={1: {"kind": "lex"}}),
     ]
     for t in tables:
-        again = order_from_recipe(t.poset, t.recipe)
+        again = order_from_recipe(t.poset, json.loads(json.dumps(t.recipe)))
         assert again.position == t.position, t.recipe
 
 
 def test_order_is_bijection(m34):
-    for t in (M.lex_order(m34), M.border_chaser(m34)):
+    for t in (M.lex_order(m34), order_from_recipe(m34, BC)):
         assert sorted(t.position) == list(range(m34.n))
 
 
 def test_hc_with_choices(m34):
     # choosing the reversing permutation at the full subset changes tie-breaks
-    hc = M.hyperrectangle_chaser(m34, choices={(0, 1): (2, 1)})
-    plain = M.hyperrectangle_chaser(m34)
+    hc = order_from_recipe(m34, {"kind": "hc", "choices": [[[1, 2], [2, 1]]]})
+    plain = order_from_recipe(m34, HC)
     assert hc.position != plain.position
     again = order_from_recipe(m34, hc.recipe)
     assert again.position == hc.position
 
 
 def test_bc_with_choices_keeps_complement_identity(m34):
-    choices = {(0, 1): (2, 1)}
-    hc = M.hyperrectangle_chaser(m34, choices=choices)
-    bc = M.border_chaser(m34, choices=choices)
+    choices = [[[1, 2], [2, 1]]]
+    hc = order_from_recipe(m34, {"kind": "hc", "choices": choices})
+    bc = order_from_recipe(m34, {"kind": "bc", "choices": choices})
     n = m34.n
     for x in range(n):
         comp = tuple(l - 1 - v for l, v in zip((3, 4), m34.labels[x]))
@@ -254,8 +258,8 @@ def _vector_recipes(draw, d, lengths, depth=0):
         recipe["cuts"] = [[1] + [i + 2 for i, cut in enumerate(f) if cut] for f in flags]
         n_blocks = [len(c) for c in recipe["cuts"]]
         recipe["starts"] = draw(_vector_recipes(d, n_blocks, depth + 1))
-        be_rule = lambda b: {"kind": "dom", "perm": F._be_block_perm(b)}  # noqa: E731
-        recipe["blocks"] = draw(st.one_of(_vector_recipes(d, None, depth + 1), st.just(be_rule)))
+        rule = st.just("dom-by-block")
+        recipe["blocks"] = draw(st.one_of(_vector_recipes(d, None, depth + 1), rule))
     return recipe
 
 
@@ -268,3 +272,24 @@ def test_vector_keys_match_comparator_ranking(data):
     box = list(itertools.product(*map(range, lengths)))
     vectors = data.draw(st.just(box) | st.lists(st.sampled_from(box), min_size=1, unique=True))
     assert rank_vectors(vectors, lengths, recipe) == comparator_rank_vectors(vectors, lengths, recipe)
+
+
+def test_unknown_block_rule_is_an_order_error(m34):
+    with pytest.raises(OrderError, match="unknown block rule 'dom-by-leg'"):
+        order_from_recipe(m34, block_recipe(((1,), (1,)), LEX, "dom-by-leg"))
+
+
+def _json_only(shape):
+    """Whether a RECIPE_FIELDS shape admits nothing but JSON values."""
+    if isinstance(shape, (tuple, list)):
+        return all(map(_json_only, shape))
+    return shape is None or shape in (dict, list, str, int)
+
+
+def test_recipe_fields_admit_only_json():
+    # `import macaulay` has run, so families and rings have registered their
+    # kinds; a callable field would not survive a recipe file
+    assert {"family-default", "tensor-degree-lex"} <= set(RECIPE_FIELDS)
+    bad = {(kind, f): shape for kind, fields in RECIPE_FIELDS.items()
+           for f, shape in fields.items() if not _json_only(shape)}
+    assert not bad
