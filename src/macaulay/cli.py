@@ -71,7 +71,7 @@ def _order_recipe_from_arg(arg):
         return {"kind": arg}
     if arg.startswith("dom:"):
         try:
-            return {"kind": "dom", "perm": [int(x) for x in arg[4:].split(",")]}
+            return {"kind": "dom", "perm": [families.ascii_int(x) for x in arg[4:].split(",")]}
         except ValueError:
             raise OrderError(f"dom order wants comma-separated integers, got {arg!r}") from None
     for prefix in ("block:", "explicit:", "recipe:"):
@@ -315,11 +315,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_at_least(low):
-    """An argparse type: an int no smaller than `low`."""
+    """An argparse type: an int, by `families.ascii_int`, no smaller than `low`."""
 
     def parse(text):
         try:
-            value = int(text)
+            value = families.ascii_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:

@@ -17,6 +17,7 @@ monomial-order candidate as JSON recipes, resolved by `order_from_recipe`;
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import prod
@@ -363,11 +364,19 @@ def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable
 # Builtin registry (CLI surface and acceptance drivers)
 
 
+def ascii_int(text):
+    """The int that `text` spells in ASCII digits after an optional "-", else
+    ValueError: int() alone also reads "٣", "1_0", " 3" and "+4"."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_ints(kind, text, arity=None, sep=","):
     """The `sep`-separated integers of a descriptor; `arity` fixes their number.
     An empty field (`2,,3`, a trailing separator, an empty list) is an error."""
     try:
-        vals = [int(x) for x in text.split(sep)]
+        vals = [ascii_int(x) for x in text.split(sep)]
     except ValueError:
         raise PosetError(f"{kind}: expected integers separated by {sep!r}, got {text!r}") from None
     if arity is not None and len(vals) != arity:

@@ -8,51 +8,74 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import PosetError, ResourceLimitError
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
 _PRINTABLE_BITS = 14_000  # str() refuses ints of more than 4,300 digits, about 14,284 bits
+_ELEMENTS = "poset would have {} elements"
+_MORE = f"more than {DEFAULT_PRODUCT_LIMIT}"
 
 
-def printable_count(total):
-    """A count over `DEFAULT_PRODUCT_LIMIT` as a cap message prints it: the
-    number where str() can print it, else "more than" the limit."""
-    return total if total.bit_length() < _PRINTABLE_BITS else f"more than {DEFAULT_PRODUCT_LIMIT}"
+def _over(what, count):
+    return ResourceLimitError(f"{what.format(count)} (limit {DEFAULT_PRODUCT_LIMIT})")
 
 
-def check_size(total):
-    """`total`, once it is known not to exceed `DEFAULT_PRODUCT_LIMIT`; checked before building."""
+def check_count(factors, what):
+    """The product of the positive `factors`, once it is known not to exceed
+    `DEFAULT_PRODUCT_LIMIT`; else the error puts it into `what`, as "more than"
+    the limit where str() cannot print it.  The product stops growing once too
+    long to print, so the factors may be many, or lazy and unbounded."""
+    total = 1
+    for f in factors:
+        total *= f
+        if total.bit_length() >= _PRINTABLE_BITS:
+            break
     if total > DEFAULT_PRODUCT_LIMIT:
-        raise ResourceLimitError(
-            f"poset would have {printable_count(total)} elements (limit {DEFAULT_PRODUCT_LIMIT})"
-        )
+        raise _over(what, total if total.bit_length() < _PRINTABLE_BITS else _MORE)
     return total
 
 
+def check_size(total):
+    """`total` as a poset's element count, by `check_count`; checked before building."""
+    return check_count((total,), _ELEMENTS)
+
+
 def check_product(sizes):
-    """The product of the positive `sizes`, by `check_size`; it stops growing once
-    too long to print, so the sizes may be many, or lazy and unbounded."""
-    total = 1
-    for s in sizes:
-        total *= s
-        if total.bit_length() >= _PRINTABLE_BITS:
-            break
-    return check_size(total)
+    """The product of the positive `sizes` as a poset's element count, by `check_count`."""
+    return check_count(sizes, _ELEMENTS)
 
 
-def series_product(series, D):
-    """Coefficients 0..D of the product of polynomials given by their coefficient lists,
-    or up to the product's degree where that is lower.
+def _times(a, b, D):
+    """Coefficients 0..D of the product of two coefficient lists, in ascending degree."""
+    return (sum(map(mul, a[max(0, i - len(b) + 1):i + 1], reversed(b[max(0, i - len(a) + 1):i + 1])))
+            for i in range(min(D, len(a) + len(b) - 2) + 1))
 
-    With level sizes as the coefficients, these are a product's element counts by rank.
+
+def check_series(series, D, what=_ELEMENTS):
+    """Coefficients 0..D of the product of polynomials, summed by `check_count`: with
+    level sizes as coefficients, a truncated product's element count.
+
+    Where D cuts the product, each stage multiplies in one polynomial in
+    ascending degree and raises at the first partial sum over the limit;
+    every constant term must be at least 1, so each partial sum bounds the total below.
     """
-    D = min(D, sum(len(s) - 1 for s in series))
-    out = [1] + [0] * D
+    series = [s[: max(j for j, c in enumerate(s) if c) + 1] for s in series]  # zero tails add nothing
+    if D >= sum(len(s) - 1 for s in series):  # nothing is cut off
+        return check_count(map(sum, series), what)
+    out = [1]
     for s in series:
-        out = [sum(out[i - j] * c for j, c in enumerate(s[: i + 1])) for i in range(D + 1)]
-    return out
+        stage = s[: D + 1] if out == [1] else _times(out, s, D)
+        out, total = [], 0
+        for c in stage:
+            total += c
+            if total > DEFAULT_PRODUCT_LIMIT:
+                raise _over(what, _MORE)
+            out.append(c)
+    return total
 
 
 def _label_key(label):
@@ -224,57 +247,31 @@ class LatticeShape:
         if self.truncation is not None and self.truncation < 0:
             raise PosetError("truncation must be nonnegative")
 
-    @property
-    def d(self):
-        return len(self.lengths)
-
 
 def multiset_lattice(shape, truncation=None) -> RankedPoset:
     """Lattice of exponent vectors x with 0 <= x_i < length_i and |x| <= truncation.
 
-    Covers are unit increments; rank is the coordinate sum; labels carry the
-    vectors.  Elements are id-ordered by (rank, vector), and counted first.
+    It is the product of chains, counted before any chain is built: covers
+    are unit increments, rank is the coordinate sum, labels carry the
+    vectors, and elements are id-ordered by (rank, vector).
     """
     if not isinstance(shape, LatticeShape):
         shape = LatticeShape(tuple(shape), truncation)
     elif truncation is not None:
         shape = LatticeShape(shape.lengths, truncation)
-    lengths = shape.lengths
     cap = shape.truncation
+    lengths = [l if cap is None else min(l or cap + 1, cap + 1) for l in shape.lengths]
     if cap is None:
-        cap = sum(l - 1 for l in lengths)
         check_product(lengths)
     else:
-        chains = [[1] * (cap + 1 if l is None else min(l, cap + 1)) for l in lengths]
-        check_size(sum(series_product(chains, cap)))
-    vecs = []
-
-    def walk(i, left, prefix):
-        if i == len(lengths):
-            vecs.append(tuple(prefix))
-            return
-        top = left if lengths[i] is None else min(left, lengths[i] - 1)
-        for v in range(top + 1):
-            prefix.append(v)
-            walk(i + 1, left - v, prefix)
-            prefix.pop()
-
-    walk(0, cap, [])
-    vecs.sort(key=lambda v: (sum(v), v))
-    index = {v: i for i, v in enumerate(vecs)}
-    covers = []
-    for v, i in index.items():
-        for c in range(len(lengths)):
-            w = v[:c] + (v[c] + 1,) + v[c + 1:]
-            j = index.get(w)
-            if j is not None:
-                covers.append((i, j))
-    return RankedPoset(len(vecs), covers, [sum(v) for v in vecs], vecs)
+        check_series([[1] * l for l in lengths], cap)
+    return cartesian_product([chain(l) for l in lengths], cap)
 
 
 def chain(n: int) -> RankedPoset:
     """Chain with n elements, labeled by 1-vectors (0,), ..., (n-1,)."""
-    return multiset_lattice(LatticeShape((n,)))
+    check_product(LatticeShape((n,)).lengths)
+    return RankedPoset(n, [(i, i + 1) for i in range(n - 1)], range(n), [(i,) for i in range(n)])
 
 
 def singleton() -> RankedPoset:
@@ -299,72 +296,44 @@ def dual(poset: RankedPoset) -> RankedPoset:
     return RankedPoset(poset.n, covers, rank, poset.labels)
 
 
-def _flatten_label(parts):
-    out = []
-    for lab in parts:
-        if isinstance(lab, tuple):
-            out.extend(lab)
-        else:
-            out.append(lab)
-    return tuple(out)
-
-
 def cartesian_product(
     posets: Sequence[RankedPoset], truncation: Optional[int] = None
 ) -> RankedPoset:
     """Cartesian product: covers change exactly one coordinate by a cover.
 
     Rank is the sum of factor ranks.  Tuple labels of the factors are
-    concatenated so products of grids stay labeled by flat exponent vectors.
+    concatenated so products of grids stay labeled by flat exponent vectors,
+    and ids follow (rank, label key), ties by factor ids, first factor first.
     """
     if not posets:
         raise PosetError("product of zero posets is not defined")
     if len(posets) == 1:
-        p = posets[0]
-        return truncate(p, truncation) if truncation is not None else p
-    # Count before materializing so a runaway request fails fast.
-    if truncation is None:
-        check_product(p.n for p in posets)
-    else:
-        levels = [[len(lvl) for lvl in p.levels] for p in posets]
-        check_size(sum(series_product(levels, truncation)))
-
-    elems = []
-
-    def walk(i, left, prefix):
-        if i == len(posets):
-            elems.append(tuple(prefix))
-            return
-        p = posets[i]
-        for x in range(p.n):
-            if truncation is not None and p.rank[x] > left:
-                continue
-            prefix.append(x)
-            walk(i + 1, left - p.rank[x], prefix)
-            prefix.pop()
-
-    walk(0, truncation if truncation is not None else 10 ** 18, [])
-
-    def key(tup):
-        r = sum(p.rank[x] for p, x in zip(posets, tup))
-        lab = _flatten_label([p.labels[x] for p, x in zip(posets, tup)])
-        return (r, _label_key(lab))
-
-    elems.sort(key=key)
-    index = {t: i for i, t in enumerate(elems)}
-    labels = []
-    rank = []
+        return posets[0] if truncation is None else truncate(posets[0], truncation)
+    top = sum(p.max_rank for p in posets) if truncation is None else truncation
+    check_series([[len(lvl) for lvl in p.levels] for p in posets], top)
+    # (rank, label key parts, factor ids as a mixed-radix code, label), a factor at a time
+    elems = [(0, (), 0, ())]
+    for p in posets:
+        flats = [lab if isinstance(lab, tuple) else (lab,) for lab in p.labels]
+        factor = [(r, tuple(map(_label_key, f)), x, f) for x, (r, f) in enumerate(zip(p.rank, flats))]
+        elems = [
+            (r + s, parts + ps, code * p.n + x, lab + f)
+            for r, parts, code, lab in elems
+            for s, ps, x, f in factor
+            if r + s <= top
+        ]
+    elems.sort()
+    index = {e[2]: i for i, e in enumerate(elems)}
+    strides = [prod(p.n for p in posets[c + 1:]) for c in range(len(posets))]
     covers = []
-    for t, i in index.items():
-        rank.append(sum(p.rank[x] for p, x in zip(posets, t)))
-        labels.append(_flatten_label([p.labels[x] for p, x in zip(posets, t)]))
-        for c, p in enumerate(posets):
-            for y in p.up[t[c]]:
-                u = t[:c] + (y,) + t[c + 1:]
-                j = index.get(u)
+    for i, (_, _, code, _) in enumerate(elems):
+        for p, stride in zip(posets, strides):
+            x = code // stride % p.n
+            for y in p.up[x]:
+                j = index.get(code + (y - x) * stride)
                 if j is not None:
                     covers.append((i, j))
-    return RankedPoset(len(elems), covers, rank, labels)
+    return RankedPoset(len(elems), covers, [e[0] for e in elems], [e[3] for e in elems])
 
 
 def cartesian_power(poset: RankedPoset, n: int) -> RankedPoset:
@@ -447,18 +416,14 @@ def parse_json(text: str) -> RankedPoset:
 
 
 def export_dot(poset: RankedPoset) -> str:
-    """Hasse graph in DOT, rank-layered, nodes named v<id>."""
+    """Hasse graph in DOT, rank-layered, nodes named v<id>, labels with \\ and " escaped."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i in range(poset.max_rank + 1):
-        ids = poset.level(i)
-        names = " ".join(f"v{x};" for x in ids)
-        lines.append(f"  {{ rank=same; {names} }}")
-    for x in sorted(range(poset.n), key=lambda i: (poset.rank[i], _label_key(poset.labels[i]))):
-        lines.append(f'  v{x} [label="{poset.labels[x]}"];')
-    for a, b in poset.covers:
-        lines.append(f"  v{a} -> v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {{ rank=same; {' '.join(f'v{x};' for x in ids)} }}" for ids in poset.levels]
+    for x in (x for ids in poset.levels for x in ids):
+        label = str(poset.labels[x]).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{x} [label="{label}"];')
+    lines += [f"  v{a} -> v{b};" for a, b in poset.covers]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def cube_coordinates(poset: RankedPoset) -> list:

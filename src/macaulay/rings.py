@@ -30,10 +30,10 @@ from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .errors import ResourceLimitError, RingError
+from .errors import RingError
 from .linalg import PRIME_LIMIT, QQ, Field, is_prime, rref
 from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
-from .poset import DEFAULT_PRODUCT_LIMIT, RankedPoset, printable_count, series_product
+from .poset import RankedPoset, check_count, check_series
 
 DEFAULT_PRIME = 32003
 
@@ -262,18 +262,18 @@ class RingModel:
 
         Sizes are capped at `DEFAULT_PRODUCT_LIMIT` before they are allocated:
         a factor's monomials up to D before its elimination, and the products
-        of factor classes up to D (the fold's work before merging) before the
-        first fold.  The latter also bounds the product's Hilbert values, as
-        a factor's classes span each of its slices.
+        of factor classes up to D (the fold's work before merging), by the
+        bounded `check_series`, before any factor is lifted or folded.  The
+        latter also bounds the product's Hilbert values, as a factor's classes
+        span each of its slices.
 
         Factor monomials are lifted to the global variable positions, so the
         fold's coordinates, and its classes by rep inside each degree, only
         need sorting at the end.
         """
         spec = self.spec
-        limit = DEFAULT_PRODUCT_LIMIT
         eliminated = {}
-        pieces = []
+        factors = []
         for variables, gens in _components(spec):
             k = len(variables)
             fgens = tuple(
@@ -282,14 +282,15 @@ class RingModel:
             )
             key = (k, fgens)
             if key not in eliminated:
-                count = comb(k + spec.D, spec.D)
-                if count > limit:
-                    raise ResourceLimitError(
-                        f"a component of {k} variables has {printable_count(count)} monomials "
-                        f"of degree <= {spec.D} (limit {limit})"
-                    )
-                eliminated[key] = _eliminate(k, fgens, spec.D, self.field)
-            nf, levels, classes, times = eliminated[key]
+                what = f"a component of {k} variables has {{}} monomials of degree <= {spec.D}"
+                check_count((comb(k + spec.D, spec.D),), what)
+                factor = _eliminate(k, fgens, spec.D, self.field)
+                eliminated[key] = factor, [len(ids) for ids in factor[1]]
+            factors.append((variables, *eliminated[key]))
+        what = f"the ring would have {{}} products of factor classes of degree <= {spec.D}"
+        check_series([sizes for _, _, sizes in factors], spec.D, what)
+        pieces = []
+        for variables, (nf, levels, classes, times), _ in factors:
             # a factor monomial padded with a zero, read off at each global variable
             at = [variables.index(v) if v in variables else len(variables) for v in range(spec.d)]
 
@@ -299,12 +300,6 @@ class RingModel:
             nf = [list(map(lift, ms)) for ms in nf]
             classes = [(res, lift(rep)) for res, rep in classes]
             pieces.append((nf, levels, classes, dict(zip(variables, times))))
-        total = sum(series_product([[len(ids) for ids in piece[1]] for piece in pieces], spec.D))
-        if total > limit:
-            raise ResourceLimitError(
-                f"the ring would have {printable_count(total)} products of factor classes "
-                f"of degree <= {spec.D} (limit {limit})"
-            )
         while len(pieces) > 1:  # fold neighbours, so that most folds are small
             odd = pieces[len(pieces) & ~1:]
             pairs = zip(pieces[::2], pieces[1::2])

@@ -1,5 +1,6 @@
 """Shared brute-force oracles, independent of the library's fast paths."""
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
@@ -100,6 +101,92 @@ def normalised_poset_oracle(n, covers, rank, labels=None):
         for i in range(max(rank) + 1)
     )
     return covers, up, down, levels
+
+
+# ---------------------------------------------------------------------------
+# Recursive walks and the plain convolution: the oracles for the one product
+# walk and the bounded count in poset.
+
+
+def multiset_lattice_oracle(lengths, truncation=None):
+    """The grid of exponent vectors by one recursive walk over the coordinates,
+    sorted by (rank, vector), with unit increments looked up as covers."""
+    cap = sum(l - 1 for l in lengths) if truncation is None else truncation
+    vecs = []
+
+    def walk(i, left, prefix):
+        if i == len(lengths):
+            vecs.append(tuple(prefix))
+            return
+        top = left if lengths[i] is None else min(left, lengths[i] - 1)
+        for v in range(top + 1):
+            walk(i + 1, left - v, prefix + [v])
+
+    walk(0, cap, [])
+    vecs.sort(key=lambda v: (sum(v), v))
+    index = {v: i for i, v in enumerate(vecs)}
+    covers = [
+        (i, index[w])
+        for v, i in index.items()
+        for c in range(len(v))
+        if (w := v[:c] + (v[c] + 1,) + v[c + 1:]) in index
+    ]
+    return M.RankedPoset(len(vecs), covers, [sum(v) for v in vecs], vecs)
+
+
+def _flatten_label(parts):
+    out = []
+    for lab in parts:
+        out.extend(lab if isinstance(lab, tuple) else (lab,))
+    return tuple(out)
+
+
+def cartesian_product_oracle(posets, truncation=None):
+    """The product by one recursive walk over factor id tuples, stably sorted by
+    (rank, `_label_key` of the flattened label), with covers looked up by tuple."""
+    from macaulay.poset import _label_key
+
+    if len(posets) == 1:
+        return posets[0] if truncation is None else M.truncate(posets[0], truncation)
+    elems = []
+
+    def walk(i, left, prefix):
+        if i == len(posets):
+            elems.append(prefix)
+            return
+        p = posets[i]
+        for x in range(p.n):
+            if p.rank[x] <= left:
+                walk(i + 1, left - p.rank[x], prefix + (x,))
+
+    walk(0, math.inf if truncation is None else truncation, ())
+
+    def rank(t):
+        return sum(p.rank[x] for p, x in zip(posets, t))
+
+    def label(t):
+        return _flatten_label([p.labels[x] for p, x in zip(posets, t)])
+
+    elems.sort(key=lambda t: (rank(t), _label_key(label(t))))
+    index = {t: i for i, t in enumerate(elems)}
+    covers = [
+        (i, index[u])
+        for t, i in index.items()
+        for c, p in enumerate(posets)
+        for y in p.up[t[c]]
+        if (u := t[:c] + (y,) + t[c + 1:]) in index
+    ]
+    return M.RankedPoset(len(elems), covers, list(map(rank, elems)), list(map(label, elems)))
+
+
+def series_product(series, D):
+    """Coefficients 0..D of the product of polynomials given by their coefficient
+    lists, or up to the product's degree where that is lower, by plain convolution."""
+    D = min(D, sum(len(s) - 1 for s in series))
+    out = [1] + [0] * D
+    for s in series:
+        out = [sum(out[i - j] * c for j, c in enumerate(s[: i + 1])) for i in range(D + 1)]
+    return out
 
 
 # ---------------------------------------------------------------------------

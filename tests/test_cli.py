@@ -348,6 +348,36 @@ def test_huge_ring_spec_exits_3(tmp_path, capsys):
                         f"of degree <= {d} (limit 1000000)\n")
 
 
+def test_huge_free_ring_specs_exit_3_at_once(tmp_path, capsys):
+    # d free variables at D = d: the fold count once ran to the end after
+    # lifting every component (8.5 s at d = 300); it now stops at its third factor
+    for d in (300, 600):
+        spec = tmp_path / f"free{d}.json"
+        spec.write_text(json.dumps({"d": d, "field": "p:32003", "D": d, "generators": []}))
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "check-ring", "--spec", str(spec), "--order", "lex")
+        assert time.perf_counter() - t0 < 0.5, d
+        assert rc == 3 and out == "", d
+        assert err == ("resource limit: the ring would have more than 1000000 products of "
+                       f"factor classes of degree <= {d} (limit 1000000)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-poset", "--poset", "multiset:\u0663,\u0663", "--order", "lex"],  # Arabic-Indic 3
+    ["check-poset", "--poset", "chain:\u0665", "--order", "lex"],  # Arabic-Indic 5
+    ["check-poset", "--poset", "multiset:1_0,2", "--order", "lex"],
+    ["check-poset", "--poset", "multiset: 3,+4", "--order", "lex"],
+    ["check-poset", "--poset", "multiset:3,3", "--order", "dom:\u0662,1"],
+    ["check-poset", "--poset", "multiset:3,3", "--order", "dom: 2,1"],
+    ["check-poset", "--poset", "multiset:3,3", "--order", "lex", "--max-subsets", "1_000"],
+    ["check-ring", "--spec", "cl:3,3", "--order", "lex", "--max-gen-degree", "+2"],
+])
+def test_integers_are_ascii_digits(argv, capsys):
+    # int() also reads other scripts' digits, underscores, spaces and a plus sign
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_dom_by_block_recipe_file(tmp_path, capsys):
     # the Bezrukov–Elsässer block rule is plain JSON, so a recipe file carries it
     p = M.multiset_lattice([3, 3])

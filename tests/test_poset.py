@@ -1,19 +1,25 @@
 import json
 import random
+import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import macaulay as M
+from macaulay import families as F, poset as poset_module
 from macaulay.errors import PosetError, ResourceLimitError
-from macaulay.poset import export_dot, export_json, parse_json, reachability
+from macaulay.poset import check_series, export_dot, export_json, parse_json, reachability
 
 from conftest import (
     brute_lower_shadow_labels,
     brute_upper_shadow_labels,
+    cartesian_product_oracle,
     is_isomorphic_by_labels,
     labels_of,
+    multiset_lattice_oracle,
     normalised_poset_oracle,
+    series_product,
 )
 
 
@@ -154,6 +160,24 @@ def test_export_dot_counts():
     assert dot.count("label=") == 5
 
 
+def test_export_dot_escapes_backslashes_and_quotes():
+    # a raw `a"b` once closed the DOT string early, and a trailing backslash escaped its quote
+    p = parse_json(json.dumps({"n": 3, "ranks": [0, 1, 1], "covers": [[0, 1], [0, 2]],
+                               "labels": ['a"b', "c\\", [1, "x"]]}))
+    assert export_dot(p) == (
+        'digraph hasse {\n  rankdir=BT;\n  { rank=same; v0; }\n  { rank=same; v2; v1; }\n'
+        '  v0 [label="a\\"b"];\n  v2 [label="(1, \'x\')"];\n  v1 [label="c\\\\"];\n'
+        '  v0 -> v1;\n  v0 -> v2;\n}\n'
+    )
+    # any other label is written as before, byte for byte
+    assert export_dot(M.multiset_lattice([2, 2])) == (
+        'digraph hasse {\n  rankdir=BT;\n  { rank=same; v0; }\n  { rank=same; v1; v2; }\n'
+        '  { rank=same; v3; }\n  v0 [label="(0, 0)"];\n  v1 [label="(0, 1)"];\n'
+        '  v2 [label="(1, 0)"];\n  v3 [label="(1, 1)"];\n  v0 -> v1;\n  v0 -> v2;\n'
+        '  v1 -> v3;\n  v2 -> v3;\n}\n'
+    )
+
+
 def test_cube_coordinates(m34):
     coords = M.cube_coordinates(m34)
     assert len(coords) == m34.n
@@ -224,3 +248,98 @@ def test_reachability_matches_cover_transitivity(m222):
     bot = m222.id_of((0, 0, 0))
     assert top in above[bot]
     assert bot not in above[top]
+
+
+# ---------------------------------------------------------------------------
+# The one product walk and the bounded count, against the recursive walks and
+# the plain convolution in conftest.
+
+
+@st.composite
+def _file_posets(draw):
+    """A small poset as a poset file gives it, labelled by ints, tuples and
+    strings from a small pool, so labels repeat within and across factors."""
+    n = draw(st.integers(1, 5))
+    rank = [0]
+    while len(rank) < n:
+        rank.append(draw(st.integers(0, max(rank) + 1)))
+    covers = [[draw(st.sampled_from([a for a in range(n) if rank[a] + 1 == rank[b]])), b]
+              for b in range(n) if rank[b]]
+    pairs = [[a, b] for a in range(n) for b in range(n) if rank[b] == rank[a] + 1]
+    covers += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    pool = st.one_of(st.integers(0, 2), st.lists(st.integers(0, 2), min_size=1, max_size=2),
+                     st.sampled_from(["a", "b"]))
+    labels = draw(st.lists(pool, min_size=n, max_size=n))
+    return parse_json(json.dumps({"n": n, "ranks": rank, "covers": covers, "labels": labels}))
+
+
+_FACTORS = st.one_of(
+    st.integers(1, 4).map(M.chain),
+    st.tuples(st.integers(0, 2), st.integers(1, 2)).map(lambda kl: F.spider(*kl)),
+    st.integers(1, 3).map(lambda n: M.dual(F.star(n))),
+    _file_posets(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FACTORS, min_size=1, max_size=3), st.one_of(st.none(), st.integers(0, 6)),
+       st.lists(st.integers(0, 3), min_size=3, max_size=3), st.integers(1, 80))
+@example([M.chain(2), M.chain(3)], 0, [0, 0, 0], 1)
+def test_product_walk_and_bounded_count_match_the_oracles(posets, truncation, tails, limit):
+    got = M.cartesian_product(posets, truncation)
+    assert got == cartesian_product_oracle(posets, truncation)  # ids, ranks, covers, labels
+    # level sizes, with zero tails that change no product, counted both ways
+    series = [[len(lvl) for lvl in p.levels] + [0] * z for p, z in zip(posets, tails)]
+    D = sum(p.max_rank for p in posets) if truncation is None else truncation
+    total = sum(series_product(series, D))
+    assert check_series(series, D) == total == got.n
+    # under a small cap: the total where it fits, else an error before any element is built
+    with mock.patch.object(poset_module, "DEFAULT_PRODUCT_LIMIT", limit):
+        if total <= limit:
+            assert check_series(series, D) == total
+        else:
+            with pytest.raises(ResourceLimitError):
+                check_series(series, D)
+            if len(posets) > 1:
+                with pytest.raises(ResourceLimitError):
+                    M.cartesian_product(posets, truncation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.integers(1, 4)), min_size=1, max_size=3),
+       st.one_of(st.none(), st.integers(0, 7)))
+@example([3, 4], 0)
+@example([None, None], 0)
+@example([None, 2, None], 3)
+def test_multiset_lattice_matches_the_walk_oracle(lengths, truncation):
+    if truncation is None and None in lengths:
+        with pytest.raises(PosetError, match="unbounded lengths require a truncation"):
+            M.multiset_lattice(lengths, truncation)
+        return
+    assert M.multiset_lattice(lengths, truncation) == multiset_lattice_oracle(lengths, truncation)
+
+
+@pytest.mark.parametrize("desc", [
+    "multiset:1", "multiset:3,4", "multiset:4,3", "multiset:2,2", "multiset:3,3", "multiset:2,2,2",
+    "multiset:2,2,2,2", "multiset:2,2,2,2,2,2", "multiset:4,6,7", "multiset:5,5,5",
+    "multiset:6,5,4", "multiset:6,6,6", "chain:1", "chain:3", "chain:4", "chain:5",
+    "be:1,2,2", "be:2,2,2", "be:1,1,3", "colored:2,2", "colored:2,1", "colored:1,2,3",
+])
+def test_builtin_products_match_the_walk_oracles(desc, monkeypatch):
+    got = F.builtin(desc).poset
+    monkeypatch.setattr(F, "multiset_lattice", multiset_lattice_oracle)
+    monkeypatch.setattr(F, "cartesian_product", cartesian_product_oracle)
+    monkeypatch.setattr(poset_module, "cartesian_product", cartesian_product_oracle)  # cartesian_power
+    assert F.builtin(desc).poset == got
+
+
+def test_huge_truncated_lattice_is_refused_at_once():
+    # the count once convolved both 200,001-term series to the end before comparing
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        M.multiset_lattice([None, None], truncation=200_000)
+    assert time.perf_counter() - t0 < 0.5
+    assert str(err.value) == "poset would have more than 1000000 elements (limit 1000000)"
+    # nothing cut off: the exact count, as untruncated products give it
+    with pytest.raises(ResourceLimitError, match=r"^poset would have 1002001 elements"):
+        M.multiset_lattice([1001, 1001], truncation=2000)

@@ -16,6 +16,7 @@ from conftest import (
     normalised_poset_oracle,
     oracle_times,
     ring_fields,
+    series_product,
     to_dense,
     triple_loop_monomial_order,
     walked_class_of,
@@ -30,7 +31,7 @@ from macaulay.rings import (
     monomials_of_degree,
     rep_lex_order,
 )
-from macaulay.poset import reachability, series_product
+from macaulay.poset import reachability
 
 
 def non_lli_spec(field=M.RATIONALS, D=2):
