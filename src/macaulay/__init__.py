@@ -11,7 +11,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .poset import (
-    LatticeShape,
     RankedPoset,
     cartesian_power,
     cartesian_product,
@@ -26,6 +25,7 @@ from .poset import (
     singleton,
     truncate,
     upper_shadow,
+    upset_mask,
 )
 from .orders import (
     OrderTable,
@@ -73,6 +73,5 @@ from .hilbert import (
     initial_segment_space,
     is_macaulay_ring,
     leveled_basis,
-    upset_closure,
 )
 from . import families

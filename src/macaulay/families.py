@@ -431,7 +431,7 @@ def builtin(
     """Resolve builtin poset descriptors like multiset:3,4 or torus:3,2.
 
     `recipe`, the order the caller will resolve on the poset, is checked
-    before the build: star and spider label their elements by ints, so a
+    before the build: star, spider and be:k,l,1 label their elements by ints, so a
     recipe that ranks vectors (`orders.ranks_vectors`, which looks through
     dual wrappers) raises OrderError on them once the descriptor is valid.
     """
@@ -445,21 +445,20 @@ def builtin(
     if kind == "chain":
         (n,) = _parse_ints(kind, rest, 1)
         return Builtin(text, multiset_lattice([n]), {"kind": "lex"})
-    if kind in ("star", "spider"):
+    if kind in ("star", "spider", "be"):
         if kind == "star":
-            (n,) = _parse_ints(kind, rest, 1)
-            if n < 1:
+            (legs,) = _parse_ints(kind, rest, 1)
+            if legs < 1:
                 raise PosetError("star needs at least one leg")
-            k, l = n - 1, 1
+            k, l, n = legs - 1, 1, 1
+        elif kind == "spider":
+            k, l, n = *_parse_ints(kind, rest, 2), 1
         else:
-            k, l = _parse_ints(kind, rest, 2)
+            k, l, n = _parse_ints(kind, rest, 3)
         _spider_size(k, l)
-        if ranks_vectors(recipe):
+        if n == 1 and ranks_vectors(recipe):
             # what order_from_recipe says of label 0, the first of every spider
             raise OrderError("order needs exponent-vector labels, got 0")
-        return Builtin(text, spider(k, l), _family("be", k, l, 1))
-    if kind == "be":
-        k, l, n = _parse_ints(kind, rest, 3)
         return Builtin(text, bezrukov_elsasser_poset(k, l, n), _family("be", k, l, n))
     if kind == "colored":
         ns = _parse_ints(kind, rest)

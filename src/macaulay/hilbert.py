@@ -15,7 +15,7 @@ from .errors import RingError, ResourceLimitError
 from .linalg import add_multiple, extend_echelon, rref
 from .linalg import rref_with_transform  # kept bound: bench/spans.py times hilbert.rref_with_transform
 from .orders import OrderTable
-from .poset import RankedPoset, reachability
+from .poset import upset_mask
 from .rings import (
     Polynomial,
     RingModel,
@@ -167,20 +167,6 @@ class InitialMonomialData:
     ims: tuple  # per degree, class ids (ascending by the order)
     imv_dims: tuple
     imi_dims: tuple
-    imi_classes: tuple  # per degree, frozenset of class ids
-
-
-def upset_closure(poset: RankedPoset, seed_ids) -> frozenset:
-    """All elements weakly above the seeds."""
-    seen = set(seed_ids)
-    stack = list(seed_ids)
-    while stack:
-        x = stack.pop()
-        for y in poset.up[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
 
 
 def initial_monomial_data(
@@ -194,6 +180,8 @@ def initial_monomial_data(
     walks the basis down from the order-largest class, with rows spanning
     the slice and the classes walked so far: a class that reduces to zero
     against them is initial, and any other adds its remainder to them.
+    The initial ideal is the upset of all the initial monomials in the class
+    poset, from one `upset_mask` walk, and its profile is `_mask_profile`'s.
     """
     ring = ctx.ring
     F = ring.field
@@ -208,14 +196,8 @@ def initial_monomial_data(
         if len(rows) != ring.hilb[i]:
             raise RingError(f"degree {i}: the ideal slice and the leveled basis do not span it")
         ims.append(tuple(reversed(initial)))
-    imv_dims = tuple(map(len, ims))
-    gens = [x for lvl in ims for x in lvl]
-    by_degree = [[] for _ in range(ring.D + 1)]
-    for x in upset_closure(ctx.poset, gens):
-        by_degree[ctx.poset.rank[x]].append(x)
-    imi_classes = tuple(frozenset(here) for here in by_degree)
-    imi_dims = tuple(ctx.span_dim(i, sorted(here)) for i, here in enumerate(by_degree))
-    return InitialMonomialData(tuple(ims), imv_dims, imi_dims, imi_classes)
+    imi_dims = _mask_profile(ctx, upset_mask(ctx.poset, [x for lvl in ims for x in lvl]), {})
+    return InitialMonomialData(tuple(ims), tuple(map(len, ims)), imi_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +312,10 @@ class RingMacaulayVerdict:
 def _antichains(up, ground):
     """Antichains of the ground elements with their upset masks, streamed depth-first.
 
-    `up` holds each element's upset mask.  The empty antichain comes first,
-    then the rest in lexicographic order of element ids.  A child adds one
-    larger ground element x, comparable with no member, to its parent: its
-    upset mask is the parent's OR x's.
+    `up` maps each ground element to its upset mask.  The empty antichain
+    comes first, then the rest in lexicographic order of element ids.  A
+    child adds one larger ground element x, comparable with no member, to
+    its parent: its upset mask is the parent's OR x's.
     """
     comp = {x: sum(1 << y for y in ground if (up[x] >> y | up[y] >> x) & 1) for x in ground}
     stack = [((), sum(1 << x for x in ground), 0)]  # antichain, free elements, upset
@@ -461,7 +443,7 @@ def is_macaulay_ring(
         ground = [x for x in range(poset.n) if poset.rank[x] <= g]
         if len(ground) > MAX_ANTICHAIN_GROUND:
             raise ResourceLimitError(f"{len(ground)} generator candidates exceed the antichain cap")
-        up = [sum(1 << y for y in above) for above in reachability(poset)]  # upset masks
+        up = {x: upset_mask(poset, (x,)) for x in ground}
         failure = _segment_test(ctx, table)
         spans = {}  # span dimensions without level linear independence
         checked = 0

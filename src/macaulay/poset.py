@@ -1,4 +1,4 @@
-"""Finite ranked posets: shadows, duals, products, truncation, export.
+"""Finite ranked posets: shadows, upsets, duals, products, truncation, export.
 
 Elements are dense integer ids 0..n-1.  A cover pair (a, b) means b covers a,
 and the rank of b must be rank(a) + 1.  Opaque labels (typically exponent
@@ -7,7 +7,6 @@ vectors) ride along with each element; all set computations stay on ids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -224,53 +223,63 @@ def upper_shadow(poset: RankedPoset, ids: Iterable[int]) -> frozenset:
     return poset.upper_shadow(ids)
 
 
-@dataclass(frozen=True)
-class LatticeShape:
-    """Grid shape: per-coordinate lengths, None meaning unbounded.
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-    Unbounded lengths are only legal together with a rank truncation; the
-    library never materializes infinite posets.
+
+def upset_mask(poset: RankedPoset, ids: Iterable[int]) -> int:
+    """Bitmask (bit x for element x) of the elements weakly above any of `ids`.
+
+    One upward walk over `poset.up` with a flag byte per element, so each
+    visit costs O(1); the flags, read last first as binary digits, are the mask.
     """
-
-    lengths: tuple
-    truncation: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(self.lengths))
-        if len(self.lengths) < 1:
-            raise PosetError("shape needs at least one coordinate")
-        for l in self.lengths:
-            if l is not None and (not isinstance(l, int) or l < 1):
-                raise PosetError(f"length must be a positive integer or None, got {l!r}")
-        if any(l is None for l in self.lengths) and self.truncation is None:
-            raise PosetError("unbounded lengths require a truncation")
-        if self.truncation is not None and self.truncation < 0:
-            raise PosetError("truncation must be nonnegative")
+    stack = list(ids)
+    poset._check_ids(stack)
+    seen = bytearray(poset.n)
+    for x in stack:
+        seen[x] = 1
+    up = poset.up
+    while stack:
+        for y in up[stack.pop()]:
+            if not seen[y]:
+                seen[y] = 1
+                stack.append(y)
+    return int(seen[::-1].translate(_BIT_DIGITS), 2)
 
 
-def multiset_lattice(shape, truncation=None) -> RankedPoset:
+def multiset_lattice(lengths, truncation=None) -> RankedPoset:
     """Lattice of exponent vectors x with 0 <= x_i < length_i and |x| <= truncation.
 
-    It is the product of chains, counted before any chain is built: covers
-    are unit increments, rank is the coordinate sum, labels carry the
-    vectors, and elements are id-ordered by (rank, vector).
+    A length of None means unbounded, which needs a truncation: the library
+    never materializes infinite posets.  The lattice is the product of
+    chains, counted before any chain is built: covers are unit increments,
+    rank is the coordinate sum, labels carry the vectors, and elements are
+    id-ordered by (rank, vector).
     """
-    if not isinstance(shape, LatticeShape):
-        shape = LatticeShape(tuple(shape), truncation)
-    elif truncation is not None:
-        shape = LatticeShape(shape.lengths, truncation)
-    cap = shape.truncation
-    lengths = [l if cap is None else min(l or cap + 1, cap + 1) for l in shape.lengths]
-    if cap is None:
+    lengths = tuple(lengths)
+    if not lengths:
+        raise PosetError("shape needs at least one coordinate")
+    for l in lengths:
+        if l is not None and (not isinstance(l, int) or l < 1):
+            raise PosetError(f"length must be a positive integer or None, got {l!r}")
+    if truncation is None:
+        if None in lengths:
+            raise PosetError("unbounded lengths require a truncation")
         check_product(lengths)
     else:
-        check_series([[1] * l for l in lengths], cap)
-    return cartesian_product([chain(l) for l in lengths], cap)
+        if truncation < 0:
+            raise PosetError("truncation must be nonnegative")
+        lengths = [min(l or truncation + 1, truncation + 1) for l in lengths]
+        if max(lengths) > DEFAULT_PRODUCT_LIMIT:  # each clipped chain lies in the product as an axis
+            raise _over(_ELEMENTS, _MORE)
+        check_series([[1] * l for l in lengths], truncation)
+    return cartesian_product([chain(l) for l in lengths], truncation)
 
 
 def chain(n: int) -> RankedPoset:
     """Chain with n elements, labeled by 1-vectors (0,), ..., (n-1,)."""
-    check_product(LatticeShape((n,)).lengths)
+    if not isinstance(n, int) or n < 1:
+        raise PosetError(f"length must be a positive integer, got {n!r}")
+    check_size(n)
     return RankedPoset(n, [(i, i + 1) for i in range(n - 1)], range(n), [(i,) for i in range(n)])
 
 
@@ -438,12 +447,3 @@ def cube_coordinates(poset: RankedPoset) -> list:
             raise PosetError("cube coordinates need integer-vector labels")
         out.append({"id": x, "corner": list(lab)})
     return out
-
-
-def reachability(poset: RankedPoset):
-    """Boolean leq matrix (list of sets: ids weakly above each element)."""
-    above = [set([x]) for x in range(poset.n)]
-    for x in sorted(range(poset.n), key=lambda i: -poset.rank[i]):
-        for y in poset.up[x]:
-            above[x] |= above[y]
-    return above

@@ -190,6 +190,32 @@ def series_product(series, D):
 
 
 # ---------------------------------------------------------------------------
+# Upsets as sets, two ways: the oracles for poset.upset_mask.
+
+
+def reachability(poset):
+    """Per element, the set of ids weakly above it, top ranks first."""
+    above = [set([x]) for x in range(poset.n)]
+    for x in sorted(range(poset.n), key=lambda i: -poset.rank[i]):
+        for y in poset.up[x]:
+            above[x] |= above[y]
+    return above
+
+
+def upset_closure(poset, seed_ids):
+    """All elements weakly above the seeds, by a set-based upward walk."""
+    seen = set(seed_ids)
+    stack = list(seed_ids)
+    while stack:
+        x = stack.pop()
+        for y in poset.up[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
 # Dense exact elimination: the oracle for the sparse kernels in linalg.
 # Scalars are Fractions when p is None and ints in 0..p-1 otherwise.
 
@@ -690,7 +716,6 @@ def antichain_loop_oracle(ctx, table, max_gen_degree=None):
     poset, and running the segment test on each upset's profile.  Witnesses are
     (generator labels, profile, failing degree, kind) tuples."""
     from macaulay.hilbert import MAX_ANTICHAIN_GROUND
-    from macaulay.poset import reachability
 
     poset = ctx.poset
     D = ctx.ring.D

@@ -16,12 +16,11 @@ from macaulay.hilbert import (
     initial_monomial_data,
     initial_segment_space,
     is_macaulay_ring,
-    upset_closure,
 )
 from macaulay.orders import degree_major_order
 from macaulay.rings import degree_rep_lex_order
 
-from conftest import acceptance_constructions, check_monomial_ideal_profile
+from conftest import acceptance_constructions, check_monomial_ideal_profile, upset_closure
 
 PRIME = M.FieldSpec("prime", 32003)
 QQ_FIELD = M.RATIONALS

@@ -73,6 +73,16 @@ def test_malformed_limits_are_usage_errors(capsys):
     assert rc == 0
 
 
+def test_monomial_ideal_scan_on_kk12_reports_every_ideal(capsys):
+    # the 2^12 sets of variables and {1}: the scan walks 13 ground upsets
+    # instead of all 4,096 classes' upsets
+    rc, out, err = run(capsys, "check-ring", "--spec", "kk:12", "--order", "lex",
+                       "--mode", "monomial-ideals", "--max-gen-degree", "1", "--json")
+    report = json.loads(out)
+    assert rc == 0 and err == ""
+    assert report["verdict"]["ideals_checked"] == 4097 and report["verdict"]["holds"] is True
+
+
 def test_check_ring_modes_agree(capsys):
     rc, out, _ = run(capsys, "check-ring", "--spec", "cl:3,4", "--order", "lex", "--mode", "both")
     assert rc == 0 and "modes agree: True" in out
@@ -399,7 +409,7 @@ def test_dom_by_block_recipe_file(tmp_path, capsys):
 
 
 def test_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path, capsys):
-    # star and spider label their elements 0..n-1, so no vector recipe fits them
+    # star, spider and be:k,l,1 label their elements 0..n-1, so no vector recipe fits them
     block = tmp_path / "block.json"
     block.write_text(json.dumps({"kind": "block", "cuts": [[1]], "starts": {}, "blocks": {}}))
     recipes = {"lex": {"kind": "lex"}, "colex": {"kind": "colex"}, "hc": {"kind": "hc"},
@@ -408,7 +418,7 @@ def test_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path,
     for order, recipe in recipes.items():
         with pytest.raises(M.OrderError) as built:
             M.order_from_recipe(M.families.spider(2, 2), recipe)
-        for desc in ("star:999999", "spider:999,999"):
+        for desc in ("star:999999", "spider:999,999", "be:999,999,1"):
             t0 = time.perf_counter()
             rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", order)
             assert time.perf_counter() - t0 < 0.5, (desc, order)

@@ -20,10 +20,8 @@ from macaulay.hilbert import (
     initial_segment_space,
     is_macaulay_ring,
     leveled_basis,
-    upset_closure,
 )
 from macaulay.orders import degree_major_order, explicit_order, order_from_recipe
-from macaulay.poset import reachability
 from macaulay.rings import degree_rep_lex_order, monomials_of_degree
 
 from conftest import (
@@ -33,9 +31,11 @@ from conftest import (
     generator_multiple_slices,
     is_isomorphic_by_labels,
     quadratic_leveled_basis,
+    reachability,
     segment_failure_oracle,
     segment_is_ideal,
     transform_initial_monomials,
+    upset_closure,
 )
 
 
@@ -452,6 +452,21 @@ def test_antichains_are_streamed_not_listed():
     assert peak < 0.5 * 2**20, peak
 
 
+def test_scan_setup_walks_the_ground_upsets_only():
+    # kk:12 has 4,096 classes, 13 of them in degrees <= 1; a table of every
+    # class's upset read 36 MiB at this scan's peak
+    ring = F.builtin("kk:12").ring
+    lex = M.lex_order(M.poset_of_monomials(ring))
+    tracemalloc.start()
+    try:
+        v = is_macaulay_ring(ring, lex, "monomial-ideals", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.holds and v.ideals_checked == 2**12 + 1
+    assert peak < 8 * 2**20, peak
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_LOOP_POOL), st.data())
 def test_prefix_mask_segment_test_matches_set_oracle(name, data):
@@ -519,6 +534,23 @@ def test_initial_monomials_match_basis_coordinates_oracle(name, field, kind, dat
     got = initial_monomial_data(ctx, ideal, table)
     want = transform_initial_monomials(ctx, ideal, table)
     assert (got.ims, got.imv_dims) == (want, tuple(map(len, want)))
+
+
+@pytest.mark.parametrize("name", ["non-lli", "leck:2+2,1", "torus:3,2"])
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((M.RATIONALS, M.FieldSpec())), st.data())
+def test_initial_ideal_dims_match_the_span_dim_oracle(name, field, data):
+    # the initial ideal's profile, from the upset as a set and one span
+    # dimension per degree, with and without level linear independence
+    ctx = _ideal_ring(name, field)
+    assert ctx.lli == (name != "non-lli")
+    p = ctx.poset
+    table = explicit_order(p, data.draw(st.permutations(range(p.n))))
+    ideal = ideal_in_ring(ctx, data.draw(_forms(ctx.ring.spec.d, ctx.ring.D)))
+    got = initial_monomial_data(ctx, ideal, table)
+    ups = upset_closure(p, [x for lvl in got.ims for x in lvl])
+    by_degree = [sorted(x for x in ups if p.rank[x] == i) for i in range(ctx.ring.D + 1)]
+    assert got.imi_dims == tuple(ctx.span_dim(i, ids) for i, ids in enumerate(by_degree))
 
 
 def test_audit_refuses_slices_not_closed_under_a_variable():

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import macaulay as M
 from macaulay import families as F, poset as poset_module
 from macaulay.errors import PosetError, ResourceLimitError
-from macaulay.poset import check_series, export_dot, export_json, parse_json, reachability
+from macaulay.rings import monomials_of_degree
+from macaulay.poset import check_series, export_dot, export_json, parse_json
 
 from conftest import (
     brute_lower_shadow_labels,
@@ -19,7 +20,9 @@ from conftest import (
     labels_of,
     multiset_lattice_oracle,
     normalised_poset_oracle,
+    reachability,
     series_product,
+    upset_closure,
 )
 
 
@@ -35,8 +38,8 @@ def test_multiset_lattice_truncated_infinite():
 
 
 def test_infinite_shape_requires_truncation():
-    with pytest.raises(PosetError):
-        M.LatticeShape((None, 3))
+    with pytest.raises(PosetError, match="unbounded lengths require a truncation"):
+        M.multiset_lattice((None, 3))
 
 
 def test_audit_rejects_bad_rank():
@@ -343,3 +346,72 @@ def test_huge_truncated_lattice_is_refused_at_once():
     # nothing cut off: the exact count, as untruncated products give it
     with pytest.raises(ResourceLimitError, match=r"^poset would have 1002001 elements"):
         M.multiset_lattice([1001, 1001], truncation=2000)
+
+
+def test_unbounded_grids_are_refused_without_listing():
+    # a clipped length over the limit is one axis of the product, so the
+    # product has more elements; the count once listed a row of that many ones
+    for lengths, truncation in (([None], 10**7), ([None, 2], 10**12), ([3, None], 10**6)):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            M.multiset_lattice(lengths, truncation)
+        assert time.perf_counter() - t0 < 0.5, lengths
+        assert str(err.value) == "poset would have more than 1000000 elements (limit 1000000)"
+    # under a cap of 10: a 10-element axis still fits, and an 11-element one does not
+    with mock.patch.object(poset_module, "DEFAULT_PRODUCT_LIMIT", 10):
+        assert M.multiset_lattice([None], truncation=9).n == 10
+        with pytest.raises(ResourceLimitError):
+            M.multiset_lattice([None, None], truncation=10)
+
+
+def test_chain_checks_its_length():
+    for n in (0, -1, None, 2.0):
+        with pytest.raises(PosetError, match="length must be a positive integer"):
+            M.chain(n)
+    with pytest.raises(ResourceLimitError, match="poset would have 1000001 elements"):
+        M.chain(10**6 + 1)
+
+
+# ---------------------------------------------------------------------------
+# The one upset walk, against the whole-poset reachability sets and the
+# set-based walk in conftest.
+
+
+@st.composite
+def _ring_posets(draw):
+    """The class poset of a ring on d <= 3 variables at D <= 3, modulo up to
+    three forms of degree 1 or 2 with up to two terms each."""
+    d, D = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        mons = monomials_of_degree(d, draw(st.integers(1, 2)))
+        exps = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=2, unique=True))
+        gens.append(M.Polynomial({e: draw(st.integers(-3, 3).filter(bool)) for e in exps}))
+    return M.poset_of_monomials(M.build_ring(M.QuotientRingSpec(d, M.RATIONALS, gens, D)))
+
+
+_UPSET_POSETS = st.one_of(
+    _FACTORS,
+    st.lists(_FACTORS, min_size=2, max_size=3).map(M.cartesian_product),
+    _ring_posets(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UPSET_POSETS, st.booleans(), st.data())
+def test_upset_mask_matches_the_set_oracles(poset, flip, data):
+    if flip:
+        try:
+            poset = M.dual(poset)
+        except PosetError:  # not dually ranked
+            pass
+    above = reachability(poset)
+    for x in range(poset.n):
+        assert M.upset_mask(poset, [x]) == sum(1 << y for y in above[x]) > 0
+    ids = data.draw(st.lists(st.integers(0, poset.n - 1), max_size=6))
+    want = upset_closure(poset, ids)
+    assert want == frozenset().union(*(above[x] for x in ids))
+    assert M.upset_mask(poset, iter(ids)) == sum(1 << y for y in want)
+    with pytest.raises(PosetError, match="unknown element id"):
+        M.upset_mask(poset, ids + [poset.n])
+

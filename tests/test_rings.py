@@ -15,6 +15,7 @@ from conftest import (
     member_tree_ring_oracle,
     normalised_poset_oracle,
     oracle_times,
+    reachability,
     ring_fields,
     series_product,
     to_dense,
@@ -31,7 +32,6 @@ from macaulay.rings import (
     monomials_of_degree,
     rep_lex_order,
 )
-from macaulay.poset import reachability
 
 
 def non_lli_spec(field=M.RATIONALS, D=2):
