@@ -42,6 +42,7 @@ from .rings import (
     QuotientRingSpec,
     RingModel,
     build_ring,
+    check_generators,
     monomial,
     poset_of_monomials,
     rep_lex_order,
@@ -193,6 +194,7 @@ def bezrukov_elsasser_poset(k: int, length: int, n: int) -> RankedPoset:
 
 def kk_ring(d: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     """Quotient by the squares of all variables (square-free monomials survive)."""
+    check_generators(d, d)  # before the d caps are listed
     return cl_ring([2] * d, field)
 
 
@@ -200,11 +202,13 @@ def cl_ring(caps: Sequence[int], field: FieldSpec = FieldSpec()) -> QuotientRing
     """Quotient by pure variable powers; the class poset is the grid of the caps."""
     caps = list(caps)
     d = len(caps)
+    check_generators(d, d)
     gens = [monomial(tuple(caps[i] if j == i else 0 for j in range(d))) for i in range(d)]
     return QuotientRingSpec(d, field, gens, sum(c - 1 for c in caps))
 
 
 def _colored_basic(n: int, field: FieldSpec) -> QuotientRingSpec:
+    check_generators(n * (n + 1) // 2, n)
     gens = []
     for i in range(n):
         for j in range(i, n):
@@ -222,6 +226,7 @@ def colored_sf_ring(ns: Sequence[int], field: FieldSpec = FieldSpec(), D=None) -
 
 def _powers_and_products(d, cap):
     """x_i^cap for each variable i, then x_i * x_j for each i < j."""
+    check_generators(d * (d + 1) // 2, d)
     return [monomial(tuple(cap * (v == i) for v in range(d))) for i in range(d)] + [
         monomial(tuple(int(v in pair) for v in range(d))) for pair in combinations(range(d), 2)
     ]
@@ -303,6 +308,7 @@ def leck_basic_ring(d: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     """Square-free monomials minus the top: the Boolean lattice with its apex removed."""
     if d < 2:
         raise RingError("a basic factor needs at least two variables")
+    check_generators(d + 1, d)
     gens = [monomial(tuple(2 if j == i else 0 for j in range(d))) for i in range(d)]
     gens.append(monomial(tuple([1] * d)))
     return QuotientRingSpec(d, field, gens, d - 1)
@@ -316,6 +322,8 @@ def leck_ring(ds: Sequence[int], kk_d: int, field: FieldSpec = FieldSpec(), D=No
     """
     if not ds:
         raise RingError("a Leck ring needs at least one basic factor")
+    if kk_d < 0:
+        raise RingError(f"a Leck ring's square-free grid needs a nonnegative size, got {kk_d}")
     specs = [leck_basic_ring(d, field) for d in ds]
     if kk_d > 0:
         specs.append(kk_ring(kk_d, field))

@@ -40,7 +40,7 @@ class RingContext:
         self.lli, self.lli_fail_degree = is_level_linearly_independent(ring)
 
     def classes_at(self, degree):
-        return self.ring.levels[degree] if degree <= self.ring.D else ()
+        return self.poset.level(degree)
 
     def span_dim(self, degree, class_ids):
         """Dimension of the span of class residues inside the degree slice."""

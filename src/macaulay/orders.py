@@ -23,7 +23,7 @@ from bisect import bisect_right
 from typing import Callable
 
 from .errors import OrderError
-from .poset import RankedPoset, dual as dual_poset
+from .poset import RankedPoset, dual as dual_poset, split_by_rank
 
 # ---------------------------------------------------------------------------
 # Core: ranking integer position vectors
@@ -190,7 +190,7 @@ class OrderTable:
         for x, p in enumerate(self.position):
             by[p] = x
         self._by_pos = tuple(by)
-        self._levels = {}  # (level, reverse) -> ids in order, filled on first use
+        self._levels = split_by_rank(self._by_pos, poset.rank)
 
     def by_position(self):
         return self._by_pos
@@ -200,12 +200,8 @@ class OrderTable:
 
     def level_in_order(self, i, reverse=False):
         """Ids of level i sorted by position (reverse=True for the dual side)."""
-        key = (i, reverse)
-        if key not in self._levels:
-            self._levels[key] = tuple(
-                sorted(self.poset.level(i), key=lambda x: self.position[x], reverse=reverse)
-            )
-        return self._levels[key]
+        ids = self._levels[i] if 0 <= i < len(self._levels) else ()
+        return ids[::-1] if reverse else ids
 
     def labels_in_order(self):
         return tuple(self.poset.labels[x] for x in self._by_pos)
@@ -289,11 +285,9 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
     default = default or {"kind": "colex"}
     _, lens = _vector_labels(poset)
     ids = []
-    for i in range(poset.max_rank + 1):
-        lvl = list(poset.level(i))
+    for i, lvl in enumerate(poset.levels):
         ranking = rank_vectors([poset.labels[x] for x in lvl], lens, per_rank.get(i, default))
-        lvl.sort(key=lambda x: ranking[poset.labels[x]])
-        ids.extend(lvl)
+        ids += sorted(lvl, key=lambda x: ranking[poset.labels[x]])
     recipe = {
         "kind": "degree-major",
         "per_rank": {str(k): v for k, v in sorted(per_rank.items())},

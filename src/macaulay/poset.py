@@ -90,6 +90,20 @@ def _label_key(label):
     return (3, (repr(label),))
 
 
+def split_by_rank(ids, rank):
+    """The `ids`, in their order, as one tuple per rank 0..max(rank); ranks are nonnegative."""
+    out = [[] for _ in range(max(rank) + 1)]
+    for x in ids:
+        out[rank[x]].append(x)
+    return tuple(map(tuple, out))
+
+
+def label_order(poset, ids):
+    """The `ids` sorted by label, ties kept in place: the order that `min_shadow`'s witness,
+    the order search and DOT export promise; package posets number each level in it."""
+    return tuple(sorted(ids, key=lambda x: _label_key(poset.labels[x])))
+
+
 class RankedPoset:
     """Immutable finite ranked poset.
 
@@ -98,7 +112,7 @@ class RankedPoset:
     every element of positive rank has a cover below it.
     """
 
-    __slots__ = ("n", "covers", "rank", "labels", "up", "down", "_levels", "_label_ids")
+    __slots__ = ("n", "covers", "rank", "labels", "up", "down", "levels", "_label_ids")
 
     def __init__(self, n, covers, rank, labels=None):
         self.n = int(n)
@@ -109,9 +123,9 @@ class RankedPoset:
         ]))
         self.rank = tuple(int(r) for r in rank)
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
-        self._levels = None
         self._label_ids = None
         self.audit()
+        self.levels = split_by_rank(range(self.n), self.rank)  # per rank, ascending ids
         # the covers are sorted, so each element's ups and downs arrive
         # ascending and a repeated cover arrives right after itself
         up = [[] for _ in range(self.n)]
@@ -150,24 +164,10 @@ class RankedPoset:
 
     @property
     def max_rank(self):
-        return max(self.rank)
-
-    @property
-    def levels(self):
-        """Per-rank element ids, each level sorted by label."""
-        if self._levels is None:
-            lv = [[] for _ in range(self.max_rank + 1)]
-            for x in range(self.n):
-                lv[self.rank[x]].append(x)
-            self._levels = tuple(
-                tuple(sorted(xs, key=lambda i: _label_key(self.labels[i]))) for xs in lv
-            )
-        return self._levels
+        return len(self.levels) - 1
 
     def level(self, i):
-        if not (0 <= i <= self.max_rank):
-            return ()
-        return self.levels[i]
+        return self.levels[i] if 0 <= i < len(self.levels) else ()
 
     def id_of(self, label):
         if self._label_ids is None:
@@ -427,8 +427,9 @@ def parse_json(text: str) -> RankedPoset:
 def export_dot(poset: RankedPoset) -> str:
     """Hasse graph in DOT, rank-layered, nodes named v<id>, labels with \\ and " escaped."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    lines += [f"  {{ rank=same; {' '.join(f'v{x};' for x in ids)} }}" for ids in poset.levels]
-    for x in (x for ids in poset.levels for x in ids):
+    levels = [label_order(poset, ids) for ids in poset.levels]
+    lines += [f"  {{ rank=same; {' '.join(f'v{x};' for x in ids)} }}" for ids in levels]
+    for x in (x for ids in levels for x in ids):
         label = str(poset.labels[x]).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{x} [label="{label}"];')
     lines += [f"  v{a} -> v{b};" for a, b in poset.covers]

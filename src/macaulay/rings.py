@@ -522,7 +522,7 @@ def is_monomial_order(ring: RingModel, table: OrderTable):
     pos = table.position
     labels = poset.labels
     walk = table.by_position()
-    for xm in sorted(poset.level(1)):
+    for xm in poset.level(1):
         img = [None if y is None else pos[y] for y in ring.times[labels[xm].index(1)]]
         live = [x for x in walk if img[x] is not None]
         # bad: the live elements with a later-placed one whose image is not above theirs
@@ -576,11 +576,18 @@ def _lift(poly: Polynomial, d_total, offset):
     )
 
 
+def check_generators(*factors):
+    """The exponent entries a spec's generators list, generator terms times
+    variables, by `check_count`: checked before any generator is listed."""
+    return check_count(factors, "the generators would have {} exponent entries")
+
+
 def tensor_ring(specs: Sequence[QuotientRingSpec], D: Optional[int] = None) -> QuotientRingSpec:
     """Combined quotient on the disjoint union of the variables.
 
     The default truncation is the sum of the factor truncations, which keeps
-    every product of factor classes visible.
+    every product of factor classes visible.  The lifted generators are
+    counted by `check_generators` before they are listed.
     """
     if not specs:
         raise RingError("tensor of zero rings is not defined")
@@ -588,6 +595,7 @@ def tensor_ring(specs: Sequence[QuotientRingSpec], D: Optional[int] = None) -> Q
     if len(fields) != 1:
         raise RingError("tensor factors must share a field")
     d_total = sum(s.d for s in specs)
+    check_generators(sum(len(g.terms) for s in specs for g in s.generators), d_total)
     gens = []
     offset = 0
     for s in specs:
@@ -599,4 +607,6 @@ def tensor_ring(specs: Sequence[QuotientRingSpec], D: Optional[int] = None) -> Q
 
 
 def tensor_power(spec: QuotientRingSpec, n: int, D: Optional[int] = None) -> QuotientRingSpec:
+    terms = sum(len(g.terms) for g in spec.generators)
+    check_generators(terms, n, spec.d, n)  # n * terms lifted over n * d variables
     return tensor_ring([spec] * n, D)

@@ -42,7 +42,7 @@ from typing import Optional
 
 from .errors import ResourceLimitError, SearchBudgetExceeded
 from .orders import OrderTable, explicit_order
-from .poset import RankedPoset
+from .poset import RankedPoset, label_order
 
 DEFAULT_SUBSET_CAP = 2 ** 22
 
@@ -328,9 +328,9 @@ def is_macaulay(
 
 
 def _level_kernel(poset, level, direction, max_subsets):
-    """The ids of a level and `_level_minima` of their shadow masks."""
+    """The ids of a level, in label order, and `_level_minima` of their shadow masks."""
     neigh, step = _direction(poset, direction)
-    ids = poset.level(level)
+    ids = label_order(poset, poset.level(level))
     masks = _shadow_masks(neigh, ids, poset.level(level + step))
     return ids, *_level_minima(masks, level, max_subsets)
 
@@ -368,7 +368,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
 
     Levels are assigned bottom-up; an order of level i is kept only if every
     subset of level i satisfies the property against the fixed order of level
-    i-1.  Each order is built as a prefix DFS, trying elements in canonical
+    i-1.  Each order is built as a prefix DFS, trying elements in label
     order, so the first order found is the first one itertools.permutations
     would pass.  The level minima depend only on the level below, so they are
     computed once per level, before any prefix is accepted.  A prefix of
@@ -380,7 +380,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
     ResourceLimitError at the first continuous full permutation of a level
     with more subsets than DEFAULT_SUBSET_CAP (cut by continuity alone).
     """
-    levels = [list(poset.level(i)) for i in range(poset.max_rank + 1)]
+    levels = [label_order(poset, lvl) for lvl in poset.levels]
     chosen: list = [None] * len(levels)
     nodes = 0
 

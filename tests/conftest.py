@@ -10,6 +10,7 @@ import pytest
 import macaulay as M
 from macaulay.linalg import add_multiple, reduce_vector, rref, rref_with_transform
 from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
+from macaulay.poset import label_order
 from macaulay.rings import field_terms, monomials_by_degree, monomials_of_degree
 
 
@@ -79,9 +80,7 @@ def normalised_poset_oracle(n, covers, rank, labels=None):
     kept, then each element's ups and downs as tuple(sorted(set(xs))).  Raises
     PosetError where a cover names an unknown id or fails to raise rank by one,
     or where the ranks do not start at 0 or an element of positive rank has
-    no cover below it."""
-    from macaulay.poset import _label_key
-
+    no cover below it.  Levels list each rank's ids in ascending order."""
     covers = tuple(sorted((int(a), int(b)) for a, b in covers))
     labels = tuple(labels) if labels is not None else tuple(range(n))
     if n < 1 or len(rank) != n or len(labels) != n:
@@ -96,10 +95,7 @@ def normalised_poset_oracle(n, covers, rank, labels=None):
     down = tuple(tuple(sorted(set(xs))) for xs in down)
     if min(rank) != 0 or any(r > 0 and not down[x] for x, r in enumerate(rank)):
         raise M.PosetError("rank")
-    levels = tuple(
-        tuple(sorted((x for x in range(n) if rank[x] == i), key=lambda x: _label_key(labels[x])))
-        for i in range(max(rank) + 1)
-    )
+    levels = tuple(tuple(x for x in range(n) if rank[x] == i) for i in range(max(rank) + 1))
     return covers, up, down, levels
 
 
@@ -983,9 +979,10 @@ def _level_pair_ok(sh, nt, level):
 
 def permutation_search_oracle(poset, budget=200_000):
     """The order search as one permutation per budget unit: the first per-level
-    order, in canonical order, that passes every level against the one below;
-    None when none exists; SearchBudgetExceeded past `budget` permutations."""
-    levels = [list(poset.level(i)) for i in range(poset.max_rank + 1)]
+    order, permuting each level in label order, that passes every level against
+    the one below; None when none exists; SearchBudgetExceeded past `budget`
+    permutations."""
+    levels = [list(label_order(poset, lvl)) for lvl in poset.levels]
     chosen = [None] * len(levels)
     nodes = 0
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import macaulay as M
+from macaulay import poset as poset_module
 from macaulay.cli import main
 from macaulay.rings import monomials_of_degree
 
@@ -330,6 +331,41 @@ def test_oversized_poset_builtins_exit_3_before_building(capsys):
         rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", "lex")
         assert time.perf_counter() - t0 < 0.5, desc
         assert rc == 3 and out == "" and "(limit 1000000)" in err and err.count("\n") == 1, desc
+
+
+def test_oversized_ring_builtins_exit_3_before_listing_generators(capsys):
+    # generator terms times variables, counted from the parameters: colored-ring:1000
+    # once ended in a MemoryError, be-ring:2,1000,1 ran past 120 s, kk:5000 took 20 s,
+    # and kk:10^30 and be-ring:2,2,10^30 ended in an OverflowError listing their factors
+    for desc, entries in (
+        ("colored-ring:126", 1008126), ("colored-ring:1000", 500500000),
+        ("be-ring:2,126,1", 1008126), ("be-ring:2,1000,1", 500500000),
+        ("be-ring:2,2,100000000", 60000000000000000), ("kk:5000", 25000000),
+        (f"kk:{10 ** 30}", 10 ** 60), (f"be-ring:2,2,{10 ** 30}", 6 * 10 ** 60),
+        ("cl:" + ",".join(["3"] * 1001), 1002001), ("leck:3000", 9003000),
+        ("leck:2,1000", 1005006), ("torus:2,400", 1600000), ("diamond:300", 2700000),
+    ):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "check-ring", "--spec", desc, "--order", "lex")
+        assert time.perf_counter() - t0 < 0.5, desc[:20]
+        assert rc == 3 and out == "", desc[:20]
+        assert err == (f"resource limit: the generators would have {entries} exponent "
+                       "entries (limit 1000000)\n"), desc[:20]
+
+
+def test_negative_leck_grid_is_usage_error(capsys):
+    # it was read as no grid factor: leck:2,0
+    rc, out, err = run(capsys, "ring", "build", "--spec", "leck:2,-1")
+    assert rc == 2 and out == ""
+    assert err == "error: a Leck ring's square-free grid needs a nonnegative size, got -1\n"
+
+
+def test_check_ring_sorts_no_level_by_label(capsys):
+    # every class poset numbers its levels in label order; kk:12 once made 53,248 label-key calls
+    with mock.patch.object(poset_module, "_label_key", side_effect=poset_module._label_key) as key:
+        rc, _, err = run(capsys, "check-ring", "--spec", "kk:12", "--order", "lex")
+    assert rc == 3 and "level 2 has 66 elements" in err
+    assert key.call_count == 0
 
 
 def test_huge_poset_descriptors_exit_3(capsys):

@@ -1,4 +1,5 @@
 import json
+import time
 from functools import lru_cache
 from math import prod
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import macaulay as M
 from macaulay import families as F
-from macaulay.errors import OrderError, PosetError
+from macaulay.errors import OrderError, PosetError, ResourceLimitError, RingError
 from macaulay.orders import order_from_recipe, table_from_vectors
 
 from conftest import (
@@ -349,9 +350,44 @@ def test_basic_ring_constructors_keep_their_specs():
             2, 2, (3, 0), (0, 3), (1, 1), [((0, 2), "-1"), ((2, 0), "1")])),
         (F.torus_basic_ring(3), _spec_json(
             2, 3, (4, 0), (0, 4), (1, 1), [((0, 3), "-1"), ((3, 0), "1")])),
+        (F.cl_ring([2, 3]), _spec_json(2, 3, (2, 0), (0, 3))),
+        (F.leck_basic_ring(2), _spec_json(2, 1, (2, 0), (0, 2), (1, 1))),
+        (F._colored_basic(2, M.FieldSpec()), _spec_json(2, 1, (2, 0), (1, 1), (0, 2))),
         (F.diamond_basic_ring(), _spec_json(
             3, 2, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0), (1, 0, 1), (0, 1, 1),
             [((0, 2, 0), "-1"), ((2, 0, 0), "1")], [((0, 0, 2), "-1"), ((0, 2, 0), "1")])),
     ]
     for spec, want in cases:
         assert spec.to_json() == want
+
+
+def test_negative_leck_grid_is_a_ring_error():
+    with pytest.raises(RingError, match="nonnegative size, got -1"):
+        F.leck_ring([2], -1)
+    with pytest.raises(RingError, match="nonnegative size, got -1"):
+        F.builtin("leck:2,-1")
+    assert F.leck_ring([2], 0) == F.leck_basic_ring(2)
+
+
+@pytest.mark.parametrize("build, fits", [
+    (F.kk_ring, 1000),  # d generators of one term over d variables
+    (lambda n: F._colored_basic(n, M.FieldSpec()), 125),  # n(n+1)/2 over n
+    (lambda d: F.be_basic_ring(d - 1, 1), 125),  # d(d+1)/2 over d
+    (F.leck_basic_ring, 999),  # d + 1 over d
+    (lambda n: M.tensor_power(F.kk_ring(1), n), 1000),  # n over n variables
+])
+def test_generators_are_counted_before_they_are_listed(build, fits):
+    build(fits)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="the generators would have .* exponent entries"):
+        build(fits + 1)
+    # a count too long to print, with nothing of its size listed
+    with pytest.raises(ResourceLimitError, match="more than 1000000 exponent entries"):
+        build(10 ** 5000)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_tensor_ring_counts_the_lifted_generators():
+    M.tensor_ring([F.kk_ring(1)] * 1000)
+    with pytest.raises(ResourceLimitError, match="would have 1002001 exponent entries"):
+        M.tensor_ring([F.kk_ring(1)] * 1001)

@@ -97,6 +97,14 @@ def test_mixed_order_not_monomial_and_initial_ideal_gap():
     assert data.imi_dims[2] == 3
 
 
+def test_classes_at_reads_the_poset_levels():
+    ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
+    for i in range(ctx.ring.D + 1):
+        assert tuple(ctx.classes_at(i)) == tuple(ctx.ring.levels[i]) == ctx.poset.level(i)
+    # out of range on either side, as for poset.level: no wrap to the top degree
+    assert ctx.classes_at(-1) == ctx.classes_at(ctx.ring.D + 1) == ()
+
+
 def test_monomial_ideal_ims_is_itself():
     ctx = RingContext(M.build_ring(F.cl_ring([3, 4], M.RATIONALS)))
     lex = M.lex_order(ctx.poset)

@@ -293,3 +293,25 @@ def test_recipe_fields_admit_only_json():
     bad = {(kind, f): shape for kind, fields in RECIPE_FIELDS.items()
            for f, shape in fields.items() if not _json_only(shape)}
     assert not bad
+
+
+@st.composite
+def _explicit_orders(draw):
+    """A random order over a random ranked poset whose ids interleave the ranks."""
+    n = draw(st.integers(1, 9))
+    rank = [0]
+    while len(rank) < n:
+        rank.append(draw(st.integers(0, max(rank) + 1)))
+    rank = draw(st.permutations(rank))
+    covers = [(draw(st.sampled_from([a for a in range(n) if rank[a] + 1 == rank[b]])), b)
+              for b in range(n) if rank[b]]
+    return M.explicit_order(M.RankedPoset(n, covers, rank), draw(st.permutations(range(n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_explicit_orders(), st.booleans())
+def test_level_in_order_is_the_level_sorted_by_position(table, reverse):
+    p = table.poset
+    for i in range(-2, p.max_rank + 3):
+        want = tuple(sorted(p.level(i), key=lambda x: table.position[x], reverse=reverse))
+        assert table.level_in_order(i, reverse) == want

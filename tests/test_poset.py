@@ -1,4 +1,7 @@
+import ast
+import functools
 import json
+import pathlib
 import random
 import time
 from unittest import mock
@@ -10,7 +13,7 @@ import macaulay as M
 from macaulay import families as F, poset as poset_module
 from macaulay.errors import PosetError, ResourceLimitError
 from macaulay.rings import monomials_of_degree
-from macaulay.poset import check_series, export_dot, export_json, parse_json
+from macaulay.poset import check_series, export_dot, export_json, label_order, parse_json
 
 from conftest import (
     brute_lower_shadow_labels,
@@ -415,3 +418,78 @@ def test_upset_mask_matches_the_set_oracles(poset, flip, data):
     with pytest.raises(PosetError, match="unknown element id"):
         M.upset_mask(poset, ids + [poset.n])
 
+
+# ---------------------------------------------------------------------------
+# Levels list ascending ids, and every poset the package builds numbers each
+# level in label order, so `label_order` returns its levels unchanged.
+
+_SMALL_BUILTINS = (
+    "multiset:3,4", "chain:4", "star:3", "spider:2,2", "be:1,2,2", "colored:2,1", "kk:3",
+    "cl:2,3", "colored-ring:2,2", "be-ring:2,2,2", "torus:3", "torus:2,2", "diamond:2",
+    "leck:2+2,1",
+)
+
+
+@functools.cache
+def _builtin_poset(name):
+    return F.builtin(name).poset
+
+
+_PACKAGE_POSETS = st.one_of(
+    st.sampled_from(_SMALL_BUILTINS).map(_builtin_poset),
+    st.builds(M.cartesian_product, st.lists(_FACTORS, min_size=2, max_size=3),
+              st.one_of(st.none(), st.integers(0, 6))),
+    _ring_posets(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PACKAGE_POSETS, st.sampled_from(["as built", "dual", "truncated"]), st.integers(0, 4))
+def test_package_posets_number_each_level_in_label_order(poset, form, top):
+    if form == "dual":
+        try:
+            poset = M.dual(poset)
+        except PosetError:  # not dually ranked
+            pass
+    elif form == "truncated":
+        poset = M.truncate(poset, top)
+    assert poset.levels == tuple(
+        tuple(x for x in range(poset.n) if poset.rank[x] == i) for i in range(max(poset.rank) + 1)
+    )
+    for lvl in poset.levels:
+        assert label_order(poset, lvl) == lvl
+
+
+def _readers(tree, name):
+    """The innermost function around each reference to `name` (a name, an
+    attribute or an import), "<module>" outside any function."""
+    found = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if name in (getattr(child, "id", None), getattr(child, "attr", None),
+                        getattr(child, "name", None)):
+                found.add(fn)
+            visit(child, fn)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_outputs_that_promise_label_order_sort_by_label():
+    # any other reader would sort levels that every package poset numbers in label order
+    trees = {path.name: ast.parse(path.read_text())
+             for path in pathlib.Path(poset_module.__file__).parent.glob("*.py")}
+
+    def readers(name):
+        return {(module, fn) for module, tree in trees.items() for fn in _readers(tree, name)}
+
+    # `_label_key` reads itself for nested tuples
+    assert readers("_label_key") == {("poset.py", "label_order"), ("poset.py", "cartesian_product"),
+                                     ("poset.py", "_label_key")}
+    assert readers("label_order") == {("verify.py", "<module>"), ("verify.py", "_level_kernel"),
+                                      ("verify.py", "search_macaulay_order"),
+                                      ("poset.py", "export_dot")}

@@ -13,6 +13,7 @@ import macaulay as M
 from macaulay import verify
 from macaulay.errors import ResourceLimitError, SearchBudgetExceeded
 from macaulay.families import builtin, star
+from macaulay.poset import label_order
 
 from conftest import (
     brute_min_shadow,
@@ -532,6 +533,42 @@ def test_search_matches_the_permutation_loop(seed, budget, cap):
     with mock.patch.object(verify, "DEFAULT_SUBSET_CAP", cap):
         expected = _search_outcome(permutation_search_oracle, p, budget)
         assert _search_outcome(M.search_macaulay_order, p, budget) == expected
+
+
+# A poset file numbers its levels as it likes: here ranks 0 and 1 list their
+# ids out of label order.  Levels hold ascending ids, while min_shadow's
+# witness, the order search and DOT export keep label order.
+_HAND_NUMBERED = {
+    "n": 7, "ranks": [0, 0, 0, 1, 1, 1, 2],
+    "covers": [[0, 3], [1, 3], [1, 4], [2, 4], [0, 5], [2, 5], [3, 6], [4, 6], [5, 6]],
+    "labels": [12, 10, 11, 5, 3, 4, 0],
+}
+
+
+def test_hand_numbered_levels_keep_label_order_where_promised():
+    p = M.parse_json(json.dumps(_HAND_NUMBERED))
+    assert p.levels == ((0, 1, 2), (3, 4, 5), (6,))
+    assert [label_order(p, lvl) for lvl in p.levels] == [(1, 2, 0), (4, 5, 3), (6,)]
+    for direction, step in (("lower", -1), ("upper", 1)):
+        neigh = p.down if direction == "lower" else p.up
+        for lvl in range(p.max_rank + 1):
+            ids = label_order(p, p.level(lvl))
+            target = p.level(lvl + step)
+            best, masks = gray_minima(shadow_lists(neigh, ids, target), len(target))
+            for q in range(len(ids) + 1):
+                witness = frozenset(x for j, x in enumerate(ids) if masks[q] >> j & 1)
+                assert M.min_shadow(p, lvl, q, direction) == (best[q], witness)
+    # the rank-1 elements tie at q = 1: the witness is the label-least, id 4, not id 3
+    assert M.min_shadow(p, 1, 1) == (2, frozenset({4}))
+    found = M.search_macaulay_order(p).position
+    assert found == permutation_search_oracle(p).position == (2, 0, 1, 5, 3, 4, 6)
+    assert M.export_dot(p) == (
+        'digraph hasse {\n  rankdir=BT;\n  { rank=same; v1; v2; v0; }\n'
+        '  { rank=same; v4; v5; v3; }\n  { rank=same; v6; }\n  v1 [label="10"];\n'
+        '  v2 [label="11"];\n  v0 [label="12"];\n  v4 [label="3"];\n  v5 [label="4"];\n'
+        '  v3 [label="5"];\n  v6 [label="0"];\n  v0 -> v3;\n  v0 -> v5;\n  v1 -> v3;\n'
+        '  v1 -> v4;\n  v2 -> v4;\n  v2 -> v5;\n  v3 -> v6;\n  v4 -> v6;\n  v5 -> v6;\n}\n'
+    )
 
 
 def test_search_on_builtins():
