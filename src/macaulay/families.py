@@ -35,8 +35,9 @@ from .orders import (
     table_from_vectors,
 )
 from .poset import RankedPoset, cartesian_power, cartesian_product, check_size, dual
-from .poset import check_product, multiset_lattice
+from .poset import DEFAULT_PRODUCT_LIMIT, check_count, check_product, multiset_lattice
 from .rings import (
+    FOLD_COUNT,
     FieldSpec,
     Polynomial,
     QuotientRingSpec,
@@ -433,6 +434,16 @@ def _ring_builtin(name, spec, order, candidate=None):
     return Builtin(name, poset_of_monomials(ring), order, ring, candidate)
 
 
+def _pure_powers(name, caps, field):
+    """`cl_ring` as a builtin, refused by the build's own fold count before its
+    generators are listed; a cap below 1 or a component over the limit refuses first."""
+    check_generators(len(caps), len(caps))
+    D = sum(c - 1 for c in caps)
+    if min(caps, default=0) > 0 and D < DEFAULT_PRODUCT_LIMIT:
+        check_count(caps, FOLD_COUNT.format(D))  # D cuts nothing: the product of the caps
+    return _ring_builtin(name, cl_ring(caps, field), {"kind": "lex"})
+
+
 def builtin(
     spec_str: str, field: FieldSpec = FieldSpec(), recipe: Optional[dict] = None
 ) -> Builtin:
@@ -473,10 +484,10 @@ def builtin(
         return Builtin(text, colored_poset(ns), _family("colored", *ns, side="poset"))
     if kind == "kk":
         (d,) = _parse_ints(kind, rest, 1)
-        return _ring_builtin(text, kk_ring(d, field), {"kind": "lex"})
+        check_generators(d, d)  # before the d caps are listed
+        return _pure_powers(text, [2] * d, field)
     if kind == "cl":
-        caps = _parse_ints(kind, rest)
-        return _ring_builtin(text, cl_ring(caps, field), {"kind": "lex"})
+        return _pure_powers(text, _parse_ints(kind, rest), field)
     if kind == "colored-ring":
         ns = _parse_ints(kind, rest)
         return _ring_builtin(text, colored_sf_ring(ns, field), _family("colored", *ns, side="ring"))

@@ -36,6 +36,7 @@ from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
 from .poset import RankedPoset, check_count, check_series
 
 DEFAULT_PRIME = 32003
+FOLD_COUNT = "the ring would have {{}} products of factor classes of degree <= {}"  # .format(D)
 
 
 @dataclass(frozen=True)
@@ -287,8 +288,7 @@ class RingModel:
                 factor = _eliminate(k, fgens, spec.D, self.field)
                 eliminated[key] = factor, [len(ids) for ids in factor[1]]
             factors.append((variables, *eliminated[key]))
-        what = f"the ring would have {{}} products of factor classes of degree <= {spec.D}"
-        check_series([sizes for _, _, sizes in factors], spec.D, what)
+        check_series([sizes for _, _, sizes in factors], spec.D, FOLD_COUNT.format(spec.D))
         pieces = []
         for variables, (nf, levels, classes, times), _ in factors:
             # a factor monomial padded with a zero, read off at each global variable

@@ -17,9 +17,10 @@ size, and it is a target prefix exactly when m & (m + 1) is zero.
 `_level_minima` keeps each half of the level as its distinct
 inclusion-minimal subset ORs per size, starts every bound at the initial
 segment's shadow, and meets each high-half OR with every low-half OR at
-once, as bit-parallel arithmetic on one packed int; the exact per-pair
-minimum runs only where a pair beats its bound.  `min_shadow_profile` gives
-a level's minima for every size.
+once, as bit-parallel arithmetic on one packed int: popcounts in byte lanes,
+summed per field by one multiply (one lane per field past 127 targets); the
+exact per-pair minimum runs only where a pair beats its bound.
+`min_shadow_profile` gives a level's minima for every size.
 Witnesses are found on demand, for the sizes a caller reports, in one
 Gray-code pass: they are the first minimizers the full 2^k Gray walk would
 report.  `_check_subset_cap` runs before any table is built, so every caller
@@ -155,6 +156,12 @@ def _ones(n, w):
     return int.from_bytes((1).to_bytes(w // 8, "little") * n, "little")
 
 
+def _width(t):
+    """(lane, w) for ORs of bit length t: below 128, w is the least multiple of 8
+    above t, counted in byte lanes; from there the least power of two, in one lane."""
+    return (8, t + 8 & -8) if t < 128 else (1 << t.bit_length(),) * 2
+
+
 def _lean(table, n, w):
     """Per subset size 0..n, the distinct inclusion-minimal ORs of a subset
     table, sorted by popcount: a superset never has a smaller shadow.
@@ -191,9 +198,9 @@ def _level_minima(rows, level, cap):
     - both halves are lean (`_lean`): a superset never has a smaller shadow;
     - `best[q]` starts at the shadow size of the first q rows, a q-subset;
     - a lean high OR `a` meets every lean low OR at once, as SWAR arithmetic
-      on one int of w-bit fields, w a power of two above the bit length of
-      the rows' OR; only when some pair beats its bound does the exact
-      per-size `min` run for `a`, over lean low ORs of popcount below best;
+      on one int of w-bit fields, w a multiple of 8 above the bit length of
+      the rows' OR (`_width`); only when some pair beats its bound does the
+      exact per-size `min` run for `a`, over lean low ORs of popcount below best;
     - `find` walks the high subsets in Gray order, skips low size r when
       pop(a) + d[r] > best, where d[r] is the r-th smallest count of bits a
       low row adds to `a`, since any r low rows add at least that many, and
@@ -202,7 +209,7 @@ def _level_minima(rows, level, cap):
     k = len(rows)
     _check_subset_cap(k, level, cap)
     prefix = list(accumulate(rows, int.__or__, initial=0))
-    w = max(8, 1 << prefix[-1].bit_length().bit_length())
+    lane, w = _width(prefix[-1].bit_length())
     lo = k // 2
     low_rows = rows[:lo]
     low, high = _subset_ors(low_rows), _subset_ors(rows[lo:])
@@ -214,29 +221,33 @@ def _level_minima(rows, level, cap):
         return [0, *sorted(map(int.bit_count, map((~a).__and__, low_rows)))]
 
     # Every lean low OR is a w-bit field of `packed`, and reps[r] has a 1 at
-    # the bottom of each field of size r.  For a high OR `a`, log2(w)
-    # mask-shift-add steps count the bits of every field of packed | a * rep
-    # in place; adding 2^(w-1) - best[s + r] to a field of size r leaves its
-    # top bit clear exactly when the pair beats best[s + r].
+    # the bottom of each field of size r.  For a high OR `a`, SWAR steps count
+    # the bits of each lane of packed | a * rep in place, and a multiply by
+    # `spread` sums a field's lanes into its top lane (w/8 bytes hold at most
+    # w <= 128, so no carry crosses a byte).  Adding 2^(lane-1) - best[s + r]
+    # there leaves bit w - 1 of a field of size r clear exactly when the pair
+    # beats best[s + r].
     packed = _fields([m for ms in lean_low for m in ms], w)
     starts = accumulate(map(len, lean_low), initial=0)
     reps = [_ones(len(ms), w) << w * at for ms, at in zip(lean_low, starts)]
     rep = sum(reps)
-    top, tops = 1 << w - 1, rep << w - 1
-    # field by field, the low h bits of every 2h
-    steps = [(h, ((1 << w) - 1) // ((1 << 2 * h) - 1) * ((1 << h) - 1) * rep)
-             for h in map((1).__lshift__, range(w.bit_length() - 1))]
+    tops, spread = rep << w - 1, _ones(w // lane, lane)
+    # field by field, the low h bits of every 2h, for h = 1, 2, 4, ..., lane/2
+    (_, m1), (_, m2), *steps = [(h, ((1 << w) - 1) // ((1 << 2 * h) - 1) * ((1 << h) - 1) * rep)
+                                for h in map((1).__lshift__, range(lane.bit_length() - 1))]
 
     def bounds(s):
-        return sum((top - best[s + r]) * at for r, at in enumerate(reps))
+        return sum(((1 << lane - 1) - best[s + r]) * at for r, at in enumerate(reps)) << w - lane
 
     for s, ors in enumerate(lean_high):
         c = bounds(s)
         for a in ors:
             x = packed | a * rep
+            x -= x >> 1 & m1
+            x = (x & m2) + (x >> 2 & m2)
             for h, m in steps:
-                x = (x & m) + (x >> h & m)
-            if (x + c) & tops != tops:
+                x = x + (x >> h) & m
+            if (x * spread + c) & tops != tops:
                 for r, ms in enumerate(lean_low):
                     b = best[s + r]
                     ms = ms[: bisect_left(pops[r], b)]

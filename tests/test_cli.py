@@ -353,6 +353,16 @@ def test_oversized_ring_builtins_exit_3_before_listing_generators(capsys):
                        "entries (limit 1000000)\n"), desc[:20]
 
 
+def test_square_free_grid_over_the_fold_count_exits_3_before_listing_generators(capsys):
+    # kk:1000 passes the generator count at its limit; it took 0.5 s to list them
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "check-ring", "--spec", "kk:1000", "--order", "lex", "--json")
+    assert time.perf_counter() - t0 < 0.05
+    assert rc == 3 and out == ""
+    assert err == (f"resource limit: the ring would have {2 ** 1000} products of factor "
+                   "classes of degree <= 1000 (limit 1000000)\n")
+
+
 def test_negative_leck_grid_is_usage_error(capsys):
     # it was read as no grid factor: leck:2,0
     rc, out, err = run(capsys, "ring", "build", "--spec", "leck:2,-1")

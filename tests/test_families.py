@@ -387,6 +387,33 @@ def test_generators_are_counted_before_they_are_listed(build, fits):
     assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("desc, caps", [
+    ("kk:20", [2] * 20), ("kk:1000", [2] * 1000), ("cl:1000,1001", [1000, 1001]),
+    ("cl:3,1000,1000", [3, 1000, 1000]), ("cl:1000001", [1000001]), ("cl:0,3", [0, 3]),
+    ("cl:-2000,-2000", [-2000, -2000]),
+])
+def test_pure_power_builtins_refuse_as_their_build_does(desc, caps):
+    # the fold count runs before the generators are listed, with the build's own
+    # message; a bad cap or a component over the limit still refuses first
+    with pytest.raises((ResourceLimitError, RingError)) as built:
+        M.build_ring(F.cl_ring(caps))
+    t0 = time.perf_counter()
+    with pytest.raises(type(built.value)) as refused:
+        F.builtin(desc)
+    assert time.perf_counter() - t0 < 0.05  # kk:1000 took 0.5 s listing its generators
+    assert str(refused.value) == str(built.value)
+
+
+def test_pure_power_builtins_under_the_cap_keep_their_specs(monkeypatch):
+    assert F.builtin("cl:2,3").ring_spec.to_json() == _spec_json(2, 3, (2, 0), (0, 3))
+    assert F.builtin("kk:3").ring_spec.to_json() == F.kk_ring(3).to_json()
+    # products of the caps at the limit pass the count; their builds are too slow to run here
+    monkeypatch.setattr(F, "_ring_builtin", lambda name, spec, order: spec)
+    for desc, caps in (("kk:19", [2] * 19), ("cl:1000,1000", [1000, 1000]),
+                       ("cl:1000000", [1000000]), ("cl:1,1000000,1", [1, 1000000, 1])):
+        assert F.builtin(desc).to_json() == F.cl_ring(caps).to_json()
+
+
 def test_tensor_ring_counts_the_lifted_generators():
     M.tensor_ring([F.kk_ring(1)] * 1000)
     with pytest.raises(ResourceLimitError, match="would have 1002001 exponent entries"):

@@ -188,9 +188,17 @@ def test_level_kernel_matches_gray_walk_on_an_18_element_level():
     assert _kernel_minima(sh, len(target), 5, 2 ** 18) == gray_minima(sh, len(target))
 
 
-# Target counts at and next to the packed kernel's field widths: the rows'
-# OR has bit length nt, the field width is the least power of two >= 8 above it.
-_FIELD_EDGES = [1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 127, 128, 200]
+# Target counts at and next to the packed kernel's field widths (`verify._width`):
+# the rows' OR has bit length nt; below 128 the field is the least multiple of 8
+# above it, summed in byte lanes, from 128 on the least power of two, in one lane.
+_FIELD_EDGES = [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
+def test_field_width_at_its_edges():
+    assert [verify._width(t) for t in _FIELD_EDGES] == [
+        (8, 8), (8, 8), (8, 16), (8, 16), (8, 16), (8, 24), (8, 24), (8, 24), (8, 32), (8, 32),
+        (8, 64), (8, 72), (8, 72), (8, 128), (256, 256), (256, 256), (256, 256), (512, 512),
+        (512, 512)]
 
 
 def _dense_rows(rng, nt, k):
@@ -238,12 +246,40 @@ def test_level_kernel_beats_its_seed_at_every_field_edge():
         assert below_seed, nt
 
 
+def _beating_high_ors(sh):
+    """How many lean high ORs meet some lean low OR in a pair below its bound,
+    with the bounds lowered as the combine lowers them: the packed test should
+    send exactly these to the exact per-pair `min`."""
+    rows = row_masks(sh)
+    lo = len(rows) // 2
+    lean_low = quadratic_lean(verify._subset_ors(rows[:lo]), lo)
+    best = [m.bit_count() for m in itertools.accumulate(rows, int.__or__, initial=0)]
+    count = 0
+    for s, ors in enumerate(quadratic_lean(verify._subset_ors(rows[lo:]), len(rows) - lo)):
+        for a in ors:
+            least = [min(map(int.bit_count, map(a.__or__, ms))) for ms in lean_low]
+            if any(map(int.__lt__, least, best[s:])):
+                count += 1
+                best[s:s + lo + 1] = map(min, least, best[s:])
+    return count
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_FIELD_EDGES), st.integers(0, 10), st.integers(0, 2 ** 32))
+def test_packed_bound_test_fires_exactly_when_a_pair_beats_its_bound(nt, k, seed):
+    # the exact per-pair `min` bisects each low size once per high OR it runs for
+    sh = _dense_rows(random.Random(seed), nt, k)
+    with mock.patch.object(verify, "bisect_left", side_effect=verify.bisect_left) as bisect:
+        verify._level_minima(row_masks(sh), 1, verify.DEFAULT_SUBSET_CAP)
+    assert bisect.call_count == _beating_high_ors(sh) * (len(sh) // 2 + 1)
+
+
 def _lean_halves(sh):
     """The two halves' subset tables of a level, with their sizes, and the
     field width of the level kernel."""
     rows = row_masks(sh)
     lo = len(rows) // 2
-    w = max(8, 1 << functools.reduce(int.__or__, rows, 0).bit_length().bit_length())
+    _, w = verify._width(functools.reduce(int.__or__, rows, 0).bit_length())
     halves = [(verify._subset_ors(rows[:lo]), lo), (verify._subset_ors(rows[lo:]), len(rows) - lo)]
     return halves, w
 
@@ -278,7 +314,7 @@ def test_packed_lean_matches_the_quadratic_oracle_on_grid_levels(desc):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 6), st.sampled_from([8, 16, 32, 64, 128, 256]),
+@given(st.integers(0, 6), st.sampled_from([8, 16, 24, 32, 40, 64, 120, 128, 136, 256]),
        st.integers(0, 2 ** 32))
 def test_packed_lean_matches_the_quadratic_oracle_on_random_tables(n, w, seed):
     rng = random.Random(seed)
