@@ -112,7 +112,7 @@ class RankedPoset:
     every element of positive rank has a cover below it.
     """
 
-    __slots__ = ("n", "covers", "rank", "labels", "up", "down", "levels", "_label_ids")
+    __slots__ = ("n", "covers", "rank", "labels", "up", "down", "levels", "_label_ids", "_minima")
 
     def __init__(self, n, covers, rank, labels=None):
         self.n = int(n)
@@ -124,6 +124,7 @@ class RankedPoset:
         self.rank = tuple(int(r) for r in rank)
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
         self._label_ids = None
+        self._minima = {}  # (level, direction) -> least shadow size per subset size
         self.audit()
         self.levels = split_by_rank(range(self.n), self.rank)  # per rank, ascending ids
         # the covers are sorted, so each element's ups and downs arrive

@@ -7,29 +7,24 @@ Checking direction "lower" uses plain per-level segments and lower shadows;
 direction "upper" uses the reversed per-level segments and upper shadows,
 which is the form the dual side of the theory wants.
 
-`is_macaulay`, `min_shadow` and the order search share one level-scan
-kernel: one direction dispatch, one shadow builder, `_shadow_masks` (each
-shadow as an int bitmask over the target positions; the ring's segment test
-in `hilbert` reads it too), and one split-and-combine minimum,
-`_level_minima` (Horowitz and Sahni's meet in the middle).  The shadow of
-the first q sources is the prefix OR m of their masks: m.bit_count() is its
-size, and it is a target prefix exactly when m & (m + 1) is zero.
-`_level_minima` keeps each half of the level as its distinct
-inclusion-minimal subset ORs per size, starts every bound at the initial
-segment's shadow, and meets each high-half OR with every low-half OR at
-once, as bit-parallel arithmetic on one packed int: popcounts in byte lanes,
-summed per field by one multiply (one lane per field past 127 targets); the
-exact per-pair minimum runs only where a pair beats its bound.
-`min_shadow_profile` gives a level's minima for every size.
-Witnesses are found on demand, for the sizes a caller reports, in one
-Gray-code pass: they are the first minimizers the full 2^k Gray walk would
-report.  `_check_subset_cap` runs before any table is built, so every caller
-(the search included, at DEFAULT_SUBSET_CAP) raises ResourceLimitError
-naming the level.
-The search builds each level's order as a prefix DFS over shadow bitmasks,
-with the level's minima computed once, and cuts each failing prefix with
-all its completions, so it finds the order a permutation-by-permutation
-search would, and charges `budget` the same permutation counts.
+Each shadow is an int bitmask over the target positions (`_shadow_masks`,
+also read by the ring's segment test in `hilbert`).  The shadow of the first
+q sources is the prefix OR m of their masks: its size is m.bit_count(), and
+it is a target prefix exactly when m & (m + 1) is zero.  The least shadow
+size of a q-subset, best[q], depends on the level and not on its order, so
+`min_shadow_profile` computes it once per (level, direction) and keeps it on
+the poset for `is_macaulay`, `min_shadow` and the search.  `_minima` is
+Horowitz and Sahni's meet in the middle: each half of the level is kept as
+its distinct inclusion-minimal subset ORs per size, every bound starts at
+the initial segment's shadow, and each high-half OR meets every low-half OR
+at once, in bit-parallel arithmetic on one packed int; the exact per-pair
+minimum runs only where a pair beats its bound.  `_first_minimizers` finds
+witnesses in the caller's order, for the sizes it reports: the first
+minimizers of the full 2^k Gray walk.  The subset cap is checked before any
+table is built or stored minima are read.  The search builds each level's
+order as a prefix DFS over shadow bitmasks and cuts each failing prefix with
+all its completions, so it finds the order, and charges `budget` the
+permutation counts, of a permutation-by-permutation search.
 """
 from __future__ import annotations
 
@@ -187,38 +182,31 @@ def _lean(table, n, w):
     return lean
 
 
-def _level_minima(rows, level, cap):
-    """Minimum shadow size over all subsets of each size, by split and combine;
-    `rows` are the shadows as bitmasks (`_shadow_masks`).
+def _halves(rows):
+    """The split `_minima` and `_first_minimizers` share, low half first: (lane, w)
+    (`_width`), both halves' subset ORs, the lean low ORs and their popcounts."""
+    lo = len(rows) // 2
+    lane, w = _width(reduce(int.__or__, rows, 0).bit_length())
+    low, high = _subset_ors(rows[:lo]), _subset_ors(rows[lo:])
+    lean_low = _lean(low, lo, w)
+    return (lane, w), low, high, lean_low, [[m.bit_count() for m in ors] for ors in lean_low]
 
-    Returns `best`, indexed by subset size, and `find(sizes)`, which maps each
-    requested size to its first minimizer in Gray-code order, as a bitmask
-    over the rows.  Raises ResourceLimitError naming `level` before any table
-    is built when 2^k exceeds `cap`.  Each step is exact:
+
+def _minima(rows, level, cap):
+    """`best`: the minimum shadow size over the subsets of `rows` (`_shadow_masks`)
+    of each size, by split and combine.  Raises ResourceLimitError naming
+    `level` before any table is built when 2^k exceeds `cap`.  Each step is exact:
     - both halves are lean (`_lean`): a superset never has a smaller shadow;
     - `best[q]` starts at the shadow size of the first q rows, a q-subset;
-    - a lean high OR `a` meets every lean low OR at once, as SWAR arithmetic
-      on one int of w-bit fields, w a multiple of 8 above the bit length of
-      the rows' OR (`_width`); only when some pair beats its bound does the
-      exact per-size `min` run for `a`, over lean low ORs of popcount below best;
-    - `find` walks the high subsets in Gray order, skips low size r when
-      pop(a) + d[r] > best, where d[r] is the r-th smallest count of bits a
-      low row adds to `a`, since any r low rows add at least that many, and
-      scans a low bucket, in Gray order, only once a lean low OR hits best.
+    - a lean high OR `a` meets every lean low OR at once, as SWAR arithmetic on
+      one int of w-bit fields (`_width`); only when some pair beats its bound
+      does the exact per-size `min` run for `a`, over lean low ORs of popcount below best.
     """
     k = len(rows)
     _check_subset_cap(k, level, cap)
-    prefix = list(accumulate(rows, int.__or__, initial=0))
-    lane, w = _width(prefix[-1].bit_length())
-    lo = k // 2
-    low_rows = rows[:lo]
-    low, high = _subset_ors(low_rows), _subset_ors(rows[lo:])
-    lean_low, lean_high = _lean(low, lo, w), _lean(high, k - lo, w)
-    pops = [[m.bit_count() for m in ors] for ors in lean_low]
-    best = [m.bit_count() for m in prefix]
-
-    def added(a):
-        return [0, *sorted(map(int.bit_count, map((~a).__and__, low_rows)))]
+    (lane, w), _, high, lean_low, pops = _halves(rows)
+    lean_high = _lean(high, k - k // 2, w)
+    best = [m.bit_count() for m in accumulate(rows, int.__or__, initial=0)]
 
     # Every lean low OR is a w-bit field of `packed`, and reps[r] has a 1 at
     # the bottom of each field of size r.  For a high OR `a`, SWAR steps count
@@ -253,34 +241,46 @@ def _level_minima(rows, level, cap):
                     ms = ms[: bisect_left(pops[r], b)]
                     best[s + r] = min((b, *map(int.bit_count, map(a.__or__, ms))))
                 c = bounds(s)
+    return best
 
+
+def _first_minimizers(rows, best, sizes):
+    """Map each size q in `sizes` to its first minimizer in Gray-code order, a
+    bitmask over `rows`; `best` holds the exact minima, so the walk ends.  It
+    takes the high subsets in Gray order and skips one whose (OR, size) an
+    earlier one had: that check found nothing for the sizes still pending and
+    read nothing else.  It skips low size r when pop(a) + d[r] > best, where
+    d[r] is the r-th smallest count of bits a low row adds to `a`, and scans a
+    low bucket, in Gray order, only once a lean low OR hits best.
+    """
+    lo = len(rows) // 2
+    _, low, high, lean_low, pops = _halves(rows)
     # The Gray rank of (h << lo) | g orders by the rank of h, then by the rank
     # of g when h has even parity and by its reverse when h has odd parity.
     full = [[] for _ in range(lo + 1)]
-    for t in range(1 << lo):
-        g = t ^ (t >> 1)
+    for g in (t ^ t >> 1 for t in range(1 << lo)):
         full[g.bit_count()].append(g)
 
-    def find(sizes):
-        found, pending, t = {}, set(sizes), 0
-        while pending:
-            h = t ^ (t >> 1)
-            a, s, t = high[h], h.bit_count(), t + 1
-            pa, d = a.bit_count(), None
-            for q in list(pending):
-                r, b = q - s, best[q]
-                if not 0 <= r <= lo or pa > b:
-                    continue
-                d = d or added(a)
-                ms = lean_low[r][: bisect_right(pops[r], b)] if pa + d[r] <= b else ()
-                if b not in map(int.bit_count, map(a.__or__, ms)):
-                    continue
-                order = reversed(full[r]) if s & 1 else full[r]
-                found[q] = h << lo | next(g for g in order if (a | low[g]).bit_count() == b)
-                pending.remove(q)
-        return found
-
-    return best, find
+    found, pending, seen, t = {}, set(sizes), set(), 0
+    while pending:
+        h = t ^ (t >> 1)
+        a, s, t = high[h], h.bit_count(), t + 1
+        if (a, s) in seen:
+            continue
+        seen.add((a, s))
+        pa, d = a.bit_count(), None
+        for q in list(pending):
+            r, b = q - s, best[q]
+            if not 0 <= r <= lo or pa > b:
+                continue
+            d = d or [0, *sorted(map(int.bit_count, map((~a).__and__, rows[:lo])))]
+            ms = lean_low[r][: bisect_right(pops[r], b)] if pa + d[r] <= b else ()
+            if b not in map(int.bit_count, map(a.__or__, ms)):
+                continue
+            order = reversed(full[r]) if s & 1 else full[r]
+            found[q] = h << lo | next(g for g in order if (a | low[g]).bit_count() == b)
+            pending.remove(q)
+    return found
 
 
 def _mask_to_ids(mask, items):
@@ -306,16 +306,17 @@ def is_macaulay(
     neigh, step = _direction(poset, direction)
     verdict = MacaulayVerdict(True, direction)
     for lvl, source, target in _level_frames(poset, table, step):
+        best = min_shadow_profile(poset, lvl, direction, max_subsets)
         masks = _shadow_masks(neigh, source, target)
         prefix = list(accumulate(masks, int.__or__, initial=0))
-        best, find = _level_minima(masks, lvl, max_subsets)
         verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
         # a shadow is a target prefix exactly when its mask m has m + 1 a power of two
         failing = [
             q for q, m in enumerate(prefix) if best[q] < m.bit_count() or m & (m + 1)
         ][: None if all_failures else 1]
-        witnesses = find(q for q in failing if best[q] < prefix[q].bit_count())
+        short = [q for q in failing if best[q] < prefix[q].bit_count()]
+        witnesses = _first_minimizers(masks, best, short) if short else {}
         shadow = lambda m: tuple(sorted(_mask_to_ids(m, target)))
         for q in failing:
             segment, segment_shadow = source[:q], shadow(prefix[q])
@@ -338,23 +339,25 @@ def is_macaulay(
     return verdict
 
 
-def _level_kernel(poset, level, direction, max_subsets):
-    """The ids of a level, in label order, and `_level_minima` of their shadow masks."""
-    neigh, step = _direction(poset, direction)
-    ids = label_order(poset, poset.level(level))
-    masks = _shadow_masks(neigh, ids, poset.level(level + step))
-    return ids, *_level_minima(masks, level, max_subsets)
-
-
 def min_shadow_profile(
     poset: RankedPoset,
     level: int,
     direction: str = "lower",
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> list:
-    """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k,
-    from one kernel call; ResourceLimitError names the level past `max_subsets`."""
-    return _level_kernel(poset, level, direction, max_subsets)[1]
+    """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k;
+    ResourceLimitError names the level past `max_subsets`.  They are computed
+    once per (level, direction) and kept on the poset, on one split: ascending
+    ids, reversed for "upper", rows stably sorted by least target bit."""
+    neigh, step = _direction(poset, direction)
+    source = poset.level(level)
+    _check_subset_cap(len(source), level, max_subsets)
+    key = (level, direction)
+    if key not in poset._minima:
+        rows = _shadow_masks(neigh, source[::-step], poset.level(level + step)[::-step])
+        rows.sort(key=lambda m: m & -m)
+        poset._minima[key] = _minima(rows, level, max_subsets)
+    return list(poset._minima[key])
 
 
 def min_shadow(
@@ -364,14 +367,18 @@ def min_shadow(
     direction: str = "lower",
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ):
-    """Minimum shadow cardinality over all q-subsets of a level, with one minimizer."""
+    """Minimum shadow cardinality over all q-subsets of a level, with one
+    minimizer: the first in the Gray-code walk over the level in label order."""
     k = len(poset.level(level))
     if q < 0 or q > k:
         raise ValueError(f"q={q} out of range for level of size {k}")
     if q == 0:
         return 0, frozenset()
-    ids, best, find = _level_kernel(poset, level, direction, max_subsets)
-    return best[q], frozenset(_mask_to_ids(find([q])[q], ids))
+    best = min_shadow_profile(poset, level, direction, max_subsets)
+    neigh, step = _direction(poset, direction)
+    ids = label_order(poset, poset.level(level))
+    masks = _shadow_masks(neigh, ids, poset.level(level + step))
+    return best[q], frozenset(_mask_to_ids(_first_minimizers(masks, best, [q])[q], ids))
 
 
 def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional[OrderTable]:
@@ -381,8 +388,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
     subset of level i satisfies the property against the fixed order of level
     i-1.  Each order is built as a prefix DFS, trying elements in label
     order, so the first order found is the first one itertools.permutations
-    would pass.  The level minima depend only on the level below, so they are
-    computed once per level, before any prefix is accepted.  A prefix of
+    would pass.  Each level's minima come from `min_shadow_profile`.  A prefix of
     length L whose shadow is not an initial segment, or is larger than the
     minimum over L-subsets, is cut: every completion of it fails too.
     `budget` counts permutations: a full one counts 1, a cut prefix the
@@ -408,18 +414,16 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
         k = len(level)
         below = chosen[i - 1] if i else []
         masks = _shadow_masks(poset.down, level, below)
-        over_cap = i > 0 and (1 << k) > DEFAULT_SUBSET_CAP
-        # Level 0 has no level below, and a level over the cap gets no minima:
-        # only continuity cuts there.
-        best = [len(below)] * (k + 1) if i == 0 or over_cap else (
-            _level_minima(masks, i, DEFAULT_SUBSET_CAP)[0])
+        over_cap = (1 << k) > DEFAULT_SUBSET_CAP  # no minima there: only continuity cuts
+        best = ([len(below)] * (k + 1) if over_cap else
+                min_shadow_profile(poset, i, "lower", DEFAULT_SUBSET_CAP))
         perm = []
 
         def grow(shadow):
             size = len(perm)
             if size == k:
                 charge(1)
-                if over_cap:
+                if over_cap and i:  # level 0 has no level below to check against
                     _check_subset_cap(k, i, DEFAULT_SUBSET_CAP)
                 chosen[i] = [level[j] for j in perm]
                 return extend(i + 1)

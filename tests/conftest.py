@@ -366,7 +366,7 @@ def quadratic_lean(table, n):
 
 def per_pair_minima(sh):
     """Minimum shadow size over all subsets of each size, by the split and
-    combine of `verify._level_minima` with one bound test per (lean high OR,
+    combine of `verify._minima` with one bound test per (lean high OR,
     low size) pair and one popcount per surviving pair: the oracle for the
     packed combine."""
     from macaulay import verify
@@ -973,7 +973,7 @@ def _level_pair_ok(sh, nt, level):
         if not is_prefix:
             return False
         sizes.append(size)
-    best, _ = verify._level_minima(row_masks(sh), level, verify.DEFAULT_SUBSET_CAP)
+    best = verify._minima(row_masks(sh), level, verify.DEFAULT_SUBSET_CAP)
     return all(b >= s for b, s in zip(best[1:], sizes))
 
 

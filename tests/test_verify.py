@@ -135,7 +135,7 @@ def test_level_kernel_checks_the_cap_before_building_tables(monkeypatch):
 
     monkeypatch.setattr(verify, "_subset_ors", no_tables)
     with pytest.raises(ResourceLimitError, match="level 9 has 40 elements"):
-        verify._level_minima(row_masks([(0,)] * 40), 9, verify.DEFAULT_SUBSET_CAP)
+        verify._minima(row_masks([(0,)] * 40), 9, verify.DEFAULT_SUBSET_CAP)
 
 
 @st.composite
@@ -160,8 +160,9 @@ def _wide_shadow_rows(draw):
 
 def _kernel_minima(sh, nt, level, cap):
     """The kernel's minima and the witness of every size, in gray_minima's shape."""
-    best, find = verify._level_minima(row_masks(sh), level, cap)
-    masks = find(range(len(sh) + 1))
+    rows = row_masks(sh)
+    best = verify._minima(rows, level, cap)
+    masks = verify._first_minimizers(rows, best, range(len(sh) + 1))
     return best, [masks[q] for q in range(len(sh) + 1)]
 
 
@@ -270,7 +271,7 @@ def test_packed_bound_test_fires_exactly_when_a_pair_beats_its_bound(nt, k, seed
     # the exact per-pair `min` bisects each low size once per high OR it runs for
     sh = _dense_rows(random.Random(seed), nt, k)
     with mock.patch.object(verify, "bisect_left", side_effect=verify.bisect_left) as bisect:
-        verify._level_minima(row_masks(sh), 1, verify.DEFAULT_SUBSET_CAP)
+        verify._minima(row_masks(sh), 1, verify.DEFAULT_SUBSET_CAP)
     assert bisect.call_count == _beating_high_ors(sh) * (len(sh) // 2 + 1)
 
 
@@ -395,6 +396,86 @@ def test_min_shadow_profile_on_a_25_element_level():
     assert profile == [0, 2, 3, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22,
                        23, 23, 24, 25, 26, 27, 27]
     assert profile[12] == 16
+    # the cap is checked before the stored minima are read
+    with pytest.raises(ResourceLimitError, match="level 9 has 25 elements"):
+        M.min_shadow_profile(p, 9)
+
+
+@st.composite
+def _three_rank_posets(draw):
+    """Ranks 0, 1 and 2 of up to 5, 16 and 12 elements with random covers,
+    each element above rank 0 covering at least one element below it."""
+    sizes = [draw(st.integers(1, 5)), draw(st.integers(1, 16)), draw(st.integers(0, 12))]
+    rank = [r for r, n in enumerate(sizes) for _ in range(n)]
+    start = [0, sizes[0], sizes[0] + sizes[1]]
+    covers = []
+    for r in (1, 2):
+        below = st.sampled_from(range(start[r - 1], start[r]))
+        for x in range(start[r], start[r] + sizes[r]):
+            covers += [(b, x) for b in draw(st.sets(below, min_size=1, max_size=4))]
+    return M.RankedPoset(len(rank), covers, rank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_three_rank_posets(), st.integers(0, 2 ** 32))
+def test_stored_minima_match_the_gray_walk_on_shuffled_levels(p, seed):
+    rng = random.Random(seed)
+    for direction in ("lower", "upper"):
+        neigh, step = verify._direction(p, direction)
+        for lvl in range(p.max_rank + 1):
+            source, target = list(p.level(lvl)), list(p.level(lvl + step))
+            rng.shuffle(source)
+            rng.shuffle(target)
+            best, _ = gray_minima(shadow_lists(neigh, source, target), len(target))
+            profile = M.min_shadow_profile(p, lvl, direction)
+            assert profile == best
+            profile[-1] = -1  # a fresh list each call: the stored minima stay
+            assert M.min_shadow_profile(p, lvl, direction) == best
+
+
+def test_stored_minima_are_computed_once_per_level_and_direction(monkeypatch):
+    levels = []
+
+    def counted(rows, level, cap):
+        levels.append(level)
+        return minima(rows, level, cap)
+
+    minima = verify._minima
+    monkeypatch.setattr(verify, "_minima", counted)
+    p = M.multiset_lattice([3, 4, 4])
+    for direction in ("lower", "upper"):
+        levels.clear()
+        M.is_macaulay(p, _shuffled_levels(p, direction), direction, all_failures=True)
+        for lvl in range(p.max_rank + 1):
+            for q in range(len(p.level(lvl)) + 1):
+                M.min_shadow(p, lvl, q, direction)
+        assert sorted(levels) == list(range(p.max_rank + 1)), direction
+    # the search reads the lower minima that is_macaulay stored, and
+    # witnesses are sought only on levels with a nestedness failure
+    def no_witnesses(rows, best, sizes):
+        raise AssertionError("witnesses sought where no nestedness fails")
+
+    monkeypatch.setattr(verify, "_first_minimizers", no_witnesses)
+    p = M.multiset_lattice([2, 3])
+    levels.clear()
+    assert M.is_macaulay(p, M.lex_order(p)).holds
+    assert M.search_macaulay_order(p) is not None
+    assert sorted(levels) == list(range(p.max_rank + 1))
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_stored_minima_are_the_lex_segment_shadows_on_18_to_22_element_levels(direction):
+    # Clements-Lindstrom: lex is Macaulay on multiset:4,6,7 in both directions,
+    # so each lex segment (reversed for "upper") has the least shadow of its size
+    p = builtin("multiset:4,6,7").poset
+    table = M.lex_order(p)
+    assert M.is_macaulay(p, table, direction).holds
+    shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
+    for lvl in range(5, 10):
+        ids = table.level_in_order(lvl, reverse=direction == "upper")
+        assert 18 <= len(ids) <= 22
+        sizes = [len(shadow(ids[:q])) for q in range(len(ids) + 1)]
+        assert M.min_shadow_profile(p, lvl, direction) == sizes
 
 
 def test_search_respects_the_subset_cap(monkeypatch):
