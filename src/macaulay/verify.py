@@ -14,17 +14,18 @@ it is a target prefix exactly when m & (m + 1) is zero.  The least shadow
 size of a q-subset, best[q], depends on the level and not on its order, so
 `min_shadow_profile` computes it once per (level, direction) and keeps it on
 the poset for `is_macaulay`, `min_shadow` and the search.  `_minima` is
-Horowitz and Sahni's meet in the middle: each half of the level is kept as
-its distinct inclusion-minimal subset ORs per size, every bound starts at
-the initial segment's shadow, and each high-half OR meets every low-half OR
-at once, in bit-parallel arithmetic on one packed int; the exact per-pair
-minimum runs only where a pair beats its bound.  `_first_minimizers` finds
-witnesses in the caller's order, for the sizes it reports: the first
-minimizers of the full 2^k Gray walk.  The subset cap is checked before any
-table is built or stored minima are read.  The search builds each level's
-order as a prefix DFS over shadow bitmasks and cuts each failing prefix with
-all its completions, so it finds the order, and charges `budget` the
-permutation counts, of a permutation-by-permutation search.
+Horowitz and Sahni's meet in the middle on subset keys (`_halves`): targets
+both halves reach, then a unary count of the rest, so a pair's shadow size is
+its keys' OR's popcount.  Each half is kept as its distinct inclusion-minimal
+keys per size, every bound starts at the initial segment's shadow, and each
+high key meets every low key at once, in bit-parallel arithmetic on one packed
+int; the exact per-pair minimum runs only where a pair beats its bound.
+`_first_minimizers` finds witnesses in the caller's order, for the sizes it
+reports: the first minimizers of the full 2^k Gray walk.  The subset cap is
+checked before any table is built or stored minima are read.  The search
+builds each level's order as a prefix DFS over shadow bitmasks and cuts each
+failing prefix with all its completions, so it finds the order, and charges
+`budget` the permutation counts, of a permutation-by-permutation search.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, groupby, repeat
 from math import factorial
+from operator import or_
 from typing import Optional
 
 from .errors import ResourceLimitError, SearchBudgetExceeded
@@ -184,10 +186,22 @@ def _lean(table, n, w):
 
 def _halves(rows):
     """The split `_minima` and `_first_minimizers` share, low half first: (lane, w)
-    (`_width`), both halves' subset ORs, the lean low ORs and their popcounts."""
+    (`_width`), both halves' subset keys, the lean low keys and their popcounts.  A
+    key is a subset's bits in S = A & B, A and B the halves' ORs, moved to the low
+    bits, and above them, in unary, the count of its half's private targets it reaches."""
     lo = len(rows) // 2
-    lane, w = _width(reduce(int.__or__, rows, 0).bit_length())
-    low, high = _subset_ors(rows[:lo]), _subset_ors(rows[lo:])
+    a, b = reduce(int.__or__, rows[:lo], 0), reduce(int.__or__, rows[lo:], 0)
+    spots = [1 << j for j in range(b.bit_length()) if (a & b) >> j & 1]
+
+    def keys(half, private, at):  # the unary count starts at bit `at`
+        moved = [sum(1 << i for i, bit in enumerate(spots) if row & bit) for row in half]
+        unary = [(1 << c) - 1 << at for c in range(private.bit_count() + 1)]
+        counts = map(int.bit_count, _subset_ors([row & private for row in half]))
+        return list(map(or_, _subset_ors(moved), map(unary.__getitem__, counts)))
+
+    at = len(spots)
+    low, high = keys(rows[:lo], a & ~b, at + (b & ~a).bit_count()), keys(rows[lo:], b & ~a, at)
+    lane, w = _width((a | b).bit_count())
     lean_low = _lean(low, lo, w)
     return (lane, w), low, high, lean_low, [[m.bit_count() for m in ors] for ors in lean_low]
 
@@ -198,9 +212,9 @@ def _minima(rows, level, cap):
     `level` before any table is built when 2^k exceeds `cap`.  Each step is exact:
     - both halves are lean (`_lean`): a superset never has a smaller shadow;
     - `best[q]` starts at the shadow size of the first q rows, a q-subset;
-    - a lean high OR `a` meets every lean low OR at once, as SWAR arithmetic on
+    - a lean high key `a` meets every lean low key at once, as SWAR arithmetic on
       one int of w-bit fields (`_width`); only when some pair beats its bound
-      does the exact per-size `min` run for `a`, over lean low ORs of popcount below best.
+      does the exact per-size `min` run for `a`, over lean low keys of popcount below best.
     """
     k = len(rows)
     _check_subset_cap(k, level, cap)
@@ -247,11 +261,11 @@ def _minima(rows, level, cap):
 def _first_minimizers(rows, best, sizes):
     """Map each size q in `sizes` to its first minimizer in Gray-code order, a
     bitmask over `rows`; `best` holds the exact minima, so the walk ends.  It
-    takes the high subsets in Gray order and skips one whose (OR, size) an
+    takes the high subsets in Gray order and skips one whose (key, size) an
     earlier one had: that check found nothing for the sizes still pending and
     read nothing else.  It skips low size r when pop(a) + d[r] > best, where
-    d[r] is the r-th smallest count of bits a low row adds to `a`, and scans a
-    low bucket, in Gray order, only once a lean low OR hits best.
+    d[r] is the r-th smallest count of bits a low row's key adds to the key `a`,
+    and scans a low bucket, in Gray order, only once a lean low key hits best.
     """
     lo = len(rows) // 2
     _, low, high, lean_low, pops = _halves(rows)
@@ -261,6 +275,7 @@ def _first_minimizers(rows, best, sizes):
     for g in (t ^ t >> 1 for t in range(1 << lo)):
         full[g.bit_count()].append(g)
 
+    singles = [low[1 << j] for j in range(lo)]  # keys grow as rows are added
     found, pending, seen, t = {}, set(sizes), set(), 0
     while pending:
         h = t ^ (t >> 1)
@@ -273,7 +288,7 @@ def _first_minimizers(rows, best, sizes):
             r, b = q - s, best[q]
             if not 0 <= r <= lo or pa > b:
                 continue
-            d = d or [0, *sorted(map(int.bit_count, map((~a).__and__, rows[:lo])))]
+            d = d or [0, *sorted(map(int.bit_count, map((~a).__and__, singles)))]
             ms = lean_low[r][: bisect_right(pops[r], b)] if pa + d[r] <= b else ()
             if b not in map(int.bit_count, map(a.__or__, ms)):
                 continue

@@ -247,17 +247,75 @@ def test_level_kernel_beats_its_seed_at_every_field_edge():
         assert below_seed, nt
 
 
-def _beating_high_ors(sh):
-    """How many lean high ORs meet some lean low OR in a pair below its bound,
+def _subset_keys(sh):
+    """Both halves' subset keys, low half first, indexed by subset bitmask and
+    built from target sets: a subset's targets that both halves reach, numbered
+    0, 1, ... in ascending order, then a run of ones as long as its count of the
+    other targets it reaches, starting just above the shared targets in the high
+    half and above those and the high half's own targets in the low half."""
+    lo = len(sh) // 2
+    halves = sh[:lo], sh[lo:]
+    reach = [set().union(*half) for half in halves]
+    shared = sorted(reach[0] & reach[1])
+    starts = len(shared) + len(reach[1] - reach[0]), len(shared)
+    tables = []
+    for half, at in zip(halves, starts):
+        table = []
+        for mask in range(1 << len(half)):
+            targets = set().union(*(row for j, row in enumerate(half) if mask >> j & 1))
+            moved = sum(1 << i for i, target in enumerate(shared) if target in targets)
+            table.append(moved | (1 << len(targets.difference(shared))) - 1 << at)
+        tables.append(table)
+    return tables
+
+
+@st.composite
+def _key_cases(draw):
+    """Up to 12 shadow lists over up to 16 targets, often empty, with the halves
+    reaching random targets, disjoint targets (low rows even, high rows odd) or
+    the same targets (each half's union added to the other half's first row)."""
+    nt, k = draw(st.integers(0, 16)), draw(st.integers(0, 12))
+    row = st.sets(st.integers(0, nt - 1), max_size=5) if nt else st.just(set())
+    sh = draw(st.lists(st.one_of(st.just(set()), row), min_size=k, max_size=k))
+    lo, kind = k // 2, draw(st.sampled_from(["random", "disjoint", "shared"]))
+    if kind == "disjoint":
+        sh = [{t for t in r if t % 2 == (j >= lo)} for j, r in enumerate(sh)]
+    elif kind == "shared" and 0 < lo < k:
+        sh[0], sh[lo] = sh[0].union(*sh[lo:]), sh[lo].union(*sh[:lo])
+    return [tuple(sorted(r)) for r in sh], nt
+
+
+@settings(max_examples=150, deadline=None)
+@given(_key_cases())
+def test_subset_keys_give_pair_shadow_sizes_and_keep_containment_exact(case):
+    sh, nt = case
+    lo = len(sh) // 2
+    low, high = _subset_keys(sh)
+    assert [low, high] == list(verify._halves(row_masks(sh))[1:3])
+    assert max(low + high).bit_length() <= len(set().union(*sh))
+    targets = [[set().union(*(r for j, r in enumerate(half) if mask >> j & 1))
+                for mask in range(1 << len(half))] for half in (sh[:lo], sh[lo:])]
+    pair = [[len(x | y) for y in targets[1]] for x in targets[0]]
+    assert pair == [[(kx | ky).bit_count() for ky in high] for kx in low]
+    # a key inside another never gives a larger pair, whatever the other half is
+    for keys, sizes in ((low, pair), (high, [list(col) for col in zip(*pair)])):
+        for inner, outer in itertools.product(range(len(keys)), repeat=2):
+            if not keys[inner] & ~keys[outer]:
+                assert all(map(int.__le__, sizes[inner], sizes[outer]))
+    assert verify._minima(row_masks(sh), 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)[0]
+
+
+def _beating_high_keys(sh):
+    """How many lean high keys meet some lean low key in a pair below its bound,
     with the bounds lowered as the combine lowers them: the packed test should
     send exactly these to the exact per-pair `min`."""
-    rows = row_masks(sh)
-    lo = len(rows) // 2
-    lean_low = quadratic_lean(verify._subset_ors(rows[:lo]), lo)
-    best = [m.bit_count() for m in itertools.accumulate(rows, int.__or__, initial=0)]
+    lo = len(sh) // 2
+    low, high = _subset_keys(sh)
+    lean_low = quadratic_lean(low, lo)
+    best = [m.bit_count() for m in itertools.accumulate(row_masks(sh), int.__or__, initial=0)]
     count = 0
-    for s, ors in enumerate(quadratic_lean(verify._subset_ors(rows[lo:]), len(rows) - lo)):
-        for a in ors:
+    for s, keys in enumerate(quadratic_lean(high, len(sh) - lo)):
+        for a in keys:
             least = [min(map(int.bit_count, map(a.__or__, ms))) for ms in lean_low]
             if any(map(int.__lt__, least, best[s:])):
                 count += 1
@@ -268,16 +326,16 @@ def _beating_high_ors(sh):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_FIELD_EDGES), st.integers(0, 10), st.integers(0, 2 ** 32))
 def test_packed_bound_test_fires_exactly_when_a_pair_beats_its_bound(nt, k, seed):
-    # the exact per-pair `min` bisects each low size once per high OR it runs for
+    # the exact per-pair `min` bisects each low size once per high key it runs for
     sh = _dense_rows(random.Random(seed), nt, k)
     with mock.patch.object(verify, "bisect_left", side_effect=verify.bisect_left) as bisect:
         verify._minima(row_masks(sh), 1, verify.DEFAULT_SUBSET_CAP)
-    assert bisect.call_count == _beating_high_ors(sh) * (len(sh) // 2 + 1)
+    assert bisect.call_count == _beating_high_keys(sh) * (len(sh) // 2 + 1)
 
 
 def _lean_halves(sh):
-    """The two halves' subset tables of a level, with their sizes, and the
-    field width of the level kernel."""
+    """The two halves' subset OR tables of a level, with their sizes, and the
+    field width for ORs of the bit length of the level's OR."""
     rows = row_masks(sh)
     lo = len(rows) // 2
     _, w = verify._width(functools.reduce(int.__or__, rows, 0).bit_length())
@@ -476,6 +534,22 @@ def test_stored_minima_are_the_lex_segment_shadows_on_18_to_22_element_levels(di
         assert 18 <= len(ids) <= 22
         sizes = [len(shadow(ids[:q])) for q in range(len(ids) + 1)]
         assert M.min_shadow_profile(p, lvl, direction) == sizes
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_stored_minima_are_the_lex_segment_shadows_on_25_to_29_element_levels(direction):
+    # Clements-Lindstrom again, on levels past the default cap: it still
+    # refuses each of them after the raised cap has stored its minima
+    for desc, lvl, k in [("multiset:6,6,6", 9, 25), ("multiset:7,7,7", 6, 28),
+                         ("multiset:7,7,7", 12, 28), ("multiset:6,6,7", 9, 29)]:
+        p = builtin(desc).poset
+        shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
+        ids = M.lex_order(p).level_in_order(lvl, reverse=direction == "upper")
+        assert len(ids) == k
+        sizes = [len(shadow(ids[:q])) for q in range(k + 1)]
+        assert M.min_shadow_profile(p, lvl, direction, max_subsets=2 ** 30) == sizes
+        with pytest.raises(ResourceLimitError, match=f"level {lvl} has {k} elements"):
+            M.min_shadow_profile(p, lvl, direction)
 
 
 def test_search_respects_the_subset_cap(monkeypatch):
