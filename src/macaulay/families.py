@@ -111,19 +111,24 @@ def _factor_positions(poset, factor_tosets, split):
     """Each element's vector of positions in the factor tosets, and the toset lengths."""
     index = [{v: i for i, v in enumerate(t)} for t in factor_tosets]
     vecs = []
-    for x in range(poset.n):
-        parts = split(poset.labels[x])
+    for label in poset.labels:
         try:
-            vecs.append(tuple(ix[p] for ix, p in zip(index, parts)))
-        except KeyError:
-            raise OrderError(f"label {poset.labels[x]!r} does not match the factor tosets")
+            vecs.append(tuple(ix[p] for ix, p in zip(index, split(label), strict=True)))
+        except (KeyError, TypeError, ValueError):  # a part in no toset, or a label split cannot cut
+            raise OrderError(f"label {label!r} does not match the factor tosets") from None
     return vecs, tuple(len(t) for t in factor_tosets)
 
 
 def _split_flat(sizes):
-    """Cut a flat label into consecutive parts of these sizes."""
-    ends = list(accumulate(sizes))
-    return lambda label: [tuple(label[b - s:b]) for s, b in zip(sizes, ends)]
+    """Cut a flat label into consecutive parts of these sizes; any other label raises TypeError."""
+    ends, width = list(accumulate(sizes)), sum(sizes)
+
+    def split(label):
+        if type(label) is not tuple or len(label) != width:
+            raise TypeError(f"label {label!r} is not a flat {width}-tuple")
+        return [label[b - s:b] for s, b in zip(sizes, ends)]
+
+    return split
 
 
 def mermin_murai_order(poset: RankedPoset, ns: Sequence[int], side: str = "poset") -> OrderTable:
@@ -342,7 +347,10 @@ def tensor_monomial_order(poset: RankedPoset, factor_sizes: Sequence[int]) -> Or
     split = _split_flat(sizes)
 
     def key(label):
-        return tuple((sum(sub), sub) for sub in split(label))
+        try:
+            return tuple((sum(sub), sub) for sub in split(label))
+        except TypeError:  # a label the split cannot cut, or a part that does not sum
+            raise OrderError(f"label {label!r} does not match the factor tosets") from None
 
     ids = sorted(range(poset.n), key=lambda x: key(poset.labels[x]))
     return explicit_order(

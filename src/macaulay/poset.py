@@ -6,6 +6,7 @@ vectors) ride along with each element; all set computations stay on ids.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from math import prod
 from operator import mul
@@ -14,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import PosetError, ResourceLimitError
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
+_LABEL_DEPTH = 100
 _PRINTABLE_BITS = 14_000  # str() refuses ints of more than 4,300 digits, about 14,284 bits
 _ELEMENTS = "poset would have {} elements"
 _MORE = f"more than {DEFAULT_PRODUCT_LIMIT}"
@@ -58,15 +60,21 @@ def check_series(series, D, what=_ELEMENTS):
     """Coefficients 0..D of the product of polynomials, summed by `check_count`: with
     level sizes as coefficients, a truncated product's element count.
 
-    Where D cuts the product, each stage multiplies in one polynomial in
-    ascending degree and raises at the first partial sum over the limit;
-    every constant term must be at least 1, so each partial sum bounds the total below.
+    Where D cuts the product, each stage multiplies in one polynomial in ascending
+    degree and raises at the first partial sum over the limit, reading `series` no
+    further; every constant term must be at least 1, so each partial sum bounds the total below.
     """
-    series = [s[: max(j for j, c in enumerate(s) if c) + 1] for s in series]  # zero tails add nothing
-    if D >= sum(len(s) - 1 for s in series):  # nothing is cut off
-        return check_count(map(sum, series), what)
-    out = [1]
+    series = (s[: len(s) - next(j for j, c in enumerate(reversed(s)) if c)] for s in series)
+    seen, top = [], 0  # the polynomials up to the first that D cuts, zero tails trimmed
     for s in series:
+        seen.append(s)
+        top += len(s) - 1
+        if top > D:
+            break
+    else:  # nothing is cut off
+        return check_count(map(sum, seen), what)
+    out = [1]
+    for s in itertools.chain(seen, series):
         stage = s[: D + 1] if out == [1] else _times(out, s, D)
         out, total = [], 0
         for c in stage:
@@ -272,7 +280,7 @@ def multiset_lattice(lengths, truncation=None) -> RankedPoset:
         lengths = [min(l or truncation + 1, truncation + 1) for l in lengths]
         if max(lengths) > DEFAULT_PRODUCT_LIMIT:  # each clipped chain lies in the product as an axis
             raise _over(_ELEMENTS, _MORE)
-        check_series([[1] * l for l in lengths], truncation)
+        check_series(([1] * l for l in lengths), truncation)
     return cartesian_product([chain(l) for l in lengths], truncation)
 
 
@@ -373,9 +381,12 @@ def _label_to_json(label):
     return label
 
 
-def _label_from_json(obj):
+def _label_from_json(obj, depth=0):
+    """A JSON label with its lists as tuples; the label walks recurse, so depth is capped."""
     if isinstance(obj, list):
-        return tuple(_label_from_json(x) for x in obj)
+        if depth == _LABEL_DEPTH:
+            raise PosetError(f"poset labels may nest lists at most {_LABEL_DEPTH} deep")
+        return tuple(_label_from_json(x, depth + 1) for x in obj)
     return obj
 
 

@@ -30,7 +30,7 @@ from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .errors import RingError
+from .errors import OrderError, RingError
 from .linalg import PRIME_LIMIT, QQ, Field, is_prime, rref
 from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
 from .poset import RankedPoset, check_count, check_series
@@ -478,13 +478,21 @@ def is_level_linearly_independent(ring: RingModel):
     return True, None
 
 
+def _sorted_by(poset, key):
+    """Every id of the poset sorted by `key`; labels that do not compare raise OrderError."""
+    try:
+        return sorted(range(poset.n), key=key)
+    except TypeError as e:
+        raise OrderError(f"representative orders need labels that compare: {e}") from None
+
+
 def rep_lex_order(poset: RankedPoset) -> OrderTable:
     """Plain lexicographic order on class representatives, across all degrees.
 
     For a quotient that identifies no monomials this restricts the ambient
     lexicographic order, so it is a monomial order.
     """
-    ids = sorted(range(poset.n), key=lambda x: poset.labels[x])
+    ids = _sorted_by(poset, poset.labels.__getitem__)
     return explicit_order(poset, ids, {"kind": "rep-lex"})
 
 
@@ -496,7 +504,7 @@ def degree_rep_lex_order(poset: RankedPoset) -> OrderTable:
     so this is a monomial order on monomial quotients and on rings whose
     only identifications happen inside single degrees of basic factors.
     """
-    ids = sorted(range(poset.n), key=lambda x: (poset.rank[x], poset.labels[x]))
+    ids = _sorted_by(poset, lambda x: (poset.rank[x], poset.labels[x]))
     return explicit_order(poset, ids, {"kind": "degree-rep-lex"})
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -230,6 +231,31 @@ def test_ring_hilbert_and_ims(tmp_path, capsys):
 def test_ring_check_macaulay_alias(capsys):
     rc, _, _ = run(capsys, "ring", "check-macaulay", "--spec", "cl:3,4", "--order", "lex")
     assert rc == 0
+
+
+def test_ring_check_macaulay_reports_what_check_ring_reports(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import jobs
+
+    for args in jobs._CLI_ARGS:
+        runs = []
+        for argv in (["check-ring"], ["ring", "check-macaulay"]):
+            rc, out, err = run(capsys, *argv, *args, "--json")
+            report = json.loads(out)
+            del report["timing"]
+            runs.append((rc, err, report))
+        assert runs[0] == runs[1], args
+
+
+@pytest.mark.parametrize("option", [
+    "--mode=both", "--max-gen-degree=1", "--allow-non-lli", "--json", "--out=report",
+    "--max-subsets=9",
+])
+def test_ring_commands_refuse_the_check_options(option, capsys):
+    # only check-ring reads these; the ring group once accepted and ignored them
+    rc, out, err = run(capsys, "ring", "build", "--spec", "cl:2,2", option)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: unrecognized arguments:") and err.count("\n") == 1
 
 
 def test_ring_check_commands_build_the_ring_once(capsys):
@@ -716,8 +742,8 @@ _RECIPE_KINDS = {
     "dual": {"of": [_LEX]},
     "degree-major": {"per_rank": [{"1": _LEX}], "default": [_LEX]},
     "family-default": {
-        "family": ["colored", "be", "torus", "diamond"], "params": [[1, 1], [0, 1, 2]],
-        "side": ["poset", "ring"],
+        "family": ["colored", "be", "be-ring", "torus", "diamond"],
+        "params": [[1, 1], [0, 1, 2], [2], [0, 3, 1], [1]], "side": ["poset", "ring"],
     },
     "tensor-degree-lex": {"sizes": [[1, 1], [2]]},
 }
@@ -737,18 +763,24 @@ def _recipes(draw, depth=0):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_recipes())
-def test_generated_order_recipes_never_escape_the_cli(recipe):
+@given(_recipes(), st.sampled_from(["multiset:2,2", "star:3"]))
+# on int labels these once sliced or sorted an int and ended in a TypeError
+@example({"kind": "tensor-degree-lex", "sizes": [1]}, "star:3")
+@example({"kind": "family-default", "family": "torus", "params": [2]}, "star:3")
+@example({"kind": "family-default", "family": "be-ring", "params": [0, 3, 1]}, "star:3")
+@example({"kind": "family-default", "family": "colored", "params": [1, 1]}, "star:3")
+@example({"kind": "family-default", "family": "diamond", "params": [1]}, "star:4")
+def test_generated_order_recipes_never_escape_the_cli(recipe, poset):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "recipe.json")
         with open(path, "w") as fh:
             json.dump(recipe, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["check-poset", "--poset", "multiset:2,2", "--order", f"recipe:{path}"])
-    assert rc in (0, 1, 2, 3, 4), recipe
+            rc = main(["check-poset", "--poset", poset, "--order", f"recipe:{path}"])
+    assert rc in (0, 1, 2, 3, 4), (recipe, poset)
     if rc == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, recipe
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (recipe, poset)
 
 
 _BUILTIN_KINDS = (
@@ -925,22 +957,61 @@ def _poset_files(draw):
             elif data[key] and bad():
                 j = draw(st.integers(0, len(data[key]) - 1))
                 data[key][j] = draw(st.one_of(_JSON, st.lists(st.integers(-1, 7), max_size=3)))
-    text = json.dumps(data)
+        labels = data.get("labels")
+        if isinstance(labels, list) and labels and bad():
+            labels[-1] = "deep"  # a label nested 600 lists deep, spliced into the text
+    text = json.dumps(data).replace('"deep"', "[" * 600 + "0" + "]" * 600)
     if bad():
         text = text[: draw(st.integers(0, len(text) - 1))]
     return text
 
 
 @settings(max_examples=150, deadline=None)
-@given(_poset_files(), st.sampled_from(["lex", "colex"]))
+@given(_poset_files(), st.sampled_from(["lex", "colex", "rep-lex", "tensor"]))
+# rep-lex sorted labels of kinds that do not compare, and ended in a TypeError
+@example('{"n": 2, "ranks": [0, 0], "covers": [], "labels": [0, [1]]}', "rep-lex")
+@example('{"n": 2, "ranks": [0, 0], "covers": [], "labels": ["a", 1]}', "rep-lex")
+@example('{"n": 2, "ranks": [0, 0], "covers": [], "labels": [null, 1]}', "rep-lex")
+@example('{"n": 2, "ranks": [0, 0], "covers": [], "labels": [[0, "a"], [1, 0]]}', "tensor")
 def test_generated_poset_files_never_escape_the_cli(text, order):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "poset.json")
         with open(path, "w") as fh:
             fh.write(text)
+        if order == "tensor":  # sums the parts it cuts a label into: refused where either fails
+            order = "recipe:" + os.path.join(tmp, "recipe.json")
+            with open(order[len("recipe:"):], "w") as fh:
+                json.dump({"kind": "tensor-degree-lex", "sizes": [1, 1]}, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["check-poset", "--poset", path, "--order", order])
     assert rc in (0, 1, 2, 3, 4), text
     if rc == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, text
+
+
+def _nested(open_, core, close, depth):
+    return open_ * depth + core + close * depth
+
+
+_DEEP_LABEL = '{"n": 2, "ranks": [0, 1], "covers": [[0, 1]], "labels": [%s, [1]]}' % (
+    _nested("[", "0", "]", 600))
+
+
+@pytest.mark.parametrize("argv, text", [
+    # the JSON decoder gives up near 1,000 levels, and its RecursionError was not caught
+    (["check-poset", "--poset", "multiset:2,2", "--order", "recipe:{file}"],
+     _nested('{"kind": "dual", "of": ', '{"kind": "lex"}', "}", 3000)),
+    (["check-ring", "--spec", "{file}", "--order", "lex"],
+     '{"d": 2, "D": 2, "field": "q", "generators": [[{"exp": %s, "coef": "1"}]]}'
+     % _nested("[", "0", "]", 990)),
+    # labels this deep decode, but overflowed the label walks
+    (["check-poset", "--poset", "{file}", "--order", "rep-lex"], _DEEP_LABEL),
+    (["export", "--poset", "{file}", "--what", "poset-json", "--out", "{out}"], _DEEP_LABEL),
+], ids=["order-file", "ring-spec", "poset-rep-lex", "poset-export"])
+def test_deeply_nested_input_files_are_usage_errors(argv, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, *(a.format(file=path, out=tmp_path / "out") for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -91,6 +91,24 @@ def test_mermin_murai_unit_factors_reduce_to_border_chaser():
         assert o.position[x] == bc.position[grid.id_of(vec[x])]
 
 
+def test_block_and_tensor_orders_refuse_labels_their_split_cannot_cut():
+    # a short label once gave a short position vector and a verdict; an int
+    # label or a part that is not all ints ended in a TypeError
+    colored = F.colored_poset([1, 1])
+    labels = list(colored.labels)
+    labels[0] = labels[0][:1]
+    short = M.RankedPoset(colored.n, colored.covers, colored.rank, labels)
+    with pytest.raises(OrderError, match="does not match the factor tosets"):
+        F.mermin_murai_order(short, [1, 1])
+    with pytest.raises(OrderError, match="label 0 does not match the factor tosets"):
+        F.torus_order(F.star(3), [2])
+    grid = M.multiset_lattice([2, 2])
+    assert F.tensor_monomial_order(grid, [1, 1]).recipe["kind"] == "tensor-degree-lex"
+    for bad in (F.star(3), M.RankedPoset(2, [], [0, 0], [(0, "a"), (1, 0)]), short):
+        with pytest.raises(OrderError, match="does not match the factor tosets"):
+            F.tensor_monomial_order(bad, [1, 1])
+
+
 def test_mermin_murai_requires_sorted_sizes():
     p = F.colored_poset([2, 3])
     with pytest.raises(OrderError):
