@@ -33,7 +33,6 @@ from .orders import (
     dual_order,
     explicit_order,
     lex_order,
-    order_from_recipe,
 )
 from .verify import (
     MacaulayFailure,
@@ -75,3 +74,4 @@ from .hilbert import (
     leveled_basis,
 )
 from . import families
+from .families import order_from_recipe

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import __version__, families
 from .errors import MacaulayLibError, OrderError, PosetError, ResourceLimitError, RingError
@@ -24,7 +25,8 @@ from .hilbert import (
     initial_monomial_data,
     is_macaulay_ring,
 )
-from .orders import order_from_recipe
+from .families import order_from_recipe
+from .orders import _recipe_kind, ascii_int
 from .poset import (
     cube_coordinates,
     export_dot,
@@ -76,25 +78,27 @@ def _load_poset(spec_str, field, recipe=None):
 
 
 def _order_recipe_from_arg(arg):
-    if arg in ("lex", "colex", "hc", "bc", "rep-lex", "family-default"):
-        return {"kind": arg}
+    """The recipe of a bare kind, dom:<perm> or a recipe file, checked before anything is
+    built, except a bare family-default, which stands for the builtin's own recipe."""
     if arg.startswith("dom:"):
         try:
-            return {"kind": "dom", "perm": [families.ascii_int(x) for x in arg[4:].split(",")]}
+            recipe = {"kind": "dom", "perm": [ascii_int(x) for x in arg[4:].split(",")]}
         except ValueError:
             raise OrderError(f"dom order wants comma-separated integers, got {arg!r}") from None
-    for prefix in ("block:", "explicit:", "recipe:"):
-        if arg.startswith(prefix):
-            path = arg[len(prefix):]
-            recipe = _read_json(path, "order file", OrderError)
-            if not isinstance(recipe, dict):
-                raise OrderError(f"order file {path!r} holds no recipe object")
-            return recipe
-    raise OrderError(f"unknown order recipe {arg!r}")
+    elif arg.startswith(("block:", "explicit:", "recipe:")):
+        path = arg.partition(":")[2]
+        recipe = _read_json(path, "order file", OrderError)
+        if not isinstance(recipe, dict):
+            raise OrderError(f"order file {path!r} holds no recipe object")
+    else:
+        recipe = {"kind": arg}
+    if recipe != {"kind": "family-default"}:
+        _recipe_kind(recipe)
+    return recipe
 
 
 def _resolve_order(poset, recipe, built):
-    if recipe.get("kind") == "family-default" and "family" not in recipe:
+    if recipe == {"kind": "family-default"}:
         if built is None:
             raise OrderError("family-default needs a builtin descriptor")
         recipe = built.order_recipe()
@@ -169,11 +173,12 @@ def _load_ring(args):
 
 
 def cmd_check_ring(args):
+    recipe = _order_recipe_from_arg(args.order)
     t_build = time.perf_counter()
     ctx, built = _load_ring(args)
     build_seconds = time.perf_counter() - t_build
     ring = ctx.ring
-    table = _resolve_order(ctx.poset, _order_recipe_from_arg(args.order), built)
+    table = _resolve_order(ctx.poset, recipe, built)
     candidate = built.monomial_order_candidate() if built else None
     t0 = time.perf_counter()
     verdict = is_macaulay_ring(
@@ -205,13 +210,13 @@ def cmd_check_ring(args):
     return 0 if verdict.holds else EXIT_FAIL
 
 
-def _order_json(poset, built, args):
-    table = _resolve_order(poset, _order_recipe_from_arg(args.order), built)
+def _order_json(poset, built, recipe):
+    table = _resolve_order(poset, recipe, built)
     order = {"recipe": table.recipe, "labels": table.labels_in_order()}
     return json.dumps(order, sort_keys=True, default=str) + "\n"
 
 
-# per --what kind, in the order they are written: the file, and its text from (poset, builtin, args)
+# per --what kind, in writing order: the file, and its text from (poset, builtin, recipe)
 _EXPORTS = {
     "poset-json": ("poset.json", lambda poset, *_: export_json(poset) + "\n"),
     "poset-dot": ("poset.dot", lambda poset, *_: export_dot(poset)),
@@ -225,10 +230,11 @@ def cmd_export(args):
     unknown = [k for k in what if k not in _EXPORTS]
     if unknown:
         raise MacaulayLibError(f"unknown --what kinds: {', '.join(map(repr, unknown))}")
-    poset, built = _load_poset(args.poset, _field(args))
+    recipe = _order_recipe_from_arg(args.order) if "order" in what else None
+    poset, built = _load_poset(args.poset, _field(args), recipe)
     for kind, (name, text) in _EXPORTS.items():
         if kind in what:
-            print(_write(args.out, name, text(poset, built, args)))
+            print(_write(args.out, name, text(poset, built, recipe)))
     return 0
 
 
@@ -242,8 +248,7 @@ def _load_ideal(ctx, path):
 
 def cmd_ring(args):
     sub = args.ring_cmd
-    if sub in ("hilbert", "ims") and args.ideal is None:
-        raise RingError(f"ring {sub} needs --ideal <file>")
+    recipe = _order_recipe_from_arg(args.order) if sub == "ims" else None
     ctx, built = _load_ring(args)
     ring = ctx.ring
     if sub == "build":
@@ -275,7 +280,7 @@ def cmd_ring(args):
         print(json.dumps({"hilbert": hilbert_function(ctx, ideal)}, sort_keys=True))
         return 0
     ideal = _load_ideal(ctx, args.ideal)  # ims, the last of the parser's choices
-    table = _resolve_order(ctx.poset, _order_recipe_from_arg(args.order), built)
+    table = _resolve_order(ctx.poset, recipe, built)
     data = initial_monomial_data(ctx, ideal, table)
     out = {
         "ims": [[str(ctx.poset.labels[x]) for x in lvl] for lvl in data.ims],
@@ -293,11 +298,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_at_least(low):
-    """An argparse type: an int, by `families.ascii_int`, no smaller than `low`."""
+    """An argparse type: an int, by `ascii_int`, no smaller than `low`."""
 
     def parse(text):
         try:
-            value = families.ascii_int(text)
+            value = ascii_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
@@ -307,6 +312,7 @@ def _int_at_least(low):
     return parse
 
 
+@cache  # built once per process: argparse makes a help formatter for each option it adds
 def build_parser():
     top = _Parser(prog="macaulay", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -344,13 +350,16 @@ def build_parser():
     ex.set_defaults(fn=cmd_export)
 
     rg = sub.add_parser("ring", help="ring model commands; `ring check-macaulay` is check-ring")
-    rg.add_argument("ring_cmd", choices=["build", "poset", "lli", "recognize-tree", "hilbert", "ims"])
-    rg.add_argument("--spec", required=True)
-    rg.add_argument("--ideal", help="ideal file, for hilbert and ims")
-    rg.add_argument("--order", default="rep-lex", help="for ims")
-    rg.add_argument("--format", choices=["json", "dot"], default="json", help="for poset")
-    rg.add_argument("--field", help="q or p:<modulus>")
-    rg.set_defaults(fn=cmd_ring)
+    rs = rg.add_subparsers(dest="ring_cmd", required=True)
+    rc = {c: rs.add_parser(c) for c in ("build", "poset", "lli", "recognize-tree", "hilbert", "ims")}
+    for p in rc.values():
+        p.add_argument("--spec", required=True)
+        p.add_argument("--field", help="q or p:<modulus>")
+        p.set_defaults(fn=cmd_ring)
+    rc["poset"].add_argument("--format", choices=["json", "dot"], default="json")
+    for c in ("hilbert", "ims"):
+        rc[c].add_argument("--ideal", required=True)
+    rc["ims"].add_argument("--order", default="rep-lex")
     return top
 
 

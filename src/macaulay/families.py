@@ -12,12 +12,11 @@ Tree rings (colored square-free and spider-power tensor rings) take their
 order in ring coordinates: `_spider_rep` maps a spider element to the
 exponent vector of the class it mirrors, so the poset-side factor toset
 serves both sides.  A builtin carries its published order and its
-monomial-order candidate as JSON recipes, resolved by `order_from_recipe`;
-`_resolve_family` is the one place a family name becomes an order.
+monomial-order candidate as JSON recipes; `order_from_recipe` resolves every
+kind, and `_resolve_family` is the one place a family name becomes an order.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import prod
@@ -25,12 +24,15 @@ from typing import Optional, Sequence
 
 from .errors import OrderError, PosetError, RingError
 from .orders import (
+    VECTOR_KINDS,
     OrderTable,
-    RECIPE_FIELDS,
-    RECIPE_RESOLVERS,
+    _recipe_kind,
+    _vector_labels,
+    ascii_int,
+    degree_major_order,
+    dual_order,
     explicit_order,
     lex_order,  # kept bound here: bench/spans.py times families.lex_order
-    order_from_recipe,
     ranks_vectors,
     table_from_vectors,
 )
@@ -44,6 +46,7 @@ from .rings import (
     RingModel,
     build_ring,
     check_generators,
+    degree_rep_lex_order,
     monomial,
     poset_of_monomials,
     rep_lex_order,
@@ -344,6 +347,8 @@ def tensor_monomial_order(poset: RankedPoset, factor_sizes: Sequence[int]) -> Or
     factors, where a flat degree-major order stops being multiplicative.
     """
     sizes = list(factor_sizes)
+    if min(sizes, default=1) < 1:
+        raise OrderError(f"tensor-degree-lex factor sizes must be positive, got {sizes!r}")
     split = _split_flat(sizes)
 
     def key(label):
@@ -379,14 +384,6 @@ def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable
 
 # ---------------------------------------------------------------------------
 # Builtin registry (CLI surface and acceptance drivers)
-
-
-def ascii_int(text):
-    """The int that `text` spells in ASCII digits after an optional "-", else
-    ValueError: int() alone also reads "٣", "1_0", " 3" and "+4"."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
 
 
 def _parse_ints(kind, text, arity=None, sep=","):
@@ -563,10 +560,22 @@ def _resolve_family(poset, recipe):
     return diamond_order(poset, *params)
 
 
-RECIPE_FIELDS["family-default"] = {"family": str, "params": [int], "side": (None, str)}
-RECIPE_FIELDS["tensor-degree-lex"] = {"sizes": [int]}
-RECIPE_RESOLVERS["family-default"] = _resolve_family
-RECIPE_RESOLVERS["rep-lex"] = lambda poset, recipe: rep_lex_order(poset)
-RECIPE_RESOLVERS["tensor-degree-lex"] = lambda poset, recipe: tensor_monomial_order(
-    poset, recipe["sizes"]
-)
+def order_from_recipe(poset: RankedPoset, recipe) -> OrderTable:
+    """Regenerate an order table from its serialized recipe, of any kind RECIPE_FIELDS lists."""
+    kind = _recipe_kind(recipe)
+    if kind in VECTOR_KINDS:
+        return table_from_vectors(poset, *_vector_labels(poset), recipe)
+    if kind == "explicit":
+        return OrderTable(poset, recipe["positions"], recipe)
+    if kind == "dual":
+        # the inner recipe lives on the primal side; dualizing brings it back
+        return dual_order(order_from_recipe(dual(poset), recipe["of"]))
+    if kind == "degree-major":
+        return degree_major_order(poset, recipe.get("per_rank"), recipe.get("default"))
+    if kind == "family-default":
+        return _resolve_family(poset, recipe)
+    if kind == "tensor-degree-lex":
+        return tensor_monomial_order(poset, recipe["sizes"])
+    if kind == "rep-lex":
+        return rep_lex_order(poset)
+    return degree_rep_lex_order(poset)

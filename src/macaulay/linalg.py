@@ -2,7 +2,7 @@
 
 A row is a dict {column: scalar} holding only its nonzero entries; scalars
 are Fractions over the rationals and ints in 1..p-1 over GF(p).  The kernels
-read the field's modulus once per call and do the arithmetic inline, so a
+read the `FieldSpec`'s modulus once per call and do the arithmetic inline, so a
 row operation costs one dict update per nonzero of the row it subtracts.
 
 RREF is canonical: pivot entries are 1, pivot columns are otherwise zero,
@@ -13,7 +13,10 @@ is then back-substituted from the largest pivot down.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import RingError
 
 # Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -34,29 +37,51 @@ def is_prime(n):
     return True
 
 
-class Field:
-    """The rationals (p is None) or the prime field GF(p)."""
+DEFAULT_PRIME = 32003
 
-    __slots__ = ("p",)
 
-    def __init__(self, p=None):
-        if p is not None and not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
+@dataclass(frozen=True)
+class FieldSpec:
+    """A field is its modulus: the rationals when p is None, else the prime field GF(p)."""
+
+    p: int | None = DEFAULT_PRIME
+
+    def __post_init__(self):
+        p = self.p
+        if p is not None and not (isinstance(p, int) and 1 < p < PRIME_LIMIT and is_prime(p)):
+            raise RingError(f"prime field needs a prime modulus below {PRIME_LIMIT}, got {p!r}")
 
     @property
     def name(self):
         return "rationals" if self.p is None else f"prime:{self.p}"
 
     def of(self, x):
-        """The scalar of a rational number; ValueError when p divides its denominator."""
+        """The scalar of a rational number; RingError when p divides its denominator."""
         f = Fraction(x)
         if self.p is None:
             return f
+        if f.denominator % self.p == 0:
+            raise RingError(f"coefficient {x} is not defined over {self.name}")
         return f.numerator * pow(f.denominator, -1, self.p) % self.p
 
+    def to_json(self):
+        return "q" if self.p is None else f"p:{self.p}"
 
-QQ = Field()
+    @classmethod
+    def from_json(cls, text):
+        if text == "q":
+            return cls(None)
+        digits = text[2:] if isinstance(text, str) and text.startswith("p:") else ""
+        if digits.isascii() and digits.isdigit():  # str.isdigit alone admits '²' and '٣'
+            if len(digits) > len(str(PRIME_LIMIT)):  # int() refuses past 4,300 digits
+                raise RingError(
+                    f"prime field needs a prime modulus below {PRIME_LIMIT}, got {len(digits)} digits"
+                )
+            return cls(int(digits))
+        raise RingError(f"unknown field spec {text!r}")
+
+
+RATIONALS = FieldSpec(None)
 
 
 def add_multiple(row, f, other, field):

@@ -19,14 +19,22 @@ coordinate), so coordinates in lower blocks lead.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
-from typing import Callable
 
 from .errors import OrderError
 from .poset import RankedPoset, dual as dual_poset, split_by_rank
 
 # ---------------------------------------------------------------------------
 # Core: ranking integer position vectors
+
+
+def ascii_int(text):
+    """The int that `text` spells in ASCII digits after an optional "-", else
+    ValueError: int() alone also reads "٣", "1_0", " 3" and "+4"."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _check_perm(perm, d):
@@ -50,10 +58,11 @@ def _icscd(v):
     return tuple(x if x + 1 == s else 0 for x in v)
 
 
-# fields each recipe kind reads, with their JSON shapes: a type, [shape] for
-# a list of that shape, or a tuple of alternatives, where None makes the field
-# optional; modules that register a resolver add theirs
+# every order kind, with the fields it reads and their JSON shapes: a type,
+# [shape] for a list of that shape, or a tuple of alternatives, where None
+# makes the field optional; `families.order_from_recipe` resolves each kind
 RECIPE_FIELDS = {
+    "lex": {}, "colex": {}, "rep-lex": {}, "degree-rep-lex": {},
     "dom": {"perm": [int]},
     "hc": {"choices": (None, [[[int]]])},
     "bc": {"choices": (None, [[[int]]])},
@@ -61,6 +70,8 @@ RECIPE_FIELDS = {
     "explicit": {"positions": [int]},
     "dual": {"of": dict},
     "degree-major": {"per_rank": (None, dict), "default": (None, dict)},
+    "family-default": {"family": str, "params": [int], "side": (None, str)},
+    "tensor-degree-lex": {"sizes": [int]},
 }
 
 
@@ -74,18 +85,33 @@ def _fits(value, shape):
 
 
 def _recipe_kind(recipe):
-    """The recipe's kind, once it is known to be an object whose kind's fields have their shapes."""
+    """The recipe's kind, once it is an object of a listed kind whose fields have their shapes."""
     if not isinstance(recipe, dict) or not isinstance(recipe.get("kind"), str):
         raise OrderError(f"order recipe must be an object with a string kind, got {recipe!r}")
     kind = recipe["kind"]
-    fields = RECIPE_FIELDS.get(kind, {})
-    missing = [f for f, shape in fields.items() if f not in recipe and not _fits(None, shape)]
+    if kind not in RECIPE_FIELDS:
+        raise OrderError(f"unknown order recipe kind {kind!r}")
+    missing = [f for f, s in RECIPE_FIELDS[kind].items() if f not in recipe and not _fits(None, s)]
     if missing:
         raise OrderError(f"{kind} order recipe lacks {', '.join(missing)}")
-    for f, shape in fields.items():
+    for f, shape in RECIPE_FIELDS[kind].items():
         if not _fits(recipe.get(f), shape):
             raise OrderError(f"{kind} order recipe has a malformed {f}: {recipe[f]!r}")
     return kind
+
+
+# recipes that rank exponent-vector labels
+VECTOR_KINDS = ("lex", "colex", "dom", "hc", "bc", "block")
+
+
+def ranks_vectors(recipe) -> bool:
+    """Whether resolving the recipe ranks exponent-vector labels: a vector
+    recipe, a degree-major order (it ranks every level by one), or the dual
+    of either."""
+    kind = recipe.get("kind") if isinstance(recipe, dict) else None
+    if kind == "dual":
+        return ranks_vectors(recipe.get("of"))
+    return kind in VECTOR_KINDS or kind == "degree-major"
 
 
 def _vector_key(recipe, lengths):
@@ -274,14 +300,17 @@ def dual_order(table: OrderTable) -> OrderTable:
 def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> OrderTable:
     """Rank-major order with a vector recipe chosen per rank.
 
-    `per_rank` maps rank -> recipe dict; ranks not listed use `default`
-    (colexicographic unless given).  Useful for building orders that are
-    deliberately not monomial orders.
+    `per_rank` maps rank (an int, or its ASCII digits) -> recipe dict; ranks
+    not listed use `default` (colexicographic unless given).  Useful for
+    building orders that are deliberately not monomial orders.
     """
+    keys = list(per_rank or {})
     try:
-        per_rank = {int(k): v for k, v in (per_rank or {}).items()}
+        per_rank = {ascii_int(str(k)): v for k, v in (per_rank or {}).items()}
     except ValueError:
-        raise OrderError(f"degree-major ranks must be integers, got {list(per_rank)!r}") from None
+        raise OrderError(f"degree-major ranks must be integers, got {keys!r}") from None
+    if len(per_rank) < len(keys):
+        raise OrderError(f"degree-major ranks {keys!r} name one rank twice")
     default = default or {"kind": "colex"}
     _, lens = _vector_labels(poset)
     ids = []
@@ -294,41 +323,3 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
         "default": default,
     }
     return explicit_order(poset, ids, recipe)
-
-
-# ---------------------------------------------------------------------------
-# Recipe resolution (family recipes register themselves here)
-
-RECIPE_RESOLVERS: dict[str, Callable] = {}
-
-
-# recipes that rank exponent-vector labels
-VECTOR_KINDS = ("lex", "colex", "dom", "hc", "bc", "block")
-
-
-def ranks_vectors(recipe) -> bool:
-    """Whether resolving the recipe ranks exponent-vector labels: a vector
-    recipe, a degree-major order (it ranks every level by one), or the dual
-    of either."""
-    kind = recipe.get("kind") if isinstance(recipe, dict) else None
-    if kind == "dual":
-        return ranks_vectors(recipe.get("of"))
-    return kind in VECTOR_KINDS or kind == "degree-major"
-
-
-def order_from_recipe(poset: RankedPoset, recipe) -> OrderTable:
-    """Regenerate an order table from its serialized recipe."""
-    kind = _recipe_kind(recipe)
-    if kind in VECTOR_KINDS:
-        return table_from_vectors(poset, *_vector_labels(poset), recipe)
-    if kind == "explicit":
-        pos = recipe["positions"]
-        return OrderTable(poset, pos, recipe)
-    if kind == "dual":
-        # the inner recipe lives on the primal side; dualizing brings it back
-        return dual_order(order_from_recipe(dual_poset(poset), recipe["of"]))
-    if kind == "degree-major":
-        return degree_major_order(poset, recipe.get("per_rank"), recipe.get("default"))
-    if kind in RECIPE_RESOLVERS:
-        return RECIPE_RESOLVERS[kind](poset, recipe)
-    raise OrderError(f"unknown order recipe kind {kind!r}")

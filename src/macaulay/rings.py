@@ -31,46 +31,11 @@ from operator import add
 from typing import Optional, Sequence
 
 from .errors import OrderError, RingError
-from .linalg import PRIME_LIMIT, QQ, Field, is_prime, rref
-from .orders import OrderTable, RECIPE_RESOLVERS, explicit_order
+from .linalg import RATIONALS, FieldSpec, rref  # RATIONALS is re-exported
+from .orders import OrderTable, explicit_order
 from .poset import RankedPoset, check_count, check_series
 
-DEFAULT_PRIME = 32003
 FOLD_COUNT = "the ring would have {{}} products of factor classes of degree <= {}"  # .format(D)
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    kind: str = "prime"  # "rationals" | "prime"
-    p: Optional[int] = DEFAULT_PRIME
-
-    def __post_init__(self):
-        if self.kind not in ("rationals", "prime"):
-            raise RingError(f"unknown field kind {self.kind!r}")
-        if self.kind == "prime" and not (self.p and self.p < PRIME_LIMIT and is_prime(self.p)):
-            raise RingError(f"prime field needs a prime modulus below {PRIME_LIMIT}, got {self.p}")
-
-    def field(self) -> Field:
-        return QQ if self.kind == "rationals" else Field(self.p)
-
-    def to_json(self):
-        return "q" if self.kind == "rationals" else f"p:{self.p}"
-
-    @classmethod
-    def from_json(cls, text):
-        if text == "q":
-            return cls("rationals", None)
-        digits = text[2:] if isinstance(text, str) and text.startswith("p:") else ""
-        if digits.isascii() and digits.isdigit():  # str.isdigit alone admits '²' and '٣'
-            if len(digits) > len(str(PRIME_LIMIT)):  # int() refuses past 4,300 digits
-                raise RingError(
-                    f"prime field needs a prime modulus below {PRIME_LIMIT}, got {len(digits)} digits"
-                )
-            return cls("prime", int(digits))
-        raise RingError(f"unknown field spec {text!r}")
-
-
-RATIONALS = FieldSpec("rationals", None)
 
 
 class Polynomial:
@@ -144,17 +109,10 @@ def monomial(exp):
     return Polynomial({tuple(exp): 1})
 
 
-def field_terms(poly: Polynomial, F: Field) -> dict:
+def field_terms(poly: Polynomial, F: FieldSpec) -> dict:
     """The polynomial's terms as scalars of F, dropping those that vanish there."""
-    terms = {}
-    for exp, coef in poly.terms.items():
-        try:
-            c = F.of(coef)
-        except ValueError:
-            raise RingError(f"coefficient {coef} is not defined over {F.name}") from None
-        if c:
-            terms[exp] = c
-    return terms
+    terms = ((exp, F.of(coef)) for exp, coef in poly.terms.items())
+    return {exp: c for exp, c in terms if c}
 
 
 @dataclass(frozen=True)
@@ -224,9 +182,9 @@ class MonomialClass:
 
 
 def monomials_by_degree(d, D):
-    """[monomials_of_degree(d, i) for i in 0..D], built one variable at a time."""
-    table = [[()]] + [[] for _ in range(D)]
-    for _ in range(d):
+    """[monomials_of_degree(d, i) for i in 0..D], built one variable at a time from x_d's powers."""
+    table = [[(i,)] for i in range(D + 1)] if d else [[()]] + [[] for _ in range(D)]
+    for _ in range(d - 1):
         table = [[(a,) + m for a in range(i + 1) for m in table[i - a]] for i in range(D + 1)]
     return table
 
@@ -253,7 +211,7 @@ class RingModel:
 
     def __init__(self, spec: QuotientRingSpec):
         self.spec = spec
-        self.field = spec.field.field()
+        self.field = spec.field
         self.classes = []  # list[MonomialClass], indexed by class id
         self._poset = None  # built once, by `poset_of_monomials`
         self._build()
@@ -506,9 +464,6 @@ def degree_rep_lex_order(poset: RankedPoset) -> OrderTable:
     """
     ids = _sorted_by(poset, lambda x: (poset.rank[x], poset.labels[x]))
     return explicit_order(poset, ids, {"kind": "degree-rep-lex"})
-
-
-RECIPE_RESOLVERS["degree-rep-lex"] = lambda poset, recipe: degree_rep_lex_order(poset)
 
 
 def is_monomial_order(ring: RingModel, table: OrderTable):

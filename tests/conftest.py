@@ -453,7 +453,7 @@ def elimination_build_oracle(spec):
     all its variables, whatever its components: the generator multiples of
     each degree are row-reduced, monomials are grouped by normal form, and a
     class is (rep, members, residue) with the lex-least member as rep."""
-    field = spec.field.field()
+    field = spec.field
     p = field.p
     gens = [(g.degree(), field_terms(g, field)) for g in spec.generators]
     out = {"hilb": [], "nf_monomials": [], "classes": [], "class_of": {}}

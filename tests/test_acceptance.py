@@ -22,7 +22,7 @@ from macaulay.rings import degree_rep_lex_order
 
 from conftest import acceptance_constructions, check_monomial_ideal_profile, upset_closure
 
-PRIME = M.FieldSpec("prime", 32003)
+PRIME = M.FieldSpec(32003)
 QQ_FIELD = M.RATIONALS
 
 

@@ -249,13 +249,22 @@ def test_ring_check_macaulay_reports_what_check_ring_reports(monkeypatch, capsys
 
 @pytest.mark.parametrize("option", [
     "--mode=both", "--max-gen-degree=1", "--allow-non-lli", "--json", "--out=report",
-    "--max-subsets=9",
+    "--max-subsets=9", "--order=zigzag", "--ideal=/nonexistent", "--format=dot",
 ])
 def test_ring_commands_refuse_the_check_options(option, capsys):
-    # only check-ring reads these; the ring group once accepted and ignored them
-    rc, out, err = run(capsys, "ring", "build", "--spec", "cl:2,2", option)
-    assert rc == 2 and out == ""
-    assert err.startswith("error: unrecognized arguments:") and err.count("\n") == 1
+    # only check-ring reads the first six, only ims --order, only hilbert and ims
+    # --ideal and only poset --format; the ring group once accepted and ignored them all
+    readers = {"--order": ("ims",), "--ideal": ("hilbert", "ims"), "--format": ("poset",)}
+    for sub in ("build", "poset", "lli", "recognize-tree", "hilbert", "ims"):
+        if sub in readers.get(option.split("=")[0], ()):
+            continue
+        argv = ["ring", sub, "--spec", "cl:2,2", option] + ["--ideal=x"] * (sub in readers["--ideal"])
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", sub
+        assert err.startswith("error: unrecognized arguments:") and err.count("\n") == 1, sub
+    # the group's options no longer come before the command
+    rc, out, err = run(capsys, "ring", "--spec", "cl:2,2", "build")
+    assert rc == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_ring_check_commands_build_the_ring_once(capsys):
@@ -433,15 +442,16 @@ def test_huge_ring_spec_exits_3(tmp_path, capsys):
 def test_huge_free_ring_specs_exit_3_at_once(tmp_path, capsys):
     # d free variables at D = d: the fold count once ran to the end after
     # lifting every component (8.5 s at d = 300); it now stops at its third factor
-    for d in (300, 600):
+    # two variables at D = 30,000 spent 37 s listing the first variable's monomials
+    for d, D, seconds in ((300, 300, 0.5), (600, 600, 0.5), (2, 30000, 2)):
         spec = tmp_path / f"free{d}.json"
-        spec.write_text(json.dumps({"d": d, "field": "p:32003", "D": d, "generators": []}))
+        spec.write_text(json.dumps({"d": d, "field": "p:32003", "D": D, "generators": []}))
         t0 = time.perf_counter()
         rc, out, err = run(capsys, "check-ring", "--spec", str(spec), "--order", "lex")
-        assert time.perf_counter() - t0 < 0.5, d
+        assert time.perf_counter() - t0 < seconds, d
         assert rc == 3 and out == "", d
         assert err == ("resource limit: the ring would have more than 1000000 products of "
-                       f"factor classes of degree <= {d} (limit 1000000)\n")
+                       f"factor classes of degree <= {D} (limit 1000000)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,6 +468,21 @@ def test_integers_are_ascii_digits(argv, capsys):
     # int() also reads other scripts' digits, underscores, spaces and a plus sign
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["degree-rep-lex", "rep-lex", "lex", "colex", "hc", "degree-major"])
+def test_a_bare_kind_reports_what_its_recipe_file_reports(kind, tmp_path, capsys):
+    # any kind is a bare word; degree-rep-lex was once refused as an unknown recipe
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"kind": kind}))
+    runs = []
+    for order in (kind, f"recipe:{path}"):
+        rc, out, err = run(capsys, "check-ring", "--spec", "torus:3,2", "--order", order, "--json")
+        report = json.loads(out)
+        del report["timing"]
+        runs.append((rc, err, report))
+    assert runs[0] == runs[1] and runs[0][1] == ""
+    assert runs[0][2]["inputs"]["order"]["kind"] == kind
 
 
 def test_dom_by_block_recipe_file(tmp_path, capsys):
@@ -652,25 +677,40 @@ def test_closed_stdout_pipe_in_a_process():
 
 
 def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
-    orders = ["dom:1,x"]
-    texts = (
-        "{bad", "[1, 2]", '{"a": 1}', '{"kind": "explicit"}',
+    # a recipe's kind and the shapes of its fields are checked before the build;
+    # an unknown kind in a file was once refused only after it (2.1 s on spider:999,400)
+    early = (
+        "{bad", "[1, 2]", '{"a": 1}', '{"kind": "explicit"}', '{"kind": "foo"}',
         '{"kind": "explicit", "positions": 5}',
         '{"kind": "dom", "perm": 5}',
         '{"kind": "block", "cuts": 1, "starts": 2, "blocks": 3}',
         '{"kind": "degree-major", "per_rank": [1]}',
+        '{"kind": "family-default", "params": [1, 1]}',
+    )
+    late = (
         '{"kind": "hc", "choices": [[[7, 8], [1, 2]]]}',
         '{"kind": "hc", "choices": [[[1, 1], [2, 1]]]}',
         '{"kind": "bc", "choices": [[[1], [2]]]}',
+        '{"kind": "dual", "of": {"kind": "foo"}}',
+        # int() read "1_0" as rank 10 and took " 1"; "01" dropped the recipe of "1"
+        '{"kind": "degree-major", "per_rank": {"1_0": {"kind": "lex"}}}',
+        '{"kind": "degree-major", "per_rank": {" 1": {"kind": "lex"}}}',
+        '{"kind": "degree-major", "per_rank": {"1": {"kind": "lex"}, "01": {"kind": "colex"}}}',
     )
-    for i, text in enumerate(texts):
-        bad = tmp_path / f"recipe{i}.json"
-        bad.write_text(text)
-        orders += [f"{prefix}:{bad}" for prefix in ("recipe", "block", "explicit")]
-    for order in orders:
-        rc, out, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", order)
-        assert rc == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1, order
+    for texts, built in ((early, False), (late, True)):
+        orders = ["dom:1,x", "foo", "explicit", "dual"] if not built else []
+        for i, text in enumerate(texts):
+            bad = tmp_path / f"recipe{built}{i}.json"
+            bad.write_text(text)
+            orders += [f"{prefix}:{bad}" for prefix in ("recipe", "block", "explicit")]
+        for order in orders:
+            with mock.patch.object(M.families, "builtin", side_effect=M.families.builtin) as builtin:
+                rc, out, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", order)
+            assert rc == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, order
+            assert builtin.called == built, order
+    rc, _, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", "foo")
+    assert err == "error: unknown order recipe kind 'foo'\n"
 
 
 def test_ring_or_ideal_file_without_generators_is_usage_error(tmp_path, capsys):
@@ -721,7 +761,7 @@ def test_non_utf8_input_files_are_usage_errors(tmp_path, capsys):
 def test_ring_hilbert_and_ims_need_an_ideal(capsys):
     for sub in ("hilbert", "ims"):
         rc, out, err = run(capsys, "ring", sub, "--spec", "cl:3,3")
-        assert (rc, out, err) == (2, "", f"error: ring {sub} needs --ideal <file>\n")
+        assert (rc, out, err) == (2, "", "error: the following arguments are required: --ideal\n")
 
 
 _JSON = st.recursive(

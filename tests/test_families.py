@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import macaulay as M
 from macaulay import families as F
 from macaulay.errors import OrderError, PosetError, ResourceLimitError, RingError
-from macaulay.orders import order_from_recipe, table_from_vectors
+from macaulay.families import order_from_recipe
+from macaulay.orders import table_from_vectors
 
 from conftest import (
     acceptance_constructions,
@@ -107,6 +108,10 @@ def test_block_and_tensor_orders_refuse_labels_their_split_cannot_cut():
     for bad in (F.star(3), M.RankedPoset(2, [], [0, 0], [(0, "a"), (1, 0)]), short):
         with pytest.raises(OrderError, match="does not match the factor tosets"):
             F.tensor_monomial_order(bad, [1, 1])
+    # a factor of size 0 or below once cut the labels anyway, and the grid was "Macaulay"
+    for sizes in ([0, 2], [-1, 3], [2, 0]):
+        with pytest.raises(OrderError, match="factor sizes must be positive"):
+            F.tensor_monomial_order(grid, sizes)
 
 
 def test_mermin_murai_requires_sorted_sizes():
@@ -425,6 +430,10 @@ def test_pure_power_builtins_refuse_as_their_build_does(desc, caps):
 def test_pure_power_builtins_under_the_cap_keep_their_specs(monkeypatch):
     assert F.builtin("cl:2,3").ring_spec.to_json() == _spec_json(2, 3, (2, 0), (0, 3))
     assert F.builtin("kk:3").ring_spec.to_json() == F.kk_ring(3).to_json()
+    # one variable up to D = 20000: listing its monomials was quadratic in D and took 17.7 s
+    t0 = time.perf_counter()
+    assert F.builtin("cl:20001").ring.hilbert() == (1,) * 20001
+    assert time.perf_counter() - t0 < 2
     # products of the caps at the limit pass the count; their builds are too slow to run here
     monkeypatch.setattr(F, "_ring_builtin", lambda name, spec, order: spec)
     for desc, caps in (("kk:19", [2] * 19), ("cl:1000,1000", [1000, 1000]),

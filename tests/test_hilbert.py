@@ -21,7 +21,8 @@ from macaulay.hilbert import (
     is_macaulay_ring,
     leveled_basis,
 )
-from macaulay.orders import degree_major_order, explicit_order, order_from_recipe
+from macaulay.families import order_from_recipe
+from macaulay.orders import degree_major_order, explicit_order
 from macaulay.rings import degree_rep_lex_order, monomials_of_degree
 
 from conftest import (
@@ -490,7 +491,7 @@ _IDEAL_POOL = (
     "torus:3,2", "diamond:2", "kk:4", "be-ring:3,2,2", "leck:2+2,1", "cl:3,4", "colored-ring:2,2",
     "non-lli",
 )
-_IDEAL_FIELDS = (M.RATIONALS, M.FieldSpec(), M.FieldSpec("prime", 5))
+_IDEAL_FIELDS = (M.RATIONALS, M.FieldSpec(), M.FieldSpec(5))
 
 
 @lru_cache(maxsize=None)

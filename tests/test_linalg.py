@@ -13,10 +13,11 @@ from conftest import (
     to_dense,
     to_sparse,
 )
+from macaulay import RingError
 from macaulay.linalg import (
-    QQ,
-    Field,
     PRIME_LIMIT,
+    RATIONALS,
+    FieldSpec,
     add_multiple,
     is_prime,
     reduce_vector,
@@ -31,7 +32,7 @@ def F(x):
 
 def test_rref_canonical_over_qq():
     rows = [{0: F(2), 1: F(4)}, {0: F(1), 1: F(2), 2: F(1)}]
-    red, pivots = rref(rows, 3, QQ)
+    red, pivots = rref(rows, 3, RATIONALS)
     assert pivots == [0, 2]
     assert red == [{0: F(1), 1: F(2)}, {2: F(1)}]
     assert rows == [{0: F(2), 1: F(4)}, {0: F(1), 1: F(2), 2: F(1)}]  # not mutated
@@ -39,52 +40,52 @@ def test_rref_canonical_over_qq():
 
 def test_rref_drops_zero_rows():
     rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}, {}]
-    red, pivots = rref(rows, 2, QQ)
+    red, pivots = rref(rows, 2, RATIONALS)
     assert len(red) == 1 and pivots == [0]
 
 
 def test_rank_over_gf():
-    gf = Field(5)
+    gf = FieldSpec(5)
     # (2,4,1) == 2*(1,2,3) mod 5 but not over the rationals
     rows = [[1, 2, 3], [2, 4, 1], [0, 0, 0]]
     assert rank([to_sparse(r) for r in rows], 3, gf) == 1
-    assert rank([to_sparse(map(F, r)) for r in rows], 3, QQ) == 2
+    assert rank([to_sparse(map(F, r)) for r in rows], 3, RATIONALS) == 2
 
 
 def test_gf_rejects_composite():
-    with pytest.raises(ValueError):
-        Field(9)
+    with pytest.raises(RingError):
+        FieldSpec(9)
 
 
 def test_gf_of_fraction():
-    gf = Field(7)
+    gf = FieldSpec(7)
     assert gf.of(Fraction(1, 2)) == 4  # 2*4 = 8 = 1 mod 7
-    with pytest.raises(ValueError):
+    with pytest.raises(RingError):
         gf.of(Fraction(1, 7))
 
 
 def test_reduce_vector_membership():
     rows = [{0: F(1), 2: F(2)}, {1: F(1), 2: F(3)}]
-    red, piv = rref(rows, 3, QQ)
-    assert in_row_space(red, piv, {0: F(2), 1: F(1), 2: F(7)}, QQ)
-    assert not in_row_space(red, piv, {2: F(1)}, QQ)
-    coeffs, residual = reduce_vector(red, piv, {0: F(1), 2: F(5)}, QQ)
+    red, piv = rref(rows, 3, RATIONALS)
+    assert in_row_space(red, piv, {0: F(2), 1: F(1), 2: F(7)}, RATIONALS)
+    assert not in_row_space(red, piv, {2: F(1)}, RATIONALS)
+    coeffs, residual = reduce_vector(red, piv, {0: F(1), 2: F(5)}, RATIONALS)
     assert coeffs == [F(1), 0] and residual == {2: F(3)}
 
 
 def test_express_in_basis_roundtrip():
     basis = [{0: F(1), 1: F(1)}, {1: F(1), 2: F(1)}]
-    red, piv, tr = rref_with_transform(basis, 3, QQ)
+    red, piv, tr = rref_with_transform(basis, 3, RATIONALS)
     v = {0: F(2), 1: F(5), 2: F(3)}  # 2*b0 + 3*b1
-    coeffs = express_in_basis(red, piv, tr, v, QQ)
+    coeffs = express_in_basis(red, piv, tr, v, RATIONALS)
     assert coeffs == {0: F(2), 1: F(3)}
-    assert express_in_basis(red, piv, tr, {0: F(1), 2: F(1)}, QQ) is None
+    assert express_in_basis(red, piv, tr, {0: F(1), 2: F(1)}, RATIONALS) is None
 
 
 def test_same_answers_both_fields():
     rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
-    rq = rank([to_sparse(map(F, r)) for r in rows], 3, QQ)
-    rp = rank([to_sparse(x % 32003 for x in r) for r in rows], 3, Field(32003))
+    rq = rank([to_sparse(map(F, r)) for r in rows], 3, RATIONALS)
+    rp = rank([to_sparse(x % 32003 for x in r) for r in rows], 3, FieldSpec(32003))
     assert rq == rp == 3
 
 
@@ -92,7 +93,7 @@ def test_same_answers_both_fields():
 # Differential tests against the dense oracle
 
 
-FIELDS = [QQ, Field(32003), Field(3)]
+FIELDS = [RATIONALS, FieldSpec(32003), FieldSpec(3)]
 
 
 @st.composite

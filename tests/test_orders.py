@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import macaulay as M
 from macaulay.errors import OrderError
-from macaulay.orders import RECIPE_FIELDS, order_from_recipe, rank_vectors
+from macaulay.families import order_from_recipe
+from macaulay.orders import RECIPE_FIELDS, rank_vectors
 
 from conftest import comparator_rank_vectors
 
@@ -196,6 +197,13 @@ def test_degree_major_order():
     p = M.multiset_lattice([3, 3], truncation=2)
     t = M.degree_major_order(p, per_rank={1: {"kind": "lex"}}, default={"kind": "colex"})
     assert t.labels_in_order() == ((0, 0), (0, 1), (1, 0), (2, 0), (1, 1), (0, 2))
+    assert M.degree_major_order(p, per_rank={"1": LEX}, default=COLEX) == t
+    # ranks are read as ASCII digits, and two keys may not name one rank
+    for per_rank in ({"1_0": LEX}, {" 1": LEX}, {"\u0661": LEX}, {"+1": LEX}):
+        with pytest.raises(OrderError, match="ranks must be integers"):
+            M.degree_major_order(p, per_rank=per_rank)
+    with pytest.raises(OrderError, match="name one rank twice"):
+        M.degree_major_order(p, per_rank={"1": LEX, "01": COLEX})
 
 
 def test_recipes_regenerate_identically(m34):
@@ -286,10 +294,31 @@ def _json_only(shape):
     return shape is None or shape in (dict, list, str, int)
 
 
+# one recipe of every kind, each fitting multiset:2,2
+_EVERY_KIND = [
+    LEX, COLEX, HC, BC, {"kind": "rep-lex"}, {"kind": "degree-rep-lex"}, dom(2, 1),
+    {"kind": "block", "cuts": [[1], [1, 2]], "starts": LEX, "blocks": COLEX},
+    {"kind": "explicit", "positions": [3, 1, 0, 2]}, {"kind": "dual", "of": LEX},
+    {"kind": "degree-major", "per_rank": {"1": LEX}},
+    {"kind": "family-default", "family": "colored", "params": [1, 1]},
+    {"kind": "tensor-degree-lex", "sizes": [1, 1]},
+]
+
+
+def test_order_from_recipe_resolves_every_listed_kind_and_no_other():
+    grid = M.multiset_lattice([2, 2])
+    assert sorted(r["kind"] for r in _EVERY_KIND) == sorted(RECIPE_FIELDS)
+    for recipe in _EVERY_KIND:
+        table = order_from_recipe(grid, recipe)
+        assert table.recipe["kind"] == recipe["kind"]
+        assert order_from_recipe(grid, table.recipe) == table
+    for recipe in ({"kind": "foo"}, {"kind": "dual", "of": {"kind": "foo"}}):
+        with pytest.raises(OrderError, match="unknown order recipe kind 'foo'"):
+            order_from_recipe(grid, recipe)
+
+
 def test_recipe_fields_admit_only_json():
-    # `import macaulay` has run, so families and rings have registered their
-    # kinds; a callable field would not survive a recipe file
-    assert {"family-default", "tensor-degree-lex"} <= set(RECIPE_FIELDS)
+    # a callable field would not survive a recipe file
     bad = {(kind, f): shape for kind, fields in RECIPE_FIELDS.items()
            for f, shape in fields.items() if not _json_only(shape)}
     assert not bad

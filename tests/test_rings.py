@@ -186,7 +186,7 @@ def test_prime_and_rational_builds_agree():
     ]
     for spec in specs:
         rq = M.build_ring(spec)
-        rp = M.build_ring(spec.with_field(M.FieldSpec("prime", 32003)))
+        rp = M.build_ring(spec.with_field(M.FieldSpec(32003)))
         assert rq.hilbert() == rp.hilbert()
         assert walked_members(rq) == walked_members(rp)
         assert rq.times == rp.times
@@ -334,7 +334,7 @@ def test_gluing_in_the_middle_of_the_poset():
 
 
 def test_ring_spec_json_roundtrip():
-    spec = F.torus_basic_ring(3, M.FieldSpec("prime", 32003))
+    spec = F.torus_basic_ring(3, M.FieldSpec(32003))
     again = M.QuotientRingSpec.from_json(spec.to_json())
     assert again == spec
 
@@ -369,7 +369,7 @@ def test_stored_residues_match_dense_normal_forms():
         ),
     ]
     for spec in specs:
-        for fspec in (M.RATIONALS, M.FieldSpec("prime", 32003), M.FieldSpec("prime", 5)):
+        for fspec in (M.RATIONALS, M.FieldSpec(32003), M.FieldSpec(5)):
             ring = M.build_ring(spec.with_field(fspec))
             field = ring.field
             members = walked_members(ring)
@@ -408,7 +408,7 @@ def test_large_glued_builds_agree_across_fields():
     ]
     for make, basic_hilbert, n in cases:
         rq = M.build_ring(make(M.RATIONALS))
-        rp = M.build_ring(make(M.FieldSpec("prime", 32003)))
+        rp = M.build_ring(make(M.FieldSpec(32003)))
         want = [1]
         for _ in range(n):
             want = _convolve(want, basic_hilbert)
@@ -421,21 +421,37 @@ def test_large_glued_builds_agree_across_fields():
 
 def test_coefficient_outside_the_prime_field_is_a_ring_error():
     spec = M.QuotientRingSpec(
-        2, M.FieldSpec("prime", 7), [M.Polynomial({(1, 1): Fraction(1, 7)})], 2
+        2, M.FieldSpec(7), [M.Polynomial({(1, 1): Fraction(1, 7)})], 2
     )
     with pytest.raises(RingError, match="not defined over prime:7"):
         M.build_ring(spec)
     with pytest.raises(RingError, match="prime modulus"):
-        M.FieldSpec("prime", 32004)
+        M.FieldSpec(32004)
     with pytest.raises(RingError):
         M.FieldSpec.from_json("p:abc")
+
+
+@pytest.mark.parametrize("p", [None, 32003, 5])
+def test_a_field_is_its_modulus(p):
+    # one spec per field however it is made, so tensor factors made either way combine;
+    # a "rationals" kind with a default modulus once made a second, unequal rationals
+    spec = M.FieldSpec(p)
+    again = M.FieldSpec.from_json(spec.to_json())
+    assert spec == again and hash(spec) == hash(again)
+    if p is None:
+        assert spec == M.RATIONALS == M.FieldSpec.from_json("q") and hash(spec) == hash(M.RATIONALS)
+    tensor = M.tensor_ring([F.cl_ring([2], spec), F.kk_ring(1, again)])
+    assert tensor.field == spec and M.build_ring(tensor).hilbert() == (1, 2, 1)
+    for bad in ("rationals", "prime", 9, 1, 0, -5, 2.0, True):
+        with pytest.raises(RingError, match="prime modulus"):
+            M.FieldSpec(bad)
 
 
 # ---------------------------------------------------------------------------
 # Tensor rings are built per variable component; the whole-ring elimination in
 # conftest is the oracle.
 
-_FIELDS = (M.RATIONALS, M.FieldSpec("prime", 32003), M.FieldSpec("prime", 5))
+_FIELDS = (M.RATIONALS, M.FieldSpec(32003), M.FieldSpec(5))
 _TENSOR_BUILTINS = (
     "torus:2,2", "torus:3,2", "diamond:2", "be-ring:3,2,2", "colored-ring:2,2,2", "kk:4",
     "cl:3,3", "cl:2,3,2", "leck:2+2,1", "leck:3,2",
@@ -544,7 +560,7 @@ def test_free_variable_is_its_own_component():
 
 def test_coefficient_outside_the_prime_field_inside_a_factor():
     gens = [_glue(4, 0, 1), _glue(4, 2, 3), M.Polynomial({(0, 0, 1, 1): Fraction(1, 7)})]
-    spec = M.QuotientRingSpec(4, M.FieldSpec("prime", 7), gens, 3)
+    spec = M.QuotientRingSpec(4, M.FieldSpec(7), gens, 3)
     assert len(M.rings._components(spec)) == 2
     with pytest.raises(RingError, match="not defined over prime:7"):
         M.build_ring(spec)
@@ -577,7 +593,7 @@ def test_class_ids_are_poset_element_ids():
             assert ring.mul(0, c.rep) == x and min(members[x]) == c.rep
 
 
-@pytest.mark.parametrize("field", [M.RATIONALS, M.FieldSpec("prime", 32003)], ids=["q", "p"])
+@pytest.mark.parametrize("field", [M.RATIONALS, M.FieldSpec(32003)], ids=["q", "p"])
 def test_class_poset_matches_the_normaliser_and_is_built_once(field):
     for name in _TENSOR_BUILTINS:
         ring = M.build_ring(F.builtin(name, field).ring_spec)
