@@ -1,19 +1,15 @@
 """Named poset and ring families with their published shadow-minimizing orders.
 
 Each family couples a construction with the block order known to make it
-Macaulay.  Spider powers use border-chaser starts with per-block domination
-permutations; colored square-free products sit on the dual side and take
-hyperrectangle-chaser starts with lexicographic blocks; torus products use
-colexicographic starts with lexicographic blocks, diamond powers the other
-way around.  The Leck family carries no bundled order: none of the block
-orders here fits it, so inventing one would be guesswork.
-
-Tree rings (colored square-free and spider-power tensor rings) take their
-order in ring coordinates: `_spider_rep` maps a spider element to the
-exponent vector of the class it mirrors, so the poset-side factor toset
-serves both sides.  A builtin carries its published order and its
-monomial-order candidate as JSON recipes; `order_from_recipe` resolves every
-kind, and `_resolve_family` is the one place a family name becomes an order.
+Macaulay, and each such order is one row of `_FAMILIES`: parameter count,
+element count, and factor tosets with a block recipe.  `_resolve_family`,
+the one place a family becomes an order, checks the size, ranks the factor
+positions and records the family-default recipe; tree-ring components
+resolved to published orders (ROADMAP item 7) add rows, not builders.  Tree
+rings take their order in ring coordinates: `_spider_rep` maps a spider
+element to the exponent vector of the class it mirrors, so one factor toset
+serves both sides.  The Leck family carries no bundled order: none of the
+block orders here fits it, so inventing one would be guesswork.
 """
 from __future__ import annotations
 
@@ -110,16 +106,21 @@ def colored_poset(ns: Sequence[int]) -> RankedPoset:
 # Block-order helpers over explicit factor tosets
 
 
-def _factor_positions(poset, factor_tosets, split):
-    """Each element's vector of positions in the factor tosets, and the toset lengths."""
-    index = [{v: i for i, v in enumerate(t)} for t in factor_tosets]
+def _factor_positions(poset, factor_tosets):
+    """Each element's vector of positions in the factor tosets, and the toset lengths.
+    Entries and labels are flat tuples, a bare int a 1-tuple, and each label is cut
+    into parts as wide as its factor's entries (exponent vectors, or factor labels)."""
+    tosets = [[e if type(e) is tuple else (e,) for e in t] for t in factor_tosets]
+    index = [{v: i for i, v in enumerate(t)} for t in tosets]
+    split = _split_flat([len(t[0]) for t in tosets])
     vecs = []
     for label in poset.labels:
         try:
-            vecs.append(tuple(ix[p] for ix, p in zip(index, split(label), strict=True)))
-        except (KeyError, TypeError, ValueError):  # a part in no toset, or a label split cannot cut
+            parts = split(label if type(label) is tuple else (label,))
+            vecs.append(tuple(map(dict.__getitem__, index, parts)))
+        except (KeyError, TypeError):  # a part in no toset, or a label split cannot cut
             raise OrderError(f"label {label!r} does not match the factor tosets") from None
-    return vecs, tuple(len(t) for t in factor_tosets)
+    return vecs, tuple(len(t) for t in tosets)
 
 
 def _split_flat(sizes):
@@ -135,62 +136,11 @@ def _split_flat(sizes):
 
 
 def mermin_murai_order(poset: RankedPoset, ns: Sequence[int], side: str = "poset") -> OrderTable:
-    """Block order for colored square-free products.
-
-    Per factor the toset runs bottom first then the variables; the bottom is
-    grouped with the first variable and every other variable is a block by
-    itself.  Starts are ordered by the lexicographic hyperrectangle chaser
-    (the dual-side counterpart of the chaser used on the star side), blocks
-    lexicographically.  Factor sizes must be nonincreasing.  On the ring the
-    result coincides with a domination order over the ambient variables.
-    """
-    ns = list(ns)
-    if any(n < 1 for n in ns):
-        raise OrderError("factor sizes must be positive")
-    if ns != sorted(ns, reverse=True):
-        raise OrderError("factor sizes must be nonincreasing")
-    tosets = [[n] + list(range(n)) for n in ns]
-    if side == "poset":
-        split = (lambda label: list(label)) if len(ns) > 1 else (lambda label: [label])
-    elif side == "ring":
-        tosets = [[_spider_rep(a, n - 1, 1) for a in t] for n, t in zip(ns, tosets)]
-        split = _split_flat(ns)
-    else:
-        raise OrderError(f"unknown side {side!r}")
-    cuts = [[1] + list(range(3, n + 2)) for n in ns]
-    recipe = {"kind": "block", "cuts": cuts, "starts": {"kind": "hc"}, "blocks": {"kind": "lex"}}
-    public = {"kind": "family-default", "family": "colored", "params": list(ns), "side": side}
-    return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
-
-
-def _be_recipe(k, length, n):
-    """The spider toset and the block recipe of the order on the n-th spider power:
-    border-chaser starts, and inside each block the "dom-by-block" domination
-    order, which compares coordinates in lower legs first.
-
-    The published rule scans leg labels from the largest down, taking unused
-    coordinates largest-first and filling the last comparison slots first;
-    that gives the same permutation as sorting by (leg, coordinate)."""
-    _spider_size(k, length)
-    toset = [j + h * (k + 1) for j in range(k + 1) for h in range(length)]
-    toset.append((k + 1) * length)  # the head rides in the last leg's block
-    recipe = {
-        "kind": "block",
-        "cuts": [[1 + j * length for j in range(k + 1)]] * n,
-        "starts": {"kind": "bc"},
-        "blocks": "dom-by-block",
-    }
-    return toset, recipe
+    return _resolve_family(poset, _family("colored", *ns, side=side))
 
 
 def bezrukov_elsasser_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable:
-    """Block order on a spider power: border-chaser starts, domination blocks."""
-    toset, recipe = _be_recipe(k, length, n)
-    if poset.n != len(toset) ** n:
-        raise OrderError("poset is not the expected spider power")
-    split = (lambda label: list(label)) if n > 1 else (lambda label: [label])
-    public = {"kind": "family-default", "family": "be", "params": [k, length, n]}
-    return table_from_vectors(poset, *_factor_positions(poset, [toset] * n, split), recipe, public)
+    return _resolve_family(poset, _family("be", k, length, n))
 
 
 def bezrukov_elsasser_poset(k: int, length: int, n: int) -> RankedPoset:
@@ -267,19 +217,7 @@ def torus_ring(ks: Sequence[int], field: FieldSpec = FieldSpec(), D=None) -> Quo
 
 
 def torus_order(poset: RankedPoset, ks: Sequence[int]) -> OrderTable:
-    """Colexicographic starts over the two legs of each factor, lex inside blocks."""
-    ks = list(ks)
-    if ks != sorted(ks):
-        raise OrderError("torus parameters must be nondecreasing")
-    tosets = []
-    for p in ks:
-        t = [(0, 0)] + [(a, 0) for a in range(1, p)] + [(0, b) for b in range(1, p)] + [(0, p)]
-        tosets.append(t)
-    split = _split_flat([2] * len(ks))
-    cuts = [[1, p + 1] for p in ks]
-    recipe = {"kind": "block", "cuts": cuts, "starts": {"kind": "colex"}, "blocks": {"kind": "lex"}}
-    public = {"kind": "family-default", "family": "torus", "params": list(ks)}
-    return table_from_vectors(poset, *_factor_positions(poset, tosets, split), recipe, public)
+    return _resolve_family(poset, _family("torus", *ks))
 
 
 def diamond_basic_ring(field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
@@ -300,17 +238,7 @@ def diamond_ring(n: int, field: FieldSpec = FieldSpec(), D=None) -> QuotientRing
 
 
 def diamond_order(poset: RankedPoset, n: int) -> OrderTable:
-    """Lexicographic starts over blocks {1,x1} | {x2} | {x3,top}, colex inside."""
-    toset = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2)]
-    split = _split_flat([3] * n)
-    recipe = {
-        "kind": "block",
-        "cuts": [[1, 3, 4]] * n,
-        "starts": {"kind": "lex"},
-        "blocks": {"kind": "colex"},
-    }
-    public = {"kind": "family-default", "family": "diamond", "params": [n]}
-    return table_from_vectors(poset, *_factor_positions(poset, [toset] * n, split), recipe, public)
+    return _resolve_family(poset, _family("diamond", n))
 
 
 def leck_basic_ring(d: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
@@ -364,22 +292,7 @@ def tensor_monomial_order(poset: RankedPoset, factor_sizes: Sequence[int]) -> Or
 
 
 def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable:
-    """The dual spider-power order on the tensor ring's class poset.
-
-    The spider-power recipe ranks the ring labels in ring coordinates; the
-    dual order reverses it, so position p becomes n - 1 - p.
-    """
-    toset, recipe = _be_recipe(k, length, n)
-    tosets = [[_spider_rep(a, k, length) for a in toset]] * n
-    table = table_from_vectors(
-        poset, *_factor_positions(poset, tosets, _split_flat([k + 1] * n)), recipe
-    )
-    last = poset.n - 1
-    return OrderTable(
-        poset,
-        [last - p for p in table.position],
-        {"kind": "family-default", "family": "be-ring", "params": [k, length, n]},
-    )
+    return _resolve_family(poset, _family("be-ring", k, length, n))
 
 
 # ---------------------------------------------------------------------------
@@ -528,48 +441,112 @@ def ring_builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
     return b
 
 
-# per family: (parameter count or None for any, element count of its poset)
-_FAMILY_SIZES = {
-    "colored": (None, lambda *ns: prod(n + 1 for n in ns)),
-    "be": (3, lambda k, length, n: ((k + 1) * length + 1) ** n),
-    "be-ring": (3, lambda k, length, n: ((k + 1) * length + 1) ** n),
-    "torus": (None, lambda *ks: prod(2 * p for p in ks)),
-    "diamond": (1, lambda n: 5 ** n),
+def _colored(ns, side):
+    """Mermin-Murai, on colored square-free products of nonincreasing factor sizes.
+    Per factor the toset runs bottom first then the variables; the bottom is
+    grouped with the first variable, every other variable is a block by itself.
+    Starts go by the hyperrectangle chaser (the dual-side counterpart of the
+    star side's), blocks lexicographically: on the ring, a domination order."""
+    if any(n < 1 for n in ns):
+        raise OrderError("factor sizes must be positive")
+    if ns != sorted(ns, reverse=True):
+        raise OrderError("factor sizes must be nonincreasing")
+    tosets = [[n] + list(range(n)) for n in ns]
+    if side == "ring":
+        tosets = [[_spider_rep(a, n - 1, 1) for a in t] for n, t in zip(ns, tosets)]
+    elif side != "poset":
+        raise OrderError(f"unknown side {side!r}")
+    return tosets, [[1] + list(range(3, n + 2)) for n in ns], "hc", {"kind": "lex"}
+
+
+def _spider_power(params, side, ring=False):
+    """Bezrukov-Elsasser, on the n-th spider power: border-chaser starts, and
+    inside each block the "dom-by-block" domination order, which compares
+    coordinates in lower legs first.  `ring` gives the toset in the tree
+    ring's coordinates.
+
+    The published rule scans leg labels from the largest down, taking unused
+    coordinates largest-first and filling the last comparison slots first;
+    that gives the same permutation as sorting by (leg, coordinate)."""
+    k, length, n = params
+    _spider_size(k, length)
+    toset = [j + h * (k + 1) for j in range(k + 1) for h in range(length)]
+    toset.append((k + 1) * length)  # the head rides in the last leg's block
+    if ring:
+        toset = [_spider_rep(a, k, length) for a in toset]
+    return [toset] * n, [[1 + j * length for j in range(k + 1)]] * n, "bc", "dom-by-block"
+
+
+def _torus(ks, side):
+    """Colexicographic starts over the two legs of each factor, lex inside blocks."""
+    if ks != sorted(ks):
+        raise OrderError("torus parameters must be nondecreasing")
+    tosets = [[(a, 0) for a in range(p)] + [(0, b) for b in range(1, p + 1)] for p in ks]
+    return tosets, [[1, p + 1] for p in ks], "colex", {"kind": "lex"}
+
+
+def _diamond(params, side):
+    """Lexicographic starts over blocks {1,x1} | {x2} | {x3,top}, colex inside."""
+    (n,) = params
+    toset = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2)]
+    return [toset] * n, [[1, 3, 4]] * n, "lex", {"kind": "colex"}
+
+
+def _spider_power_size(k, length, n):
+    return ((k + 1) * length + 1) ** n
+
+
+# per family: its parameter count (None for any), its element count, and its
+# order from its parameters and side, as (factor tosets, cuts, starts kind,
+# blocks) of a block recipe; only colored reads the side
+_FAMILIES = {
+    "colored": (None, lambda *ns: prod(n + 1 for n in ns), _colored),
+    "be": (3, _spider_power_size, _spider_power),
+    "be-ring": (3, _spider_power_size, lambda params, side: _spider_power(params, side, ring=True)),
+    "torus": (None, lambda *ks: prod(2 * p for p in ks), _torus),
+    "diamond": (1, lambda n: 5 ** n, _diamond),
 }
 
 
 def _resolve_family(poset, recipe):
-    fam = recipe["family"]
-    params = recipe["params"]
-    if fam not in _FAMILY_SIZES:
+    """The published order a family-default recipe names, recording that recipe.
+
+    The be-ring order is the dual of the spider-power order, ranked in ring
+    coordinates: position p becomes n - 1 - p.
+    """
+    fam, params = recipe["family"], list(recipe["params"])
+    if fam not in _FAMILIES:
         raise OrderError(f"unknown family recipe {fam!r}")
     # checked before any factor toset or family poset is built; the bound
     # keeps the size arithmetic small
-    arity, size = _FAMILY_SIZES[fam]
+    arity, size, order = _FAMILIES[fam]
     fits = arity in (None, len(params)) and all(0 <= v <= poset.n for v in params)
     if not fits or size(*params) != poset.n:
         raise OrderError(f"{fam} order parameters {params!r} do not fit {poset.n} elements")
-    if fam == "colored":
-        return mermin_murai_order(poset, params, side=recipe.get("side", "poset"))
-    if fam == "be":
-        return bezrukov_elsasser_order(poset, *params)
+    tosets, cuts, starts, blocks = order(params, recipe.get("side", "poset"))
+    block = {"kind": "block", "cuts": cuts, "starts": {"kind": starts}, "blocks": blocks}
+    table = table_from_vectors(poset, *_factor_positions(poset, tosets), block, recipe)
     if fam == "be-ring":
-        return be_ring_order(poset, *params)
-    if fam == "torus":
-        return torus_order(poset, params)
-    return diamond_order(poset, *params)
+        return OrderTable(poset, [poset.n - 1 - p for p in table.position], recipe)
+    return table
 
 
 def order_from_recipe(poset: RankedPoset, recipe) -> OrderTable:
     """Regenerate an order table from its serialized recipe, of any kind RECIPE_FIELDS lists."""
-    kind = _recipe_kind(recipe)
+    _recipe_kind(recipe)  # nested recipes too, once
+    return _resolve(poset, recipe)
+
+
+def _resolve(poset, recipe):
+    """The order of a recipe that `_recipe_kind` has checked."""
+    kind = recipe["kind"]
     if kind in VECTOR_KINDS:
         return table_from_vectors(poset, *_vector_labels(poset), recipe)
     if kind == "explicit":
         return OrderTable(poset, recipe["positions"], recipe)
     if kind == "dual":
         # the inner recipe lives on the primal side; dualizing brings it back
-        return dual_order(order_from_recipe(dual(poset), recipe["of"]))
+        return dual_order(_resolve(dual(poset), recipe["of"]))
     if kind == "degree-major":
         return degree_major_order(poset, recipe.get("per_rank"), recipe.get("default"))
     if kind == "family-default":

@@ -19,6 +19,7 @@ from .poset import upset_mask
 from .rings import (
     Polynomial,
     RingModel,
+    check_generator,
     degree_rep_lex_order,
     field_terms,
     is_level_linearly_independent,
@@ -74,12 +75,7 @@ class IdealSpec:
         for g in self.generators:
             if g.is_zero():
                 continue
-            if any(len(e) != ring.spec.d for e in g.terms):
-                raise RingError("ideal generator exponent length must match variable count")
-            if any(a < 0 for e in g.terms for a in e):
-                raise RingError("ideal generator exponents must be nonnegative")
-            if not g.is_homogeneous():
-                raise RingError("ideal generators must be homogeneous")
+            check_generator(g, ring.spec.d, "ideal generator")
             e = g.degree()
             if e > ring.D:
                 raise RingError(f"generator degree {e} exceeds truncation {ring.D}")

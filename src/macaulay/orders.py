@@ -58,50 +58,67 @@ def _icscd(v):
     return tuple(x if x + 1 == s else 0 for x in v)
 
 
+# recipes that rank position vectors, exponent-vector labels among them
+VECTOR_KINDS = ("lex", "colex", "dom", "hc", "bc", "block")
+RECIPE, VECTOR = object(), object()  # shapes of a nested recipe: of any kind, of a vector kind
+
 # every order kind, with the fields it reads and their JSON shapes: a type,
-# [shape] for a list of that shape, or a tuple of alternatives, where None
-# makes the field optional; `families.order_from_recipe` resolves each kind
+# [shape] for a list of that shape, {str: shape} for an object whose values
+# have that shape, a string for itself, RECIPE or VECTOR for a nested recipe,
+# or a tuple of alternatives, where None makes the field optional;
+# `families.order_from_recipe` resolves each kind
 RECIPE_FIELDS = {
     "lex": {}, "colex": {}, "rep-lex": {}, "degree-rep-lex": {},
     "dom": {"perm": [int]},
     "hc": {"choices": (None, [[[int]]])},
     "bc": {"choices": (None, [[[int]]])},
-    "block": {"cuts": [[int]], "starts": dict, "blocks": (dict, str)},
+    "block": {"cuts": [[int]], "starts": VECTOR, "blocks": (VECTOR, "dom-by-block")},
     "explicit": {"positions": [int]},
-    "dual": {"of": dict},
-    "degree-major": {"per_rank": (None, dict), "default": (None, dict)},
+    "dual": {"of": RECIPE},
+    "degree-major": {"per_rank": (None, {str: VECTOR}), "default": (None, VECTOR)},
     "family-default": {"family": str, "params": [int], "side": (None, str)},
     "tensor-degree-lex": {"sizes": [int]},
 }
 
 
-def _fits(value, shape):
-    """Whether a JSON value has a shape of RECIPE_FIELDS."""
+def _fits(value, shape, nested):
+    """Whether a JSON value has a shape of RECIPE_FIELDS; a nested recipe fits
+    when it is an object, and goes onto `nested` with its shape to be checked."""
     if isinstance(shape, tuple):
-        return any(_fits(value, s) for s in shape)
+        return any(_fits(value, s, nested) for s in shape)
     if isinstance(shape, list):
-        return isinstance(value, (list, tuple)) and all(_fits(v, shape[0]) for v in value)
+        return isinstance(value, (list, tuple)) and all(_fits(v, shape[0], nested) for v in value)
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_fits(v, shape[str], nested) for v in value.values())
+    if shape is RECIPE or shape is VECTOR:
+        if isinstance(value, dict):
+            nested.append((value, shape))
+        return isinstance(value, dict)
+    if isinstance(shape, str):
+        return value == shape
     return value is None if shape is None else isinstance(value, shape)
 
 
 def _recipe_kind(recipe):
-    """The recipe's kind, once it is an object of a listed kind whose fields have their shapes."""
-    if not isinstance(recipe, dict) or not isinstance(recipe.get("kind"), str):
-        raise OrderError(f"order recipe must be an object with a string kind, got {recipe!r}")
-    kind = recipe["kind"]
-    if kind not in RECIPE_FIELDS:
-        raise OrderError(f"unknown order recipe kind {kind!r}")
-    missing = [f for f, s in RECIPE_FIELDS[kind].items() if f not in recipe and not _fits(None, s)]
-    if missing:
-        raise OrderError(f"{kind} order recipe lacks {', '.join(missing)}")
-    for f, shape in RECIPE_FIELDS[kind].items():
-        if not _fits(recipe.get(f), shape):
-            raise OrderError(f"{kind} order recipe has a malformed {f}: {recipe[f]!r}")
-    return kind
-
-
-# recipes that rank exponent-vector labels
-VECTOR_KINDS = ("lex", "colex", "dom", "hc", "bc", "block")
+    """The recipe's kind, once it is an object of a listed kind whose fields
+    have their shapes, and so, level by level, is every recipe nested in it."""
+    nested = [(recipe, RECIPE)]
+    for item, shape in nested:  # the loop reaches the recipes _fits appends
+        if not isinstance(item, dict) or not isinstance(item.get("kind"), str):
+            raise OrderError(f"order recipe must be an object with a string kind, got {item!r}")
+        kind = item["kind"]
+        if kind not in RECIPE_FIELDS:
+            raise OrderError(f"unknown order recipe kind {kind!r}")
+        if shape is VECTOR and kind not in VECTOR_KINDS:
+            raise OrderError(f"order recipe kind {kind!r} does not rank exponent vectors")
+        fields = RECIPE_FIELDS[kind]
+        missing = [f for f, s in fields.items() if f not in item and not _fits(None, s, [])]
+        if missing:
+            raise OrderError(f"{kind} order recipe lacks {', '.join(missing)}")
+        for f, s in fields.items():
+            if not _fits(item.get(f), s, nested):
+                raise OrderError(f"{kind} order recipe has a malformed {f}: {item[f]!r}")
+    return recipe["kind"]
 
 
 def ranks_vectors(recipe) -> bool:
@@ -115,8 +132,9 @@ def ranks_vectors(recipe) -> bool:
 
 
 def _vector_key(recipe, lengths):
-    """Sort key on position vectors of a product of tosets with these lengths."""
-    kind = _recipe_kind(recipe)
+    """Sort key on position vectors of a product of tosets with these lengths,
+    under a vector recipe that `_recipe_kind` has checked."""
+    kind = recipe["kind"]
     d = len(lengths)
     if kind == "lex":
         return lambda v: v
@@ -143,8 +161,6 @@ def _vector_key(recipe, lengths):
         if kind == "hc":
             return lambda v: hc(v, whole)
         return lambda v: hc(tuple(l - 1 - x for l, x in zip(lengths, v)), whole)
-    if kind != "block":
-        raise OrderError(f"unknown vector order recipe {kind!r}")
     cuts0 = [tuple(c - 1 for c in cc) for cc in recipe["cuts"]]
     if len(cuts0) != d:
         raise OrderError(f"block order has {len(cuts0)} partitions for {d} coordinates")
@@ -152,8 +168,6 @@ def _vector_key(recipe, lengths):
         if not cc or cc[0] != 0 or list(cc) != sorted(set(cc)) or cc[-1] >= l:
             raise OrderError(f"malformed ordered partition {cc!r} for toset of size {l}")
     blocks = recipe["blocks"]
-    if isinstance(blocks, str) and blocks != "dom-by-block":
-        raise OrderError(f"unknown block rule {blocks!r}; expected a recipe or 'dom-by-block'")
     starts = _vector_key(recipe["starts"], [len(cc) for cc in cuts0])
     inner = {}  # block index -> (first positions, key inside the block)
 
@@ -174,10 +188,7 @@ def _vector_key(recipe, lengths):
 
 
 def rank_vectors(vectors, lengths, recipe):
-    """Rank position vectors by a recipe; returns vector -> position dict.
-
-    Recipes are JSON-shaped dicts: {"kind": "lex"|"colex"|"dom"|"hc"|"bc"|"block"}.
-    """
+    """Rank position vectors by a checked vector recipe; returns vector -> position dict."""
     return {v: i for i, v in enumerate(sorted(vectors, key=_vector_key(recipe, lengths)))}
 
 
@@ -304,6 +315,8 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
     not listed use `default` (colexicographic unless given).  Useful for
     building orders that are deliberately not monomial orders.
     """
+    default = default or {"kind": "colex"}
+    _recipe_kind({"kind": "degree-major", "per_rank": per_rank, "default": default})
     keys = list(per_rank or {})
     try:
         per_rank = {ascii_int(str(k)): v for k, v in (per_rank or {}).items()}
@@ -311,7 +324,6 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
         raise OrderError(f"degree-major ranks must be integers, got {keys!r}") from None
     if len(per_rank) < len(keys):
         raise OrderError(f"degree-major ranks {keys!r} name one rank twice")
-    default = default or {"kind": "colex"}
     _, lens = _vector_labels(poset)
     ids = []
     for i, lvl in enumerate(poset.levels):

@@ -115,6 +115,16 @@ def field_terms(poly: Polynomial, F: FieldSpec) -> dict:
     return {exp: c for exp, c in terms if c}
 
 
+def check_generator(g: Polynomial, d: int, what: str = "generator"):
+    """Refuse a generator unless it is homogeneous in d nonnegative exponents; `what` names it."""
+    if any(len(e) != d for e in g.terms):
+        raise RingError(f"{what} exponent length must match variable count")
+    if any(a < 0 for e in g.terms for a in e):
+        raise RingError(f"{what} exponents must be nonnegative")
+    if not g.is_homogeneous():
+        raise RingError(f"{what}s must be homogeneous")
+
+
 @dataclass(frozen=True)
 class QuotientRingSpec:
     """K[x_1..x_d]/H truncated at degree D, H given by homogeneous generators."""
@@ -133,12 +143,7 @@ class QuotientRingSpec:
         for g in self.generators:
             if g.is_zero():
                 raise RingError("generators must be nonzero")
-            if not g.is_homogeneous():
-                raise RingError("generators must be homogeneous")
-            if any(len(e) != self.d for e in g.terms):
-                raise RingError("generator exponent length must match variable count")
-            if any(a < 0 for e in g.terms for a in e):
-                raise RingError("generator exponents must be nonnegative")
+            check_generator(g, self.d)
             if g.degree() == 0:
                 raise RingError("unit ideal: degree-0 generator makes 1 lie in H")
 
@@ -222,15 +227,16 @@ class RingModel:
         Sizes are capped at `DEFAULT_PRODUCT_LIMIT` before they are allocated:
         a factor's monomials up to D before its elimination, and the products
         of factor classes up to D (the fold's work before merging), by the
-        bounded `check_series`, before any factor is lifted or folded.  The
-        latter also bounds the product's Hilbert values, as a factor's classes
-        span each of its slices.
+        bounded `check_series`, before any factor is lifted or folded or a free
+        one eliminated.  The latter also bounds the product's Hilbert values,
+        as a factor's classes span each of its slices.
 
         Factor monomials are lifted to the global variable positions, so the
         fold's coordinates, and its classes by rep inside each degree, only
         need sorting at the end.
         """
         spec = self.spec
+        free = (1, ())  # a variable in no generator: its classes are x^i, one per degree i
         eliminated = {}
         factors = []
         for variables, gens in _components(spec):
@@ -243,12 +249,16 @@ class RingModel:
             if key not in eliminated:
                 what = f"a component of {k} variables has {{}} monomials of degree <= {spec.D}"
                 check_count((comb(k + spec.D, spec.D),), what)
-                factor = _eliminate(k, fgens, spec.D, self.field)
-                eliminated[key] = factor, [len(ids) for ids in factor[1]]
-            factors.append((variables, *eliminated[key]))
-        check_series([sizes for _, _, sizes in factors], spec.D, FOLD_COUNT.format(spec.D))
+                factor = None if key == free else _eliminate(k, fgens, spec.D, self.field)
+                sizes = [1] * (spec.D + 1) if key == free else [len(ids) for ids in factor[1]]
+                eliminated[key] = factor, sizes
+            factors.append((variables, key))
+        check_series([eliminated[key][1] for _, key in factors], spec.D, FOLD_COUNT.format(spec.D))
+        if free in eliminated:  # eliminated only once the fold is known to fit
+            eliminated[free] = _eliminate(1, (), spec.D, self.field), None
         pieces = []
-        for variables, (nf, levels, classes, times), _ in factors:
+        for variables, key in factors:
+            nf, levels, classes, times = eliminated[key][0]
             # a factor monomial padded with a zero, read off at each global variable
             at = [variables.index(v) if v in variables else len(variables) for v in range(spec.d)]
 

@@ -442,13 +442,17 @@ def test_huge_ring_spec_exits_3(tmp_path, capsys):
 def test_huge_free_ring_specs_exit_3_at_once(tmp_path, capsys):
     # d free variables at D = d: the fold count once ran to the end after
     # lifting every component (8.5 s at d = 300); it now stops at its third factor
-    # two variables at D = 30,000 spent 37 s listing the first variable's monomials
-    for d, D, seconds in ((300, 300, 0.5), (600, 600, 0.5), (2, 30000, 2)):
+    # two variables at D = 30,000 spent 37 s listing the first variable's monomials,
+    # and at D = 999,999 15.5 s and 762 MiB eliminating one of them: a free
+    # variable's classes are counted without eliminating it
+    for d, D, seconds in ((300, 300, 0.5), (600, 600, 0.5), (2, 30000, 2), (2, 999999, 2)):
         spec = tmp_path / f"free{d}.json"
         spec.write_text(json.dumps({"d": d, "field": "p:32003", "D": D, "generators": []}))
         t0 = time.perf_counter()
-        rc, out, err = run(capsys, "check-ring", "--spec", str(spec), "--order", "lex")
+        with mock.patch.object(M.rings, "_eliminate", side_effect=M.rings._eliminate) as elim:
+            rc, out, err = run(capsys, "check-ring", "--spec", str(spec), "--order", "lex")
         assert time.perf_counter() - t0 < seconds, d
+        assert not elim.called, d
         assert rc == 3 and out == "", d
         assert err == ("resource limit: the ring would have more than 1000000 products of "
                        f"factor classes of degree <= {D} (limit 1000000)\n")
@@ -502,7 +506,7 @@ def test_dom_by_block_recipe_file(tmp_path, capsys):
     path.write_text(json.dumps({**recipe, "blocks": "dom-by-leg"}))
     rc, out, err = run(capsys, "check-poset", "--poset", "multiset:3,3", "--order", f"recipe:{path}")
     assert rc == 2 and out == ""
-    assert err == "error: unknown block rule 'dom-by-leg'; expected a recipe or 'dom-by-block'\n"
+    assert err == "error: block order recipe has a malformed blocks: 'dom-by-leg'\n"
 
 
 def test_vector_orders_on_int_labelled_builtins_exit_2_before_building(tmp_path, capsys):
@@ -677,8 +681,9 @@ def test_closed_stdout_pipe_in_a_process():
 
 
 def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
-    # a recipe's kind and the shapes of its fields are checked before the build;
-    # an unknown kind in a file was once refused only after it (2.1 s on spider:999,400)
+    # a recipe's kind and the shapes of its fields, nested recipes included, are
+    # checked before the build; an unknown kind in a file, or one nested in a dual,
+    # was once refused only after it (2.1 s and 2.6 s on spider:999,400)
     early = (
         "{bad", "[1, 2]", '{"a": 1}', '{"kind": "explicit"}', '{"kind": "foo"}',
         '{"kind": "explicit", "positions": 5}',
@@ -686,12 +691,17 @@ def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
         '{"kind": "block", "cuts": 1, "starts": 2, "blocks": 3}',
         '{"kind": "degree-major", "per_rank": [1]}',
         '{"kind": "family-default", "params": [1, 1]}',
+        '{"kind": "dual", "of": {"kind": "foo"}}',
+        '{"kind": "dual", "of": {"kind": "dual", "of": {"kind": "dom"}}}',
+        '{"kind": "block", "cuts": [[1], [1]], "starts": {"kind": "rep-lex"}, "blocks": "x"}',
+        '{"kind": "block", "cuts": [[1], [1]], "starts": {"kind": "lex"}, "blocks": {"kind": "x"}}',
+        '{"kind": "degree-major", "per_rank": {"1": {"kind": "explicit", "positions": [0]}}}',
+        '{"kind": "degree-major", "default": {"kind": "dom", "perm": "x"}}',
     )
     late = (
         '{"kind": "hc", "choices": [[[7, 8], [1, 2]]]}',
         '{"kind": "hc", "choices": [[[1, 1], [2, 1]]]}',
         '{"kind": "bc", "choices": [[[1], [2]]]}',
-        '{"kind": "dual", "of": {"kind": "foo"}}',
         # int() read "1_0" as rank 10 and took " 1"; "01" dropped the recipe of "1"
         '{"kind": "degree-major", "per_rank": {"1_0": {"kind": "lex"}}}',
         '{"kind": "degree-major", "per_rank": {" 1": {"kind": "lex"}}}',
@@ -711,6 +721,18 @@ def test_malformed_order_argument_is_usage_error(tmp_path, capsys):
             assert builtin.called == built, order
     rc, _, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", "foo")
     assert err == "error: unknown order recipe kind 'foo'\n"
+    # a listed kind where a vector recipe belongs was called "unknown vector order recipe"
+    bad = tmp_path / "rep-lex.json"
+    bad.write_text('{"kind": "degree-major", "per_rank": {"1": {"kind": "rep-lex"}}}')
+    rc, _, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", f"recipe:{bad}")
+    assert (rc, err) == (2, "error: order recipe kind 'rep-lex' does not rank exponent vectors\n")
+    # the nested repro: refused before spider:999,400 is built (builtin is never entered)
+    bad.write_text('{"kind": "dual", "of": {"kind": "foo"}}')
+    with mock.patch.object(M.families, "builtin", side_effect=AssertionError) as builtin:
+        rc, out, err = run(capsys, "check-poset", "--poset", "spider:999,400",
+                           "--order", f"recipe:{bad}")
+    assert (rc, out, err) == (2, "", "error: unknown order recipe kind 'foo'\n")
+    assert not builtin.called
 
 
 def test_ring_or_ideal_file_without_generators_is_usage_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from functools import lru_cache
@@ -132,22 +133,87 @@ def test_be_order_is_macaulay_small():
 
 def test_be_block_recipe_round_trips_through_json():
     # the per-block domination rule is a JSON value, so the recipe survives a
-    # recipe file unchanged and ranks the same vectors the same way
-    for (k, l, n) in BE_SMALL:
-        p = F.bezrukov_elsasser_poset(k, l, n)
-        toset, recipe = F._be_recipe(k, l, n)
+    # recipe file unchanged and ranks the same vectors the same way, on the
+    # poset side and, reversed, on the be-ring side
+    ring = F.builtin("be-ring:3,2,2")
+    cases = [("be", F.bezrukov_elsasser_poset(*params), params) for params in BE_SMALL]
+    cases.append(("be-ring", ring.poset, tuple(ring.order_recipe()["params"])))
+    for family, p, params in cases:
+        tosets, cuts, starts, blocks = F._FAMILIES[family][2](list(params), "poset")
+        recipe = {"kind": "block", "cuts": cuts, "starts": {"kind": starts}, "blocks": blocks}
         again = json.loads(json.dumps(recipe))
         assert again == recipe and again["blocks"] == "dom-by-block"
-        split = (lambda label: list(label)) if n > 1 else (lambda label: [label])
-        table = table_from_vectors(p, *F._factor_positions(p, [toset] * n, split), again)
-        assert table.position == F.bezrukov_elsasser_order(p, k, l, n).position, (k, l, n)
-    ring = F.builtin("be-ring:3,2,2")
-    p, (k, l, n) = ring.poset, ring.order_recipe()["params"]
-    toset, recipe = F._be_recipe(k, l, n)
-    tosets = [[F._spider_rep(a, k, l) for a in toset]] * n
-    vectors = F._factor_positions(p, tosets, F._split_flat([k + 1] * n))
-    table = table_from_vectors(p, *vectors, json.loads(json.dumps(recipe)))
-    assert [p.n - 1 - q for q in table.position] == list(F.be_ring_order(p, k, l, n).position)
+        table = table_from_vectors(p, *F._factor_positions(p, tosets), again)
+        if family == "be":
+            assert table.position == F.bezrukov_elsasser_order(p, *params).position, params
+        else:
+            reversed_positions = [p.n - 1 - q for q in table.position]
+            assert reversed_positions == list(F.be_ring_order(p, *params).position)
+
+
+def _ring_poset(spec):
+    return M.poset_of_monomials(M.build_ring(spec))
+
+
+def _digest(table):
+    text = json.dumps([table.recipe, list(table.position)], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the JSON of [table.recipe, table.position] for each family-default
+# order, pinned from the builders before they became rows of one table
+FAMILY_DIGESTS = {
+    "colored:[1]": "ee5a633e7bd2276a17cfaa54f6cf22dfbb5997709892337f3441a4582c8ab2c5",
+    "colored:[2, 1]": "c5cbfb7a14c9f08906a5d1794b7bcebee0e5b2fbd386abf69e7a4e6d7a72c7c6",
+    "colored:[3, 2, 2]": "e7466c262fba5040abff65708bb690c889addc877cd4d223c337a60fe9cede3b",
+    "colored-ring:[2, 2]": "e42a0eaf51867bc224ec6ce3ac8358bbf87fcc8ded213c892f52e36105ddcf18",
+    "colored-ring:[2, 2, 2]": "9edf9f2420ab8e68d4cf24e6d76de8ca0eb146947ebc3841475bd3dc7142272e",
+    "be:1,2,1": "9d44588269b7bc79198223156b2eb642423bea9db14b9cc23382c467b1b5c3ce",
+    "be:2,2,1": "d956aada07f693929c376293dc83e92f2c4d38dbd88f54fe53c9fe7fea640f12",
+    "be:0,3,1": "724159826353eda5598ee11011a515f90c67c1371a19d838a9c436d22c3900cd",
+    "be:1,1,2": "19905d9f6d3bf48d515cd843904a1928713536f209d3433137deca004574b5c4",
+    "be:2,1,2": "e163320d5ea0d2588aa7b3470e4433eec0b13a70790d0dc0201521e40991c591",
+    "be:1,2,2": "07789b082eb0de10f8dcecf2f2b400b64d6cc3882d7967f9c73d9b2068c9c4a5",
+    "be:1,1,3": "c4471ba8b354f9d14e30377fcd8f8ee063c8e2582c827bd59be0e1dd00d82da7",
+    "be-ring:3,2,2": "e331b2924053a52f070f7bf46b4f193adc704015fea2bf2c5de9f483d4c2fc92",
+    "be-ring:2,3,2": "e251c68632fae8f47413fe927d0a897bdbca982b1d2ffdea26bfa77ad9b60bd6",
+    "torus:[2]": "b0ffda6b019acfeb4961970af89dc06d2510aa8ce76bfcee8fac25863660d6ef",
+    "torus:[2, 3]": "5558c1675a3c667c3639b5fa8a5f8865f7b05622f73b38697b1245858e171d98",
+    "torus:[3, 3]": "8df30bb9b1524f9912c7857d6251f4b4416bd7d29d9f7a45374118fbb38ce0be",
+    "diamond:1": "4184b651d4e62ad597d7751d4b9150a12d61363c2524e36d04319953ca807f3e",
+    "diamond:2": "68ee0f176e7f4ed794651e681d6dd01c3d847968df30804a385dcaecb47b0794",
+}
+
+
+def _family_orders():
+    """(name, poset, builder's table) for every FAMILY_DIGESTS case."""
+    for ns in ([1], [2, 1], [3, 2, 2]):
+        p = F.colored_poset(ns)
+        yield f"colored:{ns}", p, F.mermin_murai_order(p, ns)
+    for ns in ([2, 2], [2, 2, 2]):
+        p = _ring_poset(F.colored_sf_ring(ns))
+        yield f"colored-ring:{ns}", p, F.mermin_murai_order(p, ns, side="ring")
+    for k, l, n in BE_SMALL:
+        p = F.bezrukov_elsasser_poset(k, l, n)
+        yield f"be:{k},{l},{n}", p, F.bezrukov_elsasser_order(p, k, l, n)
+    for desc in ("be-ring:3,2,2", "be-ring:2,3,2"):
+        b = F.builtin(desc)
+        yield desc, b.poset, F.be_ring_order(b.poset, *b.order_recipe()["params"])
+    for ks in ([2], [2, 3], [3, 3]):
+        p = _ring_poset(F.torus_ring(ks))
+        yield f"torus:{ks}", p, F.torus_order(p, ks)
+    for n in (1, 2):
+        p = _ring_poset(F.diamond_ring(n))
+        yield f"diamond:{n}", p, F.diamond_order(p, n)
+
+
+def test_family_orders_match_pinned_digests():
+    seen = set()
+    for name, p, table in _family_orders():
+        assert _digest(table) == FAMILY_DIGESTS[name], name
+        assert order_from_recipe(p, json.loads(json.dumps(table.recipe))) == table, name
+        seen.add(name)
+    assert seen == set(FAMILY_DIGESTS)
 
 
 def test_be_single_leg_is_lex_on_grid():
@@ -328,6 +394,12 @@ def test_family_recipes_regenerate():
     for poset, table in cases:
         again = order_from_recipe(poset, table.recipe)
         assert again.position == table.position, table.recipe
+    # only colored reads "side"; any other family ignores it, whatever it holds
+    for side in ("ring", "poset", "nonsense"):
+        for poset, table in cases[1:]:
+            recipe = {**table.recipe, "side": side}
+            again = order_from_recipe(poset, recipe)
+            assert again.position == table.position and again.recipe == recipe, recipe
 
 
 def test_builtins_carry_json_recipes():

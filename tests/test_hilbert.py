@@ -60,6 +60,20 @@ def mixed_order(ctx):
     return degree_major_order(ctx.poset, per_rank={1: {"kind": "lex"}}, default={"kind": "colex"})
 
 
+def test_ideal_and_ring_generators_share_one_check():
+    # the spec and the ideal run the same three checks, each naming its generators
+    ctx = free_ring_ctx()
+    for gen, what in (
+        (M.Polynomial({(1, 0): 1, (0, 2): 1}), "generators must be homogeneous"),
+        (M.Polynomial({(1, 0, 0): 1}), "generator exponent length must match variable count"),
+        (M.Polynomial({(2, -1): 1}), "generator exponents must be nonnegative"),
+    ):
+        with pytest.raises(RingError, match=f"^{what}$"):
+            M.QuotientRingSpec(2, M.RATIONALS, [gen], 2)
+        with pytest.raises(RingError, match=f"^ideal {what}$"):
+            ideal_in_ring(ctx, [gen])
+
+
 def test_hilbert_of_zero_and_unit_ideals():
     ctx = free_ring_ctx()
     zero = ideal_in_ring(ctx, [])

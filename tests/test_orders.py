@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import macaulay as M
 from macaulay.errors import OrderError
 from macaulay.families import order_from_recipe
-from macaulay.orders import RECIPE_FIELDS, rank_vectors
+from macaulay.orders import RECIPE, RECIPE_FIELDS, VECTOR, rank_vectors
 
 from conftest import comparator_rank_vectors
 
@@ -283,15 +283,19 @@ def test_vector_keys_match_comparator_ranking(data):
 
 
 def test_unknown_block_rule_is_an_order_error(m34):
-    with pytest.raises(OrderError, match="unknown block rule 'dom-by-leg'"):
+    # refused by the recipe's shape check, before any key is built
+    with pytest.raises(OrderError, match="block order recipe has a malformed blocks: 'dom-by-leg'"):
         order_from_recipe(m34, block_recipe(((1,), (1,)), LEX, "dom-by-leg"))
 
 
 def _json_only(shape):
-    """Whether a RECIPE_FIELDS shape admits nothing but JSON values."""
+    """Whether a RECIPE_FIELDS shape admits nothing but JSON values: a nested
+    recipe, an object of str keys or a literal string is JSON too."""
     if isinstance(shape, (tuple, list)):
         return all(map(_json_only, shape))
-    return shape is None or shape in (dict, list, str, int)
+    if isinstance(shape, dict):
+        return list(shape) == [str] and all(map(_json_only, shape.values()))
+    return isinstance(shape, str) or shape in (None, dict, list, str, int, RECIPE, VECTOR)
 
 
 # one recipe of every kind, each fitting multiset:2,2
