@@ -17,7 +17,7 @@ import time
 from functools import cache
 
 from . import __version__, families
-from .errors import MacaulayLibError, OrderError, PosetError, ResourceLimitError, RingError
+from .errors import MacaulayLibError, OrderError, PosetError, ResourceLimitError, RingError, excerpt
 from .hilbert import (
     RingContext,
     hilbert_function,
@@ -57,11 +57,11 @@ def _read_json(path, what, error):
     try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as e:
-        raise error(f"{what} {path!r} is not UTF-8: {e}") from None
+        raise error(f"{what} {excerpt(path)} is not UTF-8: {e}") from None
     except json.JSONDecodeError as e:
-        raise error(f"{what} {path!r} is not valid JSON: {e}") from None
+        raise error(f"{what} {excerpt(path)} is not valid JSON: {e}") from None
     except RecursionError:
-        raise error(f"{what} {path!r} nests too deeply to decode") from None
+        raise error(f"{what} {excerpt(path)} nests too deeply to decode") from None
 
 
 def _is_file(spec):
@@ -84,12 +84,12 @@ def _order_recipe_from_arg(arg):
         try:
             recipe = {"kind": "dom", "perm": [ascii_int(x) for x in arg[4:].split(",")]}
         except ValueError:
-            raise OrderError(f"dom order wants comma-separated integers, got {arg!r}") from None
+            raise OrderError(f"dom order wants comma-separated integers, got {excerpt(arg)}") from None
     elif arg.startswith(("block:", "explicit:", "recipe:")):
         path = arg.partition(":")[2]
         recipe = _read_json(path, "order file", OrderError)
         if not isinstance(recipe, dict):
-            raise OrderError(f"order file {path!r} holds no recipe object")
+            raise OrderError(f"order file {excerpt(path)} holds no recipe object")
     else:
         recipe = {"kind": arg}
     if recipe != {"kind": "family-default"}:
@@ -241,7 +241,7 @@ def cmd_export(args):
 def _load_ideal(ctx, path):
     data = _read_json(path, "ideal", RingError)
     if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
-        raise RingError(f"ideal {path!r} lacks a generators list")
+        raise RingError(f"ideal {excerpt(path)} lacks a generators list")
     gens = [Polynomial.from_json(g, ctx.ring.spec.d) for g in data["generators"]]
     return ideal_in_ring(ctx, gens)
 
@@ -304,7 +304,7 @@ def _int_at_least(low):
         try:
             value = ascii_int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value

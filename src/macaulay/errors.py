@@ -23,3 +23,13 @@ class ResourceLimitError(MacaulayLibError):
 
 class SearchBudgetExceeded(MacaulayLibError):
     """Order search exhausted its node budget before reaching a verdict."""
+
+
+EXCERPT_CHARS = 100
+
+
+def excerpt(value) -> str:
+    """repr(value) with its middle cut out past EXCERPT_CHARS characters, so a
+    refusal that echoes its input stays one short line."""
+    text, half = repr(value), (EXCERPT_CHARS - 3) // 2
+    return text if len(text) <= EXCERPT_CHARS else f"{text[:half]}...{text[-half:]}"

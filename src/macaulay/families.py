@@ -18,7 +18,7 @@ from itertools import accumulate, combinations
 from math import prod
 from typing import Optional, Sequence
 
-from .errors import OrderError, PosetError, RingError
+from .errors import OrderError, PosetError, RingError, excerpt
 from .orders import (
     VECTOR_KINDS,
     OrderTable,
@@ -119,7 +119,7 @@ def _factor_positions(poset, factor_tosets):
             parts = split(label if type(label) is tuple else (label,))
             vecs.append(tuple(map(dict.__getitem__, index, parts)))
         except (KeyError, TypeError):  # a part in no toset, or a label split cannot cut
-            raise OrderError(f"label {label!r} does not match the factor tosets") from None
+            raise OrderError(f"label {excerpt(label)} does not match the factor tosets") from None
     return vecs, tuple(len(t) for t in tosets)
 
 
@@ -129,7 +129,7 @@ def _split_flat(sizes):
 
     def split(label):
         if type(label) is not tuple or len(label) != width:
-            raise TypeError(f"label {label!r} is not a flat {width}-tuple")
+            raise TypeError(f"label {excerpt(label)} is not a flat {width}-tuple")
         return [label[b - s:b] for s, b in zip(sizes, ends)]
 
     return split
@@ -276,14 +276,14 @@ def tensor_monomial_order(poset: RankedPoset, factor_sizes: Sequence[int]) -> Or
     """
     sizes = list(factor_sizes)
     if min(sizes, default=1) < 1:
-        raise OrderError(f"tensor-degree-lex factor sizes must be positive, got {sizes!r}")
+        raise OrderError(f"tensor-degree-lex factor sizes must be positive, got {excerpt(sizes)}")
     split = _split_flat(sizes)
 
     def key(label):
         try:
             return tuple((sum(sub), sub) for sub in split(label))
         except TypeError:  # a label the split cannot cut, or a part that does not sum
-            raise OrderError(f"label {label!r} does not match the factor tosets") from None
+            raise OrderError(f"label {excerpt(label)} does not match the factor tosets") from None
 
     ids = sorted(range(poset.n), key=lambda x: key(poset.labels[x]))
     return explicit_order(
@@ -305,9 +305,9 @@ def _parse_ints(kind, text, arity=None, sep=","):
     try:
         vals = [ascii_int(x) for x in text.split(sep)]
     except ValueError:
-        raise PosetError(f"{kind}: expected integers separated by {sep!r}, got {text!r}") from None
+        raise PosetError(f"{kind}: expected integers separated by '{sep}', got {excerpt(text)}") from None
     if arity is not None and len(vals) != arity:
-        raise PosetError(f"{kind}: expected {arity} integers, got {text!r}")
+        raise PosetError(f"{kind}: expected {arity} integers, got {excerpt(text)}")
     return vals
 
 
@@ -417,7 +417,7 @@ def builtin(
     if kind == "torus":
         vals = _parse_ints(kind, rest)
         if len(vals) not in (1, 2):
-            raise PosetError(f"torus: expected 1 or 2 integers, got {rest!r}")
+            raise PosetError(f"torus: expected 1 or 2 integers, got {excerpt(rest)}")
         p, n = (vals + [1])[:2]
         ks = [p] * n
         candidate = {"kind": "tensor-degree-lex", "sizes": [2] * n}
@@ -431,13 +431,13 @@ def builtin(
         ds = _parse_ints(kind, ds_text, sep="+")
         (kk_d,) = _parse_ints(kind, kk_text if comma else "0", 1)
         return _ring_builtin(text, leck_ring(ds, kk_d, field), None)
-    raise PosetError(f"unknown builtin poset {spec_str!r}")
+    raise PosetError(f"unknown builtin poset {excerpt(spec_str)}")
 
 
 def ring_builtin(spec_str: str, field: FieldSpec = FieldSpec()) -> Builtin:
     b = builtin(spec_str, field)
     if b.ring_spec is None:
-        raise RingError(f"{spec_str!r} is not a ring builtin")
+        raise RingError(f"{excerpt(spec_str)} is not a ring builtin")
     return b
 
 
@@ -455,7 +455,7 @@ def _colored(ns, side):
     if side == "ring":
         tosets = [[_spider_rep(a, n - 1, 1) for a in t] for n, t in zip(ns, tosets)]
     elif side != "poset":
-        raise OrderError(f"unknown side {side!r}")
+        raise OrderError(f"unknown side {excerpt(side)}")
     return tosets, [[1] + list(range(3, n + 2)) for n in ns], "hc", {"kind": "lex"}
 
 
@@ -516,13 +516,13 @@ def _resolve_family(poset, recipe):
     """
     fam, params = recipe["family"], list(recipe["params"])
     if fam not in _FAMILIES:
-        raise OrderError(f"unknown family recipe {fam!r}")
+        raise OrderError(f"unknown family recipe {excerpt(fam)}")
     # checked before any factor toset or family poset is built; the bound
     # keeps the size arithmetic small
     arity, size, order = _FAMILIES[fam]
     fits = arity in (None, len(params)) and all(0 <= v <= poset.n for v in params)
     if not fits or size(*params) != poset.n:
-        raise OrderError(f"{fam} order parameters {params!r} do not fit {poset.n} elements")
+        raise OrderError(f"{fam} order parameters {excerpt(params)} do not fit {poset.n} elements")
     tosets, cuts, starts, blocks = order(params, recipe.get("side", "poset"))
     block = {"kind": "block", "cuts": cuts, "starts": {"kind": starts}, "blocks": blocks}
     table = table_from_vectors(poset, *_factor_positions(poset, tosets), block, recipe)

@@ -11,7 +11,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .errors import RingError, ResourceLimitError
+from .errors import RingError, ResourceLimitError, excerpt
 from .linalg import add_multiple, extend_echelon, rref
 from .linalg import rref_with_transform  # kept bound: bench/spans.py times hilbert.rref_with_transform
 from .orders import OrderTable
@@ -397,7 +397,7 @@ def is_macaulay_ring(
     representative-lex order.  mode="both" cross-checks.
     """
     if mode not in ("both", "poset", "monomial-ideals"):
-        raise RingError(f"unknown mode {mode!r}")
+        raise RingError(f"unknown mode {excerpt(mode)}")
     if max_gen_degree is not None and max_gen_degree < 0:
         raise RingError(f"max_gen_degree must be nonnegative, got {max_gen_degree}")
     ctx = RingContext(ring)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RingError
+from .errors import RingError, excerpt
 
 # Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -49,7 +49,7 @@ class FieldSpec:
     def __post_init__(self):
         p = self.p
         if p is not None and not (isinstance(p, int) and 1 < p < PRIME_LIMIT and is_prime(p)):
-            raise RingError(f"prime field needs a prime modulus below {PRIME_LIMIT}, got {p!r}")
+            raise RingError(f"prime field needs a prime modulus below {PRIME_LIMIT}, got {excerpt(p)}")
 
     @property
     def name(self):
@@ -78,7 +78,7 @@ class FieldSpec:
                     f"prime field needs a prime modulus below {PRIME_LIMIT}, got {len(digits)} digits"
                 )
             return cls(int(digits))
-        raise RingError(f"unknown field spec {text!r}")
+        raise RingError(f"unknown field spec {excerpt(text)}")
 
 
 RATIONALS = FieldSpec(None)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 
-from .errors import OrderError
+from .errors import OrderError, excerpt
 from .poset import RankedPoset, dual as dual_poset, split_by_rank
 
 # ---------------------------------------------------------------------------
@@ -33,14 +33,14 @@ def ascii_int(text):
     """The int that `text` spells in ASCII digits after an optional "-", else
     ValueError: int() alone also reads "٣", "1_0", " 3" and "+4"."""
     if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {excerpt(text)}")
     return int(text)
 
 
 def _check_perm(perm, d):
     """perm is 1-based, as in 'compare coordinates perm(1), perm(2), ...'."""
     if sorted(perm) != list(range(1, d + 1)):
-        raise OrderError(f"invalid permutation {perm!r} for dimension {d}")
+        raise OrderError(f"invalid permutation {excerpt(perm)} for dimension {d}")
 
 
 def _dom_key(perm):
@@ -105,19 +105,19 @@ def _recipe_kind(recipe):
     nested = [(recipe, RECIPE)]
     for item, shape in nested:  # the loop reaches the recipes _fits appends
         if not isinstance(item, dict) or not isinstance(item.get("kind"), str):
-            raise OrderError(f"order recipe must be an object with a string kind, got {item!r}")
+            raise OrderError(f"order recipe must be an object with a string kind, got {excerpt(item)}")
         kind = item["kind"]
         if kind not in RECIPE_FIELDS:
-            raise OrderError(f"unknown order recipe kind {kind!r}")
+            raise OrderError(f"unknown order recipe kind {excerpt(kind)}")
         if shape is VECTOR and kind not in VECTOR_KINDS:
-            raise OrderError(f"order recipe kind {kind!r} does not rank exponent vectors")
+            raise OrderError(f"order recipe kind {excerpt(kind)} does not rank exponent vectors")
         fields = RECIPE_FIELDS[kind]
         missing = [f for f, s in fields.items() if f not in item and not _fits(None, s, [])]
         if missing:
             raise OrderError(f"{kind} order recipe lacks {', '.join(missing)}")
         for f, s in fields.items():
             if not _fits(item.get(f), s, nested):
-                raise OrderError(f"{kind} order recipe has a malformed {f}: {item[f]!r}")
+                raise OrderError(f"{kind} order recipe has a malformed {f}: {excerpt(item[f])}")
     return recipe["kind"]
 
 
@@ -166,7 +166,7 @@ def _vector_key(recipe, lengths):
         raise OrderError(f"block order has {len(cuts0)} partitions for {d} coordinates")
     for cc, l in zip(cuts0, lengths):
         if not cc or cc[0] != 0 or list(cc) != sorted(set(cc)) or cc[-1] >= l:
-            raise OrderError(f"malformed ordered partition {cc!r} for toset of size {l}")
+            raise OrderError(f"malformed ordered partition {excerpt(cc)} for toset of size {l}")
     blocks = recipe["blocks"]
     starts = _vector_key(recipe["starts"], [len(cc) for cc in cuts0])
     inner = {}  # block index -> (first positions, key inside the block)
@@ -200,7 +200,7 @@ def _choices_from_recipe(recipe, d):
         if len(pair) != 2 or len(set(pair[0])) != len(pair[0]) or not set(pair[0]) <= set(range(1, d + 1)):
             raise OrderError(
                 f"order choices must be [coordinates, permutation] pairs of distinct"
-                f" coordinates in 1..{d}, got {pair!r}"
+                f" coordinates in 1..{d}, got {excerpt(pair)}"
             )
         coords, perm = pair
         _check_perm(perm, len(coords))
@@ -260,7 +260,7 @@ def _vector_labels(poset):
     labs = poset.labels
     for lab in labs:
         if not isinstance(lab, tuple) or not all(isinstance(v, int) and v >= 0 for v in lab):
-            raise OrderError(f"order needs exponent-vector labels, got {lab!r}")
+            raise OrderError(f"order needs exponent-vector labels, got {excerpt(lab)}")
     d = len(labs[0])
     if any(len(lab) != d for lab in labs):
         raise OrderError("all labels must have the same dimension")
@@ -321,9 +321,9 @@ def degree_major_order(poset: RankedPoset, per_rank=None, default=None) -> Order
     try:
         per_rank = {ascii_int(str(k)): v for k, v in (per_rank or {}).items()}
     except ValueError:
-        raise OrderError(f"degree-major ranks must be integers, got {keys!r}") from None
+        raise OrderError(f"degree-major ranks must be integers, got {excerpt(keys)}") from None
     if len(per_rank) < len(keys):
-        raise OrderError(f"degree-major ranks {keys!r} name one rank twice")
+        raise OrderError(f"degree-major ranks {excerpt(keys)} name one rank twice")
     _, lens = _vector_labels(poset)
     ids = []
     for i, lvl in enumerate(poset.levels):

@@ -12,7 +12,7 @@ from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import PosetError, ResourceLimitError
+from .errors import PosetError, ResourceLimitError, excerpt
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
 _LABEL_DEPTH = 100
@@ -186,7 +186,7 @@ class RankedPoset:
     def _check_ids(self, ids):
         for x in ids:
             if not isinstance(x, int) or not (0 <= x < self.n):
-                raise PosetError(f"unknown element id {x!r}")
+                raise PosetError(f"unknown element id {excerpt(x)}")
 
     def lower_shadow(self, ids):
         self._check_ids(ids)
@@ -269,7 +269,7 @@ def multiset_lattice(lengths, truncation=None) -> RankedPoset:
         raise PosetError("shape needs at least one coordinate")
     for l in lengths:
         if l is not None and (not isinstance(l, int) or l < 1):
-            raise PosetError(f"length must be a positive integer or None, got {l!r}")
+            raise PosetError(f"length must be a positive integer or None, got {excerpt(l)}")
     if truncation is None:
         if None in lengths:
             raise PosetError("unbounded lengths require a truncation")
@@ -287,7 +287,7 @@ def multiset_lattice(lengths, truncation=None) -> RankedPoset:
 def chain(n: int) -> RankedPoset:
     """Chain with n elements, labeled by 1-vectors (0,), ..., (n-1,)."""
     if not isinstance(n, int) or n < 1:
-        raise PosetError(f"length must be a positive integer, got {n!r}")
+        raise PosetError(f"length must be a positive integer, got {excerpt(n)}")
     check_size(n)
     return RankedPoset(n, [(i, i + 1) for i in range(n - 1)], range(n), [(i,) for i in range(n)])
 
@@ -410,7 +410,7 @@ def poset_from_dict(data: dict) -> RankedPoset:
         raise PosetError(f"a poset object needs the keys {', '.join(keys)}")
     n, ranks, covers, labels = (data[key] for key in keys)
     if type(n) is not int:
-        raise PosetError(f"poset n must be an integer, got {n!r}")
+        raise PosetError(f"poset n must be an integer, got {excerpt(n)}")
     check_size(n)
     if not isinstance(ranks, list) or any(type(r) is not int for r in ranks):
         raise PosetError("poset ranks must be a list of integers")

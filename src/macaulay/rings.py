@@ -30,7 +30,7 @@ from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .errors import OrderError, RingError
+from .errors import OrderError, RingError, excerpt
 from .linalg import RATIONALS, FieldSpec, rref  # RATIONALS is re-exported
 from .orders import OrderTable, explicit_order
 from .poset import RankedPoset, check_count, check_series
@@ -79,18 +79,18 @@ class Polynomial:
         dropped, so no later check sees them.
         """
         if not isinstance(data, list):
-            raise RingError(f"a polynomial is a list of terms, got {data!r}")
+            raise RingError(f"a polynomial is a list of terms, got {excerpt(data)}")
         terms = {}
         for t in data:
             exp = t.get("exp") if isinstance(t, dict) else None
             if not isinstance(exp, list) or any(type(a) is not int for a in exp):
-                raise RingError(f"a term needs a list of integers under 'exp', got {t!r}")
+                raise RingError(f"a term needs a list of integers under 'exp', got {excerpt(t)}")
             if d is not None and (len(exp) != d or min(exp, default=0) < 0):
-                raise RingError(f"exponents {exp!r} need {d} nonnegative entries")
+                raise RingError(f"exponents {excerpt(exp)} need {d} nonnegative entries")
             try:
                 terms[tuple(exp)] = Fraction(t.get("coef"))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise RingError(f"coefficient {t.get('coef')!r} is not a rational number") from None
+                raise RingError(f"coefficient {excerpt(t.get('coef'))} is not a rational number") from None
         return cls(terms)
 
     def __eq__(self, other):
@@ -163,9 +163,9 @@ class QuotientRingSpec:
             raise RingError(f"ring spec lacks {', '.join(missing)}")
         d, D, gens = data["d"], data["D"], data["generators"]
         if type(d) is not int or type(D) is not int:
-            raise RingError(f"ring spec d and D must be integers, got {d!r} and {D!r}")
+            raise RingError(f"ring spec d and D must be integers, got {excerpt(d)} and {excerpt(D)}")
         if not isinstance(gens, list):
-            raise RingError(f"ring spec generators must be a list, got {gens!r}")
+            raise RingError(f"ring spec generators must be a list, got {excerpt(gens)}")
         field = FieldSpec.from_json(data["field"])
         return cls(d, field, tuple(Polynomial.from_json(g, d) for g in gens), D)
 
@@ -294,7 +294,7 @@ class RingModel:
     def mul(self, x, exp):
         """Class id of class x times the monomial exp, by `times`; None when it is zero."""
         if len(exp) != self.spec.d or min(exp) < 0:
-            raise RingError(f"exponent vector {exp!r} needs {self.spec.d} nonnegative entries")
+            raise RingError(f"exponent vector {excerpt(exp)} needs {self.spec.d} nonnegative entries")
         degree = self.classes[x].degree + sum(exp)
         if degree > self.D:
             raise RingError(f"product degree {degree} exceeds truncation {self.D}")

@@ -24,8 +24,8 @@ int; the exact per-pair minimum runs only where a pair beats its bound.
 reports: the first minimizers of the full 2^k Gray walk.  The subset cap is
 checked before any table is built or stored minima are read.  The search
 builds each level's order as a prefix DFS over shadow bitmasks and cuts each
-failing prefix with all its completions, so it finds the order, and charges
-`budget` the permutation counts, of a permutation-by-permutation search.
+failing prefix with all its completions, so it finds the order a
+permutation-by-permutation search would; `budget` counts the prefixes grown.
 """
 from __future__ import annotations
 
@@ -34,11 +34,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, groupby, repeat
-from math import factorial
 from operator import or_
 from typing import Optional
 
-from .errors import ResourceLimitError, SearchBudgetExceeded
+from .errors import ResourceLimitError, SearchBudgetExceeded, excerpt
 from .orders import OrderTable, explicit_order
 from .poset import RankedPoset, label_order
 
@@ -109,7 +108,7 @@ def _direction(poset, direction):
         return poset.down, -1
     if direction == "upper":
         return poset.up, 1
-    raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    raise ValueError(f"direction must be 'lower' or 'upper', got {excerpt(direction)}")
 
 
 def _level_frames(poset, table, step):
@@ -403,24 +402,17 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
     subset of level i satisfies the property against the fixed order of level
     i-1.  Each order is built as a prefix DFS, trying elements in label
     order, so the first order found is the first one itertools.permutations
-    would pass.  Each level's minima come from `min_shadow_profile`.  A prefix of
-    length L whose shadow is not an initial segment, or is larger than the
-    minimum over L-subsets, is cut: every completion of it fails too.
-    `budget` counts permutations: a full one counts 1, a cut prefix the
-    (k-L)! that start with it.  Returns None when the space is exhausted;
-    raises SearchBudgetExceeded once more than `budget` are counted, and
-    ResourceLimitError at the first continuous full permutation of a level
-    with more subsets than DEFAULT_SUBSET_CAP (cut by continuity alone).
+    would pass.  Each level i >= 1 reads its minima from `min_shadow_profile`,
+    which raises ResourceLimitError as soon as the search reaches a level with
+    more subsets than DEFAULT_SUBSET_CAP.  A prefix whose shadow is not an
+    initial segment, or is larger than the minimum for its size, is cut: every
+    completion of it fails too.  `budget` counts nodes, one per prefix grown.
+    Returns None when the space is exhausted; raises SearchBudgetExceeded once
+    more than `budget` nodes are grown.
     """
     levels = [label_order(poset, lvl) for lvl in poset.levels]
     chosen: list = [None] * len(levels)
     nodes = 0
-
-    def charge(count):
-        nonlocal nodes
-        nodes += count
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"no verdict within {budget} permutations")
 
     def extend(i):
         if i == len(levels):
@@ -429,25 +421,21 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
         k = len(level)
         below = chosen[i - 1] if i else []
         masks = _shadow_masks(poset.down, level, below)
-        over_cap = (1 << k) > DEFAULT_SUBSET_CAP  # no minima there: only continuity cuts
-        best = ([len(below)] * (k + 1) if over_cap else
-                min_shadow_profile(poset, i, "lower", DEFAULT_SUBSET_CAP))
+        best = min_shadow_profile(poset, i, "lower", DEFAULT_SUBSET_CAP) if i else [0] * (k + 1)
         perm = []
 
         def grow(shadow):
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"no verdict within {budget} nodes")
             size = len(perm)
             if size == k:
-                charge(1)
-                if over_cap and i:  # level 0 has no level below to check against
-                    _check_subset_cap(k, i, DEFAULT_SUBSET_CAP)
                 chosen[i] = [level[j] for j in perm]
                 return extend(i + 1)
             for j in range(k):
-                if j in perm:
-                    continue
                 m = shadow | masks[j]
-                if m & (m + 1) or m.bit_count() > best[size + 1]:
-                    charge(factorial(k - size - 1))
+                if j in perm or m & (m + 1) or m.bit_count() > best[size + 1]:
                     continue
                 perm.append(j)
                 if grow(m):
@@ -455,10 +443,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
                 perm.pop()
             return False
 
-        if grow(0):
-            return True
-        chosen[i] = None
-        return False
+        return grow(0)
 
     if not extend(0):
         return None

@@ -965,7 +965,7 @@ def is_isomorphic_by_labels(p1, p2, label_map):
 
 def _level_pair_ok(sh, nt, level):
     """All subsets of a level with shadow lists `sh` satisfy nestedness and
-    continuity against `nt` targets; the subset cap is DEFAULT_SUBSET_CAP."""
+    continuity against `nt` targets."""
     from macaulay import verify
 
     sizes = []
@@ -977,26 +977,36 @@ def _level_pair_ok(sh, nt, level):
     return all(b >= s for b, s in zip(best[1:], sizes))
 
 
-def permutation_search_oracle(poset, budget=200_000):
-    """The order search as one permutation per budget unit: the first per-level
-    order, permuting each level in label order, that passes every level against
-    the one below; None when none exists; SearchBudgetExceeded past `budget`
-    permutations."""
+def permutation_search_oracle(poset, guard=200_000):
+    """The order search as a permutation loop: the first per-level order,
+    permuting each level in label order, that passes every level against the
+    one below; None when none exists.  Reaching a level i >= 1 with more than
+    DEFAULT_SUBSET_CAP subsets raises ResourceLimitError at once.  Past `guard`
+    permutations it gives up with SearchBudgetExceeded, a runaway guard that
+    says nothing about the search's own budget."""
+    from macaulay import verify
+
     levels = [list(label_order(poset, lvl)) for lvl in poset.levels]
     chosen = [None] * len(levels)
-    nodes = 0
+    tried = 0
 
     def extend(i):
-        nonlocal nodes
+        nonlocal tried
         if i == len(levels):
             return True
+        k = len(levels[i])
         if i > 0:
+            if 2 ** k > verify.DEFAULT_SUBSET_CAP:
+                raise M.ResourceLimitError(
+                    f"level {i} has {k} elements; 2^{k} subsets exceed the cap of "
+                    f"{verify.DEFAULT_SUBSET_CAP}"
+                )
             below = chosen[i - 1]
             rows = dict(zip(levels[i], shadow_lists(poset.down, levels[i], below)))
         for perm in itertools.permutations(levels[i]):
-            nodes += 1
-            if nodes > budget:
-                raise M.SearchBudgetExceeded(f"no verdict within {budget} permutations")
+            tried += 1
+            if tried > guard:
+                raise M.SearchBudgetExceeded(f"oracle guard of {guard} permutations tripped")
             chosen[i] = list(perm)
             if i > 0 and not _level_pair_ok([rows[x] for x in perm], len(below), i):
                 continue

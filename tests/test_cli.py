@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import macaulay as M
 from macaulay import poset as poset_module
 from macaulay.cli import main
+from macaulay.errors import EXCERPT_CHARS, excerpt
 from macaulay.rings import monomials_of_degree
 
 
@@ -786,6 +788,42 @@ def test_ring_hilbert_and_ims_need_an_ideal(capsys):
         assert (rc, out, err) == (2, "", "error: the following arguments are required: --ideal\n")
 
 
+def _one_short_line(err):
+    """A refusal: one line that starts with "error:", under 1,000 bytes."""
+    return err.startswith("error:") and err.count("\n") == 1 and len(err.encode()) < 1000
+
+
+@pytest.mark.parametrize("recipe", [
+    {"kind": "explicit", "positions": ["x"] * 200_000},
+    {"kind": "dom", "perm": ["x"] * 200_000},
+    {"kind": "k" * 200_000},
+])
+def test_refusals_echo_a_bounded_excerpt_of_their_input(capsys, tmp_path, recipe):
+    # each once echoed its whole field: 1,000,057, 1,000,047 and 200,036 bytes of stderr
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    rc, out, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", f"recipe:{path}")
+    assert rc == 2 and out == "" and _one_short_line(err), err[:200]
+
+
+def test_excerpt_keeps_short_values_and_both_ends_of_long_ones():
+    at_limit = "x" * (EXCERPT_CHARS - 2)  # its repr has exactly EXCERPT_CHARS characters
+    assert excerpt(at_limit) == repr(at_limit)
+    cut = excerpt(list(range(100_000)))
+    assert len(cut) <= EXCERPT_CHARS and "..." in cut
+    assert cut.startswith("[0, 1, 2, ") and cut.endswith(", 99998, 99999]")
+
+
+def test_no_refusal_formats_a_value_with_repr():
+    # `!r` echoes a value whole, however long; a refusal echoes `errors.excerpt` of it
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(poset_module.__file__).parent.glob("*.py"))
+             for raise_ in ast.walk(ast.parse(path.read_text())) if isinstance(raise_, ast.Raise)
+             for node in ast.walk(raise_)
+             if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")]
+    assert found == []
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -842,7 +880,7 @@ def test_generated_order_recipes_never_escape_the_cli(recipe, poset):
             rc = main(["check-poset", "--poset", poset, "--order", f"recipe:{path}"])
     assert rc in (0, 1, 2, 3, 4), (recipe, poset)
     if rc == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (recipe, poset)
+        assert _one_short_line(err.getvalue()), (recipe, poset)
 
 
 _BUILTIN_KINDS = (
@@ -870,7 +908,7 @@ def test_generated_descriptors_never_escape_the_cli(descriptor, order):
         rc = main(["check-poset", "--poset", descriptor, "--order", order])
     assert rc in (0, 1, 2, 3, 4), descriptor
     if rc == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, descriptor
+        assert _one_short_line(err.getvalue()), descriptor
 
 
 _GOOD_COEFS = ("1", "-1", "2", "1/2", "-3/5", 3)
@@ -932,7 +970,7 @@ def test_generated_ring_files_never_escape_the_cli(spec):
             rc = main(["check-ring", "--spec", path, "--order", "lex", "--json"])
     assert rc in (0, 1, 2, 3, 4), spec
     if rc == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, spec
+        assert _one_short_line(err.getvalue()), spec
 
 
 _IDEAL_RINGS = {"cl:3,3": (2, 4), "torus:3,1": (2, 3), "diamond:1": (3, 2), "colored-ring:2,1": (3, 2)}
@@ -982,7 +1020,7 @@ def test_generated_ideal_files_never_escape_the_cli(ring_and_ideal, sub):
             rc = main(["ring", sub, "--spec", ring, "--ideal", path])
     assert rc in (0, 1, 2, 3, 4), (ring, ideal)
     if rc == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (ring, ideal)
+        assert _one_short_line(err.getvalue()), (ring, ideal)
     if rc == 0:  # an accepted ideal has exponent vectors of the ring's length and sign
         d = _IDEAL_RINGS[ring][0]
         exps = [t["exp"] for g in ideal["generators"] for t in g]
@@ -1049,7 +1087,7 @@ def test_generated_poset_files_never_escape_the_cli(text, order):
             rc = main(["check-poset", "--poset", path, "--order", order])
     assert rc in (0, 1, 2, 3, 4), text
     if rc == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, text
+        assert _one_short_line(err.getvalue()), text
 
 
 def _nested(open_, core, close, depth):

@@ -508,8 +508,9 @@ def test_stored_minima_are_computed_once_per_level_and_direction(monkeypatch):
             for q in range(len(p.level(lvl)) + 1):
                 M.min_shadow(p, lvl, q, direction)
         assert sorted(levels) == list(range(p.max_rank + 1)), direction
-    # the search reads the lower minima that is_macaulay stored, and
-    # witnesses are sought only on levels with a nestedness failure
+    # the search reads the lower minima that is_macaulay stored (level 0
+    # has none to read), and witnesses are sought only on levels with a
+    # nestedness failure
     def no_witnesses(rows, best, sizes):
         raise AssertionError("witnesses sought where no nestedness fails")
 
@@ -517,8 +518,10 @@ def test_stored_minima_are_computed_once_per_level_and_direction(monkeypatch):
     p = M.multiset_lattice([2, 3])
     levels.clear()
     assert M.is_macaulay(p, M.lex_order(p)).holds
+    assert sorted(levels) == list(range(1, p.max_rank + 1))
+    levels.clear()
     assert M.search_macaulay_order(p) is not None
-    assert sorted(levels) == list(range(p.max_rank + 1))
+    assert levels == []
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
@@ -709,21 +712,41 @@ def test_search_finds_an_order_exactly_when_one_exists(seed):
     assert (found is not None) == exists
 
 
-def _search_outcome(search, poset, budget):
+def _search_outcome(search, poset, *budget):
     try:
-        table = search(poset, budget)
+        table = search(poset, *budget)
     except (SearchBudgetExceeded, ResourceLimitError) as e:
         return type(e), str(e)
     return None if table is None else table.position
 
 
+def _raised(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(1, 5000), st.sampled_from([2 ** 3, 2 ** 4, 2 ** 22]))
-def test_search_matches_the_permutation_loop(seed, budget, cap):
+@given(st.integers(0, 2 ** 32), st.sampled_from([2 ** 3, 2 ** 4, 2 ** 22]))
+def test_search_matches_the_permutation_loop(seed, cap):
     p, _ = _random_case(seed)
     with mock.patch.object(verify, "DEFAULT_SUBSET_CAP", cap):
-        expected = _search_outcome(permutation_search_oracle, p, budget)
-        assert _search_outcome(M.search_macaulay_order, p, budget) == expected
+        expected = _search_outcome(permutation_search_oracle, p)
+        assume(not (_raised(expected) and expected[0] is SearchBudgetExceeded))
+        assert _search_outcome(M.search_macaulay_order, p) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 200), st.sampled_from([2 ** 3, 2 ** 4, 2 ** 22]))
+def test_search_outcome_is_monotone_in_the_budget(seed, budget, cap):
+    # raising at b means raising at b - 1; succeeding at b means the
+    # unlimited run's order (or None)
+    p, _ = _random_case(seed)
+    with mock.patch.object(verify, "DEFAULT_SUBSET_CAP", cap):
+        unlimited = _search_outcome(M.search_macaulay_order, p, 10 ** 9)
+        at, below = (_search_outcome(M.search_macaulay_order, p, b) for b in (budget, budget - 1))
+    if _raised(at):
+        assert _raised(below)
+    else:
+        assert at == unlimited
 
 
 # A poset file numbers its levels as it likes: here ranks 0 and 1 list their
@@ -764,16 +787,39 @@ def test_hand_numbered_levels_keep_label_order_where_promised():
 
 def test_search_on_builtins():
     t0 = time.perf_counter()
-    # the permutation loop's orders (0.3 to 0.5 s each there)
+    # (order found, nodes grown): be:1,2,2 and leck:2+2,1 are the permutation
+    # loop's orders (0.3 to 0.5 s each there)
     found = {
-        "be:1,2,2": (0, 1, 2, 3, 4, 6, 9, 10, 5, 7, 8, 11, 13, 17, 12, 14, 16, 18, 15, 19,
-                     20, 22, 21, 23, 24),
-        "leck:2+2,1": (0, 1, 2, 4, 3, 5, 6, 9, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17),
+        "be:1,2,2": ((0, 1, 2, 3, 4, 6, 9, 10, 5, 7, 8, 11, 13, 17, 12, 14, 16, 18, 15, 19,
+                      20, 22, 21, 23, 24), 44),
+        "leck:2+2,1": ((0, 1, 2, 4, 3, 5, 6, 9, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17), 33),
+        "diamond:2": ((0, 1, 3, 4, 2, 5, 6, 9, 7, 8, 10, 14, 11, 12, 13, 15, 16, 17, 18, 20,
+                       21, 22, 19, 23, 24), 208),
+        "colored-ring:2,2,2": ((0, 1, 4, 2, 5, 3, 6, 7, 10, 12, 14, 8, 11, 9, 13, 15, 17, 16,
+                                18, 19, 20, 21, 22, 23, 24, 25, 26), 341),
+        "torus:3,2": ((0, 1, 3, 2, 4, 5, 8, 6, 9, 7, 10, 12, 11, 15, 13, 16, 14, 17, 20, 18, 21,
+                       19, 22, 24, 23, 25, 27, 30, 28, 26, 29, 31, 32, 34, 33, 35), 87),
+        "leck:3+2,1": ((0, 1, 2, 6, 3, 4, 5, 7, 17, 8, 9, 18, 10, 11, 19, 12, 13, 14, 20, 15, 16,
+                        21, 30, 22, 31, 23, 24, 32, 25, 33, 26, 27, 34, 28, 29, 35, 36, 39, 37,
+                        40, 38, 41), 332),
+        "leck:4+2,0": ((0, 1, 6, 2, 3, 4, 5, 7, 17, 8, 18, 9, 10, 19, 11, 12, 13, 20, 14, 15, 16,
+                        21, 31, 22, 32, 23, 33, 24, 25, 34, 26, 35, 27, 28, 36, 29, 30, 37, 41,
+                        38, 42, 39, 43, 40, 44), 424),
+        "leck:2+2+2,1": ((0, 1, 2, 5, 3, 6, 4, 7, 8, 14, 9, 10, 15, 17, 18, 20, 11, 12, 16, 13,
+                          19, 21, 22, 24, 23, 25, 26, 30, 33, 36, 27, 31, 28, 29, 32, 34, 35, 37,
+                          38, 41, 39, 40, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53), 3930),
     }
-    for name, position in found.items():
-        assert M.search_macaulay_order(builtin(name).poset).position == position, name
-    # levels of 9 to 11 elements: the permutation loop spent 0.7 to 45 s here
-    for name in ("diamond:2", "colored-ring:2,2,2", "torus:3,2"):
-        with pytest.raises(SearchBudgetExceeded, match="within 200000 permutations"):
-            M.search_macaulay_order(builtin(name).poset)
+    for name, (position, nodes) in found.items():
+        p = builtin(name).poset
+        table = M.search_macaulay_order(p)
+        assert table.position == position, name
+        assert M.search_macaulay_order(p, nodes).position == position, name
+        with pytest.raises(SearchBudgetExceeded, match=f"within {nodes - 1} nodes"):
+            M.search_macaulay_order(p, nodes - 1)
+        for direction in ("lower", "upper"):
+            assert M.is_macaulay(p, table, direction).holds, (name, direction)
+            if max(map(len, p.levels)) <= 12:
+                assert macaulay_by_definition(p, table, direction)[0], (name, direction)
+    with pytest.raises(SearchBudgetExceeded, match="no verdict within 1000 nodes"):
+        M.search_macaulay_order(builtin("be:2,2,2").poset, budget=1000)
     assert time.perf_counter() - t0 < 1.0
