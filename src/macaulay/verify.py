@@ -13,7 +13,12 @@ q sources is the prefix OR m of their masks: its size is m.bit_count(), and
 it is a target prefix exactly when m & (m + 1) is zero.  The least shadow
 size of a q-subset, best[q], depends on the level and not on its order, so
 `min_shadow_profile` computes it once per (level, direction) and keeps it on
-the poset for `is_macaulay`, `min_shadow` and the search.  `_minima` is
+the poset for `is_macaulay`, `min_shadow` and the search.  Adjacent levels
+of a and b elements share them: with g the upper minima of the lower level
+and f the lower minima of the upper one, f(q) = min{p : g(a - p) <= b - q}
+(a subset and the complement of its shadow bound each other's shadows), and
+the same with the roles swapped, so each pair is scanned on its smaller side.
+`_minima` is
 Horowitz and Sahni's meet in the middle on subset keys (`_halves`): targets
 both halves reach, then a unary count of the rest, so a pair's shadow size is
 its keys' OR's popcount.  Each half is kept as its distinct inclusion-minimal
@@ -22,7 +27,8 @@ high key meets every low key at once, in bit-parallel arithmetic on one packed
 int; the exact per-pair minimum runs only where a pair beats its bound.
 `_first_minimizers` finds witnesses in the caller's order, for the sizes it
 reports: the first minimizers of the full 2^k Gray walk.  The subset cap is
-checked before any table is built or stored minima are read.  The search
+checked on the scanned side before any table is built or stored minima are
+read, and on a level's own size before a witness is sought there.  The search
 builds each level's order as a prefix DFS over shadow bitmasks and cuts each
 failing prefix with all its completions, so it finds the order a
 permutation-by-permutation search would; `budget` counts the prefixes grown.
@@ -125,11 +131,13 @@ def _shadow_masks(neigh, source, target):
     return [sum(bit[y] for y in neigh[x]) for x in source]
 
 
-def _check_subset_cap(k, level, cap):
-    """Raise ResourceLimitError naming `level` when its 2^k subsets exceed `cap`."""
+def _check_subset_cap(k, level, cap, scanned=None):
+    """Raise ResourceLimitError naming `level`, and the `scanned` level whose
+    minima it reads if that is another one, when 2^k subsets exceed `cap`."""
     if (1 << k) > cap:
+        has = "has" if scanned is None else f"needs the minima of level {scanned}, which has"
         raise ResourceLimitError(
-            f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {cap}"
+            f"level {level} {has} {k} elements; 2^{k} subsets exceed the cap of {cap}"
         )
 
 
@@ -330,6 +338,8 @@ def is_macaulay(
             q for q, m in enumerate(prefix) if best[q] < m.bit_count() or m & (m + 1)
         ][: None if all_failures else 1]
         short = [q for q in failing if best[q] < prefix[q].bit_count()]
+        if short:  # a witness walks this level's own halves
+            _check_subset_cap(len(source), lvl, max_subsets)
         witnesses = _first_minimizers(masks, best, short) if short else {}
         shadow = lambda m: tuple(sorted(_mask_to_ids(m, target)))
         for q in failing:
@@ -359,18 +369,28 @@ def min_shadow_profile(
     direction: str = "lower",
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> list:
-    """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k;
-    ResourceLimitError names the level past `max_subsets`.  They are computed
-    once per (level, direction) and kept on the poset, on one split: ascending
-    ids, reversed for "upper", rows stably sorted by least target bit."""
+    """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k,
+    kept on the poset per (level, direction).  A level with no target level
+    gets zeros; one whose target level of n elements is smaller takes
+    best[q] = min{p : g[n - p] <= k - q} from that level's minima g facing
+    back; any other is scanned on one split: ascending ids, reversed for
+    "upper", rows stably sorted by least target bit.  ResourceLimitError
+    names the level, and the scanned one, past `max_subsets`."""
     neigh, step = _direction(poset, direction)
-    source = poset.level(level)
-    _check_subset_cap(len(source), level, max_subsets)
+    source, near = poset.level(level), level + step
+    k, n = len(source), len(poset.level(near))
+    if not n:
+        return [0] * (k + 1)
+    _check_subset_cap(min(n, k), level, max_subsets, near if n < k else None)
     key = (level, direction)
     if key not in poset._minima:
-        rows = _shadow_masks(neigh, source[::-step], poset.level(level + step)[::-step])
-        rows.sort(key=lambda m: m & -m)
-        poset._minima[key] = _minima(rows, level, max_subsets)
+        if n < k:  # g never falls as the subset grows
+            back = min_shadow_profile(poset, near, "upper" if step < 0 else "lower", max_subsets)
+            poset._minima[key] = [n + 1 - bisect_right(back, k - q) for q in range(k + 1)]
+        else:
+            rows = _shadow_masks(neigh, source[::-step], poset.level(near)[::-step])
+            rows.sort(key=lambda m: m & -m)
+            poset._minima[key] = _minima(rows, level, max_subsets)
     return list(poset._minima[key])
 
 
@@ -388,6 +408,7 @@ def min_shadow(
         raise ValueError(f"q={q} out of range for level of size {k}")
     if q == 0:
         return 0, frozenset()
+    _check_subset_cap(k, level, max_subsets)  # the witness walks this level's own halves
     best = min_shadow_profile(poset, level, direction, max_subsets)
     neigh, step = _direction(poset, direction)
     ids = label_order(poset, poset.level(level))
@@ -402,11 +423,12 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
     subset of level i satisfies the property against the fixed order of level
     i-1.  Each order is built as a prefix DFS, trying elements in label
     order, so the first order found is the first one itertools.permutations
-    would pass.  Each level i >= 1 reads its minima from `min_shadow_profile`,
-    which raises ResourceLimitError as soon as the search reaches a level with
-    more subsets than DEFAULT_SUBSET_CAP.  A prefix whose shadow is not an
-    initial segment, or is larger than the minimum for its size, is cut: every
-    completion of it fails too.  `budget` counts nodes, one per prefix grown.
+    would pass.  Each level reads its lower minima from `min_shadow_profile`,
+    which raises ResourceLimitError as soon as the search reaches a level
+    whose scanned side has more subsets than DEFAULT_SUBSET_CAP.  A prefix
+    whose shadow is not an initial segment, or is larger than the minimum for
+    its size, is cut: every completion of it fails too.  `budget` counts
+    nodes, one per prefix grown.
     Returns None when the space is exhausted; raises SearchBudgetExceeded once
     more than `budget` nodes are grown.
     """
@@ -419,9 +441,8 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
             return True
         level = levels[i]
         k = len(level)
-        below = chosen[i - 1] if i else []
-        masks = _shadow_masks(poset.down, level, below)
-        best = min_shadow_profile(poset, i, "lower", DEFAULT_SUBSET_CAP) if i else [0] * (k + 1)
+        masks = _shadow_masks(poset.down, level, chosen[i - 1] if i else [])
+        best = min_shadow_profile(poset, i, "lower", DEFAULT_SUBSET_CAP)
         perm = []
 
         def grow(shadow):

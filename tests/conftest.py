@@ -973,15 +973,16 @@ def _level_pair_ok(sh, nt, level):
         if not is_prefix:
             return False
         sizes.append(size)
-    best = verify._minima(row_masks(sh), level, verify.DEFAULT_SUBSET_CAP)
+    best = verify._minima(row_masks(sh), level, 1 << len(sh))  # the caller applies the cap
     return all(b >= s for b, s in zip(best[1:], sizes))
 
 
 def permutation_search_oracle(poset, guard=200_000):
     """The order search as a permutation loop: the first per-level order,
     permuting each level in label order, that passes every level against the
-    one below; None when none exists.  Reaching a level i >= 1 with more than
-    DEFAULT_SUBSET_CAP subsets raises ResourceLimitError at once.  Past `guard`
+    one below; None when none exists.  Reaching a level i >= 1 whose pair with
+    level i - 1 has its smaller side (level i on a tie) over DEFAULT_SUBSET_CAP
+    subsets raises ResourceLimitError at once.  Past `guard`
     permutations it gives up with SearchBudgetExceeded, a runaway guard that
     says nothing about the search's own budget."""
     from macaulay import verify
@@ -996,9 +997,11 @@ def permutation_search_oracle(poset, guard=200_000):
             return True
         k = len(levels[i])
         if i > 0:
-            if 2 ** k > verify.DEFAULT_SUBSET_CAP:
+            n = min(k, len(levels[i - 1]))
+            if 2 ** n > verify.DEFAULT_SUBSET_CAP:
+                has = "has" if n == k else f"needs the minima of level {i - 1}, which has"
                 raise M.ResourceLimitError(
-                    f"level {i} has {k} elements; 2^{k} subsets exceed the cap of "
+                    f"level {i} {has} {n} elements; 2^{n} subsets exceed the cap of "
                     f"{verify.DEFAULT_SUBSET_CAP}"
                 )
             below = chosen[i - 1]

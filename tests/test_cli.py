@@ -53,7 +53,13 @@ def test_check_poset_resource_cap(capsys):
         "check-poset", "--poset", "multiset:2,2,2,2,2,2", "--order", "lex",
         "--max-subsets", "1024",
     )
-    assert rc == 3 and "resource limit" in err
+    # levels of 1, 6, 15, 20, 15, 6, 1 elements: level 3 reads the minima of
+    # level 2, the smaller side of their pair
+    assert rc == 3 and err == (
+        "resource limit: level 3 needs the minima of level 2, which has 15 elements; "
+        "2^15 subsets exceed the cap of 1024\n"
+    )
+    assert _one_short_line(err)
 
 
 def test_malformed_limits_are_usage_errors(capsys):
@@ -789,8 +795,10 @@ def test_ring_hilbert_and_ims_need_an_ideal(capsys):
 
 
 def _one_short_line(err):
-    """A refusal: one line that starts with "error:", under 1,000 bytes."""
-    return err.startswith("error:") and err.count("\n") == 1 and len(err.encode()) < 1000
+    """A refusal: one line that starts with "error:" (exit 2) or "resource
+    limit:" (exit 3), under 1,000 bytes."""
+    return (err.startswith(("error:", "resource limit:")) and err.count("\n") == 1
+            and len(err.encode()) < 1000)
 
 
 @pytest.mark.parametrize("recipe", [
@@ -879,7 +887,7 @@ def test_generated_order_recipes_never_escape_the_cli(recipe, poset):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["check-poset", "--poset", poset, "--order", f"recipe:{path}"])
     assert rc in (0, 1, 2, 3, 4), (recipe, poset)
-    if rc == 2:
+    if rc in (2, 3):
         assert _one_short_line(err.getvalue()), (recipe, poset)
 
 
@@ -907,7 +915,7 @@ def test_generated_descriptors_never_escape_the_cli(descriptor, order):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["check-poset", "--poset", descriptor, "--order", order])
     assert rc in (0, 1, 2, 3, 4), descriptor
-    if rc == 2:
+    if rc in (2, 3):
         assert _one_short_line(err.getvalue()), descriptor
 
 
@@ -969,7 +977,7 @@ def test_generated_ring_files_never_escape_the_cli(spec):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["check-ring", "--spec", path, "--order", "lex", "--json"])
     assert rc in (0, 1, 2, 3, 4), spec
-    if rc == 2:
+    if rc in (2, 3):
         assert _one_short_line(err.getvalue()), spec
 
 
@@ -1019,7 +1027,7 @@ def test_generated_ideal_files_never_escape_the_cli(ring_and_ideal, sub):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["ring", sub, "--spec", ring, "--ideal", path])
     assert rc in (0, 1, 2, 3, 4), (ring, ideal)
-    if rc == 2:
+    if rc in (2, 3):
         assert _one_short_line(err.getvalue()), (ring, ideal)
     if rc == 0:  # an accepted ideal has exponent vectors of the ring's length and sign
         d = _IDEAL_RINGS[ring][0]
@@ -1086,7 +1094,7 @@ def test_generated_poset_files_never_escape_the_cli(text, order):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["check-poset", "--poset", path, "--order", order])
     assert rc in (0, 1, 2, 3, 4), text
-    if rc == 2:
+    if rc in (2, 3):
         assert _one_short_line(err.getvalue()), text
 
 

@@ -491,7 +491,7 @@ def test_stored_minima_match_the_gray_walk_on_shuffled_levels(p, seed):
             assert M.min_shadow_profile(p, lvl, direction) == best
 
 
-def test_stored_minima_are_computed_once_per_level_and_direction(monkeypatch):
+def test_stored_minima_are_computed_once_per_adjacent_pair(monkeypatch):
     levels = []
 
     def counted(rows, level, cap):
@@ -500,16 +500,20 @@ def test_stored_minima_are_computed_once_per_level_and_direction(monkeypatch):
 
     minima = verify._minima
     monkeypatch.setattr(verify, "_minima", counted)
-    p = M.multiset_lattice([3, 4, 4])
-    for direction in ("lower", "upper"):
+    # across both directions, one kernel call per adjacent pair, on its smaller
+    # side; a pair of equal sides is scanned once per direction
+    for caps, scanned in [([3, 4, 4], [0, 1, 2, 3, 5, 6, 7, 8]),  # sizes 1,3,6,9,10,9,6,3,1
+                          ([2, 3], [0, 1, 2, 3])]:  # sizes 1,2,2,1
+        p = M.multiset_lattice(caps)
         levels.clear()
-        M.is_macaulay(p, _shuffled_levels(p, direction), direction, all_failures=True)
-        for lvl in range(p.max_rank + 1):
-            for q in range(len(p.level(lvl)) + 1):
-                M.min_shadow(p, lvl, q, direction)
-        assert sorted(levels) == list(range(p.max_rank + 1)), direction
+        for direction in ("lower", "upper"):
+            M.is_macaulay(p, _shuffled_levels(p, direction), direction, all_failures=True)
+            for lvl in range(p.max_rank + 1):
+                for q in range(len(p.level(lvl)) + 1):
+                    M.min_shadow(p, lvl, q, direction)
+        assert sorted(levels) == scanned, caps
     # the search reads the lower minima that is_macaulay stored (level 0
-    # has none to read), and witnesses are sought only on levels with a
+    # has no target), and witnesses are sought only on levels with a
     # nestedness failure
     def no_witnesses(rows, best, sizes):
         raise AssertionError("witnesses sought where no nestedness fails")
@@ -518,7 +522,7 @@ def test_stored_minima_are_computed_once_per_level_and_direction(monkeypatch):
     p = M.multiset_lattice([2, 3])
     levels.clear()
     assert M.is_macaulay(p, M.lex_order(p)).holds
-    assert sorted(levels) == list(range(1, p.max_rank + 1))
+    assert levels == [0, 2, 3]
     levels.clear()
     assert M.search_macaulay_order(p) is not None
     assert levels == []
@@ -541,25 +545,99 @@ def test_stored_minima_are_the_lex_segment_shadows_on_18_to_22_element_levels(di
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
 def test_stored_minima_are_the_lex_segment_shadows_on_25_to_29_element_levels(direction):
-    # Clements-Lindstrom again, on levels past the default cap: it still
-    # refuses each of them after the raised cap has stored its minima
+    # Clements-Lindstrom again, on levels past the default cap, scanned or
+    # read from a smaller neighbour
     for desc, lvl, k in [("multiset:6,6,6", 9, 25), ("multiset:7,7,7", 6, 28),
-                         ("multiset:7,7,7", 12, 28), ("multiset:6,6,7", 9, 29)]:
+                         ("multiset:7,7,7", 12, 28), ("multiset:6,6,7", 9, 29),
+                         ("multiset:6,6,6", 7, 27)]:
         p = builtin(desc).poset
         shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
         ids = M.lex_order(p).level_in_order(lvl, reverse=direction == "upper")
         assert len(ids) == k
         sizes = [len(shadow(ids[:q])) for q in range(k + 1)]
         assert M.min_shadow_profile(p, lvl, direction, max_subsets=2 ** 30) == sizes
-        with pytest.raises(ResourceLimitError, match=f"level {lvl} has {k} elements"):
-            M.min_shadow_profile(p, lvl, direction)
+    # level 7 of multiset:6,6,6, the last case, sits between levels of 25 and
+    # 27 elements, so the side scanned is over the default cap either way; the
+    # cap still refuses it after the raised cap has stored its minima
+    scanned = "needs the minima of level 6, which has 25" if direction == "lower" else "has 27"
+    with pytest.raises(ResourceLimitError, match=f"level 7 {scanned} elements"):
+        M.min_shadow_profile(p, 7, direction)
 
 
 def test_search_respects_the_subset_cap(monkeypatch):
-    # level 1 of the dual star has 6 elements: 2^6 subsets, over a cap of 2^4
+    # level 1 of the dual star has 6 elements, 2^6 subsets over a cap of 2^4,
+    # but its minima come from the 1-element level 0; level 2 of the Boolean
+    # lattice on 5 atoms reads those of its 5-element level 1, 2^5 subsets
     monkeypatch.setattr(verify, "DEFAULT_SUBSET_CAP", 2 ** 4)
-    with pytest.raises(ResourceLimitError, match="level 1"):
-        M.search_macaulay_order(M.dual(star(6)))
+    assert M.search_macaulay_order(M.dual(star(6))) is not None
+    with pytest.raises(ResourceLimitError, match="level 2 needs the minima of level 1, which has 5 "):
+        M.search_macaulay_order(M.multiset_lattice([2] * 5))
+
+
+_PAIR_BUILTINS = (
+    "multiset:4,6,7", "multiset:5,5,5", "chain:4", "star:4", "spider:3,3", "be:2,2,2",
+    "colored:3,3", "kk:5", "cl:2,3", "colored-ring:2,2,2", "be-ring:2,2,2", "torus:3,2",
+    "diamond:2", "leck:3+2,1", "leck:2+2,2",
+)
+
+
+def _direct_minima(p, lvl, direction, cap=verify.DEFAULT_SUBSET_CAP):
+    """The kernel on a level's own rows, on the split `min_shadow_profile` scans."""
+    neigh, step = verify._direction(p, direction)
+    rows = verify._shadow_masks(neigh, p.level(lvl)[::-step], p.level(lvl + step)[::-step])
+    return verify._minima(sorted(rows, key=lambda m: m & -m), lvl, cap)
+
+
+def test_pair_minima_equal_the_direct_kernel_on_both_sides():
+    # wherever both sides of an adjacent pair fit under the cap, the minima
+    # read from the other side equal the level's own scan
+    for desc in _PAIR_BUILTINS:
+        p = builtin(desc).poset
+        for lvl in range(p.max_rank):
+            if 1 << max(len(p.level(lvl)), len(p.level(lvl + 1))) > verify.DEFAULT_SUBSET_CAP:
+                continue
+            assert M.min_shadow_profile(p, lvl, "upper") == _direct_minima(p, lvl, "upper"), desc
+            assert M.min_shadow_profile(p, lvl + 1) == _direct_minima(p, lvl + 1, "lower"), desc
+
+
+@functools.cache
+def _leck_levels():
+    """Per level, the order the search finds on leck:3+2,2, whose levels have
+    1, 7, 20, 29, 21 and 6 elements."""
+    p = builtin("leck:3+2,2").poset
+    table = M.search_macaulay_order(p)  # level 3 reads the minima of level 2
+    return [tuple(table.level_in_order(i)) for i in range(p.max_rank + 1)]
+
+
+def _leck_order(levels):
+    p = builtin("leck:3+2,2").poset
+    return p, M.explicit_order(p, [x for level in levels for x in level])
+
+
+def test_a_29_element_level_is_checked_through_its_20_element_neighbour():
+    p, table = _leck_order(_leck_levels())
+    derived = M.is_macaulay(p, table, "lower")
+    # the same verdict on level 3's own minima, scanned under a raised cap
+    other, direct_table = _leck_order(_leck_levels())
+    other._minima[3, "lower"] = _direct_minima(other, 3, "lower", 2 ** 29)
+    direct = M.is_macaulay(other, direct_table, "lower", max_subsets=2 ** 29)
+    assert derived.holds and derived.to_dict(p) == direct.to_dict(other)
+    assert M.min_shadow_profile(p, 3) == other._minima[3, "lower"]
+
+
+def test_a_witness_past_the_cap_still_needs_its_own_level():
+    levels = list(_leck_levels())
+    levels[3] = random.Random(0).sample(levels[3], len(levels[3]))
+    p, table = _leck_order(levels)
+    raised = M.is_macaulay(p, table, "lower", max_subsets=2 ** 29, all_failures=True)
+    assert [(f.level, f.reason, f.size) for f in raised.failures[:2]] == [
+        (3, "continuity", 1), (3, "nestedness", 2)]
+    # the first failure needs no witness, so it is reported under the default cap
+    first = M.is_macaulay(p, table, "lower")
+    assert first.to_dict(p)["failures"] == raised.to_dict(p)["failures"][:1]
+    # a nestedness witness walks level 3's own halves
+    with pytest.raises(ResourceLimitError, match="level 3 has 29 elements"):
+        M.is_macaulay(p, table, "lower", all_failures=True)
 
 
 def test_check_dual_lemma(m222, m43):
@@ -696,6 +774,21 @@ def test_min_shadow_matches_brute_force(seed, direction):
             assert len(witness) == q and len(shadow(witness)) == size
             sizes.append(size)
         assert M.min_shadow_profile(p, lvl, direction) == sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_pair_minima_match_brute_force_and_the_gray_walk(seed):
+    # a level whose target level is smaller reads that level's minima facing
+    # back; either way, in both directions, they are the brute-force minima
+    p = _random_poset(random.Random(seed))
+    for direction in ("lower", "upper"):
+        neigh, step = verify._direction(p, direction)
+        for lvl in range(p.max_rank + 1):
+            source, target = p.level(lvl), p.level(lvl + step)
+            best = [brute_min_shadow(p, lvl, q, direction)[0] for q in range(len(source) + 1)]
+            assert gray_minima(shadow_lists(neigh, source, target), len(target))[0] == best
+            assert M.min_shadow_profile(p, lvl, direction) == best
 
 
 @settings(max_examples=100, deadline=None)
