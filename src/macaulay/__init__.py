@@ -19,12 +19,9 @@ from .poset import (
     dual,
     export_dot,
     export_json,
-    lower_shadow,
     multiset_lattice,
     parse_json,
-    singleton,
     truncate,
-    upper_shadow,
     upset_mask,
 )
 from .orders import (
@@ -63,7 +60,6 @@ from .hilbert import (
     GradedSubspace,
     IdealSpec,
     InitialMonomialData,
-    LeveledMonomialBasis,
     RingContext,
     RingMacaulayVerdict,
     hilbert_function,

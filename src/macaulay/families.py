@@ -32,8 +32,8 @@ from .orders import (
     ranks_vectors,
     table_from_vectors,
 )
-from .poset import RankedPoset, cartesian_power, cartesian_product, check_size, dual
-from .poset import DEFAULT_PRODUCT_LIMIT, check_count, check_product, multiset_lattice
+from .poset import RankedPoset, cartesian_power, cartesian_product, dual
+from .poset import DEFAULT_PRODUCT_LIMIT, check_count, multiset_lattice
 from .rings import (
     FOLD_COUNT,
     FieldSpec,
@@ -80,7 +80,7 @@ def _spider_size(k, length):
     """A spider's element count, once its parameters are valid and it fits the size cap."""
     if k < 0 or length < 1:
         raise PosetError("spider needs k >= 0 and leg length >= 1")
-    return check_size((k + 1) * length + 1)
+    return check_count(((k + 1) * length + 1,))
 
 
 def _spider_rep(element, k, length):
@@ -98,7 +98,7 @@ def _spider_rep(element, k, length):
 
 def colored_poset(ns: Sequence[int]) -> RankedPoset:
     """Product of dual stars (the class posets of square-free quotients)."""
-    check_product(n + 1 for n in ns)  # before any factor is built
+    check_count(n + 1 for n in ns)  # before any factor is built
     return cartesian_product([dual(star(n)) for n in ns])
 
 

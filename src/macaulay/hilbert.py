@@ -40,9 +40,6 @@ class RingContext:
         self._level_masks = [((1 << len(ids)) - 1) << ids.start for ids in ring.levels]
         self.lli, self.lli_fail_degree = is_level_linearly_independent(ring)
 
-    def classes_at(self, degree):
-        return self.poset.level(degree)
-
     def span_dim(self, degree, class_ids):
         """Dimension of the span of class residues inside the degree slice."""
         if not class_ids:
@@ -126,15 +123,8 @@ def hilbert_function(ctx: RingContext, ideal: IdealSpec) -> dict:
 # Leveled bases and initial monomial data
 
 
-@dataclass(frozen=True)
-class LeveledMonomialBasis:
-    """Per degree, an ordered list of class ids whose residues form a basis."""
-
-    levels: tuple
-
-
-def leveled_basis(ctx: RingContext, table: OrderTable) -> LeveledMonomialBasis:
-    """Greedy basis: scan classes ascending by the order, keep independent ones.
+def leveled_basis(ctx: RingContext, table: OrderTable) -> tuple:
+    """Per degree, the basis of class ids a greedy scan ascending by the order keeps.
 
     With level linear independence every class is kept, which is the unique
     choice; otherwise the greedy scan makes initial-monomial data
@@ -155,7 +145,7 @@ def leveled_basis(ctx: RingContext, table: OrderTable) -> LeveledMonomialBasis:
         if len(kept) != ring.hilb[i]:
             raise RingError(f"degree {i}: classes do not span the slice")
         levels.append(tuple(kept))
-    return LeveledMonomialBasis(tuple(levels))
+    return tuple(levels)
 
 
 @dataclass
@@ -186,7 +176,7 @@ def initial_monomial_data(
     for i in range(ring.D + 1):
         rows, pivots = map(list, ideal.slice(i))
         initial = []
-        for x in reversed(basis.levels[i]):
+        for x in reversed(basis[i]):
             if not extend_echelon(rows, pivots, ring.classes[x].residue, F):
                 initial.append(x)
         if len(rows) != ring.hilb[i]:
@@ -228,7 +218,7 @@ def initial_segment_space(ctx: RingContext, v_dims, table: OrderTable):
     segs, dims = [], []
     for i in range(ring.D + 1):
         q = sizes.get(i, 0)
-        avail = len(ctx.classes_at(i))
+        avail = len(ctx.poset.level(i))
         if q < 0 or q > avail:
             raise RingError(f"degree {i}: requested {q} classes, only {avail} exist")
         seg = tuple(dual_segment(table, i, q))
@@ -402,8 +392,6 @@ def is_macaulay_ring(
         raise RingError(f"max_gen_degree must be nonnegative, got {max_gen_degree}")
     ctx = RingContext(ring)
     poset = ctx.poset
-    if table.poset != poset:
-        raise RingError("order table must be over the ring's poset of monomials")
     verdict = RingMacaulayVerdict(None, mode, ctx.lli, ctx.lli_fail_degree)
     # informative: the supplied order itself need not be multiplicative
     verdict.order_is_monomial, verdict.order_counterexample = is_monomial_order(ring, table)

@@ -232,9 +232,6 @@ class OrderTable:
     def by_position(self):
         return self._by_pos
 
-    def element_at(self, pos):
-        return self._by_pos[pos]
-
     def level_in_order(self, i, reverse=False):
         """Ids of level i sorted by position (reverse=True for the dual side)."""
         ids = self._levels[i] if 0 <= i < len(self._levels) else ()

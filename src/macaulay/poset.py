@@ -25,7 +25,7 @@ def _over(what, count):
     return ResourceLimitError(f"{what.format(count)} (limit {DEFAULT_PRODUCT_LIMIT})")
 
 
-def check_count(factors, what):
+def check_count(factors, what=_ELEMENTS):
     """The product of the positive `factors`, once it is known not to exceed
     `DEFAULT_PRODUCT_LIMIT`; else the error puts it into `what`, as "more than"
     the limit where str() cannot print it.  The product stops growing once too
@@ -38,16 +38,6 @@ def check_count(factors, what):
     if total > DEFAULT_PRODUCT_LIMIT:
         raise _over(what, total if total.bit_length() < _PRINTABLE_BITS else _MORE)
     return total
-
-
-def check_size(total):
-    """`total` as a poset's element count, by `check_count`; checked before building."""
-    return check_count((total,), _ELEMENTS)
-
-
-def check_product(sizes):
-    """The product of the positive `sizes` as a poset's element count, by `check_count`."""
-    return check_count(sizes, _ELEMENTS)
 
 
 def _times(a, b, D):
@@ -189,18 +179,16 @@ class RankedPoset:
                 raise PosetError(f"unknown element id {excerpt(x)}")
 
     def lower_shadow(self, ids):
+        """Union of the elements covered by members of `ids`."""
+        ids = tuple(ids)  # read twice
         self._check_ids(ids)
-        out = set()
-        for x in ids:
-            out.update(self.down[x])
-        return frozenset(out)
+        return frozenset(y for x in ids for y in self.down[x])
 
     def upper_shadow(self, ids):
+        """Union of the elements covering members of `ids`."""
+        ids = tuple(ids)  # read twice
         self._check_ids(ids)
-        out = set()
-        for x in ids:
-            out.update(self.up[x])
-        return frozenset(out)
+        return frozenset(y for x in ids for y in self.up[x])
 
     def __eq__(self, other):
         if self is other:
@@ -220,16 +208,6 @@ class RankedPoset:
     def __repr__(self):
         sizes = ",".join(str(len(l)) for l in self.levels)
         return f"RankedPoset(n={self.n}, levels=[{sizes}])"
-
-
-def lower_shadow(poset: RankedPoset, ids: Iterable[int]) -> frozenset:
-    """Union of the elements covered by members of `ids`."""
-    return poset.lower_shadow(ids)
-
-
-def upper_shadow(poset: RankedPoset, ids: Iterable[int]) -> frozenset:
-    """Union of the elements covering members of `ids`."""
-    return poset.upper_shadow(ids)
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -273,7 +251,7 @@ def multiset_lattice(lengths, truncation=None) -> RankedPoset:
     if truncation is None:
         if None in lengths:
             raise PosetError("unbounded lengths require a truncation")
-        check_product(lengths)
+        check_count(lengths)
     else:
         if truncation < 0:
             raise PosetError("truncation must be nonnegative")
@@ -288,12 +266,8 @@ def chain(n: int) -> RankedPoset:
     """Chain with n elements, labeled by 1-vectors (0,), ..., (n-1,)."""
     if not isinstance(n, int) or n < 1:
         raise PosetError(f"length must be a positive integer, got {excerpt(n)}")
-    check_size(n)
+    check_count((n,))
     return RankedPoset(n, [(i, i + 1) for i in range(n - 1)], range(n), [(i,) for i in range(n)])
-
-
-def singleton() -> RankedPoset:
-    return chain(1)
 
 
 def dual(poset: RankedPoset) -> RankedPoset:
@@ -355,7 +329,7 @@ def cartesian_product(
 
 
 def cartesian_power(poset: RankedPoset, n: int) -> RankedPoset:
-    check_product(poset.n for _ in range(n))  # before the list of n factors
+    check_count(poset.n for _ in range(n))  # before the list of n factors
     return cartesian_product([poset] * n)
 
 
@@ -402,7 +376,7 @@ def poset_to_dict(poset: RankedPoset) -> dict:
 def poset_from_dict(data: dict) -> RankedPoset:
     """The poset of an object shaped as `poset_to_dict` writes it.
 
-    Shapes are checked, and n against `check_size`, before anything is
+    Shapes are checked, and n against `check_count`, before anything is
     allocated; any other shape raises PosetError.
     """
     keys = ("n", "ranks", "covers", "labels")
@@ -411,7 +385,7 @@ def poset_from_dict(data: dict) -> RankedPoset:
     n, ranks, covers, labels = (data[key] for key in keys)
     if type(n) is not int:
         raise PosetError(f"poset n must be an integer, got {excerpt(n)}")
-    check_size(n)
+    check_count((n,))
     if not isinstance(ranks, list) or any(type(r) is not int for r in ranks):
         raise PosetError("poset ranks must be a list of integers")
     if not isinstance(covers, list) or not all(

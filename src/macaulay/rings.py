@@ -187,16 +187,11 @@ class MonomialClass:
 
 
 def monomials_by_degree(d, D):
-    """[monomials_of_degree(d, i) for i in 0..D], built one variable at a time from x_d's powers."""
+    """Per degree 0..D, its exponent vectors in d variables, lex ascending; built from x_d's powers."""
     table = [[(i,)] for i in range(D + 1)] if d else [[()]] + [[] for _ in range(D)]
     for _ in range(d - 1):
         table = [[(a,) + m for a in range(i + 1) for m in table[i - a]] for i in range(D + 1)]
     return table
-
-
-def monomials_of_degree(d, i):
-    """Exponent vectors of degree i in d variables, lex ascending."""
-    return monomials_by_degree(d, i)[i]
 
 
 class RingModel:

@@ -35,7 +35,6 @@ permutation-by-permutation search would; `budget` counts the prefixes grown.
 """
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
@@ -82,7 +81,6 @@ class MacaulayVerdict:
     failures: list = field(default_factory=list)
     subsets_examined: int = 0
     levels_checked: int = 0
-    elapsed: float = 0.0
 
     def to_dict(self, poset: Optional[RankedPoset] = None) -> dict:
         out = {
@@ -213,10 +211,9 @@ def _halves(rows):
     return (lane, w), low, high, lean_low, [[m.bit_count() for m in ors] for ors in lean_low]
 
 
-def _minima(rows, level, cap):
+def _minima(rows):
     """`best`: the minimum shadow size over the subsets of `rows` (`_shadow_masks`)
-    of each size, by split and combine.  Raises ResourceLimitError naming
-    `level` before any table is built when 2^k exceeds `cap`.  Each step is exact:
+    of each size, by split and combine; the caller checks the subset cap.  Each step is exact:
     - both halves are lean (`_lean`): a superset never has a smaller shadow;
     - `best[q]` starts at the shadow size of the first q rows, a q-subset;
     - a lean high key `a` meets every lean low key at once, as SWAR arithmetic on
@@ -224,7 +221,6 @@ def _minima(rows, level, cap):
       does the exact per-size `min` run for `a`, over lean low keys of popcount below best.
     """
     k = len(rows)
-    _check_subset_cap(k, level, cap)
     (lane, w), _, high, lean_low, pops = _halves(rows)
     lean_high = _lean(high, k - k // 2, w)
     best = [m.bit_count() for m in accumulate(rows, int.__or__, initial=0)]
@@ -305,6 +301,13 @@ def _first_minimizers(rows, best, sizes):
     return found
 
 
+def _level(poset, level):
+    """The ids of `level`, which must be one of the poset's levels."""
+    if level not in range(poset.max_rank + 1):
+        raise ValueError(f"level {excerpt(level)} out of range 0..{poset.max_rank}")
+    return poset.level(level)
+
+
 def _mask_to_ids(mask, items):
     return tuple(items[j] for j in range(len(items)) if mask >> j & 1)
 
@@ -322,7 +325,6 @@ def is_macaulay(
     exceeds `max_subsets` raise ResourceLimitError naming the level.  With
     `all_failures` the scan continues past the first offending level.
     """
-    t0 = time.perf_counter()
     if table.poset != poset:
         raise ValueError("order table does not belong to this poset")
     neigh, step = _direction(poset, direction)
@@ -359,7 +361,6 @@ def is_macaulay(
         if verdict.failures and not all_failures:
             break
     verdict.holds = not verdict.failures
-    verdict.elapsed = time.perf_counter() - t0
     return verdict
 
 
@@ -375,9 +376,10 @@ def min_shadow_profile(
     best[q] = min{p : g[n - p] <= k - q} from that level's minima g facing
     back; any other is scanned on one split: ascending ids, reversed for
     "upper", rows stably sorted by least target bit.  ResourceLimitError
-    names the level, and the scanned one, past `max_subsets`."""
+    names the level, and the scanned one, past `max_subsets`; a level outside
+    0..max_rank raises ValueError."""
     neigh, step = _direction(poset, direction)
-    source, near = poset.level(level), level + step
+    source, near = _level(poset, level), level + step
     k, n = len(source), len(poset.level(near))
     if not n:
         return [0] * (k + 1)
@@ -390,7 +392,7 @@ def min_shadow_profile(
         else:
             rows = _shadow_masks(neigh, source[::-step], poset.level(near)[::-step])
             rows.sort(key=lambda m: m & -m)
-            poset._minima[key] = _minima(rows, level, max_subsets)
+            poset._minima[key] = _minima(rows)
     return list(poset._minima[key])
 
 
@@ -403,7 +405,7 @@ def min_shadow(
 ):
     """Minimum shadow cardinality over all q-subsets of a level, with one
     minimizer: the first in the Gray-code walk over the level in label order."""
-    k = len(poset.level(level))
+    k = len(_level(poset, level))
     if q < 0 or q > k:
         raise ValueError(f"q={q} out of range for level of size {k}")
     if q == 0:

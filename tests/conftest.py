@@ -11,7 +11,7 @@ import macaulay as M
 from macaulay.linalg import add_multiple, reduce_vector, rref, rref_with_transform
 from macaulay.orders import _check_perm, _dom_key, _icscd, _scd
 from macaulay.poset import label_order
-from macaulay.rings import field_terms, monomials_by_degree, monomials_of_degree
+from macaulay.rings import field_terms, monomials_by_degree
 
 
 def brute_lower_shadow_labels(labels):
@@ -458,13 +458,13 @@ def elimination_build_oracle(spec):
     gens = [(g.degree(), field_terms(g, field)) for g in spec.generators]
     out = {"hilb": [], "nf_monomials": [], "classes": [], "class_of": {}}
     for i in range(spec.D + 1):
-        mons = monomials_of_degree(spec.d, i)
+        mons = monomials_by_degree(spec.d, i)[i]
         col = {m: j for j, m in enumerate(mons)}
         rows = [
             {col[tuple(a + b for a, b in zip(exp, m))]: c for exp, c in terms.items()}
             for e, terms in gens
             if e <= i
-            for m in monomials_of_degree(spec.d, i - e)
+            for m in monomials_by_degree(spec.d, i - e)[i - e]
         ]
         red, pivots = rref(rows, len(mons), field)
         piv_row = dict(zip(pivots, red))
@@ -616,7 +616,7 @@ def generator_multiple_slices(ctx, gens):
             _shifted_residue(ring, class_of, terms, m)
             for e, terms in gens
             if e <= i
-            for m in monomials_of_degree(d, i - e)
+            for m in monomials_by_degree(d, i - e)[i - e]
         ]
         slices.append(rref(rows, ring.hilb[i], F))
     closure_audit(ctx, slices)
@@ -636,7 +636,7 @@ def transform_initial_monomials(ctx, ideal, table):
     ring = ctx.ring
     F = ring.field
     ims = []
-    for i, cols in enumerate(M.leveled_basis(ctx, table).levels):
+    for i, cols in enumerate(M.leveled_basis(ctx, table)):
         b_red, b_piv, b_tr = rref_with_transform(
             [ring.classes[x].residue for x in cols], ring.hilb[i], F
         )
@@ -939,7 +939,6 @@ def merge_verdicts(a, b):
         a.failures + b.failures,
         a.subsets_examined + b.subsets_examined,
         a.levels_checked + b.levels_checked,
-        a.elapsed + b.elapsed,
     )
 
 
@@ -963,7 +962,7 @@ def is_isomorphic_by_labels(p1, p2, label_map):
 # itertools order and checked whole, with the level minima recomputed each time.
 
 
-def _level_pair_ok(sh, nt, level):
+def _level_pair_ok(sh, nt):
     """All subsets of a level with shadow lists `sh` satisfy nestedness and
     continuity against `nt` targets."""
     from macaulay import verify
@@ -973,7 +972,7 @@ def _level_pair_ok(sh, nt, level):
         if not is_prefix:
             return False
         sizes.append(size)
-    best = verify._minima(row_masks(sh), level, 1 << len(sh))  # the caller applies the cap
+    best = verify._minima(row_masks(sh))  # the caller applies the cap
     return all(b >= s for b, s in zip(best[1:], sizes))
 
 
@@ -1011,7 +1010,7 @@ def permutation_search_oracle(poset, guard=200_000):
             if tried > guard:
                 raise M.SearchBudgetExceeded(f"oracle guard of {guard} permutations tripped")
             chosen[i] = list(perm)
-            if i > 0 and not _level_pair_ok([rows[x] for x in perm], len(below), i):
+            if i > 0 and not _level_pair_ok([rows[x] for x in perm], len(below)):
                 continue
             if extend(i + 1):
                 return True

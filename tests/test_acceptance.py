@@ -239,7 +239,7 @@ def _random_ideal_payload(field):
             gens = []
             for _ in range(rng.randint(1, 2)):
                 degree = rng.randint(1, min(2, ctx.ring.D))
-                classes = list(ctx.classes_at(degree))
+                classes = list(ctx.poset.level(degree))
                 k = min(rng.randint(2, 3), len(classes))
                 terms = {
                     ctx.poset.labels[x]: rng.randint(1, 5)

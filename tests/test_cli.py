@@ -17,7 +17,7 @@ import macaulay as M
 from macaulay import poset as poset_module
 from macaulay.cli import main
 from macaulay.errors import EXCERPT_CHARS, excerpt
-from macaulay.rings import monomials_of_degree
+from macaulay.rings import monomials_by_degree
 
 
 def run(capsys, *argv):
@@ -653,6 +653,25 @@ def test_malformed_builtin_descriptor_is_usage_error(capsys):
         assert err.startswith("error:") and err.count("\n") == 1, poset
 
 
+def test_unknown_family_recipes_and_descriptor_shapes_are_usage_errors(tmp_path, capsys):
+    family = {"kind": "family-default", "family": "colored", "params": [1], "side": "x"}
+    recipes = {"foo.json": ({**family, "family": "foo", "params": []}, "unknown family recipe 'foo'"),
+               "side.json": (family, "unknown side 'x'")}
+    cases = []
+    for name, (recipe, message) in recipes.items():
+        (tmp_path / name).write_text(json.dumps(recipe))
+        cases.append((["check-poset", "--poset", "chain:2", f"recipe:{tmp_path / name}"], message))
+    cases += [
+        (["check-poset", "--poset", "star:0", "lex"], "star needs at least one leg"),
+        (["check-poset", "--poset", "torus:1,2,3", "lex"],
+         "torus: expected 1 or 2 integers, got '1,2,3'"),
+        (["check-ring", "--spec", "torus:1", "lex"], "torus parameter must be at least 2"),
+    ]
+    for (*argv, order), message in cases:
+        rc, out, err = run(capsys, *argv, "--order", order)
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -941,7 +960,7 @@ def _ring_files(draw):
     d = draw(st.integers(1, 4))
     gens = []
     for _ in range(draw(st.integers(0, 4))):
-        mons = monomials_of_degree(d, draw(st.integers(1, 3)))
+        mons = monomials_by_degree(d, 3)[draw(st.integers(1, 3))]
         terms = []
         for exp in draw(st.lists(st.sampled_from(mons), min_size=1, max_size=3, unique=True)):
             exp = list(exp)
@@ -998,7 +1017,7 @@ def _ideal_files(draw, d, D):
         return draw(_JSON)
     gens = []
     for _ in range(draw(st.integers(0, 3))):
-        mons = monomials_of_degree(d, draw(st.integers(0, D + 1)))
+        mons = monomials_by_degree(d, D + 1)[draw(st.integers(0, D + 1))]
         terms = []
         for exp in draw(st.lists(st.sampled_from(mons), min_size=1, max_size=3, unique=True)):
             exp = list(exp)

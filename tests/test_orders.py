@@ -23,7 +23,7 @@ def test_lex_level_restriction(m34):
 
 
 def test_lex_singleton():
-    s = M.singleton()
+    s = M.chain(1)
     assert M.lex_order(s).position == (0,)
 
 
@@ -184,7 +184,7 @@ def test_dual_order_roundtrip(m34):
     lex = M.lex_order(m34)
     dd = M.dual_order(M.dual_order(lex))
     assert dd.position == lex.position and dd.poset == m34
-    assert M.dual_order(lex).element_at(0) == lex.element_at(m34.n - 1)
+    assert M.dual_order(lex).by_position()[0] == lex.by_position()[m34.n - 1]
 
 
 def test_dual_of_lex_on_m22():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import macaulay as M
 from macaulay import families as F, poset as poset_module
 from macaulay.errors import PosetError, ResourceLimitError
-from macaulay.rings import monomials_of_degree
+from macaulay.rings import monomials_by_degree
 from macaulay.poset import check_series, export_dot, export_json, label_order, parse_json
 
 from conftest import (
@@ -56,33 +56,40 @@ def test_audit_rejects_bad_rank():
 
 def test_lower_shadow_examples(m34, m222):
     a = m34.id_of((1, 1))
-    assert labels_of(m34, M.lower_shadow(m34, [a])) == [(0, 1), (1, 0)]
-    assert M.lower_shadow(m34, []) == frozenset()
+    assert labels_of(m34, m34.lower_shadow([a])) == [(0, 1), (1, 0)]
+    assert m34.lower_shadow([]) == frozenset()
     lvl2 = m222.level(2)
-    got = labels_of(m222, M.lower_shadow(m222, lvl2))
+    got = labels_of(m222, m222.lower_shadow(lvl2))
     expected = sorted(brute_lower_shadow_labels([m222.labels[x] for x in lvl2]))
     assert got == expected == labels_of(m222, m222.level(1))
 
 
 def test_upper_shadow_examples(m34, m222):
-    assert M.upper_shadow(m34, [m34.id_of((2, 3))]) == frozenset()
-    assert labels_of(m34, M.upper_shadow(m34, [m34.id_of((0, 0))])) == [(0, 1), (1, 0)]
+    assert m34.upper_shadow([m34.id_of((2, 3))]) == frozenset()
+    assert labels_of(m34, m34.upper_shadow([m34.id_of((0, 0))])) == [(0, 1), (1, 0)]
     lvl1 = m222.level(1)
-    got = labels_of(m222, M.upper_shadow(m222, lvl1))
+    got = labels_of(m222, m222.upper_shadow(lvl1))
     expected = sorted(brute_upper_shadow_labels([m222.labels[x] for x in lvl1], (2, 2, 2)))
     assert got == expected == labels_of(m222, m222.level(2))
 
 
 def test_shadow_unknown_id(m34):
     with pytest.raises(PosetError):
-        M.lower_shadow(m34, [99])
+        m34.lower_shadow([99])
+
+
+def test_shadow_of_a_one_pass_iterable(m34):
+    # the ids are checked and then read again, so a generator must not come back empty
+    lvl = m34.level(2)
+    assert m34.lower_shadow(x for x in lvl) == m34.lower_shadow(lvl) == frozenset(m34.level(1))
+    assert m34.upper_shadow(x for x in lvl) == m34.upper_shadow(lvl) == frozenset(m34.level(3))
 
 
 def test_shadow_of_level_property():
     for shape in [(3, 4), (2, 2, 2), (2, 3, 4)]:
         p = M.multiset_lattice(shape)
         for i in range(1, p.max_rank + 1):
-            assert M.lower_shadow(p, p.level(i)) == frozenset(p.level(i - 1))
+            assert p.lower_shadow(p.level(i)) == frozenset(p.level(i - 1))
 
 
 def test_dual_involution(m34):
@@ -94,8 +101,8 @@ def test_dual_shadow_swap(m222):
     d = M.dual(m222)
     for _ in range(20):
         ids = rng.sample(range(m222.n), rng.randint(0, m222.n))
-        assert M.lower_shadow(m222, ids) == M.upper_shadow(d, ids)
-        assert M.upper_shadow(m222, ids) == M.lower_shadow(d, ids)
+        assert m222.lower_shadow(ids) == d.upper_shadow(ids)
+        assert m222.upper_shadow(ids) == d.lower_shadow(ids)
 
 
 def test_dual_complement_isomorphism(m222):
@@ -117,7 +124,7 @@ def test_product_of_chains_is_lattice(m34):
 
 def test_product_with_singleton():
     p = M.multiset_lattice([2, 3])
-    q = M.cartesian_product([p, M.singleton()])
+    q = M.cartesian_product([p, M.chain(1)])
     assert q.n == p.n
     assert q.rank == p.rank
     assert q.covers == p.covers
@@ -395,7 +402,7 @@ def _ring_posets(draw):
     d, D = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     gens = []
     for _ in range(draw(st.integers(0, 3))):
-        mons = monomials_of_degree(d, draw(st.integers(1, 2)))
+        mons = monomials_by_degree(d, 2)[draw(st.integers(1, 2))]
         exps = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=2, unique=True))
         gens.append(M.Polynomial({e: draw(st.integers(-3, 3).filter(bool)) for e in exps}))
     return M.poset_of_monomials(M.build_ring(M.QuotientRingSpec(d, M.RATIONALS, gens, D)))

@@ -29,7 +29,6 @@ from macaulay.orders import explicit_order
 from macaulay.rings import (
     degree_rep_lex_order,
     monomials_by_degree,
-    monomials_of_degree,
     rep_lex_order,
 )
 
@@ -41,9 +40,9 @@ def non_lli_spec(field=M.RATIONALS, D=2):
     )
 
 
-def test_monomials_of_degree():
-    assert monomials_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
-    assert len(monomials_of_degree(3, 4)) == 15
+def test_monomials_by_degree():
+    assert monomials_by_degree(2, 2)[2] == [(0, 2), (1, 1), (2, 0)]
+    assert len(monomials_by_degree(3, 4)[4]) == 15
     for d in range(5):
         assert monomials_by_degree(d, 4) == [
             sorted(e for e in itertools.product(range(i + 1), repeat=d) if sum(e) == i)
@@ -310,7 +309,7 @@ def test_tensor_poset_isomorphic_to_product():
 def test_quotient_by_a_whole_level():
     # killing every degree-3 monomial truncates the class poset cleanly
     d = 3
-    gens = [M.monomial(e) for e in monomials_of_degree(d, 3)]
+    gens = [M.monomial(e) for e in monomials_by_degree(d, 3)[3]]
     ring = M.build_ring(M.QuotientRingSpec(d, M.RATIONALS, gens, 4))
     assert ring.hilbert() == (1, 3, 6, 0, 0)
     assert [len(ids) for ids in ring.levels] == [1, 3, 6, 0, 0]
@@ -320,7 +319,7 @@ def test_quotient_by_a_whole_level():
 def test_gluing_in_the_middle_of_the_poset():
     # H = (all degree-4 monomials) + (x1*x2 - x2^2): the glued pair at degree 2
     # drags a triple merge along at degree 3
-    gens = [M.monomial(e) for e in monomials_of_degree(2, 4)]
+    gens = [M.monomial(e) for e in monomials_by_degree(2, 4)[4]]
     gens.append(M.Polynomial({(1, 1): 1, (0, 2): -1}))
     ring = M.build_ring(M.QuotientRingSpec(2, M.RATIONALS, gens, 4))
     assert ring.hilbert() == (1, 2, 2, 2, 0)
@@ -341,14 +340,14 @@ def test_ring_spec_json_roundtrip():
 
 def _dense_slice(spec, i, field):
     """Generator multiples of degree i as dense rows over the lex-ascending monomials."""
-    mons = monomials_of_degree(spec.d, i)
+    mons = monomials_by_degree(spec.d, i)[i]
     col = {m: j for j, m in enumerate(mons)}
     rows = []
     for g in spec.generators:
         e = g.degree()
         if e > i:
             continue
-        for m in monomials_of_degree(spec.d, i - e):
+        for m in monomials_by_degree(spec.d, i - e)[i - e]:
             row = to_dense({}, len(mons), field.p)
             for exp, coef in g.terms.items():
                 j = col[tuple(a + b for a, b in zip(exp, m))]
@@ -480,7 +479,7 @@ def _factor_specs(draw):
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         deg = draw(st.integers(1, 3))
-        mons = monomials_of_degree(d, deg)
+        mons = monomials_by_degree(d, deg)[deg]
         terms = st.lists(st.sampled_from(mons), min_size=min(2, len(mons)), max_size=3, unique=True)
         exps = draw(terms)
         gens.append(M.Polynomial({e: draw(coef) for e in exps}))
@@ -534,6 +533,24 @@ def test_proportional_factor_residues_merge_in_the_product():
         assert walked_members(ring)[glued] == frozenset({(2, 0, 0, 2), (0, 2, 2, 0)})
         factor = M.build_ring(M.QuotientRingSpec(2, field, [_glue(2, 0, 1)], 4))
         assert factor.mul(0, (2, 0)) != factor.mul(0, (0, 2))
+
+
+def test_a_merged_product_class_keeps_the_least_rep():
+    # x2^2 = c x4^2, x0 x2 = 0 and x1^2 = c x3^2, components {x0, x2, x4} and
+    # {x1, x3}: the pair (x4^2, x1^2) opens the product class of c x3^2 x4^2,
+    # and the later pair (x2^2, x3^2) joins it with a smaller rep, which replaces the first
+    def binomial(a, b, c):
+        return M.Polynomial({tuple(2 * (j == a) for j in range(5)): 1,
+                             tuple(2 * (j == b) for j in range(5)): -c})
+
+    for c, field in itertools.product((2, -1), (M.RATIONALS, M.FieldSpec(32003))):
+        gens = [binomial(2, 4, c), M.Polynomial({(1, 0, 1, 0, 0): 1}), binomial(1, 3, c)]
+        spec = M.QuotientRingSpec(5, field, gens, 4)
+        _assert_matches_oracle(spec)
+        ring = M.build_ring(spec)
+        glued = ring.mul(0, (0, 2, 0, 0, 2))
+        assert glued == ring.mul(0, (0, 0, 2, 2, 0)) is not None
+        assert ring.classes[glued].rep == (0, 0, 2, 2, 0)
 
 
 def test_interleaved_components():

@@ -134,8 +134,11 @@ def test_level_kernel_checks_the_cap_before_building_tables(monkeypatch):
         raise AssertionError("subset table built past the cap")
 
     monkeypatch.setattr(verify, "_subset_ors", no_tables)
-    with pytest.raises(ResourceLimitError, match="level 9 has 40 elements"):
-        verify._minima(row_masks([(0,)] * 40), 9, verify.DEFAULT_SUBSET_CAP)
+    p = M.RankedPoset(80, [(x, 40 + x) for x in range(40)], [0] * 40 + [1] * 40)
+    for level, direction in ((1, "lower"), (0, "upper")):
+        with pytest.raises(ResourceLimitError, match=f"level {level} has 40 elements"):
+            M.min_shadow_profile(p, level, direction)
+    assert p._minima == {}
 
 
 @st.composite
@@ -158,10 +161,10 @@ def _wide_shadow_rows(draw):
     return draw(st.permutations(rows)), nt
 
 
-def _kernel_minima(sh, nt, level, cap):
+def _kernel_minima(sh):
     """The kernel's minima and the witness of every size, in gray_minima's shape."""
     rows = row_masks(sh)
-    best = verify._minima(rows, level, cap)
+    best = verify._minima(rows)
     masks = verify._first_minimizers(rows, best, range(len(sh) + 1))
     return best, [masks[q] for q in range(len(sh) + 1)]
 
@@ -170,14 +173,27 @@ def _kernel_minima(sh, nt, level, cap):
 @given(_shadow_rows())
 def test_level_kernel_matches_gray_walk(case):
     sh, nt = case
-    assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)
+    assert _kernel_minima(sh) == gray_minima(sh, nt)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_wide_shadow_rows())
 def test_level_kernel_matches_gray_walk_on_wide_shuffled_rows(case):
     sh, nt = case
-    assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)
+    assert _kernel_minima(sh) == gray_minima(sh, nt)
+
+
+def test_a_level_outside_the_poset_is_refused_before_the_store_is_touched():
+    p = M.multiset_lattice([2, 2])  # levels 0..2
+    for level in (-1, 3, 99):
+        for direction in ("lower", "upper"):
+            with pytest.raises(ValueError, match=f"level {level} out of range 0..2"):
+                M.min_shadow_profile(p, level, direction)
+            with pytest.raises(ValueError, match=f"level {level} out of range 0..2"):
+                M.min_shadow(p, level, 0, direction)
+    assert p._minima == {}
+    # the neighbour lookup at either end stays lenient: an edge level has no targets
+    assert M.min_shadow_profile(p, 0) == [0, 0] and M.min_shadow_profile(p, 2, "upper") == [0, 0]
 
 
 def test_level_kernel_matches_gray_walk_on_an_18_element_level():
@@ -186,7 +202,7 @@ def test_level_kernel_matches_gray_walk_on_an_18_element_level():
     source, target = table.level_in_order(5), table.level_in_order(4)
     assert len(source) == 18
     sh = shadow_lists(p.down, source, target)
-    assert _kernel_minima(sh, len(target), 5, 2 ** 18) == gray_minima(sh, len(target))
+    assert _kernel_minima(sh) == gray_minima(sh, len(target))
 
 
 # Target counts at and next to the packed kernel's field widths (`verify._width`):
@@ -216,7 +232,7 @@ def _dense_rows(rng, nt, k):
 def test_level_kernel_matches_gray_walk_at_field_edges(nt, k, seed):
     sh = _dense_rows(random.Random(seed), nt, k)
     best, masks = gray_minima(sh, nt)
-    assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == (best, masks)
+    assert _kernel_minima(sh) == (best, masks)
     assert per_pair_minima(sh) == best
 
 
@@ -241,7 +257,7 @@ def test_level_kernel_beats_its_seed_at_every_field_edge():
         for _ in range(6):
             sh = _dense_rows(rng, nt, 9)
             best, masks = gray_minima(sh, nt)
-            assert _kernel_minima(sh, nt, 1, verify.DEFAULT_SUBSET_CAP) == (best, masks)
+            assert _kernel_minima(sh) == (best, masks)
             seed = [len(set().union(*sh[:q])) for q in range(len(sh) + 1)]
             below_seed += best != seed
         assert below_seed, nt
@@ -302,7 +318,7 @@ def test_subset_keys_give_pair_shadow_sizes_and_keep_containment_exact(case):
         for inner, outer in itertools.product(range(len(keys)), repeat=2):
             if not keys[inner] & ~keys[outer]:
                 assert all(map(int.__le__, sizes[inner], sizes[outer]))
-    assert verify._minima(row_masks(sh), 1, verify.DEFAULT_SUBSET_CAP) == gray_minima(sh, nt)[0]
+    assert verify._minima(row_masks(sh)) == gray_minima(sh, nt)[0]
 
 
 def _beating_high_keys(sh):
@@ -329,7 +345,7 @@ def test_packed_bound_test_fires_exactly_when_a_pair_beats_its_bound(nt, k, seed
     # the exact per-pair `min` bisects each low size once per high key it runs for
     sh = _dense_rows(random.Random(seed), nt, k)
     with mock.patch.object(verify, "bisect_left", side_effect=verify.bisect_left) as bisect:
-        verify._minima(row_masks(sh), 1, verify.DEFAULT_SUBSET_CAP)
+        verify._minima(row_masks(sh))
     assert bisect.call_count == _beating_high_keys(sh) * (len(sh) // 2 + 1)
 
 
@@ -492,11 +508,11 @@ def test_stored_minima_match_the_gray_walk_on_shuffled_levels(p, seed):
 
 
 def test_stored_minima_are_computed_once_per_adjacent_pair(monkeypatch):
-    levels = []
+    sizes = []  # the kernel sees rows only: each call is counted by its level's size
 
-    def counted(rows, level, cap):
-        levels.append(level)
-        return minima(rows, level, cap)
+    def counted(rows):
+        sizes.append(len(rows))
+        return minima(rows)
 
     minima = verify._minima
     monkeypatch.setattr(verify, "_minima", counted)
@@ -505,13 +521,13 @@ def test_stored_minima_are_computed_once_per_adjacent_pair(monkeypatch):
     for caps, scanned in [([3, 4, 4], [0, 1, 2, 3, 5, 6, 7, 8]),  # sizes 1,3,6,9,10,9,6,3,1
                           ([2, 3], [0, 1, 2, 3])]:  # sizes 1,2,2,1
         p = M.multiset_lattice(caps)
-        levels.clear()
+        sizes.clear()
         for direction in ("lower", "upper"):
             M.is_macaulay(p, _shuffled_levels(p, direction), direction, all_failures=True)
             for lvl in range(p.max_rank + 1):
                 for q in range(len(p.level(lvl)) + 1):
                     M.min_shadow(p, lvl, q, direction)
-        assert sorted(levels) == scanned, caps
+        assert sorted(sizes) == sorted(len(p.level(lvl)) for lvl in scanned), caps
     # the search reads the lower minima that is_macaulay stored (level 0
     # has no target), and witnesses are sought only on levels with a
     # nestedness failure
@@ -519,13 +535,13 @@ def test_stored_minima_are_computed_once_per_adjacent_pair(monkeypatch):
         raise AssertionError("witnesses sought where no nestedness fails")
 
     monkeypatch.setattr(verify, "_first_minimizers", no_witnesses)
-    p = M.multiset_lattice([2, 3])
-    levels.clear()
+    p = M.multiset_lattice([2, 3])  # sizes 1,2,2,1
+    sizes.clear()
     assert M.is_macaulay(p, M.lex_order(p)).holds
-    assert levels == [0, 2, 3]
-    levels.clear()
+    assert sizes == [1, 2, 1]  # levels 0, 2 and 3
+    sizes.clear()
     assert M.search_macaulay_order(p) is not None
-    assert levels == []
+    assert sizes == []
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
@@ -581,11 +597,11 @@ _PAIR_BUILTINS = (
 )
 
 
-def _direct_minima(p, lvl, direction, cap=verify.DEFAULT_SUBSET_CAP):
+def _direct_minima(p, lvl, direction):
     """The kernel on a level's own rows, on the split `min_shadow_profile` scans."""
     neigh, step = verify._direction(p, direction)
     rows = verify._shadow_masks(neigh, p.level(lvl)[::-step], p.level(lvl + step)[::-step])
-    return verify._minima(sorted(rows, key=lambda m: m & -m), lvl, cap)
+    return verify._minima(sorted(rows, key=lambda m: m & -m))
 
 
 def test_pair_minima_equal_the_direct_kernel_on_both_sides():
@@ -619,7 +635,7 @@ def test_a_29_element_level_is_checked_through_its_20_element_neighbour():
     derived = M.is_macaulay(p, table, "lower")
     # the same verdict on level 3's own minima, scanned under a raised cap
     other, direct_table = _leck_order(_leck_levels())
-    other._minima[3, "lower"] = _direct_minima(other, 3, "lower", 2 ** 29)
+    other._minima[3, "lower"] = _direct_minima(other, 3, "lower")
     direct = M.is_macaulay(other, direct_table, "lower", max_subsets=2 ** 29)
     assert derived.holds and derived.to_dict(p) == direct.to_dict(other)
     assert M.min_shadow_profile(p, 3) == other._minima[3, "lower"]
@@ -643,7 +659,7 @@ def test_a_witness_past_the_cap_still_needs_its_own_level():
 def test_check_dual_lemma(m222, m43):
     assert check_dual_lemma(m222, M.lex_order(m222))
     assert check_dual_lemma(m43, M.lex_order(m43))
-    s = M.singleton()
+    s = M.chain(1)
     assert check_dual_lemma(s, M.lex_order(s))
 
 
