@@ -7,8 +7,9 @@ which "the segment space is an ideal" characterizes Macaulay rings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Optional, Sequence
 
 from .errors import RingError, ResourceLimitError, excerpt
@@ -26,7 +27,7 @@ from .rings import (
     is_monomial_order,
     poset_of_monomials,
 )
-from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _shadow_masks, is_macaulay
+from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _shadow_masks, _subset_ors, is_macaulay
 
 MAX_ANTICHAIN_GROUND = 24
 
@@ -295,25 +296,12 @@ class RingMacaulayVerdict:
         }
 
 
-def _antichains(up, ground):
-    """Antichains of the ground elements with their upset masks, streamed depth-first.
-
-    `up` maps each ground element to its upset mask.  The empty antichain
-    comes first, then the rest in lexicographic order of element ids.  A
-    child adds one larger ground element x, comparable with no member, to
-    its parent: its upset mask is the parent's OR x's.
-    """
-    comp = {x: sum(1 << y for y in ground if (up[x] >> y | up[y] >> x) & 1) for x in ground}
-    stack = [((), sum(1 << x for x in ground), 0)]  # antichain, free elements, upset
-    while stack:
-        chosen, free, ups = stack.pop()
-        yield chosen, ups
-        rest = free
-        while rest:  # largest first, so that the smallest child pops first
-            x = rest.bit_length() - 1
-            rest ^= 1 << x
-            # -(2 << x) keeps the bits above x
-            stack.append((chosen + (x,), free & ~comp[x] & -(2 << x), ups | up[x]))
+def _subset_unions(masks):
+    """The OR of every subset of `masks`, streamed over the two halves' subset
+    tables (`_subset_ors`): about 2^(k/2) ORs are live for k masks."""
+    half = len(masks) // 2
+    low, high = _subset_ors(masks[:half]), _subset_ors(masks[half:])
+    return (a | b for b in high for a in low)
 
 
 def _mask_profile(ctx: RingContext, ups, memo):
@@ -373,13 +361,22 @@ def is_macaulay_ring(
 ) -> RingMacaulayVerdict:
     """Decide whether dual-side segment spaces of ideals are again ideals.
 
-    mode="monomial-ideals" enumerates the monomial ideals generated in
-    degrees <= max_gen_degree, as upsets of antichains of the class poset,
-    and tests each profile.  The antichains stream depth-first with int
-    bitmask upsets: a child's upset is its parent's OR the new element's,
-    and under level linear independence a profile is one popcount per
-    degree.  The segment test reads only the profile, so its result is
-    memoised by profile.  Witnesses come in depth-first order.
+    mode="monomial-ideals" tests every monomial ideal generated in degrees
+    <= g = max_gen_degree: the upset of an antichain of the class poset,
+    whose segment test (memoised by profile) reads only its profile.  An
+    antichain is a chain of degree slices up1(U_(i-1)) <= U_i <= L_i, i <= g.
+    Every subset of one degree is an antichain, so one streamed pass over a
+    degree's subsets (`_subset_unions`) decides whether none of them fails;
+    the passes run from g down while they hold, so degrees s..g are safe.
+    Then pair i of a profile never fails for s <= i < g, as U_(i+1)
+    contains up1(U_i), nor at or above g.  An antichain that passes, and
+    whose extensions add generators only in degrees >= i >= s, passes with
+    all of them: they are counted, not walked, by the memoised
+    N(i, B) = sum over U >= B in L_i of N(i + 1, up1(U)), N(g, B) = 2^|L_g - B|.
+    The walk goes depth-first over the rest, in lexicographic order of
+    element ids, with int bitmask upsets, so witnesses come in that order.
+    Without level linear independence no degree is safe and every antichain
+    is walked, each span dimension memoised by its degree slice.
 
     mode="poset" checks the class poset on the upper-shadow side, which by
     the correspondence between the two sides needs level linear independence
@@ -426,18 +423,52 @@ def is_macaulay_ring(
             g = min(3, max(ring.D - 1, 0))
         ground = [x for x in range(poset.n) if poset.rank[x] <= g]
         if len(ground) > MAX_ANTICHAIN_GROUND:
-            raise ResourceLimitError(f"{len(ground)} generator candidates exceed the antichain cap")
+            raise ResourceLimitError(
+                f"{len(ground)} generator candidates in degrees <= {g} exceed the antichain cap"
+                f" of {MAX_ANTICHAIN_GROUND}"
+            )
+        g = min(g, ring.D)
+        levels, slices = ring.levels, ctx._level_masks
         up = {x: upset_mask(poset, (x,)) for x in ground}
         failure = _segment_test(ctx, table)
         spans = {}  # span dimensions without level linear independence
+        s = g + 1  # degrees s..g are safe
+        while ctx.lli and s and all(
+            failure(_mask_profile(ctx, m, spans)) is None
+            for m in _subset_unions([up[x] for x in levels[s - 1]])
+        ):
+            s -= 1
+
+        @cache
+        def count(i, base):  # antichains with these slices below i and U_i >= base
+            if i == g:
+                return 1 << len(levels[i]) - base.bit_count()
+            free = [up[x] for x in levels[i] if not base >> x & 1]
+            below = reduce(or_, (up[x] for x in levels[i] if base >> x & 1), 0)
+            return sum(count(i + 1, (below | m) & slices[i + 1]) for m in _subset_unions(free))
+
         checked = 0
-        for anti, ups in _antichains(up, ground):
-            checked += 1
+        # a passing node whose last generator is x counts its extensions in degrees >= after[x]
+        after = [max(poset.rank[x] + 1, s) for x in ground]
+        stack = [((), (1 << len(ground)) - 1, 0, s)]  # antichain, free elements, upset, that degree
+        while stack:
+            anti, free, ups, i = stack.pop()
             profile = _mask_profile(ctx, ups, spans)
             found = failure(profile)
             if found is not None:
                 labels = tuple(poset.labels[x] for x in anti)
                 verdict.ideal_witnesses.append(IdealWitness(labels, profile, *found))
+            rest = free
+            if found is None and i <= g:  # so do its extensions in degrees >= i
+                checked += count(i, ups & slices[i])
+                rest &= (1 << levels[i].start) - 1
+            else:
+                checked += 1
+            while rest:  # largest first, so that the smallest child pops first
+                x = rest.bit_length() - 1
+                rest ^= 1 << x
+                # ids are degree-major, so nothing after x lies below it: drop x's upset
+                stack.append((anti + (x,), free & ~up[x] & -(2 << x), ups | up[x], after[x]))
         verdict.ideals_checked = checked
         return not verdict.ideal_witnesses
 

@@ -706,19 +706,10 @@ def segment_failure_oracle(ctx, table, profile):
     return None
 
 
-def antichain_loop_oracle(ctx, table, max_gen_degree=None):
-    """(witnesses, ideals checked) of the monomial-ideal scan, by listing every
-    antichain of the low-degree classes, walking each one's upset in the class
-    poset, and running the segment test on each upset's profile.  Witnesses are
-    (generator labels, profile, failing degree, kind) tuples."""
-    from macaulay.hilbert import MAX_ANTICHAIN_GROUND
-
-    poset = ctx.poset
-    D = ctx.ring.D
-    g = max_gen_degree if max_gen_degree is not None else min(3, max(D - 1, 0))
-    ground = [x for x in range(poset.n) if poset.rank[x] <= g]
-    if len(ground) > MAX_ANTICHAIN_GROUND:
-        raise M.ResourceLimitError("antichain cap")
+def list_antichains(poset, ground):
+    """Every antichain of the ground elements as a tuple, in lexicographic order
+    of element ids (the empty one first), from the transitive closure of the
+    covers and one recursive extension per element."""
     above = reachability(poset)
     comparable = {
         x: {y for y in ground if y in above[x] or x in above[y]} - {x} for x in ground
@@ -735,6 +726,23 @@ def antichain_loop_oracle(ctx, table, max_gen_degree=None):
                 chosen.pop()
 
     extend(0, [])
+    return antichains
+
+
+def antichain_loop_oracle(ctx, table, max_gen_degree=None):
+    """(witnesses, ideals checked) of the monomial-ideal scan, by listing every
+    antichain of the low-degree classes, walking each one's upset in the class
+    poset, and running the segment test on each upset's profile.  Witnesses are
+    (generator labels, profile, failing degree, kind) tuples."""
+    from macaulay.hilbert import MAX_ANTICHAIN_GROUND
+
+    poset = ctx.poset
+    D = ctx.ring.D
+    g = max_gen_degree if max_gen_degree is not None else min(3, max(D - 1, 0))
+    ground = [x for x in range(poset.n) if poset.rank[x] <= g]
+    if len(ground) > MAX_ANTICHAIN_GROUND:
+        raise M.ResourceLimitError("antichain cap")
+    antichains = list_antichains(poset, ground)
     witnesses = []
     for anti in antichains:
         seen, stack = set(anti), list(anti)

@@ -62,6 +62,17 @@ def test_check_poset_resource_cap(capsys):
     assert _one_short_line(err)
 
 
+def test_check_ring_antichain_cap_names_its_cap(capsys):
+    # levels of 1, 6, 13, 12, 4 classes: the default degree bound 3 puts 32 in the ground
+    rc, out, err = run(
+        capsys, "check-ring", "--spec", "leck:2+2,2", "--order", "lex", "--mode", "monomial-ideals"
+    )
+    assert rc == 3 and out == "" and err == (
+        "resource limit: 32 generator candidates in degrees <= 3 exceed the antichain cap of 24\n"
+    )
+    assert _one_short_line(err)
+
+
 def test_malformed_limits_are_usage_errors(capsys):
     # a negative --max-gen-degree once checked only the zero ideal and exited 0,
     # and a --max-subsets below 1 exited 3 as if a real cap had been hit
