@@ -28,6 +28,7 @@ from .rings import (
     poset_of_monomials,
 )
 from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _shadow_masks, _subset_ors, is_macaulay
+from .verify import min_shadow_profile
 
 MAX_ANTICHAIN_GROUND = 24
 
@@ -309,7 +310,7 @@ def _mask_profile(ctx: RingContext, ups, memo):
 
     Without level linear independence each dimension is an RREF; `memo`
     keeps them by (degree, the mask's bits in that level), which recur
-    across the masks of one scan.
+    across the masks of one scan; under level linear independence it is unread.
     """
     if ctx.lli:
         return tuple([(ups & m).bit_count() for m in ctx._level_masks])
@@ -347,7 +348,31 @@ def _segment_test(ctx: RingContext, table: OrderTable):
                     return i, "hilbert-mismatch"
         return None
 
+    failure.reach = reach
     return failure
+
+
+def _safe_degree(ctx: RingContext, failure, g, up, poset_holds):
+    """The least s such that no subset of a level L_i, s <= i <= g, fails `failure`.
+
+    L_g takes one streamed pass, unless the poset side holds under the same
+    order: then every level passes the upper check.  Below a safe degree
+    i + 1, the pairs above i of U <= L_i are those of up1(U) <= L_(i+1), so
+    i is safe exactly when `failure.reach[i]` is at most L_i's upper minima,
+    read under the antichain cap as L_i lies in the ground.  Levels past the
+    poset's top are empty and safe.
+    """
+    level = [up[x] for x in ctx.ring.levels[g]]
+    if not ctx.lli or not poset_holds and any(
+        failure(_mask_profile(ctx, m, None)) for m in _subset_unions(level)
+    ):
+        return g + 1
+    cap = 1 << MAX_ANTICHAIN_GROUND
+    while g and (g - 1 > ctx.poset.max_rank or all(
+        map(int.__le__, failure.reach[g - 1], min_shadow_profile(ctx.poset, g - 1, "upper", cap))
+    )):
+        g -= 1
+    return g
 
 
 def is_macaulay_ring(
@@ -365,9 +390,9 @@ def is_macaulay_ring(
     <= g = max_gen_degree: the upset of an antichain of the class poset,
     whose segment test (memoised by profile) reads only its profile.  An
     antichain is a chain of degree slices up1(U_(i-1)) <= U_i <= L_i, i <= g.
-    Every subset of one degree is an antichain, so one streamed pass over a
-    degree's subsets (`_subset_unions`) decides whether none of them fails;
-    the passes run from g down while they hold, so degrees s..g are safe.
+    Degrees s..g are safe, no subset of their levels failing (`_safe_degree`,
+    which reads the poset side's minima, so in mode="both" a holding ring's
+    agreement rests on that lemma and the count, not on an independent walk).
     Then pair i of a profile never fails for s <= i < g, as U_(i+1)
     contains up1(U_i), nor at or above g.  An antichain that passes, and
     whose extensions add generators only in degrees >= i >= s, passes with
@@ -431,13 +456,8 @@ def is_macaulay_ring(
         levels, slices = ring.levels, ctx._level_masks
         up = {x: upset_mask(poset, (x,)) for x in ground}
         failure = _segment_test(ctx, table)
+        s = _safe_degree(ctx, failure, g, up, getattr(verdict.poset_verdict, "holds", False))
         spans = {}  # span dimensions without level linear independence
-        s = g + 1  # degrees s..g are safe
-        while ctx.lli and s and all(
-            failure(_mask_profile(ctx, m, spans)) is None
-            for m in _subset_unions([up[x] for x in levels[s - 1]])
-        ):
-            s -= 1
 
         @cache
         def count(i, base):  # antichains with these slices below i and U_i >= base

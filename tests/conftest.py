@@ -759,6 +759,24 @@ def antichain_loop_oracle(ctx, table, max_gen_degree=None):
     return witnesses, len(antichains)
 
 
+def stream_safe_degree(ctx, table, g):
+    """The least s such that no antichain generated in one degree of s..g
+    fails the segment test, by one pass over each degree's subsets from g
+    down while they pass, each subset's upset walked as a set; g + 1 without
+    level linear independence."""
+    from macaulay.hilbert import _mask_profile, _segment_test
+
+    failure = _segment_test(ctx, table)
+    s = g + 1
+    while ctx.lli and s and all(
+        failure(_mask_profile(ctx, sum(1 << x for x in upset_closure(ctx.poset, U)), {})) is None
+        for r in range(len(ctx.ring.levels[s - 1]) + 1)
+        for U in itertools.combinations(ctx.ring.levels[s - 1], r)
+    ):
+        s -= 1
+    return s
+
+
 def check_monomial_ideal_profile(ctx, table, upset_ids):
     """Segment test for one monomial ideal given as an upset of the class poset.
 

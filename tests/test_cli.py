@@ -73,6 +73,16 @@ def test_check_ring_antichain_cap_names_its_cap(capsys):
     assert _one_short_line(err)
 
 
+def test_monomial_ideal_scan_reads_level_minima_under_the_antichain_cap(capsys):
+    # the safe degrees below g read the upper minima of levels inside the
+    # ground, so the caller's subset cap, for the poset side, never refuses them
+    rc, out, err = run(capsys, "check-ring", "--spec", "cl:4,4,4", "--order", "lex",
+                       "--mode", "monomial-ideals", "--max-subsets", "1", "--json")
+    report = json.loads(out)
+    assert rc == 0 and err == ""
+    assert report["verdict"]["ideals_checked"] == 2498 and report["verdict"]["holds"] is True
+
+
 def test_malformed_limits_are_usage_errors(capsys):
     # a negative --max-gen-degree once checked only the zero ideal and exited 0,
     # and a --max-subsets below 1 exited 3 as if a real cap had been hit

@@ -9,8 +9,10 @@ import macaulay as M
 from macaulay import families as F
 from macaulay.errors import RingError
 from macaulay.hilbert import (
+    MAX_ANTICHAIN_GROUND,
     RingContext,
     _mask_profile,
+    _safe_degree,
     _segment_test,
     dual_segment,
     hilbert_function,
@@ -34,6 +36,7 @@ from conftest import (
     quadratic_leveled_basis,
     segment_failure_oracle,
     segment_is_ideal,
+    stream_safe_degree,
     transform_initial_monomials,
     upset_closure,
 )
@@ -421,6 +424,35 @@ def _loop_ring(name):
     return ctx, b.default_order()
 
 
+@lru_cache(maxsize=None)
+def _loop_candidate(name):
+    """The builtin's monomial-order candidate for the poset side, or None for
+    the default one; torus and diamond rings verify only theirs."""
+    return F.builtin(name).monomial_order_candidate()
+
+
+def _order_variant(p, table, variant, rnd):
+    """The base order, a shuffle of every level, or one swap of two classes of one degree."""
+    if variant == "shuffle":
+        return explicit_order(p, [x for lvl in p.levels for x in rnd.sample(lvl, len(lvl))])
+    if variant == "swap":
+        # a shuffle leaves almost no degree safe; one swap of two classes of
+        # one degree leaves the degrees far from it safe, so the scan counts
+        # some subtrees and walks the failing ones beside them
+        seq = [x for i in range(len(p.levels)) for x in table.level_in_order(i)]
+        a, b = rnd.sample(rnd.choice([lvl for lvl in p.levels if len(lvl) > 1]), 2)
+        i, j = seq.index(a), seq.index(b)
+        seq[i], seq[j] = b, a
+        return explicit_order(p, seq)
+    return table
+
+
+def _scan_result(v):
+    """A verdict's (witnesses, ideals checked) in `antichain_loop_oracle`'s form."""
+    got = [(w.generator_labels, w.profile, w.failing_degree, w.kind) for w in v.ideal_witnesses]
+    return got, v.ideals_checked
+
+
 def _ring_and_degree(name):
     """A pool ring with a generator degree from 0, where nothing lies below the
     top degree, to D + 1, where the top degree clamps to D."""
@@ -439,18 +471,7 @@ def _ring_and_degree(name):
 def test_antichain_loop_matches_list_building_oracle(ring_and_degree, variant, rnd):
     name, g = ring_and_degree
     ctx, table = _loop_ring(name)
-    p = ctx.poset
-    if variant == "shuffle":
-        table = explicit_order(p, [x for lvl in p.levels for x in rnd.sample(lvl, len(lvl))])
-    elif variant == "swap":
-        # a shuffle leaves almost no degree safe; one swap of two classes of
-        # one degree leaves the degrees far from it safe, so the scan counts
-        # some subtrees and walks the failing ones beside them
-        seq = [x for i in range(len(p.levels)) for x in table.level_in_order(i)]
-        a, b = rnd.sample(rnd.choice([lvl for lvl in p.levels if len(lvl) > 1]), 2)
-        i, j = seq.index(a), seq.index(b)
-        seq[i], seq[j] = b, a
-        table = explicit_order(p, seq)
+    table = _order_variant(ctx.poset, table, variant, rnd)
     try:
         want = antichain_loop_oracle(ctx, table, g)
     except M.ResourceLimitError:
@@ -458,9 +479,85 @@ def test_antichain_loop_matches_list_building_oracle(ring_and_degree, variant, r
             is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True)
         return
     v = is_macaulay_ring(ctx.ring, table, "monomial-ideals", g, allow_non_lli=True)
-    got = [(w.generator_labels, w.profile, w.failing_degree, w.kind) for w in v.ideal_witnesses]
-    assert (got, v.ideals_checked) == want
+    assert _scan_result(v) == want
     assert v.holds == (not want[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([n for n in _LOOP_POOL if n != "non-lli"]).flatmap(_ring_and_degree),
+    st.sampled_from(("base", "shuffle", "swap")),
+    st.randoms(use_true_random=False),
+)
+@example(("cl:4,4,4", 3), "base", random.Random(0))  # the poset side holds: no stream at g
+@example(("torus:3,2", 2), "swap", random.Random(2))
+def test_antichain_loop_in_both_modes_matches_the_oracle(ring_and_degree, variant, rnd):
+    # every pool ring but the one without level linear independence meets
+    # the poset side's hypotheses, under its builtin candidate; where that
+    # side holds, the ideal side reads its minima and runs no stream at all
+    name, g = ring_and_degree
+    ctx, table = _loop_ring(name)
+    table = _order_variant(ctx.poset, table, variant, rnd)
+    run = lambda: is_macaulay_ring(
+        ctx.ring, table, "both", g, monomial_order_candidate=_loop_candidate(name)
+    )
+    try:
+        want = antichain_loop_oracle(ctx, table, g)
+    except M.ResourceLimitError:
+        with pytest.raises(M.ResourceLimitError):
+            run()
+        return
+    v = run()
+    assert v.hypothesis_ok, v.hypothesis_reason
+    assert _scan_result(v) == want
+    poset_holds = v.poset_verdict.holds
+    assert v.holds == (poset_holds and not want[0])
+    assert v.agreement == (poset_holds == (not want[0]))
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    st.sampled_from(_LOOP_POOL).flatmap(_ring_and_degree),
+    st.sampled_from(("base", "shuffle", "swap")),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+# levels 2 and 3 fail the upper check, yet every subset of level 1 passes
+# the segment test, so s = 0: minima above g would give s = 2
+@example(("torus:3,2", 1), "swap", random.Random(23), False)  # swaps the degree-3 classes 13 and 14
+@example(("cl:4,4,4", 4), "base", random.Random(0), True)
+def test_safe_degrees_match_the_stream_oracle(ring_and_degree, variant, rnd, holds):
+    # a smaller safe range only walks more, so the scan's outputs cannot see
+    # a dropped stream: s itself is compared, with the poset side's verdict
+    # passed only where the upper check holds on every level
+    name, g = ring_and_degree
+    ctx, table = _loop_ring(name)
+    p = ctx.poset
+    table = _order_variant(p, table, variant, rnd)
+    g = min(g, ctx.ring.D)
+    ground = [x for x in range(p.n) if p.rank[x] <= g]
+    if len(ground) > MAX_ANTICHAIN_GROUND:
+        return
+    holds = holds and ctx.lli and M.is_macaulay(p, table, "upper").holds
+    up = {x: M.upset_mask(p, (x,)) for x in ground}
+    got = _safe_degree(ctx, _segment_test(ctx, table), g, up, holds)
+    assert got == stream_safe_degree(ctx, table, g)
+
+
+@pytest.mark.parametrize("order", ["family", "lex"])
+def test_scan_with_empty_top_levels_matches_the_oracle(order):
+    # classes only in degrees <= 2 of a ring truncated at D = 4: the levels
+    # past the poset's top are empty, and no minima are read there
+    ctx = RingContext(M.build_ring(F.colored_sf_ring([2, 2], M.RATIONALS, D=4)))
+    p = ctx.poset
+    assert ctx.ring.hilb == [1, 4, 4, 0, 0] and p.max_rank == 2
+    table = F.mermin_murai_order(p, [2, 2], side="ring") if order == "family" else M.lex_order(p)
+    cand = F.tensor_monomial_order(p, [2, 2])
+    for g in range(ctx.ring.D + 2):
+        want = antichain_loop_oracle(ctx, table, g)
+        for mode in ("monomial-ideals", "both"):
+            v = is_macaulay_ring(ctx.ring, table, mode, g, monomial_order_candidate=cand)
+            assert _scan_result(v) == want, (g, mode)
 
 
 def test_antichains_are_streamed_not_listed():
