@@ -179,7 +179,6 @@ def cmd_check_ring(args):
     build_seconds = time.perf_counter() - t_build
     ring = ctx.ring
     table = _resolve_order(ctx.poset, recipe, built)
-    candidate = built.monomial_order_candidate() if built else None
     t0 = time.perf_counter()
     verdict = is_macaulay_ring(
         ring,
@@ -188,7 +187,6 @@ def cmd_check_ring(args):
         max_gen_degree=args.max_gen_degree,
         allow_non_lli=args.allow_non_lli,
         max_subsets=args.max_subsets,
-        monomial_order_candidate=candidate,
     )
     field = ring.spec.field.to_json()
     report = _report(

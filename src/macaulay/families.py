@@ -196,8 +196,8 @@ def be_basic_ring(k: int, length: int, field: FieldSpec = FieldSpec()) -> Quotie
     return QuotientRingSpec(k + 1, field, _powers_and_products(k + 1, length + 1), length)
 
 
-def be_ring(k: int, length: int, n: int, field: FieldSpec = FieldSpec(), D=None) -> QuotientRingSpec:
-    return tensor_power(be_basic_ring(k, length, field), n, D)
+def be_ring(k: int, length: int, n: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
+    return tensor_power(be_basic_ring(k, length, field), n)
 
 
 def torus_basic_ring(p: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
@@ -212,8 +212,8 @@ def torus_basic_ring(p: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec
     return QuotientRingSpec(2, field, gens, p)
 
 
-def torus_ring(ks: Sequence[int], field: FieldSpec = FieldSpec(), D=None) -> QuotientRingSpec:
-    return tensor_ring([torus_basic_ring(k, field) for k in ks], D)
+def torus_ring(ks: Sequence[int], field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
+    return tensor_ring([torus_basic_ring(k, field) for k in ks])
 
 
 def torus_order(poset: RankedPoset, ks: Sequence[int]) -> OrderTable:
@@ -233,8 +233,8 @@ def diamond_basic_ring(field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     return QuotientRingSpec(3, field, gens, 2)
 
 
-def diamond_ring(n: int, field: FieldSpec = FieldSpec(), D=None) -> QuotientRingSpec:
-    return tensor_power(diamond_basic_ring(field), n, D)
+def diamond_ring(n: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
+    return tensor_power(diamond_basic_ring(field), n)
 
 
 def diamond_order(poset: RankedPoset, n: int) -> OrderTable:
@@ -251,7 +251,7 @@ def leck_basic_ring(d: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     return QuotientRingSpec(d, field, gens, d - 1)
 
 
-def leck_ring(ds: Sequence[int], kk_d: int, field: FieldSpec = FieldSpec(), D=None) -> QuotientRingSpec:
+def leck_ring(ds: Sequence[int], kk_d: int, field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     """Tensor of top-removed Boolean factors with one square-free grid factor.
 
     No order is bundled: the known Macaulay order for these is neither a
@@ -264,14 +264,14 @@ def leck_ring(ds: Sequence[int], kk_d: int, field: FieldSpec = FieldSpec(), D=No
     specs = [leck_basic_ring(d, field) for d in ds]
     if kk_d > 0:
         specs.append(kk_ring(kk_d, field))
-    return tensor_ring(specs, D)
+    return tensor_ring(specs)
 
 
 def tensor_monomial_order(poset: RankedPoset, factor_sizes: Sequence[int]) -> OrderTable:
     """Factor-wise lexicographic order over per-factor degree-major class orders.
 
     When every factor's degree-major order is a monomial order, this product
-    order is one on the tensor ring; it is the standard candidate for glued
+    order is one on the tensor ring; `is_macaulay_ring` tries it on glued
     factors, where a flat degree-major order stops being multiplicative.
     """
     sizes = list(factor_sizes)
@@ -318,17 +318,16 @@ def _family(name, *params, **extra):
 
 @dataclass
 class Builtin:
-    """A named construction: its poset, and the recipes of the family's published
-    order and of its monomial-order candidate, where it has them.
+    """A named construction: its poset and its family's published order recipe, if any.
 
-    A ring construction also keeps the built ring whose class poset it is.
+    A ring construction also keeps the built ring whose class poset it is,
+    from which the ring check works out its monomial-order witness.
     """
 
     name: str
     poset: RankedPoset
     order: Optional[dict] = None
     ring: Optional[RingModel] = None
-    candidate: Optional[dict] = None
 
     @property
     def ring_spec(self) -> Optional[QuotientRingSpec]:
@@ -343,13 +342,10 @@ class Builtin:
     def default_order(self) -> OrderTable:
         return order_from_recipe(self.poset, self.order_recipe())
 
-    def monomial_order_candidate(self) -> Optional[OrderTable]:
-        return None if self.candidate is None else order_from_recipe(self.poset, self.candidate)
 
-
-def _ring_builtin(name, spec, order, candidate=None):
+def _ring_builtin(name, spec, order):
     ring = build_ring(spec)
-    return Builtin(name, poset_of_monomials(ring), order, ring, candidate)
+    return Builtin(name, poset_of_monomials(ring), order, ring)
 
 
 def _pure_powers(name, caps, field):
@@ -420,12 +416,10 @@ def builtin(
             raise PosetError(f"torus: expected 1 or 2 integers, got {excerpt(rest)}")
         p, n = (vals + [1])[:2]
         ks = [p] * n
-        candidate = {"kind": "tensor-degree-lex", "sizes": [2] * n}
-        return _ring_builtin(text, torus_ring(ks, field), _family("torus", *ks), candidate)
+        return _ring_builtin(text, torus_ring(ks, field), _family("torus", *ks))
     if kind == "diamond":
         (n,) = _parse_ints(kind, rest, 1)
-        candidate = {"kind": "tensor-degree-lex", "sizes": [3] * n}
-        return _ring_builtin(text, diamond_ring(n, field), _family("diamond", n), candidate)
+        return _ring_builtin(text, diamond_ring(n, field), _family("diamond", n))
     if kind == "leck":
         ds_text, comma, kk_text = rest.partition(",")
         ds = _parse_ints(kind, ds_text, sep="+")

@@ -12,6 +12,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Optional, Sequence
 
+from . import families
 from .errors import RingError, ResourceLimitError, excerpt
 from .linalg import add_multiple, extend_echelon, rref
 from .linalg import rref_with_transform  # kept bound: bench/spans.py times hilbert.rref_with_transform
@@ -20,6 +21,7 @@ from .poset import upset_mask
 from .rings import (
     Polynomial,
     RingModel,
+    _components,
     check_generator,
     degree_rep_lex_order,
     field_terms,
@@ -251,13 +253,13 @@ class RingMacaulayVerdict:
     monomial_order_counterexample: Optional[tuple] = None
     order_is_monomial: Optional[bool] = None
     order_counterexample: Optional[tuple] = None
-    hypothesis_ok: bool = True
     hypothesis_reason: Optional[str] = None
     scope: str = "full"
     poset_verdict: Optional[MacaulayVerdict] = None
     ideal_witnesses: list = dc_field(default_factory=list)
     ideals_checked: int = 0
     agreement: Optional[bool] = None
+    hypothesis_ok = property(lambda self: self.hypothesis_reason is None)  # each refusal sets a reason
 
     def to_dict(self, poset=None):
         return {
@@ -381,7 +383,6 @@ def is_macaulay_ring(
     mode: str = "both",
     max_gen_degree: Optional[int] = None,
     allow_non_lli: bool = False,
-    monomial_order_candidate: Optional[OrderTable] = None,
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> RingMacaulayVerdict:
     """Decide whether dual-side segment spaces of ideals are again ideals.
@@ -405,8 +406,10 @@ def is_macaulay_ring(
 
     mode="poset" checks the class poset on the upper-shadow side, which by
     the correspondence between the two sides needs level linear independence
-    plus a verified monomial order; the default candidate is the degree-major
-    representative-lex order.  mode="both" cross-checks.
+    plus a monomial order, worked out from the ring: the given table, the
+    degree-rep-lex order, or on several consecutive variable components their
+    product (`families.tensor_monomial_order`); a refusal reports
+    degree-rep-lex's counterexample.  mode="both" cross-checks.
     """
     if mode not in ("both", "poset", "monomial-ideals"):
         raise RingError(f"unknown mode {excerpt(mode)}")
@@ -420,16 +423,19 @@ def is_macaulay_ring(
     no_lli = f"level linear independence fails at degree {ctx.lli_fail_degree}"
 
     def refuse(reason):
-        verdict.hypothesis_ok = False
         verdict.hypothesis_reason = reason
 
     # each side records its findings and returns its verdict, None when its
     # hypotheses fail
     def run_poset():
-        cand = monomial_order_candidate or degree_rep_lex_order(poset)
-        ok, cex = is_monomial_order(ring, cand)
+        ok, cex = verdict.order_is_monomial, verdict.order_counterexample
+        if not ok:
+            ok, cex = is_monomial_order(ring, degree_rep_lex_order(poset))
+        blocks = [vs for vs, _ in _components(ring.spec)]  # glued tensor factors
+        if not ok and len(blocks) > 1 and sum(blocks, []) == list(range(ring.spec.d)):
+            ok = is_monomial_order(ring, families.tensor_monomial_order(poset, map(len, blocks)))[0]
         verdict.monomial_order_verified = ok
-        verdict.monomial_order_counterexample = cex
+        verdict.monomial_order_counterexample = None if ok else cex
         if not ctx.lli:
             return refuse(no_lli)
         if not ok:

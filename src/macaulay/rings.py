@@ -462,7 +462,7 @@ def rep_lex_order(poset: RankedPoset) -> OrderTable:
 def degree_rep_lex_order(poset: RankedPoset) -> OrderTable:
     """Degree first, then representative lex inside each degree.
 
-    The default monomial-order candidate: within a degree lex is translation
+    One monomial order `is_macaulay_ring` tries: within a degree lex is translation
     invariant, and across degrees multiplication preserves the degree gap,
     so this is a monomial order on monomial quotients and on rings whose
     only identifications happen inside single degrees of basic factors.
@@ -507,11 +507,11 @@ def is_monomial_order(ring: RingModel, table: OrderTable):
 
 
 def recognize_tree_ring(ring: RingModel):
-    """Detect a tree-shaped poset of monomials and return its leg decomposition.
+    """Legs [(variable, max exponent)] of a tree ring of single pure powers, or None.
 
-    When the Hasse graph is a tree, the nonzero monomials must be pure powers
-    of pairwise-annihilating variables, each in a class of its own; returns
-    [(variable, max exponent)] for the live variables, or None.  The powers
+    Its nonzero monomials are pure powers of pairwise-annihilating variables,
+    each in a class of its own.  A tree-shaped Hasse graph is not enough:
+    K[x,y]/(x - y) at D = 3 is a 4-chain of mixed classes, so None.  The powers
     of x_v are the walk along `times[v]` from the unit; a nonzero mixed
     monomial shows as a live step off a walk (x_v^a x_u with u != v), and
     two powers in one class make the walks longer.  Verdicts are relative to D.

@@ -424,6 +424,26 @@ def triple_loop_monomial_order(ring, table):
     return True, None
 
 
+def glued_by_z_ring():
+    """K[x,y,z]/(xz - yz) at D = 3: z-multiplication glues x and y, so products
+    tie and no order is a monomial order."""
+    spec = M.QuotientRingSpec(3, M.FieldSpec(), [M.Polynomial({(1, 0, 1): 1, (0, 1, 1): -1})], 3)
+    return M.build_ring(spec)
+
+
+def recipe_witness(name, poset):
+    """A hand-written monomial-order witness for a ring builtin, read off its
+    name: tensor-degree-lex over blocks of 2 variables (torus) or 3 (diamond),
+    degree-rep-lex for every other ring.  Independent of the ring's components,
+    from which `is_macaulay_ring` works its witness out."""
+    kind = name.partition(":")[0]
+    if kind in ("torus", "diamond"):
+        size = 2 if kind == "torus" else 3
+        sizes = [size] * (len(poset.labels[0]) // size)
+        return M.order_from_recipe(poset, {"kind": "tensor-degree-lex", "sizes": sizes})
+    return M.order_from_recipe(poset, {"kind": "degree-rep-lex"})
+
+
 # ---------------------------------------------------------------------------
 # Monomials by walking: a built ring keeps no member lists, so members are
 # rebuilt by multiplying the unit class by every monomial up to D.

@@ -135,23 +135,17 @@ def _correspondence_payload(field):
     """Integer-valued outcomes of the mode cross-check, for the field audit."""
     payload = []
     cases = [
-        ("cl34", F.cl_ring([3, 4], field), lambda p: M.lex_order(p), None),
+        ("cl34", F.cl_ring([3, 4], field), lambda p: M.lex_order(p)),
         (
             "colored22",
             F.colored_sf_ring([2, 2], field, D=4),
             lambda p: F.mermin_murai_order(p, [2, 2], side="ring"),
-            lambda p: F.tensor_monomial_order(p, [2, 2]),
         ),
     ]
-    for name, spec, order_fn, cand_fn in cases:
+    for name, spec, order_fn in cases:
         ctx = RingContext(M.build_ring(spec))
         table = order_fn(ctx.poset)
-        v = is_macaulay_ring(
-            ctx.ring,
-            table,
-            mode="both",
-            monomial_order_candidate=cand_fn(ctx.poset) if cand_fn else None,
-        )
+        v = is_macaulay_ring(ctx.ring, table, mode="both")
         payload.append(
             (name, v.holds, v.agreement, v.ideals_checked, len(v.ideal_witnesses))
         )

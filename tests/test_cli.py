@@ -14,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import macaulay as M
+from macaulay import families as F
 from macaulay import poset as poset_module
 from macaulay.cli import main
 from macaulay.errors import EXCERPT_CHARS, excerpt
-from macaulay.rings import monomials_by_degree
+from macaulay.rings import degree_rep_lex_order, monomials_by_degree
 
 
 def run(capsys, *argv):
@@ -140,6 +141,44 @@ def test_check_ring_hypothesis_failure(tmp_path, capsys):
     assert rc == 4
     report = json.loads(out)
     assert report["verdict"]["hypotheses"]["lli_failing_degree"] == 2
+    # without --json the refusal is one line naming the failed hypothesis
+    rc, out, err = run(capsys, "check-ring", "--spec", str(path), "--order", "lex")
+    want = f"{path}: correspondence hypotheses failed (level linear independence fails at degree 2)\n"
+    assert (rc, out, err) == (4, want, "")
+
+
+@pytest.mark.parametrize("name", ["torus:3,2", "diamond:2"])
+def test_check_ring_glued_spec_file_matches_its_builtin(name, tmp_path, capsys):
+    # the monomial-order witness comes from the ring, not from its name: the
+    # spec file of a glued tensor ring gets the builtin's verdict
+    built = F.builtin(name)
+    spec_path = tmp_path / "ring.json"
+    spec_path.write_text(json.dumps(built.ring_spec.to_json()))
+    order_path = tmp_path / "order.json"
+    order_path.write_text(json.dumps(built.order_recipe()))
+    reports = []
+    for spec in (name, str(spec_path)):
+        rc, out, _ = run(
+            capsys, "check-ring", "--spec", spec, "--order", f"recipe:{order_path}", "--json"
+        )
+        assert rc == 0, spec
+        reports.append(json.loads(out)["verdict"])
+    assert reports[0] == reports[1]
+    assert reports[1]["hypotheses"]["monomial_order_verified"] is True
+
+
+def test_check_ring_without_any_monomial_order(tmp_path, capsys):
+    # xz = yz ties products: no order verifies, and the counterexample
+    # reported is degree-rep-lex's
+    spec = M.QuotientRingSpec(3, M.RATIONALS, [M.Polynomial({(1, 0, 1): 1, (0, 1, 1): -1})], 3)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(spec.to_json()))
+    rc, out, _ = run(capsys, "check-ring", "--spec", str(path), "--order", "lex", "--json")
+    hyp = json.loads(out)["verdict"]["hypotheses"]
+    ring = M.build_ring(spec)
+    _, cex = M.is_monomial_order(ring, degree_rep_lex_order(M.poset_of_monomials(ring)))
+    assert rc == 4 and hyp["reason"] == "no verified monomial order on the class poset"
+    assert hyp["monomial_order_counterexample"] == [str(x) for x in cex]
 
 
 def test_check_ring_mixed_order_not_monomial(tmp_path, capsys):
@@ -155,7 +194,7 @@ def test_check_ring_mixed_order_not_monomial(tmp_path, capsys):
         "--mode", "poset", "--json",
     )
     report = json.loads(out)
-    # a monomial order exists (the default candidate verifies), but the
+    # a monomial order exists (degree-rep-lex verifies), but the
     # supplied mixed order is not one, and it is not Macaulay either
     assert report["verdict"]["hypotheses"]["monomial_order_verified"] is True
     assert report["verdict"]["order_is_monomial"] is False
@@ -236,6 +275,10 @@ def test_ring_subcommands(tmp_path, capsys):
     rc, out, _ = run(capsys, "ring", "poset", "--spec", "cl:3,4", "--format", "json")
     assert rc == 0
     assert M.parse_json(out) == M.multiset_lattice([3, 4])
+
+    rc, out, _ = run(capsys, "ring", "poset", "--spec", "torus:3,1", "--format", "dot")
+    assert rc == 0
+    assert out == M.export_dot(M.poset_of_monomials(F.builtin("torus:3,1").ring))
 
 
 def test_ring_hilbert_and_ims(tmp_path, capsys):

@@ -12,6 +12,7 @@ from macaulay import families as F
 from macaulay.errors import OrderError, PosetError, ResourceLimitError, RingError
 from macaulay.families import order_from_recipe
 from macaulay.orders import table_from_vectors
+from macaulay.rings import degree_rep_lex_order
 
 from conftest import (
     acceptance_constructions,
@@ -403,18 +404,23 @@ def test_family_recipes_regenerate():
 
 
 def test_builtins_carry_json_recipes():
-    # a builtin's published order and candidate are recipes, resolved like a
-    # recipe file; the recipe a table records is the one the builtin carries
+    # a builtin's published order is a recipe, resolved like a recipe file;
+    # the recipe a table records is the one the builtin carries
     for spec in ["multiset:3,4", "chain:4", "star:3", "spider:2,2", "be:1,2,2", "colored:2,1",
                  "kk:3", "cl:3,4", "colored-ring:2,2", "be-ring:3,2,2", "torus:3,2", "diamond:1"]:
         b = F.builtin(spec)
         recipe = json.loads(json.dumps(b.order_recipe()))
         assert b.default_order() == order_from_recipe(b.poset, recipe), spec
         assert b.default_order().recipe == recipe, spec
+    # no builtin carries a monomial-order witness: on the glued rings, where
+    # neither the table nor degree-rep-lex is a monomial order, the ring's
+    # check works out the product order over its components
     for spec, sizes in [("torus:3,2", [2, 2]), ("diamond:2", [3, 3])]:
-        cand = F.builtin(spec).monomial_order_candidate()
-        assert cand.recipe == {"kind": "tensor-degree-lex", "sizes": sizes}
-    assert F.builtin("kk:3").monomial_order_candidate() is None
+        b = F.builtin(spec)
+        assert not M.is_monomial_order(b.ring, degree_rep_lex_order(b.poset))[0]
+        assert M.is_monomial_order(b.ring, F.tensor_monomial_order(b.poset, sizes))[0]
+        v = M.is_macaulay_ring(b.ring, b.default_order(), mode="poset")
+        assert v.order_is_monomial is False and v.monomial_order_verified is True, spec
 
 
 def test_acceptance_constructions_registry():

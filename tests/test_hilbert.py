@@ -31,9 +31,11 @@ from conftest import (
     check_monomial_ideal_profile,
     closure_audit,
     generator_multiple_slices,
+    glued_by_z_ring,
     is_isomorphic_by_labels,
     list_antichains,
     quadratic_leveled_basis,
+    recipe_witness,
     segment_failure_oracle,
     segment_is_ideal,
     stream_safe_degree,
@@ -308,6 +310,10 @@ def test_is_macaulay_ring_hypothesis_failures():
     v = is_macaulay_ring(ctx.ring, lex, mode="both")
     assert v.holds is None and not v.hypothesis_ok
     assert "degree 2" in v.hypothesis_reason
+    # the monomial-ideal scan on its own refuses too, without the override
+    v1 = is_macaulay_ring(ctx.ring, lex, mode="monomial-ideals")
+    assert v1.holds is None and not v1.hypothesis_ok and v1.ideals_checked == 0
+    assert v1.hypothesis_reason == "level linear independence fails at degree 2"
     # explicit override runs the monomial-ideal scan anyway, scoped
     v2 = is_macaulay_ring(ctx.ring, lex, mode="monomial-ideals", allow_non_lli=True)
     assert v2.scope == "monomial-ideals-only"
@@ -315,11 +321,17 @@ def test_is_macaulay_ring_hypothesis_failures():
 
 
 def test_is_macaulay_ring_poset_mode_needs_monomial_order():
-    ctx = free_ring_ctx(d=2, D=2)
-    o = mixed_order(ctx)
-    v = is_macaulay_ring(ctx.ring, o, mode="poset", monomial_order_candidate=o)
-    assert v.holds is None and not v.hypothesis_ok
-    assert v.monomial_order_verified is False
+    # xz = yz ties products, so no order is a monomial order: neither the
+    # table, nor degree-rep-lex, nor a product order (one component only)
+    ring = glued_by_z_ring()
+    p = M.poset_of_monomials(ring)
+    drl = degree_rep_lex_order(p)
+    for table in (M.lex_order(p), drl):
+        v = is_macaulay_ring(ring, table, mode="poset")
+        assert v.holds is None and not v.hypothesis_ok
+        assert v.hypothesis_reason == "no verified monomial order on the class poset"
+        assert v.monomial_order_verified is False
+        assert v.monomial_order_counterexample == M.is_monomial_order(ring, drl)[1] is not None
 
 
 def test_random_ideals_reduce_to_monomial():
@@ -368,13 +380,34 @@ def test_modes_agree_on_ring_builtins():
     for name in cases:
         b = F.builtin(name, M.RATIONALS)
         ctx = RingContext(M.build_ring(b.ring_spec))
-        v = is_macaulay_ring(
-            ctx.ring,
-            b.default_order(),
-            mode="both",
-            monomial_order_candidate=b.monomial_order_candidate(),
-        )
+        v = is_macaulay_ring(ctx.ring, b.default_order(), mode="both")
         assert v.hypothesis_ok and v.agreement is True and v.holds is True, name
+
+
+_WITNESS_POOL = (
+    "kk:4", "cl:3,4", "cl:4,4,4", "colored-ring:2,2", "colored-ring:2,2,2", "colored-ring:3,1",
+    "be-ring:3,2,2", "be-ring:2,2,2", "be-ring:2,3,1", "torus:3", "torus:3,2", "torus:4,2",
+    "diamond:1", "diamond:2", "leck:2+2,1", "leck:3+2,0", "leck:2+2+2,1", "leck:3+2,2",
+)
+
+
+@pytest.mark.parametrize("name", _WITNESS_POOL)
+def test_worked_out_witness_verifies_wherever_the_recipe_witness_does(name):
+    # the poset side's monomial-order hypothesis comes from the ring, not its
+    # name: wherever the hand-written witness verifies, so does the hypothesis,
+    # under every supplied order, monomial or not (torus:3,3 is left out: its
+    # family order meets a 35-class level past the subset cap)
+    b = F.builtin(name)
+    p = b.poset
+    oracle = M.is_monomial_order(b.ring, recipe_witness(name, p))[0]
+    shuffled = explicit_order(p, random.Random(0).sample(range(p.n), p.n))
+    tables = [M.lex_order(p), M.rep_lex_order(p), shuffled]
+    if b.order is not None:
+        tables.append(b.default_order())
+    for table in tables:
+        v = is_macaulay_ring(b.ring, table, mode="poset")
+        assert v.monomial_order_verified or not oracle, table.recipe
+        assert v.hypothesis_ok == v.monomial_order_verified, table.recipe
 
 
 def test_modes_agree_on_a_failing_glued_ring():
@@ -422,13 +455,6 @@ def _loop_ring(name):
     if name.startswith("leck"):
         return ctx, M.rep_lex_order(b.poset)
     return ctx, b.default_order()
-
-
-@lru_cache(maxsize=None)
-def _loop_candidate(name):
-    """The builtin's monomial-order candidate for the poset side, or None for
-    the default one; torus and diamond rings verify only theirs."""
-    return F.builtin(name).monomial_order_candidate()
 
 
 def _order_variant(p, table, variant, rnd):
@@ -493,14 +519,12 @@ def test_antichain_loop_matches_list_building_oracle(ring_and_degree, variant, r
 @example(("torus:3,2", 2), "swap", random.Random(2))
 def test_antichain_loop_in_both_modes_matches_the_oracle(ring_and_degree, variant, rnd):
     # every pool ring but the one without level linear independence meets
-    # the poset side's hypotheses, under its builtin candidate; where that
-    # side holds, the ideal side reads its minima and runs no stream at all
+    # the poset side's hypotheses, with the witness worked out from the ring;
+    # where that side holds, the ideal side reads its minima and runs no stream
     name, g = ring_and_degree
     ctx, table = _loop_ring(name)
     table = _order_variant(ctx.poset, table, variant, rnd)
-    run = lambda: is_macaulay_ring(
-        ctx.ring, table, "both", g, monomial_order_candidate=_loop_candidate(name)
-    )
+    run = lambda: is_macaulay_ring(ctx.ring, table, "both", g)
     try:
         want = antichain_loop_oracle(ctx, table, g)
     except M.ResourceLimitError:
@@ -552,11 +576,10 @@ def test_scan_with_empty_top_levels_matches_the_oracle(order):
     p = ctx.poset
     assert ctx.ring.hilb == [1, 4, 4, 0, 0] and p.max_rank == 2
     table = F.mermin_murai_order(p, [2, 2], side="ring") if order == "family" else M.lex_order(p)
-    cand = F.tensor_monomial_order(p, [2, 2])
     for g in range(ctx.ring.D + 2):
         want = antichain_loop_oracle(ctx, table, g)
         for mode in ("monomial-ideals", "both"):
-            v = is_macaulay_ring(ctx.ring, table, mode, g, monomial_order_candidate=cand)
+            v = is_macaulay_ring(ctx.ring, table, mode, g)
             assert _scan_result(v) == want, (g, mode)
 
 

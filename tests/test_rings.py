@@ -11,11 +11,13 @@ from conftest import (
     dense_reduce_vector,
     dense_rref,
     elimination_build_oracle,
+    glued_by_z_ring,
     is_isomorphic_by_labels,
     member_tree_ring_oracle,
     normalised_poset_oracle,
     oracle_times,
     reachability,
+    recipe_witness,
     ring_fields,
     series_product,
     to_dense,
@@ -247,16 +249,11 @@ _ORDER_CHECK_POOL = (
 def _order_check_ring(name):
     """(ring, poset, base order, whether the base is a monomial order)."""
     if name == "xz=yz":
-        # K[x,y,z]/(xz - yz): z-multiplication glues x and y, so products tie
-        # and no order is a monomial order
-        spec = M.QuotientRingSpec(
-            3, M.FieldSpec(), [M.Polynomial({(1, 0, 1): 1, (0, 1, 1): -1})], 3
-        )
-        ring = M.build_ring(spec)
+        ring = glued_by_z_ring()
         poset = M.poset_of_monomials(ring)
         return ring, poset, degree_rep_lex_order(poset), False
     b = F.builtin(name)
-    return b.ring, b.poset, b.monomial_order_candidate() or degree_rep_lex_order(b.poset), True
+    return b.ring, b.poset, recipe_witness(name, b.poset), True
 
 
 @settings(max_examples=300, deadline=None)
@@ -293,6 +290,17 @@ def test_recognize_tree_ring():
     ]
     for spec, legs in cases:
         assert M.recognize_tree_ring(M.build_ring(spec)) == legs == member_tree_ring_oracle(spec)
+
+
+def test_recognize_tree_ring_refuses_a_chain_of_mixed_classes():
+    # K[x,y]/(x - y) at D = 3: the class poset is a four-element chain, whose
+    # Hasse graph is a tree, yet each class past the unit holds mixed
+    # monomials (xy with x^2), so it is no tree ring of single pure powers
+    spec = M.QuotientRingSpec(2, M.FieldSpec(), [M.Polynomial({(1, 0): 1, (0, 1): -1})], 3)
+    ring = M.build_ring(spec)
+    poset = M.poset_of_monomials(ring)
+    assert list(map(len, poset.levels)) == [1, 1, 1, 1] and sorted(poset.covers) == [(0, 1), (1, 2), (2, 3)]
+    assert M.recognize_tree_ring(ring) is None
 
 
 def test_tensor_poset_isomorphic_to_product():
