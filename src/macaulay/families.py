@@ -267,28 +267,31 @@ def leck_ring(ds: Sequence[int], kk_d: int, field: FieldSpec = FieldSpec()) -> Q
     return tensor_ring(specs)
 
 
-def tensor_monomial_order(poset: RankedPoset, factor_sizes: Sequence[int]) -> OrderTable:
+def tensor_monomial_order(poset: RankedPoset, blocks: Sequence[Sequence[int]]) -> OrderTable:
     """Factor-wise lexicographic order over per-factor degree-major class orders.
 
-    When every factor's degree-major order is a monomial order, this product
-    order is one on the tensor ring; `is_macaulay_ring` tries it on glued
-    factors, where a flat degree-major order stops being multiplicative.
+    `blocks` lists each tensor factor's variables (`rings._components`), and a
+    label's key is (degree, exponents) per block, in block order.  When every
+    factor's degree-major order is a monomial order, this product order is one
+    on the tensor ring; `is_macaulay_ring` tries it on glued factors, where a
+    flat degree-major order stops being multiplicative.  Consecutive blocks are
+    recorded as the tensor-degree-lex recipe of their sizes, others as positions.
     """
-    sizes = list(factor_sizes)
-    if min(sizes, default=1) < 1:
-        raise OrderError(f"tensor-degree-lex factor sizes must be positive, got {excerpt(sizes)}")
-    split = _split_flat(sizes)
+    blocks = [tuple(b) for b in blocks]
+    width = sum(map(len, blocks))
 
     def key(label):
         try:
-            return tuple((sum(sub), sub) for sub in split(label))
-        except TypeError:  # a label the split cannot cut, or a part that does not sum
+            if type(label) is not tuple or len(label) != width:
+                raise TypeError
+            return tuple((sum(sub), sub) for sub in (tuple(label[v] for v in b) for b in blocks))
+        except TypeError:  # a label the blocks cannot cut, or a part that does not sum
             raise OrderError(f"label {excerpt(label)} does not match the factor tosets") from None
 
     ids = sorted(range(poset.n), key=lambda x: key(poset.labels[x]))
-    return explicit_order(
-        poset, ids, {"kind": "tensor-degree-lex", "sizes": sizes}
-    )
+    recipe = {"kind": "tensor-degree-lex", "sizes": list(map(len, blocks))}
+    consecutive = [v for b in blocks for v in b] == list(range(width))
+    return explicit_order(poset, ids, recipe if consecutive else None)
 
 
 def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable:
@@ -546,7 +549,11 @@ def _resolve(poset, recipe):
     if kind == "family-default":
         return _resolve_family(poset, recipe)
     if kind == "tensor-degree-lex":
-        return tensor_monomial_order(poset, recipe["sizes"])
+        sizes = recipe["sizes"]
+        if min(sizes, default=1) < 1:
+            raise OrderError(f"tensor-degree-lex factor sizes must be positive, got {excerpt(sizes)}")
+        ends = accumulate(sizes)  # consecutive blocks of these sizes
+        return tensor_monomial_order(poset, [range(e - s, e) for s, e in zip(sizes, ends)])
     if kind == "rep-lex":
         return rep_lex_order(poset)
     return degree_rep_lex_order(poset)

@@ -407,8 +407,8 @@ def is_macaulay_ring(
     mode="poset" checks the class poset on the upper-shadow side, which by
     the correspondence between the two sides needs level linear independence
     plus a monomial order, worked out from the ring: the given table, the
-    degree-rep-lex order, or on several consecutive variable components their
-    product (`families.tensor_monomial_order`); a refusal reports
+    degree-rep-lex order, or on several variable components their product
+    (`families.tensor_monomial_order`); a refusal reports
     degree-rep-lex's counterexample.  mode="both" cross-checks.
     """
     if mode not in ("both", "poset", "monomial-ideals"):
@@ -432,8 +432,8 @@ def is_macaulay_ring(
         if not ok:
             ok, cex = is_monomial_order(ring, degree_rep_lex_order(poset))
         blocks = [vs for vs, _ in _components(ring.spec)]  # glued tensor factors
-        if not ok and len(blocks) > 1 and sum(blocks, []) == list(range(ring.spec.d)):
-            ok = is_monomial_order(ring, families.tensor_monomial_order(poset, map(len, blocks)))[0]
+        if not ok and len(blocks) > 1:
+            ok = is_monomial_order(ring, families.tensor_monomial_order(poset, blocks))[0]
         verdict.monomial_order_verified = ok
         verdict.monomial_order_counterexample = None if ok else cex
         if not ctx.lli:

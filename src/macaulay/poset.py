@@ -107,12 +107,16 @@ class RankedPoset:
 
     Invariants checked at construction: every cover raises rank by exactly
     one (which also forces acyclicity), at least one element has rank 0, and
-    every element of positive rank has a cover below it.
+    every element of positive rank has a cover below it.  `factors` records
+    the posets a Cartesian product was made of, as given (not flattened), for
+    `verify` to read; equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "covers", "rank", "labels", "up", "down", "levels", "_label_ids", "_minima")
+    __slots__ = (
+        "n", "covers", "rank", "labels", "factors", "up", "down", "levels", "_label_ids", "_minima",
+    )
 
-    def __init__(self, n, covers, rank, labels=None):
+    def __init__(self, n, covers, rank, labels=None, factors=()):
         self.n = int(n)
         # int() only where an endpoint is not an int: bools, floats and
         # numeric strings convert as before, and int pairs pass as they are
@@ -121,8 +125,11 @@ class RankedPoset:
         ]))
         self.rank = tuple(int(r) for r in rank)
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
+        self.factors = tuple(factors)
         self._label_ids = None
-        self._minima = {}  # (level, direction) -> least shadow size per subset size
+        # verify's store: (level, direction) -> least shadow size per subset size,
+        # "cofactor" and ("cofactor", direction) -> the chain split and its certificate
+        self._minima = {}
         self.audit()
         self.levels = split_by_rank(range(self.n), self.rank)  # per rank, ascending ids
         # the covers are sorted, so each element's ups and downs arrive
@@ -296,6 +303,7 @@ def cartesian_product(
     Rank is the sum of factor ranks.  Tuple labels of the factors are
     concatenated so products of grids stay labeled by flat exponent vectors,
     and ids follow (rank, label key), ties by factor ids, first factor first.
+    The product records `posets` as its factors, truncated or not.
     """
     if not posets:
         raise PosetError("product of zero posets is not defined")
@@ -325,7 +333,7 @@ def cartesian_product(
                 j = index.get(code + (y - x) * stride)
                 if j is not None:
                     covers.append((i, j))
-    return RankedPoset(len(elems), covers, [e[0] for e in elems], [e[3] for e in elems])
+    return RankedPoset(len(elems), covers, [e[0] for e in elems], [e[3] for e in elems], posets)
 
 
 def cartesian_power(poset: RankedPoset, n: int) -> RankedPoset:
@@ -334,14 +342,15 @@ def cartesian_power(poset: RankedPoset, n: int) -> RankedPoset:
 
 
 def truncate(poset: RankedPoset, n: int) -> RankedPoset:
-    """Keep elements of rank <= n and the covers among them."""
+    """Keep elements of rank <= n and the covers among them, and the recorded factors."""
     keep = [x for x in range(poset.n) if poset.rank[x] <= n]
     if len(keep) == poset.n:
         return poset
     new_id = {x: i for i, x in enumerate(keep)}
     covers = [(new_id[a], new_id[b]) for a, b in poset.covers if a in new_id and b in new_id]
     return RankedPoset(
-        len(keep), covers, [poset.rank[x] for x in keep], [poset.labels[x] for x in keep]
+        len(keep), covers, [poset.rank[x] for x in keep], [poset.labels[x] for x in keep],
+        poset.factors,
     )
 
 

@@ -18,20 +18,40 @@ of a and b elements share them: with g the upper minima of the lower level
 and f the lower minima of the upper one, f(q) = min{p : g(a - p) <= b - q}
 (a subset and the complement of its shadow bound each other's shadows), and
 the same with the roles swapped, so each pair is scanned on its smaller side.
-`_minima` is
-Horowitz and Sahni's meet in the middle on subset keys (`_halves`): targets
-both halves reach, then a unary count of the rest, so a pair's shadow size is
-its keys' OR's popcount.  Each half is kept as its distinct inclusion-minimal
-keys per size, every bound starts at the initial segment's shadow, and each
-high key meets every low key at once, in bit-parallel arithmetic on one packed
-int; the exact per-pair minimum runs only where a pair beats its bound.
-`_first_minimizers` finds witnesses in the caller's order, for the sizes it
-reports: the first minimizers of the full 2^k Gray walk.  The subset cap is
-checked on the scanned side before any table is built or stored minima are
-read, and on a level's own size before a witness is sought there.  The search
-builds each level's order as a prefix DFS over shadow bitmasks and cuts each
-failing prefix with all its completions, so it finds the order a
-permutation-by-permutation search would; `budget` counts the prefixes grown.
+
+A Cartesian product records its factors (`RankedPoset.factors`), and a level
+of P = Q x chain(n) needs no subset scan when Q is Macaulay under some order
+(Clements and Lindstrom's compression).  Split a subset A of level i into its
+fibres A_j, its elements with chain coordinate j, of c_j elements of level
+i - j of Q.  The lower shadow's fibre over j is the shadow of A_j in Q
+together with A_(j+1), both in level i - j - 1 of Q, so it has at least
+max(beta_(i-j)(c_j), c_(j+1)) elements, beta being the minima of Q's levels.
+Fibres that are initial segments of Q's Macaulay order meet every such bound
+at once: shadows of segments are segments, so each shadow fibre is the larger
+of two nested segments.  Hence, exactly, best[q] = the least sum over j of
+max(beta_(i-j)(c_j), c_(j+1)) over c_0 + ... + c_(n-1) = q, with c_n = 0;
+"upper" runs the same sum with the chain top-down.  `_chain_minima` is that
+sum as a path DP.  The order is not in the formula, but the formula is exact
+only if one exists, so `_chain_cofactor` certifies it: it takes the longest
+chain factor and Q, the other factors smallest first, and asks `is_macaulay`
+for lex on Q in the same direction.  Without that certificate (lex fails,
+cannot rank Q's labels, or meets a level of Q past the cap) the kernel runs.
+
+`_minima` is Horowitz and Sahni's meet in the middle on subset keys
+(`_halves`): targets both halves reach, then a unary count of the rest, so a
+pair's shadow size is its keys' OR's popcount.  Each half is kept as its
+distinct inclusion-minimal keys per size, every bound starts at the initial
+segment's shadow, and each high key meets every low key at once, in
+bit-parallel arithmetic on one packed int; the exact per-pair minimum runs
+only where a pair beats its bound.  `_first_minimizers` finds witnesses in
+the caller's order, for the sizes it reports: the first minimizers of the
+full 2^k Gray walk.  The subset cap bounds subset enumeration only: it is
+checked on the kernel's scanned side before any table is built or stored
+minima are read, and on a level's own size before a witness is sought there;
+minima from the chain split need none.  The search builds each level's order
+as a prefix DFS over shadow bitmasks and cuts each failing prefix with all
+its completions, so it finds the order a permutation-by-permutation search
+would; `budget` counts the prefixes grown.
 """
 from __future__ import annotations
 
@@ -39,12 +59,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, groupby, repeat
-from operator import or_
+from operator import add, or_
 from typing import Optional
 
-from .errors import ResourceLimitError, SearchBudgetExceeded, excerpt
-from .orders import OrderTable, explicit_order
-from .poset import RankedPoset, label_order
+from .errors import OrderError, ResourceLimitError, SearchBudgetExceeded, excerpt
+from .orders import OrderTable, explicit_order, lex_order
+from .poset import RankedPoset, cartesian_product, label_order
 
 DEFAULT_SUBSET_CAP = 2 ** 22
 
@@ -321,9 +341,12 @@ def is_macaulay(
 ) -> MacaulayVerdict:
     """Exhaustively decide the per-level segment/shadow property.
 
-    Each level is scanned over all of its subsets; levels whose subset count
-    exceeds `max_subsets` raise ResourceLimitError naming the level.  With
-    `all_failures` the scan continues past the first offending level.
+    Each level's segments are held against its exact minima
+    (`min_shadow_profile`).  `max_subsets` bounds subset enumeration only: a
+    level whose minima take the kernel, or that needs a nestedness witness,
+    raises ResourceLimitError naming the level past it; minima read from a
+    chain product's factors enumerate nothing.  With `all_failures` the scan
+    continues past the first offending level.
     """
     if table.poset != poset:
         raise ValueError("order table does not belong to this poset")
@@ -364,6 +387,67 @@ def is_macaulay(
     return verdict
 
 
+def _chain_cofactor(poset, direction):
+    """(n, Q) when the recorded factors make the poset Q x chain(n) up to its top
+    rank and lex on Q passes `is_macaulay` in `direction` at the default cap, else
+    None.  The chain is the first longest factor with one element per level; Q,
+    the product of the others, smallest first as lex on chain products wants
+    (Clements-Lindstrom), truncated at the poset's top rank, is built once per
+    poset and keeps its own stored minima."""
+    if not poset.factors:
+        return None
+    memo = poset._minima
+    if "cofactor" not in memo:
+        memo["cofactor"] = None
+        chains = [f for f in poset.factors if all(len(lvl) == 1 for lvl in f.levels)]
+        if chains:
+            chain, rest = max(chains, key=lambda f: f.n), list(poset.factors)
+            rest.remove(chain)
+            q = cartesian_product(sorted(rest, key=lambda f: f.n), poset.max_rank)
+            memo["cofactor"] = chain.n, q
+    split, key = memo["cofactor"], ("cofactor", direction)
+    if split and key not in memo:
+        try:
+            memo[key] = is_macaulay(split[1], lex_order(split[1]), direction).holds
+        except (OrderError, ResourceLimitError):  # labels lex cannot rank, or Q past the cap
+            memo[key] = False
+    return split if split and memo[key] else None
+
+
+def _chain_minima(n, cofactor, level, direction, k):
+    """The minima of `level` (k elements) of cofactor x chain(n): the least
+    sum over fibres e of max(beta_e(c_e), c_(e+1)), over fibre sizes c_e that sum
+    to q, with c_n = 0; beta_e is the cofactor's minima on fibre e's level, and
+    the fibres run up the chain for "lower", down it for "upper".  A path DP: row
+    c of `rows` holds, per running sum, the least cost with the current fibre at
+    c.  As beta never falls, the c with beta(c) <= c' are a prefix, so the min
+    over c splits into a prefix minimum plus c' and a suffix minimum of cost + beta."""
+    inf = float("inf")
+    fibres = range(n) if direction == "lower" else reversed(range(n))
+    betas = [min_shadow_profile(cofactor, level - j, direction)
+             if 0 <= level - j <= cofactor.max_rank else [0] for j in fibres]
+    # a fibre off Q's levels holds nothing and adds 0, save the one just
+    # before the first that holds something, which adds that one's size
+    inside = [e for e, beta in enumerate(betas) if len(beta) > 1]
+    betas = betas[max(inside[0] - 1, 0): inside[-1] + 1]
+    top = len(betas[0]) - 1  # the largest running sum so far, at most k
+    rows = [[inf] * c + [0] + [inf] * (top - c) for c in range(top + 1)]
+    for beta, after in zip(betas, betas[1:] + [[0]]):  # c_n = 0 leaves one row: best
+        pre, suf = [[inf] * (top + 1)], [[inf] * (top + 1)]  # min over c < t, over c >= t
+        for row in rows:
+            pre.append(list(map(min, pre[-1], row)))
+        for row, b in zip(rows[::-1], beta[::-1]):
+            suf.append(list(map(min, suf[-1], map(add, row, repeat(b)))))
+        suf.reverse()
+        width, rows = len(after) - 1, []
+        for c in range(width + 1):
+            t = bisect_right(beta, c)
+            row = map(min, map(add, pre[t], repeat(c)), suf[t])
+            rows.append([*repeat(inf, c), *row, *repeat(inf, width - c)][: k + 1])
+        top = min(top + width, k)
+    return rows[0]
+
+
 def min_shadow_profile(
     poset: RankedPoset,
     level: int,
@@ -372,21 +456,26 @@ def min_shadow_profile(
 ) -> list:
     """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k,
     kept on the poset per (level, direction).  A level with no target level
-    gets zeros; one whose target level of n elements is smaller takes
-    best[q] = min{p : g[n - p] <= k - q} from that level's minima g facing
-    back; any other is scanned on one split: ascending ids, reversed for
-    "upper", rows stably sorted by least target bit.  ResourceLimitError
-    names the level, and the scanned one, past `max_subsets`; a level outside
-    0..max_rank raises ValueError."""
+    gets zeros; a level of Q x chain(n) whose Q passes lex (`_chain_cofactor`)
+    takes them from Q's minima by `_chain_minima`, with no subset enumerated
+    and so no cap.  Otherwise a level whose target level of n elements is
+    smaller takes best[q] = min{p : g[n - p] <= k - q} from that level's
+    minima g facing back; any other is scanned on one split: ascending ids,
+    reversed for "upper", rows stably sorted by least target bit.  The cap
+    bounds that scan: ResourceLimitError names the level, and the scanned one,
+    past `max_subsets`.  A level outside 0..max_rank raises ValueError."""
     neigh, step = _direction(poset, direction)
     source, near = _level(poset, level), level + step
     k, n = len(source), len(poset.level(near))
     if not n:
         return [0] * (k + 1)
-    _check_subset_cap(min(n, k), level, max_subsets, near if n < k else None)
-    key = (level, direction)
+    key, split = (level, direction), _chain_cofactor(poset, direction)
+    if not split:
+        _check_subset_cap(min(n, k), level, max_subsets, near if n < k else None)
     if key not in poset._minima:
-        if n < k:  # g never falls as the subset grows
+        if split:
+            poset._minima[key] = _chain_minima(*split, level, direction, k)
+        elif n < k:  # g never falls as the subset grows
             back = min_shadow_profile(poset, near, "upper" if step < 0 else "lower", max_subsets)
             poset._minima[key] = [n + 1 - bisect_right(back, k - q) for q in range(k + 1)]
         else:

@@ -51,16 +51,44 @@ def test_check_poset_usage_error(capsys):
 def test_check_poset_resource_cap(capsys):
     rc, _, err = run(
         capsys,
-        "check-poset", "--poset", "multiset:2,2,2,2,2,2", "--order", "lex",
+        "check-poset", "--poset", "be:2,2,2", "--order", "family-default",
         "--max-subsets", "1024",
     )
-    # levels of 1, 6, 15, 20, 15, 6, 1 elements: level 3 reads the minima of
-    # level 2, the smaller side of their pair
+    # a spider square, with no chain factor: levels of 9, 18, 15, 6, 1
+    # elements, and level 2 is the smaller side of its pair with level 1
     assert rc == 3 and err == (
-        "resource limit: level 3 needs the minima of level 2, which has 15 elements; "
-        "2^15 subsets exceed the cap of 1024\n"
+        "resource limit: level 2 has 15 elements; 2^15 subsets exceed the cap of 1024\n"
     )
     assert _one_short_line(err)
+
+
+def test_check_poset_reads_chain_products_past_the_subset_cap(capsys):
+    # multiset:7,7,7 has 28-element levels, and multiset:6,6,6,6 a 146-element
+    # one; their minima come from the factors, with no subset scanned
+    for argv in (["--poset", "multiset:7,7,7", "--order", "lex"],
+                 ["--poset", "multiset:6,6,6,6", "--order", "lex"],
+                 ["--poset", "multiset:6,6,6,6", "--order", "lex", "--direction", "upper"]):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "check-poset", *argv)
+        assert rc == 0 and out.endswith(": Macaulay\n") and err == "", argv
+        assert time.perf_counter() - start < 5, argv
+
+
+def test_check_poset_witness_past_the_cap_on_a_chain_product(tmp_path, capsys):
+    # lex on multiset:6,6,6 with (3, 3, 3), whose shadow has 3 elements, moved
+    # to the front of the 25-element level 9: its minima need no subset scan,
+    # but the nestedness witness does, so the cap still refuses that level
+    p = F.builtin("multiset:6,6,6").poset
+    lex = M.lex_order(p)
+    positions = list(lex.position)
+    a, b = lex.level_in_order(9)[0], p.id_of((3, 3, 3))
+    positions[a], positions[b] = positions[b], positions[a]
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"kind": "explicit", "positions": positions}))
+    rc, out, err = run(capsys, "check-poset", "--poset", "multiset:6,6,6", "--order", f"recipe:{path}")
+    assert rc == 3 and out == "" and err == (
+        "resource limit: level 9 has 25 elements; 2^25 subsets exceed the cap of 4194304\n"
+    )
 
 
 def test_check_ring_antichain_cap_names_its_cap(capsys):

@@ -106,14 +106,14 @@ def test_block_and_tensor_orders_refuse_labels_their_split_cannot_cut():
     with pytest.raises(OrderError, match="label 0 does not match the factor tosets"):
         F.torus_order(F.star(3), [2])
     grid = M.multiset_lattice([2, 2])
-    assert F.tensor_monomial_order(grid, [1, 1]).recipe["kind"] == "tensor-degree-lex"
+    assert F.tensor_monomial_order(grid, [[0], [1]]).recipe["kind"] == "tensor-degree-lex"
     for bad in (F.star(3), M.RankedPoset(2, [], [0, 0], [(0, "a"), (1, 0)]), short):
         with pytest.raises(OrderError, match="does not match the factor tosets"):
-            F.tensor_monomial_order(bad, [1, 1])
+            F.tensor_monomial_order(bad, [[0], [1]])
     # a factor of size 0 or below once cut the labels anyway, and the grid was "Macaulay"
     for sizes in ([0, 2], [-1, 3], [2, 0]):
         with pytest.raises(OrderError, match="factor sizes must be positive"):
-            F.tensor_monomial_order(grid, sizes)
+            order_from_recipe(grid, {"kind": "tensor-degree-lex", "sizes": sizes})
 
 
 def test_mermin_murai_requires_sorted_sizes():
@@ -415,10 +415,10 @@ def test_builtins_carry_json_recipes():
     # no builtin carries a monomial-order witness: on the glued rings, where
     # neither the table nor degree-rep-lex is a monomial order, the ring's
     # check works out the product order over its components
-    for spec, sizes in [("torus:3,2", [2, 2]), ("diamond:2", [3, 3])]:
+    for spec, blocks in [("torus:3,2", [[0, 1], [2, 3]]), ("diamond:2", [[0, 1, 2], [3, 4, 5]])]:
         b = F.builtin(spec)
         assert not M.is_monomial_order(b.ring, degree_rep_lex_order(b.poset))[0]
-        assert M.is_monomial_order(b.ring, F.tensor_monomial_order(b.poset, sizes))[0]
+        assert M.is_monomial_order(b.ring, F.tensor_monomial_order(b.poset, blocks))[0]
         v = M.is_macaulay_ring(b.ring, b.default_order(), mode="poset")
         assert v.order_is_monomial is False and v.monomial_order_verified is True, spec
 

@@ -1,3 +1,4 @@
+import ast
 import random
 import tracemalloc
 from functools import lru_cache
@@ -408,6 +409,29 @@ def test_worked_out_witness_verifies_wherever_the_recipe_witness_does(name):
         v = is_macaulay_ring(b.ring, table, mode="poset")
         assert v.monomial_order_verified or not oracle, table.recipe
         assert v.hypothesis_ok == v.monomial_order_verified, table.recipe
+
+
+def test_permuted_variables_keep_the_product_monomial_order():
+    # variables (0, 2, 1, 3) of the torus square make its components [0, 2]
+    # and [1, 3]; the product order over them still verifies, so the verdict
+    # under the same order is the unpermuted ring's, up to the labels of the
+    # table's own counterexample (the permutation is its own inverse)
+    perm = (0, 2, 1, 3)
+    swap = lambda label: tuple(label[j] for j in perm)
+    spec = F.torus_ring([3, 3], M.RATIONALS)
+    gens = [M.Polynomial({swap(e): c for e, c in g.terms.items()}) for g in spec.generators]
+    permuted = M.QuotientRingSpec(spec.d, spec.field, gens, spec.D)
+    ring, pring = M.build_ring(spec), M.build_ring(permuted)
+    p, pp = M.poset_of_monomials(ring), M.poset_of_monomials(pring)
+    table = F.torus_order(p, [3, 3])
+    position = {p.labels[x]: table.position[x] for x in range(p.n)}
+    ptable = explicit_order(pp, sorted(range(pp.n), key=lambda x: position[swap(pp.labels[x])]))
+    for mode in ("poset", "both"):
+        want = is_macaulay_ring(ring, table, mode=mode).to_dict(p)
+        got = is_macaulay_ring(pring, ptable, mode=mode).to_dict(pp)
+        assert got["hypotheses"]["monomial_order_verified"] is True and got["holds"] is True
+        cex = [str(swap(ast.literal_eval(label))) for label in got.pop("order_counterexample")]
+        assert cex == want.pop("order_counterexample") and got == want, mode
 
 
 def test_modes_agree_on_a_failing_glued_ring():

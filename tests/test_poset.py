@@ -25,6 +25,7 @@ from conftest import (
     normalised_poset_oracle,
     reachability,
     series_product,
+    unfactored,
     upset_closure,
 )
 
@@ -149,6 +150,21 @@ def test_product_size_limit():
 def test_product_truncation():
     q = M.cartesian_product([M.chain(3), M.chain(3)], truncation=2)
     assert q == M.multiset_lattice([3, 3], truncation=2)
+
+
+def test_product_builtins_record_the_factors_they_are_made_of():
+    # chain, dual-star and spider factors, not flattened: be:2,2,3 has three
+    # spiders, not the chains or stars a spider is not made of
+    for desc in ("multiset:2,3", "multiset:4,6,7", "multiset:2,2,2,2,2,2", "colored:3,3",
+                 "colored:2,2,1", "be:2,2,2", "be:1,2,3", "be:0,2,3"):
+        p = F.builtin(desc).poset
+        assert len(p.factors) >= 2 and M.cartesian_product(p.factors) == p, desc
+        assert all(not f.factors for f in p.factors), desc
+        copy = unfactored(p)  # the factors change neither equality nor hashing
+        assert copy == p and hash(copy) == hash(p) and len({copy, p}) == 1 and not copy.factors
+    for desc in ("chain:4", "multiset:5", "star:4", "spider:2,3", "be:2,2,1"):
+        assert F.builtin(desc).poset.factors == (), desc  # a one-factor product is its factor
+    assert M.dual(F.builtin("multiset:2,3").poset).factors == ()
 
 
 def test_truncate(m34, m222):

@@ -232,7 +232,7 @@ def test_plain_rep_lex_fails_on_torus():
 def test_tensor_degree_lex_is_monomial_order_on_torus_square():
     ring = M.build_ring(F.torus_ring([3, 3], M.RATIONALS))
     poset = M.poset_of_monomials(ring)
-    ok, _ = M.is_monomial_order(ring, F.tensor_monomial_order(poset, [2, 2]))
+    ok, _ = M.is_monomial_order(ring, F.tensor_monomial_order(poset, [[0, 1], [2, 3]]))
     assert ok
     # while the flat degree-major order is not multiplicative here
     ok2, _ = M.is_monomial_order(ring, degree_rep_lex_order(poset))

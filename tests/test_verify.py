@@ -28,6 +28,7 @@ from conftest import (
     row_masks,
     segment_pass_oracle,
     shadow_lists,
+    unfactored,
 )
 
 
@@ -122,7 +123,8 @@ def test_macaulay_order_attains_min_shadow(m34):
 
 
 def test_resource_cap():
-    p = M.multiset_lattice([2] * 6)  # levels 1,6,15,20,15,6,1
+    # levels 1,6,15,20,15,6,1; unfactored, so no level's minima come from its factors
+    p = unfactored(M.multiset_lattice([2] * 6))
     with pytest.raises(ResourceLimitError, match="level 2"):
         M.is_macaulay(p, M.lex_order(p), max_subsets=2 ** 10)
     with pytest.raises(ResourceLimitError, match="level 3"):
@@ -462,7 +464,7 @@ def test_min_shadow_matches_golden_digest():
 
 
 def test_min_shadow_profile_on_a_25_element_level():
-    p = builtin("multiset:6,6,6").poset
+    p = unfactored(builtin("multiset:6,6,6").poset)  # the kernel, not the chain split
     assert len(p.level(9)) == 25
     with pytest.raises(ResourceLimitError, match="level 9 has 25 elements"):
         M.min_shadow_profile(p, 9)
@@ -520,7 +522,7 @@ def test_stored_minima_are_computed_once_per_adjacent_pair(monkeypatch):
     # side; a pair of equal sides is scanned once per direction
     for caps, scanned in [([3, 4, 4], [0, 1, 2, 3, 5, 6, 7, 8]),  # sizes 1,3,6,9,10,9,6,3,1
                           ([2, 3], [0, 1, 2, 3])]:  # sizes 1,2,2,1
-        p = M.multiset_lattice(caps)
+        p = unfactored(M.multiset_lattice(caps))  # the kernel, not the chain split
         sizes.clear()
         for direction in ("lower", "upper"):
             M.is_macaulay(p, _shuffled_levels(p, direction), direction, all_failures=True)
@@ -535,7 +537,7 @@ def test_stored_minima_are_computed_once_per_adjacent_pair(monkeypatch):
         raise AssertionError("witnesses sought where no nestedness fails")
 
     monkeypatch.setattr(verify, "_first_minimizers", no_witnesses)
-    p = M.multiset_lattice([2, 3])  # sizes 1,2,2,1
+    p = unfactored(M.multiset_lattice([2, 3]))  # sizes 1,2,2,1
     sizes.clear()
     assert M.is_macaulay(p, M.lex_order(p)).holds
     assert sizes == [1, 2, 1]  # levels 0, 2 and 3
@@ -566,7 +568,7 @@ def test_stored_minima_are_the_lex_segment_shadows_on_25_to_29_element_levels(di
     for desc, lvl, k in [("multiset:6,6,6", 9, 25), ("multiset:7,7,7", 6, 28),
                          ("multiset:7,7,7", 12, 28), ("multiset:6,6,7", 9, 29),
                          ("multiset:6,6,6", 7, 27)]:
-        p = builtin(desc).poset
+        p = unfactored(builtin(desc).poset)  # the kernel, not the chain split
         shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
         ids = M.lex_order(p).level_in_order(lvl, reverse=direction == "upper")
         assert len(ids) == k
@@ -586,8 +588,9 @@ def test_search_respects_the_subset_cap(monkeypatch):
     # lattice on 5 atoms reads those of its 5-element level 1, 2^5 subsets
     monkeypatch.setattr(verify, "DEFAULT_SUBSET_CAP", 2 ** 4)
     assert M.search_macaulay_order(M.dual(star(6))) is not None
+    # (unfactored: the Boolean lattice's chain split would read them with no subset scan)
     with pytest.raises(ResourceLimitError, match="level 2 needs the minima of level 1, which has 5 "):
-        M.search_macaulay_order(M.multiset_lattice([2] * 5))
+        M.search_macaulay_order(unfactored(M.multiset_lattice([2] * 5)))
 
 
 _PAIR_BUILTINS = (
@@ -614,6 +617,100 @@ def test_pair_minima_equal_the_direct_kernel_on_both_sides():
                 continue
             assert M.min_shadow_profile(p, lvl, "upper") == _direct_minima(p, lvl, "upper"), desc
             assert M.min_shadow_profile(p, lvl + 1) == _direct_minima(p, lvl + 1, "lower"), desc
+
+
+def _counted_chain_minima():
+    """A patch of `verify._chain_minima` that lists its calls in `calls`, as
+    (cofactor, level, direction); a product's cofactor reads its own."""
+    calls, real = [], verify._chain_minima
+
+    def counted(*args):
+        calls.append(args[1:4])
+        return real(*args)
+
+    return mock.patch.object(verify, "_chain_minima", counted), calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 5), st.booleans())
+def test_chain_minima_equal_the_kernel_on_random_macaulay_factors(seed, n, chain_first):
+    # Q random, relabelled so that lex is the Macaulay order the search finds;
+    # every level of Q x chain(n) read from Q's minima equals the kernel's
+    q = _random_poset(random.Random(seed))
+    try:
+        table = M.search_macaulay_order(q)
+    except SearchBudgetExceeded:
+        table = None
+    assume(table is not None)
+    q = M.RankedPoset(q.n, q.covers, q.rank, [(pos,) for pos in table.position])
+    p = M.cartesian_product([M.chain(n), q] if chain_first else [q, M.chain(n)])
+    patch, calls = _counted_chain_minima()
+    with patch:
+        for direction in ("lower", "upper"):
+            for lvl in range(p.max_rank + 1):
+                if len(p.level(lvl)) <= 22:
+                    assert M.min_shadow_profile(p, lvl, direction) == \
+                        _direct_minima(p, lvl, direction), (seed, n, direction, lvl)
+    assert any(d == "lower" for _, _, d in calls)  # lex on Q is Macaulay "lower" by construction
+
+
+def _lex_segment_shadows(p, lvl, direction):
+    """Shadow sizes of the lex segments of a level (reversed for "upper")."""
+    ids = M.lex_order(p).level_in_order(lvl, reverse=direction == "upper")
+    shadow = p.lower_shadow if direction == "lower" else p.upper_shadow
+    sets = itertools.accumulate((shadow((x,)) for x in ids), frozenset.union, initial=frozenset())
+    return list(map(len, sets))
+
+
+@pytest.mark.parametrize("desc", ["multiset:6,6,6,6", "multiset:4,5,6,7", "multiset:3,3,3,3,3"])
+def test_chain_minima_are_the_lex_segment_shadows_on_levels_of_up_to_146_elements(desc):
+    # Clements-Lindstrom: lex on nondecreasing caps is Macaulay in both
+    # directions, so its segments' shadows are the minima, far past the cap
+    p = builtin(desc).poset
+    patch, calls = _counted_chain_minima()
+    with patch:
+        for direction in ("lower", "upper"):
+            assert M.is_macaulay(p, M.lex_order(p), direction).holds
+            for lvl in range(p.max_rank + 1):
+                assert M.min_shadow_profile(p, lvl, direction) == \
+                    _lex_segment_shadows(p, lvl, direction), (desc, direction, lvl)
+    assert max(map(len, p.levels)) == {"multiset:6,6,6,6": 146, "multiset:4,5,6,7": 100,
+                                       "multiset:3,3,3,3,3": 51}[desc]
+    assert {d for _, _, d in calls} == {"lower", "upper"}
+
+
+def test_chain_products_without_a_lex_certificate_take_the_kernel(monkeypatch):
+    # lex is not Macaulay on the torus:3,2 class poset, and star(4)'s int
+    # labels are not vectors lex can rank: both products scan their levels
+    def no_chain_minima(*args):
+        raise AssertionError("chain minima without a lex certificate")
+
+    monkeypatch.setattr(verify, "_chain_minima", no_chain_minima)
+    for q in (builtin("torus:3,2").poset, star(4)):
+        p = M.cartesian_product([M.chain(3), q])
+        kernel = unfactored(p)
+        assert p.factors and not kernel.factors
+        for direction in ("lower", "upper"):
+            for lvl in range(p.max_rank + 1):
+                assert M.min_shadow_profile(p, lvl, direction) == \
+                    M.min_shadow_profile(kernel, lvl, direction), (q, direction, lvl)
+
+
+def test_a_truncated_chain_product_reads_its_factors_up_to_the_truncation():
+    full = M.multiset_lattice([4, 5, 3])
+    for p in (M.multiset_lattice([4, 5, 3], truncation=5), M.truncate(full, 5)):
+        assert p.max_rank == 5 and p.factors == full.factors
+        patch, calls = _counted_chain_minima()
+        with patch:
+            for lvl in range(6):
+                assert M.min_shadow_profile(p, lvl) == _direct_minima(p, lvl, "lower")
+                # the top level has no upper targets; below it, the full product's
+                want = _direct_minima(full, lvl, "upper") if lvl < 5 else [0] * (len(p.level(5)) + 1)
+                assert M.min_shadow_profile(p, lvl, "upper") == want
+        cofactor = p._minima["cofactor"][1]  # chain(3) x chain(4), truncated at 5
+        assert cofactor.max_rank == 5 and cofactor.factors == (full.factors[2], full.factors[0])
+        mine = sorted((lvl, d) for c, lvl, d in calls if c is cofactor)
+        assert mine == sorted([(lvl, "lower") for lvl in range(1, 6)] + [(lvl, "upper") for lvl in range(5)])
 
 
 @functools.cache
