@@ -27,7 +27,6 @@ from .orders import (
     ascii_int,
     degree_major_order,
     dual_order,
-    explicit_order,
     lex_order,  # kept bound here: bench/spans.py times families.lex_order
     ranks_vectors,
     table_from_vectors,
@@ -40,12 +39,14 @@ from .rings import (
     Polynomial,
     QuotientRingSpec,
     RingModel,
+    _cut_labels,
     build_ring,
     check_generators,
     degree_rep_lex_order,
     monomial,
     poset_of_monomials,
     rep_lex_order,
+    tensor_monomial_order,
     tensor_power,
     tensor_ring,
 )
@@ -109,30 +110,14 @@ def colored_poset(ns: Sequence[int]) -> RankedPoset:
 def _factor_positions(poset, factor_tosets):
     """Each element's vector of positions in the factor tosets, and the toset lengths.
     Entries and labels are flat tuples, a bare int a 1-tuple, and each label is cut
-    into parts as wide as its factor's entries (exponent vectors, or factor labels)."""
+    into consecutive parts as wide as its factor's entries (exponent vectors, or
+    factor labels); a part in no toset is refused (`rings._cut_labels`)."""
     tosets = [[e if type(e) is tuple else (e,) for e in t] for t in factor_tosets]
     index = [{v: i for i, v in enumerate(t)} for t in tosets]
-    split = _split_flat([len(t[0]) for t in tosets])
-    vecs = []
-    for label in poset.labels:
-        try:
-            parts = split(label if type(label) is tuple else (label,))
-            vecs.append(tuple(map(dict.__getitem__, index, parts)))
-        except (KeyError, TypeError):  # a part in no toset, or a label split cannot cut
-            raise OrderError(f"label {excerpt(label)} does not match the factor tosets") from None
-    return vecs, tuple(len(t) for t in tosets)
-
-
-def _split_flat(sizes):
-    """Cut a flat label into consecutive parts of these sizes; any other label raises TypeError."""
-    ends, width = list(accumulate(sizes)), sum(sizes)
-
-    def split(label):
-        if type(label) is not tuple or len(label) != width:
-            raise TypeError(f"label {excerpt(label)} is not a flat {width}-tuple")
-        return [label[b - s:b] for s, b in zip(sizes, ends)]
-
-    return split
+    ends = accumulate(len(t[0]) for t in tosets)
+    blocks = [range(e - len(t[0]), e) for t, e in zip(tosets, ends)]
+    read = lambda parts: tuple(map(dict.__getitem__, index, parts))
+    return _cut_labels(poset, blocks, read, bare=True), tuple(len(t) for t in tosets)
 
 
 def mermin_murai_order(poset: RankedPoset, ns: Sequence[int], side: str = "poset") -> OrderTable:
@@ -265,33 +250,6 @@ def leck_ring(ds: Sequence[int], kk_d: int, field: FieldSpec = FieldSpec()) -> Q
     if kk_d > 0:
         specs.append(kk_ring(kk_d, field))
     return tensor_ring(specs)
-
-
-def tensor_monomial_order(poset: RankedPoset, blocks: Sequence[Sequence[int]]) -> OrderTable:
-    """Factor-wise lexicographic order over per-factor degree-major class orders.
-
-    `blocks` lists each tensor factor's variables (`rings._components`), and a
-    label's key is (degree, exponents) per block, in block order.  When every
-    factor's degree-major order is a monomial order, this product order is one
-    on the tensor ring; `is_macaulay_ring` tries it on glued factors, where a
-    flat degree-major order stops being multiplicative.  Consecutive blocks are
-    recorded as the tensor-degree-lex recipe of their sizes, others as positions.
-    """
-    blocks = [tuple(b) for b in blocks]
-    width = sum(map(len, blocks))
-
-    def key(label):
-        try:
-            if type(label) is not tuple or len(label) != width:
-                raise TypeError
-            return tuple((sum(sub), sub) for sub in (tuple(label[v] for v in b) for b in blocks))
-        except TypeError:  # a label the blocks cannot cut, or a part that does not sum
-            raise OrderError(f"label {excerpt(label)} does not match the factor tosets") from None
-
-    ids = sorted(range(poset.n), key=lambda x: key(poset.labels[x]))
-    recipe = {"kind": "tensor-degree-lex", "sizes": list(map(len, blocks))}
-    consecutive = [v for b in blocks for v in b] == list(range(width))
-    return explicit_order(poset, ids, recipe if consecutive else None)
 
 
 def be_ring_order(poset: RankedPoset, k: int, length: int, n: int) -> OrderTable:

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
-from itertools import accumulate
 from operator import or_
 from typing import Optional, Sequence
 
-from . import families
 from .errors import RingError, ResourceLimitError, excerpt
 from .linalg import add_multiple, extend_echelon, rref
 from .linalg import rref_with_transform  # kept bound: bench/spans.py times hilbert.rref_with_transform
@@ -28,8 +26,9 @@ from .rings import (
     is_level_linearly_independent,
     is_monomial_order,
     poset_of_monomials,
+    tensor_monomial_order,
 )
-from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _shadow_masks, _subset_ors, is_macaulay
+from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _segments, _subset_ors, is_macaulay
 from .verify import min_shadow_profile
 
 MAX_ANTICHAIN_GROUND = 24
@@ -331,13 +330,12 @@ def _segment_test(ctx: RingContext, table: OrderTable):
     The segment of size q in a degree is its q order-largest classes.  The
     segments of a profile p form an ideal exactly when, in each degree
     i < D, the p_i-segment's upper shadow lies in the p_(i+1)-segment: as a
-    mask over degree i + 1's dual order (`_shadow_masks`), its bit length
-    `reach[i][p_i]` is at most p_(i+1).  Without level linear independence
-    a segment may also span less than its size: a "hilbert-mismatch".
+    prefix OR over degree i + 1's dual order (`verify._segments`), its bit
+    length `reach[i][p_i]` is at most p_(i+1).  Without level linear
+    independence a segment may also span less than its size: a "hilbert-mismatch".
     """
-    orders = [table.level_in_order(i, reverse=True) for i in range(ctx.ring.D + 1)]
-    ups = [_shadow_masks(ctx.poset.up, src, dst) for src, dst in zip(orders, orders[1:])]
-    reach = [[m.bit_length() for m in accumulate(masks, int.__or__, initial=0)] for masks in ups]
+    frames = (_segments(ctx.poset, table, i, "upper")[3] for i in range(ctx.ring.D))
+    reach = [[m.bit_length() for m in prefix] for prefix in frames]
 
     @cache  # per scan: many ideals share a profile
     def failure(profile):
@@ -408,7 +406,7 @@ def is_macaulay_ring(
     the correspondence between the two sides needs level linear independence
     plus a monomial order, worked out from the ring: the given table, the
     degree-rep-lex order, or on several variable components their product
-    (`families.tensor_monomial_order`); a refusal reports
+    (`rings.tensor_monomial_order`); a refusal reports
     degree-rep-lex's counterexample.  mode="both" cross-checks.
     """
     if mode not in ("both", "poset", "monomial-ideals"):
@@ -433,7 +431,7 @@ def is_macaulay_ring(
             ok, cex = is_monomial_order(ring, degree_rep_lex_order(poset))
         blocks = [vs for vs, _ in _components(ring.spec)]  # glued tensor factors
         if not ok and len(blocks) > 1:
-            ok = is_monomial_order(ring, families.tensor_monomial_order(poset, blocks))[0]
+            ok = is_monomial_order(ring, tensor_monomial_order(poset, blocks))[0]
         verdict.monomial_order_verified = ok
         verdict.monomial_order_counterexample = None if ok else cex
         if not ctx.lli:

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
-from operator import add
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import OrderError, RingError, excerpt
@@ -471,6 +472,46 @@ def degree_rep_lex_order(poset: RankedPoset) -> OrderTable:
     return explicit_order(poset, ids, {"kind": "degree-rep-lex"})
 
 
+def _cut_labels(poset: RankedPoset, blocks, read, bare=False) -> list:
+    """Per element, `read` of its label's parts: the entries at each block of
+    positions, as tuples, in block order.  Labels are flat tuples; with `bare`
+    any other label is read as a 1-tuple.  A label the blocks do not cut, or
+    whose parts `read` rejects (KeyError or TypeError), raises OrderError."""
+    order = [v for b in blocks for v in b]
+    cuts = [slice(e - len(b), e) for b, e in zip(blocks, accumulate(map(len, blocks)))]
+    # one C-level gather per label; itemgetter returns a bare entry for one index
+    gather = itemgetter(*order) if len(order) > 1 else lambda flat: tuple(flat[v] for v in order)
+    out = []
+    for label in poset.labels:
+        flat = (label,) if bare and type(label) is not tuple else label
+        try:
+            if type(flat) is not tuple or len(flat) != len(order):
+                raise TypeError
+            entries = gather(flat)
+            out.append(read([entries[c] for c in cuts]))
+        except (KeyError, TypeError):
+            raise OrderError(f"label {excerpt(label)} does not match the factor tosets") from None
+    return out
+
+
+def tensor_monomial_order(poset: RankedPoset, blocks: Sequence[Sequence[int]]) -> OrderTable:
+    """Factor-wise lexicographic order over per-factor degree-major class orders.
+
+    `blocks` lists each tensor factor's variables (`_components`), and a
+    label's key is (degree, exponents) per block, in block order; one block
+    of every variable gives `degree_rep_lex_order`'s positions.  When every
+    factor's degree-major order is a monomial order, this product order is one
+    on the tensor ring; `is_macaulay_ring` tries it on glued factors, where a
+    flat degree-major order stops being multiplicative.  Consecutive blocks are
+    recorded as the tensor-degree-lex recipe of their sizes, others as positions.
+    """
+    keys = _cut_labels(poset, blocks, lambda parts: tuple((sum(p), p) for p in parts))
+    ids = sorted(range(poset.n), key=keys.__getitem__)
+    recipe = {"kind": "tensor-degree-lex", "sizes": list(map(len, blocks))}
+    consecutive = [v for b in blocks for v in b] == list(range(sum(map(len, blocks))))
+    return explicit_order(poset, ids, recipe if consecutive else None)
+
+
 def is_monomial_order(ring: RingModel, table: OrderTable):
     """Check multiplicativity: m1 < m2 implies m*m1 < m*m2 when both products live.
 
@@ -574,7 +615,7 @@ def tensor_ring(specs: Sequence[QuotientRingSpec], D: Optional[int] = None) -> Q
     return QuotientRingSpec(d_total, specs[0].field, tuple(gens), D)
 
 
-def tensor_power(spec: QuotientRingSpec, n: int, D: Optional[int] = None) -> QuotientRingSpec:
+def tensor_power(spec: QuotientRingSpec, n: int) -> QuotientRingSpec:
     terms = sum(len(g.terms) for g in spec.generators)
     check_generators(terms, n, spec.d, n)  # n * terms lifted over n * d variables
-    return tensor_ring([spec] * n, D)
+    return tensor_ring([spec] * n)

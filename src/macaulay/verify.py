@@ -7,17 +7,19 @@ Checking direction "lower" uses plain per-level segments and lower shadows;
 direction "upper" uses the reversed per-level segments and upper shadows,
 which is the form the dual side of the theory wants.
 
-Each shadow is an int bitmask over the target positions (`_shadow_masks`,
-also read by the ring's segment test in `hilbert`).  The shadow of the first
-q sources is the prefix OR m of their masks: its size is m.bit_count(), and
-it is a target prefix exactly when m & (m + 1) is zero.  The least shadow
-size of a q-subset, best[q], depends on the level and not on its order, so
-`min_shadow_profile` computes it once per (level, direction) and keeps it on
-the poset for `is_macaulay`, `min_shadow` and the search.  Adjacent levels
-of a and b elements share them: with g the upper minima of the lower level
-and f the lower minima of the upper one, f(q) = min{p : g(a - p) <= b - q}
-(a subset and the complement of its shadow bound each other's shadows), and
-the same with the roles swapped, so each pair is scanned on its smaller side.
+Each shadow is an int bitmask over the target positions (`_shadow_masks`),
+and `_segments` gives a level's frame in segment order, also read by the
+ring's segment test in `hilbert`.  The shadow of the first q sources is the
+prefix OR m of their masks.  The least shadow size of a q-subset, best[q],
+depends on the level and not on its order, so `min_shadow_profile` computes
+it once per (level, direction) and keeps it on the poset for `is_macaulay`,
+`min_shadow` and the search.  The segment of size q passes exactly when
+m.bit_length() <= best[q]: m has at least best[q] bits, so it is then the
+first best[q] targets.  Adjacent levels of a and b elements share their
+minima: with g the upper minima of the lower level and f the lower minima of
+the upper one, f(q) = min{p : g(a - p) <= b - q} (a subset and the
+complement of its shadow bound each other's shadows), and the same with the
+roles swapped, so each pair is scanned on its smaller side.
 
 A Cartesian product records its factors (`RankedPoset.factors`), and a level
 of P = Q x chain(n) needs no subset scan when Q is Macaulay under some order
@@ -135,18 +137,21 @@ def _direction(poset, direction):
     raise ValueError(f"direction must be 'lower' or 'upper', got {excerpt(direction)}")
 
 
-def _level_frames(poset, table, step):
-    """Yield (level, source ids, target ids), both in segment order."""
-    reverse = step > 0
-    for lvl in range(max(0, -step), poset.max_rank + 1 - max(0, step)):
-        source = table.level_in_order(lvl, reverse=reverse)
-        yield lvl, source, table.level_in_order(lvl + step, reverse=reverse)
-
-
 def _shadow_masks(neigh, source, target):
     """Per source element, the int bitmask of its neighbours' positions in `target`."""
     bit = {x: 1 << j for j, x in enumerate(target)}
     return [sum(bit[y] for y in neigh[x]) for x in source]
+
+
+def _segments(poset, table, lvl, direction):
+    """(source, target, masks, prefix): level `lvl` and the level it faces, both in
+    segment order (reversed for "upper"), each source's shadow mask over the
+    target, and the prefix ORs, prefix[q] the shadow of the first q sources."""
+    neigh, step = _direction(poset, direction)
+    source = table.level_in_order(lvl, reverse=step > 0)
+    target = table.level_in_order(lvl + step, reverse=step > 0)
+    masks = _shadow_masks(neigh, source, target)
+    return source, target, masks, list(accumulate(masks, int.__or__, initial=0))
 
 
 def _check_subset_cap(k, level, cap, scanned=None):
@@ -350,19 +355,16 @@ def is_macaulay(
     """
     if table.poset != poset:
         raise ValueError("order table does not belong to this poset")
-    neigh, step = _direction(poset, direction)
+    _, step = _direction(poset, direction)
     verdict = MacaulayVerdict(True, direction)
-    for lvl, source, target in _level_frames(poset, table, step):
+    for lvl in range(max(0, -step), poset.max_rank + 1 - max(0, step)):
+        source, target, masks, prefix = _segments(poset, table, lvl, direction)
         best = min_shadow_profile(poset, lvl, direction, max_subsets)
-        masks = _shadow_masks(neigh, source, target)
-        prefix = list(accumulate(masks, int.__or__, initial=0))
         verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
-        # a shadow is a target prefix exactly when its mask m has m + 1 a power of two
-        failing = [
-            q for q, m in enumerate(prefix) if best[q] < m.bit_count() or m & (m + 1)
-        ][: None if all_failures else 1]
-        short = [q for q in failing if best[q] < prefix[q].bit_count()]
+        failing = [q for q, m in enumerate(prefix) if m.bit_length() > best[q]]
+        failing = failing[: None if all_failures else 1]
+        short = [q for q in failing if best[q] < prefix[q].bit_count()]  # else continuity
         if short:  # a witness walks this level's own halves
             _check_subset_cap(len(source), lvl, max_subsets)
         witnesses = _first_minimizers(masks, best, short) if short else {}
@@ -517,9 +519,9 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
     would pass.  Each level reads its lower minima from `min_shadow_profile`,
     which raises ResourceLimitError as soon as the search reaches a level
     whose scanned side has more subsets than DEFAULT_SUBSET_CAP.  A prefix
-    whose shadow is not an initial segment, or is larger than the minimum for
-    its size, is cut: every completion of it fails too.  `budget` counts
-    nodes, one per prefix grown.
+    whose shadow's bit length is above the minimum for its size (it is not an
+    initial segment, or is too large) is cut: every completion of it fails
+    too.  `budget` counts nodes, one per prefix grown.
     Returns None when the space is exhausted; raises SearchBudgetExceeded once
     more than `budget` nodes are grown.
     """
@@ -547,7 +549,7 @@ def search_macaulay_order(poset: RankedPoset, budget: int = 200_000) -> Optional
                 return extend(i + 1)
             for j in range(k):
                 m = shadow | masks[j]
-                if j in perm or m & (m + 1) or m.bit_count() > best[size + 1]:
+                if j in perm or m.bit_length() > best[size + 1]:
                     continue
                 perm.append(j)
                 if grow(m):

@@ -961,11 +961,11 @@ def macaulay_by_definition(poset, table, direction="lower"):
     in ways the fast path is not, so keep it to small posets.  Returns
     (flag, first failing (level, A) or None).
     """
-    from macaulay.verify import _direction, _level_frames
-
-    _, step = _direction(poset, direction)
+    step = -1 if direction == "lower" else 1
     shadow_of = poset.lower_shadow if direction == "lower" else poset.upper_shadow
-    for lvl, source, target in _level_frames(poset, table, step):
+    for lvl in range(max(0, -step), poset.max_rank + 1 - max(0, step)):
+        source = table.level_in_order(lvl, reverse=step > 0)
+        target = table.level_in_order(lvl + step, reverse=step > 0)
         k = len(source)
         for mask in range(1, 1 << k):
             A = [source[j] for j in range(k) if mask >> j & 1]

@@ -27,3 +27,20 @@ def test_the_package_exports_exactly_the_public_names():
              for a in node.names]
     assert sorted(names) == PUBLIC and len(set(names)) == len(names)
     assert all(hasattr(M, name) for name in names)
+
+
+# The core library, below the builtin registry (`families`) and the CLI.
+CORE = ["errors", "linalg", "poset", "orders", "rings", "verify", "hilbert"]
+
+
+def test_core_modules_import_neither_the_registry_nor_the_cli():
+    root = Path(M.__file__).parent
+    for name in CORE:
+        parts = set()
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                parts.update(p for a in node.names for p in a.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                parts.update((node.module or "").split("."))
+                parts.update(a.name for a in node.names)
+        assert not parts & {"families", "cli"}, name

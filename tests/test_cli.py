@@ -1234,3 +1234,12 @@ def test_deeply_nested_input_files_are_usage_errors(argv, text, tmp_path, capsys
     rc, out, err = run(capsys, *(a.format(file=path, out=tmp_path / "out") for a in argv))
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_check_poset_reports_a_continuity_failure(capsys):
+    rc, out, _ = run(capsys, "check-poset", "--poset", "colored:2,2", "--order", "lex")
+    assert rc == 1
+    assert out.splitlines()[1] == (
+        "  level 2, size 1: shadow {(0, 2), (2, 0)} of the segment {(0, 0)} is not the initial"
+        " segment {(0, 2), (1, 2)}"
+    )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from functools import lru_cache
 from math import prod
@@ -523,3 +524,17 @@ def test_tensor_ring_counts_the_lifted_generators():
     M.tensor_ring([F.kk_ring(1)] * 1000)
     with pytest.raises(ResourceLimitError, match="would have 1002001 exponent entries"):
         M.tensor_ring([F.kk_ring(1)] * 1001)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: F.leck_basic_ring(1), RingError, "a basic factor needs at least two variables"),
+    (lambda: F.leck_ring([], 0), RingError, "a Leck ring needs at least one basic factor"),
+    (lambda: F.ring_builtin("multiset:2,2"), RingError, "'multiset:2,2' is not a ring builtin"),
+    (lambda: order_from_recipe(M.chain(1), F._family("colored", 0)), OrderError,
+     "factor sizes must be positive"),
+    (lambda: order_from_recipe(M.chain(2), F._family("torus", 3)), OrderError,
+     "torus order parameters [3] do not fit 2 elements"),
+])
+def test_family_refusals(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()

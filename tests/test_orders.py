@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,3 +349,20 @@ def test_level_in_order_is_the_level_sorted_by_position(table, reverse):
     for i in range(-2, p.max_rank + 3):
         want = tuple(sorted(p.level(i), key=lambda x: table.position[x], reverse=reverse))
         assert table.level_in_order(i, reverse) == want
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: order_from_recipe(M.multiset_lattice([1, 1]), block_recipe([[1]], LEX)),
+     "block order has 1 partitions for 2 coordinates"),
+    (lambda: order_from_recipe(M.chain(2), {"kind": "explicit", "positions": [0, 0]}),
+     "positions must be a bijection onto 0..n-1"),
+    (lambda: M.explicit_order(M.chain(2), [0, 0]),
+     "explicit order must list every element exactly once"),
+    (lambda: M.lex_order(M.RankedPoset(2, [(0, 1)], [0, 1], [(0,), (0, 1)])),
+     "all labels must have the same dimension"),
+    (lambda: M.lex_order(M.RankedPoset(2, [(0, 1)], [0, 1], [(0,), (0,)])),
+     "position vectors must be distinct to define a total order"),
+])
+def test_order_refusals(build, message):
+    with pytest.raises(OrderError, match=re.escape(message)):
+        build()

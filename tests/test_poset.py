@@ -3,6 +3,7 @@ import functools
 import json
 import pathlib
 import random
+import re
 import time
 from unittest import mock
 
@@ -524,3 +525,24 @@ def test_only_the_outputs_that_promise_label_order_sort_by_label():
     assert readers("label_order") == {("verify.py", "<module>"), ("verify.py", "min_shadow"),
                                       ("verify.py", "search_macaulay_order"),
                                       ("poset.py", "export_dot")}
+
+
+TWO_CHAIN = {"n": 2, "ranks": [0, 1], "covers": [[0, 1]], "labels": [0, 1]}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: M.RankedPoset(0, [], []), "poset must have at least one element"),
+    (lambda: M.multiset_lattice([]), "shape needs at least one coordinate"),
+    (lambda: M.multiset_lattice([2], truncation=-1), "truncation must be nonnegative"),
+    (lambda: M.cartesian_product([]), "product of zero posets is not defined"),
+    (lambda: poset_module.poset_from_dict({**TWO_CHAIN, "n": "2"}),
+     "poset n must be an integer, got '2'"),
+    (lambda: poset_module.poset_from_dict({**TWO_CHAIN, "ranks": "01"}),
+     "poset ranks must be a list of integers"),
+    (lambda: poset_module.poset_from_dict({**TWO_CHAIN, "labels": "ab"}),
+     "poset labels must be a list"),
+    (lambda: parse_json("{"), "poset file is not valid JSON: "),
+])
+def test_poset_refusals(build, message):
+    with pytest.raises(PosetError, match=re.escape(message)):
+        build()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,6 +33,7 @@ from macaulay.rings import (
     degree_rep_lex_order,
     monomials_by_degree,
     rep_lex_order,
+    tensor_monomial_order,
 )
 
 
@@ -237,6 +239,10 @@ def test_tensor_degree_lex_is_monomial_order_on_torus_square():
     # while the flat degree-major order is not multiplicative here
     ok2, _ = M.is_monomial_order(ring, degree_rep_lex_order(poset))
     assert not ok2
+    # one block of every variable is the flat degree-major order
+    one_block = tensor_monomial_order(poset, [range(4)])
+    assert one_block.position == degree_rep_lex_order(poset).position
+    assert F.tensor_monomial_order is tensor_monomial_order
 
 
 _ORDER_CHECK_POOL = (
@@ -780,3 +786,14 @@ def test_mul_refuses_misfit_exponent_vectors():
     with pytest.raises(RingError, match="exceeds truncation"):
         ring.mul(0, (3, 3))
     assert ring.mul(0, (1, 2)) == ring.times[1][ring.times[1][ring.times[0][0]]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: M.Polynomial({}).degree(), "zero polynomial has no degree"),
+    (lambda: M.QuotientRingSpec(0, M.FieldSpec(), (), 1), "need at least one variable"),
+    (lambda: M.tensor_ring([M.QuotientRingSpec(1, M.FieldSpec(p), (), 1) for p in (2, 3)]),
+     "tensor factors must share a field"),
+])
+def test_ring_refusals(build, message):
+    with pytest.raises(RingError, match=re.escape(message)):
+        build()

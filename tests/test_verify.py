@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 from unittest import mock
 
@@ -1029,3 +1030,13 @@ def test_search_on_builtins():
     with pytest.raises(SearchBudgetExceeded, match="no verdict within 1000 nodes"):
         M.search_macaulay_order(builtin("be:2,2,2").poset, budget=1000)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: M.is_macaulay(M.chain(2), M.lex_order(M.chain(2)), "sideways"),
+     "direction must be 'lower' or 'upper', got 'sideways'"),
+    (lambda: M.min_shadow(M.chain(2), 1, 5), "q=5 out of range for level of size 1"),
+])
+def test_verify_refusals(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
