@@ -163,9 +163,9 @@ def _colored_basic(n: int, field: FieldSpec) -> QuotientRingSpec:
     return QuotientRingSpec(n, field, gens, 1)
 
 
-def colored_sf_ring(ns: Sequence[int], field: FieldSpec = FieldSpec(), D=None) -> QuotientRingSpec:
+def colored_sf_ring(ns: Sequence[int], field: FieldSpec = FieldSpec()) -> QuotientRingSpec:
     """Tensor of quotients by the full degree-2 piece: one variable survives per factor."""
-    return tensor_ring([_colored_basic(n, field) for n in ns], D)
+    return tensor_ring([_colored_basic(n, field) for n in ns])
 
 
 def _powers_and_products(d, cap):

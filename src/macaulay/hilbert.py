@@ -28,8 +28,8 @@ from .rings import (
     poset_of_monomials,
     tensor_monomial_order,
 )
-from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _segments, _subset_ors, is_macaulay
-from .verify import min_shadow_profile
+from .verify import DEFAULT_SUBSET_CAP, MacaulayVerdict, _level_check, _segments, _subset_ors
+from .verify import is_macaulay
 
 MAX_ANTICHAIN_GROUND = 24
 
@@ -331,8 +331,8 @@ def _segment_test(ctx: RingContext, table: OrderTable):
     segments of a profile p form an ideal exactly when, in each degree
     i < D, the p_i-segment's upper shadow lies in the p_(i+1)-segment: as a
     prefix OR over degree i + 1's dual order (`verify._segments`), its bit
-    length `reach[i][p_i]` is at most p_(i+1).  Without level linear
-    independence a segment may also span less than its size: a "hilbert-mismatch".
+    length is at most p_(i+1).  Without level linear independence a segment
+    may also span less than its size: a "hilbert-mismatch".
     """
     frames = (_segments(ctx.poset, table, i, "upper")[3] for i in range(ctx.ring.D))
     reach = [[m.bit_length() for m in prefix] for prefix in frames]
@@ -348,17 +348,16 @@ def _segment_test(ctx: RingContext, table: OrderTable):
                     return i, "hilbert-mismatch"
         return None
 
-    failure.reach = reach
     return failure
 
 
-def _safe_degree(ctx: RingContext, failure, g, up, poset_holds):
+def _safe_degree(ctx: RingContext, table: OrderTable, failure, g, up, poset_holds):
     """The least s such that no subset of a level L_i, s <= i <= g, fails `failure`.
 
     L_g takes one streamed pass, unless the poset side holds under the same
     order: then every level passes the upper check.  Below a safe degree
     i + 1, the pairs above i of U <= L_i are those of up1(U) <= L_(i+1), so
-    i is safe exactly when `failure.reach[i]` is at most L_i's upper minima,
+    i is safe exactly when L_i passes the upper check (`verify._level_check`),
     read under the antichain cap as L_i lies in the ground.  Levels past the
     poset's top are empty and safe.
     """
@@ -367,10 +366,8 @@ def _safe_degree(ctx: RingContext, failure, g, up, poset_holds):
         failure(_mask_profile(ctx, m, None)) for m in _subset_unions(level)
     ):
         return g + 1
-    cap = 1 << MAX_ANTICHAIN_GROUND
-    while g and (g - 1 > ctx.poset.max_rank or all(
-        map(int.__le__, failure.reach[g - 1], min_shadow_profile(ctx.poset, g - 1, "upper", cap))
-    )):
+    while g and (g - 1 > ctx.poset.max_rank or not _level_check(
+        ctx.poset, table, g - 1, "upper", 1 << MAX_ANTICHAIN_GROUND)[2]):
         g -= 1
     return g
 
@@ -460,7 +457,7 @@ def is_macaulay_ring(
         levels, slices = ring.levels, ctx._level_masks
         up = {x: upset_mask(poset, (x,)) for x in ground}
         failure = _segment_test(ctx, table)
-        s = _safe_degree(ctx, failure, g, up, getattr(verdict.poset_verdict, "holds", False))
+        s = _safe_degree(ctx, table, failure, g, up, getattr(verdict.poset_verdict, "holds", False))
         spans = {}  # span dimensions without level linear independence
 
         @cache

@@ -127,8 +127,8 @@ class RankedPoset:
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
         self.factors = tuple(factors)
         self._label_ids = None
-        # verify's store: (level, direction) -> least shadow size per subset size,
-        # "cofactor" and ("cofactor", direction) -> the chain split and its certificate
+        # verify's store: (level, direction) -> least shadow size per subset size, "cofactor"
+        # -> the chain split (n, Q, Q's label order), ("cofactor", direction) -> {Q's level: passes}
         self._minima = {}
         self.audit()
         self.levels = split_by_rank(range(self.n), self.rank)  # per rank, ascending ids
@@ -416,6 +416,8 @@ def parse_json(text: str) -> RankedPoset:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise PosetError(f"poset file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise PosetError("poset JSON nests too deeply to decode") from None
     return poset_from_dict(data)
 
 

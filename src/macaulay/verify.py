@@ -33,11 +33,10 @@ at once: shadows of segments are segments, so each shadow fibre is the larger
 of two nested segments.  Hence, exactly, best[q] = the least sum over j of
 max(beta_(i-j)(c_j), c_(j+1)) over c_0 + ... + c_(n-1) = q, with c_n = 0;
 "upper" runs the same sum with the chain top-down.  `_chain_minima` is that
-sum as a path DP.  The order is not in the formula, but the formula is exact
-only if one exists, so `_chain_cofactor` certifies it: it takes the longest
-chain factor and Q, the other factors smallest first, and asks `is_macaulay`
-for lex on Q in the same direction.  Without that certificate (lex fails,
-cannot rank Q's labels, or meets a level of Q past the cap) the kernel runs.
+sum as a path DP.  The order is not in the formula, but the argument needs
+one on each level of Q a fibre reads: `_chain_cofactor` checks those with the
+scan's own `_level_check` under Q's label order (lex on exponent vectors), Q
+the other factors' product, smallest first; failing that, the kernel runs.
 
 `_minima` is Horowitz and Sahni's meet in the middle on subset keys
 (`_halves`): targets both halves reach, then a unary count of the rest, so a
@@ -64,8 +63,8 @@ from itertools import accumulate, groupby, repeat
 from operator import add, or_
 from typing import Optional
 
-from .errors import OrderError, ResourceLimitError, SearchBudgetExceeded, excerpt
-from .orders import OrderTable, explicit_order, lex_order
+from .errors import ResourceLimitError, SearchBudgetExceeded, excerpt
+from .orders import OrderTable, explicit_order
 from .poset import RankedPoset, cartesian_product, label_order
 
 DEFAULT_SUBSET_CAP = 2 ** 22
@@ -337,6 +336,14 @@ def _mask_to_ids(mask, items):
     return tuple(items[j] for j in range(len(items)) if mask >> j & 1)
 
 
+def _level_check(poset, table, lvl, direction, cap):
+    """(frame, best, failing): `_segments`' frame of level `lvl`, its minima under
+    `cap` and the sizes q whose segment fails, prefix[q].bit_length() > best[q]."""
+    frame = _segments(poset, table, lvl, direction)
+    best = min_shadow_profile(poset, lvl, direction, cap)
+    return frame, best, [q for q, m in enumerate(frame[3]) if m.bit_length() > best[q]]
+
+
 def is_macaulay(
     poset: RankedPoset,
     table: OrderTable,
@@ -358,11 +365,10 @@ def is_macaulay(
     _, step = _direction(poset, direction)
     verdict = MacaulayVerdict(True, direction)
     for lvl in range(max(0, -step), poset.max_rank + 1 - max(0, step)):
-        source, target, masks, prefix = _segments(poset, table, lvl, direction)
-        best = min_shadow_profile(poset, lvl, direction, max_subsets)
+        frame, best, failing = _level_check(poset, table, lvl, direction, max_subsets)
+        source, target, masks, prefix = frame
         verdict.subsets_examined += 1 << len(source)
         verdict.levels_checked += 1
-        failing = [q for q, m in enumerate(prefix) if m.bit_length() > best[q]]
         failing = failing[: None if all_failures else 1]
         short = [q for q in failing if best[q] < prefix[q].bit_count()]  # else continuity
         if short:  # a witness walks this level's own halves
@@ -389,31 +395,36 @@ def is_macaulay(
     return verdict
 
 
-def _chain_cofactor(poset, direction):
+def _chain_cofactor(poset, level, direction):
     """(n, Q) when the recorded factors make the poset Q x chain(n) up to its top
-    rank and lex on Q passes `is_macaulay` in `direction` at the default cap, else
-    None.  The chain is the first longest factor with one element per level; Q,
-    the product of the others, smallest first as lex on chain products wants
-    (Clements-Lindstrom), truncated at the poset's top rank, is built once per
-    poset and keeps its own stored minima."""
-    if not poset.factors:
-        return None
+    rank and the levels of Q that `level`'s fibres read, max(0, level - n + 1) to
+    min(level, Q's top), pass `_level_check` in `direction` under Q's label order
+    at the default cap, else None.  The chain is the first longest factor with one
+    element per level; Q, the other factors' product, smallest first as lex wants,
+    truncated at the poset's top rank, is built once with its table and store."""
     memo = poset._minima
-    if "cofactor" not in memo:
+    if poset.factors and "cofactor" not in memo:
         memo["cofactor"] = None
         chains = [f for f in poset.factors if all(len(lvl) == 1 for lvl in f.levels)]
         if chains:
             chain, rest = max(chains, key=lambda f: f.n), list(poset.factors)
             rest.remove(chain)
             q = cartesian_product(sorted(rest, key=lambda f: f.n), poset.max_rank)
-            memo["cofactor"] = chain.n, q
-    split, key = memo["cofactor"], ("cofactor", direction)
-    if split and key not in memo:
-        try:
-            memo[key] = is_macaulay(split[1], lex_order(split[1]), direction).holds
-        except (OrderError, ResourceLimitError):  # labels lex cannot rank, or Q past the cap
-            memo[key] = False
-    return split if split and memo[key] else None
+            table = explicit_order(q, [x for ids in q.levels for x in label_order(q, ids)])
+            memo["cofactor"] = chain.n, q, table
+    if not memo.get("cofactor"):
+        return None
+    n, q, table = memo["cofactor"]
+    passes = memo.setdefault(("cofactor", direction), {})
+    for lvl in range(max(0, level - n + 1), min(level, q.max_rank) + 1):
+        if lvl not in passes:
+            try:
+                passes[lvl] = not _level_check(q, table, lvl, direction, DEFAULT_SUBSET_CAP)[2]
+            except ResourceLimitError:  # a level of Q past the cap
+                passes[lvl] = False
+        if not passes[lvl]:
+            return None
+    return n, q
 
 
 def _chain_minima(n, cofactor, level, direction, k):
@@ -458,9 +469,9 @@ def min_shadow_profile(
 ) -> list:
     """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k,
     kept on the poset per (level, direction).  A level with no target level
-    gets zeros; a level of Q x chain(n) whose Q passes lex (`_chain_cofactor`)
-    takes them from Q's minima by `_chain_minima`, with no subset enumerated
-    and so no cap.  Otherwise a level whose target level of n elements is
+    gets zeros; a level of Q x chain(n) whose fibres read only levels of Q that
+    pass (`_chain_cofactor`) takes them from Q's minima by `_chain_minima`, with
+    no subset enumerated and so no cap.  Otherwise a level whose target level of n elements is
     smaller takes best[q] = min{p : g[n - p] <= k - q} from that level's
     minima g facing back; any other is scanned on one split: ascending ids,
     reversed for "upper", rows stably sorted by least target bit.  The cap
@@ -471,7 +482,7 @@ def min_shadow_profile(
     k, n = len(source), len(poset.level(near))
     if not n:
         return [0] * (k + 1)
-    key, split = (level, direction), _chain_cofactor(poset, direction)
+    key, split = (level, direction), _chain_cofactor(poset, level, direction)
     if not split:
         _check_subset_cap(min(n, k), level, max_subsets, near if n < k else None)
     if key not in poset._minima:

@@ -138,7 +138,7 @@ def _correspondence_payload(field):
         ("cl34", F.cl_ring([3, 4], field), lambda p: M.lex_order(p)),
         (
             "colored22",
-            F.colored_sf_ring([2, 2], field, D=4),
+            M.tensor_ring([F.colored_sf_ring([2], field)] * 2, 4),
             lambda p: F.mermin_murai_order(p, [2, 2], side="ring"),
         ),
     ]

@@ -74,6 +74,23 @@ def test_check_poset_reads_chain_products_past_the_subset_cap(capsys):
         assert time.perf_counter() - start < 5, argv
 
 
+@pytest.mark.parametrize("desc, level, k", [("colored:25,1", 2, 26), ("colored:30,1", 2, 31)])
+def test_check_poset_on_a_dual_star_times_a_chain(desc, level, k, capsys):
+    # Q is one dual star with int labels; its label order passes the level
+    # check, so every level takes the chain split: the family order holds, lex
+    # fails "lower" without a subset scan, and "upper" needs a witness on level 1
+    for direction in ("lower", "upper"):
+        rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", "family-default",
+                           "--direction", direction)
+        assert rc == 0 and out.endswith(": Macaulay\n") and err == "", direction
+    rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", "lex")
+    assert rc == 1 and f"level {level}, size 1: shadow" in out and err == ""
+    rc, out, err = run(capsys, "check-poset", "--poset", desc, "--order", "lex", "--direction", "upper")
+    assert rc == 3 and out == "" and err == (
+        f"resource limit: level 1 has {k} elements; 2^{k} subsets exceed the cap of 4194304\n"
+    )
+
+
 def test_check_poset_witness_past_the_cap_on_a_chain_product(tmp_path, capsys):
     # lex on multiset:6,6,6 with (3, 3, 3), whose shadow has 3 elements, moved
     # to the front of the 25-element level 9: its minima need no subset scan,

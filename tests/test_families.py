@@ -527,6 +527,7 @@ def test_tensor_ring_counts_the_lifted_generators():
 
 
 @pytest.mark.parametrize("build, error, message", [
+    (lambda: F.star(0), PosetError, "star needs at least one leg"),
     (lambda: F.leck_basic_ring(1), RingError, "a basic factor needs at least two variables"),
     (lambda: F.leck_ring([], 0), RingError, "a Leck ring needs at least one basic factor"),
     (lambda: F.ring_builtin("multiset:2,2"), RingError, "'multiset:2,2' is not a ring builtin"),

@@ -588,7 +588,7 @@ def test_safe_degrees_match_the_stream_oracle(ring_and_degree, variant, rnd, hol
         return
     holds = holds and ctx.lli and M.is_macaulay(p, table, "upper").holds
     up = {x: M.upset_mask(p, (x,)) for x in ground}
-    got = _safe_degree(ctx, _segment_test(ctx, table), g, up, holds)
+    got = _safe_degree(ctx, table, _segment_test(ctx, table), g, up, holds)
     assert got == stream_safe_degree(ctx, table, g)
 
 
@@ -596,7 +596,7 @@ def test_safe_degrees_match_the_stream_oracle(ring_and_degree, variant, rnd, hol
 def test_scan_with_empty_top_levels_matches_the_oracle(order):
     # classes only in degrees <= 2 of a ring truncated at D = 4: the levels
     # past the poset's top are empty, and no minima are read there
-    ctx = RingContext(M.build_ring(F.colored_sf_ring([2, 2], M.RATIONALS, D=4)))
+    ctx = RingContext(M.build_ring(M.tensor_ring([F.colored_sf_ring([2], M.RATIONALS)] * 2, 4)))
     p = ctx.poset
     assert ctx.ring.hilb == [1, 4, 4, 0, 0] and p.max_rank == 2
     table = F.mermin_murai_order(p, [2, 2], side="ring") if order == "family" else M.lex_order(p)

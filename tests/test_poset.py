@@ -524,7 +524,17 @@ def test_only_the_outputs_that_promise_label_order_sort_by_label():
                                      ("poset.py", "_label_key")}
     assert readers("label_order") == {("verify.py", "<module>"), ("verify.py", "min_shadow"),
                                       ("verify.py", "search_macaulay_order"),
-                                      ("poset.py", "export_dot")}
+                                      ("verify.py", "_chain_cofactor"), ("poset.py", "export_dot")}
+
+
+def test_labels_that_are_not_vectors_sort_by_kind_then_text():
+    # a bool sorts among the strings by its repr and any other label after
+    # them by its repr, so level 0 reads True, None and level 1 "a", 1.5
+    p = parse_json(json.dumps({"n": 4, "ranks": [0, 0, 1, 1], "covers": [[0, 2], [1, 3], [0, 3]],
+                               "labels": [True, None, 1.5, "a"]}))
+    dot = export_dot(p)
+    assert dot.index("v0;") < dot.index("v1;") and dot.index("v3;") < dot.index("v2;")
+    assert M.min_shadow(p, 0, 1) == (0, frozenset({0}))
 
 
 TWO_CHAIN = {"n": 2, "ranks": [0, 1], "covers": [[0, 1]], "labels": [0, 1]}
@@ -542,6 +552,7 @@ TWO_CHAIN = {"n": 2, "ranks": [0, 1], "covers": [[0, 1]], "labels": [0, 1]}
     (lambda: poset_module.poset_from_dict({**TWO_CHAIN, "labels": "ab"}),
      "poset labels must be a list"),
     (lambda: parse_json("{"), "poset file is not valid JSON: "),
+    (lambda: parse_json("[" * 100000 + "]" * 100000), "poset JSON nests too deeply to decode"),
 ])
 def test_poset_refusals(build, message):
     with pytest.raises(PosetError, match=re.escape(message)):

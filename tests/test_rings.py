@@ -791,6 +791,10 @@ def test_mul_refuses_misfit_exponent_vectors():
 @pytest.mark.parametrize("build, message", [
     (lambda: M.Polynomial({}).degree(), "zero polynomial has no degree"),
     (lambda: M.QuotientRingSpec(0, M.FieldSpec(), (), 1), "need at least one variable"),
+    (lambda: M.QuotientRingSpec(1, M.FieldSpec(), (M.Polynomial({}),), 1),
+     "generators must be nonzero"),
+    (lambda: M.QuotientRingSpec.from_json({"d": 1, "field": "q", "generators": {}, "D": 1}),
+     "ring spec generators must be a list, got {}"),
     (lambda: M.tensor_ring([M.QuotientRingSpec(1, M.FieldSpec(p), (), 1) for p in (2, 3)]),
      "tensor factors must share a field"),
 ])

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -680,21 +681,56 @@ def test_chain_minima_are_the_lex_segment_shadows_on_levels_of_up_to_146_element
     assert {d for _, _, d in calls} == {"lower", "upper"}
 
 
-def test_chain_products_without_a_lex_certificate_take_the_kernel(monkeypatch):
-    # lex is not Macaulay on the torus:3,2 class poset, and star(4)'s int
-    # labels are not vectors lex can rank: both products scan their levels
-    def no_chain_minima(*args):
-        raise AssertionError("chain minima without a lex certificate")
-
-    monkeypatch.setattr(verify, "_chain_minima", no_chain_minima)
-    for q in (builtin("torus:3,2").poset, star(4)):
-        p = M.cartesian_product([M.chain(3), q])
-        kernel = unfactored(p)
-        assert p.factors and not kernel.factors
+@pytest.mark.parametrize("desc, dp", [
+    ("torus:3,2", {"lower": {1, 8}, "upper": {0, 7}}),
+    ("star:4", {"lower": {1, 2, 3}, "upper": {0, 1, 2}}),
+], ids=["torus:3,2", "star:4"])
+def test_chain_products_take_the_dp_exactly_where_their_fibres_read_passing_levels(desc, dp):
+    # Q's label order passes the level check only on some levels: on the
+    # torus:3,2 class poset it is not Macaulay, and star(4) has int labels;
+    # a level of chain(3) x Q takes the DP exactly when every level of Q its
+    # fibres read passes, and the kernel elsewhere
+    p = M.cartesian_product([M.chain(3), builtin(desc).poset])
+    kernel = unfactored(p)
+    assert p.factors and not kernel.factors
+    patch, calls = _counted_chain_minima()
+    with patch:
         for direction in ("lower", "upper"):
             for lvl in range(p.max_rank + 1):
                 assert M.min_shadow_profile(p, lvl, direction) == \
-                    M.min_shadow_profile(kernel, lvl, direction), (q, direction, lvl)
+                    M.min_shadow_profile(kernel, lvl, direction), (desc, direction, lvl)
+    cofactor = p._minima["cofactor"][1]
+    for direction in ("lower", "upper"):
+        assert {lvl for c, lvl, d in calls if c is cofactor and d == direction} == dp[direction]
+
+
+def test_minima_never_reach_the_scan_they_feed(monkeypatch):
+    # the chain split certifies Q level by level, without `is_macaulay`
+    def no_scan(*args, **kwargs):
+        raise AssertionError("is_macaulay called from the minima")
+
+    monkeypatch.setattr(verify, "is_macaulay", no_scan)
+    p = builtin("multiset:4,6,7").poset
+    for direction in ("lower", "upper"):
+        for lvl in range(p.max_rank + 1):
+            M.min_shadow_profile(p, lvl, direction)
+    assert p._minima[("cofactor", "lower")] and p._minima[("cofactor", "upper")]
+
+
+def test_a_cofactor_is_checked_only_on_the_levels_its_fibres_read():
+    # lex on multiset:4,4,3,4,2 fails "upper" at level 1, which reads levels
+    # 0 and 1 of each nested cofactor and nothing above
+    p = builtin("multiset:4,4,3,4,2").poset
+    frames, real = collections.defaultdict(set), verify._segments
+
+    def counted(poset, table, lvl, direction):
+        if poset is not p:
+            frames[poset.n].add(lvl)
+        return real(poset, table, lvl, direction)
+
+    with mock.patch.object(verify, "_segments", counted):
+        assert [f.level for f in M.is_macaulay(p, M.lex_order(p), "upper").failures] == [1]
+    assert sorted(frames) == [2, 6, 24, 96] and all(len(lvls) <= 2 for lvls in frames.values())
 
 
 def test_a_truncated_chain_product_reads_its_factors_up_to_the_truncation():
