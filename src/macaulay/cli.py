@@ -40,6 +40,7 @@ from .rings import (
     QuotientRingSpec,
     build_ring,
     is_level_linearly_independent,
+    poset_of_monomials,
     recognize_tree_ring,
 )
 from .verify import DEFAULT_SUBSET_CAP, is_macaulay
@@ -163,22 +164,22 @@ def _field(args):
 
 
 def _load_ring(args):
-    """The ring's context, and the builtin it came from (None for a spec file)."""
+    """The ring, and the builtin it came from (None for a spec file)."""
     field = _field(args)
     if _is_file(args.spec):
         spec = QuotientRingSpec.from_json(_read_json(args.spec, "ring spec", RingError))
-        return RingContext(build_ring(spec.with_field(field) if args.field else spec)), None
+        return build_ring(spec.with_field(field) if args.field else spec), None
     built = families.ring_builtin(args.spec, field)
-    return RingContext(built.ring), built
+    return built.ring, built
 
 
 def cmd_check_ring(args):
     recipe = _order_recipe_from_arg(args.order)
     t_build = time.perf_counter()
-    ctx, built = _load_ring(args)
+    ring, built = _load_ring(args)
     build_seconds = time.perf_counter() - t_build
-    ring = ctx.ring
-    table = _resolve_order(ctx.poset, recipe, built)
+    poset = poset_of_monomials(ring)  # kept on the ring: the poset `is_macaulay_ring` reads
+    table = _resolve_order(poset, recipe, built)
     t0 = time.perf_counter()
     verdict = is_macaulay_ring(
         ring,
@@ -192,7 +193,7 @@ def cmd_check_ring(args):
     report = _report(
         {"spec": args.spec, "order": table.recipe, "mode": args.mode, "field": field},
         (ring.spec.to_json(), table.recipe, args.mode),
-        verdict.to_dict(ctx.poset),
+        verdict.to_dict(poset),
         {"seconds": time.perf_counter() - t0, "build_seconds": build_seconds},
     )
     _emit(report, args)
@@ -247,8 +248,8 @@ def _load_ideal(ctx, path):
 def cmd_ring(args):
     sub = args.ring_cmd
     recipe = _order_recipe_from_arg(args.order) if sub == "ims" else None
-    ctx, built = _load_ring(args)
-    ring = ctx.ring
+    ring, built = _load_ring(args)
+    ctx = RingContext(ring)
     if sub == "build":
         out = {
             "field": ring.spec.field.to_json(),

@@ -5,7 +5,7 @@ Macaulay, and each such order is one row of `_FAMILIES`: parameter count,
 element count, and factor tosets with a block recipe.  `_resolve_family`,
 the one place a family becomes an order, checks the size, ranks the factor
 positions and records the family-default recipe; tree-ring components
-resolved to published orders (ROADMAP item 7) add rows, not builders.  Tree
+resolved to published orders (ROADMAP item 12) add rows, not builders.  Tree
 rings take their order in ring coordinates: `_spider_rep` maps a spider
 element to the exponent vector of the class it mirrors, so one factor toset
 serves both sides.  The Leck family carries no bundled order: none of the

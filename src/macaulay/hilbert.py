@@ -357,9 +357,10 @@ def _safe_degree(ctx: RingContext, table: OrderTable, failure, g, up, poset_hold
     L_g takes one streamed pass, unless the poset side holds under the same
     order: then every level passes the upper check.  Below a safe degree
     i + 1, the pairs above i of U <= L_i are those of up1(U) <= L_(i+1), so
-    i is safe exactly when L_i passes the upper check (`verify._level_check`),
-    read under the antichain cap as L_i lies in the ground.  Levels past the
-    poset's top are empty and safe.
+    i is safe exactly when L_i passes the upper check (`verify._level_check`)
+    at the default subset cap, which cannot bind: the kernel scans the smaller
+    of two adjacent levels of a ground of at most MAX_ANTICHAIN_GROUND classes.
+    Levels past the poset's top are empty and safe.
     """
     level = [up[x] for x in ctx.ring.levels[g]]
     if not ctx.lli or not poset_holds and any(
@@ -367,7 +368,7 @@ def _safe_degree(ctx: RingContext, table: OrderTable, failure, g, up, poset_hold
     ):
         return g + 1
     while g and (g - 1 > ctx.poset.max_rank or not _level_check(
-        ctx.poset, table, g - 1, "upper", 1 << MAX_ANTICHAIN_GROUND)[2]):
+        ctx.poset, table, g - 1, "upper", DEFAULT_SUBSET_CAP)[2]):
         g -= 1
     return g
 

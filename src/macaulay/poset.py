@@ -127,8 +127,9 @@ class RankedPoset:
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
         self.factors = tuple(factors)
         self._label_ids = None
-        # verify's store: (level, direction) -> least shadow size per subset size, "cofactor"
-        # -> the chain split (n, Q, Q's label order), ("cofactor", direction) -> {Q's level: passes}
+        # verify's store, read free under any subset cap: (level, direction) -> least shadow
+        # size per subset size, "cofactor" -> the chain split (n, Q, Q's label order),
+        # ("cofactor", direction) -> {Q's level: passes}, completed checks only
         self._minima = {}
         self.audit()
         self.levels = split_by_rank(range(self.n), self.rank)  # per rank, ascending ids

@@ -46,13 +46,13 @@ segment's shadow, and each high key meets every low key at once, in
 bit-parallel arithmetic on one packed int; the exact per-pair minimum runs
 only where a pair beats its bound.  `_first_minimizers` finds witnesses in
 the caller's order, for the sizes it reports: the first minimizers of the
-full 2^k Gray walk.  The subset cap bounds subset enumeration only: it is
-checked on the kernel's scanned side before any table is built or stored
-minima are read, and on a level's own size before a witness is sought there;
-minima from the chain split need none.  The search builds each level's order
-as a prefix DFS over shadow bitmasks and cuts each failing prefix with all
-its completions, so it finds the order a permutation-by-permutation search
-would; `budget` counts the prefixes grown.
+full 2^k Gray walk.  `max_subsets` bounds the subsets a call enumerates, and
+is checked only where the kernel or a witness walk is about to start; stored
+minima are read free under any cap, and the chain split runs under the
+caller's.  The search builds each level's order as a prefix DFS over shadow
+bitmasks and cuts each failing prefix with all its completions, so it finds
+the order a permutation-by-permutation search would; `budget` counts the
+prefixes grown.
 """
 from __future__ import annotations
 
@@ -153,13 +153,11 @@ def _segments(poset, table, lvl, direction):
     return source, target, masks, list(accumulate(masks, int.__or__, initial=0))
 
 
-def _check_subset_cap(k, level, cap, scanned=None):
-    """Raise ResourceLimitError naming `level`, and the `scanned` level whose
-    minima it reads if that is another one, when 2^k subsets exceed `cap`."""
+def _check_subset_cap(k, level, cap):
+    """Raise ResourceLimitError when the 2^k subsets of `level` exceed `cap`."""
     if (1 << k) > cap:
-        has = "has" if scanned is None else f"needs the minima of level {scanned}, which has"
         raise ResourceLimitError(
-            f"level {level} {has} {k} elements; 2^{k} subsets exceed the cap of {cap}"
+            f"level {level} has {k} elements; 2^{k} subsets exceed the cap of {cap}"
         )
 
 
@@ -354,10 +352,9 @@ def is_macaulay(
     """Exhaustively decide the per-level segment/shadow property.
 
     Each level's segments are held against its exact minima
-    (`min_shadow_profile`).  `max_subsets` bounds subset enumeration only: a
-    level whose minima take the kernel, or that needs a nestedness witness,
-    raises ResourceLimitError naming the level past it; minima read from a
-    chain product's factors enumerate nothing.  With `all_failures` the scan
+    (`min_shadow_profile`).  A kernel scan or a nestedness witness that would
+    enumerate more than `max_subsets` subsets raises ResourceLimitError naming
+    its level; stored minima are read free.  With `all_failures` the scan
     continues past the first offending level.
     """
     if table.poset != poset:
@@ -395,13 +392,13 @@ def is_macaulay(
     return verdict
 
 
-def _chain_cofactor(poset, level, direction):
-    """(n, Q) when the recorded factors make the poset Q x chain(n) up to its top
-    rank and the levels of Q that `level`'s fibres read, max(0, level - n + 1) to
-    min(level, Q's top), pass `_level_check` in `direction` under Q's label order
-    at the default cap, else None.  The chain is the first longest factor with one
-    element per level; Q, the other factors' product, smallest first as lex wants,
-    truncated at the poset's top rank, is built once with its table and store."""
+def _chain_cofactor(poset, level, direction, cap):
+    """(n, Q) when the recorded factors make the poset Q x chain(n) up to its top rank
+    and the levels of Q that `level`'s fibres read, max(0, level - n + 1) to
+    min(level, Q's top), pass `_level_check` in `direction` under Q's label order and
+    `cap`, else None; a refusal is not kept.  The chain is the first longest factor
+    with one element per level; Q, the other factors' product, smallest first as lex
+    wants, truncated at the poset's top rank, is built once with its table and store."""
     memo = poset._minima
     if poset.factors and "cofactor" not in memo:
         memo["cofactor"] = None
@@ -419,9 +416,9 @@ def _chain_cofactor(poset, level, direction):
     for lvl in range(max(0, level - n + 1), min(level, q.max_rank) + 1):
         if lvl not in passes:
             try:
-                passes[lvl] = not _level_check(q, table, lvl, direction, DEFAULT_SUBSET_CAP)[2]
+                passes[lvl] = not _level_check(q, table, lvl, direction, cap)[2]
             except ResourceLimitError:  # a level of Q past the cap
-                passes[lvl] = False
+                return None
         if not passes[lvl]:
             return None
     return n, q
@@ -467,31 +464,30 @@ def min_shadow_profile(
     direction: str = "lower",
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> list:
-    """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k,
-    kept on the poset per (level, direction).  A level with no target level
-    gets zeros; a level of Q x chain(n) whose fibres read only levels of Q that
-    pass (`_chain_cofactor`) takes them from Q's minima by `_chain_minima`, with
-    no subset enumerated and so no cap.  Otherwise a level whose target level of n elements is
-    smaller takes best[q] = min{p : g[n - p] <= k - q} from that level's
-    minima g facing back; any other is scanned on one split: ascending ids,
-    reversed for "upper", rows stably sorted by least target bit.  The cap
-    bounds that scan: ResourceLimitError names the level, and the scanned one,
-    past `max_subsets`.  A level outside 0..max_rank raises ValueError."""
+    """Minimum shadow cardinality over all q-subsets of a level, for q = 0..k, kept on
+    the poset per (level, direction) and read free under any cap.  A level with no
+    target level gets zeros; a level of Q x chain(n) whose fibres read only levels of
+    Q that pass (`_chain_cofactor`) takes them from Q's minima by `_chain_minima`.
+    Otherwise a level whose target level of n elements is smaller takes best[q] =
+    min{p : g[n - p] <= k - q} from that level's minima g facing back; any other is
+    scanned on one split (ascending ids, reversed for "upper", rows stably sorted by
+    least target bit), which raises ResourceLimitError past `max_subsets`.  A level
+    outside 0..max_rank raises ValueError."""
     neigh, step = _direction(poset, direction)
     source, near = _level(poset, level), level + step
     k, n = len(source), len(poset.level(near))
     if not n:
         return [0] * (k + 1)
-    key, split = (level, direction), _chain_cofactor(poset, level, direction)
-    if not split:
-        _check_subset_cap(min(n, k), level, max_subsets, near if n < k else None)
+    key = (level, direction)
     if key not in poset._minima:
+        split = _chain_cofactor(poset, level, direction, max_subsets)
         if split:
             poset._minima[key] = _chain_minima(*split, level, direction, k)
         elif n < k:  # g never falls as the subset grows
             back = min_shadow_profile(poset, near, "upper" if step < 0 else "lower", max_subsets)
             poset._minima[key] = [n + 1 - bisect_right(back, k - q) for q in range(k + 1)]
         else:
+            _check_subset_cap(k, level, max_subsets)
             rows = _shadow_masks(neigh, source[::-step], poset.level(near)[::-step])
             rows.sort(key=lambda m: m & -m)
             poset._minima[key] = _minima(rows)

@@ -1033,7 +1033,7 @@ def permutation_search_oracle(poset, guard=200_000):
     permuting each level in label order, that passes every level against the
     one below; None when none exists.  Reaching a level i >= 1 whose pair with
     level i - 1 has its smaller side (level i on a tie) over DEFAULT_SUBSET_CAP
-    subsets raises ResourceLimitError at once.  Past `guard`
+    subsets raises ResourceLimitError at once, naming that side.  Past `guard`
     permutations it gives up with SearchBudgetExceeded, a runaway guard that
     says nothing about the search's own budget."""
     from macaulay import verify
@@ -1048,11 +1048,10 @@ def permutation_search_oracle(poset, guard=200_000):
             return True
         k = len(levels[i])
         if i > 0:
-            n = min(k, len(levels[i - 1]))
+            scanned, n = (i, k) if k <= len(levels[i - 1]) else (i - 1, len(levels[i - 1]))
             if 2 ** n > verify.DEFAULT_SUBSET_CAP:
-                has = "has" if n == k else f"needs the minima of level {i - 1}, which has"
                 raise M.ResourceLimitError(
-                    f"level {i} {has} {n} elements; 2^{n} subsets exceed the cap of "
+                    f"level {scanned} has {n} elements; 2^{n} subsets exceed the cap of "
                     f"{verify.DEFAULT_SUBSET_CAP}"
                 )
             below = chosen[i - 1]

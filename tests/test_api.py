@@ -44,3 +44,13 @@ def test_core_modules_import_neither_the_registry_nor_the_cli():
                 parts.update((node.module or "").split("."))
                 parts.update(a.name for a in node.names)
         assert not parts & {"families", "cli"}, name
+
+
+def test_verify_checks_the_subset_cap_only_where_subsets_are_enumerated():
+    # before the kernel (`min_shadow_profile`) and before each witness walk
+    # (`is_macaulay`, `min_shadow`): stored minima and the chain split need none
+    tree = ast.parse((Path(M.__file__).parent / "verify.py").read_text())
+    sites = sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_check_subset_cap")
+    assert sites == ["is_macaulay", "min_shadow", "min_shadow_profile"]

@@ -74,6 +74,20 @@ def test_check_poset_reads_chain_products_past_the_subset_cap(capsys):
         assert time.perf_counter() - start < 5, argv
 
 
+def test_check_poset_enumerates_no_subsets_past_max_subsets(capsys):
+    # the chain split runs under the caller's cap: on multiset:2,2 it refuses
+    # the 1-element level of the cofactor, and the kernel the level it scans;
+    # multiset:7,7,7 reaches only levels of one element, within a cap of 2
+    rc, out, err = run(capsys, "check-poset", "--poset", "multiset:2,2", "--order", "lex",
+                       "--max-subsets", "1")
+    assert rc == 3 and out == "" and err == (
+        "resource limit: level 0 has 1 elements; 2^1 subsets exceed the cap of 1\n"
+    )
+    rc, out, err = run(capsys, "check-poset", "--poset", "multiset:7,7,7", "--order", "lex",
+                       "--max-subsets", "2")
+    assert rc == 0 and out.endswith(": Macaulay\n") and err == ""
+
+
 @pytest.mark.parametrize("desc, level, k", [("colored:25,1", 2, 26), ("colored:30,1", 2, 31)])
 def test_check_poset_on_a_dual_star_times_a_chain(desc, level, k, capsys):
     # Q is one dual star with int labels; its label order passes the level

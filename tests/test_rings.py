@@ -797,6 +797,7 @@ def test_mul_refuses_misfit_exponent_vectors():
      "ring spec generators must be a list, got {}"),
     (lambda: M.tensor_ring([M.QuotientRingSpec(1, M.FieldSpec(p), (), 1) for p in (2, 3)]),
      "tensor factors must share a field"),
+    (lambda: M.tensor_ring([]), "tensor of zero rings is not defined"),
 ])
 def test_ring_refusals(build, message):
     with pytest.raises(RingError, match=re.escape(message)):

@@ -474,9 +474,10 @@ def test_min_shadow_profile_on_a_25_element_level():
     assert profile == [0, 2, 3, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22,
                        23, 23, 24, 25, 26, 27, 27]
     assert profile[12] == 16
-    # the cap is checked before the stored minima are read
+    # stored minima are read free under any cap; a fresh copy has none and refuses
+    assert M.min_shadow_profile(p, 9) == profile
     with pytest.raises(ResourceLimitError, match="level 9 has 25 elements"):
-        M.min_shadow_profile(p, 9)
+        M.min_shadow_profile(unfactored(p), 9)
 
 
 @st.composite
@@ -577,11 +578,12 @@ def test_stored_minima_are_the_lex_segment_shadows_on_25_to_29_element_levels(di
         sizes = [len(shadow(ids[:q])) for q in range(k + 1)]
         assert M.min_shadow_profile(p, lvl, direction, max_subsets=2 ** 30) == sizes
     # level 7 of multiset:6,6,6, the last case, sits between levels of 25 and
-    # 27 elements, so the side scanned is over the default cap either way; the
-    # cap still refuses it after the raised cap has stored its minima
-    scanned = "needs the minima of level 6, which has 25" if direction == "lower" else "has 27"
-    with pytest.raises(ResourceLimitError, match=f"level 7 {scanned} elements"):
-        M.min_shadow_profile(p, 7, direction)
+    # 27 elements, so the side scanned is over the default cap either way: a
+    # fresh copy refuses it, naming that side, and the stored minima read free
+    scanned = "level 6 has 25" if direction == "lower" else "level 7 has 27"
+    with pytest.raises(ResourceLimitError, match=f"{scanned} elements"):
+        M.min_shadow_profile(unfactored(p), 7, direction)
+    assert M.min_shadow_profile(p, 7, direction) == sizes
 
 
 def test_search_respects_the_subset_cap(monkeypatch):
@@ -591,8 +593,61 @@ def test_search_respects_the_subset_cap(monkeypatch):
     monkeypatch.setattr(verify, "DEFAULT_SUBSET_CAP", 2 ** 4)
     assert M.search_macaulay_order(M.dual(star(6))) is not None
     # (unfactored: the Boolean lattice's chain split would read them with no subset scan)
-    with pytest.raises(ResourceLimitError, match="level 2 needs the minima of level 1, which has 5 "):
+    with pytest.raises(ResourceLimitError,
+                       match=r"level 1 has 5 elements; 2\^5 subsets exceed the cap of 16"):
         M.search_macaulay_order(unfactored(M.multiset_lattice([2] * 5)))
+
+
+_CAP_BUILTINS = (
+    "multiset:2,2", "multiset:3,3", "multiset:2,3,4", "multiset:4,3", "multiset:3,3,3",
+    "multiset:7,7,7", "multiset:2,2,2,2,2,2", "colored:2,2", "colored:3,1", "be:1,2,2",
+)
+
+
+def test_max_subsets_bounds_the_subsets_a_call_enumerates():
+    # a fresh poset per call, so no stored minima: whatever the cap, every row
+    # list the kernel or a witness walk takes has at most log2(cap) rows, and a
+    # call that returns reports what the default cap reports
+    widths = []
+
+    def spied(real):
+        def spy(rows, *args):
+            widths.append(len(rows))
+            return real(rows, *args)
+        return spy
+
+    def report(desc, direction, cap):
+        p = builtin(desc).poset
+        return M.is_macaulay(p, M.lex_order(p), direction, cap, all_failures=True).to_dict(p)
+
+    for desc in _CAP_BUILTINS:
+        for direction in ("lower", "upper"):
+            expected = report(desc, direction, verify.DEFAULT_SUBSET_CAP)
+            for e in range(12):
+                widths.clear()
+                with mock.patch.object(verify, "_minima", spied(verify._minima)), \
+                        mock.patch.object(verify, "_first_minimizers", spied(verify._first_minimizers)):
+                    try:
+                        got = report(desc, direction, 1 << e)
+                    except ResourceLimitError:
+                        got = None
+                assert max(widths, default=0) <= e, (desc, direction, e)
+                assert got in (None, expected), (desc, direction, e)
+
+
+def test_a_raised_cap_reaches_the_chain_split():
+    # Q, the 3-dimensional multiset lattice copied without factors, has levels
+    # of 25 and 27 elements that its own kernel scans: at the default cap the
+    # split refuses them and leaves level 6 of chain(2) x Q, 46 elements, to
+    # the kernel; a raised cap certifies Q, even after that refusal
+    def product():
+        return M.cartesian_product([M.chain(2), unfactored(M.multiset_lattice([6, 6, 6]))])
+
+    p = product()
+    with pytest.raises(ResourceLimitError, match="level 6 has 46 elements"):
+        M.is_macaulay(p, M.lex_order(p))
+    for p in (p, product()):
+        assert M.is_macaulay(p, M.lex_order(p), max_subsets=2 ** 27).holds
 
 
 _PAIR_BUILTINS = (
